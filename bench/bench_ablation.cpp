@@ -39,7 +39,7 @@ void print_row(const char* name, const bench::AggregateStats& a) {
   std::printf("  %-24s %8.2f%% %11.2f%% %10d %11.0fms %10.1f %9.2f%%\n",
               name, bench::pct(a.failure_ratio()),
               bench::pct(a.failure_ratio_excluding_holes()),
-              a.conflict_loop_episodes,
+              a.total.conflict_loop_episodes,
               a.feedback_delay_s.empty()
                   ? 0.0
                   : 1e3 * a.feedback_delay_s.mean(),

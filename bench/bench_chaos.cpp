@@ -68,59 +68,22 @@ FaultConfig periodic(FaultKind kind, double first_s, double period_s,
   return cfg;
 }
 
+/// One manager's results for one sweep configuration: the stats-table
+/// counters summed over the seeds' runs, plus the metrics derived from
+/// them and from the runs' event logs.
 struct ManagerMetrics {
-  int handovers = 0;
-  int failures = 0;
+  rem::sim::SimStats total;  ///< sim::accumulate_run_stats over the runs
   double failure_ratio = 0.0;
   double mean_recovery_s = 0.0;  ///< mean outage duration (RLF -> camp)
   double p95_recovery_s = 0.0;
-  double downtime_fraction = 0.0;
-  int report_retransmits = 0;
-  int t304_expiries = 0;
-  int t304_fallback_success = 0;
-  int duplicate_commands = 0;
-  int degraded_enters = 0;
-  double degraded_time_s = 0.0;
-  // Backhaul preparation accounting (zero when the transport is disabled).
-  int prep_requests = 0;
-  int prep_retries = 0;
-  int prep_acks = 0;
-  int prep_rejects = 0;
-  int prep_fallbacks = 0;
-  int prep_failures = 0;
-  int context_fetch_failures = 0;
+  double downtime_fraction = 0.0;  ///< mean over the runs
   double mean_prep_rtt_s = 0.0;
-  std::uint64_t backhaul_sent = 0;
-  std::uint64_t backhaul_delivered = 0;
   std::uint64_t backhaul_dropped = 0;  ///< loss + partition + queue
-  // BS capacity / crash accounting (zero when the model is disabled).
-  int bs_jobs_submitted = 0;
-  int bs_jobs_served = 0;
-  int bs_queue_shed = 0;
-  int bs_jobs_flushed = 0;
-  int admission_rejects = 0;
-  int admission_backoff_retries = 0;
-  int bs_crashes = 0;
-  int bs_crash_dropped_msgs = 0;
-  int stale_context_responses = 0;
   double mean_bs_queue_wait_s = 0.0;
   /// Worst gap from a BS crash opening to the first subsequent
   /// re-establishment or completed handover (whichever comes first);
   /// covers the crash window itself plus post-restart re-attachment.
   double max_crash_recovery_s = 0.0;
-  // Correlated-fault / cascade-resilience accounting (zero unless the
-  // scenario schedules region_outage / cascade_overload or arms the
-  // resilience knobs).
-  int cascade_activations = 0;
-  int cascade_jobs_injected = 0;
-  int breaker_trips = 0;
-  int breaker_probes = 0;
-  int breaker_closes = 0;
-  int breaker_skips = 0;
-  int load_ads_received = 0;
-  int storm_jitter_applied = 0;
-  int loop_episodes = 0;
-  int loop_handovers = 0;
   /// Worst RLF-to-re-establishment gap across every UE's own event stream
   /// (an outage still open at the horizon counts the full remainder) —
   /// the fleet-safe service-recovery bound, unlike max_crash_recovery_s
@@ -246,112 +209,76 @@ double worst_outage_s(const rem::sim::EventLog& events, double horizon_s) {
 ManagerMetrics fold(const std::vector<rem::sim::SimStats>& runs,
                     double horizon_s) {
   ManagerMetrics m;
-  rem::common::Summary recovery;
   for (const auto& s : runs) {
-    m.handovers += s.handovers;
-    m.failures += s.failures;
-    recovery.add_all(s.outage_durations_s);
+    rem::sim::accumulate_run_stats(m.total, s);
     m.downtime_fraction += s.downtime_fraction / runs.size();
-    m.report_retransmits += s.report_retransmits;
-    m.t304_expiries += s.t304_expiries;
-    m.t304_fallback_success += s.t304_fallback_success;
-    m.duplicate_commands += s.duplicate_commands;
-    m.degraded_enters += s.degraded_enters;
-    m.degraded_time_s += s.degraded_time_s;
-    m.prep_requests += s.prep_requests;
-    m.prep_retries += s.prep_retries;
-    m.prep_acks += s.prep_acks;
-    m.prep_rejects += s.prep_rejects;
-    m.prep_fallbacks += s.prep_fallbacks;
-    m.prep_failures += s.prep_failures;
-    m.context_fetch_failures += s.context_fetch_failures;
-    m.mean_prep_rtt_s += s.prep_rtt_sum_s;  // normalized below
-    m.backhaul_sent += s.backhaul_sent;
-    m.backhaul_delivered += s.backhaul_delivered;
-    m.backhaul_dropped += s.backhaul_dropped_loss +
-                          s.backhaul_dropped_partition +
-                          s.backhaul_dropped_queue;
-    m.bs_jobs_submitted += s.bs_jobs_submitted;
-    m.bs_jobs_served += s.bs_jobs_served;
-    m.bs_queue_shed += s.bs_queue_shed;
-    m.bs_jobs_flushed += s.bs_jobs_flushed;
-    m.admission_rejects += s.admission_rejects;
-    m.admission_backoff_retries += s.admission_backoff_retries;
-    m.bs_crashes += s.bs_crashes;
-    m.bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    m.stale_context_responses += s.stale_context_responses;
-    m.mean_bs_queue_wait_s += s.bs_queue_wait_sum_s;  // normalized below
     m.max_crash_recovery_s = std::max(
         m.max_crash_recovery_s, worst_crash_recovery_s(s.events, horizon_s));
-    m.cascade_activations += s.cascade_activations;
-    m.cascade_jobs_injected += s.cascade_jobs_injected;
-    m.breaker_trips += s.breaker_trips;
-    m.breaker_probes += s.breaker_probes;
-    m.breaker_closes += s.breaker_closes;
-    m.breaker_skips += s.breaker_skips;
-    m.load_ads_received += s.load_ads_received;
-    m.storm_jitter_applied += s.storm_jitter_applied;
-    m.loop_episodes += s.loop_episodes;
-    m.loop_handovers += s.loop_handovers;
     m.max_outage_s =
         std::max(m.max_outage_s, worst_outage_s(s.events, horizon_s));
   }
-  const int den = m.handovers + m.failures;
-  m.failure_ratio = den > 0 ? static_cast<double>(m.failures) / den : 0.0;
+  const auto& t = m.total;
+  m.failure_ratio = t.failure_ratio();
+  rem::common::Summary recovery;
+  recovery.add_all(t.outage_durations_s);
   if (recovery.count() > 0) {
     m.mean_recovery_s = recovery.mean();
     m.p95_recovery_s = recovery.percentile(95.0);
   }
-  m.mean_prep_rtt_s = m.prep_acks > 0 ? m.mean_prep_rtt_s / m.prep_acks : 0.0;
+  m.mean_prep_rtt_s = t.prep_acks > 0 ? t.prep_rtt_sum_s / t.prep_acks : 0.0;
+  m.backhaul_dropped = t.backhaul_dropped_loss + t.backhaul_dropped_partition +
+                       t.backhaul_dropped_queue;
   m.mean_bs_queue_wait_s =
-      m.bs_jobs_served > 0 ? m.mean_bs_queue_wait_s / m.bs_jobs_served : 0.0;
+      t.bs_jobs_served > 0 ? t.bs_queue_wait_sum_s / t.bs_jobs_served : 0.0;
   return m;
 }
 
 void print_metrics(const char* label, const ManagerMetrics& m,
                    const ManagerMetrics& base) {
+  const auto& t = m.total;
   std::printf(
       "  %-7s failure %5.1f%% (base %4.1f%%)  recovery mean %5.2f s "
       "p95 %5.2f s  downtime %5.2f%%  rtx %3d  t304 %2d (fb %2d)  dup %2d  "
       "degraded %5.1f s (%d)\n",
       label, 100.0 * m.failure_ratio, 100.0 * base.failure_ratio,
       m.mean_recovery_s, m.p95_recovery_s, 100.0 * m.downtime_fraction,
-      m.report_retransmits, m.t304_expiries, m.t304_fallback_success,
-      m.duplicate_commands, m.degraded_time_s, m.degraded_enters);
-  if (m.prep_requests > 0)
+      t.report_retransmits, t.t304_expiries, t.t304_fallback_success,
+      t.duplicate_commands, t.degraded_time_s, t.degraded_enters);
+  if (t.prep_requests > 0)
     std::printf(
         "          prep %4d req %3d retry %4d ack %2d rej %2d fb %2d fail  "
         "rtt %4.1f ms  ctx-fail %d  frames %llu/%llu (drop %llu)\n",
-        m.prep_requests, m.prep_retries, m.prep_acks, m.prep_rejects,
-        m.prep_fallbacks, m.prep_failures, 1e3 * m.mean_prep_rtt_s,
-        m.context_fetch_failures,
-        static_cast<unsigned long long>(m.backhaul_delivered),
-        static_cast<unsigned long long>(m.backhaul_sent),
+        t.prep_requests, t.prep_retries, t.prep_acks, t.prep_rejects,
+        t.prep_fallbacks, t.prep_failures, 1e3 * m.mean_prep_rtt_s,
+        t.context_fetch_failures,
+        static_cast<unsigned long long>(t.backhaul_delivered),
+        static_cast<unsigned long long>(t.backhaul_sent),
         static_cast<unsigned long long>(m.backhaul_dropped));
-  if (m.bs_jobs_submitted > 0 || m.bs_crashes > 0)
+  if (t.bs_jobs_submitted > 0 || t.bs_crashes > 0)
     std::printf(
         "          bs %5d jobs %4d shed %3d flushed  wait %5.1f ms  "
         "adm-rej %3d (retry %3d)  crash %2d (drop %3d, stale-ctx %2d)  "
         "crash-recovery %4.1f s\n",
-        m.bs_jobs_submitted, m.bs_queue_shed, m.bs_jobs_flushed,
-        1e3 * m.mean_bs_queue_wait_s, m.admission_rejects,
-        m.admission_backoff_retries, m.bs_crashes, m.bs_crash_dropped_msgs,
-        m.stale_context_responses, m.max_crash_recovery_s);
-  if (m.cascade_activations > 0 || m.breaker_trips > 0 ||
-      m.load_ads_received > 0 || m.storm_jitter_applied > 0)
+        t.bs_jobs_submitted, t.bs_queue_shed, t.bs_jobs_flushed,
+        1e3 * m.mean_bs_queue_wait_s, t.admission_rejects,
+        t.admission_backoff_retries, t.bs_crashes, t.bs_crash_dropped_msgs,
+        t.stale_context_responses, m.max_crash_recovery_s);
+  if (t.cascade_activations > 0 || t.breaker_trips > 0 ||
+      t.load_ads_received > 0 || t.storm_jitter_applied > 0)
     std::printf(
         "          cascade %3d inj (%4d jobs)  breaker %3d trip %3d probe "
         "%3d close %4d skip  load-ads %5d  jitter %4d  loops %d ep / %d ho  "
         "outage max %5.2f s\n",
-        m.cascade_activations, m.cascade_jobs_injected, m.breaker_trips,
-        m.breaker_probes, m.breaker_closes, m.breaker_skips,
-        m.load_ads_received, m.storm_jitter_applied, m.loop_episodes,
-        m.loop_handovers, m.max_outage_s);
+        t.cascade_activations, t.cascade_jobs_injected, t.breaker_trips,
+        t.breaker_probes, t.breaker_closes, t.breaker_skips,
+        t.load_ads_received, t.storm_jitter_applied, t.loop_episodes,
+        t.loop_handovers, m.max_outage_s);
 }
 
 void write_metrics_json(std::ofstream& js, const ManagerMetrics& m,
                         const ManagerMetrics& base) {
-  js << "{\"handovers\": " << m.handovers << ", \"failures\": " << m.failures
+  const auto& t = m.total;
+  js << "{\"handovers\": " << t.handovers << ", \"failures\": " << t.failures
      << ", \"failure_ratio\": " << m.failure_ratio
      << ", \"delta_failure_ratio\": " << m.failure_ratio - base.failure_ratio
      << ", \"mean_recovery_s\": " << m.mean_recovery_s
@@ -359,44 +286,44 @@ void write_metrics_json(std::ofstream& js, const ManagerMetrics& m,
      << m.mean_recovery_s - base.mean_recovery_s
      << ", \"p95_recovery_s\": " << m.p95_recovery_s
      << ", \"downtime_fraction\": " << m.downtime_fraction
-     << ", \"report_retransmits\": " << m.report_retransmits
-     << ", \"t304_expiries\": " << m.t304_expiries
-     << ", \"t304_fallback_success\": " << m.t304_fallback_success
-     << ", \"duplicate_commands\": " << m.duplicate_commands
-     << ", \"degraded_enters\": " << m.degraded_enters
-     << ", \"degraded_time_s\": " << m.degraded_time_s
-     << ", \"prep_requests\": " << m.prep_requests
-     << ", \"prep_retries\": " << m.prep_retries
-     << ", \"prep_acks\": " << m.prep_acks
-     << ", \"prep_rejects\": " << m.prep_rejects
-     << ", \"prep_fallbacks\": " << m.prep_fallbacks
-     << ", \"prep_failures\": " << m.prep_failures
-     << ", \"context_fetch_failures\": " << m.context_fetch_failures
+     << ", \"report_retransmits\": " << t.report_retransmits
+     << ", \"t304_expiries\": " << t.t304_expiries
+     << ", \"t304_fallback_success\": " << t.t304_fallback_success
+     << ", \"duplicate_commands\": " << t.duplicate_commands
+     << ", \"degraded_enters\": " << t.degraded_enters
+     << ", \"degraded_time_s\": " << t.degraded_time_s
+     << ", \"prep_requests\": " << t.prep_requests
+     << ", \"prep_retries\": " << t.prep_retries
+     << ", \"prep_acks\": " << t.prep_acks
+     << ", \"prep_rejects\": " << t.prep_rejects
+     << ", \"prep_fallbacks\": " << t.prep_fallbacks
+     << ", \"prep_failures\": " << t.prep_failures
+     << ", \"context_fetch_failures\": " << t.context_fetch_failures
      << ", \"mean_prep_rtt_s\": " << m.mean_prep_rtt_s
-     << ", \"backhaul_sent\": " << m.backhaul_sent
-     << ", \"backhaul_delivered\": " << m.backhaul_delivered
+     << ", \"backhaul_sent\": " << t.backhaul_sent
+     << ", \"backhaul_delivered\": " << t.backhaul_delivered
      << ", \"backhaul_dropped\": " << m.backhaul_dropped
-     << ", \"bs_jobs_submitted\": " << m.bs_jobs_submitted
-     << ", \"bs_jobs_served\": " << m.bs_jobs_served
-     << ", \"bs_queue_shed\": " << m.bs_queue_shed
-     << ", \"bs_jobs_flushed\": " << m.bs_jobs_flushed
+     << ", \"bs_jobs_submitted\": " << t.bs_jobs_submitted
+     << ", \"bs_jobs_served\": " << t.bs_jobs_served
+     << ", \"bs_queue_shed\": " << t.bs_queue_shed
+     << ", \"bs_jobs_flushed\": " << t.bs_jobs_flushed
      << ", \"mean_bs_queue_wait_s\": " << m.mean_bs_queue_wait_s
-     << ", \"admission_rejects\": " << m.admission_rejects
-     << ", \"admission_backoff_retries\": " << m.admission_backoff_retries
-     << ", \"bs_crashes\": " << m.bs_crashes
-     << ", \"bs_crash_dropped_msgs\": " << m.bs_crash_dropped_msgs
-     << ", \"stale_context_responses\": " << m.stale_context_responses
+     << ", \"admission_rejects\": " << t.admission_rejects
+     << ", \"admission_backoff_retries\": " << t.admission_backoff_retries
+     << ", \"bs_crashes\": " << t.bs_crashes
+     << ", \"bs_crash_dropped_msgs\": " << t.bs_crash_dropped_msgs
+     << ", \"stale_context_responses\": " << t.stale_context_responses
      << ", \"max_crash_recovery_s\": " << m.max_crash_recovery_s
-     << ", \"cascade_activations\": " << m.cascade_activations
-     << ", \"cascade_jobs_injected\": " << m.cascade_jobs_injected
-     << ", \"breaker_trips\": " << m.breaker_trips
-     << ", \"breaker_probes\": " << m.breaker_probes
-     << ", \"breaker_closes\": " << m.breaker_closes
-     << ", \"breaker_skips\": " << m.breaker_skips
-     << ", \"load_ads_received\": " << m.load_ads_received
-     << ", \"storm_jitter_applied\": " << m.storm_jitter_applied
-     << ", \"loop_episodes\": " << m.loop_episodes
-     << ", \"loop_handovers\": " << m.loop_handovers
+     << ", \"cascade_activations\": " << t.cascade_activations
+     << ", \"cascade_jobs_injected\": " << t.cascade_jobs_injected
+     << ", \"breaker_trips\": " << t.breaker_trips
+     << ", \"breaker_probes\": " << t.breaker_probes
+     << ", \"breaker_closes\": " << t.breaker_closes
+     << ", \"breaker_skips\": " << t.breaker_skips
+     << ", \"load_ads_received\": " << t.load_ads_received
+     << ", \"storm_jitter_applied\": " << t.storm_jitter_applied
+     << ", \"loop_episodes\": " << t.loop_episodes
+     << ", \"loop_handovers\": " << t.loop_handovers
      << ", \"max_outage_s\": " << m.max_outage_s << "}";
 }
 
@@ -707,18 +634,18 @@ int main(int argc, char** argv) {
   constexpr double kMaxCrashRecoveryS = 10.0;
   bool ok = true;
   for (const auto& r : results) {
-    if (r.name == "pilot_outage" && r.rem.degraded_enters == 0) {
+    if (r.name == "pilot_outage" && r.rem.total.degraded_enters == 0) {
       std::printf("FAIL: REM never entered degraded mode under %s\n",
                   r.name.c_str());
       ok = false;
     }
     if (r.name == "coverage_blackout" &&
-        r.legacy.failures + r.rem.failures == 0) {
+        r.legacy.total.failures + r.rem.total.failures == 0) {
       std::printf("FAIL: no failures observed under %s\n", r.name.c_str());
       ok = false;
     }
     if (r.name == "bs_overload") {
-      if (r.legacy.bs_queue_shed == 0) {
+      if (r.legacy.total.bs_queue_shed == 0) {
         std::printf("FAIL: legacy never shed a BS job under %s\n",
                     r.name.c_str());
         ok = false;
@@ -739,7 +666,9 @@ int main(int argc, char** argv) {
                     100.0 * base_legacy.failure_ratio);
         ok = false;
       }
-      if (r.rem.admission_rejects + r.rem.admission_backoff_retries == 0) {
+      if (r.rem.total.admission_rejects +
+              r.rem.total.admission_backoff_retries ==
+          0) {
         std::printf("FAIL: admission control never fired for REM under %s\n",
                     r.name.c_str());
         ok = false;
@@ -751,9 +680,9 @@ int main(int argc, char** argv) {
       const int expected =
           static_cast<int>(r.windows) * static_cast<int>(seeds.size());
       for (const auto* m : {&r.legacy, &r.rem}) {
-        if (m->bs_crashes != expected) {
+        if (m->total.bs_crashes != expected) {
           std::printf("FAIL: %d BS crashes under %s (expected %d)\n",
-                      m->bs_crashes, r.name.c_str(), expected);
+                      m->total.bs_crashes, r.name.c_str(), expected);
           ok = false;
         }
       }
@@ -815,23 +744,24 @@ int main(int argc, char** argv) {
   for (const auto& r : backhaul_results) {
     const bool loss_or_delay = r.name.rfind("backhaul_loss", 0) == 0 ||
                                r.name.rfind("backhaul_delay", 0) == 0;
-    if (loss_or_delay && r.rem.failures > 0) {
+    if (loss_or_delay && r.rem.total.failures > 0) {
       std::printf("FAIL: REM failure ratio %.2f%% under %s (expected 0)\n",
                   100.0 * r.rem.failure_ratio, r.name.c_str());
       ok = false;
     }
     for (const auto* m : {&r.legacy, &r.rem}) {
-      const long long budget = static_cast<long long>(m->prep_requests) *
+      const auto& t = m->total;
+      const long long budget = static_cast<long long>(t.prep_requests) *
                                rem::sim::SimConfig{}.prep_max_retries;
-      if (m->prep_retries > budget) {
+      if (t.prep_retries > budget) {
         std::printf("FAIL: retry storm under %s (%d retries for %d "
                     "requests)\n",
-                    r.name.c_str(), m->prep_retries, m->prep_requests);
+                    r.name.c_str(), t.prep_retries, t.prep_requests);
         ok = false;
       }
     }
     if (r.name == "backhaul_partition") {
-      if (r.rem.prep_fallbacks + r.rem.prep_failures == 0) {
+      if (r.rem.total.prep_fallbacks + r.rem.total.prep_failures == 0) {
         std::printf("FAIL: partitions never exercised the fallback/failure "
                     "path under %s\n",
                     r.name.c_str());
@@ -843,7 +773,7 @@ int main(int argc, char** argv) {
       // where recovery masks the radio impact).
       const bool legacy_degraded =
           r.legacy.failure_ratio > base_legacy.failure_ratio ||
-          r.legacy.prep_failures + r.legacy.prep_fallbacks > 0;
+          r.legacy.total.prep_failures + r.legacy.total.prep_fallbacks > 0;
       if (!legacy_degraded) {
         std::printf("FAIL: legacy did not degrade under %s (%.2f%% vs "
                     "baseline %.2f%%, no prep failures/fallbacks)\n",
@@ -871,7 +801,7 @@ int main(int argc, char** argv) {
                 100.0 * fleet_legacy.failure_ratio);
     ok = false;
   }
-  if (fleet_legacy.bs_queue_shed == 0) {
+  if (fleet_legacy.total.bs_queue_shed == 0) {
     std::printf("FAIL: legacy fleet never shed a BS job under overload "
                 "contention\n");
     ok = false;
@@ -889,10 +819,12 @@ int main(int argc, char** argv) {
   // breaker trips, load advertisements) — a cascade sweep that cannot
   // trigger its faults is rot.
   for (const auto& r : cascade_results) {
+    const auto& lg = r.legacy.total;
+    const auto& rm = r.rem.total;
     if (r.region_outage) {
-      if (r.legacy.bs_crashes == 0 || r.rem.bs_crashes == 0) {
+      if (lg.bs_crashes == 0 || rm.bs_crashes == 0) {
         std::printf("FAIL: %s never killed a BS (legacy %d, rem %d)\n",
-                    r.name.c_str(), r.legacy.bs_crashes, r.rem.bs_crashes);
+                    r.name.c_str(), lg.bs_crashes, rm.bs_crashes);
         ok = false;
       }
       if (!(r.rem.failure_ratio < r.legacy.failure_ratio)) {
@@ -902,7 +834,7 @@ int main(int argc, char** argv) {
                     100.0 * r.legacy.failure_ratio);
         ok = false;
       }
-      if (r.rem.load_ads_received == 0) {
+      if (rm.load_ads_received == 0) {
         std::printf("FAIL: %s REM fleet never applied a load "
                     "advertisement\n",
                     r.name.c_str());
@@ -910,23 +842,21 @@ int main(int argc, char** argv) {
       }
     }
     if (r.cascade_overload) {
-      if (r.legacy.cascade_activations + r.rem.cascade_activations == 0 ||
-          r.legacy.cascade_jobs_injected + r.rem.cascade_jobs_injected ==
-              0) {
+      if (lg.cascade_activations + rm.cascade_activations == 0 ||
+          lg.cascade_jobs_injected + rm.cascade_jobs_injected == 0) {
         std::printf("FAIL: %s never injected a cascade job\n",
                     r.name.c_str());
         ok = false;
       }
-      if (r.legacy.breaker_trips + r.rem.breaker_trips == 0) {
+      if (lg.breaker_trips + rm.breaker_trips == 0) {
         std::printf("FAIL: %s never tripped a circuit breaker\n",
                     r.name.c_str());
         ok = false;
       }
-      if (r.rem.loop_handovers > r.rem.loop_episodes) {
+      if (rm.loop_handovers > rm.loop_episodes) {
         std::printf("FAIL: %s REM shows persistent ping-pong (%d loop "
                     "handovers over %d episodes)\n",
-                    r.name.c_str(), r.rem.loop_handovers,
-                    r.rem.loop_episodes);
+                    r.name.c_str(), rm.loop_handovers, rm.loop_episodes);
         ok = false;
       }
     }

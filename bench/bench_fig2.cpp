@@ -40,7 +40,7 @@ int main() {
   // command one shot — hence the paper's UL < DL asymmetry.
   phy::LogisticBlerModel bler;
   std::vector<double> ul, dl;
-  for (const double snr : hsr.legacy.pre_failure_snrs_db) {
+  for (const double snr : hsr.legacy.total.pre_failure_snrs_db) {
     const double b =
         bler.bler(phy::Waveform::kOFDM, phy::DopplerRegime::kHigh, snr);
     ul.push_back(100.0 * b * b);  // after 2 attempts

@@ -30,12 +30,13 @@ int main() {
   for (double speed : {200.0, 300.0}) {
     const auto run = bench::run_route_parallel(trace::Route::kBeijingShanghai,
                                                speed, 2000.0, {21, 22, 23});
-    const auto lg = stalls_for(run.legacy.outage_durations_s, rng);
-    const auto rm = stalls_for(run.rem.outage_durations_s, rng);
+    const auto& lg_outages = run.legacy.total.outage_durations_s;
+    const auto& rm_outages = run.rem.total.outage_durations_s;
+    const auto lg = stalls_for(lg_outages, rng);
+    const auto rm = stalls_for(rm_outages, rng);
     std::printf("  %-10.0f %9.1fs %9.1fs   (outages: %zu vs %zu)\n", speed,
                 lg.empty() ? 0.0 : lg.mean(), rm.empty() ? 0.0 : rm.mean(),
-                run.legacy.outage_durations_s.size(),
-                run.rem.outage_durations_s.size());
+                lg_outages.size(), rm_outages.size());
   }
 
   // ---- (b) one annotated failure ----

@@ -22,6 +22,7 @@
 #include "dsp/fft_plan.hpp"
 #include "phy/otfs.hpp"
 #include "scenario_runner.hpp"
+#include "testkit/golden.hpp"
 
 #include <chrono>
 #include <cmath>
@@ -253,16 +254,8 @@ EstResult bench_estimates(const std::string& name, std::size_t m,
 
 bool runs_equal(const rem::bench::ScenarioRun& a,
                 const rem::bench::ScenarioRun& b) {
-  return a.legacy.handovers == b.legacy.handovers &&
-         a.legacy.failures == b.legacy.failures &&
-         a.rem.handovers == b.rem.handovers &&
-         a.rem.failures == b.rem.failures &&
-         a.legacy.by_cause == b.legacy.by_cause &&
-         a.rem.by_cause == b.rem.by_cause &&
-         a.legacy.feedback_delay_s.samples() ==
-             b.legacy.feedback_delay_s.samples() &&
-         a.rem.feedback_delay_s.samples() ==
-             b.rem.feedback_delay_s.samples() &&
+  return rem::testkit::diff_stats(a.legacy.total, b.legacy.total).empty() &&
+         rem::testkit::diff_stats(a.rem.total, b.rem.total).empty() &&
          a.conflict_histogram == b.conflict_histogram &&
          a.total_conflicts == b.total_conflicts;
 }

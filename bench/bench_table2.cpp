@@ -32,16 +32,16 @@ int main() {
         bench::run_route_parallel(b.route, b.speed_kmh, 1500.0, {1, 2, 3},
                                   /*run_rem=*/false);
     const auto& lg = run.legacy;
+    const auto& t = lg.total;
     const double loop_freq =
-        lg.loop_episodes > 0 ? lg.sim_time_s / lg.loop_episodes : 0.0;
+        t.loop_episodes > 0 ? t.sim_time_s / t.loop_episodes : 0.0;
     const double ho_per_loop =
-        lg.loop_episodes > 0
-            ? static_cast<double>(lg.loop_handovers) / lg.loop_episodes
+        t.loop_episodes > 0
+            ? static_cast<double>(t.loop_handovers) / t.loop_episodes
             : 0.0;
     const double intra_pct =
-        lg.conflict_loop_episodes > 0
-            ? 100.0 * lg.intra_freq_conflict_loops /
-                  lg.conflict_loop_episodes
+        t.conflict_loop_episodes > 0
+            ? 100.0 * t.intra_freq_conflict_loops / t.conflict_loop_episodes
             : 0.0;
     std::printf(
         "%-28s %9.1fs %9.1f%% %9.1f%% %9.1f%% %9.1f%% %9.1f%% %11.0fs "

@@ -26,8 +26,8 @@ void run_column(const char* label, trace::Route route, double speed_kmh) {
   const auto run = bench::run_route(route, speed_kmh, 1500.0, {11, 12, 13});
   const auto& lg = run.legacy;
   const auto& rm = run.rem;
-  std::printf("\n%s  (legacy HOs: %d, REM HOs: %d)\n", label, lg.handovers,
-              rm.handovers);
+  std::printf("\n%s  (legacy HOs: %d, REM HOs: %d)\n", label,
+              lg.total.handovers, rm.total.handovers);
   std::printf("  %-28s %9s %9s %10s\n", "", "Legacy", "REM", "reduction");
   print_reduction("Total failure ratio", lg.failure_ratio(),
                   rm.failure_ratio());
@@ -47,17 +47,16 @@ void run_column(const char* label, trace::Route route, double speed_kmh) {
                   lg.cause_ratio(sim::FailureCause::kCoverageHole),
                   rm.cause_ratio(sim::FailureCause::kCoverageHole));
 
-  const double lg_conf_ho =
-      lg.handovers > 0 ? static_cast<double>(lg.conflict_loop_handovers) /
-                             lg.handovers
-                       : 0.0;
-  const double rm_conf_ho =
-      rm.handovers > 0 ? static_cast<double>(rm.conflict_loop_handovers) /
-                             rm.handovers
-                       : 0.0;
-  print_reduction("Total HO in conflicts", lg_conf_ho, rm_conf_ho);
+  const auto conflict_share = [](const sim::SimStats& t) {
+    return t.handovers > 0 ? static_cast<double>(t.conflict_loop_handovers) /
+                                 t.handovers
+                           : 0.0;
+  };
+  print_reduction("Total HO in conflicts", conflict_share(lg.total),
+                  conflict_share(rm.total));
   std::printf("  %-28s %9d %9d\n", "Conflict loop episodes",
-              lg.conflict_loop_episodes, rm.conflict_loop_episodes);
+              lg.total.conflict_loop_episodes,
+              rm.total.conflict_loop_episodes);
 }
 
 }  // namespace

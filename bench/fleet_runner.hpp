@@ -79,7 +79,6 @@ inline sim::FleetResult run_fleet_scenario(const trace::Scenario& sc,
   std::vector<std::unique_ptr<testkit::InvariantChecker>> checkers;
   sim::SimConfig run_cfg = sc.sim;
   run_cfg.record_events = run_cfg.record_events || opts.record_events;
-  run_cfg.engine = sim::SimEngine::kEventQueue;
   if (check) {
     testkit::CheckerConfig ccfg;
     ccfg.sim = run_cfg;
@@ -162,7 +161,6 @@ inline sim::FleetResult run_fleet_seed(trace::Route route, double speed_kmh,
   if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
   if (opts.fleet) sc.sim.fleet = *opts.fleet;
   sc.sim.fleet_size = opts.fleet_size;
-  sc.sim.engine = sim::SimEngine::kEventQueue;
   sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
   sc.sim.breaker_trip_k = opts.breaker_trip_k;
   sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;

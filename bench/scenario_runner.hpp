@@ -18,6 +18,7 @@
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "phy/bler_model.hpp"
+#include "sim/fleet.hpp"
 #include "sim/observer.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/seeds.hpp"
@@ -34,127 +35,31 @@
 
 namespace rem::bench {
 
+/// Statistics of independent runs (seeds) folded in the order added.
+/// `total` holds every stats-table counter summed over the runs and the
+/// concatenated samples (sim::accumulate_run_stats); the per-run means
+/// and the feedback delays also keep their sample distributions.
 struct AggregateStats {
-  int handovers = 0;
-  int failures = 0;
-  std::map<sim::FailureCause, int> by_cause;
-  int loop_episodes = 0;
-  int loop_handovers = 0;
-  int conflict_loop_episodes = 0;
-  int conflict_loop_handovers = 0;
-  int intra_freq_conflict_loops = 0;
-  double sim_time_s = 0.0;
-  common::Summary handover_interval_s;
+  sim::SimStats total;
+  common::Summary handover_interval_s;  ///< runs with >= 2 handovers
   common::Summary feedback_delay_s;
-  std::vector<double> outage_durations_s;
-  std::vector<double> pre_failure_snrs_db;
   common::Summary throughput_bps;
   common::Summary downtime_fraction;
-  // Recovery-path accounting (fault injection / hardened FSM).
-  int report_retransmits = 0;
-  int t304_expiries = 0;
-  int t304_fallback_success = 0;
-  int duplicate_commands = 0;
-  int degraded_enters = 0;
-  double degraded_time_s = 0.0;
-  // Backhaul preparation + transport accounting (rem::net runs).
-  int prep_requests = 0;
-  int prep_retries = 0;
-  int prep_acks = 0;
-  int prep_rejects = 0;
-  int prep_fallbacks = 0;
-  int prep_failures = 0;
-  double prep_rtt_sum_s = 0.0;
-  int context_fetch_failures = 0;
-  std::uint64_t backhaul_sent = 0;
-  std::uint64_t backhaul_delivered = 0;
-  std::uint64_t backhaul_dropped_loss = 0;
-  std::uint64_t backhaul_dropped_partition = 0;
-  std::uint64_t backhaul_dropped_queue = 0;
-  std::uint64_t backhaul_dropped_crash = 0;
-  std::uint64_t backhaul_duplicated = 0;
-  std::uint64_t backhaul_reordered = 0;
-  double backhaul_latency_sum_s = 0.0;
-  // BS capacity / crash-restart accounting (sim::BsCapacityConfig runs).
-  int bs_jobs_submitted = 0;
-  int bs_jobs_served = 0;
-  int bs_jobs_queued = 0;
-  int bs_queue_shed = 0;
-  int bs_jobs_flushed = 0;
-  int bs_jobs_inflight_end = 0;
-  double bs_queue_wait_sum_s = 0.0;
-  int admission_rejects = 0;
-  int admission_backoff_retries = 0;
-  int bs_crashes = 0;
-  int bs_crash_dropped_msgs = 0;
-  int stale_context_responses = 0;
 
   void add(const sim::SimStats& s) {
-    pre_failure_snrs_db.insert(pre_failure_snrs_db.end(),
-                               s.pre_failure_snrs_db.begin(),
-                               s.pre_failure_snrs_db.end());
+    sim::accumulate_run_stats(total, s);
     throughput_bps.add(s.mean_throughput_bps);
     downtime_fraction.add(s.downtime_fraction);
-    handovers += s.handovers;
-    failures += s.failures;
-    for (const auto& [c, n] : s.failures_by_cause) by_cause[c] += n;
-    loop_episodes += s.loop_episodes;
-    loop_handovers += s.loop_handovers;
-    conflict_loop_episodes += s.conflict_loop_episodes;
-    conflict_loop_handovers += s.conflict_loop_handovers;
-    intra_freq_conflict_loops += s.intra_freq_conflict_loops;
-    sim_time_s += s.sim_time_s;
-    report_retransmits += s.report_retransmits;
-    t304_expiries += s.t304_expiries;
-    t304_fallback_success += s.t304_fallback_success;
-    duplicate_commands += s.duplicate_commands;
-    degraded_enters += s.degraded_enters;
-    degraded_time_s += s.degraded_time_s;
-    prep_requests += s.prep_requests;
-    prep_retries += s.prep_retries;
-    prep_acks += s.prep_acks;
-    prep_rejects += s.prep_rejects;
-    prep_fallbacks += s.prep_fallbacks;
-    prep_failures += s.prep_failures;
-    prep_rtt_sum_s += s.prep_rtt_sum_s;
-    context_fetch_failures += s.context_fetch_failures;
-    backhaul_sent += s.backhaul_sent;
-    backhaul_delivered += s.backhaul_delivered;
-    backhaul_dropped_loss += s.backhaul_dropped_loss;
-    backhaul_dropped_partition += s.backhaul_dropped_partition;
-    backhaul_dropped_queue += s.backhaul_dropped_queue;
-    backhaul_dropped_crash += s.backhaul_dropped_crash;
-    backhaul_duplicated += s.backhaul_duplicated;
-    backhaul_reordered += s.backhaul_reordered;
-    backhaul_latency_sum_s += s.backhaul_latency_sum_s;
-    bs_jobs_submitted += s.bs_jobs_submitted;
-    bs_jobs_served += s.bs_jobs_served;
-    bs_jobs_queued += s.bs_jobs_queued;
-    bs_queue_shed += s.bs_queue_shed;
-    bs_jobs_flushed += s.bs_jobs_flushed;
-    bs_jobs_inflight_end += s.bs_jobs_inflight_end;
-    bs_queue_wait_sum_s += s.bs_queue_wait_sum_s;
-    admission_rejects += s.admission_rejects;
-    admission_backoff_retries += s.admission_backoff_retries;
-    bs_crashes += s.bs_crashes;
-    bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    stale_context_responses += s.stale_context_responses;
     if (s.avg_handover_interval_s > 0)
       handover_interval_s.add(s.avg_handover_interval_s);
     feedback_delay_s.add_all(s.feedback_delays_s);
-    outage_durations_s.insert(outage_durations_s.end(),
-                              s.outage_durations_s.begin(),
-                              s.outage_durations_s.end());
   }
 
-  double failure_ratio() const {
-    const int den = handovers + failures;
-    return den > 0 ? static_cast<double>(failures) / den : 0.0;
-  }
+  double failure_ratio() const { return total.failure_ratio(); }
   double cause_ratio(sim::FailureCause c) const {
-    const int den = handovers + failures;
-    const auto it = by_cause.find(c);
-    return den > 0 && it != by_cause.end()
+    const int den = total.handovers + total.failures;
+    const auto it = total.failures_by_cause.find(c);
+    return den > 0 && it != total.failures_by_cause.end()
                ? static_cast<double>(it->second) / den
                : 0.0;
   }

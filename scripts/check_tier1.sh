@@ -2,12 +2,14 @@
 # The pre-commit loop: configure, build, and run the tier-1 test suite
 # plus the documentation lint (check_docs.sh, ctest label `docs`), the
 # perf smoke (`bench_perf --smoke`, label `perf`, which exercises the
-# batched DSP kernels and their correctness/allocation gates), and the
-# fleet determinism layer (label `fleet`: multi-UE engine pinned against
-# the single-UE simulator and across thread counts) — the fast checks
-# every change must keep green (ROADMAP.md).
+# batched DSP kernels and their correctness/allocation gates), the fleet
+# determinism layer (label `fleet`: multi-UE engine pinned against the
+# single-UE simulator and across thread counts), and the golden corpus
+# replay (label `golden`, a few seconds: any digest drift fails here) —
+# the fast checks every change must keep green (ROADMAP.md).
 #
-#   scripts/check_tier1.sh              # tier1 + docs + perf + fleet
+#   scripts/check_tier1.sh              # tier1 + docs + perf + fleet +
+#                                       # golden
 #   scripts/check_tier1.sh --all        # every ctest label (slow/chaos/
 #                                       # golden included)
 #   scripts/check_tier1.sh --full       # --all plus the sanitizer chaos
@@ -25,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 build="${BUILD_DIR:-build}"
 
-ctest_args=(-L 'tier1|docs|perf|fleet')
+ctest_args=(-L 'tier1|docs|perf|fleet|golden')
 soak=0
 scenarios=0
 if [ "${1:-}" = "--all" ]; then

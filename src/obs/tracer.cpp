@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace rem::obs {
 namespace {
@@ -15,6 +16,18 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+/// Counters with no SimStats field behind them, tallied from the events.
+constexpr std::pair<const char*, sim::EventKind> kEventOnlyCounters[] = {
+    {"sim.handover.triggered", sim::EventKind::kMeasurementTriggered},
+    {"sim.handover.report_lost", sim::EventKind::kReportLost},
+    {"sim.handover.command_lost", sim::EventKind::kHoCommandLost},
+    {"sim.report.delivered", sim::EventKind::kReportDelivered},
+    {"sim.rlf", sim::EventKind::kRadioLinkFailure},
+    {"sim.reestablished", sim::EventKind::kReestablished},
+    {"sim.fault.windows", sim::EventKind::kFaultStart},
+    {"sim.bs.restarts", sim::EventKind::kBsRestart},
+};
 
 }  // namespace
 
@@ -52,19 +65,15 @@ void SpanTracer::close_handover(double t, const std::string& outcome) {
     span.phases.back().end_s = t;
   span.end_s = t;
   span.outcome = outcome;
-  if (outcome == "complete") {
-    ++tally_.latency_count;
-    if (registry_ != nullptr) {
+  if (outcome == "complete" && registry_ != nullptr) {
+    registry_
+        ->histogram("sim.handover_latency_s", handover_latency_buckets_s())
+        ->record(span.duration_s());
+    for (const auto& p : span.phases)
       registry_
-          ->histogram("sim.handover_latency_s",
+          ->histogram("sim.handover_phase." + p.name + "_s",
                       handover_latency_buckets_s())
-          ->record(span.duration_s());
-      for (const auto& p : span.phases)
-        registry_
-            ->histogram("sim.handover_phase." + p.name + "_s",
-                        handover_latency_buckets_s())
-            ->record(p.end_s - p.start_s);
-    }
+          ->record(p.end_s - p.start_s);
   }
   spans_.push_back(std::move(span));
 }
@@ -76,14 +85,9 @@ void SpanTracer::close_outage(double t, const std::string& outcome) {
   span.end_s = t;
   span.outcome = outcome;
   span.phases.front().end_s = t;
-  if (outcome == "reestablished") {
-    ++tally_.reestablished;
-    tally_.outage_sum_s += span.duration_s();
-    if (registry_ != nullptr)
-      registry_
-          ->histogram("sim.outage_duration_s", outage_duration_buckets_s())
-          ->record(span.duration_s());
-  }
+  if (outcome == "reestablished" && registry_ != nullptr)
+    registry_->histogram("sim.outage_duration_s", outage_duration_buckets_s())
+        ->record(span.duration_s());
   spans_.push_back(std::move(span));
 }
 
@@ -97,6 +101,8 @@ void SpanTracer::on_ue(int ue) {
 }
 
 void SpanTracer::on_event(const sim::SignalingEvent& e) {
+  const auto kind = static_cast<std::size_t>(e.kind);
+  if (kind < sim::kNumEventKinds) ++events_seen_[kind];
   // Phases are opened with end_s < start_s as an "open" sentinel; the
   // closing transition stamps the real end.
   const auto open_phase = [&](const std::string& name, double t) {
@@ -111,7 +117,6 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
   };
   switch (e.kind) {
     case sim::EventKind::kMeasurementTriggered: {
-      ++tally_.triggered;
       // The simulator never triggers a new attempt while one is live, but
       // close defensively rather than leak an open span.
       close_handover(e.t_s, "superseded");
@@ -129,58 +134,39 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       break;
     }
     case sim::EventKind::kReportRetransmit:
-      ++tally_.retransmits;
       if (handover_) ++handover_->report_retransmits;
       break;
     case sim::EventKind::kReportDelivered:
-      ++tally_.report_delivered;
       if (handover_) {
         end_phase(e.t_s);
         open_phase("decide", e.t_s);
       }
       break;
     case sim::EventKind::kReportLost:
-      ++tally_.report_lost;
       close_handover(e.t_s, "report_lost");
       break;
     case sim::EventKind::kHoCommandDuplicate:
-      ++tally_.duplicates;
       if (handover_) handover_->duplicate_command = true;
       break;
     case sim::EventKind::kHoCommandDelivered:
-      ++tally_.attempts;
       if (handover_) {
         end_phase(e.t_s);
         open_phase("execute", e.t_s);
       }
       break;
     case sim::EventKind::kHoCommandLost:
-      ++tally_.command_lost;
       close_handover(e.t_s, "command_lost");
       break;
     case sim::EventKind::kHandoverComplete:
-      ++tally_.complete;
       close_handover(e.t_s, "complete");
       break;
     case sim::EventKind::kT304Expiry:
-      ++tally_.t304_expiry;
-      close_handover(e.t_s, "t304_expiry");
-      // T304 expiry starts an outage (re-establishment on the prepared
-      // target), exactly like an RLF does.
-      close_outage(e.t_s, "superseded");
-      outage_ = Span{};
-      outage_->kind = "outage";
-      outage_->start_s = e.t_s;
-      outage_->serving = e.serving_cell;
-      outage_->phases.push_back({"outage", e.t_s, e.t_s - 1.0});
-      for (std::size_t k = 0; k < sim::kNumFaultKinds; ++k)
-        if (fault_active_[k])
-          outage_->faults.push_back(
-              sim::fault_kind_name(static_cast<sim::FaultKind>(k)));
-      break;
     case sim::EventKind::kRadioLinkFailure:
-      ++tally_.rlf;
-      close_handover(e.t_s, "rlf_interrupted");
+      close_handover(e.t_s, e.kind == sim::EventKind::kT304Expiry
+                                ? "t304_expiry"
+                                : "rlf_interrupted");
+      // Both start an outage: T304 expiry re-establishes on the prepared
+      // target, an RLF after a full search.
       close_outage(e.t_s, "superseded");
       outage_ = Span{};
       outage_->kind = "outage";
@@ -196,7 +182,6 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       close_outage(e.t_s, "reestablished");
       break;
     case sim::EventKind::kFaultStart:
-      ++tally_.fault_windows;
       if (e.target_cell >= 0 &&
           e.target_cell < static_cast<int>(sim::kNumFaultKinds)) {
         fault_active_[static_cast<std::size_t>(e.target_cell)] = true;
@@ -208,13 +193,7 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
           e.target_cell < static_cast<int>(sim::kNumFaultKinds))
         fault_active_[static_cast<std::size_t>(e.target_cell)] = false;
       break;
-    case sim::EventKind::kDegradedEnter:
-      ++tally_.degraded_enters;
-      break;
-    case sim::EventKind::kDegradedExit:
-      break;
     case sim::EventKind::kPrepRequest:
-      ++tally_.prep_requests;
       if (handover_) {
         // Open the prepare phase on the first request; a fallback re-send
         // arrives with the prepare phase already open and extends it.
@@ -229,77 +208,38 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       }
       break;
     case sim::EventKind::kPrepRetry:
-      ++tally_.prep_retries;
       if (handover_) ++handover_->prep_retries;
       break;
     case sim::EventKind::kPrepAck:
-      ++tally_.prep_acks;
       // The event carries the request->ack round trip in the SNR slot.
       // The prepare phase stays open past the ack: it runs until the
       // command reaches the UE, keeping the phase timeline contiguous.
-      tally_.prep_rtt_sum_s += e.serving_snr_db;
       if (registry_ != nullptr)
         registry_->histogram("sim.backhaul.prep_rtt_s",
                              backhaul_rtt_buckets_s())
             ->record(e.serving_snr_db);
       break;
-    case sim::EventKind::kPrepReject:
-      ++tally_.prep_rejects;
-      break;
     case sim::EventKind::kPrepFallback:
-      ++tally_.prep_fallbacks;
       if (handover_) handover_->used_fallback = true;
       break;
     case sim::EventKind::kPrepFailed:
-      ++tally_.prep_failures;
       close_handover(e.t_s, "prep_failed");
-      break;
-    case sim::EventKind::kContextFetchFailed:
-      ++tally_.ctx_fetch_failures;
-      break;
-    case sim::EventKind::kBsQueueShed:
-      ++tally_.bs_queue_sheds;
       break;
     case sim::EventKind::kBsJobDone:
       // The SNR slot carries the job's queue wait in seconds.
-      ++tally_.bs_jobs_done;
-      tally_.bs_queue_wait_sum_s += e.serving_snr_db;
       if (registry_ != nullptr)
         registry_->histogram("sim.bs.queue_wait_s",
                              bs_queue_wait_buckets_s())
             ->record(e.serving_snr_db);
       break;
     case sim::EventKind::kAdmissionReject:
-      ++tally_.admission_rejects;
       if (handover_) handover_->admission_rejected = true;
       break;
     case sim::EventKind::kAdmissionRetry:
-      ++tally_.admission_retries;
       if (handover_) ++handover_->admission_retries;
       break;
-    case sim::EventKind::kBsCrash:
-      ++tally_.bs_crashes;
-      break;
-    case sim::EventKind::kBsRestart:
-      ++tally_.bs_restarts;
-      break;
-    case sim::EventKind::kContextStale:
-      ++tally_.stale_ctx_responses;
-      break;
-    case sim::EventKind::kCascadeInject:
-      // World-global broadcast; the payload (injected job count) rides the
-      // snr slot, mirroring SimStats::cascade_jobs_injected.
-      ++tally_.cascade_activations;
-      tally_.cascade_jobs += static_cast<std::uint64_t>(e.serving_snr_db);
-      break;
-    case sim::EventKind::kBreakerTrip:
-      ++tally_.breaker_trips;
-      break;
-    case sim::EventKind::kBreakerProbe:
-      ++tally_.breaker_probes;
-      break;
-    case sim::EventKind::kBreakerClose:
-      ++tally_.breaker_closes;
+    default:
+      // Counted above; no span or histogram work.
       break;
   }
 }
@@ -330,44 +270,14 @@ void SpanTracer::on_run_end(sim::SimStats& stats) {
   // Counters are published once per run rather than per event: the values
   // derive from simulated time, so a post-run publish is equivalent to
   // live increments for every snapshot taken after the run.
-  const auto put = [&](const char* name, std::uint64_t v) {
-    registry_->counter(name)->add(v);
-  };
-  put("sim.handover.triggered", tally_.triggered);
-  put("sim.handover.attempts", tally_.attempts);
-  put("sim.handover.complete", tally_.complete);
-  put("sim.handover.report_lost", tally_.report_lost);
-  put("sim.handover.command_lost", tally_.command_lost);
-  put("sim.handover.t304_expiry", tally_.t304_expiry);
-  put("sim.report.delivered", tally_.report_delivered);
-  put("sim.report.retransmits", tally_.retransmits);
-  put("sim.rlf", tally_.rlf);
-  put("sim.reestablished", tally_.reestablished);
-  put("sim.command.duplicates", tally_.duplicates);
-  put("sim.degraded.enters", tally_.degraded_enters);
-  put("sim.fault.windows", tally_.fault_windows);
-  put("sim.prep.requests", tally_.prep_requests);
-  put("sim.prep.retries", tally_.prep_retries);
-  put("sim.prep.acks", tally_.prep_acks);
-  put("sim.prep.rejects", tally_.prep_rejects);
-  put("sim.prep.fallbacks", tally_.prep_fallbacks);
-  put("sim.prep.failures", tally_.prep_failures);
-  put("sim.ctx_fetch.failures", tally_.ctx_fetch_failures);
-  put("sim.bs.jobs_served", tally_.bs_jobs_done);
-  put("sim.bs.queue_shed", tally_.bs_queue_sheds);
-  put("sim.bs.admission_rejects", tally_.admission_rejects);
-  put("sim.bs.admission_retries", tally_.admission_retries);
-  put("sim.bs.crashes", tally_.bs_crashes);
-  put("sim.bs.restarts", tally_.bs_restarts);
-  put("sim.bs.stale_context", tally_.stale_ctx_responses);
-  put("sim.cascade.activations", tally_.cascade_activations);
-  put("sim.cascade.jobs_injected", tally_.cascade_jobs);
-  put("sim.breaker.trips", tally_.breaker_trips);
-  put("sim.breaker.probes", tally_.breaker_probes);
-  put("sim.breaker.closes", tally_.breaker_closes);
-  // Failure causes exist only in SimStats (events do not carry the Table 2
-  // classification); reconcile() checks the totals are consistent with the
-  // event-derived failure count.
+  sim::for_each_stat([&](const sim::StatField& f, auto field) {
+    if (*f.metric != '\0')
+      registry_->counter(f.metric)->add(
+          static_cast<std::uint64_t>(stats.*field));
+  });
+  for (const auto& [name, kind] : kEventOnlyCounters)
+    registry_->counter(name)->add(
+        events_seen_[static_cast<std::size_t>(kind)]);
   for (const auto& [cause, n] : stats.failures_by_cause)
     registry_->counter("sim.failure_cause." + failure_cause_slug(cause))
         ->add(static_cast<std::uint64_t>(n));
@@ -377,80 +287,23 @@ void SpanTracer::on_run_end(sim::SimStats& stats) {
 
 std::vector<std::string> SpanTracer::reconcile(
     const sim::SimStats& stats) const {
+  if (!run_ended_) return {"reconcile: on_run_end has not fired yet"};
   std::vector<std::string> out;
-  if (!run_ended_) {
-    out.push_back("reconcile: on_run_end has not fired yet");
-    return out;
+  std::size_t complete = 0, reestablished = 0;
+  for (const auto& s : spans_) {
+    if (s.kind == "handover" && s.outcome == "complete") ++complete;
+    if (s.kind == "outage" && s.outcome == "reestablished") ++reestablished;
   }
-  const auto check_u = [&](const char* what, std::uint64_t trace_v,
-                           long long stats_v) {
-    if (static_cast<long long>(trace_v) != stats_v)
-      out.push_back(std::string(what) + ": trace " +
-                    std::to_string(trace_v) + " vs stats " +
-                    std::to_string(stats_v));
+  const auto check = [&](const char* what, std::size_t spans,
+                         std::size_t stats_v) {
+    if (spans != stats_v)
+      out.push_back(std::string(what) + ": trace " + std::to_string(spans) +
+                    " vs stats " + std::to_string(stats_v));
   };
-  check_u("handover attempts", tally_.attempts, stats.handovers);
-  check_u("handover completions", tally_.complete,
-          stats.successful_handovers);
-  check_u("failures (rlf + t304)", tally_.rlf + tally_.t304_expiry,
-          stats.failures);
-  long long cause_sum = 0;
-  for (const auto& [cause, n] : stats.failures_by_cause) cause_sum += n;
-  check_u("failure-cause sum", tally_.rlf + tally_.t304_expiry, cause_sum);
-  check_u("outages closed", tally_.reestablished,
-          static_cast<long long>(stats.outage_durations_s.size()));
-  check_u("feedback deliveries", tally_.report_delivered,
-          static_cast<long long>(stats.feedback_delays_s.size()));
-  check_u("latency-histogram count", tally_.latency_count,
-          stats.successful_handovers);
-  check_u("report retransmits", tally_.retransmits,
-          stats.report_retransmits);
-  check_u("duplicate commands", tally_.duplicates,
-          stats.duplicate_commands);
-  check_u("degraded enters", tally_.degraded_enters, stats.degraded_enters);
-  check_u("prep requests", tally_.prep_requests, stats.prep_requests);
-  check_u("prep retries", tally_.prep_retries, stats.prep_retries);
-  check_u("prep acks", tally_.prep_acks, stats.prep_acks);
-  check_u("prep rejects", tally_.prep_rejects, stats.prep_rejects);
-  check_u("prep fallbacks", tally_.prep_fallbacks, stats.prep_fallbacks);
-  check_u("prep failures", tally_.prep_failures, stats.prep_failures);
-  check_u("context fetch failures", tally_.ctx_fetch_failures,
-          stats.context_fetch_failures);
-  check_u("BS jobs served", tally_.bs_jobs_done, stats.bs_jobs_served);
-  check_u("BS queue sheds", tally_.bs_queue_sheds, stats.bs_queue_shed);
-  check_u("admission busy rejects", tally_.admission_rejects,
-          stats.admission_rejects);
-  check_u("admission backoff retries", tally_.admission_retries,
-          stats.admission_backoff_retries);
-  check_u("BS crashes", tally_.bs_crashes, stats.bs_crashes);
-  check_u("stale context responses", tally_.stale_ctx_responses,
-          stats.stale_context_responses);
-  check_u("cascade activations", tally_.cascade_activations,
-          stats.cascade_activations);
-  check_u("cascade jobs injected", tally_.cascade_jobs,
-          stats.cascade_jobs_injected);
-  check_u("breaker trips", tally_.breaker_trips, stats.breaker_trips);
-  check_u("breaker probes", tally_.breaker_probes, stats.breaker_probes);
-  check_u("breaker closes", tally_.breaker_closes, stats.breaker_closes);
-  // Queue waits accumulate the identical doubles in the identical event
-  // order on both sides — bit-exact, like the RTT sum.
-  if (tally_.bs_queue_wait_sum_s != stats.bs_queue_wait_sum_s)
-    out.push_back("BS queue wait sum: trace " +
-                  fmt_double(tally_.bs_queue_wait_sum_s) + " vs stats " +
-                  fmt_double(stats.bs_queue_wait_sum_s));
-  // Both sides accumulate the identical RTT doubles in event order, so the
-  // sums must match bit-exactly, like the outage-duration sum below.
-  if (tally_.prep_rtt_sum_s != stats.prep_rtt_sum_s)
-    out.push_back("prep RTT sum: trace " + fmt_double(tally_.prep_rtt_sum_s) +
-                  " vs stats " + fmt_double(stats.prep_rtt_sum_s));
-  // Durations use the same subtraction of the same event timestamps the
-  // simulator used, so the sums must match bit-exactly, not approximately.
-  double stats_outage_sum = 0.0;
-  for (double v : stats.outage_durations_s) stats_outage_sum += v;
-  if (tally_.outage_sum_s != stats_outage_sum)
-    out.push_back("outage duration sum: trace " +
-                  fmt_double(tally_.outage_sum_s) + " vs stats " +
-                  fmt_double(stats_outage_sum));
+  check("completed handover spans", complete,
+        static_cast<std::size_t>(stats.successful_handovers));
+  check("re-established outage spans", reestablished,
+        stats.outage_durations_s.size());
   return out;
 }
 

@@ -9,8 +9,11 @@
 // randomness and never mutates simulation state, so attaching it cannot
 // change a run's results. Everything it records derives from *simulated*
 // time, which makes its metrics bit-identical across reruns and thread
-// counts; reconcile() cross-checks the reassembled spans against the
-// simulator's own SimStats so trace and stats cannot drift apart silently.
+// counts. Counters that have a SimStats field are published straight from
+// the run's stats under the stats table's metric names
+// (sim/stats_table.hpp); the tracer tallies only the event-only counters
+// itself. testkit::InvariantChecker is the one event-derived recount of
+// SimStats; reconcile() checks only the tracer's own spans against it.
 //
 // Span and metric names, units, and the phase-to-event mapping are
 // documented in OBSERVABILITY.md.
@@ -88,20 +91,20 @@ class SpanTracer : public sim::SimObserver {
   void on_ue(int ue) override;
   void on_event(const sim::SignalingEvent& event) override;
   void on_tick(const sim::TickView& view) override;
-  /// Closes dangling spans as "unfinished" and records the per-cause
-  /// failure counters (`sim.failure_cause.*`), which exist only in
-  /// SimStats — reconcile() independently cross-checks the totals.
+  /// Closes dangling spans as "unfinished" and publishes the run's
+  /// counters: every stats-table field with a metric name straight from
+  /// `stats`, the event-only counters from the tracer's own tally, and
+  /// the per-cause failure split (`sim.failure_cause.*`).
   void on_run_end(sim::SimStats& stats) override;
 
   /// All closed spans, in close order. Complete only after on_run_end.
   const std::vector<Span>& spans() const { return spans_; }
 
-  /// Cross-check the reassembled spans against the simulator's own
-  /// statistics: handover attempts/completions, failure totals and
-  /// per-cause splits, outage count and exact duration sum, latency
-  /// histogram count, retransmit/duplicate/degraded counters. Returns one
-  /// human-readable line per mismatch; empty means trace and stats agree
-  /// exactly. Precondition: on_run_end has fired for this run.
+  /// Cross-check the reassembled spans against the run's statistics:
+  /// completed handover spans (the latency histogram's count) against
+  /// successful handovers, and re-established outage spans against the
+  /// outage samples. Returns one human-readable line per mismatch; empty
+  /// means they agree. Precondition: on_run_end has fired for this run.
   std::vector<std::string> reconcile(const sim::SimStats& stats) const;
 
   /// Write one JSON object per span (JSON Lines). `context` is an
@@ -128,25 +131,8 @@ class SpanTracer : public sim::SimObserver {
   double max_estimate_age_s_ = 0.0;
   double last_tick_s_ = 0.0;
   bool run_ended_ = false;
-  // Independent tallies for reconcile(), kept even without a registry.
-  struct Tally {
-    std::uint64_t triggered = 0, report_delivered = 0, report_lost = 0,
-                  attempts = 0, command_lost = 0, complete = 0, rlf = 0,
-                  t304_expiry = 0, reestablished = 0, retransmits = 0,
-                  duplicates = 0, degraded_enters = 0, fault_windows = 0;
-    std::uint64_t prep_requests = 0, prep_retries = 0, prep_acks = 0,
-                  prep_rejects = 0, prep_fallbacks = 0, prep_failures = 0,
-                  ctx_fetch_failures = 0;
-    std::uint64_t bs_jobs_done = 0, bs_queue_sheds = 0,
-                  admission_rejects = 0, admission_retries = 0,
-                  bs_crashes = 0, bs_restarts = 0, stale_ctx_responses = 0;
-    std::uint64_t cascade_activations = 0, cascade_jobs = 0,
-                  breaker_trips = 0, breaker_probes = 0, breaker_closes = 0;
-    double bs_queue_wait_sum_s = 0.0;
-    double prep_rtt_sum_s = 0.0;
-    double outage_sum_s = 0.0;
-    std::uint64_t latency_count = 0;
-  } tally_;
+  /// Events seen per EventKind, for the counters SimStats does not carry.
+  std::array<std::uint64_t, sim::kNumEventKinds> events_seen_{};
 };
 
 }  // namespace rem::obs

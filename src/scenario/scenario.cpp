@@ -880,7 +880,6 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   add_d("sim.ctx_fetch_timeout_s", s.ctx_fetch_timeout_s);
   add_i("sim.ctx_fetch_max_retries", s.ctx_fetch_max_retries);
   add_d("sim.ctx_degraded_penalty_s", s.ctx_degraded_penalty_s);
-  add_i("sim.engine", static_cast<int>(s.engine));
   add_i("sim.fleet_size", s.fleet_size);
   add_d("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
   add_d("fleet.speed_max_kmh", s.fleet.speed_max_kmh);

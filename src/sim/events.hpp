@@ -3,6 +3,7 @@
 // exportable as CSV (trace/eventlog.hpp) for offline analysis.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,10 @@ enum class EventKind {
   kBreakerClose,          ///< half-open probe succeeded, breaker closed
                           ///< (target_cell = target)
 };
+
+/// Number of EventKind values (they run 0 .. kNumEventKinds - 1).
+constexpr std::size_t kNumEventKinds =
+    static_cast<std::size_t>(EventKind::kBreakerClose) + 1;
 
 /// Stable identifier used in CSV logs. Throws std::invalid_argument on a
 /// value outside the enum instead of returning a placeholder.

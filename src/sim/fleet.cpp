@@ -1,9 +1,15 @@
 #include "sim/fleet.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace rem::sim {
+namespace {
+
+void append(std::vector<double>& to, const std::vector<double>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+}  // namespace
 
 EventLog merge_fleet_events(const std::vector<SimStats>& per_ue) {
   EventLog merged;
@@ -25,96 +31,32 @@ SimStats merge_fleet_stats(const std::vector<SimStats>& per_ue) {
   if (per_ue.empty())
     throw std::invalid_argument("merge_fleet_stats: no per-UE stats");
   SimStats agg;
-  double interval_sum = 0.0;
-  int interval_n = 0;
+  for_each_stat([&](const StatField& f, auto field) {
+    agg.*field = fold_stat(f.merge, per_ue, field);
+  });
   for (const auto& s : per_ue) {
-    agg.sim_time_s = std::max(agg.sim_time_s, s.sim_time_s);
-    agg.handovers += s.handovers;
-    agg.successful_handovers += s.successful_handovers;
-    agg.failures += s.failures;
     for (const auto& [cause, n] : s.failures_by_cause)
       agg.failures_by_cause[cause] += n;
-    agg.loop_handovers += s.loop_handovers;
-    agg.loop_episodes += s.loop_episodes;
-    agg.intra_freq_loop_episodes += s.intra_freq_loop_episodes;
-    agg.conflict_loop_episodes += s.conflict_loop_episodes;
-    agg.conflict_loop_handovers += s.conflict_loop_handovers;
-    agg.intra_freq_conflict_loops += s.intra_freq_conflict_loops;
-    if (s.avg_handover_interval_s > 0.0) {
-      interval_sum += s.avg_handover_interval_s;
-      ++interval_n;
-    }
-    agg.outage_durations_s.insert(agg.outage_durations_s.end(),
-                                  s.outage_durations_s.begin(),
-                                  s.outage_durations_s.end());
-    agg.feedback_delays_s.insert(agg.feedback_delays_s.end(),
-                                 s.feedback_delays_s.begin(),
-                                 s.feedback_delays_s.end());
-    agg.report_retransmits += s.report_retransmits;
-    agg.t304_expiries += s.t304_expiries;
-    agg.t304_fallback_success += s.t304_fallback_success;
-    agg.duplicate_commands += s.duplicate_commands;
-    agg.degraded_enters += s.degraded_enters;
-    agg.degraded_time_s += s.degraded_time_s;
-    agg.prep_requests += s.prep_requests;
-    agg.prep_retries += s.prep_retries;
-    agg.prep_acks += s.prep_acks;
-    agg.prep_rejects += s.prep_rejects;
-    agg.prep_fallbacks += s.prep_fallbacks;
-    agg.prep_failures += s.prep_failures;
-    agg.prep_rtt_sum_s += s.prep_rtt_sum_s;
-    agg.context_fetch_failures += s.context_fetch_failures;
-    agg.backhaul_sent += s.backhaul_sent;
-    agg.backhaul_delivered += s.backhaul_delivered;
-    agg.backhaul_dropped_loss += s.backhaul_dropped_loss;
-    agg.backhaul_dropped_partition += s.backhaul_dropped_partition;
-    agg.backhaul_dropped_queue += s.backhaul_dropped_queue;
-    agg.backhaul_dropped_crash += s.backhaul_dropped_crash;
-    agg.backhaul_duplicated += s.backhaul_duplicated;
-    agg.backhaul_reordered += s.backhaul_reordered;
-    agg.backhaul_latency_sum_s += s.backhaul_latency_sum_s;
-    agg.bs_jobs_submitted += s.bs_jobs_submitted;
-    agg.bs_jobs_served += s.bs_jobs_served;
-    agg.bs_jobs_queued += s.bs_jobs_queued;
-    agg.bs_queue_shed += s.bs_queue_shed;
-    agg.bs_jobs_flushed += s.bs_jobs_flushed;
-    agg.bs_jobs_inflight_end += s.bs_jobs_inflight_end;
-    agg.bs_queue_wait_sum_s += s.bs_queue_wait_sum_s;
-    agg.admission_rejects += s.admission_rejects;
-    agg.admission_backoff_retries += s.admission_backoff_retries;
-    // Crash windows are global: every UE counts the same windows, so the
-    // fleet total is the per-UE count, not the sum.
-    agg.bs_crashes = std::max(agg.bs_crashes, s.bs_crashes);
-    agg.bs_crash_dropped_msgs += s.bs_crash_dropped_msgs;
-    agg.stale_context_responses += s.stale_context_responses;
-    // Cascade events are world-global like crashes (every UE counts the
-    // same injections); breaker/load-ad counters are genuinely per-UE.
-    agg.cascade_jobs_injected =
-        std::max(agg.cascade_jobs_injected, s.cascade_jobs_injected);
-    agg.cascade_activations =
-        std::max(agg.cascade_activations, s.cascade_activations);
-    agg.breaker_trips += s.breaker_trips;
-    agg.breaker_probes += s.breaker_probes;
-    agg.breaker_closes += s.breaker_closes;
-    agg.breaker_skips += s.breaker_skips;
-    agg.load_ads_received += s.load_ads_received;
-    agg.storm_jitter_applied += s.storm_jitter_applied;
-    agg.load_ad_age_max_s =
-        std::max(agg.load_ad_age_max_s, s.load_ad_age_max_s);
-    agg.mean_throughput_bps += s.mean_throughput_bps;
-    agg.downtime_fraction += s.downtime_fraction;
-    agg.pre_failure_snrs_db.insert(agg.pre_failure_snrs_db.end(),
-                                   s.pre_failure_snrs_db.begin(),
-                                   s.pre_failure_snrs_db.end());
-    agg.invariant_violations += s.invariant_violations;
+    append(agg.outage_durations_s, s.outage_durations_s);
+    append(agg.feedback_delays_s, s.feedback_delays_s);
+    append(agg.pre_failure_snrs_db, s.pre_failure_snrs_db);
   }
-  const auto n = static_cast<double>(per_ue.size());
-  agg.mean_throughput_bps /= n;
-  agg.downtime_fraction /= n;
-  agg.avg_handover_interval_s =
-      interval_n > 0 ? interval_sum / static_cast<double>(interval_n) : 0.0;
   agg.events = merge_fleet_events(per_ue);
   return agg;
+}
+
+void accumulate_run_stats(SimStats& total, const SimStats& run) {
+  for_each_stat([&](const StatField& f, auto field) {
+    if (f.merge == StatMerge::kMax)
+      total.*field = std::max(total.*field, run.*field);
+    else
+      total.*field += run.*field;
+  });
+  for (const auto& [cause, n] : run.failures_by_cause)
+    total.failures_by_cause[cause] += n;
+  append(total.outage_durations_s, run.outage_durations_s);
+  append(total.feedback_delays_s, run.feedback_delays_s);
+  append(total.pre_failure_snrs_db, run.pre_failure_snrs_db);
 }
 
 }  // namespace rem::sim

@@ -4,7 +4,6 @@
 #include "common/units.hpp"
 #include "core/admission.hpp"
 #include "core/circuit_breaker.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
 
 #include <algorithm>
@@ -139,14 +138,13 @@ struct TickEmit {
   ~TickEmit();
 };
 
-/// The simulation core shared by both drivers and both run modes: one
-/// world (fault schedule, BsStation banks, backhaul transport, crash
-/// window) carrying N >= 1 UEs. Each simulated instant unfolds as one
-/// shared_step() (world state, backhaul arrivals, BS completions) followed
-/// by one ue_step() per UE in UE-id order — exactly the seed's single-UE
-/// tick body split at the world/UE boundary, preserving every operation
-/// and RNG draw in order, so a single-UE run is bit-identical to the
-/// pre-refactor tick loop on either driver.
+/// The simulation core shared by both run modes: one world (fault
+/// schedule, BsStation banks, backhaul transport, crash window) carrying
+/// N >= 1 UEs. Each simulated instant unfolds as one shared_step() (world
+/// state, backhaul arrivals, BS completions) followed by one ue_step() per
+/// UE in UE-id order — exactly the seed's single-UE tick body split at the
+/// world/UE boundary, preserving every operation and RNG draw in order, so
+/// a single-UE run is bit-identical to the pre-refactor tick loop.
 class FleetEngine {
  public:
   FleetEngine(const RadioEnv& env, const SimConfig& cfg,
@@ -211,8 +209,9 @@ class FleetEngine {
     manager->on_serving_changed(0.0, static_cast<std::size_t>(serving));
   }
 
-  /// The seed's for-loop driver: one shared step plus one step per UE at
-  /// each accumulated tick time.
+  /// The fixed-step loop behind run() and run_fleet(): one shared step
+  /// plus one step per UE (in UE-id order) at each accumulated tick time
+  /// `t += dt`.
   void run_tick_loop() {
     const double dt = cfg_.tick_s;
     for (double t = 0.0; t < cfg_.duration_s; t += dt) {
@@ -220,50 +219,6 @@ class FleetEngine {
       for (auto& u : ues_) ue_step(t, u);
     }
     finish();
-  }
-
-  // Event taxonomy for the discrete-event driver. The world step runs at
-  // priority 0, UE k's step at priority 1 + k, so one simulated instant
-  // always dispatches as "world, UE 0, UE 1, ...".
-  enum : int { kEvWorldStep = 0, kEvUeStep = 1 };
-  static constexpr int kWorldPriority = 0;
-  static constexpr int kUePriorityBase = 1;
-
-  /// Discrete-event driver: the same step functions scheduled through
-  /// sim::EventQueue. Each handler re-schedules itself at its own t + dt,
-  /// replicating the tick loop's `t += dt` float accumulation bit for bit.
-  void run_event_queue() {
-    const double dt = cfg_.tick_s;
-    EventQueue queue;
-    if (cfg_.duration_s > 0.0 && dt > 0.0) {
-      queue.push(Event{0.0, kWorldPriority, 0, kEvWorldStep, -1});
-      for (const auto& u : ues_)
-        queue.push(Event{0.0, kUePriorityBase + u.id, 0, kEvUeStep, u.id});
-    }
-    while (auto e = queue.pop()) process(queue, *e);
-    finish();
-  }
-
-  /// Dispatch one event and schedule its successor while the horizon
-  /// allows (the same `t < duration` guard as the tick loop).
-  void process(EventQueue& queue, const Event& e) {
-    const double dt = cfg_.tick_s;
-    switch (e.kind) {
-      case kEvWorldStep:
-        shared_step(e.t_s);
-        if (e.t_s + dt < cfg_.duration_s)
-          queue.push(Event{e.t_s + dt, kWorldPriority, 0, kEvWorldStep, -1});
-        break;
-      case kEvUeStep:
-        ue_step(e.t_s, ue_of(e.arg));
-        if (e.t_s + dt < cfg_.duration_s)
-          queue.push(Event{e.t_s + dt, kUePriorityBase + e.arg, 0,
-                           kEvUeStep, e.arg});
-        break;
-      default:
-        throw std::logic_error("FleetEngine: unknown event kind " +
-                               std::to_string(e.kind));
-    }
   }
 
   /// Move the per-UE stats out (indexed by UE id). Call once, after a run.
@@ -1548,6 +1503,14 @@ TickEmit::~TickEmit() {
   if (eng) eng->emit_tick(*ue, t);
 }
 
+/// The tick loop only ends for a positive step: zero never reaches the
+/// horizon and a negative step walks backwards. NaN fails the test too.
+void require_positive_tick(const std::string& who, double tick_s) {
+  if (!(tick_s > 0.0))
+    throw std::invalid_argument(who + ": tick_s must be > 0, got " +
+                                std::to_string(tick_s));
+}
+
 }  // namespace
 
 std::string event_kind_name(EventKind k) {
@@ -1615,16 +1578,13 @@ Simulator::Simulator(const RadioEnv& env, const SimConfig& cfg,
 
 SimStats Simulator::run(MobilityManager& manager,
                         const std::function<bool(int, int)>& pair_conflicts) {
+  require_positive_tick("run", cfg_.tick_s);
   FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts,
                   /*fleet_mode=*/false);
   // The single UE rides the base RNG stream directly (after the engine's
   // faults/backhaul forks), exactly like the pre-refactor loop.
   eng.add_ue(&manager, &rng_, cfg_.speed_kmh, 0.0);
-  if (cfg_.engine == SimEngine::kEventQueue) {
-    eng.run_event_queue();
-  } else {
-    eng.run_tick_loop();
-  }
+  eng.run_tick_loop();
   auto stats = eng.take_stats();
   return std::move(stats.front());
 }
@@ -1635,6 +1595,7 @@ FleetResult Simulator::run_fleet(
   if (cfg_.fleet_size < 1)
     throw std::invalid_argument("run_fleet: fleet_size must be >= 1, got " +
                                 std::to_string(cfg_.fleet_size));
+  require_positive_tick("run_fleet", cfg_.tick_s);
   if (!make_manager)
     throw std::invalid_argument("run_fleet: make_manager must be callable");
   if (cfg_.fleet.speed_min_kmh <= 0.0 ||
@@ -1727,7 +1688,7 @@ FleetResult Simulator::run_fleet(
                starts[static_cast<std::size_t>(k)]);
   }
 
-  eng.run_event_queue();
+  eng.run_tick_loop();
 
   FleetResult out;
   out.per_ue = eng.take_stats();

@@ -15,6 +15,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/observer.hpp"
 #include "sim/radio_env.hpp"
+#include "sim/stats_table.hpp"
 
 #include <deque>
 #include <functional>
@@ -99,17 +100,6 @@ class MobilityManager {
   /// network-side designs leave this false and pay BS capacity for every
   /// decision (the paper's degraded-mode asymmetry, made measurable).
   virtual bool client_driven() const { return false; }
-};
-
-/// Which driver executes a single-UE run(). Both drivers share the same
-/// per-tick step functions, RNG draw order, and floating-point time
-/// accumulation (the next step is scheduled at t + tick_s, exactly the
-/// tick loop's `t += dt`), so their SimStats are bit-identical — the
-/// golden corpus pins the tick loop and test_fleet pins the equivalence.
-/// Multi-UE fleets (run_fleet) always run on the event queue.
-enum class SimEngine {
-  kTickLoop,    ///< the seed's for-loop driver (default)
-  kEventQueue,  ///< sim::EventQueue-driven discrete-event dispatch
 };
 
 /// Multi-UE fleet knobs (Simulator::run_fleet). UE 0 always uses the
@@ -254,9 +244,6 @@ struct SimConfig {
   /// desynchronize instead of hammering the next BS in lockstep. 0 (the
   /// default) draws nothing and keeps the legacy timing bit-for-bit.
   double storm_jitter_frac = 0.0;
-  /// Which driver executes run(). kTickLoop is the seed's loop; the event
-  /// queue is bit-identical for single-UE runs (test_fleet pins this).
-  SimEngine engine = SimEngine::kTickLoop;
   /// Number of UEs a run_fleet() carries. run() ignores it; run_fleet()
   /// rejects values < 1. UEs genuinely share BsStation slots, RRC queues,
   /// and the backhaul's in-flight capacity.
@@ -265,95 +252,21 @@ struct SimConfig {
   FleetConfig fleet;
 };
 
+/// Everything one run measured. The scalar counters come from the one
+/// schema in sim/stats_table.hpp (REM_SIM_STATS_TABLE documents each
+/// field's merge rule, digest policy, metric, and event recount); only the
+/// containers below are declared by hand.
 struct SimStats {
-  double sim_time_s = 0.0;
-  int handovers = 0;              ///< attempts (success + failure)
-  int successful_handovers = 0;
-  int failures = 0;               ///< network failures (RLF events)
+#define REM_STAT_MEMBER(type, name, ...) type name = 0;
+  REM_SIM_STATS_TABLE(REM_STAT_MEMBER)
+#undef REM_STAT_MEMBER
+  /// Table 2 split of `failures`.
   std::map<FailureCause, int> failures_by_cause;
-  int loop_handovers = 0;         ///< handovers that are part of a loop
-  int loop_episodes = 0;
-  int intra_freq_loop_episodes = 0;
-  /// Loop episodes whose cell pair has a *policy conflict* (per the exact
-  /// analyzer) — the paper's "handovers in conflicts" metric. Requires a
-  /// pair_conflicts predicate at run() time.
-  int conflict_loop_episodes = 0;
-  int conflict_loop_handovers = 0;
-  int intra_freq_conflict_loops = 0;
-  double avg_handover_interval_s = 0.0;
   std::vector<double> outage_durations_s;  ///< per RLF, until re-established
-  std::vector<double> feedback_delays_s;
-  // --- Recovery-path accounting (fault injection / hardened FSM) ---
-  int report_retransmits = 0;     ///< lost reports re-sent with backoff
-  int t304_expiries = 0;          ///< handover executions that failed
-  int t304_fallback_success = 0;  ///< ...re-established on prepared target
-  int duplicate_commands = 0;     ///< stale duplicate commands executed
-  int degraded_enters = 0;        ///< manager degraded-mode transitions
-  double degraded_time_s = 0.0;   ///< total time in degraded mode
-  // --- Backhaul preparation / context fetch (rem::net transport) ---
-  int prep_requests = 0;          ///< HANDOVER REQUESTs first-sent
-  int prep_retries = 0;           ///< timed-out requests re-sent
-  int prep_acks = 0;              ///< preparations admitted by the target
-  int prep_rejects = 0;           ///< admission rejections received
-  int prep_fallbacks = 0;         ///< switches to the fallback target
-  int prep_failures = 0;          ///< attempts abandoned in preparation
-  double prep_rtt_sum_s = 0.0;    ///< summed request->ack round trips
-  int context_fetch_failures = 0; ///< outage context fetches exhausted
-  // Transport-level counters mirrored from net::TransportStats.
-  std::uint64_t backhaul_sent = 0;
-  std::uint64_t backhaul_delivered = 0;
-  std::uint64_t backhaul_dropped_loss = 0;
-  std::uint64_t backhaul_dropped_partition = 0;
-  std::uint64_t backhaul_dropped_queue = 0;
-  std::uint64_t backhaul_dropped_crash = 0;
-  std::uint64_t backhaul_duplicated = 0;
-  std::uint64_t backhaul_reordered = 0;
-  double backhaul_latency_sum_s = 0.0;
-  // --- BS capacity model (sim/bs_capacity.hpp) ---
-  // Conservation: bs_jobs_submitted == bs_jobs_served + bs_queue_shed +
-  // bs_jobs_flushed + bs_jobs_inflight_end (background jobs excluded
-  // throughout; they consume capacity but are not UE-visible work).
-  int bs_jobs_submitted = 0;      ///< UE jobs offered to a station
-  int bs_jobs_served = 0;         ///< jobs whose service completed
-  int bs_jobs_queued = 0;         ///< served jobs that had to wait
-  int bs_queue_shed = 0;          ///< jobs shed on a full signaling queue
-  int bs_jobs_flushed = 0;        ///< queued jobs lost to a BS crash
-  int bs_jobs_inflight_end = 0;   ///< still scheduled at the horizon
-  double bs_queue_wait_sum_s = 0.0;  ///< summed wait over served jobs
-  int admission_rejects = 0;      ///< busy-rejects received by the source
-  int admission_backoff_retries = 0;  ///< hint-honoring re-attempts
-  int bs_crashes = 0;             ///< BS deaths (crash windows + region
-                                  ///< outage members); global in fleets
-  int bs_crash_dropped_msgs = 0;  ///< signaling addressed to a dead BS
-  int stale_context_responses = 0;  ///< context fetches answered stale
-  // --- Correlated faults / cascade resilience ---
-  // World-global like bs_crashes (every UE of a fleet counts the same
-  // cascade events; merge takes the max and the fleet report checks
-  // agreement): cascade_jobs_injected / cascade_activations. Genuinely
-  // per-UE (merge sums them): every breaker_* and load_ad_* counter.
-  int cascade_jobs_injected = 0;  ///< background jobs injected by cascade
-  int cascade_activations = 0;    ///< neighbor top-up events (kCascadeInject)
-  int breaker_trips = 0;          ///< per-target breakers opened
-  int breaker_probes = 0;         ///< half-open probe preparations allowed
-  int breaker_closes = 0;         ///< probes that closed a breaker
-  int breaker_skips = 0;          ///< candidate cells hidden while open
-  int load_ads_received = 0;      ///< load advertisements applied
-  int storm_jitter_applied = 0;   ///< backoff retries jittered
-  /// Oldest advertisement actually exposed to a manager (age at use, s);
-  /// the invariant checker asserts <= load_ad_staleness_s.
-  double load_ad_age_max_s = 0.0;
-  /// Data-plane accounting (§8 "On data speed"): Shannon capacity of the
-  /// serving link averaged over the whole run (zero while in outage) and
-  /// the fraction of time without radio connectivity.
-  double mean_throughput_bps = 0.0;
-  double downtime_fraction = 0.0;
+  std::vector<double> feedback_delays_s;   ///< per delivered report
   /// Serving-link SNR samples from the 5 s windows preceding each failure
   /// (decimated) — the Fig. 2b signaling-loss analysis window.
   std::vector<double> pre_failure_snrs_db;
-  /// Cross-cutting invariant violations found by an attached
-  /// rem::testkit::InvariantChecker (written in its on_run_end); 0 when no
-  /// checker was attached or the run was clean.
-  int invariant_violations = 0;
   /// Per-event signaling log (only when SimConfig::record_events).
   EventLog events;
 
@@ -383,21 +296,21 @@ class Simulator {
   /// Run the full scenario with the given manager and return statistics.
   /// `pair_conflicts(cell_a, cell_b)` (CellId::cell values) marks loop
   /// episodes caused by policy conflicts; pass an empty function to skip.
-  /// Executes on the driver named by SimConfig::engine; both drivers are
-  /// bit-identical.
+  /// Throws std::invalid_argument unless cfg.tick_s > 0.
   SimStats run(MobilityManager& manager,
                const std::function<bool(int, int)>& pair_conflicts = {});
 
-  /// Multi-UE fleet run on the event queue: cfg.fleet_size UEs share the
-  /// radio environment, BsStation capacity, and backhaul transport, each
-  /// with its own manager built by `make_manager(ue)` (called in UE-id
-  /// order). UE 0 runs the scenario's exact single-UE parameters and RNG
+  /// Multi-UE fleet run on the same fixed-step loop as run(): each tick
+  /// steps the world, then every UE in UE-id order. cfg.fleet_size UEs
+  /// share the radio environment, BsStation capacity, and backhaul
+  /// transport, each with its own manager built by `make_manager(ue)`
+  /// (called in UE-id order). UE 0 runs the scenario's exact single-UE parameters and RNG
   /// stream, so a fleet of one is bit-identical to run(); UEs 1..N-1
   /// derive mixed speeds and start offsets from per-UE forked streams
   /// (SimConfig::fleet). Per-UE stats come back indexed by UE id with the
   /// deterministic aggregate merged in UE-id order (sim/fleet.hpp).
-  /// Throws std::invalid_argument when cfg.fleet_size < 1 or
-  /// make_manager returns nullptr.
+  /// Throws std::invalid_argument when cfg.fleet_size < 1, cfg.tick_s is
+  /// not positive, or make_manager returns nullptr.
   FleetResult run_fleet(
       const std::function<std::unique_ptr<MobilityManager>(int)>&
           make_manager,

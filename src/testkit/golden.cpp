@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace rem::testkit {
 namespace {
@@ -26,91 +27,39 @@ std::string fmt_hex(std::uint64_t v) {
   return buf;
 }
 
+template <class T>
+std::string fmt_stat(T v) {
+  if constexpr (std::is_floating_point_v<T>)
+    return fmt_double(v);
+  else
+    return fmt_int(static_cast<long long>(v));
+}
+
 void append_stats_fields(const std::string& prefix, const sim::SimStats& s,
                          TraceDigest& d) {
   auto put = [&](const std::string& k, std::string v) {
     d.fields.emplace_back(prefix + k, std::move(v));
   };
-  put("handovers", fmt_int(s.handovers));
-  put("successful_handovers", fmt_int(s.successful_handovers));
-  put("failures", fmt_int(s.failures));
   const auto cause = [&](sim::FailureCause c) {
     const auto it = s.failures_by_cause.find(c);
     return fmt_int(it != s.failures_by_cause.end() ? it->second : 0);
   };
-  put("failures.feedback", cause(sim::FailureCause::kFeedbackDelayLoss));
-  put("failures.missed_cell", cause(sim::FailureCause::kMissedCell));
-  put("failures.cmd_loss", cause(sim::FailureCause::kHoCommandLoss));
-  put("failures.hole", cause(sim::FailureCause::kCoverageHole));
-  put("loop_handovers", fmt_int(s.loop_handovers));
-  put("loop_episodes", fmt_int(s.loop_episodes));
-  put("intra_freq_loop_episodes", fmt_int(s.intra_freq_loop_episodes));
-  put("conflict_loop_episodes", fmt_int(s.conflict_loop_episodes));
-  put("conflict_loop_handovers", fmt_int(s.conflict_loop_handovers));
-  put("t304_expiries", fmt_int(s.t304_expiries));
-  put("t304_fallback_success", fmt_int(s.t304_fallback_success));
-  put("report_retransmits", fmt_int(s.report_retransmits));
-  put("duplicate_commands", fmt_int(s.duplicate_commands));
-  put("prep_requests", fmt_int(s.prep_requests));
-  put("prep_retries", fmt_int(s.prep_retries));
-  put("prep_acks", fmt_int(s.prep_acks));
-  put("prep_rejects", fmt_int(s.prep_rejects));
-  put("prep_fallbacks", fmt_int(s.prep_fallbacks));
-  put("prep_failures", fmt_int(s.prep_failures));
-  put("prep_rtt_sum_s", fmt_double(s.prep_rtt_sum_s));
-  put("context_fetch_failures", fmt_int(s.context_fetch_failures));
-  put("backhaul_sent", fmt_int(static_cast<long long>(s.backhaul_sent)));
-  put("backhaul_delivered",
-      fmt_int(static_cast<long long>(s.backhaul_delivered)));
-  put("backhaul_dropped_loss",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_loss)));
-  put("backhaul_dropped_partition",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_partition)));
-  put("backhaul_dropped_queue",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_queue)));
-  put("backhaul_dropped_crash",
-      fmt_int(static_cast<long long>(s.backhaul_dropped_crash)));
-  put("backhaul_duplicated",
-      fmt_int(static_cast<long long>(s.backhaul_duplicated)));
-  put("backhaul_reordered",
-      fmt_int(static_cast<long long>(s.backhaul_reordered)));
-  put("backhaul_latency_sum_s", fmt_double(s.backhaul_latency_sum_s));
-  put("bs_jobs_submitted", fmt_int(s.bs_jobs_submitted));
-  put("bs_jobs_served", fmt_int(s.bs_jobs_served));
-  put("bs_jobs_queued", fmt_int(s.bs_jobs_queued));
-  put("bs_queue_shed", fmt_int(s.bs_queue_shed));
-  put("bs_jobs_flushed", fmt_int(s.bs_jobs_flushed));
-  put("bs_jobs_inflight_end", fmt_int(s.bs_jobs_inflight_end));
-  put("bs_queue_wait_sum_s", fmt_double(s.bs_queue_wait_sum_s));
-  put("admission_rejects", fmt_int(s.admission_rejects));
-  put("admission_backoff_retries", fmt_int(s.admission_backoff_retries));
-  put("bs_crashes", fmt_int(s.bs_crashes));
-  put("bs_crash_dropped_msgs", fmt_int(s.bs_crash_dropped_msgs));
-  put("stale_context_responses", fmt_int(s.stale_context_responses));
-  // Cascade-resilience counters are emitted only when non-zero so the
-  // pre-existing corpus stays byte-identical: a case that never schedules
-  // region_outage/cascade_overload or arms the resilience knobs digests
-  // exactly as it did before those counters existed.
-  if (s.cascade_jobs_injected != 0)
-    put("cascade_jobs_injected", fmt_int(s.cascade_jobs_injected));
-  if (s.cascade_activations != 0)
-    put("cascade_activations", fmt_int(s.cascade_activations));
-  if (s.breaker_trips != 0) put("breaker_trips", fmt_int(s.breaker_trips));
-  if (s.breaker_probes != 0) put("breaker_probes", fmt_int(s.breaker_probes));
-  if (s.breaker_closes != 0) put("breaker_closes", fmt_int(s.breaker_closes));
-  if (s.breaker_skips != 0) put("breaker_skips", fmt_int(s.breaker_skips));
-  if (s.load_ads_received != 0)
-    put("load_ads_received", fmt_int(s.load_ads_received));
-  if (s.storm_jitter_applied != 0)
-    put("storm_jitter_applied", fmt_int(s.storm_jitter_applied));
-  if (s.load_ad_age_max_s != 0.0)
-    put("load_ad_age_max_s", fmt_double(s.load_ad_age_max_s));
-  put("degraded_enters", fmt_int(s.degraded_enters));
-  put("degraded_time_s", fmt_double(s.degraded_time_s));
-  put("avg_handover_interval_s", fmt_double(s.avg_handover_interval_s));
-  put("mean_throughput_bps", fmt_double(s.mean_throughput_bps));
-  put("downtime_fraction", fmt_double(s.downtime_fraction));
-  put("invariant_violations", fmt_int(s.invariant_violations));
+  // The scalars in table order, under each row's digest policy. kNonzero
+  // rows (the cascade-resilience counters) appear only when set, so cases
+  // that never arm those features digest as they did before they existed.
+  sim::for_each_stat([&](const sim::StatField& f, auto field) {
+    const auto v = s.*field;
+    if (f.digest == sim::StatDigest::kOmit ||
+        (f.digest == sim::StatDigest::kNonzero && v == 0))
+      return;
+    put(f.name, fmt_stat(v));
+    if (std::string_view(f.name) != "failures") return;
+    // The Table 2 split follows its total.
+    put("failures.feedback", cause(sim::FailureCause::kFeedbackDelayLoss));
+    put("failures.missed_cell", cause(sim::FailureCause::kMissedCell));
+    put("failures.cmd_loss", cause(sim::FailureCause::kHoCommandLoss));
+    put("failures.hole", cause(sim::FailureCause::kCoverageHole));
+  });
   put("outage_count", fmt_int(static_cast<long long>(
                           s.outage_durations_s.size())));
   double outage_sum = 0.0;
@@ -464,6 +413,37 @@ TraceDigest read_digest_json_file(const std::string& path) {
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
+}
+
+std::string diff_stats(const sim::SimStats& a, const sim::SimStats& b) {
+  std::string out;
+  const auto differ = [&out](const std::string& line) {
+    out += (out.empty() ? "" : "\n") + line;
+  };
+  sim::for_each_stat([&](const sim::StatField& f, auto field) {
+    if (a.*field != b.*field)
+      differ(std::string(f.name) + ": " + fmt_stat(a.*field) + " vs " +
+             fmt_stat(b.*field));
+  });
+  if (a.failures_by_cause != b.failures_by_cause)
+    differ("failures_by_cause differs");
+  const auto samples = [&](const char* name, const std::vector<double>& va,
+                           const std::vector<double>& vb) {
+    if (va != vb)
+      differ(std::string(name) + " differs (" + std::to_string(va.size()) +
+             " vs " + std::to_string(vb.size()) + " samples)");
+  };
+  samples("outage_durations_s", a.outage_durations_s, b.outage_durations_s);
+  samples("feedback_delays_s", a.feedback_delays_s, b.feedback_delays_s);
+  samples("pre_failure_snrs_db", a.pre_failure_snrs_db,
+          b.pre_failure_snrs_db);
+  if (a.events.size() != b.events.size() ||
+      hash_event_log(a.events) != hash_event_log(b.events))
+    differ("events differ (" + std::to_string(a.events.size()) + " vs " +
+           std::to_string(b.events.size()) + " events, hash " +
+           fmt_hex(hash_event_log(a.events)) + " vs " +
+           fmt_hex(hash_event_log(b.events)) + ")");
+  return out;
 }
 
 std::vector<std::string> diff_digests(const TraceDigest& expected,

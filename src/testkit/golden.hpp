@@ -103,4 +103,11 @@ void write_digest_json_file(const TraceDigest& d, const std::string& path);
 std::vector<std::string> diff_digests(const TraceDigest& expected,
                                       const TraceDigest& actual);
 
+/// Exact comparison of two runs' statistics: every scalar of the stats
+/// table (sim/stats_table.hpp; doubles compared with ==, no tolerance),
+/// the Table 2 split, the sample vectors, and the event log by size and
+/// bit-exact hash. Returns one line per differing field, newline-joined;
+/// an empty string means the runs are identical.
+std::string diff_stats(const sim::SimStats& a, const sim::SimStats& b);
+
 }  // namespace rem::testkit

@@ -2,9 +2,11 @@
 
 #include "sim/tcp.hpp"
 
+#include "sim/fleet.hpp"
+
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -15,6 +17,13 @@ namespace {
 /// `t += dt`, so durations carry a few ULP of drift per thousand ticks.
 constexpr double kTimeEps = 1e-6;
 
+/// A stats value in violation messages: exact, so bit-level drift shows.
+std::string show(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 }  // namespace
 
 InvariantChecker::InvariantChecker(CheckerConfig cfg) : cfg_(std::move(cfg)) {}
@@ -23,12 +32,15 @@ void InvariantChecker::violate(double t, const std::string& what) {
   ++violation_count_;
   if (violations_.size() >= cfg_.max_recorded) return;
   std::ostringstream os;
+  using sim::EventKind;
   os << "[t=" << std::fixed << std::setprecision(3) << t << "s] " << what
      << " | state: exec=" << exec_open_ << " outage=" << outage_open_
-     << " cmds=" << commands_delivered_ << " complete=" << completions_
-     << " t304=" << t304_expiries_ << " rlf=" << rlf_events_
-     << " reest=" << reestablished_ << " loops=" << loop_handovers_ << "/"
-     << loop_episodes_;
+     << " cmds=" << count(EventKind::kHoCommandDelivered)
+     << " complete=" << count(EventKind::kHandoverComplete)
+     << " t304=" << count(EventKind::kT304Expiry)
+     << " rlf=" << count(EventKind::kRadioLinkFailure)
+     << " reest=" << count(EventKind::kReestablished)
+     << " loops=" << loop_handovers_ << "/" << loop_episodes_;
   violations_.push_back(os.str());
 }
 
@@ -56,6 +68,14 @@ void InvariantChecker::on_tick(const sim::TickView& v) {
 void InvariantChecker::check_event(const sim::SignalingEvent& e) {
   using sim::EventKind;
   const double t = e.t_s;
+
+  // The recount behind every table-driven counter check in on_run_end.
+  const auto k = static_cast<std::size_t>(e.kind);
+  if (k < sim::kNumEventKinds) {
+    ++events_[k];
+    payload_sums_[k] += e.serving_snr_db;
+    if (e.serving_snr_db > 0.0) ++positive_payloads_[k];
+  }
 
   // Timestamps never go backwards within the event stream, and no event
   // may carry a timestamp at or before the last completed tick.
@@ -109,13 +129,11 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
     case EventKind::kReportRetransmit:
       if (outage_open_ || exec_open_)
         violate(t, "report retransmit outside a live idle link");
-      ++report_retransmits_;
       break;
 
     case EventKind::kHoCommandDuplicate:
       if (outage_open_ || exec_open_)
         violate(t, "duplicate command outside a live idle link");
-      ++duplicate_commands_;
       break;
 
     case EventKind::kHoCommandDelivered:
@@ -128,7 +146,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                    "HANDOVER REQUEST (backhaul transport enabled)");
       prep_acked_ = false;
       exec_open_ = true;
-      ++commands_delivered_;
       break;
 
     case EventKind::kHandoverComplete: {
@@ -139,7 +156,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "handover completed against crashed BS " +
                        std::to_string(e.target_cell));
       exec_open_ = false;
-      ++completions_;
       // Loop bookkeeping mirror — byte-for-byte the simulator's logic:
       // loop test against the recent-serving window *before* pushing the
       // new serving cell, trim only here (not on re-establishment).
@@ -181,7 +197,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       // Fallback re-establishes on the prepared target, which is faster
       // than the full RLF search (weakest valid lower bound either way).
       outage_min_reestablish_s_ = cfg_.sim.t304_reestablish_s;
-      ++t304_expiries_;
       break;
 
     case EventKind::kRadioLinkFailure:
@@ -205,7 +220,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       prep_open_ = false;
       prep_acked_ = false;
       prep_retries_this_attempt_ = 0;
-      ++rlf_events_;
       break;
 
     case EventKind::kReestablished:
@@ -217,8 +231,10 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                        "s, below the " +
                        std::to_string(outage_min_reestablish_s_) +
                        "s search-time floor");
+      // The same subtraction of the same timestamps the simulator makes,
+      // accumulated in the same order: the sums must match bit-exactly.
+      if (outage_open_) outage_sum_s_ += t - outage_opened_t_;
       outage_open_ = false;
-      ++reestablished_;
       reestablished_this_tick_ = true;
       // camp_on() records the new serving cell for loop detection but does
       // not trim the window; mirror exactly.
@@ -226,35 +242,34 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       break;
 
     case EventKind::kFaultStart:
-      ++fault_starts_;
       if (!cfg_.faults_expected)
         violate(t, "fault window opened on a fault-free run");
       break;
     case EventKind::kFaultEnd:
-      ++fault_ends_;
       if (!cfg_.faults_expected)
         violate(t, "fault window closed on a fault-free run");
       break;
 
     case EventKind::kDegradedEnter:
-      ++degraded_enters_;
       if (cfg_.expect_no_degraded)
         violate(t, "degraded-mode entry from a manager with no fallback");
       if (!cfg_.faults_expected)
         violate(t, "degraded-mode entry on a fault-free run (estimates "
                    "can only go stale under a pilot outage)");
-      if (degraded_enters_ != degraded_exits_ + 1)
+      if (count(EventKind::kDegradedEnter) !=
+          count(EventKind::kDegradedExit) + 1)
         violate(t, "degraded enter without matching exit (enters=" +
-                       std::to_string(degraded_enters_) + " exits=" +
-                       std::to_string(degraded_exits_) + ")");
+                       std::to_string(count(EventKind::kDegradedEnter)) +
+                       " exits=" +
+                       std::to_string(count(EventKind::kDegradedExit)) + ")");
       if (cfg_.staleness_bound_s >= 0.0) pending_degraded_enter_check_ = true;
       break;
     case EventKind::kDegradedExit:
-      ++degraded_exits_;
-      if (degraded_exits_ != degraded_enters_)
+      if (count(EventKind::kDegradedExit) != count(EventKind::kDegradedEnter))
         violate(t, "degraded exit without matching enter (enters=" +
-                       std::to_string(degraded_enters_) + " exits=" +
-                       std::to_string(degraded_exits_) + ")");
+                       std::to_string(count(EventKind::kDegradedEnter)) +
+                       " exits=" +
+                       std::to_string(count(EventKind::kDegradedExit)) + ")");
       break;
 
     case EventKind::kPrepRequest:
@@ -264,7 +279,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "HANDOVER REQUEST with the backhaul transport disabled");
       prep_open_ = true;
       prep_retries_this_attempt_ = 0;
-      ++prep_requests_;
       break;
 
     case EventKind::kPrepRetry:
@@ -272,7 +286,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep retry outside a live idle link");
       if (!prep_open_)
         violate(t, "prep retry without an outstanding HANDOVER REQUEST");
-      ++prep_retries_;
       if (++prep_retries_this_attempt_ > cfg_.sim.prep_max_retries)
         violate(t, "prep retry storm: " +
                        std::to_string(prep_retries_this_attempt_) +
@@ -300,7 +313,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                        "s one-way)");
       prep_open_ = false;
       prep_acked_ = true;
-      ++prep_acks_;
       break;
 
     case EventKind::kPrepReject:
@@ -308,7 +320,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep reject outside a live idle link");
       if (!prep_open_)
         violate(t, "prep reject without an outstanding HANDOVER REQUEST");
-      ++prep_rejects_;
       break;
 
     case EventKind::kPrepFallback:
@@ -316,7 +327,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep fallback outside a live idle link");
       if (!prep_open_)
         violate(t, "prep fallback without an outstanding HANDOVER REQUEST");
-      ++prep_fallbacks_;
       prep_retries_this_attempt_ = 0;
       break;
 
@@ -326,13 +336,11 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (!prep_open_)
         violate(t, "prep failure without an outstanding HANDOVER REQUEST");
       prep_open_ = false;
-      ++prep_failures_;
       break;
 
     case EventKind::kContextFetchFailed:
       if (!outage_open_)
         violate(t, "context-fetch failure outside an outage");
-      ++ctx_fetch_failures_;
       break;
 
     case EventKind::kBsQueueShed:
@@ -343,7 +351,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0 || e.serving_snr_db > 1.0 + kTimeEps)
         violate(t, "shed event load " + std::to_string(e.serving_snr_db) +
                        " outside [0, 1]");
-      ++bs_queue_sheds_;
       break;
 
     case EventKind::kBsJobDone:
@@ -353,9 +360,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0)
         violate(t, "negative BS queue wait " +
                        std::to_string(e.serving_snr_db) + "s");
-      ++bs_jobs_done_;
-      if (e.serving_snr_db > 0.0) ++bs_jobs_queued_;
-      bs_queue_wait_sum_s_ += e.serving_snr_db;
       break;
 
     case EventKind::kAdmissionReject:
@@ -371,7 +375,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (e.serving_snr_db < 0.0)
         violate(t, "negative admission backoff hint " +
                        std::to_string(e.serving_snr_db) + "s");
-      ++admission_rejects_;
       break;
 
     case EventKind::kAdmissionRetry:
@@ -384,7 +387,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                    "HANDOVER REQUEST");
       prep_open_ = false;
       prep_retries_this_attempt_ = 0;
-      ++admission_retries_;
       break;
 
     case EventKind::kBsCrash:
@@ -400,7 +402,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "BS crash for cell " + std::to_string(e.target_cell) +
                        " that is already down");
       crashed_cells_.insert(e.target_cell);
-      ++bs_crashes_;
       break;
 
     case EventKind::kBsRestart:
@@ -408,7 +409,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "BS restart for cell " + std::to_string(e.target_cell) +
                        " that was never crashed");
       crashed_cells_.erase(e.target_cell);
-      ++bs_restarts_;
       break;
 
     case EventKind::kContextStale:
@@ -418,7 +418,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "stale-context response outside an outage");
       if (!cfg_.faults_expected)
         violate(t, "stale-context response on a fault-free run");
-      ++stale_ctx_responses_;
       break;
 
     case EventKind::kCascadeInject:
@@ -435,8 +434,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       if (crashed_cells_.count(e.target_cell) > 0)
         violate(t, "cascade injection into dead BS " +
                        std::to_string(e.target_cell));
-      ++cascade_injects_;
-      cascade_jobs_ += static_cast<long long>(e.serving_snr_db);
       break;
 
     case EventKind::kBreakerTrip: {
@@ -450,7 +447,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                        " that is already open");
       st = 1;
       ++breakers_open_mirror_;
-      ++breaker_trips_;
       break;
     }
 
@@ -466,7 +462,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       else
         --breakers_open_mirror_;
       st = 2;
-      ++breaker_probes_;
       break;
     }
 
@@ -479,7 +474,6 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "breaker close for cell " + std::to_string(e.target_cell) +
                        " without a probe in flight");
       st = 0;
-      ++breaker_closes_;
       break;
     }
   }
@@ -632,75 +626,88 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
                          std::to_string(want));
   };
 
-  // --- Handover conservation ---
-  // Every attempt the stats report was a delivered command the checker
-  // saw, and every delivered command closed as exactly one completion or
-  // T304 expiry (or is still in flight at the horizon).
-  expect_eq(stats.handovers, commands_delivered_,
-            "SimStats::handovers vs delivered commands");
-  expect_eq(stats.successful_handovers, completions_,
-            "SimStats::successful_handovers vs completions");
-  expect_eq(stats.t304_expiries, t304_expiries_,
-            "SimStats::t304_expiries vs T304 events");
-  expect_eq(stats.failures, rlf_events_ + t304_expiries_,
+  using sim::EventKind;
+  const long long commands = count(EventKind::kHoCommandDelivered);
+  const long long completions = count(EventKind::kHandoverComplete);
+  const long long t304 = count(EventKind::kT304Expiry);
+  const long long rlf = count(EventKind::kRadioLinkFailure);
+  const long long reestablished = count(EventKind::kReestablished);
+
+  // --- Every counter the stats table recounts from the event stream ---
+  // Counts and payload sums are exact in a double, and the payload sums
+  // accumulate the simulator's own values in its own order, so the
+  // comparison is bit-exact.
+  sim::for_each_stat([&](const sim::StatField& f, auto field) {
+    if (f.recount == sim::StatRecount::kNone) return;
+    const auto k = static_cast<std::size_t>(f.source);
+    const double want =
+        f.recount == sim::StatRecount::kCount ? static_cast<double>(events_[k])
+        : f.recount == sim::StatRecount::kPositivePayloads
+            ? static_cast<double>(positive_payloads_[k])
+            : payload_sums_[k];
+    const double got = static_cast<double>(stats.*field);
+    if (got != want)
+      violate(t_end, "SimStats::" + std::string(f.name) + " = " + show(got) +
+                         " but the " + sim::event_kind_name(f.source) +
+                         " event recount is " + show(want));
+  });
+
+  // --- Failure and handover conservation ---
+  // Every delivered command closed as exactly one completion or T304
+  // expiry (or is still in flight at the horizon); every failure is one
+  // RLF or T304 event, classified into exactly one Table 2 cause.
+  expect_eq(stats.failures, rlf + t304,
             "SimStats::failures vs RLF + T304 events");
-  expect_eq(commands_delivered_,
-            completions_ + t304_expiries_ + (exec_open_ ? 1 : 0),
+  long long by_cause = 0;
+  for (const auto& [cause, n] : stats.failures_by_cause) by_cause += n;
+  expect_eq(by_cause, stats.failures,
+            "failures_by_cause total vs SimStats::failures");
+  expect_eq(commands, completions + t304 + (exec_open_ ? 1 : 0),
             "command conservation (attempts = successes + expiries + "
             "in-flight)");
-  expect_eq(reestablished_, rlf_events_ + t304_expiries_ -
-                                (outage_open_ ? 1 : 0),
+  expect_eq(reestablished, rlf + t304 - (outage_open_ ? 1 : 0),
             "re-establishment conservation (failures = recoveries + open "
             "outage)");
   expect_eq(static_cast<long long>(stats.outage_durations_s.size()),
-            reestablished_, "outage duration samples vs re-establishments");
-  expect_eq(stats.report_retransmits, report_retransmits_,
-            "SimStats::report_retransmits vs retransmit events");
-  expect_eq(stats.duplicate_commands, duplicate_commands_,
-            "SimStats::duplicate_commands vs duplicate events");
-  expect_eq(stats.degraded_enters, degraded_enters_,
-            "SimStats::degraded_enters vs enter events");
-  if (degraded_enters_ - degraded_exits_ != 0 &&
-      degraded_enters_ - degraded_exits_ != 1)
+            reestablished, "outage duration samples vs re-establishments");
+  double outage_sum = 0.0;
+  for (double d : stats.outage_durations_s) outage_sum += d;
+  if (outage_sum != outage_sum_s_)
+    violate(t_end, "outage duration sum " + show(outage_sum) +
+                       "s disagrees with the event stream (" +
+                       show(outage_sum_s_) + "s)");
+  expect_eq(static_cast<long long>(stats.feedback_delays_s.size()),
+            count(EventKind::kReportDelivered),
+            "feedback delay samples vs delivered reports");
+  const long long degraded_open = count(EventKind::kDegradedEnter) -
+                                  count(EventKind::kDegradedExit);
+  if (degraded_open != 0 && degraded_open != 1)
     violate(t_end, "unbalanced degraded enter/exit events (enters=" +
-                       std::to_string(degraded_enters_) + " exits=" +
-                       std::to_string(degraded_exits_) + ")");
-  if (fault_starts_ < fault_ends_)
+                       std::to_string(count(EventKind::kDegradedEnter)) +
+                       " exits=" +
+                       std::to_string(count(EventKind::kDegradedExit)) + ")");
+  if (count(EventKind::kFaultStart) < count(EventKind::kFaultEnd))
     violate(t_end, "more fault-window closes than opens");
 
   // --- Backhaul preparation conservation ---
-  expect_eq(stats.prep_requests, prep_requests_,
-            "SimStats::prep_requests vs prep-request events");
-  expect_eq(stats.prep_retries, prep_retries_,
-            "SimStats::prep_retries vs prep-retry events");
-  expect_eq(stats.prep_acks, prep_acks_,
-            "SimStats::prep_acks vs prep-ack events");
-  expect_eq(stats.prep_rejects, prep_rejects_,
-            "SimStats::prep_rejects vs prep-reject events");
-  expect_eq(stats.prep_fallbacks, prep_fallbacks_,
-            "SimStats::prep_fallbacks vs prep-fallback events");
-  expect_eq(stats.prep_failures, prep_failures_,
-            "SimStats::prep_failures vs prep-failure events");
-  expect_eq(stats.context_fetch_failures, ctx_fetch_failures_,
-            "SimStats::context_fetch_failures vs context-fetch events");
   if (cfg_.sim.backhaul.enabled) {
+    const long long requests = count(EventKind::kPrepRequest);
+    const long long retries = count(EventKind::kPrepRetry);
+    const long long acks = count(EventKind::kPrepAck);
+    const long long outcomes = acks + count(EventKind::kPrepReject);
     // Every delivered command rode an ack, and every ack/reject answers a
     // request the source actually put on the wire (original or retry).
-    if (commands_delivered_ > prep_acks_)
-      violate(t_end, "more delivered commands (" +
-                         std::to_string(commands_delivered_) +
-                         ") than prep acks (" + std::to_string(prep_acks_) +
-                         ")");
-    if (prep_acks_ + prep_rejects_ > prep_requests_ + prep_retries_)
-      violate(t_end, "more prep outcomes (" +
-                         std::to_string(prep_acks_ + prep_rejects_) +
+    if (commands > acks)
+      violate(t_end, "more delivered commands (" + std::to_string(commands) +
+                         ") than prep acks (" + std::to_string(acks) + ")");
+    if (outcomes > requests + retries)
+      violate(t_end, "more prep outcomes (" + std::to_string(outcomes) +
                          ") than requests sent (" +
-                         std::to_string(prep_requests_ + prep_retries_) + ")");
+                         std::to_string(requests + retries) + ")");
     // Retry-storm bound: the backoff budget caps total resends.
-    if (prep_retries_ >
-        prep_requests_ * std::max(cfg_.sim.prep_max_retries, 0))
-      violate(t_end, "prep retry storm: " + std::to_string(prep_retries_) +
-                         " retries for " + std::to_string(prep_requests_) +
+    if (retries > requests * std::max(cfg_.sim.prep_max_retries, 0))
+      violate(t_end, "prep retry storm: " + std::to_string(retries) +
+                         " retries for " + std::to_string(requests) +
                          " requests (budget " +
                          std::to_string(cfg_.sim.prep_max_retries) +
                          " per attempt)");
@@ -721,24 +728,10 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   }
 
   // --- BS capacity conservation ---
-  expect_eq(stats.bs_jobs_served, bs_jobs_done_,
-            "SimStats::bs_jobs_served vs job-done events");
-  expect_eq(stats.bs_jobs_queued, bs_jobs_queued_,
-            "SimStats::bs_jobs_queued vs job-done events with queue wait");
-  expect_eq(stats.bs_queue_shed, bs_queue_sheds_,
-            "SimStats::bs_queue_shed vs shed events");
-  expect_eq(stats.admission_rejects, admission_rejects_,
-            "SimStats::admission_rejects vs busy-reject events");
-  expect_eq(stats.admission_backoff_retries, admission_retries_,
-            "SimStats::admission_backoff_retries vs backoff events");
-  expect_eq(stats.bs_crashes, bs_crashes_,
-            "SimStats::bs_crashes vs crash events");
-  expect_eq(stats.stale_context_responses, stale_ctx_responses_,
-            "SimStats::stale_context_responses vs stale-context events");
-  if (bs_restarts_ > bs_crashes_)
-    violate(t_end, "more BS restarts than crashes");
-  expect_eq(static_cast<long long>(crashed_cells_.size()),
-            bs_crashes_ - bs_restarts_,
+  const long long crashes = count(EventKind::kBsCrash);
+  const long long restarts = count(EventKind::kBsRestart);
+  if (restarts > crashes) violate(t_end, "more BS restarts than crashes");
+  expect_eq(static_cast<long long>(crashed_cells_.size()), crashes - restarts,
             "open crash windows vs crash/restart events");
   // Every job offered to a station is accounted for exactly once:
   // served, shed at a full queue, flushed by a crash, or still in flight
@@ -749,20 +742,10 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
                 stats.bs_jobs_inflight_end,
             "BS job conservation (submitted = served + shed + flushed + "
             "in-flight)");
-  // --- Cascade / circuit-breaker conservation ---
-  expect_eq(stats.cascade_activations, cascade_injects_,
-            "SimStats::cascade_activations vs cascade-inject events");
-  expect_eq(stats.cascade_jobs_injected, cascade_jobs_,
-            "SimStats::cascade_jobs_injected vs injected-job payload sum");
-  expect_eq(stats.breaker_trips, breaker_trips_,
-            "SimStats::breaker_trips vs trip events");
-  expect_eq(stats.breaker_probes, breaker_probes_,
-            "SimStats::breaker_probes vs probe events");
-  expect_eq(stats.breaker_closes, breaker_closes_,
-            "SimStats::breaker_closes vs close events");
-  if (breaker_probes_ > breaker_trips_)
+  // --- Circuit-breaker conservation ---
+  if (count(EventKind::kBreakerProbe) > count(EventKind::kBreakerTrip))
     violate(t_end, "more breaker probes than trips");
-  if (breaker_closes_ > breaker_probes_)
+  if (count(EventKind::kBreakerClose) > count(EventKind::kBreakerProbe))
     violate(t_end, "more breaker closes than probes");
   // Load-advertisement staleness contract: the simulator never surfaces
   // an ad older than the configured bound, and the recorded maximum age
@@ -781,15 +764,6 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
       (stats.load_ads_received != 0 || stats.load_ad_age_max_s != 0.0))
     violate(t_end, "load-advertisement activity with advertisement "
                    "disabled");
-
-  // The wait total must reconcile bit-for-bit: the simulator sums waits
-  // in completion order, the checker sums the same values from the same
-  // events in the same order.
-  if (stats.bs_queue_wait_sum_s != bs_queue_wait_sum_s_)
-    violate(t_end, "BS queue wait total " +
-                       std::to_string(stats.bs_queue_wait_sum_s) +
-                       "s disagrees with the event stream (" +
-                       std::to_string(bs_queue_wait_sum_s_) + "s)");
 
   // --- Loop accounting, recomputed independently from the event stream ---
   expect_eq(stats.loop_handovers, loop_handovers_,
@@ -822,8 +796,8 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   if (stats.downtime_fraction < 0.0 || stats.downtime_fraction > 1.0)
     violate(t_end, "downtime fraction outside [0, 1]");
   if (!cfg_.faults_expected &&
-      (fault_starts_ > 0 || degraded_enters_ > 0 ||
-       stats.degraded_time_s > 0.0))
+      (count(EventKind::kFaultStart) > 0 ||
+       count(EventKind::kDegradedEnter) > 0 || stats.degraded_time_s > 0.0))
     violate(t_end, "fault/degraded activity recorded on a fault-free run");
 
   // --- TCP sequence/ack sanity over every recovered outage ---
@@ -881,88 +855,27 @@ std::vector<std::string> fleet_invariant_report(const sim::FleetResult& r) {
     }
   }
 
-  // --- Aggregate reconciliation against the per-UE fold ---
-  const auto expect_sum = [&](const std::string& name, long long agg,
-                              const std::function<long long(
-                                  const sim::SimStats&)>& field) {
-    long long sum = 0;
-    for (const auto& s : r.per_ue) sum += field(s);
-    if (agg != sum)
-      flag("aggregate." + name + " = " + std::to_string(agg) +
-           " but per-UE sum = " + std::to_string(sum));
-  };
+  // --- Aggregate laws: each scalar is the per-UE fold under its stats
+  // --- table merge rule, and world-global counters agree across UEs ---
   const auto& a = r.aggregate;
-  expect_sum("handovers", a.handovers,
-             [](const sim::SimStats& s) { return s.handovers; });
-  expect_sum("successful_handovers", a.successful_handovers,
-             [](const sim::SimStats& s) { return s.successful_handovers; });
-  expect_sum("failures", a.failures,
-             [](const sim::SimStats& s) { return s.failures; });
-  expect_sum("t304_expiries", a.t304_expiries,
-             [](const sim::SimStats& s) { return s.t304_expiries; });
-  expect_sum("prep_requests", a.prep_requests,
-             [](const sim::SimStats& s) { return s.prep_requests; });
-  expect_sum("bs_jobs_submitted", a.bs_jobs_submitted,
-             [](const sim::SimStats& s) { return s.bs_jobs_submitted; });
-  expect_sum("admission_rejects", a.admission_rejects,
-             [](const sim::SimStats& s) { return s.admission_rejects; });
-  expect_sum("invariant_violations", a.invariant_violations,
-             [](const sim::SimStats& s) { return s.invariant_violations; });
-  expect_sum("breaker_trips", a.breaker_trips,
-             [](const sim::SimStats& s) { return s.breaker_trips; });
-  expect_sum("breaker_probes", a.breaker_probes,
-             [](const sim::SimStats& s) { return s.breaker_probes; });
-  expect_sum("breaker_closes", a.breaker_closes,
-             [](const sim::SimStats& s) { return s.breaker_closes; });
-  expect_sum("breaker_skips", a.breaker_skips,
-             [](const sim::SimStats& s) { return s.breaker_skips; });
-  expect_sum("load_ads_received", a.load_ads_received,
-             [](const sim::SimStats& s) { return s.load_ads_received; });
-  expect_sum("storm_jitter_applied", a.storm_jitter_applied,
-             [](const sim::SimStats& s) { return s.storm_jitter_applied; });
-
-  double max_time = 0.0;
-  for (const auto& s : r.per_ue) max_time = std::max(max_time, s.sim_time_s);
-  if (a.sim_time_s != max_time)
-    flag("aggregate.sim_time_s = " + std::to_string(a.sim_time_s) +
-         " but per-UE max = " + std::to_string(max_time));
-  // Crash windows are global: every UE observes the same count.
-  for (int k = 1; k < n; ++k) {
-    if (r.per_ue[static_cast<std::size_t>(k)].bs_crashes !=
-        r.per_ue[0].bs_crashes) {
-      flag("bs_crashes disagree across UEs: UE 0 saw " +
-           std::to_string(r.per_ue[0].bs_crashes) + ", UE " +
-           std::to_string(k) + " saw " +
-           std::to_string(r.per_ue[static_cast<std::size_t>(k)].bs_crashes));
-      break;
+  sim::for_each_stat([&](const sim::StatField& f, auto field) {
+    const std::string name = f.name;
+    const auto want = sim::fold_stat(f.merge, r.per_ue, field);
+    if (a.*field != want)
+      flag("aggregate." + name + " = " + show(a.*field) + " but the per-UE " +
+           (f.merge == sim::StatMerge::kSum ? "sum" : "fold") + " = " +
+           show(want));
+    if (f.merge != sim::StatMerge::kWorld) return;
+    for (int k = 1; k < n; ++k) {
+      const auto v = r.per_ue[static_cast<std::size_t>(k)].*field;
+      if (v != r.per_ue[0].*field) {
+        flag(name + " disagree across UEs: UE 0 saw " +
+             show(r.per_ue[0].*field) + ", UE " + std::to_string(k) +
+             " saw " + show(v));
+        break;
+      }
     }
-  }
-  if (a.bs_crashes != r.per_ue[0].bs_crashes)
-    flag("aggregate.bs_crashes = " + std::to_string(a.bs_crashes) +
-         " but per-UE value = " + std::to_string(r.per_ue[0].bs_crashes));
-  // Cascade injections are world-global like crash windows: every UE
-  // observes the identical counts, and the aggregate carries that value.
-  for (int k = 1; k < n; ++k) {
-    const auto& s = r.per_ue[static_cast<std::size_t>(k)];
-    if (s.cascade_activations != r.per_ue[0].cascade_activations ||
-        s.cascade_jobs_injected != r.per_ue[0].cascade_jobs_injected) {
-      flag("cascade counters disagree across UEs: UE 0 saw " +
-           std::to_string(r.per_ue[0].cascade_activations) + "/" +
-           std::to_string(r.per_ue[0].cascade_jobs_injected) + ", UE " +
-           std::to_string(k) + " saw " +
-           std::to_string(s.cascade_activations) + "/" +
-           std::to_string(s.cascade_jobs_injected));
-      break;
-    }
-  }
-  if (a.cascade_activations != r.per_ue[0].cascade_activations ||
-      a.cascade_jobs_injected != r.per_ue[0].cascade_jobs_injected)
-    flag("aggregate cascade counters (" +
-         std::to_string(a.cascade_activations) + "/" +
-         std::to_string(a.cascade_jobs_injected) +
-         ") differ from the per-UE value (" +
-         std::to_string(r.per_ue[0].cascade_activations) + "/" +
-         std::to_string(r.per_ue[0].cascade_jobs_injected) + ")");
+  });
 
   // --- Merged event log: no cross-UE regression, exact per-UE recovery ---
   std::size_t total_events = 0;

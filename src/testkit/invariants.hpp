@@ -16,6 +16,13 @@
 //    only fires after T310 ran its full budget; re-establishment respects
 //    the T304/RLF search times; no signaling is pending while idle in
 //    outage or during execution;
+//  - counter reconciliation: the checker is the one independent
+//    event-derived recount of SimStats. Every field whose stats-table row
+//    (sim/stats_table.hpp) names a source EventKind must equal the count,
+//    positive-payload count, or bit-exact payload sum of those events;
+//    failures == RLF + T304 events == the sum of failures_by_cause; one
+//    feedback-delay sample per delivered report; and the outage durations
+//    sum bit-exactly to the failure-to-re-establishment gaps;
 //  - loop accounting: the checker independently recomputes loop handovers
 //    and episodes from the event stream and cross-validates SimStats;
 //    optionally (repaired pure-A3 REM policies on fault-free runs) it
@@ -38,8 +45,8 @@
 //    recovery respects the re-establishment search-time floors (crashes
 //    surface as RLFs, which the existing timer checks already bound);
 //  - cascade/breaker legality (cascade-resilience runs): every
-//    kCascadeInject carries a positive job payload and reconciles against
-//    SimStats job conservation; the per-target circuit-breaker FSM
+//    kCascadeInject carries a positive job payload; the per-target
+//    circuit-breaker FSM
 //    replayed from trip/probe/close events stays legal (probe only from
 //    open, close only from half-open) and matches the per-tick
 //    breakers_open count; the run-end load-advertisement age never
@@ -55,6 +62,7 @@
 #include "sim/observer.hpp"
 #include "sim/simulator.hpp"
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -119,6 +127,18 @@ class InvariantChecker final : public sim::SimObserver {
   int violation_count_ = 0;
   std::vector<std::string> violations_;
 
+  /// Events of kind `k` seen so far (the current one included).
+  long long count(sim::EventKind k) const {
+    return events_[static_cast<std::size_t>(k)];
+  }
+
+  // --- Event recount: per-kind totals, read by the stats table's
+  // --- recount column at run end ---
+  std::array<long long, sim::kNumEventKinds> events_{};
+  std::array<long long, sim::kNumEventKinds> positive_payloads_{};
+  std::array<double, sim::kNumEventKinds> payload_sums_{};
+  double outage_sum_s_ = 0.0;  ///< closed outages' durations, in order
+
   // --- Event-stream state machine mirror ---
   bool saw_tick_ = false;
   bool saw_event_ = false;
@@ -127,51 +147,17 @@ class InvariantChecker final : public sim::SimObserver {
   bool outage_open_ = false;     ///< RLF/T304 failure, not yet reestablished
   double outage_opened_t_ = 0.0;
   double outage_min_reestablish_s_ = 0.0;
-  int commands_delivered_ = 0;
-  int completions_ = 0;
-  int t304_expiries_ = 0;
-  int rlf_events_ = 0;
-  int reestablished_ = 0;
-  int report_retransmits_ = 0;
-  int duplicate_commands_ = 0;
-  int degraded_enters_ = 0;
-  int degraded_exits_ = 0;
-  int fault_starts_ = 0;
-  int fault_ends_ = 0;
   bool pending_degraded_enter_check_ = false;
 
   // --- Backhaul preparation mirror (cfg.sim.backhaul.enabled runs) ---
   bool prep_open_ = false;        ///< HANDOVER REQUEST outstanding
   bool prep_acked_ = false;       ///< an ack arrived, command not yet out
   int prep_retries_this_attempt_ = 0;
-  int prep_requests_ = 0;
-  int prep_retries_ = 0;
-  int prep_acks_ = 0;
-  int prep_rejects_ = 0;
-  int prep_fallbacks_ = 0;
-  int prep_failures_ = 0;
-  int ctx_fetch_failures_ = 0;
 
-  // --- BS capacity / crash-restart mirror ---
-  int bs_queue_sheds_ = 0;
-  int bs_jobs_done_ = 0;
-  int bs_jobs_queued_ = 0;        ///< done events with nonzero queue wait
-  double bs_queue_wait_sum_s_ = 0.0;
-  int admission_rejects_ = 0;
-  int admission_retries_ = 0;
-  int bs_crashes_ = 0;
-  int bs_restarts_ = 0;
-  int stale_ctx_responses_ = 0;
   /// Currently-dead BSs. At most one under plain crash-restart; a
   /// region_outage schedule legally stacks several.
   std::set<int> crashed_cells_;
 
-  // --- Cascade / circuit-breaker mirror ---
-  int cascade_injects_ = 0;       ///< kCascadeInject events
-  long long cascade_jobs_ = 0;    ///< sum of injected-job payloads
-  int breaker_trips_ = 0;
-  int breaker_probes_ = 0;
-  int breaker_closes_ = 0;
   /// Per-target breaker FSM replayed from the event stream:
   /// 0 = closed, 1 = open, 2 = half-open. Keyed by target cell.
   std::map<int, int> breaker_state_;
@@ -204,9 +190,10 @@ class InvariantChecker final : public sim::SimObserver {
 ///    non-negative);
 ///  - every recorded per-UE event carries that UE's id and per-UE logs
 ///    are time-sorted;
-///  - additive aggregate fields equal the sum over per-UE stats, global
-///    fields (bs_crashes, sim_time_s) equal the per-UE max, and
-///    bs_crashes agrees across all UEs (crash windows are global);
+///  - every scalar aggregate field equals the fold of the per-UE values
+///    under its stats-table merge rule (sim/stats_table.hpp), and the
+///    world-global fields (bs_crashes, cascade counters, sim_time_s)
+///    agree across all UEs;
 ///  - the merged event log has no cross-UE timestamp regression
 ///    (non-decreasing t_s) and filtering it by UE id reproduces each
 ///    per-UE log exactly, in order.

@@ -8,42 +8,17 @@
 namespace rem::trace {
 namespace {
 
+/// The CSV parse map, built from sim::event_kind_name so the names live in
+/// one place.
 const std::map<std::string, sim::EventKind>& kind_by_name() {
-  static const std::map<std::string, sim::EventKind> m = {
-      {"measurement_triggered", sim::EventKind::kMeasurementTriggered},
-      {"report_delivered", sim::EventKind::kReportDelivered},
-      {"report_lost", sim::EventKind::kReportLost},
-      {"ho_command_delivered", sim::EventKind::kHoCommandDelivered},
-      {"ho_command_lost", sim::EventKind::kHoCommandLost},
-      {"handover_complete", sim::EventKind::kHandoverComplete},
-      {"radio_link_failure", sim::EventKind::kRadioLinkFailure},
-      {"reestablished", sim::EventKind::kReestablished},
-      {"fault_start", sim::EventKind::kFaultStart},
-      {"fault_end", sim::EventKind::kFaultEnd},
-      {"report_retransmit", sim::EventKind::kReportRetransmit},
-      {"t304_expiry", sim::EventKind::kT304Expiry},
-      {"ho_command_duplicate", sim::EventKind::kHoCommandDuplicate},
-      {"degraded_enter", sim::EventKind::kDegradedEnter},
-      {"degraded_exit", sim::EventKind::kDegradedExit},
-      {"prep_request", sim::EventKind::kPrepRequest},
-      {"prep_retry", sim::EventKind::kPrepRetry},
-      {"prep_ack", sim::EventKind::kPrepAck},
-      {"prep_reject", sim::EventKind::kPrepReject},
-      {"prep_fallback", sim::EventKind::kPrepFallback},
-      {"prep_failed", sim::EventKind::kPrepFailed},
-      {"context_fetch_failed", sim::EventKind::kContextFetchFailed},
-      {"bs_queue_shed", sim::EventKind::kBsQueueShed},
-      {"bs_job_done", sim::EventKind::kBsJobDone},
-      {"admission_reject", sim::EventKind::kAdmissionReject},
-      {"admission_retry", sim::EventKind::kAdmissionRetry},
-      {"bs_crash", sim::EventKind::kBsCrash},
-      {"bs_restart", sim::EventKind::kBsRestart},
-      {"context_stale", sim::EventKind::kContextStale},
-      {"cascade_inject", sim::EventKind::kCascadeInject},
-      {"breaker_trip", sim::EventKind::kBreakerTrip},
-      {"breaker_probe", sim::EventKind::kBreakerProbe},
-      {"breaker_close", sim::EventKind::kBreakerClose},
-  };
+  static const auto m = [] {
+    std::map<std::string, sim::EventKind> out;
+    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+      const auto kind = static_cast<sim::EventKind>(k);
+      out.emplace(sim::event_kind_name(kind), kind);
+    }
+    return out;
+  }();
   return m;
 }
 

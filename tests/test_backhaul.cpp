@@ -9,6 +9,7 @@
 #include "net/message.hpp"
 #include "scenario_runner.hpp"
 #include "sim/fault_injector.hpp"
+#include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
 
@@ -454,13 +455,6 @@ TEST(BackhaulFsm, DelaySpikesStretchRttWithoutFailures) {
 TEST(BackhaulFsm, RunsAreBitIdenticalWithTransportEnabled) {
   const auto a = run_scenario({});
   const auto b = run_scenario({});
-  EXPECT_EQ(a.rem.prep_requests, b.rem.prep_requests);
-  EXPECT_EQ(a.rem.prep_retries, b.rem.prep_retries);
-  EXPECT_EQ(a.rem.prep_acks, b.rem.prep_acks);
-  EXPECT_EQ(a.rem.prep_rtt_sum_s, b.rem.prep_rtt_sum_s);
-  EXPECT_EQ(a.rem.backhaul_sent, b.rem.backhaul_sent);
-  EXPECT_EQ(a.rem.backhaul_delivered, b.rem.backhaul_delivered);
-  EXPECT_EQ(a.rem.backhaul_latency_sum_s, b.rem.backhaul_latency_sum_s);
-  EXPECT_EQ(a.rem.handovers, b.rem.handovers);
-  EXPECT_EQ(a.rem.failures, b.rem.failures);
+  EXPECT_EQ(rem::testkit::diff_stats(a.legacy, b.legacy), "");
+  EXPECT_EQ(rem::testkit::diff_stats(a.rem, b.rem), "");
 }

@@ -3,9 +3,9 @@
 // consecutive failures, the half-open probe's success and failure paths,
 // pure-arithmetic cool-down deadlines — plus simulator-level pins: breaker
 // events agree with stats counters and respect the cool-down under a
-// cascade storm, the tick-loop and event-queue engines produce
-// bit-identical breaker timelines, and storm runs merged in seed order are
-// bit-identical at 1, 2, and 8 worker threads.
+// cascade storm, and storm runs merged in seed order are bit-identical at
+// 1, 2, and 8 worker threads. test_fleet.cpp pins the same storm's breaker
+// timeline across run() and a fleet of one.
 #include "core/circuit_breaker.hpp"
 #include "fleet_runner.hpp"
 
@@ -202,84 +202,6 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
   EXPECT_GT(agg.breaker_skips, 0);
 }
 
-/// Single-UE storm run under an explicit engine, with the cascade
-/// resilience knobs applied (test_fleet.cpp's runner predates them).
-sim::SimStats run_single_storm(std::uint64_t seed, bool use_rem,
-                               const FleetRunOptions& opts, double duration_s,
-                               sim::SimEngine engine) {
-  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
-                                      300.0, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = true;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
-  sc.sim.breaker_trip_k = opts.breaker_trip_k;
-  sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;
-  sc.sim.storm_jitter_frac = opts.storm_jitter_frac;
-  sc.sim.engine = engine;
-
-  rem::common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies =
-      rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  rem::common::Rng mgr_rng = rng.fork();
-  rem::common::Rng sim_rng = rng.fork();
-  rem::phy::LogisticBlerModel bler;
-  sim::Simulator s(env, sc.sim, bler, std::move(sim_rng));
-  if (use_rem) {
-    core::RemManager m(core::RemConfig{}, mgr_rng.fork());
-    return s.run(m);
-  }
-  core::LegacyManager m(lc);
-  return s.run(m);
-}
-
-/// Bit-exact equality of the cascade/breaker surface plus the headline
-/// stats and the full event log.
-void expect_cascade_eq(const sim::SimStats& a, const sim::SimStats& b) {
-#define REM_EQ(field) EXPECT_EQ(a.field, b.field) << #field
-  REM_EQ(handovers);
-  REM_EQ(failures);
-  REM_EQ(prep_requests);
-  REM_EQ(prep_failures);
-  REM_EQ(admission_rejects);
-  REM_EQ(cascade_activations);
-  REM_EQ(cascade_jobs_injected);
-  REM_EQ(breaker_trips);
-  REM_EQ(breaker_probes);
-  REM_EQ(breaker_closes);
-  REM_EQ(breaker_skips);
-  REM_EQ(load_ads_received);
-  REM_EQ(load_ad_age_max_s);
-  REM_EQ(storm_jitter_applied);
-#undef REM_EQ
-  EXPECT_EQ(a.events.size(), b.events.size());
-  EXPECT_EQ(rem::testkit::hash_event_log(a.events),
-            rem::testkit::hash_event_log(b.events));
-}
-
-TEST(CascadeSim, BreakerTimelineBitIdenticalAcrossEngines) {
-  const auto opts = storm_opts(120.0, 1);
-  for (bool use_rem : {false, true}) {
-    SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    const auto ticked =
-        run_single_storm(18, use_rem, opts, 120.0, sim::SimEngine::kTickLoop);
-    const auto queued =
-        run_single_storm(18, use_rem, opts, 120.0, sim::SimEngine::kEventQueue);
-    expect_cascade_eq(queued, ticked);
-    // The comparison is about breaker timelines, so make sure there is one
-    // (client-driven REM preps trip reliably; legacy trips are rare on a
-    // single UE, so only the bit-identity is asserted there).
-    if (use_rem) EXPECT_GT(queued.breaker_trips, 0);
-  }
-}
-
 TEST(CascadeSim, StormRunsBitIdenticalAcrossOneTwoEightThreads) {
   const auto opts = storm_opts(40.0, 4);
   const std::vector<std::uint64_t> seeds = {61, 62, 63, 64, 65, 66};
@@ -298,11 +220,15 @@ TEST(CascadeSim, StormRunsBitIdenticalAcrossOneTwoEightThreads) {
   int trips = 0;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     SCOPED_TRACE("seed " + std::to_string(seeds[i]));
-    expect_cascade_eq(at2[i].aggregate, at1[i].aggregate);
-    expect_cascade_eq(at8[i].aggregate, at1[i].aggregate);
+    EXPECT_EQ(rem::testkit::diff_stats(at2[i].aggregate, at1[i].aggregate),
+              "");
+    EXPECT_EQ(rem::testkit::diff_stats(at8[i].aggregate, at1[i].aggregate),
+              "");
     for (std::size_t k = 0; k < at1[i].per_ue.size(); ++k) {
-      expect_cascade_eq(at2[i].per_ue[k], at1[i].per_ue[k]);
-      expect_cascade_eq(at8[i].per_ue[k], at1[i].per_ue[k]);
+      EXPECT_EQ(rem::testkit::diff_stats(at2[i].per_ue[k], at1[i].per_ue[k]),
+                "");
+      EXPECT_EQ(rem::testkit::diff_stats(at8[i].per_ue[k], at1[i].per_ue[k]),
+                "");
     }
     trips += at1[i].aggregate.breaker_trips;
   }

@@ -1,11 +1,11 @@
 // Fleet-scale verification layer (label: fleet): the multi-UE engine is
-// pinned against the single-UE simulator bit-for-bit, across drivers, and
-// across thread counts.
+// pinned against the single-UE simulator bit-for-bit and across thread
+// counts.
 //
 //  - a fleet of one reproduces a single-UE Simulator::run exactly (same
-//    RNG derivation, same stats, same event log) for both managers;
-//  - the tick-loop and event-queue drivers are bit-identical on the same
-//    single-UE scenario, faults and all;
+//    RNG derivation, every stats field, same event log) for both
+//    managers, under mixed faults and under a cascade storm with the
+//    breaker / load-ad / jitter stack armed;
 //  - a batch of fleet seeds merged in seed order is bit-identical at 1, 2,
 //    and 8 worker threads;
 //  - per-UE stats fold into the fleet aggregate under the documented
@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,79 +28,14 @@ namespace {
 
 using rem::bench::FleetRunOptions;
 using rem::bench::run_fleet_seed;
-
-/// Exact equality over every SimStats field; the event log compares via
-/// size + the golden corpus's bit-exact FNV hash.
-void expect_stats_eq(const rem::sim::SimStats& a, const rem::sim::SimStats& b,
-                     bool compare_violations = true) {
-#define REM_EQ(field) EXPECT_EQ(a.field, b.field) << #field
-  REM_EQ(sim_time_s);
-  REM_EQ(handovers);
-  REM_EQ(successful_handovers);
-  REM_EQ(failures);
-  REM_EQ(failures_by_cause);
-  REM_EQ(loop_handovers);
-  REM_EQ(loop_episodes);
-  REM_EQ(intra_freq_loop_episodes);
-  REM_EQ(conflict_loop_episodes);
-  REM_EQ(conflict_loop_handovers);
-  REM_EQ(intra_freq_conflict_loops);
-  REM_EQ(avg_handover_interval_s);
-  REM_EQ(outage_durations_s);
-  REM_EQ(feedback_delays_s);
-  REM_EQ(report_retransmits);
-  REM_EQ(t304_expiries);
-  REM_EQ(t304_fallback_success);
-  REM_EQ(duplicate_commands);
-  REM_EQ(degraded_enters);
-  REM_EQ(degraded_time_s);
-  REM_EQ(prep_requests);
-  REM_EQ(prep_retries);
-  REM_EQ(prep_acks);
-  REM_EQ(prep_rejects);
-  REM_EQ(prep_fallbacks);
-  REM_EQ(prep_failures);
-  REM_EQ(prep_rtt_sum_s);
-  REM_EQ(context_fetch_failures);
-  REM_EQ(backhaul_sent);
-  REM_EQ(backhaul_delivered);
-  REM_EQ(backhaul_dropped_loss);
-  REM_EQ(backhaul_dropped_partition);
-  REM_EQ(backhaul_dropped_queue);
-  REM_EQ(backhaul_dropped_crash);
-  REM_EQ(backhaul_duplicated);
-  REM_EQ(backhaul_reordered);
-  REM_EQ(backhaul_latency_sum_s);
-  REM_EQ(bs_jobs_submitted);
-  REM_EQ(bs_jobs_served);
-  REM_EQ(bs_jobs_queued);
-  REM_EQ(bs_queue_shed);
-  REM_EQ(bs_jobs_flushed);
-  REM_EQ(bs_jobs_inflight_end);
-  REM_EQ(bs_queue_wait_sum_s);
-  REM_EQ(admission_rejects);
-  REM_EQ(admission_backoff_retries);
-  REM_EQ(bs_crashes);
-  REM_EQ(bs_crash_dropped_msgs);
-  REM_EQ(stale_context_responses);
-  REM_EQ(mean_throughput_bps);
-  REM_EQ(downtime_fraction);
-  REM_EQ(pre_failure_snrs_db);
-#undef REM_EQ
-  if (compare_violations)
-    EXPECT_EQ(a.invariant_violations, b.invariant_violations);
-  EXPECT_EQ(a.events.size(), b.events.size());
-  EXPECT_EQ(rem::testkit::hash_event_log(a.events),
-            rem::testkit::hash_event_log(b.events));
-}
+using rem::testkit::diff_stats;
 
 /// Single-UE run built with fleet_runner.hpp's documented construction
 /// order (manager master stream forked before the simulation stream), so
 /// its output is the reference a fleet of one must reproduce bit-for-bit.
 rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
                               double duration_s, std::uint64_t seed,
-                              bool use_rem, const FleetRunOptions& opts,
-                              rem::sim::SimEngine engine) {
+                              bool use_rem, const FleetRunOptions& opts) {
   namespace sim = rem::sim;
   namespace core = rem::core;
   auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
@@ -108,7 +44,10 @@ rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
   if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
   if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
   if (opts.fleet) sc.sim.fleet = *opts.fleet;
-  sc.sim.engine = engine;
+  sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
+  sc.sim.breaker_trip_k = opts.breaker_trip_k;
+  sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;
+  sc.sim.storm_jitter_frac = opts.storm_jitter_frac;
 
   rem::common::Rng rng(seed);
   auto cells = sim::make_rail_deployment(sc.deployment, rng);
@@ -131,43 +70,65 @@ rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
   return s.run(m);
 }
 
-TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
+struct FleetOfOneCase {
+  std::string name;
+  rem::trace::Route route;
+  double speed_kmh;
+  double duration_s;
+  std::uint64_t seed;
   FleetRunOptions opts;
-  opts.fleet_size = 1;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
-  for (bool use_rem : {false, true}) {
-    SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    opts.use_rem = use_rem;
-    const auto single =
-        run_single(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0, 21,
-                   use_rem, opts, rem::sim::SimEngine::kEventQueue);
-    const auto fleet = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 60.0, 21,
-                                      rem::phy::LogisticBlerModel{}, opts);
-    ASSERT_EQ(fleet.per_ue.size(), 1u);
-    // The bare single run carries no checker, so skip the violation
-    // counter (the fleet's checkers wrote 0 anyway).
-    expect_stats_eq(fleet.per_ue[0], single, /*compare_violations=*/false);
-    EXPECT_EQ(fleet.per_ue[0].invariant_violations, 0);
-    // A one-UE aggregate is that UE's stats verbatim.
-    expect_stats_eq(fleet.aggregate, fleet.per_ue[0]);
-  }
+};
+
+/// The mixed-fault preset, and the golden corpus's cascade storm with the
+/// resilience stack armed on single-slot stations, so admission
+/// busy-rejects drive REM's breakers through trip, probe, and close.
+std::vector<FleetOfOneCase> fleet_of_one_cases() {
+  FleetRunOptions mixed;
+  mixed.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
+  FleetRunOptions storm;
+  storm.faults = rem::testkit::golden_fault_preset("cascade_storm", 120.0);
+  storm.load_ad_staleness_s = 1.0;
+  storm.breaker_trip_k = 2;
+  storm.breaker_cooldown_s = 1.5;
+  storm.storm_jitter_frac = 0.5;
+  rem::sim::BsCapacityConfig cap;
+  cap.slots = 1;
+  cap.queue_capacity = 4;
+  cap.admission_load_threshold = 0.5;
+  storm.bs_capacity = cap;
+  return {
+      {"mixed", rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0, 21, mixed},
+      {"cascade_storm", rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 18,
+       storm},
+  };
 }
 
-TEST(Fleet, TickLoopAndEventQueueDriversBitIdentical) {
-  FleetRunOptions opts;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("bs_overload_shed", 60.0);
-  for (bool use_rem : {false, true}) {
-    SCOPED_TRACE(use_rem ? "rem" : "legacy");
-    const auto ticked =
-        run_single(rem::trace::Route::kBeijingShanghai, 300.0, 60.0, 22,
-                   use_rem, opts, rem::sim::SimEngine::kTickLoop);
-    const auto queued =
-        run_single(rem::trace::Route::kBeijingShanghai, 300.0, 60.0, 22,
-                   use_rem, opts, rem::sim::SimEngine::kEventQueue);
-    expect_stats_eq(queued, ticked);
+TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
+  for (auto c : fleet_of_one_cases()) {
+    SCOPED_TRACE(c.name);
+    c.opts.fleet_size = 1;
+    c.opts.record_events = true;
+    for (bool use_rem : {false, true}) {
+      SCOPED_TRACE(use_rem ? "rem" : "legacy");
+      c.opts.use_rem = use_rem;
+      const auto single = run_single(c.route, c.speed_kmh, c.duration_s,
+                                     c.seed, use_rem, c.opts);
+      const auto fleet =
+          run_fleet_seed(c.route, c.speed_kmh, c.duration_s, c.seed,
+                         rem::phy::LogisticBlerModel{}, c.opts);
+      ASSERT_EQ(fleet.per_ue.size(), 1u);
+      // The bare single run carries no checker and reports 0 violations;
+      // the fleet's checker must agree.
+      EXPECT_EQ(diff_stats(fleet.per_ue[0], single), "");
+      // A one-UE aggregate is that UE's stats verbatim.
+      EXPECT_EQ(diff_stats(fleet.aggregate, fleet.per_ue[0]), "");
+      // The storm must actually cycle REM's breakers, so the comparison
+      // pins a breaker timeline across both entry points (legacy trips
+      // are rare on a single UE; only its bit-identity is asserted).
+      if (use_rem && c.name == "cascade_storm") {
+        EXPECT_GT(single.breaker_trips, 0);
+      }
+    }
   }
 }
 
@@ -202,11 +163,11 @@ TEST(Fleet, BatchBitIdenticalAcrossOneTwoEightThreads) {
     ASSERT_EQ(at8[i].per_ue.size(), at1[i].per_ue.size());
     for (std::size_t k = 0; k < at1[i].per_ue.size(); ++k) {
       SCOPED_TRACE("ue " + std::to_string(k));
-      expect_stats_eq(at2[i].per_ue[k], at1[i].per_ue[k]);
-      expect_stats_eq(at8[i].per_ue[k], at1[i].per_ue[k]);
+      EXPECT_EQ(diff_stats(at2[i].per_ue[k], at1[i].per_ue[k]), "");
+      EXPECT_EQ(diff_stats(at8[i].per_ue[k], at1[i].per_ue[k]), "");
     }
-    expect_stats_eq(at2[i].aggregate, at1[i].aggregate);
-    expect_stats_eq(at8[i].aggregate, at1[i].aggregate);
+    EXPECT_EQ(diff_stats(at2[i].aggregate, at1[i].aggregate), "");
+    EXPECT_EQ(diff_stats(at8[i].aggregate, at1[i].aggregate), "");
   }
 }
 
@@ -269,9 +230,9 @@ TEST(Fleet, HundredUeFleetCompletesUnderChecker) {
                             [&](std::size_t i) { again[i] = run_once(); });
   for (const auto& b : again) {
     ASSERT_EQ(b.per_ue.size(), a.per_ue.size());
-    expect_stats_eq(b.per_ue.front(), a.per_ue.front());
-    expect_stats_eq(b.per_ue.back(), a.per_ue.back());
-    expect_stats_eq(b.aggregate, a.aggregate);
+    EXPECT_EQ(diff_stats(b.per_ue.front(), a.per_ue.front()), "");
+    EXPECT_EQ(diff_stats(b.per_ue.back(), a.per_ue.back()), "");
+    EXPECT_EQ(diff_stats(b.aggregate, a.aggregate), "");
   }
 }
 

@@ -74,6 +74,7 @@ TEST(InvariantChecker, CleanHandoverSequenceIsViolationFree) {
   SimStats stats;
   stats.handovers = 1;
   stats.successful_handovers = 1;
+  stats.feedback_delays_s = {0.01};  // one delivered report
   c.on_run_end(stats);
   EXPECT_EQ(c.violation_count(), 0) << c.report();
   EXPECT_EQ(stats.invariant_violations, 0);
@@ -199,7 +200,39 @@ TEST(InvariantChecker, FlagsStatsDisagreeingWithEventStream) {
   c.on_run_end(stats);
   EXPECT_GT(c.violation_count(), 0);
   EXPECT_EQ(stats.invariant_violations, c.violation_count());
-  EXPECT_NE(c.report().find("delivered commands"), std::string::npos);
+  EXPECT_NE(c.report().find("SimStats::handovers"), std::string::npos);
+}
+
+TEST(InvariantChecker, FlagsCauseSplitSampleAndExactSumDrift) {
+  // The checker is the one event-derived recount: the Table 2 split, the
+  // per-report feedback samples, and the bit-exact prep-RTT and outage
+  // sums must all agree with the event stream.
+  InvariantChecker c(small_config());
+  c.on_tick(idle_tick(0.0, 0));
+  feed_clean_handover(c, 1.0, 0, 1);
+  SimStats stats;
+  stats.handovers = 1;
+  stats.successful_handovers = 1;
+  stats.failures_by_cause[rem::sim::FailureCause::kMissedCell] = 1;
+  stats.prep_rtt_sum_s = 0.02;  // no ack was ever seen
+  c.on_run_end(stats);          // and no sample for the delivered report
+  const std::string report = c.report();
+  EXPECT_NE(report.find("failures_by_cause"), std::string::npos) << report;
+  EXPECT_NE(report.find("feedback delay samples"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("SimStats::prep_rtt_sum_s"), std::string::npos)
+      << report;
+
+  InvariantChecker outage(small_config());
+  outage.on_event(ev(5.0, EventKind::kRadioLinkFailure, 0, -1));
+  outage.on_event(ev(6.0, EventKind::kReestablished, 1, -1));
+  SimStats drifted;
+  drifted.failures = 1;
+  drifted.failures_by_cause[rem::sim::FailureCause::kCoverageHole] = 1;
+  drifted.outage_durations_s = {1.0 + 1e-12};  // one ULP-scale slip
+  outage.on_run_end(drifted);
+  EXPECT_NE(outage.report().find("outage duration sum"), std::string::npos)
+      << outage.report();
 }
 
 TEST(InvariantChecker, FlagsLoopAccountingMismatch) {
@@ -255,6 +288,7 @@ TEST(InvariantChecker, SingleLoopHandoverIsNotPersistent) {
   stats.successful_handovers = 4;
   stats.loop_handovers = 1;
   stats.loop_episodes = 1;
+  stats.feedback_delays_s = {0.01, 0.01, 0.01, 0.01};  // one per report
   c.on_run_end(stats);
   EXPECT_EQ(c.violation_count(), 0) << c.report();
 }

@@ -3,6 +3,7 @@
 // every floating-point accumulation happens in merge_seed_results() in seed
 // order, never in completion order.
 #include "scenario_runner.hpp"
+#include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,20 +15,10 @@ using rem::bench::ScenarioRun;
 void expect_identical(const AggregateStats& a, const AggregateStats& b,
                       const char* which) {
   SCOPED_TRACE(which);
-  EXPECT_EQ(a.handovers, b.handovers);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.by_cause, b.by_cause);
-  EXPECT_EQ(a.loop_episodes, b.loop_episodes);
-  EXPECT_EQ(a.loop_handovers, b.loop_handovers);
-  EXPECT_EQ(a.conflict_loop_episodes, b.conflict_loop_episodes);
-  EXPECT_EQ(a.conflict_loop_handovers, b.conflict_loop_handovers);
-  EXPECT_EQ(a.intra_freq_conflict_loops, b.intra_freq_conflict_loops);
   // Doubles compared with == on purpose: the guarantee is bit-identity.
-  EXPECT_EQ(a.sim_time_s, b.sim_time_s);
+  EXPECT_EQ(rem::testkit::diff_stats(a.total, b.total), "");
   EXPECT_EQ(a.handover_interval_s.samples(), b.handover_interval_s.samples());
   EXPECT_EQ(a.feedback_delay_s.samples(), b.feedback_delay_s.samples());
-  EXPECT_EQ(a.outage_durations_s, b.outage_durations_s);
-  EXPECT_EQ(a.pre_failure_snrs_db, b.pre_failure_snrs_db);
   EXPECT_EQ(a.throughput_bps.samples(), b.throughput_bps.samples());
   EXPECT_EQ(a.downtime_fraction.samples(), b.downtime_fraction.samples());
 }
@@ -64,7 +55,7 @@ TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
   const auto par = rem::bench::run_route_parallel(route, 250.0, 150.0, seeds,
                                                   /*run_rem=*/false, 3);
   expect_identical(serial, par);
-  EXPECT_EQ(par.rem.handovers, 0);
+  EXPECT_EQ(par.rem.total.handovers, 0);
   EXPECT_TRUE(par.rem.throughput_bps.samples().empty());
 }
 
@@ -76,8 +67,8 @@ TEST(ScenarioRunner, MergeOrderFollowsSeedListNotCompletion) {
                                                  true, 2);
   const auto ba = rem::bench::run_route_parallel(route, 300.0, 150.0, {9, 5},
                                                  true, 2);
-  EXPECT_EQ(ab.legacy.handovers, ba.legacy.handovers);
-  EXPECT_EQ(ab.legacy.failures, ba.legacy.failures);
+  EXPECT_EQ(ab.legacy.total.handovers, ba.legacy.total.handovers);
+  EXPECT_EQ(ab.legacy.total.failures, ba.legacy.total.failures);
   ASSERT_EQ(ab.legacy.throughput_bps.samples().size(),
             ba.legacy.throughput_bps.samples().size());
   if (ab.legacy.throughput_bps.samples().size() == 2) {

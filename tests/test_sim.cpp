@@ -1,11 +1,16 @@
 #include "common/units.hpp"
 #include "sim/radio_env.hpp"
 #include "common/stats.hpp"
+#include "phy/bler_model.hpp"
+#include "sim/simulator.hpp"
 #include "sim/tcp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace rs = rem::sim;
 
@@ -145,6 +150,64 @@ TEST(RadioEnv, BestCellPicksNearest) {
   }
   ASSERT_GT(trials, 3);
   EXPECT_GE(hits * 10, trials * 7);  // >= 70% despite shadowing
+}
+
+// ---------- Simulator entry points ----------
+
+namespace {
+/// A manager that never decides: enough to drive the tick loop.
+class IdleManager final : public rs::MobilityManager {
+ public:
+  std::string name() const override { return "idle"; }
+  rem::phy::Waveform waveform() const override {
+    return rem::phy::Waveform::kOFDM;
+  }
+  std::optional<rs::HandoverDecision> update(
+      double, const rs::ServingState&,
+      const std::vector<rs::Observation>&) override {
+    return std::nullopt;
+  }
+  std::set<std::size_t> visible_cells() const override { return {}; }
+  void on_serving_changed(double, std::size_t) override {}
+};
+}  // namespace
+
+TEST(Simulator, RejectsNonPositiveTickAtBothEntryPoints) {
+  // A zero step never reaches the horizon and a negative one walks
+  // backwards, so both entry points must refuse them up front.
+  const auto env = small_env();
+  const rem::phy::LogisticBlerModel bler;
+  for (double tick : {0.0, -0.01}) {
+    SCOPED_TRACE("tick_s=" + std::to_string(tick));
+    rs::SimConfig cfg;
+    cfg.duration_s = 1.0;
+    cfg.tick_s = tick;
+    IdleManager manager;
+    rs::Simulator single(env, cfg, bler, rem::common::Rng(1));
+    EXPECT_THROW(single.run(manager), std::invalid_argument);
+    rs::Simulator fleet(env, cfg, bler, rem::common::Rng(1));
+    EXPECT_THROW(fleet.run_fleet([](int) {
+      return std::make_unique<IdleManager>();
+    }),
+                 std::invalid_argument);
+  }
+  // A positive step still runs the full horizon.
+  rs::SimConfig cfg;
+  cfg.duration_s = 1.0;
+  IdleManager manager;
+  rs::Simulator ok(env, cfg, bler, rem::common::Rng(1));
+  EXPECT_EQ(ok.run(manager).sim_time_s, 1.0);
+}
+
+TEST(StatsTable, MetricNamesAreUnique) {
+  // Two rows sharing a metric would silently add into one counter.
+  std::set<std::string> metrics;
+  rs::for_each_stat([&](const rs::StatField& f, auto) {
+    if (*f.metric != '\0') {
+      EXPECT_TRUE(metrics.insert(f.metric).second) << f.metric;
+    }
+  });
+  EXPECT_FALSE(metrics.empty());
 }
 
 // ---------- TCP model ----------

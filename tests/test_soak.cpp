@@ -9,6 +9,7 @@
 #include "fleet_runner.hpp"
 #include "scenario_runner.hpp"
 #include "sim/fault_injector.hpp"
+#include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
 
@@ -87,14 +88,8 @@ TEST(ChaosSoak, RandomizedScheduleReplaysBitIdentically) {
                                       250.0, 45.0, 5, true, bler, opts);
   const auto b = rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan,
                                       250.0, 45.0, 5, true, bler, opts);
-  EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
-  EXPECT_EQ(a.legacy.failures, b.legacy.failures);
-  EXPECT_EQ(a.legacy.bs_queue_shed, b.legacy.bs_queue_shed);
-  EXPECT_EQ(a.legacy.bs_queue_wait_sum_s, b.legacy.bs_queue_wait_sum_s);
-  EXPECT_EQ(a.rem.admission_rejects, b.rem.admission_rejects);
-  EXPECT_EQ(a.rem.bs_crashes, b.rem.bs_crashes);
-  EXPECT_EQ(a.rem.stale_context_responses, b.rem.stale_context_responses);
-  EXPECT_EQ(a.rem.backhaul_sent, b.rem.backhaul_sent);
+  EXPECT_EQ(rem::testkit::diff_stats(a.legacy, b.legacy), "");
+  EXPECT_EQ(rem::testkit::diff_stats(a.rem, b.rem), "");
 }
 
 TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
@@ -136,19 +131,7 @@ TEST(ChaosSoak, RandomizedFleetReplaysBitIdentically) {
   ASSERT_EQ(a.per_ue.size(), b.per_ue.size());
   for (std::size_t k = 0; k < a.per_ue.size(); ++k) {
     SCOPED_TRACE("ue " + std::to_string(k));
-    EXPECT_EQ(a.per_ue[k].handovers, b.per_ue[k].handovers);
-    EXPECT_EQ(a.per_ue[k].failures, b.per_ue[k].failures);
-    EXPECT_EQ(a.per_ue[k].mean_throughput_bps,
-              b.per_ue[k].mean_throughput_bps);
+    EXPECT_EQ(rem::testkit::diff_stats(a.per_ue[k], b.per_ue[k]), "");
   }
-  EXPECT_EQ(a.aggregate.bs_queue_shed, b.aggregate.bs_queue_shed);
-  EXPECT_EQ(a.aggregate.admission_rejects, b.aggregate.admission_rejects);
-  EXPECT_EQ(a.aggregate.bs_crashes, b.aggregate.bs_crashes);
-  EXPECT_EQ(a.aggregate.backhaul_sent, b.aggregate.backhaul_sent);
-  EXPECT_EQ(a.aggregate.cascade_jobs_injected,
-            b.aggregate.cascade_jobs_injected);
-  EXPECT_EQ(a.aggregate.breaker_trips, b.aggregate.breaker_trips);
-  EXPECT_EQ(a.aggregate.load_ads_received, b.aggregate.load_ads_received);
-  EXPECT_EQ(a.aggregate.storm_jitter_applied,
-            b.aggregate.storm_jitter_applied);
+  EXPECT_EQ(rem::testkit::diff_stats(a.aggregate, b.aggregate), "");
 }

@@ -127,6 +127,26 @@ TEST(EventLog, CsvRoundTripCoversFaultAndRecoveryKinds) {
   EXPECT_EQ(s.degraded_episodes, 1u);
 }
 
+TEST(EventKindName, EveryKindRoundTripsThroughCsvAndInvalidThrows) {
+  // Exhaustive over kNumEventKinds: the CSV parser derives its map from
+  // event_kind_name, so every kind must come back as itself.
+  rs::EventLog log;
+  for (std::size_t i = 0; i < rs::kNumEventKinds; ++i) {
+    const auto k = static_cast<rs::EventKind>(i);
+    EXPECT_FALSE(rs::event_kind_name(k).empty());
+    log.push_back({static_cast<double>(i), k, 0, -1, 0.0});
+  }
+  std::stringstream ss;
+  rt::write_event_csv(log, ss);
+  const auto back = rt::read_event_csv(ss);
+  ASSERT_EQ(back.size(), log.size());
+  for (std::size_t i = 0; i < log.size(); ++i)
+    EXPECT_EQ(back[i].kind, log[i].kind) << rs::event_kind_name(log[i].kind);
+  EXPECT_THROW(rs::event_kind_name(static_cast<rs::EventKind>(
+                   rs::kNumEventKinds)),
+               std::invalid_argument);
+}
+
 TEST(EventLog, RejectsMalformedInput) {
   std::stringstream no_header("1.0,handover_complete,1,2,3\n");
   EXPECT_THROW(rt::read_event_csv(no_header), std::runtime_error);
