@@ -17,16 +17,13 @@ bench::AggregateStats run_variant(const core::RemConfig& rem_cfg,
                                   const std::vector<std::uint64_t>& seeds) {
   bench::AggregateStats agg;
   phy::LogisticBlerModel bler;
+  const auto sc =
+      trace::make_scenario(trace::Route::kBeijingShanghai, 300.0, 1500.0);
   for (const auto seed : seeds) {
-    const auto sc = trace::make_scenario(trace::Route::kBeijingShanghai,
-                                         300.0, 1500.0);
     common::Rng rng(seed);
-    auto cells = sim::make_rail_deployment(sc.deployment, rng);
-    auto holes = sim::make_hole_segments(sc.deployment, rng);
-    sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-    trace::synthesize_policies(cells, sc.policy_mix, rng);  // keep rng in sync
+    const auto world = trace::make_world(sc, rng);
     core::RemManager mgr(rem_cfg, rng.fork());
-    sim::Simulator s(env, sc.sim, bler, rng.fork());
+    sim::Simulator s(world.env, sc.sim, bler, rng.fork());
     // A proactive (negative-offset) REM variant *can* loop; attribute its
     // ping-pongs as conflicts when the uniform offsets violate Theorem 2.
     const bool violates = 2.0 * rem_cfg.a3_offset_db < 0.0;
@@ -62,8 +59,9 @@ int main() {
               "downtime");
 
   // Legacy baseline for reference.
-  const auto base = bench::run_route(trace::Route::kBeijingShanghai, 300.0,
-                                     1500.0, seeds);
+  const auto base = bench::run_route(
+      trace::make_scenario(trace::Route::kBeijingShanghai, 300.0, 1500.0),
+      seeds);
   print_row("Legacy 4G/5G", base.legacy);
 
   core::RemConfig full;

@@ -24,12 +24,14 @@
 // class list does not cover every registered FaultKind fails: new kinds
 // cannot ship without chaos coverage.
 //
-// Every run also carries a rem::obs::SpanTracer, so the sweep additionally
-// emits <output>_metrics.json (one rem-metrics-v1 snapshot merged over
-// baseline + fault classes x seeds x managers, in that order — the sweep is
-// serial, so the merge is deterministic) and <output>_trace.jsonl (one span
-// per line, stamped with fault class, seed, and manager). Each run's trace
-// is reconciled against its SimStats; any mismatch aborts the sweep.
+// Every single-UE run goes through bench::run_seed with metrics collection
+// on, so the sweep additionally emits <output>_metrics.json (one
+// rem-metrics-v1 snapshot merged over baseline + fault classes x seeds x
+// managers, in that order — the sweep is serial, so the merge is
+// deterministic) and <output>_trace.jsonl (one span per line, stamped with
+// fault class, seed, and manager). run_seed reconciles each run's trace
+// against its SimStats and checks its invariants; any mismatch or
+// violation aborts the sweep.
 //
 // Usage: bench_chaos [--smoke] [output.json]
 //   --smoke: tiny duration / single seed, for wiring into ctest so the
@@ -40,8 +42,6 @@
 #include "obs/tracer.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario_runner.hpp"
-#include "sim/observer.hpp"
-#include "testkit/invariants.hpp"
 #include "trace/eventlog.hpp"
 
 #include <algorithm>
@@ -97,71 +97,6 @@ struct ClassResult {
   std::size_t windows = 0;
   ManagerMetrics legacy, rem;
 };
-
-/// Per-seed run of both managers with events recorded, mirroring
-/// bench::run_seed but keeping the per-run event logs so fault/recovery
-/// events are observable. Each run carries a SpanTracer (attaching it
-/// draws no randomness, so results are bit-identical to a bare run); the
-/// tracer's metrics merge into `metrics_out` and its spans append to
-/// `trace_os` stamped with `ctx` plus the manager name. Throws
-/// std::logic_error when a trace fails to reconcile with its SimStats.
-void run_one(rem::trace::Route route, double speed_kmh, double duration_s,
-             std::uint64_t seed, const FaultConfig& faults,
-             const rem::phy::BlerModel& bler, rem::sim::SimStats& legacy_out,
-             rem::sim::SimStats& rem_out, const std::string& ctx,
-             std::ostream& trace_os, rem::obs::MetricsSnapshot& metrics_out) {
-  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
-  sc.sim.faults = faults;
-  sc.sim.record_events = true;
-  rem::common::Rng rng(seed);
-  auto cells = rem::sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = rem::sim::make_hole_segments(sc.deployment, rng);
-  rem::sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
-
-  const auto observed_run = [&](rem::sim::MobilityManager& m,
-                                rem::common::Rng run_rng, const char* label) {
-    rem::obs::Registry registry;
-    rem::obs::SpanTracer tracer(&registry);
-    rem::testkit::CheckerConfig ccfg;
-    ccfg.sim = sc.sim;
-    ccfg.num_cells = cells.size();
-    ccfg.faults_expected = !faults.empty();
-    ccfg.expect_no_degraded = std::string(label) == "legacy";
-    rem::testkit::InvariantChecker checker(ccfg);
-    rem::sim::ObserverFanout fanout;
-    fanout.add(&checker);
-    fanout.add(&tracer);
-    rem::sim::SimConfig cfg = sc.sim;
-    cfg.observer = &fanout;
-    rem::sim::Simulator s(env, cfg, bler, std::move(run_rng));
-    auto stats = s.run(m);
-    if (checker.violation_count() > 0)
-      throw std::logic_error("invariant violations in " + std::string(label) +
-                             " run {" + ctx + "}:\n" + checker.report());
-    const auto mismatches = tracer.reconcile(stats);
-    if (!mismatches.empty()) {
-      std::string msg = "trace/stats reconcile mismatches in " +
-                        std::string(label) + " run {" + ctx + "}";
-      for (const auto& line : mismatches) msg += "\n  " + line;
-      throw std::logic_error(msg);
-    }
-    tracer.write_trace_jsonl(
-        trace_os, ctx + ", \"manager\": \"" + std::string(label) + "\"");
-    metrics_out.merge(registry.snapshot());
-    return stats;
-  };
-
-  rem::core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  rem::core::LegacyManager legacy(lc);
-  legacy_out = observed_run(legacy, rng.fork(), "legacy");
-
-  rem::core::RemManager remm(rem::core::RemConfig{}, rng.fork());
-  rem_out = observed_run(remm, rng.fork(), "rem");
-}
 
 /// Worst crash-to-recovery gap in one run's event log: for every kBsCrash
 /// the first later kReestablished/kHandoverComplete closes the gap; a
@@ -408,16 +343,23 @@ int main(int argc, char** argv) {
   const auto run_config = [&](const std::string& fault_label,
                               const FaultConfig& faults, ManagerMetrics& lg,
                               ManagerMetrics& rm) {
+    auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+    sc.sim.faults = faults;
+    sc.sim.record_events = true;
     std::vector<rem::sim::SimStats> legacy_runs, rem_runs;
     for (const auto seed : seeds) {
-      rem::sim::SimStats ls, rs;
+      auto r = rem::bench::run_seed(sc, seed, true, bler,
+                                    {/*collect_metrics=*/true});
       const std::string ctx = "\"fault\": \"" + fault_label +
                               "\", \"seed\": \"" + std::to_string(seed) +
-                              "\"";
-      run_one(route, speed_kmh, duration_s, seed, faults, bler, ls, rs, ctx,
-              trace_js, metrics);
-      legacy_runs.push_back(std::move(ls));
-      rem_runs.push_back(std::move(rs));
+                              "\", \"manager\": ";
+      rem::obs::write_spans_jsonl(trace_js, r.legacy_spans,
+                                  ctx + "\"legacy\"");
+      metrics.merge(r.legacy_metrics);
+      rem::obs::write_spans_jsonl(trace_js, r.rem_spans, ctx + "\"rem\"");
+      metrics.merge(r.rem_metrics);
+      legacy_runs.push_back(std::move(r.legacy));
+      rem_runs.push_back(std::move(r.rem));
     }
     lg = fold(legacy_runs, duration_s);
     rm = fold(rem_runs, duration_s);
@@ -481,16 +423,14 @@ int main(int argc, char** argv) {
   {
     std::vector<rem::sim::SimStats> lg_runs, rm_runs;
     for (const auto seed : seeds) {
-      rem::bench::FleetScenarioRunOptions fopts;
-      fopts.context = "the chaos fleet scenario 'rail_overload_fleet' "
-                      "(seed " + std::to_string(seed) + ")";
-      fopts.use_rem = false;
+      const rem::bench::FleetScenarioRunOptions fopts{
+          "the chaos fleet scenario 'rail_overload_fleet' (seed " +
+          std::to_string(seed) + ")"};
       lg_runs.push_back(rem::bench::run_fleet_scenario(
-                            fleet_compiled.scenario, seed, bler, fopts)
+                            fleet_compiled.scenario, seed, bler, false, fopts)
                             .aggregate);
-      fopts.use_rem = true;
       rm_runs.push_back(rem::bench::run_fleet_scenario(
-                            fleet_compiled.scenario, seed, bler, fopts)
+                            fleet_compiled.scenario, seed, bler, true, fopts)
                             .aggregate);
     }
     fleet_legacy = fold(lg_runs, duration_s);
@@ -525,31 +465,29 @@ int main(int argc, char** argv) {
         rem::scenario::load_scenario(REM_SCENARIO_DIR, scen_name);
     rem::scenario::CompileOverrides ov;
     if (smoke) ov.duration_s = duration_s;  // shrink to the smoke horizon
-    const auto compiled = rem::scenario::compile(spec, ov);
-    const double horizon = compiled.scenario.sim.duration_s;
+    auto sc = rem::scenario::compile(spec, ov).scenario;
+    sc.sim.record_events = true;
+    const double horizon = sc.sim.duration_s;
     CascadeResult r;
     r.name = scen_name;
-    r.fleet_size = compiled.scenario.sim.fleet_size;
-    r.windows = compiled.scenario.sim.faults.windows.size();
-    for (const auto& w : compiled.scenario.sim.faults.windows) {
+    r.fleet_size = sc.sim.fleet_size;
+    r.windows = sc.sim.faults.windows.size();
+    for (const auto& w : sc.sim.faults.windows) {
       cascade_kinds.insert(static_cast<int>(w.kind));
       if (w.kind == FaultKind::kRegionOutage) r.region_outage = true;
       if (w.kind == FaultKind::kCascadeOverload) r.cascade_overload = true;
     }
     std::vector<rem::sim::SimStats> lg_runs, rm_runs;
     for (const auto seed : seeds) {
-      rem::bench::FleetScenarioRunOptions fopts;
-      fopts.context = "the chaos cascade scenario '" + scen_name +
-                      "' (seed " + std::to_string(seed) + ")";
-      fopts.record_events = true;
-      fopts.use_rem = false;
-      lg_runs.push_back(rem::bench::run_fleet_scenario(
-                            compiled.scenario, seed, bler, fopts)
-                            .aggregate);
-      fopts.use_rem = true;
-      rm_runs.push_back(rem::bench::run_fleet_scenario(
-                            compiled.scenario, seed, bler, fopts)
-                            .aggregate);
+      const rem::bench::FleetScenarioRunOptions fopts{
+          "the chaos cascade scenario '" + scen_name + "' (seed " +
+          std::to_string(seed) + ")"};
+      lg_runs.push_back(
+          rem::bench::run_fleet_scenario(sc, seed, bler, false, fopts)
+              .aggregate);
+      rm_runs.push_back(
+          rem::bench::run_fleet_scenario(sc, seed, bler, true, fopts)
+              .aggregate);
     }
     r.legacy = fold(lg_runs, horizon);
     r.rem = fold(rm_runs, horizon);

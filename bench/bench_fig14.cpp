@@ -10,8 +10,9 @@ using namespace rem;
 
 int main() {
   // ---- From the full simulator ----
-  const auto run = bench::run_route(trace::Route::kBeijingShanghai, 300.0,
-                                    2000.0, {31, 32, 33});
+  const auto run = bench::run_route(
+      trace::make_scenario(trace::Route::kBeijingShanghai, 300.0, 2000.0),
+      {31, 32, 33});
   std::printf("Fig. 14a: measurement feedback latency (network sim, "
               "300 km/h)\n");
   std::printf("  %-8s %10s %10s %10s\n", "", "mean", "p50", "p90");

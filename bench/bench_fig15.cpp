@@ -15,27 +15,20 @@ using namespace rem;
 
 namespace {
 
-sim::SimStats run_legacy_repaired(trace::Route route, double speed_kmh,
-                                  double duration_s, std::uint64_t seed) {
-  const auto sc = trace::make_scenario(route, speed_kmh, duration_s);
+sim::SimStats run_legacy_repaired(const trace::Scenario& sc,
+                                  std::uint64_t seed) {
   common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  auto world = trace::make_world(sc, rng);
 
   // Theorem-2 repair of the A3 offsets (lifts the proactive negatives).
-  auto pcs = trace::to_policy_cells(cells, policies);
+  auto& policies = world.legacy.policies;
+  auto pcs = trace::to_policy_cells(world.env.cells(), policies);
   mobility::coordinate_offsets(pcs);
   for (const auto& pc : pcs) policies[pc.id.cell] = pc.policy;
 
   phy::LogisticBlerModel bler;
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  core::LegacyManager mgr(lc);
-  sim::Simulator s(env, sc.sim, bler, rng.fork());
+  core::LegacyManager mgr(world.legacy);
+  sim::Simulator s(world.env, sc.sim, bler, rng.fork());
   return s.run(mgr);
 }
 
@@ -54,12 +47,11 @@ int main() {
                  {"300-350 km/h", 330.0}};
   const std::vector<std::uint64_t> seeds = {41, 42};
   for (const auto& b : buckets) {
-    const auto base = bench::run_route(trace::Route::kBeijingShanghai,
-                                       b.speed, 1500.0, seeds);
+    const auto sc =
+        trace::make_scenario(trace::Route::kBeijingShanghai, b.speed, 1500.0);
+    const auto base = bench::run_route(sc, seeds);
     bench::AggregateStats repaired;
-    for (const auto seed : seeds)
-      repaired.add(run_legacy_repaired(trace::Route::kBeijingShanghai,
-                                       b.speed, 1500.0, seed));
+    for (const auto seed : seeds) repaired.add(run_legacy_repaired(sc, seed));
     std::printf("  %-14s %13.2f%% %14.2f%% %9.2f%%\n", b.label,
                 bench::pct(base.legacy.failure_ratio_excluding_holes()),
                 bench::pct(repaired.failure_ratio_excluding_holes()),

@@ -11,12 +11,12 @@ using namespace rem;
 
 int main() {
   // ---- (a) feedback delay CDFs from the full simulator ----
-  const auto hsr =
-      bench::run_route(trace::Route::kBeijingShanghai, 300.0, 1500.0,
-                       {1, 2}, /*run_rem=*/false);
-  const auto drive =
-      bench::run_route(trace::Route::kLowMobilityLA, 60.0, 1500.0, {1, 2},
-                       /*run_rem=*/false);
+  const auto hsr = bench::run_route(
+      trace::make_scenario(trace::Route::kBeijingShanghai, 300.0, 1500.0),
+      {1, 2}, /*run_rem=*/false);
+  const auto drive = bench::run_route(
+      trace::make_scenario(trace::Route::kLowMobilityLA, 60.0, 1500.0), {1, 2},
+      /*run_rem=*/false);
 
   std::printf("Fig. 2a: measurement feedback delay CDF (legacy)\n");
   std::printf("  HSR (100-350 km/h): mean %.1f ms, p50 %.1f ms, p90 %.1f ms\n",

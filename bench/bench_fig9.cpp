@@ -28,8 +28,9 @@ int main() {
   std::printf("  %-10s %10s %10s\n", "speed", "Legacy", "REM");
   common::Rng rng(17);
   for (double speed : {200.0, 300.0}) {
-    const auto run = bench::run_route_parallel(trace::Route::kBeijingShanghai,
-                                               speed, 2000.0, {21, 22, 23});
+    const auto run = bench::run_route(
+        trace::make_scenario(trace::Route::kBeijingShanghai, speed, 2000.0),
+        {21, 22, 23}, true, testkit::bench_threads());
     const auto& lg_outages = run.legacy.total.outage_durations_s;
     const auto& rm_outages = run.rem.total.outage_durations_s;
     const auto lg = stalls_for(lg_outages, rng);

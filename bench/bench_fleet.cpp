@@ -116,12 +116,11 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
   r.gates = c.gates;
 
   const auto run = [&](bool use_rem) {
-    rem::bench::FleetScenarioRunOptions opts;
-    opts.use_rem = use_rem;
-    opts.context = "scenario '" + c.name + "' (seed " +
-                   std::to_string(c.seed) + ", " +
-                   std::string(use_rem ? "REM" : "legacy") + ")";
-    return rem::bench::run_fleet_scenario(c.scenario, c.seed, bler, opts)
+    const std::string context = "scenario '" + c.name + "' (seed " +
+                                std::to_string(c.seed) + ", " +
+                                (use_rem ? "REM" : "legacy") + ")";
+    return rem::bench::run_fleet_scenario(c.scenario, c.seed, bler, use_rem,
+                                          {context})
         .aggregate;
   };
   r.legacy = summarize(run(false));

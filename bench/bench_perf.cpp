@@ -380,12 +380,12 @@ int main(int argc, char** argv) {
   // speedup — the bit-identity gate still holds, but the wall-clock
   // comparison is annotated as invalid instead of read as a regression.
   const bool parallel_cmp_valid = hw_threads > 1;
+  const auto route_sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, duration_s);
   const auto t0 = Clock::now();
-  const auto serial = rem::bench::run_route(
-      rem::trace::Route::kBeijingShanghai, 300.0, duration_s, seeds);
+  const auto serial = rem::bench::run_route(route_sc, seeds);
   const auto t1 = Clock::now();
-  const auto par = rem::bench::run_route_parallel(
-      rem::trace::Route::kBeijingShanghai, 300.0, duration_s, seeds, true, 4);
+  const auto par = rem::bench::run_route(route_sc, seeds, true, 4);
   const auto t2 = Clock::now();
   const double serial_s = std::chrono::duration<double>(t1 - t0).count();
   const double par_s = std::chrono::duration<double>(t2 - t1).count();
@@ -402,17 +402,12 @@ int main(int argc, char** argv) {
   // simulation and reconciles trace vs stats; the acceptance bar is <= 1%
   // wall-clock overhead, reported here (timing is advisory, not an exit
   // gate — the statistics must still be bit-identical, which is gated).
-  rem::bench::SeedRunOptions metrics_opts;
-  metrics_opts.collect_metrics = false;
   const auto t3 = Clock::now();
-  const auto metrics_off = rem::bench::run_route(
-      rem::trace::Route::kBeijingShanghai, 300.0, duration_s, seeds, true,
-      metrics_opts);
+  const auto metrics_off = rem::bench::run_route(route_sc, seeds, true, 1,
+                                                 {/*collect_metrics=*/false});
   const auto t4 = Clock::now();
-  metrics_opts.collect_metrics = true;
-  const auto metrics_on = rem::bench::run_route(
-      rem::trace::Route::kBeijingShanghai, 300.0, duration_s, seeds, true,
-      metrics_opts);
+  const auto metrics_on = rem::bench::run_route(route_sc, seeds, true, 1,
+                                                {/*collect_metrics=*/true});
   const auto t5 = Clock::now();
   const double off_s = std::chrono::duration<double>(t4 - t3).count();
   const double on_s = std::chrono::duration<double>(t5 - t4).count();

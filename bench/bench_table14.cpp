@@ -48,26 +48,23 @@ void table1() {
 
 void table4_route(const char* label, trace::Route route, double speed,
                   std::uint64_t seed) {
-  const auto sc = trace::make_scenario(route, speed, 1500.0);
+  auto sc = trace::make_scenario(route, speed, 1500.0);
   common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  auto world = trace::make_world(sc, rng);
+  const auto& cells = world.env.cells();
 
   int sites = 0;
   for (const auto& c : cells)
     sites = std::max(sites, c.id.base_station + 1);
   std::size_t policy_rules = 0;
-  for (const auto& [id, p] : policies) policy_rules += p.rules.size();
+  for (const auto& [id, p] : world.legacy.policies)
+    policy_rules += p.rules.size();
 
   phy::LogisticBlerModel bler;
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  core::LegacyManager mgr(lc);
-  auto sim_cfg = sc.sim;
-  sim_cfg.record_events = true;
-  sim::Simulator s(env, sim_cfg, bler, rng.fork());
+  world.legacy.measurement = {};  // stock timers, not the route's TTTs
+  core::LegacyManager mgr(world.legacy);
+  sc.sim.record_events = true;
+  sim::Simulator s(world.env, sc.sim, bler, rng.fork());
   const auto stats = s.run(mgr);
   const auto summary = trace::summarize_event_log(stats.events);
 

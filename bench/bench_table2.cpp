@@ -29,8 +29,9 @@ int main() {
 
   for (const auto& b : buckets) {
     const auto run =
-        bench::run_route_parallel(b.route, b.speed_kmh, 1500.0, {1, 2, 3},
-                                  /*run_rem=*/false);
+        bench::run_route(trace::make_scenario(b.route, b.speed_kmh, 1500.0),
+                         {1, 2, 3}, /*run_rem=*/false,
+                         testkit::bench_threads());
     const auto& lg = run.legacy;
     const auto& t = lg.total;
     const double loop_freq =

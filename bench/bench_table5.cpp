@@ -23,7 +23,8 @@ void print_reduction(const char* row, double lg, double rm) {
 }
 
 void run_column(const char* label, trace::Route route, double speed_kmh) {
-  const auto run = bench::run_route(route, speed_kmh, 1500.0, {11, 12, 13});
+  const auto run = bench::run_route(
+      trace::make_scenario(route, speed_kmh, 1500.0), {11, 12, 13});
   const auto& lg = run.legacy;
   const auto& rm = run.rem;
   std::printf("\n%s  (legacy HOs: %d, REM HOs: %d)\n", label,

@@ -1,11 +1,11 @@
-// Shared helper for the table/figure benches: build a scenario, run both
-// managers over several seeds, aggregate statistics.
+// Shared helper for the table/figure benches: run both managers over a
+// scenario for several seeds, aggregate statistics.
 //
 // Seeds are independent by construction — every stochastic component draws
-// from common::Rng(seed) forks — so `run_route_parallel` farms one seed per
-// thread-pool job and then merges the per-seed results *in seed order*. The
-// serial and parallel paths share run_seed() and merge_seed_results(), so
-// their output is bit-identical for the same seed list regardless of thread
+// from common::Rng(seed) forks — so `run_route` farms one seed per
+// thread-pool job and then merges the per-seed results *in seed order*.
+// Every thread count shares run_seed() and merge_seed_results(), so the
+// output is bit-identical for the same seed list regardless of thread
 // count.
 #pragma once
 
@@ -14,7 +14,6 @@
 #include "core/legacy_manager.hpp"
 #include "core/rem_manager.hpp"
 #include "mobility/conflict.hpp"
-#include "net/backhaul.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "phy/bler_model.hpp"
@@ -24,10 +23,9 @@
 #include "testkit/seeds.hpp"
 #include "trace/scenario.hpp"
 
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -90,64 +88,48 @@ struct SeedRunResult {
   bool has_rem = false;
   std::map<std::string, int> conflict_histogram;
   int total_conflicts = 0;
-  /// This seed's metrics per manager (empty unless
+  /// This seed's metrics and spans per manager (empty unless
   /// SeedRunOptions::collect_metrics was set).
   obs::MetricsSnapshot legacy_metrics;
   obs::MetricsSnapshot rem_metrics;
+  std::vector<obs::Span> legacy_spans;
+  std::vector<obs::Span> rem_spans;
 };
 
 /// Per-seed run knobs beyond the scenario itself.
 struct SeedRunOptions {
-  sim::FaultConfig faults;    ///< applied to both managers' simulations
-  bool record_events = false; ///< keep the full SimStats::events log
-  /// Attach a rem::testkit::InvariantChecker to every simulation and
-  /// throw std::logic_error (with the checker's report) on any violation.
-  /// Defaults ON so all benches and tests run machine-checked; the
-  /// REM_CHECK_INVARIANTS=0 environment variable is a global kill switch.
-  bool check_invariants = true;
   /// Attach a rem::obs::SpanTracer recording into a per-run Registry,
   /// cross-check it against SimStats (throwing std::logic_error on any
-  /// reconcile mismatch), and return the snapshot in SeedRunResult.
-  /// Defaults to the REM_METRICS environment knob. Only simulated-time
-  /// metrics are recorded here, so results stay deterministic.
+  /// reconcile mismatch), and return the snapshot and the spans in
+  /// SeedRunResult. Defaults to the REM_METRICS environment knob. Only
+  /// simulated-time metrics are recorded here, so results stay
+  /// deterministic.
   bool collect_metrics = obs::metrics_enabled();
-  /// When set, replaces the scenario's backhaul transport config (latency
-  /// distribution, loss/reorder/duplicate probabilities, or disabling the
-  /// transport entirely) for both managers' simulations.
-  std::optional<net::BackhaulConfig> backhaul;
-  /// When set, replaces the scenario's per-BS capacity model config
-  /// (slots, queue bound, service times, admission control) for both
-  /// managers' simulations.
-  std::optional<sim::BsCapacityConfig> bs_capacity;
 };
 
-/// Simulate a single seed (legacy manager, and REM when `run_rem`).
-/// Thread-safe: all state derives from the seed; `bler` is read-only.
-/// `opts.faults` is applied to both managers' simulations; the schedule
-/// itself is seeded from the per-seed Rng, so runs stay bit-identical for
-/// the same (seed, faults) pair. The invariant checker (opts) observes
-/// each run without drawing randomness, so attaching it never changes
-/// results.
-inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
+/// Simulate one seed of a fully specified scenario: the legacy manager,
+/// and REM when `run_rem`. `sc.sim` carries everything the runs share
+/// (faults, transports, event recording); the fault schedule itself is
+/// seeded from the per-seed Rng, so runs are bit-identical for the same
+/// (scenario, seed). Thread-safe: all state derives from the seed; `bler`
+/// is read-only.
+///
+/// Every simulation runs under a rem::testkit::InvariantChecker, and a
+/// violation throws std::logic_error with the checker's report: it is a
+/// simulator bug, not a statistical outcome. The checker (and the tracer,
+/// when collecting metrics) draws no randomness, so attaching it never
+/// changes results.
+inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
                               bool run_rem, const phy::BlerModel& bler,
-                              const SeedRunOptions& opts) {
+                              const SeedRunOptions& opts = {}) {
   SeedRunResult out;
-  auto sc = trace::make_scenario(route, speed_kmh, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = sc.sim.record_events || opts.record_events;
-  if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  const bool check = opts.check_invariants && testkit::invariants_enabled();
   common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  const auto world = trace::make_world(sc, rng);
+  const auto& cells = world.env.cells();
 
   // Exact pairwise conflict predicate for loop attribution, restricted
   // to cells that actually cover common ground.
-  const auto pcs = trace::to_policy_cells(cells, policies);
+  const auto pcs = trace::to_policy_cells(cells, world.legacy.policies);
   const double reach = 2.0 * sc.deployment.site_spacing_mean_m;
   const auto neighbor_filter = [&](std::size_t i, std::size_t j) {
     return std::abs(cells[i].site_pos_m - cells[j].site_pos_m) <= reach;
@@ -167,41 +149,33 @@ inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
   };
 
   // Observation: one fanout per simulation hosting the invariant checker
-  // and/or the span tracer, both attached via SimConfig::observer. Neither
-  // draws randomness, and the RNG fork order below is identical whatever
-  // is attached, so observed and bare paths produce bit-identical
-  // statistics. A checker violation or a tracer/stats reconcile mismatch
-  // is a simulator (or tracer) bug, not a statistical outcome, so either
-  // aborts the run loudly instead of skewing aggregates.
-  const bool collect = opts.collect_metrics;
+  // and, when collecting metrics, the span tracer. A tracer/stats
+  // reconcile mismatch is a tracer bug and aborts the run loudly too.
   const auto run_context = [&](const std::string& who) {
-    return who + " run (route " + trace::route_name(route) + ", " +
-           std::to_string(speed_kmh) + " km/h, seed " +
+    return who + " run (route " + trace::route_name(sc.route) + ", " +
+           std::to_string(sc.speed_kmh) + " km/h, seed " +
            std::to_string(seed) + ")";
   };
   const auto run_observed = [&](sim::MobilityManager& m, common::Rng run_rng,
                                 const std::function<bool(int, int)>& pf,
                                 testkit::CheckerConfig ccfg,
-                                obs::MetricsSnapshot* metrics_out) {
-    if (!check && !collect) {
-      sim::Simulator s(env, sc.sim, bler, std::move(run_rng));
-      return s.run(m, pf);
-    }
+                                obs::MetricsSnapshot& metrics_out,
+                                std::vector<obs::Span>& spans_out) {
     testkit::InvariantChecker checker(std::move(ccfg));
     obs::Registry registry;
     obs::SpanTracer tracer(&registry);
     sim::ObserverFanout fanout;
-    if (check) fanout.add(&checker);
-    if (collect) fanout.add(&tracer);
+    fanout.add(&checker);
+    if (opts.collect_metrics) fanout.add(&tracer);
     sim::SimConfig observed = sc.sim;
     observed.observer = &fanout;
-    sim::Simulator s(env, observed, bler, std::move(run_rng));
+    sim::Simulator s(world.env, observed, bler, std::move(run_rng));
     auto stats = s.run(m, pf);
-    if (check && checker.violation_count() > 0)
+    if (checker.violation_count() > 0)
       throw std::logic_error("invariant violations in " +
                              run_context(m.name()) + ":\n" +
                              checker.report());
-    if (collect) {
+    if (opts.collect_metrics) {
       const auto mismatches = tracer.reconcile(stats);
       if (!mismatches.empty()) {
         std::string msg =
@@ -209,24 +183,21 @@ inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
         for (const auto& line : mismatches) msg += "\n  " + line;
         throw std::logic_error(msg);
       }
-      if (metrics_out != nullptr) *metrics_out = registry.snapshot();
+      metrics_out = registry.snapshot();
+      spans_out = tracer.spans();
     }
     return stats;
   };
   testkit::CheckerConfig base;
   base.sim = sc.sim;
   base.num_cells = cells.size();
-  base.faults_expected = !opts.faults.empty();
+  base.faults_expected = !sc.sim.faults.empty();
 
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  core::LegacyManager legacy(lc);
+  core::LegacyManager legacy(world.legacy);
   testkit::CheckerConfig legacy_cfg = base;
   legacy_cfg.expect_no_degraded = true;  // legacy has no fallback mode
   out.legacy = run_observed(legacy, rng.fork(), pair_fn, legacy_cfg,
-                            &out.legacy_metrics);
+                            out.legacy_metrics, out.legacy_spans);
 
   if (run_rem) {
     core::RemManager remm(core::RemConfig{}, rng.fork());
@@ -234,25 +205,15 @@ inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
     rem_cfg.staleness_bound_s = core::RemConfig{}.estimate_staleness_s;
     // REM's coordinated policy is conflict-free by Theorem 2.
     out.rem = run_observed(remm, rng.fork(), [](int, int) { return false; },
-                           rem_cfg, &out.rem_metrics);
+                           rem_cfg, out.rem_metrics, out.rem_spans);
     out.has_rem = true;
   }
   return out;
 }
 
-/// Back-compat overload: bare fault schedule, events off, checker on.
-inline SeedRunResult run_seed(trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
-                              bool run_rem, const phy::BlerModel& bler,
-                              const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_seed(route, speed_kmh, duration_s, seed, run_rem, bler, opts);
-}
-
 /// Fold per-seed results in the order given. Seed order — not completion
-/// order — fixes every floating-point accumulation, which is what makes the
-/// parallel runner's output independent of thread count.
+/// order — fixes every floating-point accumulation, which is what makes
+/// run_route's output independent of thread count.
 inline ScenarioRun merge_seed_results(const std::vector<SeedRunResult>& rs) {
   ScenarioRun out;
   for (const auto& r : rs) {
@@ -267,68 +228,20 @@ inline ScenarioRun merge_seed_results(const std::vector<SeedRunResult>& rs) {
   return out;
 }
 
-inline ScenarioRun run_route(trace::Route route, double speed_kmh,
-                             double duration_s,
+/// run_seed over `seeds`, one thread-pool job per seed on up to `threads`
+/// workers (1 runs parallel_for's plain serial loop; pass
+/// testkit::bench_threads() to honour REM_BENCH_THREADS). Results merge in
+/// seed order, so the output is bit-identical for any thread count.
+inline ScenarioRun run_route(const trace::Scenario& sc,
                              const std::vector<std::uint64_t>& seeds,
-                             bool run_rem, const SeedRunOptions& opts) {
-  phy::LogisticBlerModel bler;
-  std::vector<SeedRunResult> rs;
-  rs.reserve(seeds.size());
-  for (const auto seed : seeds)
-    rs.push_back(
-        run_seed(route, speed_kmh, duration_s, seed, run_rem, bler, opts));
-  return merge_seed_results(rs);
-}
-
-inline ScenarioRun run_route(trace::Route route, double speed_kmh,
-                             double duration_s,
-                             const std::vector<std::uint64_t>& seeds,
-                             bool run_rem = true,
-                             const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_route(route, speed_kmh, duration_s, seeds, run_rem, opts);
-}
-
-/// Worker count for parallel benches: the REM_BENCH_THREADS environment
-/// variable when set (>= 1), otherwise the hardware thread count.
-inline std::size_t bench_threads() {
-  if (const char* env = std::getenv("REM_BENCH_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
-  return common::ThreadPool::default_threads();
-}
-
-/// Seed-parallel run_route: each seed's legacy+REM simulation runs as one
-/// thread-pool job; results merge in seed order, so the output is
-/// bit-identical to run_route() for any num_threads. num_threads == 0 reads
-/// REM_BENCH_THREADS / hardware concurrency via bench_threads().
-inline ScenarioRun run_route_parallel(trace::Route route, double speed_kmh,
-                                      double duration_s,
-                                      const std::vector<std::uint64_t>& seeds,
-                                      bool run_rem, std::size_t num_threads,
-                                      const SeedRunOptions& opts) {
-  if (num_threads == 0) num_threads = bench_threads();
+                             bool run_rem = true, std::size_t threads = 1,
+                             const SeedRunOptions& opts = {}) {
   phy::LogisticBlerModel bler;
   std::vector<SeedRunResult> rs(seeds.size());
-  common::parallel_for(seeds.size(), num_threads, [&](std::size_t i) {
-    rs[i] = run_seed(route, speed_kmh, duration_s, seeds[i], run_rem, bler,
-                     opts);
+  common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
+    rs[i] = run_seed(sc, seeds[i], run_rem, bler, opts);
   });
   return merge_seed_results(rs);
-}
-
-inline ScenarioRun run_route_parallel(trace::Route route, double speed_kmh,
-                                      double duration_s,
-                                      const std::vector<std::uint64_t>& seeds,
-                                      bool run_rem = true,
-                                      std::size_t num_threads = 0,
-                                      const sim::FaultConfig& faults = {}) {
-  SeedRunOptions opts;
-  opts.faults = faults;
-  return run_route_parallel(route, speed_kmh, duration_s, seeds, run_rem,
-                            num_threads, opts);
 }
 
 inline double pct(double x) { return 100.0 * x; }

@@ -52,29 +52,23 @@ int main(int argc, char** argv) {
   const auto sc =
       trace::make_scenario(trace::Route::kBeijingShanghai, speed, duration);
   common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  const auto world = trace::make_world(sc, rng);
+  const auto& cells = world.env.cells();
 
   std::printf("route: %.0f km, %zu cells on %d sites, %zu coverage holes, "
               "%.0f km/h for %.0f s\n",
               sc.deployment.route_len_m / 1000.0, cells.size(),
               cells.empty() ? 0 : cells.back().id.base_station + 1,
-              holes.size(), speed, duration);
+              world.holes.size(), speed, duration);
 
   phy::LogisticBlerModel bler;
 
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  core::LegacyManager legacy(lc);
-  sim::Simulator s1(env, sc.sim, bler, rng.fork());
+  core::LegacyManager legacy(world.legacy);
+  sim::Simulator s1(world.env, sc.sim, bler, rng.fork());
   report("Legacy 4G/5G", s1.run(legacy));
 
   core::RemManager remm(core::RemConfig{}, rng.fork());
-  sim::Simulator s2(env, sc.sim, bler, rng.fork());
+  sim::Simulator s2(world.env, sc.sim, bler, rng.fork());
   report("REM", s2.run(remm));
 
   std::printf("\nREM triggers on stable delay-Doppler SNR, sees co-located "

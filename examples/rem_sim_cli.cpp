@@ -93,32 +93,22 @@ int main(int argc, char** argv) {
   CliOptions opt;
   if (!parse(argc, argv, opt)) return 1;
 
-  const auto sc =
-      trace::make_scenario(opt.route, opt.speed_kmh, opt.duration_s);
+  auto sc = trace::make_scenario(opt.route, opt.speed_kmh, opt.duration_s);
+  sc.sim.record_events = !opt.events_path.empty();
   common::Rng rng(opt.seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = trace::synthesize_policies(cells, sc.policy_mix, rng);
+  const auto world = trace::make_world(sc, rng);
 
   phy::LogisticBlerModel bler;
-  auto sim_cfg = sc.sim;
-  sim_cfg.record_events = !opt.events_path.empty();
-
   sim::SimStats stats;
   std::string manager_name;
   if (opt.use_rem) {
     core::RemManager mgr(core::RemConfig{}, rng.fork());
-    sim::Simulator s(env, sim_cfg, bler, rng.fork());
+    sim::Simulator s(world.env, sc.sim, bler, rng.fork());
     stats = s.run(mgr);
     manager_name = "REM";
   } else {
-    core::LegacyConfig lc;
-    lc.policies = policies;
-    lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-    lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-    core::LegacyManager mgr(lc);
-    sim::Simulator s(env, sim_cfg, bler, rng.fork());
+    core::LegacyManager mgr(world.legacy);
+    sim::Simulator s(world.env, sc.sim, bler, rng.fork());
     stats = s.run(mgr);
     manager_name = "Legacy";
   }

@@ -10,7 +10,7 @@
 // Thread safety: submit() may be called from any thread, including from
 // inside a running job; wait_idle() belongs to one coordinating thread at
 // a time. default_threads() is hardware concurrency — the bench harness
-// layers the REM_BENCH_THREADS override on top (bench::bench_threads(),
+// layers the REM_BENCH_THREADS override on top (testkit::bench_threads(),
 // knob table in OBSERVABILITY.md).
 #pragma once
 

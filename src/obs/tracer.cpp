@@ -309,10 +309,15 @@ std::vector<std::string> SpanTracer::reconcile(
 
 void SpanTracer::write_trace_jsonl(std::ostream& os,
                                    const std::string& context) const {
-  for (const auto& s : spans_) {
+  write_spans_jsonl(os, spans_, context, ue_);
+}
+
+void write_spans_jsonl(std::ostream& os, const std::vector<Span>& spans,
+                       const std::string& context, int ue) {
+  for (const auto& s : spans) {
     os << "{";
     if (!context.empty()) os << context << ", ";
-    if (ue_ >= 0) os << "\"ue\": " << ue_ << ", ";
+    if (ue >= 0) os << "\"ue\": " << ue << ", ";
     os << "\"kind\": \"" << s.kind << "\", \"start_s\": \""
        << fmt_double(s.start_s) << "\", \"end_s\": \"" << fmt_double(s.end_s)
        << "\", \"serving\": " << s.serving << ", \"target\": " << s.target

@@ -70,6 +70,13 @@ struct Span {
 /// Throws std::invalid_argument on a value outside the enum.
 std::string failure_cause_slug(sim::FailureCause c);
 
+/// Write one JSON object per span (JSON Lines). `context` is an optional
+/// pre-rendered fragment of `"key": "value"` pairs (no braces, no trailing
+/// comma) merged into every line — bench_chaos uses it to stamp fault
+/// class, seed and manager onto each span. `ue` >= 0 adds `"ue": k`.
+void write_spans_jsonl(std::ostream& os, const std::vector<Span>& spans,
+                       const std::string& context = "", int ue = -1);
+
 /// SimObserver that reassembles the event stream into spans (see the
 /// file-top comment) and records span-derived metrics into a Registry.
 /// One tracer observes exactly one run; construct a fresh one per run.
@@ -107,10 +114,7 @@ class SpanTracer : public sim::SimObserver {
   /// means they agree. Precondition: on_run_end has fired for this run.
   std::vector<std::string> reconcile(const sim::SimStats& stats) const;
 
-  /// Write one JSON object per span (JSON Lines). `context` is an
-  /// optional pre-rendered fragment of `"key": "value"` pairs (no braces,
-  /// no trailing comma) merged into every line — the scenario runner uses
-  /// it to stamp seed/manager/route onto each span.
+  /// write_spans_jsonl over spans(), stamping the UE id in fleet runs.
   void write_trace_jsonl(std::ostream& os,
                          const std::string& context = "") const;
 

@@ -5,10 +5,13 @@
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -192,13 +195,18 @@ ScenarioSpec read_scenario_json(std::istream& is) {
     const double v = std::strtod(s.c_str(), &end);
     if (s.empty() || end != s.c_str() + s.size())
       bad(key, "malformed number '" + s + "'");
+    if (!std::isfinite(v)) bad(key, "non-finite number '" + s + "'");
     return v;
   };
   const auto parse_int = [&](const std::string& key, const std::string& s) {
     char* end = nullptr;
+    errno = 0;
     const long v = std::strtol(s.c_str(), &end, 10);
     if (s.empty() || end != s.c_str() + s.size())
       bad(key, "malformed integer '" + s + "'");
+    if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+      bad(key, "integer out of range '" + s + "'");
     return static_cast<int>(v);
   };
   const auto parse_bool = [&](const std::string& key, const std::string& s) {
@@ -242,7 +250,9 @@ ScenarioSpec read_scenario_json(std::istream& is) {
     for (char c : *v)
       if (c < '0' || c > '9') bad("seed", "malformed integer '" + *v + "'");
     if (v->empty()) bad("seed", "empty integer");
+    errno = 0;
     spec.seed = std::strtoull(v->c_str(), nullptr, 10);
+    if (errno == ERANGE) bad("seed", "integer out of range '" + *v + "'");
   }
 
   // --- UE population: plain band, named-class shorthands, or generic

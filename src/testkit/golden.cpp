@@ -169,8 +169,8 @@ sim::FaultConfig golden_fault_preset(const std::string& name,
   }
   if (name == "backhaul_loss_reorder") {
     // Sustained 10% extra frame loss (the acceptance bound) over most of
-    // the horizon, with a heavier burst on top and a delay wobble. The
-    // golden runner pairs this preset with a lossy BackhaulConfig
+    // the horizon, with a heavier burst on top and a delay wobble.
+    // golden_scenario pairs this preset with a lossy transport
     // (reorder/duplicate probabilities raised) so both transport paths
     // land in the digest.
     sim::FaultConfig fc;
@@ -230,7 +230,7 @@ sim::FaultConfig golden_fault_preset(const std::string& name,
     // A serving-BS crash whose shed load floods the surviving neighbors:
     // the cascade window brackets the crash (its trigger) so background
     // jobs keep topping the neighbors up while the fleet steers around
-    // them; breakers and storm damping are armed by the golden runner.
+    // them; golden_scenario arms breakers and storm damping.
     sim::FaultConfig fc;
     fc.cascade_neighbor_radius = 2;
     fc.windows = {
@@ -243,6 +243,33 @@ sim::FaultConfig golden_fault_preset(const std::string& name,
   }
   throw std::invalid_argument("golden_fault_preset: unknown preset '" +
                               name + "'");
+}
+
+void arm_resilience(sim::SimConfig& cfg) {
+  cfg.load_ad_staleness_s = 1.0;
+  cfg.breaker_trip_k = 2;
+  cfg.breaker_cooldown_s = 1.5;
+  cfg.storm_jitter_frac = 0.5;
+}
+
+trace::Scenario golden_scenario(trace::Route route, double speed_kmh,
+                                double duration_s, const std::string& preset) {
+  auto sc = trace::make_scenario(route, speed_kmh, duration_s);
+  sc.sim.faults = golden_fault_preset(preset, duration_s);
+  sc.sim.record_events = true;
+  if (preset == "backhaul_loss_reorder") {
+    sc.sim.backhaul.loss_prob = 0.02;
+    sc.sim.backhaul.reorder_prob = 0.15;
+    sc.sim.backhaul.duplicate_prob = 0.10;
+  }
+  if (preset == "region_outage" || preset == "cascade_storm")
+    arm_resilience(sc.sim);
+  if (preset == "cascade_storm") {
+    sc.sim.bs_capacity.slots = 1;
+    sc.sim.bs_capacity.queue_capacity = 4;
+    sc.sim.bs_capacity.admission_load_threshold = 0.5;
+  }
+  return sc;
 }
 
 std::uint64_t hash_event_log(const sim::EventLog& log) {

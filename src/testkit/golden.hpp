@@ -63,6 +63,24 @@ std::vector<FleetGoldenCase> fleet_golden_corpus();
 sim::FaultConfig golden_fault_preset(const std::string& name,
                                      double horizon_s);
 
+/// Arm the cascade-resilience stack the correlated-fault presets run
+/// with: stale-bounded load ads (1 s), per-target circuit breakers (trip
+/// after 2 consecutive failures, 1.5 s cool-down) and 50% storm jitter.
+void arm_resilience(sim::SimConfig& cfg);
+
+/// The whole scenario a golden preset names: make_scenario(route, speed,
+/// duration) with the preset's fault schedule, events recorded, and the
+/// settings each preset pairs with:
+///  - "backhaul_loss_reorder": a transport that also loses (2%), reorders
+///    (15%) and duplicates (10%) frames, so every frame path shows up;
+///  - "region_outage", "cascade_storm": arm_resilience();
+///  - "cascade_storm": single-slot stations with 4-deep queues and a 0.5
+///    admission threshold, so the cascade's background load forces
+///    admission busy-rejects and the breakers trip, probe and close.
+/// Throws std::invalid_argument for unknown names.
+trace::Scenario golden_scenario(trace::Route route, double speed_kmh,
+                                double duration_s, const std::string& preset);
+
 /// Order-sensitive FNV-1a hash over the raw bits of every event field.
 /// Hashing bits (not formatted text) keeps the digest independent of
 /// float-printing choices while still catching any numeric drift.

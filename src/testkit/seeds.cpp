@@ -1,5 +1,7 @@
 #include "testkit/seeds.hpp"
 
+#include "common/thread_pool.hpp"
+
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -7,14 +9,16 @@
 namespace rem::testkit {
 namespace {
 
-std::uint64_t parse_seed(const std::string& tok) {
+/// An unsigned decimal integer from environment variable `var`.
+std::uint64_t parse_unsigned(const char* var, const std::string& tok) {
   if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos)
-    throw std::invalid_argument(
-        "REM_TEST_SEEDS: expected an unsigned integer, got '" + tok + "'");
+    throw std::invalid_argument(std::string(var) +
+                                ": expected an unsigned integer, got '" +
+                                tok + "'");
   try {
     return std::stoull(tok);
   } catch (const std::exception&) {
-    throw std::invalid_argument("REM_TEST_SEEDS: value out of range: '" +
+    throw std::invalid_argument(std::string(var) + ": value out of range: '" +
                                 tok + "'");
   }
 }
@@ -30,7 +34,7 @@ std::vector<std::uint64_t> property_seeds(
   if (spec.find(',') == std::string::npos) {
     // Bare count: widen the sweep in place, anchored at the first default
     // so the stock seeds stay covered.
-    const std::uint64_t n = parse_seed(spec);
+    const std::uint64_t n = parse_unsigned("REM_TEST_SEEDS", spec);
     if (n == 0)
       throw std::invalid_argument("REM_TEST_SEEDS: count must be >= 1");
     const std::uint64_t start = defaults.empty() ? 1 : defaults.front();
@@ -45,19 +49,24 @@ std::vector<std::uint64_t> property_seeds(
   while (pos <= spec.size()) {
     const std::size_t comma = spec.find(',', pos);
     const std::size_t end = comma == std::string::npos ? spec.size() : comma;
-    seeds.push_back(parse_seed(spec.substr(pos, end - pos)));
+    seeds.push_back(
+        parse_unsigned("REM_TEST_SEEDS", spec.substr(pos, end - pos)));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
   return seeds;
 }
 
-bool invariants_enabled() {
-  const char* env = std::getenv("REM_CHECK_INVARIANTS");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false" || v == "OFF" ||
-           v == "FALSE");
+std::size_t bench_threads() {
+  const char* env = std::getenv("REM_BENCH_THREADS");
+  if (env == nullptr || *env == '\0')
+    return common::ThreadPool::default_threads();
+  const std::uint64_t n = parse_unsigned("REM_BENCH_THREADS", env);
+  if (n == 0)
+    throw std::invalid_argument(
+        "REM_BENCH_THREADS: count must be >= 1, got '" + std::string(env) +
+        "'");
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace rem::testkit

@@ -1,7 +1,9 @@
-// Environment-driven test knobs: seed sweeps and the invariant-checker
-// kill switch. Kept in testkit so tests and benches share one parser.
+// Environment-driven test knobs: seed sweeps and the worker count of the
+// seed-parallel harnesses. Kept in testkit so tests and benches share one
+// parser.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,9 +20,13 @@ namespace rem::testkit {
 std::vector<std::uint64_t> property_seeds(
     std::vector<std::uint64_t> defaults);
 
-/// Invariant-checker master switch: true unless the `REM_CHECK_INVARIANTS`
-/// environment variable is set to `0`, `off`, or `false`. The checker
-/// defaults ON in every test and bench run.
-bool invariants_enabled();
+/// Worker count for seed-parallel benches and tests. Reads the
+/// `REM_BENCH_THREADS` environment variable:
+///  - unset or empty   -> common::ThreadPool::default_threads();
+///  - an integer N >= 1 -> N.
+/// Anything else (`0`, `-2`, `4x`, `abc`) throws std::invalid_argument
+/// naming the value, so a 1-vs-4-thread determinism check cannot quietly
+/// compare two runs at the same thread count.
+std::size_t bench_threads();
 
 }  // namespace rem::testkit

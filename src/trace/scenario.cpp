@@ -2,6 +2,8 @@
 
 #include "common/units.hpp"
 
+#include <utility>
+
 namespace rem::trace {
 
 namespace rm = rem::mobility;
@@ -151,6 +153,17 @@ std::map<int, rm::CellPolicy> synthesize_policies(
     out[cell.id.cell] = std::move(p);
   }
   return out;
+}
+
+World make_world(const Scenario& sc, common::Rng& rng) {
+  auto cells = sim::make_rail_deployment(sc.deployment, rng);
+  auto holes = sim::make_hole_segments(sc.deployment, rng);
+  sim::RadioEnv env(std::move(cells), sc.propagation, rng.fork(), holes);
+  core::LegacyConfig legacy;
+  legacy.policies = synthesize_policies(env.cells(), sc.policy_mix, rng);
+  legacy.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
+  legacy.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
+  return {std::move(holes), std::move(env), std::move(legacy)};
 }
 
 std::vector<rm::PolicyCell> to_policy_cells(

@@ -10,6 +10,7 @@
 #pragma once
 
 #include "common/rng.hpp"
+#include "core/legacy_manager.hpp"
 #include "mobility/conflict.hpp"
 #include "mobility/policy.hpp"
 #include "sim/radio_env.hpp"
@@ -70,6 +71,35 @@ Scenario make_scenario(Route route, double speed_kmh,
 std::map<int, mobility::CellPolicy> synthesize_policies(
     const std::vector<sim::Cell>& cells, const PolicyMix& mix,
     common::Rng& rng);
+
+/// One seed's drawn world: the deployment inside `env`, the coverage-hole
+/// segments it was built with, and the legacy manager's configuration.
+struct World {
+  std::vector<sim::HoleSegment> holes;
+  sim::RadioEnv env;  ///< env.cells() is the deployment
+  /// The synthesized operator policies plus the route's measurement TTTs
+  /// (PolicyMix::intra_ttt_s / inter_ttt_s).
+  core::LegacyConfig legacy;
+};
+
+/// Draw a scenario's world from `rng`. This is the only code that draws
+/// one, in this fixed order:
+///   make_rail_deployment(rng) -> make_hole_segments(rng)
+///     -> RadioEnv(cells, propagation, rng.fork(), holes)
+///     -> synthesize_policies(cells, mix, rng)
+/// Legacy and REM runs built from the same seed therefore replay the same
+/// timeline, and the golden corpus pins this order bit-for-bit.
+///
+/// The caller's later forks of `rng` stay at its call site. The conventions
+/// the harnesses pin:
+///  - bench::run_seed forks the legacy simulation stream, then REM's
+///    manager stream, then REM's simulation stream.
+///  - bench::run_fleet_scenario forks the manager master stream (one fork
+///    per UE, in UE order), then the simulation stream. Forking the master
+///    stream first keeps per-UE manager construction out of the
+///    simulator's draw order, so a fleet of one is bit-identical to a
+///    single-UE Simulator::run over the same two streams.
+World make_world(const Scenario& sc, common::Rng& rng);
 
 /// Mobility::PolicyCell view of a deployment + policy map (input to the
 /// conflict analyzer, Table 3).

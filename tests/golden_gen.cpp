@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   std::vector<rem::testkit::TraceDigest> digests(jobs.size());
   std::vector<std::string> errors(jobs.size());
   rem::common::parallel_for(
-      jobs.size(), rem::bench::bench_threads(), [&](std::size_t i) {
+      jobs.size(), rem::testkit::bench_threads(), [&](std::size_t i) {
         try {
           digests[i] = jobs[i].run();
         } catch (const std::exception& e) {

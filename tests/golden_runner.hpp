@@ -12,59 +12,25 @@
 
 namespace rem::testkit {
 
-/// Run one corpus case (legacy + REM, events recorded, invariant checker
-/// attached) and produce its digest.
+/// Run one corpus case (legacy + REM over golden_scenario(), invariant
+/// checker attached) and produce its digest.
 inline TraceDigest run_golden_case(const GoldenCase& c) {
   phy::LogisticBlerModel bler;
-  bench::SeedRunOptions opts;
-  opts.faults = golden_fault_preset(c.fault_preset, c.duration_s);
-  opts.record_events = true;
-  if (c.fault_preset == "backhaul_loss_reorder") {
-    // Pair the scripted loss windows with a transport that also reorders
-    // and duplicates, so every frame path shows up in the digest.
-    net::BackhaulConfig bh;
-    bh.loss_prob = 0.02;
-    bh.reorder_prob = 0.15;
-    bh.duplicate_prob = 0.10;
-    opts.backhaul = bh;
-  }
-  const auto r = bench::run_seed(c.route, c.speed_kmh, c.duration_s, c.seed,
-                                 /*run_rem=*/true, bler, opts);
+  const auto r = bench::run_seed(
+      golden_scenario(c.route, c.speed_kmh, c.duration_s, c.fault_preset),
+      c.seed, /*run_rem=*/true, bler);
   return make_digest(c, r.legacy, r.rem);
 }
 
-/// Run one fleet corpus case (a legacy fleet and a REM fleet, events
-/// recorded, one invariant checker per UE) and produce its digest.
+/// Run one fleet corpus case (a legacy fleet and a REM fleet over
+/// golden_scenario(), one invariant checker per UE) and produce its digest.
 inline TraceDigest run_fleet_golden_case(const FleetGoldenCase& c) {
   phy::LogisticBlerModel bler;
-  bench::FleetRunOptions opts;
-  opts.fleet_size = c.fleet_size;
-  opts.faults = golden_fault_preset(c.fault_preset, c.duration_s);
-  opts.record_events = true;
-  if (c.fault_preset == "region_outage" || c.fault_preset == "cascade_storm") {
-    // Correlated-fault cases run with the full resilience stack armed so
-    // load ads, breaker transitions, and storm jitter all land in the pin.
-    opts.load_ad_staleness_s = 1.0;
-    opts.breaker_trip_k = 2;
-    opts.breaker_cooldown_s = 1.5;
-    opts.storm_jitter_frac = 0.5;
-  }
-  if (c.fault_preset == "cascade_storm") {
-    // Single-slot stations with short queues: the cascade's background
-    // load forces admission busy-rejects, so the breaker trip/probe/close
-    // cycle is reliably exercised and pinned.
-    sim::BsCapacityConfig cap;
-    cap.slots = 1;
-    cap.queue_capacity = 4;
-    cap.admission_load_threshold = 0.5;
-    opts.bs_capacity = cap;
-  }
-  opts.use_rem = false;
-  const auto legacy = bench::run_fleet_seed(c.route, c.speed_kmh,
-                                            c.duration_s, c.seed, bler, opts);
-  opts.use_rem = true;
-  const auto rem = bench::run_fleet_seed(c.route, c.speed_kmh, c.duration_s,
-                                         c.seed, bler, opts);
+  auto sc = golden_scenario(c.route, c.speed_kmh, c.duration_s, c.fault_preset);
+  sc.sim.fleet_size = c.fleet_size;
+  const bench::FleetScenarioRunOptions opts{"golden case " + c.name};
+  const auto legacy = bench::run_fleet_scenario(sc, c.seed, bler, false, opts);
+  const auto rem = bench::run_fleet_scenario(sc, c.seed, bler, true, opts);
   return make_fleet_digest(c, legacy, rem);
 }
 

@@ -377,15 +377,11 @@ rem::bench::SeedRunResult run_scenario(const rs::FaultConfig& faults,
                                        double duration_s = 80.0,
                                        bool backhaul_enabled = true) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = faults;
-  if (!backhaul_enabled) {
-    rn::BackhaulConfig off;
-    off.enabled = false;
-    opts.backhaul = off;
-  }
-  return rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                              duration_s, 1, true, bler, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, duration_s);
+  sc.sim.faults = faults;
+  sc.sim.backhaul.enabled = backhaul_enabled;
+  return rem::bench::run_seed(sc, 1, true, bler);
 }
 
 }  // namespace

@@ -167,11 +167,11 @@ rem::bench::SeedRunResult run_faulted(const rs::FaultConfig& faults,
                                       bool run_rem,
                                       double duration_s = 120.0) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = faults;
-  opts.record_events = true;
-  return rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                              duration_s, 1, run_rem, bler, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, duration_s);
+  sc.sim.faults = faults;
+  sc.sim.record_events = true;
+  return rem::bench::run_seed(sc, 1, run_rem, bler);
 }
 
 int count_events(const rs::SimStats& s, rs::EventKind kind) {

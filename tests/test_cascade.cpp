@@ -23,8 +23,8 @@ namespace {
 
 namespace core = rem::core;
 namespace sim = rem::sim;
-using rem::bench::FleetRunOptions;
-using rem::bench::run_fleet_seed;
+using rem::bench::run_fleet_scenario;
+using rem::testkit::golden_scenario;
 
 // ---------- Breaker FSM unit level ----------
 
@@ -128,27 +128,6 @@ TEST(CircuitBreaker, CooldownDeadlineIsExactArithmetic) {
 
 // ---------- Simulator level ----------
 
-/// Cascade-storm fleet options mirroring the golden corpus's
-/// cascade_storm arming: crash + cascade faults, the full resilience
-/// stack on, and single-slot stations so admission busy-rejects reliably
-/// drive the breaker through its trip/probe/close cycle.
-FleetRunOptions storm_opts(double duration_s, int fleet_size) {
-  FleetRunOptions opts;
-  opts.fleet_size = fleet_size;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("cascade_storm", duration_s);
-  opts.load_ad_staleness_s = 1.0;
-  opts.breaker_trip_k = 2;
-  opts.breaker_cooldown_s = 1.5;
-  opts.storm_jitter_frac = 0.5;
-  sim::BsCapacityConfig cap;
-  cap.slots = 1;
-  cap.queue_capacity = 4;
-  cap.admission_load_threshold = 0.5;
-  opts.bs_capacity = cap;
-  return opts;
-}
-
 int count_events(const sim::EventLog& events, sim::EventKind kind) {
   int n = 0;
   for (const auto& e : events)
@@ -160,9 +139,13 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
   // 120 s: long enough for a tripped-but-alive cell to stay in candidate
   // range at 300 km/h, so breaker_skips accrues (at 60 s every tripped
   // target is a crashed cell, which candidate selection excludes anyway).
-  const auto opts = storm_opts(120.0, 6);
-  const auto r = run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                                120.0, 18, rem::phy::LogisticBlerModel{}, opts);
+  // The golden corpus's cascade storm: single-slot stations make admission
+  // busy-rejects drive the breakers through trip, probe and close.
+  auto sc = golden_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 120.0,
+                            "cascade_storm");
+  sc.sim.fleet_size = 6;
+  const auto r = run_fleet_scenario(sc, 18, rem::phy::LogisticBlerModel{},
+                                    /*use_rem=*/true);
   const auto& agg = r.aggregate;
   ASSERT_GT(agg.breaker_trips, 0);
   ASSERT_GT(agg.breaker_probes, 0);
@@ -191,7 +174,7 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
         last_trip = e.t_s;
     }
     ASSERT_GE(last_trip, 0.0) << "probe without a preceding trip";
-    EXPECT_GE(probe.t_s - last_trip, opts.breaker_cooldown_s - 1e-9);
+    EXPECT_GE(probe.t_s - last_trip, sc.sim.breaker_cooldown_s - 1e-9);
     ++checked;
   }
   EXPECT_EQ(checked, agg.breaker_probes);
@@ -203,14 +186,15 @@ TEST(CascadeSim, BreakerEventsAgreeWithCountersAndCooldown) {
 }
 
 TEST(CascadeSim, StormRunsBitIdenticalAcrossOneTwoEightThreads) {
-  const auto opts = storm_opts(40.0, 4);
+  auto sc = golden_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 40.0,
+                            "cascade_storm");
+  sc.sim.fleet_size = 4;
   const std::vector<std::uint64_t> seeds = {61, 62, 63, 64, 65, 66};
   const auto batch = [&](std::size_t threads) {
     std::vector<sim::FleetResult> out(seeds.size());
     rem::phy::LogisticBlerModel bler;
     rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-      out[i] = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 40.0,
-                              seeds[i], bler, opts);
+      out[i] = run_fleet_scenario(sc, seeds[i], bler, /*use_rem=*/true);
     });
     return out;
   };

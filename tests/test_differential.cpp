@@ -63,14 +63,13 @@ std::vector<SeedRunResult> sweep(rem::trace::Route route, double speed_kmh,
                                  const std::vector<std::uint64_t>& seeds,
                                  std::size_t threads) {
   rem::phy::LogisticBlerModel bler;
+  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+  sc.sim.record_events = true;  // loop analysis needs the event stream
   std::vector<SeedRunResult> out(seeds.size());
   std::vector<std::string> errors(seeds.size());
   rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-    rem::bench::SeedRunOptions opts;
-    opts.record_events = true;  // loop analysis needs the event stream
     try {
-      out[i] = rem::bench::run_seed(route, speed_kmh, duration_s, seeds[i],
-                                    /*run_rem=*/true, bler, opts);
+      out[i] = rem::bench::run_seed(sc, seeds[i], /*run_rem=*/true, bler);
     } catch (const std::exception& e) {
       errors[i] = e.what();
     }
@@ -91,7 +90,7 @@ TEST_P(DifferentialOracle, RemDominatesLegacyOnEverySeed) {
   const auto seeds =
       rem::testkit::property_seeds({1, 2, 3, 4, 5, 6, 7, 8});
   const auto runs = sweep(route, speed, 200.0, seeds,
-                          rem::bench::bench_threads());
+                          rem::testkit::bench_threads());
 
   const double window = rem::sim::SimConfig{}.loop_window_s;
   int legacy_failures = 0, rem_failures = 0;
@@ -182,14 +181,13 @@ TEST(DifferentialOracle, FaultedTimelinesPreserveDominanceInAggregate) {
   // legacy's.)
   rem::phy::LogisticBlerModel bler;
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      330.0, 150.0);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 150.0);
   int legacy_failures = 0, rem_failures = 0;
   int legacy_handovers = 0, rem_handovers = 0;
   for (const auto seed : seeds) {
-    rem::bench::SeedRunOptions opts;
-    opts.faults = rem::testkit::golden_fault_preset("mixed", 150.0);
-    const auto r = rem::bench::run_seed(rem::trace::Route::kBeijingShanghai,
-                                        330.0, 150.0, seed, true, bler,
-                                        opts);
+    const auto r = rem::bench::run_seed(sc, seed, true, bler);
     legacy_failures += r.legacy.failures;
     rem_failures += r.rem.failures;
     legacy_handovers += r.legacy.handovers;

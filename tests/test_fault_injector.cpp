@@ -213,16 +213,22 @@ rs::FaultConfig mixed_fault_config(double horizon_s) {
   return cfg;
 }
 
+/// Beijing-Shanghai at 300 km/h for `duration_s` under `faults`.
+rem::trace::Scenario faulted_scenario(const rs::FaultConfig& faults,
+                                      double duration_s) {
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, duration_s);
+  sc.sim.faults = faults;
+  return sc;
+}
+
 }  // namespace
 
 TEST(ChaosDeterminism, SameSeedSameFaultsBitIdenticalStats) {
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto faults = mixed_fault_config(150.0);
+  const auto sc = faulted_scenario(mixed_fault_config(150.0), 150.0);
   rem::phy::LogisticBlerModel bler;
-  const auto a =
-      rem::bench::run_seed(route, 300.0, 150.0, 7, true, bler, faults);
-  const auto b =
-      rem::bench::run_seed(route, 300.0, 150.0, 7, true, bler, faults);
+  const auto a = rem::bench::run_seed(sc, 7, true, bler);
+  const auto b = rem::bench::run_seed(sc, 7, true, bler);
   // Every stats field, doubles compared with == on purpose: the
   // determinism guarantee is exact replay, not tolerance.
   EXPECT_EQ(rem::testkit::diff_stats(a.legacy, b.legacy), "");
@@ -231,15 +237,11 @@ TEST(ChaosDeterminism, SameSeedSameFaultsBitIdenticalStats) {
 
 TEST(ChaosDeterminism, ParallelMatchesSerialAcrossThreadCounts) {
   const std::vector<std::uint64_t> seeds = {4, 1, 9};
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto faults = mixed_fault_config(120.0);
-  const auto serial =
-      rem::bench::run_route(route, 300.0, 120.0, seeds, true, faults);
+  const auto sc = faulted_scenario(mixed_fault_config(120.0), 120.0);
+  const auto serial = rem::bench::run_route(sc, seeds);
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto par = rem::bench::run_route_parallel(route, 300.0, 120.0,
-                                                    seeds, true, threads,
-                                                    faults);
+    const auto par = rem::bench::run_route(sc, seeds, true, threads);
     EXPECT_EQ(rem::testkit::diff_stats(serial.legacy.total, par.legacy.total),
               "");
     EXPECT_EQ(rem::testkit::diff_stats(serial.rem.total, par.rem.total), "");
@@ -253,8 +255,8 @@ namespace {
 rem::bench::SeedRunResult run_with(const rs::FaultConfig& faults,
                                    double duration_s = 80.0) {
   rem::phy::LogisticBlerModel bler;
-  return rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                              duration_s, 1, true, bler, faults);
+  return rem::bench::run_seed(faulted_scenario(faults, duration_s), 1, true,
+                              bler);
 }
 
 }  // namespace
@@ -295,9 +297,9 @@ TEST(ChaosEffects, DuplicationProducesDuplicateCommands) {
 }
 
 TEST(ChaosEffects, FaultAndDegradedTransitionsAppearInEventLog) {
-  // Mirror run_seed but with event recording on: the log must show the
-  // pilot-outage window opening/closing and REM entering/leaving degraded
-  // mode inside it.
+  // A bare REM run with event recording on (its world draws no policies):
+  // the log must show the pilot-outage window opening/closing and REM
+  // entering/leaving degraded mode inside it.
   auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
                                       300.0, 80.0);
   // Windows at 15 s and 45 s, both closing well before the 80 s run ends

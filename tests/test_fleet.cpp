@@ -26,96 +26,61 @@
 
 namespace {
 
-using rem::bench::FleetRunOptions;
-using rem::bench::run_fleet_seed;
+using rem::bench::run_fleet_scenario;
 using rem::testkit::diff_stats;
+using rem::testkit::golden_scenario;
 
-/// Single-UE run built with fleet_runner.hpp's documented construction
-/// order (manager master stream forked before the simulation stream), so
-/// its output is the reference a fleet of one must reproduce bit-for-bit.
-rem::sim::SimStats run_single(rem::trace::Route route, double speed_kmh,
-                              double duration_s, std::uint64_t seed,
-                              bool use_rem, const FleetRunOptions& opts) {
-  namespace sim = rem::sim;
+/// Single-UE run over make_world's world with the fleet runner's fork
+/// order (manager master stream before the simulation stream), so its
+/// output is the reference a fleet of one must reproduce bit-for-bit.
+rem::sim::SimStats run_single(const rem::trace::Scenario& sc,
+                              std::uint64_t seed, bool use_rem) {
   namespace core = rem::core;
-  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
-  sc.sim.faults = opts.faults;
-  sc.sim.record_events = sc.sim.record_events || opts.record_events;
-  if (opts.backhaul) sc.sim.backhaul = *opts.backhaul;
-  if (opts.bs_capacity) sc.sim.bs_capacity = *opts.bs_capacity;
-  if (opts.fleet) sc.sim.fleet = *opts.fleet;
-  sc.sim.load_ad_staleness_s = opts.load_ad_staleness_s;
-  sc.sim.breaker_trip_k = opts.breaker_trip_k;
-  sc.sim.breaker_cooldown_s = opts.breaker_cooldown_s;
-  sc.sim.storm_jitter_frac = opts.storm_jitter_frac;
-
   rem::common::Rng rng(seed);
-  auto cells = sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = sim::make_hole_segments(sc.deployment, rng);
-  sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
-  core::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
+  const auto world = rem::trace::make_world(sc, rng);
   rem::common::Rng mgr_rng = rng.fork();
   rem::common::Rng sim_rng = rng.fork();
   rem::phy::LogisticBlerModel bler;
-  sim::Simulator s(env, sc.sim, bler, std::move(sim_rng));
+  rem::sim::Simulator s(world.env, sc.sim, bler, std::move(sim_rng));
   if (use_rem) {
     core::RemManager m(core::RemConfig{}, mgr_rng.fork());
     return s.run(m);
   }
-  core::LegacyManager m(lc);
+  core::LegacyManager m(world.legacy);
   return s.run(m);
 }
 
 struct FleetOfOneCase {
   std::string name;
-  rem::trace::Route route;
-  double speed_kmh;
-  double duration_s;
+  rem::trace::Scenario sc;
   std::uint64_t seed;
-  FleetRunOptions opts;
 };
 
 /// The mixed-fault preset, and the golden corpus's cascade storm with the
 /// resilience stack armed on single-slot stations, so admission
 /// busy-rejects drive REM's breakers through trip, probe, and close.
 std::vector<FleetOfOneCase> fleet_of_one_cases() {
-  FleetRunOptions mixed;
-  mixed.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
-  FleetRunOptions storm;
-  storm.faults = rem::testkit::golden_fault_preset("cascade_storm", 120.0);
-  storm.load_ad_staleness_s = 1.0;
-  storm.breaker_trip_k = 2;
-  storm.breaker_cooldown_s = 1.5;
-  storm.storm_jitter_frac = 0.5;
-  rem::sim::BsCapacityConfig cap;
-  cap.slots = 1;
-  cap.queue_capacity = 4;
-  cap.admission_load_threshold = 0.5;
-  storm.bs_capacity = cap;
   return {
-      {"mixed", rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0, 21, mixed},
-      {"cascade_storm", rem::trace::Route::kBeijingShanghai, 300.0, 120.0, 18,
-       storm},
+      {"mixed",
+       golden_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0,
+                       "mixed"),
+       21},
+      {"cascade_storm",
+       golden_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 120.0,
+                       "cascade_storm"),
+       18},
   };
 }
 
 TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
   for (auto c : fleet_of_one_cases()) {
     SCOPED_TRACE(c.name);
-    c.opts.fleet_size = 1;
-    c.opts.record_events = true;
+    c.sc.sim.fleet_size = 1;
     for (bool use_rem : {false, true}) {
       SCOPED_TRACE(use_rem ? "rem" : "legacy");
-      c.opts.use_rem = use_rem;
-      const auto single = run_single(c.route, c.speed_kmh, c.duration_s,
-                                     c.seed, use_rem, c.opts);
-      const auto fleet =
-          run_fleet_seed(c.route, c.speed_kmh, c.duration_s, c.seed,
-                         rem::phy::LogisticBlerModel{}, c.opts);
+      const auto single = run_single(c.sc, c.seed, use_rem);
+      const auto fleet = run_fleet_scenario(
+          c.sc, c.seed, rem::phy::LogisticBlerModel{}, use_rem);
       ASSERT_EQ(fleet.per_ue.size(), 1u);
       // The bare single run carries no checker and reports 0 violations;
       // the fleet's checker must agree.
@@ -136,29 +101,27 @@ TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
 /// order whatever the interleaving.
 std::vector<rem::sim::FleetResult> run_fleet_batch(
     const std::vector<std::uint64_t>& seeds, std::size_t threads,
-    const FleetRunOptions& opts) {
+    const rem::trace::Scenario& sc) {
   std::vector<rem::sim::FleetResult> out(seeds.size());
   rem::phy::LogisticBlerModel bler;
   rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-    out[i] = run_fleet_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0,
-                            seeds[i], bler, opts);
+    out[i] = run_fleet_scenario(sc, seeds[i], bler, /*use_rem=*/true);
   });
   return out;
 }
 
 TEST(Fleet, BatchBitIdenticalAcrossOneTwoEightThreads) {
-  FleetRunOptions opts;
-  opts.fleet_size = 6;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("bs_overload_shed", 30.0);
+  auto sc = golden_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0,
+                            "bs_overload_shed");
+  sc.sim.fleet_size = 6;
   const std::vector<std::uint64_t> seeds = {31, 32, 33, 34, 35, 36};
-  const auto at1 = run_fleet_batch(seeds, 1, opts);
-  const auto at2 = run_fleet_batch(seeds, 2, opts);
-  const auto at8 = run_fleet_batch(seeds, 8, opts);
+  const auto at1 = run_fleet_batch(seeds, 1, sc);
+  const auto at2 = run_fleet_batch(seeds, 2, sc);
+  const auto at8 = run_fleet_batch(seeds, 8, sc);
   ASSERT_EQ(at1.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     SCOPED_TRACE("seed " + std::to_string(seeds[i]));
-    ASSERT_EQ(at1[i].per_ue.size(), static_cast<std::size_t>(opts.fleet_size));
+    ASSERT_EQ(at1[i].per_ue.size(), 6u);
     ASSERT_EQ(at2[i].per_ue.size(), at1[i].per_ue.size());
     ASSERT_EQ(at8[i].per_ue.size(), at1[i].per_ue.size());
     for (std::size_t k = 0; k < at1[i].per_ue.size(); ++k) {
@@ -172,12 +135,11 @@ TEST(Fleet, BatchBitIdenticalAcrossOneTwoEightThreads) {
 }
 
 TEST(Fleet, PerUeStatsFoldIntoAggregate) {
-  FleetRunOptions opts;
-  opts.fleet_size = 8;
-  opts.record_events = true;
-  opts.faults = rem::testkit::golden_fault_preset("backhaul_partition", 40.0);
-  const auto r = run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                                40.0, 41, rem::phy::LogisticBlerModel{}, opts);
+  auto sc = golden_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 40.0,
+                            "backhaul_partition");
+  sc.sim.fleet_size = 8;
+  const auto r = run_fleet_scenario(sc, 41, rem::phy::LogisticBlerModel{},
+                                    /*use_rem=*/true);
   ASSERT_EQ(r.per_ue.size(), 8u);
   // Mixed per-UE parameters actually took effect: UEs do not all ride the
   // same trajectory, so their tick-by-tick event streams differ.
@@ -213,12 +175,13 @@ TEST(Fleet, PerUeStatsFoldIntoAggregate) {
 // under one InvariantChecker per UE, and repeating the run (serially or on
 // a pool) reproduces it bit-for-bit.
 TEST(Fleet, HundredUeFleetCompletesUnderChecker) {
-  FleetRunOptions opts;
-  opts.fleet_size = 100;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 12.0);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 12.0);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 12.0);
+  sc.sim.fleet_size = 100;
   const auto run_once = [&] {
-    return run_fleet_seed(rem::trace::Route::kBeijingShanghai, 300.0, 12.0,
-                          51, rem::phy::LogisticBlerModel{}, opts);
+    return run_fleet_scenario(sc, 51, rem::phy::LogisticBlerModel{},
+                              /*use_rem=*/true);
   };
   const auto a = run_once();
   ASSERT_EQ(a.per_ue.size(), 100u);

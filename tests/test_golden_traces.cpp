@@ -60,7 +60,7 @@ TEST(GoldenTraces, ReplayMatchesCommittedDigests) {
   std::vector<TraceDigest> actual(jobs.size());
   std::vector<std::string> errors(jobs.size());
   rem::common::parallel_for(
-      jobs.size(), rem::bench::bench_threads(), [&](std::size_t i) {
+      jobs.size(), rem::testkit::bench_threads(), [&](std::size_t i) {
         try {
           actual[i] = jobs[i].run();
         } catch (const std::exception& e) {

@@ -25,22 +25,15 @@ RunResult run_scenario(rt::Route route, double speed_kmh,
                        std::uint64_t seed, double duration_s = 1200.0) {
   const auto sc = rt::make_scenario(route, speed_kmh, duration_s);
   rem::common::Rng rng(seed);
-  auto cells = rs::make_rail_deployment(sc.deployment, rng);
-  auto holes = rs::make_hole_segments(sc.deployment, rng);
-  rs::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rt::synthesize_policies(cells, sc.policy_mix, rng);
+  const auto world = rt::make_world(sc, rng);
 
   rem::phy::LogisticBlerModel bler;
 
-  rc::LegacyConfig lc;
-  lc.policies = policies;
-  lc.measurement.intra_ttt_s = sc.policy_mix.intra_ttt_s;
-  lc.measurement.inter_ttt_s = sc.policy_mix.inter_ttt_s;
-  rc::LegacyManager legacy(lc);
-  rs::Simulator s1(env, sc.sim, bler, rng.fork());
+  rc::LegacyManager legacy(world.legacy);
+  rs::Simulator s1(world.env, sc.sim, bler, rng.fork());
 
   rc::RemManager remm(rc::RemConfig{}, rng.fork());
-  rs::Simulator s2(env, sc.sim, bler, rng.fork());
+  rs::Simulator s2(world.env, sc.sim, bler, rng.fork());
 
   RunResult out;
   out.legacy = s1.run(legacy);
@@ -116,14 +109,12 @@ TEST(Integration, RemFailuresExcludingHolesNearZero) {
 TEST(Integration, RemEliminatesConflictLoops) {
   const auto sc = rt::make_scenario(rt::Route::kBeijingTaiyuan, 250.0, 900.0);
   rem::common::Rng rng(41);
-  auto cells = rs::make_rail_deployment(sc.deployment, rng);
-  auto holes = rs::make_hole_segments(sc.deployment, rng);
-  rs::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rt::synthesize_policies(cells, sc.policy_mix, rng);
+  auto world = rt::make_world(sc, rng);
   rem::phy::LogisticBlerModel bler;
 
   // Exact pairwise conflict predicate over the synthesized policies.
-  const auto policy_cells = rt::to_policy_cells(cells, policies);
+  const auto policy_cells =
+      rt::to_policy_cells(world.env.cells(), world.legacy.policies);
   const auto conflicts = rm::find_two_cell_conflicts(policy_cells);
   std::set<std::pair<int, int>> conflict_pairs;
   for (const auto& c : conflicts) {
@@ -134,16 +125,15 @@ TEST(Integration, RemEliminatesConflictLoops) {
     return conflict_pairs.count({a, b}) > 0;
   };
 
-  rc::LegacyConfig lc;
-  lc.policies = policies;
-  rc::LegacyManager legacy(lc);
-  rs::Simulator s1(env, sc.sim, bler, rng.fork());
+  world.legacy.measurement = {};  // stock timers, not the route's TTTs
+  rc::LegacyManager legacy(world.legacy);
+  rs::Simulator s1(world.env, sc.sim, bler, rng.fork());
   const auto legacy_stats = s1.run(legacy, pair_fn);
 
   // REM's simplified policies are conflict-free (Theorem 2), so its
   // conflict predicate is empty by construction.
   rc::RemManager remm(rc::RemConfig{}, rng.fork());
-  rs::Simulator s2(env, sc.sim, bler, rng.fork());
+  rs::Simulator s2(world.env, sc.sim, bler, rng.fork());
   const auto rem_stats = s2.run(remm, [](int, int) { return false; });
 
   EXPECT_GT(legacy_stats.conflict_loop_episodes, 0);

@@ -1,10 +1,11 @@
 // rem::testkit correctness tooling: the InvariantChecker must stay silent
 // on well-formed runs (synthetic and end-to-end, fault-free and chaotic)
 // and must flag every class of malformed stream it claims to check. Also
-// covers the REM_TEST_SEEDS / REM_CHECK_INVARIANTS environment plumbing.
+// covers the REM_TEST_SEEDS / REM_BENCH_THREADS environment plumbing.
 #include "testkit/invariants.hpp"
 #include "testkit/seeds.hpp"
 
+#include "common/thread_pool.hpp"
 #include "scenario_runner.hpp"
 #include "sim/fleet.hpp"
 #include "testkit/golden.hpp"
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -311,8 +313,9 @@ TEST(InvariantCheckerEndToEnd, FaultFreeRunsAreViolationFree) {
     const double speed =
         route == rem::trace::Route::kLowMobilityLA ? 60.0 : 330.0;
     // run_seed throws std::logic_error on any violation.
-    const auto r = rem::bench::run_seed(route, speed, 60.0, 42,
-                                        /*run_rem=*/true, bler);
+    const auto r =
+        rem::bench::run_seed(rem::trace::make_scenario(route, speed, 60.0), 42,
+                             /*run_rem=*/true, bler);
     EXPECT_EQ(r.legacy.invariant_violations, 0);
     EXPECT_EQ(r.rem.invariant_violations, 0);
   }
@@ -320,43 +323,47 @@ TEST(InvariantCheckerEndToEnd, FaultFreeRunsAreViolationFree) {
 
 TEST(InvariantCheckerEndToEnd, MixedFaultRunsAreViolationFree) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
-  const auto r =
-      rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan, 250.0, 60.0,
-                           7, /*run_rem=*/true, bler, opts);
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                      250.0, 60.0);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", 60.0);
+  const auto r = rem::bench::run_seed(sc, 7, /*run_rem=*/true, bler);
   EXPECT_EQ(r.legacy.invariant_violations, 0);
   EXPECT_EQ(r.rem.invariant_violations, 0);
 }
 
 TEST(InvariantCheckerEndToEnd, CheckerDoesNotChangeResults) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions checked;
-  rem::bench::SeedRunOptions unchecked;
-  unchecked.check_invariants = false;
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto a = rem::bench::run_seed(route, 300.0, 60.0, 5, true, bler,
-                                      checked);
-  const auto b = rem::bench::run_seed(route, 300.0, 60.0, 5, true, bler,
-                                      unchecked);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 60.0);
+  const auto a = rem::bench::run_seed(sc, 5, true, bler);
+  // The same seed unchecked: make_world plus run_seed's fork order (legacy
+  // simulation, REM manager, REM simulation) with no observer attached.
+  rem::common::Rng rng(5);
+  const auto world = rem::trace::make_world(sc, rng);
+  rem::core::LegacyManager legacy(world.legacy);
+  rem::sim::Simulator legacy_sim(world.env, sc.sim, bler, rng.fork());
+  const auto b_legacy = legacy_sim.run(legacy);
+  rem::core::RemManager remm(rem::core::RemConfig{}, rng.fork());
+  rem::sim::Simulator rem_sim(world.env, sc.sim, bler, rng.fork());
+  const auto b_rem = rem_sim.run(remm);
   // Bit-identity on purpose: the observer draws no randomness.
-  EXPECT_EQ(a.legacy.handovers, b.legacy.handovers);
-  EXPECT_EQ(a.legacy.failures, b.legacy.failures);
-  EXPECT_EQ(a.legacy.outage_durations_s, b.legacy.outage_durations_s);
-  EXPECT_EQ(a.legacy.mean_throughput_bps, b.legacy.mean_throughput_bps);
-  EXPECT_EQ(a.rem.handovers, b.rem.handovers);
-  EXPECT_EQ(a.rem.failures, b.rem.failures);
-  EXPECT_EQ(a.rem.outage_durations_s, b.rem.outage_durations_s);
-  EXPECT_EQ(a.rem.mean_throughput_bps, b.rem.mean_throughput_bps);
+  EXPECT_EQ(a.legacy.handovers, b_legacy.handovers);
+  EXPECT_EQ(a.legacy.failures, b_legacy.failures);
+  EXPECT_EQ(a.legacy.outage_durations_s, b_legacy.outage_durations_s);
+  EXPECT_EQ(a.legacy.mean_throughput_bps, b_legacy.mean_throughput_bps);
+  EXPECT_EQ(a.rem.handovers, b_rem.handovers);
+  EXPECT_EQ(a.rem.failures, b_rem.failures);
+  EXPECT_EQ(a.rem.outage_durations_s, b_rem.outage_durations_s);
+  EXPECT_EQ(a.rem.mean_throughput_bps, b_rem.mean_throughput_bps);
 }
 
-// ---- Environment plumbing (REM_TEST_SEEDS / REM_CHECK_INVARIANTS) ----
+// ---- Environment plumbing (REM_TEST_SEEDS / REM_BENCH_THREADS) ----
 
 class SeedEnvTest : public ::testing::Test {
  protected:
   void TearDown() override {
     ::unsetenv("REM_TEST_SEEDS");
-    ::unsetenv("REM_CHECK_INVARIANTS");
+    ::unsetenv("REM_BENCH_THREADS");
   }
 };
 
@@ -387,15 +394,32 @@ TEST_F(SeedEnvTest, MalformedSpecFailsLoudly) {
   EXPECT_THROW(rem::testkit::property_seeds({1}), std::invalid_argument);
 }
 
-TEST_F(SeedEnvTest, InvariantKillSwitch) {
-  ::unsetenv("REM_CHECK_INVARIANTS");
-  EXPECT_TRUE(rem::testkit::invariants_enabled());
-  ::setenv("REM_CHECK_INVARIANTS", "0", 1);
-  EXPECT_FALSE(rem::testkit::invariants_enabled());
-  ::setenv("REM_CHECK_INVARIANTS", "off", 1);
-  EXPECT_FALSE(rem::testkit::invariants_enabled());
-  ::setenv("REM_CHECK_INVARIANTS", "1", 1);
-  EXPECT_TRUE(rem::testkit::invariants_enabled());
+TEST_F(SeedEnvTest, BenchThreadsDefaultsToHardwareWhenUnset) {
+  ::unsetenv("REM_BENCH_THREADS");
+  EXPECT_EQ(rem::testkit::bench_threads(),
+            rem::common::ThreadPool::default_threads());
+  ::setenv("REM_BENCH_THREADS", "", 1);
+  EXPECT_EQ(rem::testkit::bench_threads(),
+            rem::common::ThreadPool::default_threads());
+  ::setenv("REM_BENCH_THREADS", "3", 1);
+  EXPECT_EQ(rem::testkit::bench_threads(), 3u);
+}
+
+TEST_F(SeedEnvTest, BenchThreadsRejectsBadValuesNamingThem) {
+  for (const char* bad :
+       {"4x", "abc", "0", "-2", " 4", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("REM_BENCH_THREADS", bad, 1);
+    try {
+      (void)rem::testkit::bench_threads();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("REM_BENCH_THREADS"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos)
+          << msg;
+    }
+  }
 }
 
 // ---- Fleet invariants (testkit::fleet_invariant_report) ----

@@ -21,17 +21,15 @@
 
 namespace {
 
-using rem::bench::SeedRunOptions;
-
 constexpr double kDuration = 120.0;
 constexpr double kSpeed = 300.0;
 const auto kRoute = rem::trace::Route::kBeijingShanghai;
 
-SeedRunOptions chaos_opts() {
-  SeedRunOptions opts;
-  opts.faults = rem::testkit::golden_fault_preset("mixed", kDuration);
-  opts.collect_metrics = true;
-  return opts;
+/// kRoute at kSpeed for `duration_s` under the "mixed" golden fault preset.
+rem::trace::Scenario chaos_scenario(double duration_s = kDuration) {
+  auto sc = rem::trace::make_scenario(kRoute, kSpeed, duration_s);
+  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", duration_s);
+  return sc;
 }
 
 // Run one chaos seed with an explicit tracer attached (independent of the
@@ -48,27 +46,26 @@ const rem::phy::BlerModel& bler_model() {
   return bler;
 }
 
-TracedRun traced_chaos_run(std::uint64_t seed) {
-  auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDuration);
-  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", kDuration);
+/// One chaos seed's legacy run on make_world's world with `observer`
+/// attached. The legacy manager runs the stock measurement timers, not
+/// the route's TTTs.
+rem::sim::SimStats run_chaos_legacy(std::uint64_t seed,
+                                    rem::sim::SimObserver* observer) {
+  auto sc = chaos_scenario();
   rem::common::Rng rng(seed);
-  auto cells = rem::sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = rem::sim::make_hole_segments(sc.deployment, rng);
-  rem::sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
+  auto world = rem::trace::make_world(sc, rng);
+  world.legacy.measurement = {};
+  rem::core::LegacyManager legacy(world.legacy);
+  sc.sim.observer = observer;
+  rem::sim::Simulator s(world.env, sc.sim, bler_model(), rng.fork());
+  return s.run(legacy);
+}
 
-  rem::core::LegacyConfig lc;
-  lc.policies = policies;
-  rem::core::LegacyManager legacy(lc);
-
+TracedRun traced_chaos_run(std::uint64_t seed) {
   rem::obs::Registry registry;
   rem::obs::SpanTracer tracer(&registry);
-  rem::sim::SimConfig cfg = sc.sim;
-  cfg.observer = &tracer;
-  rem::sim::Simulator s(env, cfg, bler_model(), rng.fork());
-
   TracedRun out;
-  out.stats = s.run(legacy);
+  out.stats = run_chaos_legacy(seed, &tracer);
   out.metrics = registry.snapshot();
   out.spans = tracer.spans();
   out.mismatches = tracer.reconcile(out.stats);
@@ -167,20 +164,7 @@ TEST(SpanTracer, TraceJsonlHasOneObjectPerSpan) {
   rem::obs::Registry registry;
   rem::obs::SpanTracer tracer(&registry);
   std::ostringstream os;
-  auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDuration);
-  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", kDuration);
-  rem::common::Rng rng(3);
-  auto cells = rem::sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = rem::sim::make_hole_segments(sc.deployment, rng);
-  rem::sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  auto policies = rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
-  rem::core::LegacyConfig lc;
-  lc.policies = policies;
-  rem::core::LegacyManager legacy(lc);
-  rem::sim::SimConfig cfg = sc.sim;
-  cfg.observer = &tracer;
-  rem::sim::Simulator s(env, cfg, bler_model(), rng.fork());
-  (void)s.run(legacy);
+  (void)run_chaos_legacy(3, &tracer);
   tracer.write_trace_jsonl(os, "\"seed\": \"3\"");
 
   std::istringstream is(os.str());
@@ -220,10 +204,10 @@ TEST(SpanTracer, MetricsJsonRoundTripsThroughFile) {
 // metrics must be byte-identical for 1, 2, and 8 worker threads.
 TEST(ScenarioRunnerMetrics, ThreadCountInvariantSnapshots) {
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-  const auto opts = chaos_opts();
+  const rem::bench::SeedRunOptions opts{/*collect_metrics=*/true};
   const auto render = [&](std::size_t threads) {
-    const auto run = rem::bench::run_route_parallel(
-        kRoute, kSpeed, kDuration, seeds, true, threads, opts);
+    const auto run = rem::bench::run_route(chaos_scenario(), seeds, true,
+                                           threads, opts);
     std::ostringstream legacy_os, rem_os;
     rem::obs::write_metrics_json(run.legacy_metrics, legacy_os);
     rem::obs::write_metrics_json(run.rem_metrics, rem_os);
@@ -239,12 +223,10 @@ TEST(ScenarioRunnerMetrics, ThreadCountInvariantSnapshots) {
 // with metrics on equal those with metrics off.
 TEST(ScenarioRunnerMetrics, CollectionDoesNotPerturbStats) {
   const std::vector<std::uint64_t> seeds = {7};
-  auto opts = chaos_opts();
-  const auto with = rem::bench::run_route(kRoute, kSpeed, kDuration, seeds,
-                                          true, opts);
-  opts.collect_metrics = false;
-  const auto without = rem::bench::run_route(kRoute, kSpeed, kDuration,
-                                             seeds, true, opts);
+  const auto with = rem::bench::run_route(chaos_scenario(), seeds, true, 1,
+                                          {/*collect_metrics=*/true});
+  const auto without = rem::bench::run_route(chaos_scenario(), seeds, true, 1,
+                                             {/*collect_metrics=*/false});
   EXPECT_EQ(rem::testkit::diff_stats(with.legacy.total, without.legacy.total),
             "");
   EXPECT_EQ(rem::testkit::diff_stats(with.rem.total, without.rem.total), "");
@@ -267,18 +249,13 @@ TEST(SpanTracer, RejectsInterleavedUes) {
 TEST(SpanTracer, FleetDemuxedTracersReconcilePerUe) {
   // One tracer per UE behind the demux: each must reconcile against its
   // own UE's SimStats exactly, and every emitted trace line must carry
-  // that UE's id. Construction order matches bench/fleet_runner.hpp.
+  // that UE's id. Fork order matches bench::run_fleet_scenario.
   constexpr int kFleet = 3;
-  constexpr double kDur = 40.0;
-  auto sc = rem::trace::make_scenario(kRoute, kSpeed, kDur);
-  sc.sim.faults = rem::testkit::golden_fault_preset("mixed", kDur);
+  auto sc = chaos_scenario(40.0);
   sc.sim.fleet_size = kFleet;
 
   rem::common::Rng rng(9);
-  auto cells = rem::sim::make_rail_deployment(sc.deployment, rng);
-  auto holes = rem::sim::make_hole_segments(sc.deployment, rng);
-  rem::sim::RadioEnv env(cells, sc.propagation, rng.fork(), holes);
-  (void)rem::trace::synthesize_policies(cells, sc.policy_mix, rng);
+  const auto world = rem::trace::make_world(sc, rng);
   rem::common::Rng mgr_rng = rng.fork();
 
   rem::sim::UeObserverDemux demux;
@@ -289,7 +266,7 @@ TEST(SpanTracer, FleetDemuxedTracersReconcilePerUe) {
   }
   sc.sim.observer = &demux;
 
-  rem::sim::Simulator s(env, sc.sim, bler_model(), rng.fork());
+  rem::sim::Simulator s(world.env, sc.sim, bler_model(), rng.fork());
   const auto r =
       s.run_fleet([&](int) -> std::unique_ptr<rem::sim::MobilityManager> {
         return std::make_unique<rem::core::RemManager>(rem::core::RemConfig{},

@@ -210,6 +210,35 @@ TEST(ScenarioSchema, RejectsUnknownFaultKindAndPartialWindow) {
       });
 }
 
+TEST(ScenarioSchema, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // strtod accepts these spellings; the reader must not.
+  for (const char* v : {"inf", "-inf", "nan", "1e999"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>(
+        std::string("key 'duration_s': non-finite number '") + v + "'", [&] {
+          parse(minimal_json(std::string("  \"duration_s\": \"") + v +
+                             "\",\n"));
+        });
+  }
+  // 2^32 + 8 would wrap to 8 UEs through a long-to-int cast.
+  expect_throw_with<std::runtime_error>(
+      "key 'ue.count': integer out of range '4294967304'", [] {
+        parse(minimal_json("  \"ue.count\": \"4294967304\",\n"));
+      });
+  expect_throw_with<std::runtime_error>(
+      "key 'ue.count': integer out of range", [] {
+        parse(minimal_json("  \"ue.count\": \"99999999999999999999\",\n"));
+      });
+  // strtoull saturates at 2^64 - 1 instead of failing.
+  expect_throw_with<std::runtime_error>(
+      "key 'seed': integer out of range '18446744073709551616'", [] {
+        parse(minimal_json("  \"seed\": \"18446744073709551616\",\n"));
+      });
+  EXPECT_EQ(parse(minimal_json("  \"seed\": \"18446744073709551615\",\n"))
+                .seed,
+            18446744073709551615ull);
+}
+
 TEST(ScenarioCompile, RejectsWithScenarioNamedInContext) {
   // Overlapping scripted windows of the same kind: FaultInjector's own
   // validation fires, rewrapped with the scenario name prefixed.
@@ -346,15 +375,15 @@ TEST(ScenarioCompile, CompiledFleetRunBitIdenticalAcrossOneTwoEightThreads) {
   const auto compiled = scn::compile(spec);
 
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetScenarioRunOptions opts;
-  opts.record_events = true;
-  opts.context = "the determinism probe";
+  auto sc = compiled.scenario;
+  sc.sim.record_events = true;
   const std::vector<std::uint64_t> seeds = {61, 62, 63, 64};
   const auto batch = [&](std::size_t threads) {
     std::vector<rem::sim::FleetResult> out(seeds.size());
     rem::common::parallel_for(seeds.size(), threads, [&](std::size_t i) {
-      out[i] = rem::bench::run_fleet_scenario(compiled.scenario, seeds[i],
-                                              bler, opts);
+      out[i] = rem::bench::run_fleet_scenario(sc, seeds[i], bler,
+                                              /*use_rem=*/true,
+                                              {"the determinism probe"});
     });
     return out;
   };

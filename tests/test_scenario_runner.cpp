@@ -1,6 +1,6 @@
-// The seed-parallel scenario runner must produce output bit-identical to
-// the serial runner for the same seed list, independent of thread count:
-// every floating-point accumulation happens in merge_seed_results() in seed
+// The scenario runner must produce output bit-identical to its 1-thread
+// (serial) run for the same seed list, independent of thread count: every
+// floating-point accumulation happens in merge_seed_results() in seed
 // order, never in completion order.
 #include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
@@ -34,26 +34,23 @@ void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
 
 TEST(ScenarioRunner, ParallelIsBitIdenticalAcrossThreadCounts) {
   const std::vector<std::uint64_t> seeds = {3, 1, 7, 2};
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const double speed = 300.0, duration = 200.0;
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 200.0);
 
-  const auto serial =
-      rem::bench::run_route(route, speed, duration, seeds);
+  const auto serial = rem::bench::run_route(sc, seeds);
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto par = rem::bench::run_route_parallel(route, speed, duration,
-                                                    seeds, true, threads);
+    const auto par = rem::bench::run_route(sc, seeds, true, threads);
     expect_identical(serial, par);
   }
 }
 
 TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
   const std::vector<std::uint64_t> seeds = {11, 12, 13};
-  const auto route = rem::trace::Route::kBeijingTaiyuan;
-  const auto serial = rem::bench::run_route(route, 250.0, 150.0, seeds,
-                                            /*run_rem=*/false);
-  const auto par = rem::bench::run_route_parallel(route, 250.0, 150.0, seeds,
-                                                  /*run_rem=*/false, 3);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingTaiyuan, 250.0, 150.0);
+  const auto serial = rem::bench::run_route(sc, seeds, /*run_rem=*/false);
+  const auto par = rem::bench::run_route(sc, seeds, /*run_rem=*/false, 3);
   expect_identical(serial, par);
   EXPECT_EQ(par.rem.total.handovers, 0);
   EXPECT_TRUE(par.rem.throughput_bps.samples().empty());
@@ -62,11 +59,10 @@ TEST(ScenarioRunner, LegacyOnlyParallelMatchesSerial) {
 TEST(ScenarioRunner, MergeOrderFollowsSeedListNotCompletion) {
   // Two permutations of the same seed list must yield the same totals but
   // merge per-seed samples in their respective list orders.
-  const auto route = rem::trace::Route::kBeijingShanghai;
-  const auto ab = rem::bench::run_route_parallel(route, 300.0, 150.0, {5, 9},
-                                                 true, 2);
-  const auto ba = rem::bench::run_route_parallel(route, 300.0, 150.0, {9, 5},
-                                                 true, 2);
+  const auto sc = rem::trace::make_scenario(
+      rem::trace::Route::kBeijingShanghai, 300.0, 150.0);
+  const auto ab = rem::bench::run_route(sc, {5, 9}, true, 2);
+  const auto ba = rem::bench::run_route(sc, {9, 5}, true, 2);
   EXPECT_EQ(ab.legacy.total.handovers, ba.legacy.total.handovers);
   EXPECT_EQ(ab.legacy.total.failures, ba.legacy.total.failures);
   ASSERT_EQ(ab.legacy.throughput_bps.samples().size(),

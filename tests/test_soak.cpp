@@ -46,13 +46,12 @@ rs::FaultConfig random_everything() {
   return cfg;
 }
 
-/// Arm the cascade-resilience stack (load ads, breakers, storm jitter) on
-/// a fleet soak so those code paths run under the sanitizers too.
-void arm_resilience(rem::bench::FleetRunOptions& opts) {
-  opts.load_ad_staleness_s = 1.0;
-  opts.breaker_trip_k = 2;
-  opts.breaker_cooldown_s = 1.5;
-  opts.storm_jitter_frac = 0.5;
+/// A `duration_s` run of `route` at `speed_kmh` under random_everything().
+rem::trace::Scenario soak_scenario(rem::trace::Route route, double speed_kmh,
+                                   double duration_s) {
+  auto sc = rem::trace::make_scenario(route, speed_kmh, duration_s);
+  sc.sim.faults = random_everything();
+  return sc;
 }
 
 }  // namespace
@@ -63,13 +62,11 @@ TEST(ChaosSoak, RandomizedAllFaultScheduleHoldsInvariants) {
   // on any invariant violation, and the sanitizer builds catch memory
   // and data-race bugs the checker cannot see.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = random_everything();
+  const auto sc =
+      soak_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 50.0);
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const auto r =
-        rem::bench::run_seed(rem::trace::Route::kBeijingShanghai, 300.0,
-                             50.0, seed, true, bler, opts);
+    const auto r = rem::bench::run_seed(sc, seed, true, bler);
     // Minimal liveness: the runs simulated the full horizon and the BS
     // capacity model actually saw traffic under the fault mix.
     EXPECT_EQ(r.legacy.sim_time_s, 50.0);
@@ -82,12 +79,10 @@ TEST(ChaosSoak, RandomizedScheduleReplaysBitIdentically) {
   // Same seed, same spec: the randomized soak is still deterministic, so
   // a sanitizer hit here is reproducible by rerunning the same test.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::SeedRunOptions opts;
-  opts.faults = random_everything();
-  const auto a = rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 45.0, 5, true, bler, opts);
-  const auto b = rem::bench::run_seed(rem::trace::Route::kBeijingTaiyuan,
-                                      250.0, 45.0, 5, true, bler, opts);
+  const auto sc =
+      soak_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 45.0);
+  const auto a = rem::bench::run_seed(sc, 5, true, bler);
+  const auto b = rem::bench::run_seed(sc, 5, true, bler);
   EXPECT_EQ(rem::testkit::diff_stats(a.legacy, b.legacy), "");
   EXPECT_EQ(rem::testkit::diff_stats(a.rem, b.rem), "");
 }
@@ -96,21 +91,19 @@ TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
   // The fleet engine under the same everything-at-once chaos: N UEs
   // contending for BS slots and backhaul capacity while every fault kind
   // fires from seeded random schedules. One InvariantChecker per UE plus
-  // the fleet-level report (run_fleet_seed throws on either), under the
-  // sanitizer builds via scripts/check_soak.sh.
+  // the fleet-level report (run_fleet_scenario throws on either), under
+  // the sanitizer builds via scripts/check_soak.sh.
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetRunOptions opts;
-  opts.fleet_size = 8;
-  opts.faults = random_everything();
-  arm_resilience(opts);
+  auto sc = soak_scenario(rem::trace::Route::kBeijingShanghai, 300.0, 40.0);
+  sc.sim.fleet_size = 8;
+  // Arm the cascade-resilience stack (load ads, breakers, storm jitter) so
+  // those code paths run under the sanitizers too.
+  rem::testkit::arm_resilience(sc.sim);
   for (const std::uint64_t seed : {44ULL, 55ULL}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     for (bool use_rem : {false, true}) {
       SCOPED_TRACE(use_rem ? "rem" : "legacy");
-      opts.use_rem = use_rem;
-      const auto r =
-          rem::bench::run_fleet_seed(rem::trace::Route::kBeijingShanghai,
-                                     300.0, 40.0, seed, bler, opts);
+      const auto r = rem::bench::run_fleet_scenario(sc, seed, bler, use_rem);
       ASSERT_EQ(r.per_ue.size(), 8u);
       for (const auto& s : r.per_ue) EXPECT_EQ(s.sim_time_s, 40.0);
       EXPECT_GT(r.aggregate.bs_jobs_submitted, 0);
@@ -120,14 +113,11 @@ TEST(ChaosSoak, RandomizedAllFaultFleetHoldsInvariants) {
 
 TEST(ChaosSoak, RandomizedFleetReplaysBitIdentically) {
   rem::phy::LogisticBlerModel bler;
-  rem::bench::FleetRunOptions opts;
-  opts.fleet_size = 6;
-  opts.faults = random_everything();
-  arm_resilience(opts);
-  const auto a = rem::bench::run_fleet_seed(
-      rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0, 7, bler, opts);
-  const auto b = rem::bench::run_fleet_seed(
-      rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0, 7, bler, opts);
+  auto sc = soak_scenario(rem::trace::Route::kBeijingTaiyuan, 250.0, 30.0);
+  sc.sim.fleet_size = 6;
+  rem::testkit::arm_resilience(sc.sim);
+  const auto a = rem::bench::run_fleet_scenario(sc, 7, bler, true);
+  const auto b = rem::bench::run_fleet_scenario(sc, 7, bler, true);
   ASSERT_EQ(a.per_ue.size(), b.per_ue.size());
   for (std::size_t k = 0; k < a.per_ue.size(); ++k) {
     SCOPED_TRACE("ue " + std::to_string(k));
