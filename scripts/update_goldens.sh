@@ -6,6 +6,11 @@
 # commit it together with the change. test_golden_traces fails until the
 # committed digests match the code again.
 #
+# Such a change also moves the benchmark's output fingerprints: the ctest
+# perfbench_fingerprint fails until the pins in
+# scripts/check_perfbench_fingerprint.sh are refreshed as its header
+# describes (one fleet_bench run per workload, copy the fingerprint).
+#
 #   scripts/update_goldens.sh [build_dir]   # default: build/
 set -euo pipefail
 

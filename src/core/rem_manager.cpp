@@ -4,9 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace rem::core {
+namespace {
+
+/// The entry for `site` in a (site, value) list, or nullptr. Co-sited
+/// cells usually arrive back to back, so the search starts at the end.
+template <typename V>
+std::pair<int, V>* find_site(std::vector<std::pair<int, V>>& entries,
+                             int site) {
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it)
+    if (it->first == site) return &*it;
+  return nullptr;
+}
+
+}  // namespace
 
 void RemManager::on_serving_changed(double /*t*/, std::size_t /*new_idx*/) {
   entered_.clear();
@@ -32,33 +44,38 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // there is no multi-stage gating to miss a cell behind. Only the
   // strongest few sites are measured per cycle (bounded monitored set).
   visible_.clear();
-  std::map<int, double> site_strength;  // site -> best observed dd-SNR
+  site_strength_.clear();
   for (const auto& o : neighbors) {
-    visible_.insert(o.cell_idx);
-    auto [it, inserted] =
-        site_strength.try_emplace(o.id.base_station, o.dd_snr_db);
-    if (!inserted) it->second = std::max(it->second, o.dd_snr_db);
+    visible_.push_back(o.cell_idx);
+    auto* it = find_site(site_strength_, o.id.base_station);
+    if (it == nullptr)
+      site_strength_.push_back({o.id.base_station, o.dd_snr_db});
+    else
+      it->second = std::max(it->second, o.dd_snr_db);
   }
-  std::vector<std::pair<double, int>> ranked;  // (-snr, site)
-  ranked.reserve(site_strength.size());
-  for (const auto& [site, snr] : site_strength)
-    ranked.push_back({-snr, site});
-  std::sort(ranked.begin(), ranked.end());
-  if (ranked.size() > cfg_.max_measured_sites)
-    ranked.resize(cfg_.max_measured_sites);
-  std::set<int> measured;
-  for (const auto& [neg, site] : ranked) measured.insert(site);
-  std::vector<mobility::MeasureTask> tasks;
-  std::set<int> task_sites;
+  // Strongest sites first, ties to the lower site id.
+  ranked_.clear();
+  for (const auto& [site, snr] : site_strength_)
+    ranked_.push_back({-snr, site});
+  std::sort(ranked_.begin(), ranked_.end());
+  if (ranked_.size() > cfg_.max_measured_sites)
+    ranked_.resize(cfg_.max_measured_sites);
+  tasks_.clear();
   for (const auto& o : neighbors) {
-    if (measured.count(o.id.base_station) == 0) continue;
+    const int site = o.id.base_station;
+    const auto is_site = [&](const auto& r) { return r.second == site; };
+    if (std::none_of(ranked_.begin(), ranked_.end(), is_site)) continue;
     if (crossband) {
       // One measurement per site; siblings are estimated.
-      if (task_sites.insert(o.id.base_station).second)
-        tasks.push_back({o.id, o.id.channel == serving.id.channel});
+      const bool site_has_task =
+          std::any_of(tasks_.begin(), tasks_.end(), [&](const auto& task) {
+            return task.cell.base_station == site;
+          });
+      if (!site_has_task)
+        tasks_.push_back({o.id, o.id.channel == serving.id.channel});
     } else {
       // Ablation: every monitored cell costs its own measurement.
-      tasks.push_back({o.id, o.id.channel == serving.id.channel});
+      tasks_.push_back({o.id, o.id.channel == serving.id.channel});
     }
   }
 
@@ -82,14 +99,8 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // offset-sum condition as the winner.
   int second_target = -1;
   double second_metric = -1e9;
-  std::map<int, int> site_direct;  // site -> cell idx measured directly
-  // TTT-qualified candidates this tick, for the load-aware tie-break.
-  struct Qualified {
-    double metric;
-    std::size_t idx;
-    double load;
-  };
-  std::vector<Qualified> qualified;
+  site_direct_.clear();  // site -> cell idx measured directly
+  qualified_.clear();
   for (const auto& o : neighbors) {
     if (o.breaker_open) {
       // The circuit breaker tripped on this target: hidden from selection
@@ -98,16 +109,18 @@ std::optional<sim::HandoverDecision> RemManager::update(
       entered_.erase(o.id.cell);
       continue;
     }
-    auto [it, inserted] =
-        site_direct.try_emplace(o.id.base_station, static_cast<int>(o.cell_idx));
+    auto* direct = find_site(site_direct_, o.id.base_station);
+    if (direct == nullptr) {
+      site_direct_.push_back({o.id.base_station, o.cell_idx});
+      direct = &site_direct_.back();
+    }
     // Degraded mode swaps the stale delay-Doppler estimate for the fresh
     // direct measurement of the same cell.
     double snr = degraded_ ? o.snr_db : o.dd_snr_db;
     // A sibling of the measured cell is estimated (cross-band error);
     // with the ablation every monitored cell is measured directly, which
     // removed the error but paid per-cell measurement time above.
-    const bool is_estimated =
-        crossband && it->second != static_cast<int>(o.cell_idx);
+    const bool is_estimated = crossband && direct->second != o.cell_idx;
     if (is_estimated)
       snr += rng_.gaussian(0.0, cfg_.crossband_error_sigma_db);
     const double metric = policy_metric(snr, o.bandwidth_hz);
@@ -116,7 +129,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
     if (metric > threshold) {
       auto [e_it, e_inserted] = entered_.try_emplace(o.id.cell, t);
       if (t - e_it->second + 1e-12 >= cfg_.time_to_trigger_s) {
-        qualified.push_back({metric, o.cell_idx, o.advertised_load});
+        qualified_.push_back({metric, o.cell_idx, o.advertised_load});
         if (metric > best_metric) {
           if (best_target) {
             second_metric = best_metric;
@@ -147,13 +160,13 @@ std::optional<sim::HandoverDecision> RemManager::update(
   if (cfg_.load_tie_band_db > 0.0) {
     const double floor = best_metric - cfg_.load_tie_band_db;
     bool any_ad = false;
-    for (const auto& q : qualified)
+    for (const auto& q : qualified_)
       if (q.metric >= floor && q.load >= 0.0) any_ad = true;
     if (any_ad) {
       double sel_eff = 2.0;  // above any real utilization
       double sel_metric = -1e9;
       std::size_t sel_idx = *best_target;
-      for (const auto& q : qualified) {
+      for (const auto& q : qualified_) {
         if (q.metric < floor) continue;
         const double eff = q.load >= 0.0 ? q.load : 0.5;
         const bool better =
@@ -184,8 +197,8 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // monitored cell is measured the legacy way (sequentially, with gaps
   // for inter-frequency cells).
   d.feedback_delay_s =
-      crossband ? mobility::rem_feedback_delay_s(tasks, cfg_.measurement)
-                : mobility::legacy_feedback_delay_s(tasks, cfg_.measurement);
+      crossband ? mobility::rem_feedback_delay_s(tasks_, cfg_.measurement)
+                : mobility::legacy_feedback_delay_s(tasks_, cfg_.measurement);
   return d;
 }
 

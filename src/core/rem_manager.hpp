@@ -81,20 +81,39 @@ class RemManager final : public sim::MobilityManager {
   std::optional<sim::HandoverDecision> update(
       double t, const sim::ServingState& serving,
       const std::vector<sim::Observation>& neighbors) override;
-  std::set<std::size_t> visible_cells() const override { return visible_; }
+  std::set<std::size_t> visible_cells() const override {
+    return {visible_.begin(), visible_.end()};
+  }
   void on_serving_changed(double t, std::size_t new_idx) override;
   /// True while stale cross-band estimates forced the fallback to direct
   /// measurement (temporary use_crossband bypass).
   bool degraded_mode() const override { return degraded_; }
 
  private:
+  /// A TTT-qualified candidate of this tick (load-aware tie-break input).
+  struct Qualified {
+    double metric;
+    std::size_t idx;
+    double load;
+  };
+
   RemConfig cfg_;
   common::Rng rng_;
   bool degraded_ = false;
   double last_decision_t_ = -1e9;
   /// A3 entry timestamps per neighbor cell (TTT tracking).
   std::map<int, double> entered_;
-  std::set<std::size_t> visible_;
+  /// This tick's candidates (cell indices, ascending as observed).
+  std::vector<std::size_t> visible_;
+  // Per-update scratch, cleared at the top of update() and kept so a
+  // steady-state update allocates nothing. Sites are looked up by linear
+  // search: a tick sees a few dozen candidates on about half as many sites.
+  std::vector<std::pair<int, double>> site_strength_;  ///< site, best dd-SNR
+  /// (-dd-SNR, site), strongest first; cut to the sites measured.
+  std::vector<std::pair<double, int>> ranked_;
+  std::vector<mobility::MeasureTask> tasks_;
+  std::vector<std::pair<int, std::size_t>> site_direct_;  ///< site, cell idx
+  std::vector<Qualified> qualified_;
 };
 
 }  // namespace rem::core

@@ -4,21 +4,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <utility>
 
 namespace rem::sim {
 namespace {
 
+/// One AR(1) shadowing grid. While drawing it, records the largest value
+/// of each `block_steps`-step block into `block_max`; a block also takes
+/// the next block's first node, which interpolation reads from the
+/// block's last step.
 std::vector<double> ar1_grid(std::size_t steps, double sigma, double decorr,
-                             double step_m, common::Rng& rng) {
+                             double step_m, std::size_t block_steps,
+                             common::Rng& rng, std::vector<double>& block_max) {
   const double rho = std::exp(-step_m / decorr);
   const double innov = sigma * std::sqrt(1.0 - rho * rho);
   std::vector<double> grid(steps);
+  block_max.clear();
   double x = rng.gaussian(0.0, sigma);
-  for (std::size_t i = 0; i < steps; ++i) {
+  double m = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0, next = block_steps; i < steps; ++i) {
     grid[i] = x;
+    m = std::max(m, x);
+    if (i == next) {  // last node of this block, first of the next
+      block_max.push_back(m);
+      m = x;
+      next += block_steps;
+    }
     x = rho * x + rng.gaussian(0.0, innov);
   }
+  block_max.push_back(m);
+  // std::max passes over a NaN, but the recursion carries one to the last
+  // node; a NaN maximum there switches the reach bound off.
+  if (std::isnan(grid.back())) block_max.back() = grid.back();
   return grid;
 }
 
@@ -26,32 +45,94 @@ std::vector<double> ar1_grid(std::size_t steps, double sigma, double decorr,
 
 RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
                    common::Rng rng, std::vector<HoleSegment> holes)
-    : cells_(std::move(cells)), cfg_(cfg), holes_(std::move(holes)) {
-  for (const auto& c : cells_)
+    : cells_(std::move(cells)), cfg_(cfg) {
+  // Hole index. A segment whose start or end is NaN contains no position.
+  std::vector<std::pair<double, double>> spans;  // (start, end)
+  for (const auto& h : holes) {
+    const double end = h.start_m + h.length_m;
+    if (!std::isnan(h.start_m) && !std::isnan(end))
+      spans.push_back({h.start_m, end});
+  }
+  std::sort(spans.begin(), spans.end());
+  for (const auto& [start, end] : spans) {
+    hole_starts_.push_back(start);
+    hole_end_max_.push_back(
+        hole_end_max_.empty() ? end : std::max(hole_end_max_.back(), end));
+  }
+
+  const std::size_t n = cells_.size();
+  bool finite_geometry = true;
+  for (const auto& c : cells_) {
     track_len_m_ = std::max(track_len_m_, c.site_pos_m + 5000.0);
+    freq_loss_db_.push_back(20.0 * std::log10(c.carrier_hz / 2.0e9));
+    finite_geometry = finite_geometry && std::isfinite(c.site_pos_m) &&
+                      std::isfinite(c.site_offset_m);
+  }
   const auto steps =
       static_cast<std::size_t>(track_len_m_ / kShadowStep_m) + 2;
+  const std::size_t blocks = (steps - 1) / kBlockSteps + 1;
+
+  // Reach bound setup: cells in track order, and the per-cell part of the
+  // bound. Holes only add loss, so only a negative hole loss widens it.
+  const double exponent = cfg_.pathloss_exponent;
+  bounded_ = finite_geometry && std::isfinite(exponent) && exponent > 0.0 &&
+             !std::isnan(cfg_.hole_extra_loss_db);
+  const double hole_gain_db = std::max(0.0, -cfg_.hole_extra_loss_db);
+  by_pos_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) by_pos_[i] = i;
+  if (bounded_) {
+    std::sort(by_pos_.begin(), by_pos_.end(),
+              [&](std::size_t a, std::size_t b) {
+                return std::pair(cells_[a].site_pos_m, a) <
+                       std::pair(cells_[b].site_pos_m, b);
+              });
+    reach2_.assign(blocks * n, 0.0);
+    block_reach2_.assign(blocks, 0.0);
+  }
+  std::vector<std::size_t> rank(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    rank[by_pos_[k]] = k;
+    const Cell& c = cells_[by_pos_[k]];
+    sorted_pos_.push_back(c.site_pos_m);
+    sorted_off2_.push_back(c.site_offset_m * c.site_offset_m);
+  }
 
   // One shared shadowing process per physical site, plus a small
   // frequency-dependent residual per cell. Co-sited cells thus see nearly
   // identical large-scale dynamics — the physical basis of cross-band
   // estimation (§3.1's shared multipath).
   std::map<int, std::size_t> site_grid_index;
-  cell_site_grid_.resize(cells_.size());
-  cell_shadow_grids_.resize(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
+  std::vector<std::vector<double>> site_block_max;
+  std::vector<double> cell_block_max;
+  cell_site_grid_.resize(n);
+  cell_shadow_grids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const int site = cells_[i].id.base_station;
     auto [it, inserted] =
         site_grid_index.try_emplace(site, site_shadow_grids_.size());
     if (inserted) {
-      site_shadow_grids_.push_back(ar1_grid(steps, cfg_.shadowing_sigma_db,
-                                            cfg_.shadowing_decorr_m,
-                                            kShadowStep_m, rng));
+      site_block_max.emplace_back();
+      site_shadow_grids_.push_back(ar1_grid(
+          steps, cfg_.shadowing_sigma_db, cfg_.shadowing_decorr_m,
+          kShadowStep_m, kBlockSteps, rng, site_block_max.back()));
     }
     cell_site_grid_[i] = it->second;
-    cell_shadow_grids_[i] =
-        ar1_grid(steps, cfg_.per_cell_shadow_sigma_db,
-                 cfg_.per_cell_shadow_decorr_m, kShadowStep_m, rng);
+    cell_shadow_grids_[i] = ar1_grid(
+        steps, cfg_.per_cell_shadow_sigma_db, cfg_.per_cell_shadow_decorr_m,
+        kShadowStep_m, kBlockSteps, rng, cell_block_max);
+    if (!bounded_) continue;
+    const Cell& c = cells_[i];
+    const double budget_db = c.tx_power_dbm - cfg_.ref_loss_db -
+                             freq_loss_db_[i] + hole_gain_db + kReachMarginDb;
+    const auto& site_max = site_block_max[it->second];
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const double r2 = std::pow(
+          10.0, (budget_db + site_max[b] + cell_block_max[b]) /
+                    (5.0 * exponent));
+      bounded_ = bounded_ && !std::isnan(r2);
+      reach2_[b * n + rank[i]] = r2;
+      block_reach2_[b] = std::max(block_reach2_[b], r2);
+    }
   }
 }
 
@@ -73,15 +154,14 @@ double RadioEnv::shadowing_db(std::size_t cell_idx,
 }
 
 bool RadioEnv::position_in_hole(double track_pos_m) const {
-  for (const auto& h : holes_) {
-    if (track_pos_m >= h.start_m && track_pos_m < h.start_m + h.length_m)
-      return true;
-  }
-  return false;
+  const auto k = std::upper_bound(hole_starts_.begin(), hole_starts_.end(),
+                                  track_pos_m) -
+                 hole_starts_.begin();
+  return k > 0 && track_pos_m < hole_end_max_[static_cast<std::size_t>(k - 1)];
 }
 
-double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx,
-                               double track_pos_m) const {
+double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
+                               bool in_hole) const {
   const Cell& c = cells_[cell_idx];
   const double dx = track_pos_m - c.site_pos_m;
   const double d = std::max(
@@ -89,56 +169,89 @@ double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx,
   // Log-distance with a mild frequency term (higher carriers lose more).
   double pl = cfg_.ref_loss_db +
               10.0 * cfg_.pathloss_exponent * std::log10(d) +
-              20.0 * std::log10(c.carrier_hz / 2.0e9);
-  if (position_in_hole(track_pos_m)) pl += cfg_.hole_extra_loss_db;
+              freq_loss_db_[cell_idx];
+  if (in_hole) pl += cfg_.hole_extra_loss_db;
   return c.tx_power_dbm - pl + shadowing_db(cell_idx, track_pos_m);
-}
-
-double RadioEnv::instant_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
-                                  common::Rng& rng) const {
-  return mean_rsrp_dbm(cell_idx, track_pos_m) +
-         rng.gaussian(0.0, cfg_.fading_sigma_db);
-}
-
-double RadioEnv::dd_snr_db(std::size_t cell_idx, double track_pos_m,
-                           common::Rng& rng) const {
-  const double rsrp = mean_rsrp_dbm(cell_idx, track_pos_m) +
-                      rng.gaussian(0.0, cfg_.dd_residual_sigma_db);
-  return snr_db_from_rsrp(rsrp);
 }
 
 double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
   return rsrp_dbm - cfg_.noise_floor_dbm;
 }
 
-int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
-                        int exclude_idx) const {
+template <typename Visit>
+void RadioEnv::visit_reach(double track_pos_m, double floor_dbm,
+                           Visit&& visit) const {
+  const double scale =
+      std::pow(10.0, -floor_dbm / (5.0 * cfg_.pathloss_exponent));
+  if (!bounded_ || !std::isfinite(track_pos_m) || !std::isfinite(scale) ||
+      !(scale > 0.0)) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) visit(i);
+    return;
+  }
+  if (cells_.empty()) return;
+  // The block whose nodes sample_grid interpolates at this position.
+  const std::size_t steps = cell_shadow_grids_.front().size();
+  const auto i0 = static_cast<std::size_t>(std::clamp(
+      track_pos_m / kShadowStep_m, 0.0, static_cast<double>(steps - 1)));
+  const std::size_t block = i0 / kBlockSteps;
+  // No cell farther along the track than the block's widest reach can
+  // clear the floor; inside that span each cell checks its own bound.
+  const double reach = std::sqrt(block_reach2_[block] * scale);
+  const auto lo = std::lower_bound(sorted_pos_.begin(), sorted_pos_.end(),
+                                   track_pos_m - reach);
+  const auto hi =
+      std::upper_bound(lo, sorted_pos_.end(), track_pos_m + reach);
+  const double* reach2 = reach2_.data() + block * cells_.size();
+  for (auto k = static_cast<std::size_t>(lo - sorted_pos_.begin());
+       k < static_cast<std::size_t>(hi - sorted_pos_.begin()); ++k) {
+    const double dx = track_pos_m - sorted_pos_[k];
+    if (dx * dx + sorted_off2_[k] <= reach2[k] * scale) visit(by_pos_[k]);
+  }
+}
+
+void RadioEnv::cells_in_reach(double track_pos_m, double floor_dbm,
+                              std::vector<std::size_t>& out) const {
+  out.clear();
+  visit_reach(track_pos_m, floor_dbm,
+              [&](std::size_t i) { out.push_back(i); });
+  // Rail deployments number cells along the track, so track order
+  // already is index order there.
+  if (!std::is_sorted(out.begin(), out.end()))
+    std::sort(out.begin(), out.end());
+}
+
+template <typename Skip>
+int RadioEnv::best_cell_skipping(double track_pos_m, double min_rsrp_dbm,
+                                 Skip&& skip) const {
+  const bool in_hole = position_in_hole(track_pos_m);
   int best = -1;
   double best_rsrp = min_rsrp_dbm;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (static_cast<int>(i) == exclude_idx) continue;
-    const double r = mean_rsrp_dbm(i, track_pos_m);
-    if (r > best_rsrp) {
+  visit_reach(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
+    if (skip(i)) return;
+    const double r = mean_rsrp_dbm(i, track_pos_m, in_hole);
+    // Track order may reach a tied cell after a higher index: keep the
+    // lowest index among equals, as an ascending scan would.
+    const int idx = static_cast<int>(i);
+    if (r > best_rsrp || (r == best_rsrp && best >= 0 && idx < best)) {
       best_rsrp = r;
-      best = static_cast<int>(i);
+      best = idx;
     }
-  }
+  });
   return best;
 }
 
 int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
+                        int exclude_idx) const {
+  return best_cell_skipping(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
+    return static_cast<int>(i) == exclude_idx;
+  });
+}
+
+int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
                         const std::vector<char>& excluded) const {
-  int best = -1;
-  double best_rsrp = min_rsrp_dbm;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (i < excluded.size() && excluded[i]) continue;
-    const double r = mean_rsrp_dbm(i, track_pos_m);
-    if (r > best_rsrp) {
-      best_rsrp = r;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
+  return best_cell_skipping(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
+    return i < excluded.size() && excluded[i];
+  });
 }
 
 std::vector<Cell> make_rail_deployment(const DeploymentConfig& cfg,

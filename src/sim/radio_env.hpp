@@ -60,16 +60,38 @@ class RadioEnv {
   const PropagationConfig& config() const { return cfg_; }
 
   /// Deterministic mean RSRP (path loss + shadowing, no fast fading).
-  double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const;
+  double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const {
+    return mean_rsrp_dbm(cell_idx, track_pos_m, position_in_hole(track_pos_m));
+  }
+
+  /// The same mean with the coverage-hole test already made for this
+  /// position (`in_hole == position_in_hole(track_pos_m)`): a caller that
+  /// evaluates many cells at one position tests the holes once.
+  double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
+                       bool in_hole) const;
 
   /// Instantaneous RSRP with fast fading — what legacy feedback measures.
   double instant_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
-                          common::Rng& rng) const;
+                          common::Rng& rng) const {
+    return instant_rsrp_from_mean(mean_rsrp_dbm(cell_idx, track_pos_m), rng);
+  }
 
   /// Stable delay-Doppler SNR (dB): fading averaged over the grid, small
   /// residual only — what REM's overlay measures.
   double dd_snr_db(std::size_t cell_idx, double track_pos_m,
-                   common::Rng& rng) const;
+                   common::Rng& rng) const {
+    return dd_snr_from_mean(mean_rsrp_dbm(cell_idx, track_pos_m), rng);
+  }
+
+  /// instant_rsrp_dbm / dd_snr_db for a cell whose mean RSRP is already
+  /// known: one Gaussian draw each, the same doubles as the full calls.
+  double instant_rsrp_from_mean(double mean_dbm, common::Rng& rng) const {
+    return mean_dbm + rng.gaussian(0.0, cfg_.fading_sigma_db);
+  }
+  double dd_snr_from_mean(double mean_dbm, common::Rng& rng) const {
+    return snr_db_from_rsrp(mean_dbm +
+                            rng.gaussian(0.0, cfg_.dd_residual_sigma_db));
+  }
 
   /// SNR corresponding to a given RSRP on this cell.
   double snr_db_from_rsrp(double rsrp_dbm) const;
@@ -87,12 +109,23 @@ class RadioEnv {
   int best_cell(double track_pos_m, double min_rsrp_dbm,
                 const std::vector<char>& excluded) const;
 
+  /// Replaces `out` with the cells whose mean RSRP at this position could
+  /// reach `floor_dbm`, in ascending cell index: every cell with
+  /// `mean_rsrp_dbm(i, track_pos_m) >= floor_dbm` is in it, and every cell
+  /// left out is below the floor (some kept cells may be too). It costs a
+  /// binary search plus one multiply-compare per nearby cell, whatever the
+  /// route length. Returns every cell when no bound applies (non-positive
+  /// path-loss exponent, non-finite inputs).
+  void cells_in_reach(double track_pos_m, double floor_dbm,
+                      std::vector<std::size_t>& out) const;
+
   /// True if no usable cell covers this position (coverage hole).
   bool in_coverage_hole(double track_pos_m, double min_rsrp_dbm) const {
     return best_cell(track_pos_m, min_rsrp_dbm) < 0;
   }
 
-  /// True if the position lies in a hole segment.
+  /// True if the position lies in a hole segment (start inclusive, end
+  /// exclusive). Binary search over the segments sorted by start.
   bool position_in_hole(double track_pos_m) const;
 
  private:
@@ -101,16 +134,44 @@ class RadioEnv {
   double shadowing_db(std::size_t cell_idx, double track_pos_m) const;
   double sample_grid(const std::vector<double>& grid,
                      double track_pos_m) const;
+  /// Calls `visit(i)` for each cell cells_in_reach would return, in
+  /// position order (every cell, in index order, when unbounded).
+  template <typename Visit>
+  void visit_reach(double track_pos_m, double floor_dbm, Visit&& visit) const;
+  template <typename Skip>
+  int best_cell_skipping(double track_pos_m, double min_rsrp_dbm,
+                         Skip&& skip) const;
 
   std::vector<Cell> cells_;
   PropagationConfig cfg_;
-  std::vector<HoleSegment> holes_;
+  /// Hole segments sorted by start, with the running maximum of their
+  /// ends (start + length): a position is in a hole iff the largest end
+  /// among the segments starting at or before it lies beyond it.
+  std::vector<double> hole_starts_;
+  std::vector<double> hole_end_max_;
   /// Per-site and per-cell residual shadowing grids, step `kShadowStep_m`.
   std::vector<std::vector<double>> site_shadow_grids_;
   std::vector<std::vector<double>> cell_shadow_grids_;
   std::vector<std::size_t> cell_site_grid_;  ///< cell idx -> site grid idx
+  std::vector<double> freq_loss_db_;  ///< 20 log10(carrier / 2 GHz) per cell
   double track_len_m_ = 0.0;
   static constexpr double kShadowStep_m = 10.0;
+
+  // Reach bound (cells_in_reach). Mean RSRP is at most
+  //   tx - ref - freq + S_max - 10 n log10(d),
+  // with S_max the largest site + cell shadowing over the UE's 1 km block
+  // of the grids; solving for d turns "could reach floor F" into
+  //   dx^2 + offset^2 <= reach2 * 10^(-F / 5n).
+  static constexpr std::size_t kBlockSteps = 100;  ///< grid steps per block
+  static constexpr double kReachMarginDb = 0.01;   ///< rounding headroom
+  bool bounded_ = false;              ///< false: every cell is in reach
+  std::vector<std::size_t> by_pos_;   ///< cell indices sorted by site_pos_m
+  std::vector<double> sorted_pos_;    ///< site_pos_m in by_pos_ order
+  std::vector<double> sorted_off2_;   ///< site_offset_m^2 in by_pos_ order
+  /// 10^(bound_db / 5n) per (block, by_pos_ rank), block-major; the bound
+  /// covers every position whose interpolation reads the block's nodes.
+  std::vector<double> reach2_;
+  std::vector<double> block_reach2_;  ///< max of reach2_ over each block
 };
 
 /// Parameters for synthesizing a rail deployment.

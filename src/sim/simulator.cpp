@@ -124,6 +124,11 @@ struct UeContext {
   /// Per-target circuit breakers (one per cell), empty when
   /// SimConfig::breaker_trip_k == 0. Source-side state, so per-UE.
   std::vector<core::CircuitBreaker> breakers;
+  /// Policy-evaluation scratch, refilled every evaluation so a tick
+  /// allocates nothing: the cells in reach of the candidate floor and the
+  /// observations handed to the manager.
+  std::vector<std::size_t> reach;
+  std::vector<Observation> obs;
 };
 
 class FleetEngine;
@@ -1009,13 +1014,14 @@ class FleetEngine {
     // ---- Radio state ----
     const bool pilot_out = faults_.active(FaultKind::kPilotOutage, t);
     const double pilot_sigma = faults_.magnitude(FaultKind::kPilotOutage, t);
+    const bool in_hole = env_.position_in_hole(u.pos);
     ServingState sv;
     sv.cell_idx = static_cast<std::size_t>(u.serving);
     sv.id = env_.cells()[sv.cell_idx].id;
     const double sv_atten_db = blackout_db_ + crash_db(sv.cell_idx);
-    sv.rsrp_dbm =
-        env_.instant_rsrp_dbm(sv.cell_idx, u.pos, *u.rng) - sv_atten_db;
-    sv.dd_snr_db = env_.dd_snr_db(sv.cell_idx, u.pos, *u.rng) - sv_atten_db;
+    const double sv_mean = env_.mean_rsrp_dbm(sv.cell_idx, u.pos, in_hole);
+    sv.rsrp_dbm = env_.instant_rsrp_from_mean(sv_mean, *u.rng) - sv_atten_db;
+    sv.dd_snr_db = env_.dd_snr_from_mean(sv_mean, *u.rng) - sv_atten_db;
     sv.snr_db = env_.snr_db_from_rsrp(sv.rsrp_dbm);
     sv.bandwidth_hz = env_.cells()[sv.cell_idx].bandwidth_hz;
     u.cur_snr = sv.snr_db;
@@ -1038,7 +1044,7 @@ class FleetEngine {
     // ---- Handover execution completion (T304 window) ----
     if (u.exec && t >= u.exec->started_s + cfg_.ho_interruption_s) {
       const std::size_t target = u.exec->target_idx;
-      const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos) -
+      const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos, in_hole) -
                               blackout_db_ - crash_db(target);
       const double tgt_snr = env_.snr_db_from_rsrp(tgt_rsrp);
       if (tgt_snr >= cfg_.min_connect_snr_db) {
@@ -1336,18 +1342,23 @@ class FleetEngine {
     if (!u.exec && t >= u.suppress_until &&
         (!u.pending || u.pending->report_lost || u.pending->command_lost ||
          u.pending->prep_failed || u.pending->decision_shed)) {
-      std::vector<Observation> obs;
-      for (std::size_t i = 0; i < env_.cells().size(); ++i) {
+      // Only cells whose mean can clear the floor are visited, in
+      // ascending index; the skipped ones would fail the filter below and
+      // draw nothing, so the draws match a scan over every cell.
+      const double floor_dbm = cfg_.min_coverage_rsrp_dbm - 10.0;
+      env_.cells_in_reach(u.pos, floor_dbm, u.reach);
+      u.obs.clear();
+      for (const std::size_t i : u.reach) {
         if (i == sv.cell_idx) continue;
-        const double mean = env_.mean_rsrp_dbm(i, u.pos);
-        if (mean < cfg_.min_coverage_rsrp_dbm - 10.0) continue;
+        const double mean = env_.mean_rsrp_dbm(i, u.pos, in_hole);
+        if (mean < floor_dbm) continue;
         Observation o;
         o.cell_idx = i;
         o.id = env_.cells()[i].id;
         const double atten_db = blackout_db_ + crash_db(i);
-        o.rsrp_dbm = env_.instant_rsrp_dbm(i, u.pos, *u.rng) - atten_db;
+        o.rsrp_dbm = env_.instant_rsrp_from_mean(mean, *u.rng) - atten_db;
         o.snr_db = env_.snr_db_from_rsrp(o.rsrp_dbm);
-        o.dd_snr_db = env_.dd_snr_db(i, u.pos, *u.rng) - atten_db;
+        o.dd_snr_db = env_.dd_snr_from_mean(mean, *u.rng) - atten_db;
         if (pilot_out) {
           if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
           o.dd_snr_db += u.rng->gaussian(0.0, pilot_sigma);
@@ -1369,9 +1380,9 @@ class FleetEngine {
           o.breaker_open = true;
           ++u.stats.breaker_skips;
         }
-        obs.push_back(o);
+        u.obs.push_back(o);
       }
-      const auto decision = u.manager->update(t, sv, obs);
+      const auto decision = u.manager->update(t, sv, u.obs);
       if (decision) {
         log_event(u, t, EventKind::kMeasurementTriggered, u.serving,
                   static_cast<int>(decision->target_idx), sv.snr_db);

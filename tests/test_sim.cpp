@@ -2,13 +2,19 @@
 #include "sim/radio_env.hpp"
 #include "common/stats.hpp"
 #include "phy/bler_model.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "sim/tcp.hpp"
+#include "trace/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -150,6 +156,271 @@ TEST(RadioEnv, BestCellPicksNearest) {
   }
   ASSERT_GT(trials, 3);
   EXPECT_GE(hits * 10, trials * 7);  // >= 70% despite shadowing
+}
+
+// ---------- Hole index and reach window ----------
+
+namespace {
+
+/// A deployment numbered out of track order: ten sites whose first cells
+/// take indices in a shuffled site order, then second cells on every
+/// even site appended at the end, so co-sited cells are never adjacent.
+/// Carriers, offsets and powers vary per cell.
+std::vector<rs::Cell> shuffled_cells() {
+  const int site_order[] = {7, 2, 9, 0, 4, 8, 1, 6, 3, 5};
+  const double carriers[] = {1.835e9, 2.665e9, 0.874e9};
+  std::vector<rs::Cell> cells;
+  for (int k = 0; k < 10; ++k) {
+    const int site = site_order[k];
+    rs::Cell c;
+    c.id = {k, site, 1825};
+    c.site_pos_m = 400.0 + 850.0 * site;
+    c.site_offset_m = 60.0 + 37.0 * (k % 5);
+    c.carrier_hz = carriers[k % 3];
+    c.tx_power_dbm = 46.0 - 3.0 * (k % 2);
+    cells.push_back(c);
+  }
+  for (int k = 0; k < 10; ++k) {
+    if (site_order[k] % 2 != 0) continue;
+    rs::Cell c = cells[static_cast<std::size_t>(k)];
+    c.id = {static_cast<int>(cells.size()), site_order[k], 2452};
+    c.carrier_hz = carriers[(k + 1) % 3];
+    cells.push_back(c);
+  }
+  return cells;
+}
+
+/// Overlapping, nested, back-to-back and empty segments, listed unsorted.
+std::vector<rs::HoleSegment> tangled_holes() {
+  return {{5200.0, 300.0}, {1000.0, 500.0}, {1200.0, 100.0},
+          {1400.0, 400.0}, {5000.0, 300.0}, {3000.0, 0.0},
+          {6100.0, 150.0}, {6250.0, 150.0}};
+}
+
+/// Every 10 m from `from_m` to `to_m`, at floors -130/-120/-114 dBm:
+/// cells_in_reach is strictly ascending and holds every cell whose mean
+/// RSRP reaches the floor, and both best_cell overloads return what an
+/// ascending scan over every cell returns (the single-index overload
+/// excluding that scan's winner, the mask one every third cell). Returns
+/// the first mismatch, or "" when none. Callers start 1 m short of a
+/// 10 m shadowing-grid node, so every position interpolates toward the
+/// node on its right, the one a 1 km block shares with the next.
+std::string window_mismatch(const rs::RadioEnv& env, double from_m,
+                            double to_m) {
+  const std::size_t n = env.cells().size();
+  std::vector<double> mean(n);
+  std::vector<char> mask(n, 0);
+  for (std::size_t i = 0; i < n; i += 3) mask[i] = 1;
+  // Brute-force best_cell: ascending scan, strictly above the floor.
+  const auto scan = [&](double floor, auto skip) {
+    int best = -1;
+    double best_rsrp = floor;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (skip(i) || !(mean[i] > best_rsrp)) continue;
+      best_rsrp = mean[i];
+      best = static_cast<int>(i);
+    }
+    return best;
+  };
+  std::vector<std::size_t> window;
+  const auto steps = static_cast<long>((to_m - from_m) / 10.0);
+  for (long k = 0; k <= steps; ++k) {
+    const double x = from_m + 10.0 * static_cast<double>(k);
+    for (std::size_t i = 0; i < n; ++i) mean[i] = env.mean_rsrp_dbm(i, x);
+    for (double floor : {-130.0, -120.0, -114.0}) {
+      std::ostringstream at;
+      at << "x=" << x << " floor=" << floor << ": ";
+      env.cells_in_reach(x, floor, window);
+      for (std::size_t j = 1; j < window.size(); ++j)
+        if (!(window[j - 1] < window[j]))
+          return at.str() + "window not strictly ascending";
+      for (std::size_t i = 0; i < n; ++i)
+        if (mean[i] >= floor &&
+            !std::binary_search(window.begin(), window.end(), i))
+          return at.str() + "cell " + std::to_string(i) + " (mean " +
+                 std::to_string(mean[i]) + " dBm) missing from the window";
+      const int best = scan(floor, [](std::size_t) { return false; });
+      if (env.best_cell(x, floor) != best)
+        return at.str() + "best_cell != " + std::to_string(best);
+      const int second = scan(
+          floor, [&](std::size_t i) { return static_cast<int>(i) == best; });
+      if (env.best_cell(x, floor, best) != second)
+        return at.str() + "best_cell excluding " + std::to_string(best) +
+               " != " + std::to_string(second);
+      const int masked = scan(floor, [&](std::size_t i) { return mask[i]; });
+      if (env.best_cell(x, floor, mask) != masked)
+        return at.str() + "masked best_cell != " + std::to_string(masked);
+    }
+  }
+  return "";
+}
+
+rem::trace::World draw_world(const rem::trace::Scenario& sc,
+                             std::uint64_t seed) {
+  rem::common::Rng rng(seed);
+  return rem::trace::make_world(sc, rng);
+}
+
+/// A Beijing-Shanghai 340 km/h preset world: the route grows with the
+/// horizon (about 153 km and 243 cells at 1600 s).
+struct PresetWorld {
+  double route_len_m;
+  double candidate_floor_dbm;  ///< the policy loop's filter floor
+  rem::trace::World world;
+};
+
+/// World seeds for the presets; 5 is the hst_long_route benchmark's.
+constexpr std::uint64_t kPresetSeeds[] = {1, 2, 5};
+
+/// The preset world for a horizon and world seed, drawn once per binary.
+const PresetWorld& bs340_world(double horizon_s, std::uint64_t seed) {
+  static std::map<std::pair<double, std::uint64_t>, PresetWorld> cache;
+  auto it = cache.find({horizon_s, seed});
+  if (it == cache.end()) {
+    const auto sc = rem::trace::make_scenario(
+        rem::trace::Route::kBeijingShanghai, 340.0, horizon_s);
+    it = cache
+             .emplace(std::pair(horizon_s, seed),
+                      PresetWorld{sc.deployment.route_len_m,
+                                  sc.sim.min_coverage_rsrp_dbm - 10.0,
+                                  draw_world(sc, seed)})
+             .first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
+TEST(RadioEnv, PositionInHoleMatchesLinearScan) {
+  const std::vector<std::vector<rs::HoleSegment>> cases = {
+      {},
+      {{2000.0, 300.0}},
+      tangled_holes(),
+      {{500.0, 100.0}, {600.0, 100.0}, {650.0, 10.0}},  // back to back
+  };
+  rs::Cell cell;
+  cell.id = {0, 0, 1825};
+  for (const auto& holes : cases) {
+    SCOPED_TRACE(std::to_string(holes.size()) + " holes");
+    const rs::RadioEnv env({cell}, rs::PropagationConfig{},
+                           rem::common::Rng(1), holes);
+    const auto reference = [&](double x) {
+      for (const auto& h : holes)
+        if (x >= h.start_m && x < h.start_m + h.length_m) return true;
+      return false;
+    };
+    // Every metre from before the first hole to past the last, plus each
+    // segment's edges and the doubles either side of them.
+    std::vector<double> xs;
+    for (double x = -200.0; x <= 7000.0; x += 1.0) xs.push_back(x);
+    for (const auto& h : holes) {
+      for (double edge : {h.start_m, h.start_m + h.length_m}) {
+        xs.push_back(edge);
+        xs.push_back(std::nextafter(edge, -1e300));
+        xs.push_back(std::nextafter(edge, 1e300));
+      }
+    }
+    for (double x : xs)
+      ASSERT_EQ(env.position_in_hole(x), reference(x)) << "x=" << x;
+  }
+}
+
+TEST(RadioEnv, ReachWindowExactOnShuffledDeploymentWithTangledHoles) {
+  const rs::RadioEnv env(shuffled_cells(), rs::PropagationConfig{},
+                         rem::common::Rng(11), tangled_holes());
+  EXPECT_EQ(window_mismatch(env, -1001.0, 16000.0), "");
+}
+
+TEST(RadioEnv, ReachWindowHoldsEveryCellWithoutAPathLossBound) {
+  // A non-positive exponent leaves distance no say in the mean, so there
+  // is no reach to cut at; a NaN position or floor has no bound either.
+  const auto cells = shuffled_cells();
+  std::vector<std::size_t> window;
+  for (double exponent : {0.0, -1.5}) {
+    rs::PropagationConfig cfg;
+    cfg.pathloss_exponent = exponent;
+    const rs::RadioEnv env(cells, cfg, rem::common::Rng(12), tangled_holes());
+    env.cells_in_reach(2000.0, -114.0, window);
+    EXPECT_EQ(window.size(), cells.size()) << "exponent " << exponent;
+    EXPECT_EQ(window_mismatch(env, -501.0, 9000.0), "")
+        << "exponent " << exponent;
+  }
+  const rs::RadioEnv env(cells, rs::PropagationConfig{}, rem::common::Rng(13));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  env.cells_in_reach(nan, -120.0, window);
+  EXPECT_EQ(window.size(), cells.size());
+  env.cells_in_reach(2000.0, nan, window);
+  EXPECT_EQ(window.size(), cells.size());
+  // A NaN mean gets past the simulator's `mean < floor` filter, so a cell
+  // whose bound is NaN must leave every cell in the window.
+  auto odd = cells;
+  odd[3].tx_power_dbm = nan;
+  const rs::RadioEnv odd_env(odd, rs::PropagationConfig{},
+                             rem::common::Rng(14));
+  odd_env.cells_in_reach(2000.0, -120.0, window);
+  EXPECT_EQ(window.size(), cells.size());
+}
+
+TEST(RadioEnv, ReachWindowExactOnLibraryScenarioWorlds) {
+  namespace scn = rem::scenario;
+  const auto names = scn::list_scenario_names(REM_SCENARIO_DIR);
+  EXPECT_EQ(names.size(), 14u);
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    const auto compiled =
+        scn::compile(scn::load_scenario(REM_SCENARIO_DIR, name));
+    const auto world = draw_world(compiled.scenario, compiled.seed);
+    const double len = compiled.scenario.deployment.route_len_m;
+    EXPECT_EQ(window_mismatch(world.env, -1001.0, len + 1000.0), "");
+  }
+}
+
+TEST(RadioEnv, ReachWindowExactOnBeijingShanghaiPresets) {
+  for (double horizon : {100.0, 400.0, 1600.0}) {
+    for (std::uint64_t seed : kPresetSeeds) {
+      SCOPED_TRACE(std::to_string(horizon) + " s, world seed " +
+                   std::to_string(seed));
+      const auto& p = bs340_world(horizon, seed);
+      EXPECT_EQ(
+          window_mismatch(p.world.env, -1001.0, p.route_len_m + 1000.0), "");
+    }
+  }
+}
+
+TEST(RadioEnv, ReachWindowSizeDoesNotGrowWithRouteLength) {
+  // Deterministic counts, not timings: the mean window at the policy
+  // loop's floor, every 10 m along the route, on the 1600 s preset
+  // against the 400 s one (about 4x the route and the cells), and against
+  // the cells that actually clear the floor.
+  struct Means {
+    double window = 0.0;
+    double passing = 0.0;
+  };
+  const auto means = [](const PresetWorld& p) {
+    const auto& env = p.world.env;
+    std::vector<std::size_t> window;
+    Means m;
+    double positions = 0.0;
+    for (double x = 0.0; x < p.route_len_m; x += 10.0) {
+      env.cells_in_reach(x, p.candidate_floor_dbm, window);
+      m.window += static_cast<double>(window.size());
+      for (std::size_t i = 0; i < env.cells().size(); ++i)
+        m.passing += env.mean_rsrp_dbm(i, x) >= p.candidate_floor_dbm;
+      positions += 1.0;
+    }
+    m.window /= positions;
+    m.passing /= positions;
+    return m;
+  };
+  for (std::uint64_t seed : kPresetSeeds) {
+    SCOPED_TRACE("world seed " + std::to_string(seed));
+    const Means mid = means(bs340_world(400.0, seed));
+    const Means longest = means(bs340_world(1600.0, seed));
+    EXPECT_LE(longest.window, 1.35 * mid.window)
+        << "400 s window " << mid.window;
+    EXPECT_LE(longest.window, 2.0 * longest.passing)
+        << "1600 s passing " << longest.passing;
+  }
 }
 
 // ---------- Simulator entry points ----------
