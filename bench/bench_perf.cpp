@@ -1,23 +1,18 @@
 // DSP/runner performance trajectory: times the FFT plan cache against the
 // pre-cache implementation (re-deriving twiddles and Bluestein kernels per
 // call, as fft.cpp did before the plan cache), the in-place strided
-// SFFT/ISFFT against the old copy-per-row/column version, the batched SoA
-// estimator (estimate_batch) against a loop of estimate() calls, and the
+// SFFT/ISFFT against the old copy-per-row/column version, and the
 // seed-parallel scenario runner against the serial one. Results go to
-// BENCH_DSP.json (or argv[1]) so future PRs can track the numbers.
+// BENCH_DSP.json (or argv[1]) so future changes can track the numbers.
 //
 // Exit-code gates: run_route parallel/serial and metrics on/off statistics
-// must be bit-identical; the batched estimator must match the singles loop
-// within a relative 1e-10, make zero steady-state heap allocations, and (full runs
-// only) clear a >= 4x estimates/sec speedup at batch 64 single-threaded.
+// must be bit-identical. Every timing is reported, none is gated.
 //
 // Usage: bench_perf [--smoke] [output.json]   (run from the repo root so
 // the JSON lands next to README.md). --smoke shrinks every workload to a
-// few seconds for ctest (label `perf`) and skips the wall-clock speedup
-// gates — correctness/allocation gates still apply.
+// few seconds for ctest (label `perf`); the bit-identity gates still apply.
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "crossband/rem_svd.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
 #include "phy/otfs.hpp"
@@ -185,73 +180,6 @@ struct Entry {
   double speedup() const { return baseline_ns / cached_ns; }
 };
 
-// One shape's estimates/sec measurement (singles loop vs estimate_batch).
-struct EstResult {
-  std::string name;
-  double singles_eps = 0.0;   ///< estimates/sec, loop of estimate()
-  double batched_eps = 0.0;   ///< estimates/sec, estimate_batch, 1 thread
-  double max_abs_diff = 0.0;  ///< worst |h2 - h2_batch| entry across batch
-  double max_rel_diff = 0.0;  ///< max_abs_diff / max |h2| entry (singles)
-  std::size_t steady_allocs = 0;  ///< arena growths across the timed calls
-  double speedup() const { return batched_eps / singles_eps; }
-};
-
-EstResult bench_estimates(const std::string& name, std::size_t m,
-                          std::size_t n, std::size_t batch, std::size_t reps,
-                          rem::common::Rng& rng) {
-  std::vector<rem::crossband::CrossbandInput> inputs(batch);
-  for (auto& in : inputs) {
-    in.h1_dd = random_grid(m, n, rng);
-    in.h1_tf = rem::dsp::Matrix(m, n);
-    in.num = rem::phy::Numerology::lte(m, n);
-    in.f1_hz = 1.88e9;
-    in.f2_hz = 2.6e9;
-  }
-
-  EstResult r;
-  r.name = name;
-
-  rem::crossband::RemSvdEstimator singles;
-  std::vector<rem::crossband::CrossbandOutput> singles_out(batch);
-  const double singles_ns = time_ns_per_op(reps, [&] {
-    for (std::size_t i = 0; i < batch; ++i)
-      singles_out[i] = singles.estimate(inputs[i]);
-  });
-
-  rem::crossband::RemSvdEstimator batched;  // batch_threads defaults to 1
-  std::vector<rem::crossband::CrossbandOutput> batched_out(batch);
-  // Two warm calls: the first grows the arena chunk by chunk, the second's
-  // reset() coalesces to the high-water chunk. From then on the arena
-  // grow count must stay flat — that delta is the zero-allocation gate.
-  batched.estimate_batch(inputs, batched_out);
-  batched.estimate_batch(inputs, batched_out);
-  const std::size_t grows_before = batched.arena_grows();
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < reps; ++i)
-    batched.estimate_batch(inputs, batched_out);
-  const auto t1 = Clock::now();
-  const double batched_ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count() /
-      static_cast<double>(reps);
-  r.steady_allocs = batched.arena_grows() - grows_before;
-
-  // Match is gated on the diff relative to the largest singles |h2| entry:
-  // the entries themselves are O(gain), so an absolute 1e-10 bar would
-  // tighten or loosen with the random channel draw.
-  double max_entry = 0.0;
-  for (std::size_t i = 0; i < batch; ++i) {
-    r.max_abs_diff =
-        std::max(r.max_abs_diff, rem::dsp::Matrix::max_abs_diff(
-                                     singles_out[i].h2, batched_out[i].h2));
-    for (const auto& x : singles_out[i].h2.data())
-      max_entry = std::max(max_entry, std::abs(x));
-  }
-  r.max_rel_diff = r.max_abs_diff / (max_entry + 1e-300);
-  r.singles_eps = 1e9 * static_cast<double>(batch) / singles_ns;
-  r.batched_eps = 1e9 * static_cast<double>(batch) / batched_ns;
-  return r;
-}
-
 bool runs_equal(const rem::bench::ScenarioRun& a,
                 const rem::bench::ScenarioRun& b) {
   return rem::testkit::diff_stats(a.legacy.total, b.legacy.total).empty() &&
@@ -274,8 +202,7 @@ int main(int argc, char** argv) {
   if (out_path.empty())
     out_path = smoke ? "BENCH_DSP.smoke.json" : "BENCH_DSP.json";
   // Every timing below is scaled down by --smoke so a full run of the
-  // binary fits in a ctest slot; wall-clock gates are skipped in smoke
-  // mode (bit-identity / match / allocation gates are not).
+  // binary fits in a ctest slot.
   const std::size_t iter_div = smoke ? 10 : 1;
   rem::common::Rng rng(7);
   std::vector<Entry> entries;
@@ -334,40 +261,6 @@ int main(int argc, char** argv) {
     entries.push_back({g.name, base_ns, cached_ns});
     std::printf("%-28s baseline %10.0f ns  cached %10.0f ns  %5.2fx\n",
                 g.name.c_str(), base_ns, cached_ns, base_ns / cached_ns);
-  }
-
-  // --- Batched estimator: estimate_batch vs loop of estimate() ------------
-  // The tentpole gate: at batch 64, single-threaded, the SoA pipeline
-  // (BatchMatrix pack + svd_batch + split-plane extraction, zero steady
-  // allocations) must clear kEstGate x the throughput of looping the
-  // scalar estimator, with matching results.
-  constexpr double kEstGate = 4.0;
-  struct EstCase {
-    std::string name;
-    std::size_t m, n, reps;
-  };
-  const std::vector<EstCase> est_cases = {
-      {"est_12x14", 12, 14, 40},
-      {"est_64x16", 64, 16, 6},
-      {"est_128x64", 128, 64, 2},
-  };
-  const std::size_t est_batch = smoke ? 8 : 64;
-  std::vector<EstResult> est_results;
-  bool est_match_ok = true;
-  bool est_alloc_ok = true;
-  bool est_gate_ok = true;
-  for (const auto& c : est_cases) {
-    const std::size_t reps = std::max<std::size_t>(1, c.reps / iter_div);
-    const auto r = bench_estimates(c.name, c.m, c.n, est_batch, reps, rng);
-    est_match_ok = est_match_ok && r.max_rel_diff <= 1e-10;
-    est_alloc_ok = est_alloc_ok && r.steady_allocs == 0;
-    if (!smoke) est_gate_ok = est_gate_ok && r.speedup() >= kEstGate;
-    std::printf(
-        "%-28s singles %9.1f est/s  batched %9.1f est/s  %5.2fx  "
-        "reldiff %.2e  steady allocs %zu\n",
-        r.name.c_str(), r.singles_eps, r.batched_eps, r.speedup(),
-        r.max_rel_diff, r.steady_allocs);
-    est_results.push_back(r);
   }
 
   // --- Scenario runner: serial vs seed-parallel ---------------------------
@@ -440,25 +333,6 @@ int main(int argc, char** argv) {
        << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   js << "  },\n";
-  js << "  \"estimates_per_sec\": {\n";
-  js << "    \"hardware_threads\": " << hw_threads << ",\n";
-  js << "    \"batch\": " << est_batch << ",\n";
-  js << "    \"batch_threads\": 1,\n";
-  js << "    \"gate_min_speedup\": " << kEstGate << ",\n";
-  js << "    \"gate_enforced\": " << (smoke ? "false" : "true") << ",\n";
-  for (const auto& r : est_results) {
-    js << "    \"" << r.name << "\": {\"singles_eps\": " << r.singles_eps
-       << ", \"batched_eps\": " << r.batched_eps
-       << ", \"speedup\": " << r.speedup()
-       << ", \"max_abs_diff\": " << r.max_abs_diff
-       << ", \"max_rel_diff\": " << r.max_rel_diff
-       << ", \"steady_state_allocs\": " << r.steady_allocs << "},\n";
-  }
-  js << "    \"match_rel_1e10\": " << (est_match_ok ? "true" : "false")
-     << ",\n";
-  js << "    \"zero_alloc\": " << (est_alloc_ok ? "true" : "false") << ",\n";
-  js << "    \"gate_passed\": " << (est_gate_ok ? "true" : "false") << "\n";
-  js << "  },\n";
   js << "  \"run_route\": {\"hardware_threads\": " << hw_threads
      << ", \"seeds\": " << seeds.size()
      << ", \"duration_s\": " << duration_s
@@ -476,13 +350,9 @@ int main(int argc, char** argv) {
      << (metrics_identical ? "true" : "false") << "}\n";
   js << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  const bool ok = identical && metrics_identical && est_match_ok &&
-                  est_alloc_ok && est_gate_ok;
+  const bool ok = identical && metrics_identical;
   if (!ok)
-    std::printf(
-        "GATE FAILED: run_route_identical=%d metrics_identical=%d "
-        "est_match=%d est_zero_alloc=%d est_speedup_gate=%d\n",
-        identical, metrics_identical, est_match_ok, est_alloc_ok,
-        est_gate_ok);
+    std::printf("GATE FAILED: run_route_identical=%d metrics_identical=%d\n",
+                identical, metrics_identical);
   return ok ? 0 : 1;
 }

@@ -2,7 +2,11 @@
 # Documentation lint, wired into ctest under the `docs` label:
 #   1. every intra-repo markdown link (relative path, not http/mailto/#)
 #      in the top-level *.md files must point at an existing file;
-#   2. every public header in src/obs must carry a file-top comment and a
+#   2. SCENARIOS.md and scenarios/*.json name the same scenarios;
+#   3. DESIGN.md's fault-kind table and fault_kind_name() agree;
+#   4. OBSERVABILITY.md's kernel-timer table and the obs::kernel_timer()
+#      calls in src/ agree;
+#   5. every public header in src/obs must carry a file-top comment and a
 #      doc comment on each top-level class/struct, so the observability
 #      API cannot drift undocumented.
 # Exits non-zero listing every violation; prints nothing on success
@@ -94,7 +98,40 @@ if [ -f DESIGN.md ] && [ -f src/sim/fault_injector.cpp ]; then
   done
 fi
 
-# --- 4. doc comments on src/obs public headers -----------------------------
+# --- 4. OBSERVABILITY.md kernel-timer table <-> obs::kernel_timer() -------
+# Both directions, like the fault-kind lint: every timer src/ registers
+# with obs::kernel_timer("<name>") has a `` `name` `` row in the "Kernel
+# timers" table, and every dsp.*, phy.* or crossband.* *_ns row there names
+# a timer src/ registers. grep -z lets a call wrapped after the '(' match.
+if [ -f OBSERVABILITY.md ]; then
+  code_timers=$(grep -rhozE 'kernel_timer\([[:space:]]*"[a-z0-9_.]+"' src |
+    tr '\0' '\n' | sed -n 's/.*"\([a-z0-9_.]*\)"$/\1/p' | sort -u)
+  if [ -z "$code_timers" ]; then
+    echo "KERNEL TIMER LINT BROKEN: no obs::kernel_timer(\"...\") calls found in src/"
+    fail=1
+  fi
+  doc_timers=$(awk '/^### Kernel timers/ { on = 1; next } /^#/ { on = 0 } on' \
+    OBSERVABILITY.md | grep -o '^| `[a-z0-9_.]*`' | sed 's/^| `//; s/`$//' |
+    sort -u)
+  for timer in $code_timers; do
+    if ! printf '%s\n' "$doc_timers" | grep -qx "$timer"; then
+      echo "UNDOCUMENTED KERNEL TIMER: src/ registers obs::kernel_timer(\"$timer\") but OBSERVABILITY.md's Kernel timers table has no \`$timer\` row"
+      fail=1
+    fi
+  done
+  for timer in $doc_timers; do
+    case "$timer" in
+      dsp.*_ns|phy.*_ns|crossband.*_ns)
+        if ! printf '%s\n' "$code_timers" | grep -qx "$timer"; then
+          echo "STALE KERNEL TIMER ROW: OBSERVABILITY.md documents \`$timer\` but no obs::kernel_timer() call in src/ registers it"
+          fail=1
+        fi
+        ;;
+    esac
+  done
+fi
+
+# --- 5. doc comments on src/obs public headers -----------------------------
 for hdr in src/obs/*.hpp; do
   if ! head -n 1 "$hdr" | grep -q '^//'; then
     echo "MISSING FILE COMMENT: $hdr must open with a // comment block"
@@ -118,4 +155,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + src/obs header docs)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs)"

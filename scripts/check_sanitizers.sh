@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build and run the full ctest suite under ASan+UBSan and under TSan —
-# including test_dsp_batch and the bench_perf --smoke perf label, so the
-# batched SoA kernels (sfft_batch/svd_batch/estimate_batch and their
-# arena) run instrumented on every sanitizer pass.
+# including the DSP tests (test_fft_plan, test_matrix_svd, test_prony,
+# test_crossband) and the bench_perf --smoke perf label, so the FFT plan
+# cache, the Jacobi SVD and Algorithm 1 run instrumented on every
+# sanitizer pass.
 #
 #   scripts/check_sanitizers.sh            # both presets
 #   scripts/check_sanitizers.sh asan-ubsan # just address,undefined

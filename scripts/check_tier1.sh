@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The pre-commit loop: configure, build, and run the tier-1 test suite
 # plus the documentation lint (check_docs.sh, ctest label `docs`), the
-# perf smoke (`bench_perf --smoke`, label `perf`, which exercises the
-# batched DSP kernels and their correctness/allocation gates), the fleet
+# perf smoke (`bench_perf --smoke`, label `perf`: shrunk FFT/SFFT timings
+# and the run_route bit-identity gates), the fleet
 # determinism layer (label `fleet`: multi-UE engine pinned against the
 # single-UE simulator and across thread counts), and the golden corpus
 # replay (label `golden`, a few seconds: any digest drift fails here) —

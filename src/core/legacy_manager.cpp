@@ -1,6 +1,6 @@
 #include "core/legacy_manager.hpp"
 
-#include <cmath>
+#include "core/load_tie_break.hpp"
 
 namespace rem::core {
 
@@ -86,12 +86,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
 
   std::optional<sim::HandoverDecision> decision;
   // Handover rules that fired this tick, for the load-aware tie-break.
-  struct Fired {
-    double metric;
-    std::size_t idx;
-    double load;
-  };
-  std::vector<Fired> fired;
+  std::vector<LoadCandidate> fired;
   for (std::size_t r = 0; r < policy.rules.size(); ++r) {
     const auto& rule = policy.rules[r];
     if (rule.stage != stage_) continue;
@@ -149,44 +144,11 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     }
   }
 
-  // Load-aware tie-breaking (cascade resilience): among this tick's fired
-  // handover candidates within load_tie_band_db RSRP of the chosen target,
-  // take the lowest advertised load; ties fall back to the stronger RSRP,
-  // then the lower cell index. Only a known ad in the band can move the
-  // choice, so runs without load advertisement keep the first-firing-rule
-  // winner bit-for-bit.
-  if (decision && !fired.empty() && cfg_.load_tie_band_db > 0.0) {
-    const double floor = fired.front().metric - cfg_.load_tie_band_db;
-    bool any_ad = false;
-    for (const auto& f : fired)
-      if (f.metric >= floor && f.load >= 0.0) any_ad = true;
-    if (any_ad) {
-      double sel_eff = 2.0;
-      double sel_metric = -1e9;
-      std::size_t sel_idx = decision->target_idx;
-      for (const auto& f : fired) {
-        if (f.metric < floor) continue;
-        const double eff = f.load >= 0.0 ? f.load : 0.5;
-        const bool better =
-            eff < sel_eff - 1e-9 ||
-            (std::abs(eff - sel_eff) <= 1e-9 &&
-             (f.metric > sel_metric ||
-              (f.metric == sel_metric && f.idx < sel_idx)));
-        if (better) {
-          sel_eff = eff;
-          sel_metric = f.metric;
-          sel_idx = f.idx;
-        }
-      }
-      if (sel_idx != decision->target_idx) {
-        if (decision->fallback_idx == static_cast<int>(sel_idx))
-          decision->fallback_idx = static_cast<int>(decision->target_idx);
-        decision->target_idx = sel_idx;
-      }
-    }
-  }
-
   if (decision) {
+    // Load-aware tie-breaking among this tick's fired handover candidates,
+    // banded around the first-firing (chosen) target's RSRP.
+    load_aware_tie_break(fired, fired.front().metric, cfg_.load_tie_band_db,
+                         *decision);
     last_decision_t_ = t;
     // A decision re-arms the triggers so a lost report can re-fire after
     // the re-fire interval.

@@ -151,48 +151,13 @@ std::optional<sim::HandoverDecision> RemManager::update(
   if (t - last_decision_t_ < cfg_.refire_interval_s) return std::nullopt;
   last_decision_t_ = t;
 
-  // Load-aware tie-breaking (cascade resilience): among TTT-qualified
-  // candidates within load_tie_band_db of the winner's metric, take the
-  // lowest advertised control-plane load; ties fall back to the higher
-  // metric, then the lower cell index — all draw-free. Only a known ad in
-  // the band can move the choice, so runs without load advertisement keep
-  // the pure-metric winner bit-for-bit.
-  if (cfg_.load_tie_band_db > 0.0) {
-    const double floor = best_metric - cfg_.load_tie_band_db;
-    bool any_ad = false;
-    for (const auto& q : qualified_)
-      if (q.metric >= floor && q.load >= 0.0) any_ad = true;
-    if (any_ad) {
-      double sel_eff = 2.0;  // above any real utilization
-      double sel_metric = -1e9;
-      std::size_t sel_idx = *best_target;
-      for (const auto& q : qualified_) {
-        if (q.metric < floor) continue;
-        const double eff = q.load >= 0.0 ? q.load : 0.5;
-        const bool better =
-            eff < sel_eff - 1e-9 ||
-            (std::abs(eff - sel_eff) <= 1e-9 &&
-             (q.metric > sel_metric ||
-              (q.metric == sel_metric && q.idx < sel_idx)));
-        if (better) {
-          sel_eff = eff;
-          sel_metric = q.metric;
-          sel_idx = q.idx;
-        }
-      }
-      if (sel_idx != *best_target) {
-        // The displaced metric winner is still the best-qualified
-        // fallback; avoid a fallback equal to the new target.
-        if (second_target == static_cast<int>(sel_idx))
-          second_target = static_cast<int>(*best_target);
-        best_target = sel_idx;
-      }
-    }
-  }
-
   sim::HandoverDecision d;
   d.target_idx = *best_target;
   d.fallback_idx = second_target;
+  // Load-aware tie-breaking among the TTT-qualified candidates: every
+  // in-band candidate already cleared the coordinated A3 threshold, so
+  // Theorem 2 holds for whichever wins.
+  load_aware_tie_break(qualified_, best_metric, cfg_.load_tie_band_db, d);
   // Without cross-band estimation (ablation or degraded fallback) every
   // monitored cell is measured the legacy way (sequentially, with gaps
   // for inter-frequency cells).

@@ -4,6 +4,7 @@
 // conflict-free A3 policy (§5.3), and OTFS-carried signaling (§5.1).
 #pragma once
 
+#include "core/load_tie_break.hpp"
 #include "mobility/measurement.hpp"
 #include "sim/simulator.hpp"
 
@@ -90,13 +91,6 @@ class RemManager final : public sim::MobilityManager {
   bool degraded_mode() const override { return degraded_; }
 
  private:
-  /// A TTT-qualified candidate of this tick (load-aware tie-break input).
-  struct Qualified {
-    double metric;
-    std::size_t idx;
-    double load;
-  };
-
   RemConfig cfg_;
   common::Rng rng_;
   bool degraded_ = false;
@@ -113,7 +107,8 @@ class RemManager final : public sim::MobilityManager {
   std::vector<std::pair<double, int>> ranked_;
   std::vector<mobility::MeasureTask> tasks_;
   std::vector<std::pair<int, std::size_t>> site_direct_;  ///< site, cell idx
-  std::vector<Qualified> qualified_;
+  /// This tick's TTT-qualified candidates (load-aware tie-break input).
+  std::vector<LoadCandidate> qualified_;
 };
 
 }  // namespace rem::core

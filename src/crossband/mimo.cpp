@@ -1,18 +1,14 @@
 #include "crossband/mimo.hpp"
 
-#include <span>
-
 namespace rem::crossband {
 
 MimoOutput MimoRemEstimator::estimate(const MimoInput& in) {
   MimoOutput out;
-  // All antennas share the grid shape, so one batched call factorizes them
-  // in a single block-swept Jacobi pass (per-antenna results identical to
-  // looping estimate()).
   RemSvdEstimator est(cfg_);
-  out.per_antenna =
-      est.estimate_batch(std::span<const CrossbandInput>(in.antennas));
-  for (const auto& o : out.per_antenna) out.mrc_gain += o.mean_gain;
+  for (const auto& antenna : in.antennas) {
+    out.per_antenna.push_back(est.estimate(antenna));
+    out.mrc_gain += out.per_antenna.back().mean_gain;
+  }
   return out;
 }
 

@@ -15,9 +15,7 @@
 #pragma once
 
 #include "crossband/estimator.hpp"
-#include "dsp/arena.hpp"
 
-#include <span>
 #include <vector>
 
 namespace rem::crossband {
@@ -28,10 +26,6 @@ struct RemSvdConfig {
   std::size_t max_paths = 0;
   /// Relative singular-value cutoff for auto rank selection.
   double energy_cutoff = 0.05;
-  /// Worker threads for estimate_batch (1 = serial on the calling thread).
-  /// Results are bit-identical for any value: inputs are sharded
-  /// contiguously and every output is written to its input-order slot.
-  std::size_t batch_threads = 1;
 };
 
 /// Per-path parameters extracted from one singular triplet.
@@ -48,34 +42,12 @@ class RemSvdEstimator final : public CrossbandEstimator {
   CrossbandOutput estimate(const CrossbandInput& in) override;
   std::string name() const override { return "REM"; }
 
-  /// Batched Algorithm 1: same per-input semantics as estimate(), but the
-  /// whole span runs through the SoA batch pipeline (BatchMatrix pack,
-  /// svd_batch, split-plane triplet extraction) with per-shard arenas, so
-  /// steady-state calls are allocation-free (assert via arena_grows()).
-  /// Mixed shapes are grouped by (rows, cols); inputs with an empty h1_dd
-  /// are rejected with std::invalid_argument naming the offending index.
-  /// Deterministic: outputs land in input order and are bit-identical for
-  /// any cfg.batch_threads. last_paths() reflects the final input.
-  std::vector<CrossbandOutput> estimate_batch(
-      std::span<const CrossbandInput> in);
-  /// In-place variant: out.size() must equal in.size(); each out[i].h2's
-  /// storage is reused when its shape already matches.
-  void estimate_batch(std::span<const CrossbandInput> in,
-                      std::span<CrossbandOutput> out);
-
   /// Paths extracted on the last estimate() call (for inspection/tests).
   const std::vector<ExtractedPath>& last_paths() const { return paths_; }
-
-  /// Total arena heap growths / high-water bytes across batch shards.
-  /// grow_count staying flat between two warm estimate_batch calls is the
-  /// zero-steady-state-allocation contract.
-  std::size_t arena_grows() const;
-  std::size_t arena_high_water() const;
 
  private:
   RemSvdConfig cfg_;
   std::vector<ExtractedPath> paths_;
-  std::vector<dsp::Arena> arenas_;  ///< one per estimate_batch shard
 };
 
 }  // namespace rem::crossband

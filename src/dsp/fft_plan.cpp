@@ -55,20 +55,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     return;
   }
 
-  // Direct DFT table for tiny non-pow2 sizes: the split path prefers n^2
-  // tabulated MACs over the chirp-z machinery below kDirectDftMax.
-  if (n <= kDirectDftMax) {
-    dft_re_.resize(n * n);
-    dft_im_.resize(n * n);
-    for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t t = 0; t < n; ++t) {
-        const double ang = -2.0 * kPi * static_cast<double>((k * t) % n) /
-                           static_cast<double>(n);
-        dft_re_[k * n + t] = std::cos(ang);
-        dft_im_[k * n + t] = std::sin(ang);
-      }
-  }
-
   // Bluestein chirp-z tables. chirp[k] = e^{-j pi k^2 / n}, with k^2 taken
   // mod 2n to keep the angle bounded (avoids precision loss for large k).
   chirp_.resize(n);

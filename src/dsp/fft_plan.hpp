@@ -58,58 +58,10 @@ class FftPlan {
   void transform(cd* base, std::size_t stride, bool invert, double scale,
                  FftScratch& scratch) const;
 
-  // --- Split-complex (SoA) entry points for the batched pipeline --------
-  // These operate on separate re/im double planes (dsp::BatchMatrix
-  // layout) so the butterflies compile to vectorizable double-array code.
-  // Scratch planes are caller-owned raw spans (arena-allocated by
-  // fft_batch.cpp); size them with the *_scratch_doubles() queries.
-
-  /// Row-block height used by transform_cols; the scratch planes and the
-  /// cache-blocking granularity both derive from it (profiled via the
-  /// dsp.sfft_batch_ns kernel histogram).
-  static constexpr std::size_t kRowBlock = 128;
-
-  /// Largest non-power-of-two length that transform_split executes as a
-  /// direct tabulated DFT (n^2 MACs) instead of the Bluestein chirp-z
-  /// (three pow2 FFTs plus chirp multiplies): at these sizes the direct
-  /// form is both faster and shorter — it carries the tiny per-triplet
-  /// transforms of the batched estimator. The interleaved transform() keeps
-  /// Bluestein everywhere so the singles baseline is untouched.
-  static constexpr std::size_t kDirectDftMax = 16;
-
-  /// Doubles per scratch plane needed by transform_split (0 for pow2).
-  std::size_t split_scratch_doubles() const;
-  /// Doubles per scratch plane needed by transform_cols (0 for pow2).
-  std::size_t cols_scratch_doubles() const;
-
-  /// In-place DFT of the contiguous split vector re[0..n), im[0..n).
-  /// Same forward/inverse scale conventions as transform().
-  void transform_split(double* re, double* im, bool invert, double scale,
-                       double* wre, double* wim) const;
-
-  /// Columnwise vector DFT: treats a column-major split plane of n (the
-  /// plan size) columns, each `rows` active doubles starting every `ld`
-  /// doubles, as one length-n transform per row, executed as butterflies
-  /// over whole contiguous columns in cache-friendly row blocks.
-  void transform_cols(double* re, double* im, std::size_t ld,
-                      std::size_t rows, bool invert, double scale,
-                      double* wre, double* wim) const;
-
  private:
   // Unnormalized in-place radix-2 transform of contiguous data (power-of-two
   // plans only).
   void pow2_exec(cd* a, bool invert) const;
-  // Split-complex counterparts (fft_plan_split.cpp).
-  void direct_dft_split(double* re, double* im, bool invert, double eff,
-                        double* wre, double* wim) const;
-  void pow2_exec_split(double* re, double* im, bool invert) const;
-  void bluestein_forward_split(double* re, double* im, double* wre,
-                               double* wim) const;
-  void pow2_exec_cols(double* re, double* im, std::size_t ld,
-                      std::size_t rows, bool invert) const;
-  void bluestein_forward_cols(double* re, double* im, std::size_t ld,
-                              std::size_t rows, double* wre,
-                              double* wim) const;
   // Unnormalized in-place forward Bluestein transform of contiguous data.
   void bluestein_forward(cd* a, FftScratch& scratch) const;
   // Unnormalized contiguous transform (either path).
@@ -122,9 +74,6 @@ class FftPlan {
   CVec twiddle_;                       ///< twiddle_[j] = e^{-j2pi j/n}, j < n/2
 
   // Bluestein tables (other sizes).
-  // Direct DFT table, split re/im so the MAC loops vectorize; rows are
-  // W^{kt} for fixed k. Only built for n <= kDirectDftMax non-pow2.
-  std::vector<double> dft_re_, dft_im_;
   CVec chirp_;    ///< chirp_[k] = e^{-j pi k^2 / n}
   CVec kernel_;   ///< FFT of the chirp convolution kernel (length conv size)
   std::shared_ptr<const FftPlan> conv_plan_;  ///< pow2 plan for convolution

@@ -99,65 +99,4 @@ std::vector<cd> Matrix::row(std::size_t r) const {
   return out;
 }
 
-std::size_t BatchMatrix::padded_ld(std::size_t rows) {
-  std::size_t ld = (rows + 3) & ~std::size_t{3};
-  if (ld == 0) ld = 4;
-  // 256 doubles = 2 KiB: same-index columns of consecutive matrices at a
-  // large power-of-two stride would collide in the same cache sets.
-  if (ld % 256 == 0) ld += 4;
-  return ld;
-}
-
-BatchMatrix::BatchMatrix(Arena& arena, std::size_t batch, std::size_t rows,
-                         std::size_t cols)
-    : batch_(batch), rows_(rows), cols_(cols), ld_(padded_ld(rows)) {
-  plane_ = cols_ * ld_;
-  const std::size_t total = batch_ * plane_;
-  re_ = arena.alloc<double>(total);
-  im_ = arena.alloc<double>(total);
-}
-
-void BatchMatrix::load(std::size_t b, const Matrix& m) {
-  if (m.rows() != rows_ || m.cols() != cols_)
-    throw std::invalid_argument("BatchMatrix::load shape mismatch");
-  for (std::size_t j = 0; j < cols_; ++j) {
-    double* re = re_col(b, j);
-    double* im = im_col(b, j);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const cd v = m(i, j);
-      re[i] = v.real();
-      im[i] = v.imag();
-    }
-  }
-}
-
-void BatchMatrix::load_adjoint(std::size_t b, const Matrix& m) {
-  if (m.rows() != cols_ || m.cols() != rows_)
-    throw std::invalid_argument("BatchMatrix::load_adjoint shape mismatch");
-  for (std::size_t j = 0; j < cols_; ++j) {
-    double* re = re_col(b, j);
-    double* im = im_col(b, j);
-    for (std::size_t i = 0; i < rows_; ++i) {
-      const cd v = m(j, i);
-      re[i] = v.real();
-      im[i] = -v.imag();
-    }
-  }
-}
-
-void BatchMatrix::store(std::size_t b, Matrix& out) const {
-  if (out.rows() != rows_ || out.cols() != cols_) out = Matrix(rows_, cols_);
-  for (std::size_t j = 0; j < cols_; ++j) {
-    const double* re = re_col(b, j);
-    const double* im = im_col(b, j);
-    for (std::size_t i = 0; i < rows_; ++i) out(i, j) = cd(re[i], im[i]);
-  }
-}
-
-Matrix BatchMatrix::to_matrix(std::size_t b) const {
-  Matrix out(rows_, cols_);
-  store(b, out);
-  return out;
-}
-
 }  // namespace rem::dsp

@@ -1,15 +1,6 @@
 // Dense complex matrix with the small set of operations REM needs:
 // products, adjoints, norms, and element access. Row-major storage.
-//
-// BatchMatrix is the throughput counterpart: a batch of same-shape complex
-// matrices in structure-of-arrays form (separate re/im double planes,
-// column-major, padded leading dimension) so the batched SFFT/SVD kernels
-// stream contiguous columns through plain double arrays the compiler can
-// vectorize. Storage comes from a caller-owned Arena (dsp/arena.hpp) and a
-// BatchMatrix is only a view — it dies with the arena's next reset().
 #pragma once
-
-#include "dsp/arena.hpp"
 
 #include <complex>
 #include <cstddef>
@@ -66,80 +57,6 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<cd> data_;
-};
-
-/// A batch of same-shape complex matrices in SoA split re/im layout.
-///
-/// Element (b, i, j) lives at plane[b * plane_stride + j * ld + i] in each
-/// of the two double planes: columns are contiguous runs of `ld` doubles
-/// (`ld` = rows padded up, so successive columns start aligned), matrices
-/// are contiguous blocks of `cols * ld`. The batched Jacobi/SFFT kernels
-/// exploit exactly this: a column pair (p, q) is four contiguous double
-/// streams, and "the same column of every matrix" is a fixed-stride walk.
-///
-/// View semantics: the planes belong to the Arena passed at construction;
-/// copying a BatchMatrix copies the view, not the data. Do not use a
-/// BatchMatrix after its arena was reset.
-class BatchMatrix {
- public:
-  BatchMatrix() = default;
-  /// Allocate (zeroed) planes for `batch` matrices of rows x cols.
-  BatchMatrix(Arena& arena, std::size_t batch, std::size_t rows,
-              std::size_t cols);
-
-  /// Leading dimension used for `rows`: rounded up to a multiple of 4
-  /// doubles, nudged off large power-of-two strides to dodge cache-set
-  /// aliasing between same-index columns of consecutive matrices.
-  static std::size_t padded_ld(std::size_t rows);
-
-  std::size_t batch() const { return batch_; }
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::size_t ld() const { return ld_; }
-  /// Doubles per matrix per plane (cols * ld).
-  std::size_t plane_stride() const { return plane_; }
-  bool empty() const { return batch_ == 0; }
-
-  double* re_col(std::size_t b, std::size_t j) {
-    return re_ + b * plane_ + j * ld_;
-  }
-  double* im_col(std::size_t b, std::size_t j) {
-    return im_ + b * plane_ + j * ld_;
-  }
-  const double* re_col(std::size_t b, std::size_t j) const {
-    return re_ + b * plane_ + j * ld_;
-  }
-  const double* im_col(std::size_t b, std::size_t j) const {
-    return im_ + b * plane_ + j * ld_;
-  }
-
-  cd at(std::size_t b, std::size_t i, std::size_t j) const {
-    const std::size_t o = b * plane_ + j * ld_ + i;
-    return cd(re_[o], im_[o]);
-  }
-  void set(std::size_t b, std::size_t i, std::size_t j, cd v) {
-    const std::size_t o = b * plane_ + j * ld_ + i;
-    re_[o] = v.real();
-    im_[o] = v.imag();
-  }
-
-  /// Copy a row-major Matrix into slot b (shapes must match).
-  void load(std::size_t b, const Matrix& m);
-  /// Copy the conjugate transpose of `m` into slot b (m is cols x rows).
-  void load_adjoint(std::size_t b, const Matrix& m);
-  /// Copy slot b out into a row-major Matrix (reuses `out`'s storage when
-  /// the shape already matches — no allocation on the steady state).
-  void store(std::size_t b, Matrix& out) const;
-  Matrix to_matrix(std::size_t b) const;
-
- private:
-  double* re_ = nullptr;
-  double* im_ = nullptr;
-  std::size_t batch_ = 0;
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t ld_ = 0;
-  std::size_t plane_ = 0;
 };
 
 }  // namespace rem::dsp

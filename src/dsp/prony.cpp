@@ -6,17 +6,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numbers>
 
 namespace rem::dsp {
 namespace {
 
-using std::complex;
-
-// The solvers below operate on raw pointers with k <= 4 so both the
-// vector-based fit_exponentials and the arena-based
-// fit_exponentials_split share one implementation (and stay bit-identical
-// between the two paths).
+// The solvers below operate on raw pointers into fixed-size stack arrays
+// (k <= 4), so a fit allocates nothing beyond the Hankel matrix, its SVD
+// and the result.
 
 // Solve the small (n <= 4) linear system A x = b by Gaussian elimination
 // with partial pivoting. A is n x n complex, row-major; a and b are
@@ -109,12 +105,9 @@ void fit_amplitudes_ptr(const cd* seq, std::size_t n, const cd* poles,
     for (std::size_t p = 0; p < k; ++p) amps[p] = cd(0, 0);
 }
 
-// Shared post-SVD pencil step: given the right singular vectors of the
-// Hankel matrix through `v_at(r, p)` (r < l + 1, p < k), recover the k
-// poles. Phase-invariant in the V columns, so the scalar and batched SVDs
-// feed it interchangeably.
-template <typename VAt>
-void pencil_poles(VAt&& v_at, std::size_t l, std::size_t k, cd* poles) {
+// Post-SVD pencil step: given the right singular vectors `v` of the
+// Hankel matrix (l + 1 rows, at least k columns), recover the k poles.
+void pencil_poles(const Matrix& v, std::size_t l, std::size_t k, cd* poles) {
   // V1 = V_s without last row, V2 = V_s without first row; poles are the
   // eigenvalues of pinv(V1) V2.
   // Normal equations: (V1* V1) F = V1* V2, F is k x k.
@@ -124,7 +117,7 @@ void pencil_poles(VAt&& v_at, std::size_t l, std::size_t k, cd* poles) {
     for (std::size_t q = 0; q < k; ++q) {
       cd acc(0, 0);
       for (std::size_t r = 0; r < l; ++r)
-        acc += std::conj(v_at(r, p)) * v_at(r, q);
+        acc += std::conj(v(r, p)) * v(r, q);
       v1tv1[p * k + q] = acc;
     }
   for (std::size_t col = 0; col < k; ++col) {
@@ -134,7 +127,7 @@ void pencil_poles(VAt&& v_at, std::size_t l, std::size_t k, cd* poles) {
     for (std::size_t p = 0; p < k; ++p) {
       cd acc(0, 0);
       for (std::size_t r = 0; r < l; ++r)
-        acc += std::conj(v_at(r, p)) * v_at(r + 1, col);
+        acc += std::conj(v(r, p)) * v(r + 1, col);
       rhs[p] = acc;
     }
     if (!solve_small_ptr(a.data(), rhs.data(), k, x.data())) x.fill(cd(0, 0));
@@ -152,21 +145,6 @@ void pencil_poles(VAt&& v_at, std::size_t l, std::size_t k, cd* poles) {
   }
 }
 
-// Weighted single-ratio fallback for short sequences.
-cd ratio_pole(const cd* seq, std::size_t n) {
-  cd acc(0, 0);
-  for (std::size_t c = 0; c + 1 < n; ++c)
-    acc += seq[c + 1] * std::conj(seq[c]);
-  return std::abs(acc) > 1e-15 ? acc / std::abs(acc) : cd(1, 0);
-}
-
-void sort_components(ExponentialComponent* out, std::size_t k) {
-  std::sort(out, out + k,
-            [](const ExponentialComponent& a, const ExponentialComponent& b) {
-              return std::abs(a.amplitude) > std::abs(b.amplitude);
-            });
-}
-
 }  // namespace
 
 std::vector<ExponentialComponent> fit_exponentials(
@@ -176,7 +154,11 @@ std::vector<ExponentialComponent> fit_exponentials(
   std::vector<ExponentialComponent> out;
   if (n == 0) return out;
   if (n < 4 || max_components == 1) {
-    const cd pole = ratio_pole(seq.data(), n);
+    // Weighted single-ratio fallback for short sequences.
+    cd acc(0, 0);
+    for (std::size_t c = 0; c + 1 < n; ++c)
+      acc += seq[c + 1] * std::conj(seq[c]);
+    const cd pole = std::abs(acc) > 1e-15 ? acc / std::abs(acc) : cd(1, 0);
     cd amp;
     fit_amplitudes_ptr(seq.data(), n, &pole, 1, &amp);
     out.push_back({amp, pole});
@@ -198,84 +180,15 @@ std::vector<ExponentialComponent> fit_exponentials(
   if (k == 0) k = 1;
 
   std::array<cd, 3> poles{};
-  pencil_poles([&](std::size_t r, std::size_t p) { return s.v(r, p); }, l, k,
-               poles.data());
+  pencil_poles(s.v, l, k, poles.data());
   std::array<cd, 3> amps{};
   fit_amplitudes_ptr(seq.data(), n, poles.data(), k, amps.data());
   for (std::size_t p = 0; p < k; ++p) out.push_back({amps[p], poles[p]});
-  sort_components(out.data(), out.size());
+  std::sort(out.begin(), out.end(),
+            [](const ExponentialComponent& a, const ExponentialComponent& b) {
+              return std::abs(a.amplitude) > std::abs(b.amplitude);
+            });
   return out;
-}
-
-PencilShape pencil_shape(std::size_t n, std::size_t max_components) {
-  PencilShape ps;
-  if (n < 4 || max_components == 1) return ps;  // ratio fallback
-  const std::size_t max_k = std::min<std::size_t>(max_components, 3);
-  ps.l = std::min(n / 2, max_k + 2);
-  ps.rows = n - ps.l;
-  return ps;
-}
-
-void pack_hankel_split(const cd* seq, const PencilShape& ps, BatchMatrix& y,
-                       std::size_t b) {
-  for (std::size_t c = 0; c <= ps.l; ++c) {
-    double* __restrict yre = y.re_col(b, c);
-    double* __restrict yim = y.im_col(b, c);
-    for (std::size_t r = 0; r < ps.rows; ++r) {
-      yre[r] = seq[r + c].real();
-      yim[r] = seq[r + c].imag();
-    }
-  }
-}
-
-std::size_t fit_exponentials_from_svd(const cd* seq, std::size_t n,
-                                      std::size_t max_components,
-                                      double rel_threshold, const BatchSvd& s,
-                                      std::size_t b, std::size_t l,
-                                      ExponentialComponent* out) {
-  const std::size_t max_k = std::min<std::size_t>(max_components, 3);
-  const double* sig = s.sigma + b * s.r_max;
-  std::size_t k = 0;
-  while (k < s.rank[b] && k < max_k && sig[k] > rel_threshold * sig[0]) ++k;
-  if (k == 0) k = 1;
-
-  std::array<cd, 3> poles{};
-  pencil_poles([&](std::size_t r, std::size_t p) { return s.v.at(b, r, p); },
-               l, k, poles.data());
-  std::array<cd, 3> amps{};
-  fit_amplitudes_ptr(seq, n, poles.data(), k, amps.data());
-  for (std::size_t p = 0; p < k; ++p) out[p] = {amps[p], poles[p]};
-  sort_components(out, k);
-  return k;
-}
-
-std::size_t fit_exponential_ratio(const cd* seq, std::size_t n,
-                                  ExponentialComponent* out) {
-  const cd pole = ratio_pole(seq, n);
-  cd amp;
-  fit_amplitudes_ptr(seq, n, &pole, 1, &amp);
-  out[0] = {amp, pole};
-  return 1;
-}
-
-std::size_t fit_exponentials_split(const double* re, const double* im,
-                                   std::size_t n, std::size_t max_components,
-                                   double rel_threshold, Arena& arena,
-                                   ExponentialComponent* out) {
-  if (n == 0) return 0;
-  // Interleave once; everything downstream (Hankel fill, amplitude fit)
-  // reads the sequence as cd.
-  cd* seq = arena.alloc<cd>(n);
-  for (std::size_t c = 0; c < n; ++c) seq[c] = cd(re[c], im[c]);
-
-  const PencilShape ps = pencil_shape(n, max_components);
-  if (ps.rows == 0) return fit_exponential_ratio(seq, n, out);
-
-  BatchMatrix y(arena, 1, ps.rows, ps.l + 1);
-  pack_hankel_split(seq, ps, y, 0);
-  const BatchSvd s = svd_batch(y, arena);
-  return fit_exponentials_from_svd(seq, n, max_components, rel_threshold, s,
-                                   0, ps.l, out);
 }
 
 std::vector<cd> eval_exponentials(
@@ -293,27 +206,6 @@ std::vector<cd> eval_exponentials(
     }
   }
   return seq;
-}
-
-void eval_exponentials_into(const ExponentialComponent* comps, std::size_t k,
-                            std::size_t n, double angle_scale, double* re,
-                            double* im) {
-  for (std::size_t c = 0; c < n; ++c) {
-    re[c] = 0.0;
-    im[c] = 0.0;
-  }
-  for (std::size_t p = 0; p < k; ++p) {
-    const double mag = std::abs(comps[p].pole);
-    const double ang = std::arg(comps[p].pole) * angle_scale;
-    const cd z = mag * cd(std::cos(ang), std::sin(ang));
-    cd pw(1, 0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const cd val = comps[p].amplitude * pw;
-      re[c] += val.real();
-      im[c] += val.imag();
-      pw *= z;
-    }
-  }
 }
 
 }  // namespace rem::dsp

@@ -7,8 +7,6 @@
 // Doppler can be rescaled to the target band individually.
 #pragma once
 
-#include "dsp/arena.hpp"
-
 #include <complex>
 #include <cstddef>
 #include <vector>
@@ -35,61 +33,5 @@ std::vector<ExponentialComponent> fit_exponentials(
 std::vector<std::complex<double>> eval_exponentials(
     const std::vector<ExponentialComponent>& comps, std::size_t n,
     double angle_scale = 1.0);
-
-/// Allocation-free variant of fit_exponentials for the batched estimator:
-/// the sequence arrives as split re/im planes (length n), workspace comes
-/// from `arena` (the Hankel SVD runs through svd_batch), and up to 3
-/// components are written to `out`. Returns the component count. Same
-/// algorithm and thresholds as fit_exponentials.
-std::size_t fit_exponentials_split(const double* re, const double* im,
-                                   std::size_t n, std::size_t max_components,
-                                   double rel_threshold, Arena& arena,
-                                   ExponentialComponent* out);
-
-// --- Staged pencil fit -----------------------------------------------------
-// The batched estimator factorizes MANY same-length sequences at once: it
-// sizes the Hankel with pencil_shape(), packs every sequence as one batch
-// slot with pack_hankel_split(), runs a single svd_batch over all of them,
-// and finishes each fit from its slot with fit_exponentials_from_svd().
-// fit_exponentials_split() is these pieces composed at batch size 1.
-
-class BatchMatrix;
-struct BatchSvd;
-
-/// Hankel geometry of the matrix-pencil fit for a length-n sequence.
-/// rows == 0 means no pencil applies (n < 4 or max_components == 1); use
-/// fit_exponential_ratio() instead.
-struct PencilShape {
-  std::size_t rows = 0;  ///< Hankel row count (n - l)
-  std::size_t l = 0;     ///< pencil parameter; Hankel has l + 1 columns
-};
-PencilShape pencil_shape(std::size_t n, std::size_t max_components);
-
-/// Pack sequence `seq` (length ps.rows + ps.l) into batch slot `b` of the
-/// split Hankel planes `y` (a BatchMatrix of shape ps.rows x (ps.l + 1)).
-void pack_hankel_split(const std::complex<double>* seq, const PencilShape& ps,
-                       BatchMatrix& y, std::size_t b);
-
-/// Finish a pencil fit from slot `b` of the factorized Hankel batch `s`:
-/// pick k from the singular-value threshold, recover poles from the right
-/// singular vectors, fit amplitudes against `seq` (length n). Writes up to
-/// 3 components to `out`, sorted by descending |amplitude|; returns k.
-std::size_t fit_exponentials_from_svd(const std::complex<double>* seq,
-                                      std::size_t n,
-                                      std::size_t max_components,
-                                      double rel_threshold, const BatchSvd& s,
-                                      std::size_t b, std::size_t l,
-                                      ExponentialComponent* out);
-
-/// The short-sequence fallback (n < 4 or max_components == 1): one
-/// weighted-ratio component. Writes out[0]; returns 1.
-std::size_t fit_exponential_ratio(const std::complex<double>* seq,
-                                  std::size_t n, ExponentialComponent* out);
-
-/// Allocation-free eval_exponentials: writes the model into split re/im
-/// planes of length n (overwriting them).
-void eval_exponentials_into(const ExponentialComponent* comps, std::size_t k,
-                            std::size_t n, double angle_scale, double* re,
-                            double* im);
 
 }  // namespace rem::dsp

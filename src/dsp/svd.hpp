@@ -8,10 +8,8 @@
 // 12x14..128x64 in the hot path).
 #pragma once
 
-#include "dsp/arena.hpp"
 #include "dsp/matrix.hpp"
 
-#include <cstdint>
 #include <vector>
 
 namespace rem::dsp {
@@ -30,28 +28,5 @@ struct SvdResult {
 /// Singular values below `truncate_below` (absolute) are dropped.
 SvdResult svd(const Matrix& a, std::size_t rank_limit = 0,
               double truncate_below = 0.0);
-
-/// Batched thin SVD results, SoA, arena-backed (views die with the arena's
-/// next reset). Every matrix gets `r_max` triplet slots; slots at or past
-/// rank[b] are zero-filled so downstream loops can be branch-light.
-struct BatchSvd {
-  BatchMatrix u;               ///< batch x rows x r_max, orthonormal columns
-  BatchMatrix v;               ///< batch x cols x r_max (V, not V*)
-  double* sigma = nullptr;     ///< sigma[b * r_max + j], descending per b
-  std::uint32_t* rank = nullptr;  ///< kept triplets per matrix (>= 1)
-  std::size_t r_max = 0;
-};
-
-/// Batched one-sided Jacobi SVD over same-shape matrices: the same (p, q)
-/// column rotation sweeps every matrix of a block before moving on (hot
-/// rotation code, per-matrix convergence masks), with all column work
-/// running over the contiguous split-plane BatchMatrix layout. Matches
-/// svd() semantics per matrix: tall orientation internally, descending
-/// singular values, rank_limit/truncate_below as in svd().
-/// `block` caps how many matrices share one sweep pass (clamped to 32;
-/// block sizes profiled via the dsp.svd_batch_ns kernel histogram).
-BatchSvd svd_batch(const BatchMatrix& a, Arena& arena,
-                   std::size_t rank_limit = 0, double truncate_below = 0.0,
-                   std::size_t block = 8);
 
 }  // namespace rem::dsp

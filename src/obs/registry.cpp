@@ -1,10 +1,12 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -343,6 +345,7 @@ MetricsSnapshot read_metrics_json(std::istream& is) {
     std::string edges, counts, sum;
   };
   std::map<std::string, HistParts> hist_parts;
+  std::set<std::string> keys;
   std::string line;
   int line_no = 0;
   bool in_object = false, closed = false, have_schema = false;
@@ -368,7 +371,10 @@ MetricsSnapshot read_metrics_json(std::istream& is) {
     if (s.empty()) fail("empty integer");
     for (char c : s)
       if (c < '0' || c > '9') fail("malformed integer '" + s + "'");
-    return static_cast<std::uint64_t>(std::strtoull(s.c_str(), nullptr, 10));
+    errno = 0;
+    const auto v = std::strtoull(s.c_str(), nullptr, 10);
+    if (errno == ERANGE) fail("integer out of range '" + s + "'");
+    return static_cast<std::uint64_t>(v);
   };
   const auto parse_double = [&](const std::string& s) {
     char* end = nullptr;
@@ -404,6 +410,7 @@ MetricsSnapshot read_metrics_json(std::istream& is) {
       fail("expected a '\"key\": \"value\"' pair");
     const std::string key = unquote(sv.substr(0, colon + 1));
     const std::string value = unquote(sv.substr(colon + 3));
+    if (!keys.insert(key).second) fail("duplicate key '" + key + "'");
     if (key == "schema") {
       if (value != "rem-metrics-v1")
         fail("unsupported schema '" + value + "'");

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -368,9 +369,10 @@ TraceDigest read_digest_json(std::istream& is) {
   // one `"key": "value"` pair per line inside a single object. Anything
   // else is rejected with the offending line number and content.
   TraceDigest d;
+  std::set<std::string> keys;
   std::string line;
   int line_no = 0;
-  bool in_object = false, closed = false, have_case = false;
+  bool in_object = false, closed = false;
   const auto fail = [&](const std::string& why) {
     throw std::runtime_error("digest JSON line " + std::to_string(line_no) +
                              ": " + why + " in '" + line + "'");
@@ -416,17 +418,15 @@ TraceDigest read_digest_json(std::istream& is) {
       fail("expected a '\"key\": \"value\"' pair");
     const std::string key = unquote(sv.substr(0, colon + 1));
     const std::string value = unquote(sv.substr(colon + 3));
-    if (key == "case") {
-      if (have_case) fail("duplicate 'case' key");
+    if (!keys.insert(key).second) fail("duplicate key '" + key + "'");
+    if (key == "case")
       d.case_name = value;
-      have_case = true;
-    } else {
+    else
       d.fields.emplace_back(key, value);
-    }
   }
   if (!closed)
     throw std::runtime_error("digest JSON: unterminated object (no '}')");
-  if (!have_case)
+  if (keys.count("case") == 0)
     throw std::runtime_error("digest JSON: missing the 'case' key");
   return d;
 }

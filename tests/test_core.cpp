@@ -1,4 +1,5 @@
 #include "core/legacy_manager.hpp"
+#include "core/load_tie_break.hpp"
 #include "core/overlay.hpp"
 #include "core/rem_manager.hpp"
 
@@ -177,6 +178,62 @@ TEST(RemManager, FeedbackDelayBelowLegacy) {
   ASSERT_TRUE(dr.has_value());
   ASSERT_TRUE(dl.has_value());
   EXPECT_LT(dr->feedback_delay_s, dl->feedback_delay_s);
+}
+
+// ---------- Load-aware tie-break ----------
+
+namespace {
+
+// Target cell 3 (metric 10 dB), fallback cell 5, band 1.5 dB unless given.
+rs::HandoverDecision tie_break(const std::vector<rc::LoadCandidate>& cands,
+                               double band_db = 1.5, int fallback = 5) {
+  rs::HandoverDecision d;
+  d.target_idx = 3;
+  d.fallback_idx = fallback;
+  rc::load_aware_tie_break(cands, 10.0, band_db, d);
+  return d;
+}
+
+}  // namespace
+
+TEST(LoadTieBreak, UnknownLoadsAloneNeverMoveTheChoice) {
+  // Nobody advertises: the chosen target stays, even against a stronger
+  // in-band rival (the legacy manager chooses the first rule that fired).
+  const auto d = tie_break({{10.0, 3, -1.0}, {10.4, 2, -1.0}, {9.0, 7, -1.0}});
+  EXPECT_EQ(d.target_idx, 3u);
+  EXPECT_EQ(d.fallback_idx, 5);
+  // An unknown load reads as 0.5: it loses to a lighter known load on the
+  // target and beats a heavier one.
+  EXPECT_EQ(tie_break({{10.0, 3, 0.4}, {9.5, 7, -1.0}}).target_idx, 3u);
+  EXPECT_EQ(tie_break({{10.0, 3, 0.6}, {9.5, 7, -1.0}}).target_idx, 7u);
+}
+
+TEST(LoadTieBreak, KnownLoadMovesTheChoiceOnlyInsideTheBand) {
+  EXPECT_EQ(tie_break({{10.0, 3, -1.0}, {9.0, 7, 0.1}}).target_idx, 7u);
+  EXPECT_EQ(tie_break({{10.0, 3, -1.0}, {8.4, 7, 0.1}}).target_idx, 3u);
+  EXPECT_EQ(tie_break({{10.0, 3, -1.0}, {8.5, 7, 0.1}}).target_idx, 7u);
+  // A zero band disables the tie-break, even for an equally strong rival.
+  EXPECT_EQ(tie_break({{10.0, 3, -1.0}, {10.0, 2, 0.1}}, 0.0).target_idx, 3u);
+}
+
+TEST(LoadTieBreak, EqualLoadsBreakByMetricThenCellIndex) {
+  EXPECT_EQ(tie_break({{9.5, 7, 0.3}, {10.0, 3, 0.3}}).target_idx, 3u);
+  EXPECT_EQ(tie_break({{10.0, 3, 0.3}, {10.0, 2, 0.3}}).target_idx, 2u);
+  EXPECT_EQ(tie_break({{10.0, 8, 0.3}, {10.0, 3, 0.3}}).target_idx, 3u);
+}
+
+TEST(LoadTieBreak, DisplacedWinnerBecomesTheFallback) {
+  // The fallback was the new target: the displaced winner takes its place.
+  auto d = tie_break({{10.0, 3, 0.9}, {9.5, 5, 0.1}});
+  EXPECT_EQ(d.target_idx, 5u);
+  EXPECT_EQ(d.fallback_idx, 3);
+  // Any other fallback is kept as it was.
+  d = tie_break({{10.0, 3, 0.9}, {9.5, 5, 0.5}, {9.2, 7, 0.1}});
+  EXPECT_EQ(d.target_idx, 7u);
+  EXPECT_EQ(d.fallback_idx, 5);
+  d = tie_break({{10.0, 3, 0.9}, {9.2, 7, 0.1}}, 1.5, -1);
+  EXPECT_EQ(d.target_idx, 7u);
+  EXPECT_EQ(d.fallback_idx, -1);
 }
 
 // ---------- Signaling overlay ----------

@@ -135,6 +135,10 @@ TEST(GoldenDigest, ReaderRejectsMalformedInputWithContext) {
             std::string::npos);
   EXPECT_NE(reject("").find("unterminated"), std::string::npos);
   EXPECT_FALSE(reject("junk before\n{\n}\n").empty());
+  EXPECT_NE(reject("{\n  \"case\": \"a\",\n  \"legacy.failures\": \"1\",\n"
+                   "  \"legacy.failures\": \"2\"\n}\n")
+                .find("line 4: duplicate key 'legacy.failures'"),
+            std::string::npos);
 }
 
 TEST(GoldenDigest, EventHashIsOrderAndValueSensitive) {

@@ -210,6 +210,15 @@ TEST(Codec, RejectsMalformedInputWithContext) {
   expect_reject(
       "{\n\"schema\": \"rem-metrics-v1\",\n\"counter.x\": \"notanum\"\n}\n",
       "notanum");
+  // 2^64 and beyond must not saturate to UINT64_MAX.
+  expect_reject(
+      "{\n\"schema\": \"rem-metrics-v1\",\n"
+      "\"counter.x\": \"99999999999999999999\"\n}\n",
+      "integer out of range '99999999999999999999'");
+  expect_reject(
+      "{\n\"schema\": \"rem-metrics-v1\",\n\"counter.x\": \"1\",\n"
+      "\"counter.x\": \"2\"\n}\n",
+      "line 4: duplicate key 'counter.x'");
   expect_reject(
       "{\n\"schema\": \"rem-metrics-v1\",\nthis is not json\n}\n", "line");
   // Histogram missing its counts part.
