@@ -8,7 +8,9 @@
 #      calls in src/ agree;
 #   5. every public header in src/obs must carry a file-top comment and a
 #      doc comment on each top-level class/struct, so the observability
-#      API cannot drift undocumented.
+#      API cannot drift undocumented;
+#   6. SCENARIOS.md's schema reference names every key scenarios/*.json
+#      use and every fault_kind_name() wire name.
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -68,13 +70,13 @@ fi
 # `` `name` `` table row in DESIGN.md, and every fault-kind-looking row in
 # the table names a registered kind. A kind added without docs (or docs
 # for a deleted kind) fails the docs label.
-if [ -f DESIGN.md ] && [ -f src/sim/fault_injector.cpp ]; then
-  code_kinds=$(sed -n 's/.*case FaultKind::[A-Za-z]*: return "\([a-z0-9_]*\)";.*/\1/p' \
-    src/sim/fault_injector.cpp | sort -u)
-  if [ -z "$code_kinds" ]; then
-    echo "FAULT KIND LINT BROKEN: no names parsed from fault_kind_name()"
-    fail=1
-  fi
+code_kinds=$(sed -n 's/.*case FaultKind::[A-Za-z]*: return "\([a-z0-9_]*\)";.*/\1/p' \
+  src/sim/fault_injector.cpp 2>/dev/null | sort -u)
+if [ -z "$code_kinds" ]; then
+  echo "FAULT KIND LINT BROKEN: no names parsed from fault_kind_name()"
+  fail=1
+fi
+if [ -f DESIGN.md ]; then
   # Table rows look like `| `name` | ... |`; restrict to the documented
   # wire-name alphabet so prose rows never false-positive.
   doc_kinds=$(grep -o '^| `[a-z0-9_]*`' DESIGN.md | sed 's/^| `//; s/`$//' | sort -u)
@@ -151,8 +153,30 @@ for hdr in src/obs/*.hpp; do
   fi
 done
 
+# --- 6. SCENARIOS.md schema reference <-> scenario keys + fault kinds -----
+# Every key the library files use, with each numeric index written as
+# <i> (`fault.0.kind` -> `fault.<i>.kind`), and every fault-kind wire name
+# must appear in backticks in SCENARIOS.md, so the schema reference cannot
+# fall behind the files or the FaultKind enum.
+if [ -d scenarios ] && [ -f SCENARIOS.md ]; then
+  scenario_keys=$(sed -n 's/^[[:space:]]*"\([^"]*\)": .*/\1/p' scenarios/*.json |
+    sed 's/\.[0-9][0-9]*\./.<i>./g' | sort -u)
+  for key in $scenario_keys; do
+    if ! grep -qF "\`$key\`" SCENARIOS.md; then
+      echo "UNDOCUMENTED SCENARIO KEY: scenarios/*.json use '$key' but SCENARIOS.md never names \`$key\`"
+      fail=1
+    fi
+  done
+  for kind in $code_kinds; do
+    if ! grep -qF "\`$kind\`" SCENARIOS.md; then
+      echo "UNDOCUMENTED FAULT KIND: fault_kind_name() returns '$kind' but SCENARIOS.md never names \`$kind\`"
+      fail=1
+    fi
+  done
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs + scenario schema keys)"

@@ -1,13 +1,13 @@
 #include "obs/registry.hpp"
 
+#include "common/flat_json.hpp"
+
 #include <algorithm>
-#include <cerrno>
+#include <array>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
-#include <sstream>
+#include <map>
 #include <stdexcept>
 #include <string_view>
 
@@ -23,67 +23,48 @@ void atomic_add(std::atomic<double>& a, double v) noexcept {
   }
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+namespace fj = common::flat_json;
 
-std::string join_doubles(const std::vector<double>& vs) {
+/// The comma-joined list form of histogram edges and counts.
+template <typename T, typename Format>
+std::string join(const std::vector<T>& vs, Format format) {
   std::string out;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (i) out.push_back(',');
-    out += fmt_double(vs[i]);
+  for (std::size_t i = 0; i < vs.size(); ++i)
+    out += (i ? "," : "") + format(vs[i]);
+  return out;
+}
+
+/// The inverse of join: every comma-separated item through `parse` (an
+/// empty string is an empty list).
+template <typename Parse>
+auto split(const std::string& s, Parse parse) {
+  std::vector<decltype(parse(s))> out;
+  for (std::size_t at = 0; !s.empty() && at <= s.size();) {
+    const std::size_t comma = std::min(s.find(',', at), s.size());
+    out.push_back(parse(s.substr(at, comma - at)));
+    at = comma + 1;
   }
   return out;
 }
 
-std::string join_counts(const std::vector<std::uint64_t>& vs) {
-  std::string out;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (i) out.push_back(',');
-    out += std::to_string(vs[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!s.empty()) out.push_back(cur);
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+/// Why `edges` cannot bound a histogram, or "" when they can. Shared by
+/// the Histogram constructor and the metrics reader.
+std::string edges_error(const std::vector<double>& edges) {
+  if (edges.empty()) return "empty bucket edges";
+  for (std::size_t i = 1; i < edges.size(); ++i)
+    if (!(edges[i - 1] < edges[i]))
+      return "bucket edges not strictly ascending at index " +
+             std::to_string(i) + " (" + fj::format_double(edges[i - 1]) +
+             " vs " + fj::format_double(edges[i]) + ")";
+  return "";
 }
 
 }  // namespace
 
 Histogram::Histogram(std::vector<double> edges)
     : edges_(std::move(edges)), counts_(edges_.size() + 1) {
-  if (edges_.empty())
-    throw std::invalid_argument("Histogram: empty bucket edges");
-  for (std::size_t i = 1; i < edges_.size(); ++i)
-    if (!(edges_[i - 1] < edges_[i]))
-      throw std::invalid_argument(
-          "Histogram: bucket edges not strictly ascending at index " +
-          std::to_string(i) + " (" + fmt_double(edges_[i - 1]) + " vs " +
-          fmt_double(edges_[i]) + ")");
+  if (const std::string why = edges_error(edges_); !why.empty())
+    throw std::invalid_argument("Histogram: " + why);
 }
 
 void Histogram::record(double v) noexcept {
@@ -316,148 +297,86 @@ const std::vector<double>& out_of_sync_buckets_s() {
 }
 
 void write_metrics_json(const MetricsSnapshot& snap, std::ostream& os) {
-  os << "{\n";
-  os << "  \"schema\": \"rem-metrics-v1\"";
+  std::vector<std::pair<std::string, std::string>> out = {
+      {"schema", "rem-metrics-v1"}};
   for (const auto& c : snap.counters)
-    os << ",\n  \"counter." << json_escape(c.name) << "\": \"" << c.value
-       << "\"";
+    out.emplace_back("counter." + c.name, std::to_string(c.value));
   for (const auto& g : snap.gauges)
-    os << ",\n  \"gauge." << json_escape(g.name) << "\": \""
-       << fmt_double(g.value) << "\"";
+    out.emplace_back("gauge." + g.name, fj::format_double(g.value));
   for (const auto& h : snap.histograms) {
-    const std::string key = "hist." + json_escape(h.name);
-    os << ",\n  \"" << key << ".edges\": \"" << join_doubles(h.edges) << "\"";
-    os << ",\n  \"" << key << ".counts\": \"" << join_counts(h.counts)
-       << "\"";
-    os << ",\n  \"" << key << ".sum\": \"" << fmt_double(h.sum) << "\"";
+    const std::string key = "hist." + h.name;
+    out.emplace_back(key + ".edges", join(h.edges, fj::format_double));
+    out.emplace_back(key + ".counts", join(h.counts, [](std::uint64_t c) {
+                       return std::to_string(c);
+                     }));
+    out.emplace_back(key + ".sum", fj::format_double(h.sum));
   }
-  os << "\n}\n";
+  fj::write(os, out);
 }
 
 MetricsSnapshot read_metrics_json(std::istream& is) {
-  // Minimal parser for exactly the flat shape write_metrics_json emits
-  // (one `"key": "value"` pair per line inside a single object), with the
-  // golden-digest error discipline: reject anything else with the line
-  // number and content.
+  // Phase one is the shared flat-JSON reader; this interprets the keys and
+  // names the offending line on any bad value.
+  const std::string label = "metrics";
+  const auto entries = fj::read(is, label);
   MetricsSnapshot snap;
-  // Histograms arrive as three keys; collect parts and assemble at the end.
-  struct HistParts {
-    std::string edges, counts, sum;
-  };
-  std::map<std::string, HistParts> hist_parts;
-  std::set<std::string> keys;
-  std::string line;
-  int line_no = 0;
-  bool in_object = false, closed = false, have_schema = false;
-  const auto fail = [&](const std::string& why) -> void {
-    throw std::runtime_error("metrics JSON line " + std::to_string(line_no) +
-                             ": " + why + " in '" + line + "'");
-  };
-  const auto unquote = [&](std::string_view sv) {
-    if (sv.size() < 2 || sv.front() != '"' || sv.back() != '"')
-      fail("expected a double-quoted string");
-    std::string out;
-    for (std::size_t i = 1; i + 1 < sv.size(); ++i) {
-      if (sv[i] == '\\') {
-        if (i + 2 >= sv.size()) fail("dangling escape");
-        out.push_back(sv[++i]);
-      } else {
-        out.push_back(sv[i]);
-      }
-    }
-    return out;
-  };
-  const auto parse_u64 = [&](const std::string& s) {
-    if (s.empty()) fail("empty integer");
-    for (char c : s)
-      if (c < '0' || c > '9') fail("malformed integer '" + s + "'");
-    errno = 0;
-    const auto v = std::strtoull(s.c_str(), nullptr, 10);
-    if (errno == ERANGE) fail("integer out of range '" + s + "'");
-    return static_cast<std::uint64_t>(v);
-  };
-  const auto parse_double = [&](const std::string& s) {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end != s.c_str() + s.size())
-      fail("malformed number '" + s + "'");
-    return v;
-  };
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::string_view sv(line);
-    while (!sv.empty() && (sv.front() == ' ' || sv.front() == '\t'))
-      sv.remove_prefix(1);
-    while (!sv.empty() &&
-           (sv.back() == ' ' || sv.back() == '\t' || sv.back() == '\r'))
-      sv.remove_suffix(1);
-    if (sv.empty()) continue;
-    if (sv == "{") {
-      if (in_object || closed) fail("unexpected '{'");
-      in_object = true;
-      continue;
-    }
-    if (sv == "}") {
-      if (!in_object || closed) fail("unexpected '}'");
-      closed = true;
-      in_object = false;
-      continue;
-    }
-    if (!in_object) fail("content outside the metrics object");
-    if (sv.back() == ',') sv.remove_suffix(1);
-    const std::size_t colon = sv.find("\": \"");
-    if (colon == std::string_view::npos)
-      fail("expected a '\"key\": \"value\"' pair");
-    const std::string key = unquote(sv.substr(0, colon + 1));
-    const std::string value = unquote(sv.substr(colon + 3));
-    if (!keys.insert(key).second) fail("duplicate key '" + key + "'");
+  // Histograms arrive as three keys (edges, counts, sum); collect the
+  // parts and assemble them at the end, each still reported at its own
+  // line.
+  constexpr std::string_view kHistParts[] = {"edges", "counts", "sum"};
+  std::map<std::string, std::array<const fj::Entry*, 3>> hist_parts;
+  bool have_schema = false;
+  for (const auto& e : entries) {
+    const std::string& key = e.key;
     if (key == "schema") {
-      if (value != "rem-metrics-v1")
-        fail("unsupported schema '" + value + "'");
+      if (e.value != "rem-metrics-v1")
+        fj::fail(label, e, "unsupported schema '" + e.value + "'");
       have_schema = true;
     } else if (key.rfind("counter.", 0) == 0) {
-      snap.counters.push_back({key.substr(8), parse_u64(value)});
+      snap.counters.push_back(
+          {key.substr(8), fj::parse_at(label, e, fj::parse_u64)});
     } else if (key.rfind("gauge.", 0) == 0) {
-      snap.gauges.push_back({key.substr(6), parse_double(value)});
+      snap.gauges.push_back(
+          {key.substr(6), fj::parse_at(label, e, fj::parse_double)});
     } else if (key.rfind("hist.", 0) == 0) {
       const std::string rest = key.substr(5);
       const std::size_t dot = rest.rfind('.');
       if (dot == std::string::npos)
-        fail("histogram key missing '.edges/.counts/.sum' suffix");
-      const std::string name = rest.substr(0, dot);
+        fj::fail(label, e,
+                 "histogram key missing '.edges/.counts/.sum' suffix");
       const std::string part = rest.substr(dot + 1);
-      if (part == "edges")
-        hist_parts[name].edges = value;
-      else if (part == "counts")
-        hist_parts[name].counts = value;
-      else if (part == "sum")
-        hist_parts[name].sum = value;
-      else
-        fail("unknown histogram part '" + part + "'");
+      const auto* it = std::find(std::begin(kHistParts),
+                                 std::end(kHistParts), part);
+      if (it == std::end(kHistParts))
+        fj::fail(label, e, "unknown histogram part '" + part + "'");
+      hist_parts[rest.substr(0, dot)][it - std::begin(kHistParts)] = &e;
     } else {
-      fail("unknown key prefix for '" + key + "'");
+      fj::fail(label, e, "unknown key prefix for '" + key + "'");
     }
   }
-  if (!closed)
-    throw std::runtime_error("metrics JSON: unterminated object (no '}')");
   if (!have_schema)
     throw std::runtime_error("metrics JSON: missing the 'schema' key");
+  const auto parse_list = [&](const fj::Entry& e, auto parse) {
+    return fj::parse_at(label, e,
+                        [&](const std::string& s) { return split(s, parse); });
+  };
   for (const auto& [name, parts] : hist_parts) {
-    if (parts.edges.empty() || parts.counts.empty() || parts.sum.empty())
+    const auto [edges, counts, sum] = parts;
+    if (!edges || !counts || !sum)
       throw std::runtime_error("metrics JSON: histogram '" + name +
                                "' is missing edges, counts, or sum");
     HistogramSnapshot h;
     h.name = name;
-    for (const auto& s : split_csv(parts.edges))
-      h.edges.push_back(parse_double(s));
-    for (const auto& s : split_csv(parts.counts))
-      h.counts.push_back(parse_u64(s));
-    h.sum = parse_double(parts.sum);
+    h.edges = parse_list(*edges, fj::parse_double);
+    if (const std::string why = edges_error(h.edges); !why.empty())
+      fj::fail(label, *edges, why);
+    h.counts = parse_list(*counts, fj::parse_u64);
     if (h.counts.size() != h.edges.size() + 1)
-      throw std::runtime_error(
-          "metrics JSON: histogram '" + name + "' has " +
-          std::to_string(h.counts.size()) + " counts for " +
-          std::to_string(h.edges.size()) + " edges (want edges+1)");
+      fj::fail(label, *counts,
+               "histogram '" + name + "' has " +
+                   std::to_string(h.counts.size()) + " counts for " +
+                   std::to_string(h.edges.size()) + " edges (want edges+1)");
+    h.sum = fj::parse_at(label, *sum, fj::parse_double);
     snap.histograms.push_back(std::move(h));
   }
   const auto by_name = [](const auto& a, const auto& b) {

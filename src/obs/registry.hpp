@@ -202,10 +202,13 @@ const std::vector<double>& out_of_sync_buckets_s();
 const std::vector<double>& backhaul_rtt_buckets_s();
 const std::vector<double>& bs_queue_wait_buckets_s();
 
-/// Flat-JSON codec, mirroring the golden-trace digest discipline: one
-/// string-valued `"key": "value"` pair per line, doubles as %.17g (exact
-/// round trip), and a reader that rejects malformed input with line and
-/// context detail rather than guessing.
+/// The rem-metrics-v1 format on the shared flat-JSON codec
+/// (common/flat_json.hpp): keys `schema`, `counter.<name>`,
+/// `gauge.<name>` and `hist.<name>.{edges,counts,sum}`, doubles as %.17g
+/// (exact round trip, `nan` and `-inf` included). The reader rejects
+/// malformed input with the offending line and content, histogram parts
+/// included, rather than guessing; the writer throws std::invalid_argument
+/// for an instrument name that holds a newline.
 void write_metrics_json(const MetricsSnapshot& snap, std::ostream& os);
 MetricsSnapshot read_metrics_json(std::istream& is);
 MetricsSnapshot read_metrics_json_file(const std::string& path);

@@ -1,9 +1,9 @@
 #include "obs/tracer.hpp"
 
+#include "common/flat_json.hpp"
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -11,11 +11,7 @@
 namespace rem::obs {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using common::flat_json::format_double;
 
 /// Counters with no SimStats field behind them, tallied from the events.
 constexpr std::pair<const char*, sim::EventKind> kEventOnlyCounters[] = {
@@ -319,9 +315,10 @@ void write_spans_jsonl(std::ostream& os, const std::vector<Span>& spans,
     if (!context.empty()) os << context << ", ";
     if (ue >= 0) os << "\"ue\": " << ue << ", ";
     os << "\"kind\": \"" << s.kind << "\", \"start_s\": \""
-       << fmt_double(s.start_s) << "\", \"end_s\": \"" << fmt_double(s.end_s)
-       << "\", \"serving\": " << s.serving << ", \"target\": " << s.target
-       << ", \"outcome\": \"" << s.outcome << "\"";
+       << format_double(s.start_s) << "\", \"end_s\": \""
+       << format_double(s.end_s) << "\", \"serving\": " << s.serving
+       << ", \"target\": " << s.target << ", \"outcome\": \"" << s.outcome
+       << "\"";
     if (s.report_retransmits > 0)
       os << ", \"retransmits\": " << s.report_retransmits;
     if (s.prep_retries > 0) os << ", \"prep_retries\": " << s.prep_retries;
@@ -334,8 +331,8 @@ void write_spans_jsonl(std::ostream& os, const std::vector<Span>& spans,
     for (std::size_t i = 0; i < s.phases.size(); ++i) {
       const auto& p = s.phases[i];
       os << (i ? ", " : "") << "{\"name\": \"" << p.name
-         << "\", \"start_s\": \"" << fmt_double(p.start_s)
-         << "\", \"end_s\": \"" << fmt_double(p.end_s) << "\"}";
+         << "\", \"start_s\": \"" << format_double(p.start_s)
+         << "\", \"end_s\": \"" << format_double(p.end_s) << "\"}";
     }
     os << "]";
     if (!s.faults.empty()) {

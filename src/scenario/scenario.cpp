@@ -1,35 +1,46 @@
 #include "scenario/scenario.hpp"
 
+#include "common/flat_json.hpp"
 #include "common/units.hpp"
 #include "net/backhaul.hpp"
 #include "sim/fault_injector.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 namespace rem::scenario {
 namespace {
 
-// ---------------------------------------------------------------------------
-// formatting helpers (shared by the canonical writer and digest_fields)
+namespace fj = common::flat_json;
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+// ---------------------------------------------------------------------------
+// formatting and parsing helpers (shared by the canonical writer, the
+// reader and digest_fields)
+
+using fj::format_double;
 
 std::string fmt_bool(bool v) { return v ? "true" : "false"; }
+
+/// Rejects the value of one key: "scenario JSON key '<key>': <why>".
+[[noreturn]] void bad(const std::string& key, const std::string& why) {
+  throw std::runtime_error("scenario JSON key '" + key + "': " + why);
+}
+
+/// A flat_json typed parse whose failure is reported against `key`.
+template <typename Parse>
+auto parse_key(const std::string& key, const std::string& s, Parse parse)
+    -> decltype(parse(s)) {
+  try {
+    return parse(s);
+  } catch (const std::invalid_argument& e) {
+    bad(key, e.what());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // schema vocabulary
@@ -120,68 +131,16 @@ trace::Route route_from_wire_name(const std::string& name) {
 // parser
 
 ScenarioSpec read_scenario_json(std::istream& is) {
-  // Phase 1: the rem-metrics-v1 line discipline — one `"key": "value"`
-  // pair per line inside a single object — collected into a key/value
-  // map. Duplicates and structural noise are rejected here with the line
+  // Phase 1: the shared flat-JSON line discipline collects the pairs;
+  // duplicates and structural noise are rejected there with the line
   // number and content.
   std::map<std::string, std::string> kv;
-  std::string line;
-  int line_no = 0;
-  bool in_object = false, closed = false;
-  const auto fail = [&](const std::string& why) -> void {
-    throw std::runtime_error("scenario JSON line " + std::to_string(line_no) +
-                             ": " + why + " in '" + line + "'");
-  };
-  const auto unquote = [&](std::string_view sv) {
-    if (sv.size() < 2 || sv.front() != '"' || sv.back() != '"')
-      fail("expected a double-quoted string");
-    std::string out;
-    for (std::size_t i = 1; i + 1 < sv.size(); ++i) {
-      if (sv[i] == '\\') {
-        if (i + 2 >= sv.size()) fail("dangling escape");
-        out.push_back(sv[++i]);
-      } else {
-        out.push_back(sv[i]);
-      }
-    }
-    return out;
-  };
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::string_view sv(line);
-    while (!sv.empty() && (sv.front() == ' ' || sv.front() == '\t'))
-      sv.remove_prefix(1);
-    while (!sv.empty() &&
-           (sv.back() == ' ' || sv.back() == '\t' || sv.back() == '\r'))
-      sv.remove_suffix(1);
-    if (sv.empty()) continue;
-    if (sv == "{") {
-      if (in_object || closed) fail("unexpected '{'");
-      in_object = true;
-      continue;
-    }
-    if (sv == "}") {
-      if (!in_object || closed) fail("unexpected '}'");
-      closed = true;
-      continue;
-    }
-    if (!in_object || closed) fail("content outside the object");
-    if (sv.back() == ',') sv.remove_suffix(1);
-    const auto colon = sv.find("\": \"");
-    if (colon == std::string_view::npos) fail("expected '\"key\": \"value\"'");
-    const std::string key = unquote(sv.substr(0, colon + 1));
-    const std::string value = unquote(sv.substr(colon + 3));
-    if (!kv.emplace(key, value).second) fail("duplicate key '" + key + "'");
-  }
-  if (!in_object) throw std::runtime_error("scenario JSON: no object found");
-  if (!closed) throw std::runtime_error("scenario JSON: object never closed");
+  for (auto& e : fj::read(is, "scenario"))
+    kv.emplace(std::move(e.key), std::move(e.value));
 
   // Phase 2: interpret the keys in fixed order (file order is irrelevant;
   // e.g. bs.profile always applies before bs.* overrides). Every consumed
   // key is erased; whatever is left at the end is unknown and rejected.
-  const auto bad = [](const std::string& key, const std::string& why) {
-    throw std::runtime_error("scenario JSON key '" + key + "': " + why);
-  };
   const auto take = [&](const std::string& key) -> std::optional<std::string> {
     const auto it = kv.find(key);
     if (it == kv.end()) return std::nullopt;
@@ -191,29 +150,17 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   };
   const auto parse_double = [&](const std::string& key,
                                 const std::string& s) {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end != s.c_str() + s.size())
-      bad(key, "malformed number '" + s + "'");
+    const double v = parse_key(key, s, fj::parse_double);
     if (!std::isfinite(v)) bad(key, "non-finite number '" + s + "'");
     return v;
   };
   const auto parse_int = [&](const std::string& key, const std::string& s) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (s.empty() || end != s.c_str() + s.size())
-      bad(key, "malformed integer '" + s + "'");
-    if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max())
-      bad(key, "integer out of range '" + s + "'");
-    return static_cast<int>(v);
+    return parse_key(key, s, fj::parse_int);
   };
   const auto parse_bool = [&](const std::string& key, const std::string& s) {
     if (s == "true") return true;
     if (s == "false") return false;
     bad(key, "expected 'true' or 'false', got '" + s + "'");
-    return false;
   };
   const auto take_double = [&](const std::string& key, double& out) {
     if (const auto v = take(key)) out = parse_double(key, *v);
@@ -246,14 +193,8 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   take_double("speed_kmh", spec.speed_kmh);
   take_double("duration_s", spec.duration_s);
   take_double("time_compression", spec.time_compression);
-  if (const auto v = take("seed")) {
-    for (char c : *v)
-      if (c < '0' || c > '9') bad("seed", "malformed integer '" + *v + "'");
-    if (v->empty()) bad("seed", "empty integer");
-    errno = 0;
-    spec.seed = std::strtoull(v->c_str(), nullptr, 10);
-    if (errno == ERANGE) bad("seed", "integer out of range '" + *v + "'");
-  }
+  if (const auto v = take("seed"))
+    spec.seed = parse_key("seed", *v, fj::parse_u64);
 
   // --- UE population: plain band, named-class shorthands, or generic
   // indexed classes; the forms are mutually exclusive beyond the plain
@@ -465,107 +406,94 @@ void write_scenario_json(const ScenarioSpec& spec, std::ostream& os) {
   add("paper_ref", spec.paper_ref);
   add("route", route_wire_name(spec.route));
   add("layout", layout_name(spec.layout));
-  add("speed_kmh", fmt_double(spec.speed_kmh));
-  add("duration_s", fmt_double(spec.duration_s));
-  add("time_compression", fmt_double(spec.time_compression));
+  add("speed_kmh", format_double(spec.speed_kmh));
+  add("duration_s", format_double(spec.duration_s));
+  add("time_compression", format_double(spec.time_compression));
   add("seed", std::to_string(spec.seed));
   add("ue.count", std::to_string(spec.ue_count));
-  add("ue.start_spread_m", fmt_double(spec.start_spread_m));
+  add("ue.start_spread_m", format_double(spec.start_spread_m));
   if (spec.classes.empty()) {
-    add("ue.speed_lo_kmh", fmt_double(spec.ue_speed_lo_kmh));
-    add("ue.speed_hi_kmh", fmt_double(spec.ue_speed_hi_kmh));
+    add("ue.speed_lo_kmh", format_double(spec.ue_speed_lo_kmh));
+    add("ue.speed_hi_kmh", format_double(spec.ue_speed_hi_kmh));
   } else {
     for (std::size_t i = 0; i < spec.classes.size(); ++i) {
       const auto& c = spec.classes[i];
       const std::string p = "ue.class." + std::to_string(i) + ".";
       add(p + "name", c.name);
       add(p + "count", std::to_string(c.count));
-      add(p + "speed_lo_kmh", fmt_double(c.speed_lo_kmh));
-      add(p + "speed_hi_kmh", fmt_double(c.speed_hi_kmh));
+      add(p + "speed_lo_kmh", format_double(c.speed_lo_kmh));
+      add(p + "speed_hi_kmh", format_double(c.speed_hi_kmh));
     }
   }
   for (std::size_t i = 0; i < spec.faults.size(); ++i) {
     const auto& w = spec.faults[i];
     const std::string p = "fault." + std::to_string(i) + ".";
     add(p + "kind", sim::fault_kind_name(w.kind));
-    add(p + "start_s", fmt_double(w.start_s));
-    add(p + "duration_s", fmt_double(w.duration_s));
-    add(p + "magnitude", fmt_double(w.magnitude));
+    add(p + "start_s", format_double(w.start_s));
+    add(p + "duration_s", format_double(w.duration_s));
+    add(p + "magnitude", format_double(w.magnitude));
   }
   for (std::size_t i = 0; i < spec.rfaults.size(); ++i) {
     const auto& r = spec.rfaults[i];
     const std::string p = "rfault." + std::to_string(i) + ".";
     add(p + "kind", sim::fault_kind_name(r.kind));
-    add(p + "mean_gap_s", fmt_double(r.mean_gap_s));
-    add(p + "duration_lo_s", fmt_double(r.duration_lo_s));
-    add(p + "duration_hi_s", fmt_double(r.duration_hi_s));
-    add(p + "magnitude_lo", fmt_double(r.magnitude_lo));
-    add(p + "magnitude_hi", fmt_double(r.magnitude_hi));
+    add(p + "mean_gap_s", format_double(r.mean_gap_s));
+    add(p + "duration_lo_s", format_double(r.duration_lo_s));
+    add(p + "duration_hi_s", format_double(r.duration_hi_s));
+    add(p + "magnitude_lo", format_double(r.magnitude_lo));
+    add(p + "magnitude_hi", format_double(r.magnitude_hi));
   }
   // Domain / resilience knobs are emitted only off their defaults so
   // pre-existing scenarios re-canonicalize byte-identically.
   if (spec.fault_domain_size != 4)
     add("fault.domain_size", std::to_string(spec.fault_domain_size));
   if (spec.region_stagger_s != 0.5)
-    add("fault.region_stagger_s", fmt_double(spec.region_stagger_s));
+    add("fault.region_stagger_s", format_double(spec.region_stagger_s));
   if (spec.cascade_neighbor_radius != 2)
     add("fault.cascade_neighbor_radius",
         std::to_string(spec.cascade_neighbor_radius));
   if (spec.load_ad_staleness_s != 0.0)
     add("resilience.load_ad_staleness_s",
-        fmt_double(spec.load_ad_staleness_s));
+        format_double(spec.load_ad_staleness_s));
   if (spec.breaker_trip_k != 0)
     add("resilience.breaker_trip_k", std::to_string(spec.breaker_trip_k));
   if (spec.breaker_cooldown_s != 2.0)
     add("resilience.breaker_cooldown_s",
-        fmt_double(spec.breaker_cooldown_s));
+        format_double(spec.breaker_cooldown_s));
   if (spec.storm_jitter_frac != 0.0)
-    add("resilience.storm_jitter_frac", fmt_double(spec.storm_jitter_frac));
+    add("resilience.storm_jitter_frac", format_double(spec.storm_jitter_frac));
   add("backhaul.enabled", fmt_bool(spec.backhaul.enabled));
-  add("backhaul.base_latency_s", fmt_double(spec.backhaul.base_latency_s));
-  add("backhaul.jitter_s", fmt_double(spec.backhaul.jitter_s));
-  add("backhaul.loss_prob", fmt_double(spec.backhaul.loss_prob));
-  add("backhaul.reorder_prob", fmt_double(spec.backhaul.reorder_prob));
-  add("backhaul.reorder_extra_s", fmt_double(spec.backhaul.reorder_extra_s));
-  add("backhaul.duplicate_prob", fmt_double(spec.backhaul.duplicate_prob));
+  add("backhaul.base_latency_s", format_double(spec.backhaul.base_latency_s));
+  add("backhaul.jitter_s", format_double(spec.backhaul.jitter_s));
+  add("backhaul.loss_prob", format_double(spec.backhaul.loss_prob));
+  add("backhaul.reorder_prob", format_double(spec.backhaul.reorder_prob));
+  add("backhaul.reorder_extra_s", format_double(spec.backhaul.reorder_extra_s));
+  add("backhaul.duplicate_prob", format_double(spec.backhaul.duplicate_prob));
   add("backhaul.queue_capacity",
       std::to_string(spec.backhaul.queue_capacity));
   add("backhaul.reverse_latency_scale",
-      fmt_double(spec.backhaul.reverse_latency_scale));
+      format_double(spec.backhaul.reverse_latency_scale));
   add("bs.profile", spec.bs_profile);
   add("bs.enabled", fmt_bool(spec.bs_capacity.enabled));
   add("bs.slots", std::to_string(spec.bs_capacity.slots));
   add("bs.queue_capacity", std::to_string(spec.bs_capacity.queue_capacity));
-  add("bs.prep_service_s", fmt_double(spec.bs_capacity.prep_service_s));
-  add("bs.ctx_service_s", fmt_double(spec.bs_capacity.ctx_service_s));
+  add("bs.prep_service_s", format_double(spec.bs_capacity.prep_service_s));
+  add("bs.ctx_service_s", format_double(spec.bs_capacity.ctx_service_s));
   add("bs.background_service_s",
-      fmt_double(spec.bs_capacity.background_service_s));
+      format_double(spec.bs_capacity.background_service_s));
   add("bs.admission_load_threshold",
-      fmt_double(spec.bs_capacity.admission_load_threshold));
+      format_double(spec.bs_capacity.admission_load_threshold));
   add("bs.reject_backoff_hint_s",
-      fmt_double(spec.bs_capacity.reject_backoff_hint_s));
+      format_double(spec.bs_capacity.reject_backoff_hint_s));
   add("bs.admission_max_retries",
       std::to_string(spec.bs_capacity.admission_max_retries));
   add("gate.max_rem_failure_ratio",
-      fmt_double(spec.gates.max_rem_failure_ratio));
+      format_double(spec.gates.max_rem_failure_ratio));
   add("gate.rem_le_legacy", fmt_bool(spec.gates.rem_le_legacy));
   add("gate.min_legacy_handovers",
       std::to_string(spec.gates.min_legacy_handovers));
 
-  const auto escaped = [](const std::string& s) {
-    std::string e;
-    for (char c : s) {
-      if (c == '"' || c == '\\') e.push_back('\\');
-      e.push_back(c);
-    }
-    return e;
-  };
-  os << "{\n";
-  for (std::size_t i = 0; i < out.size(); ++i)
-    os << "  \"" << escaped(out[i].first) << "\": \""
-       << escaped(out[i].second) << "\"" << (i + 1 < out.size() ? "," : "")
-       << "\n";
-  os << "}\n";
+  fj::write(os, out);
 }
 
 std::string write_scenario_json(const ScenarioSpec& spec) {
@@ -651,8 +579,8 @@ CompiledScenario compile(const ScenarioSpec& spec,
 
   const auto check_speed = [&](const std::string& what, double v) {
     if (!(v > 0.0 && v <= kMaxSpeedKmh))
-      reject(what + " " + fmt_double(v) + " km/h outside (0, " +
-             fmt_double(kMaxSpeedKmh) + "]");
+      reject(what + " " + format_double(v) + " km/h outside (0, " +
+             format_double(kMaxSpeedKmh) + "]");
   };
   check_speed("speed_kmh", spec.speed_kmh);
 
@@ -805,7 +733,7 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
     f.emplace_back(k, v);
   };
   const auto add_d = [&](const std::string& k, double v) {
-    add(k, fmt_double(v));
+    add(k, format_double(v));
   };
   const auto add_i = [&](const std::string& k, long long v) {
     add(k, std::to_string(v));

@@ -2,8 +2,8 @@
 // the shipped library under scenarios/).
 //
 // A scenario is a flat-JSON description — one `"key": "value"` pair per
-// line, the same wire discipline as the rem-metrics-v1 codec — of one
-// complete evaluation world: route preset, BS deployment layout, a
+// line, on the shared codec in common/flat_json.hpp — of one complete
+// evaluation world: route preset, BS deployment layout, a
 // mixed-speed UE population, a fault schedule over any of the twelve
 // FaultKinds (with correlated-fault domain knobs for region_outage /
 // cascade_overload), cascade-resilience knobs (load advertisement,
@@ -150,7 +150,8 @@ ScenarioSpec read_scenario_json(std::istream& is);
 ScenarioSpec read_scenario_json_file(const std::string& path);
 
 /// Canonical emission: every schema key, in fixed order, current values.
-/// read(write(spec)) == spec (the round-trip test pins this).
+/// read(write(spec)) == spec (the round-trip test pins this). Throws
+/// std::invalid_argument naming the key if a string field holds a newline.
 void write_scenario_json(const ScenarioSpec& spec, std::ostream& os);
 std::string write_scenario_json(const ScenarioSpec& spec);
 

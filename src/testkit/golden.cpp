@@ -1,11 +1,11 @@
 #include "testkit/golden.hpp"
 
+#include "common/flat_json.hpp"
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -15,11 +15,7 @@ namespace {
 
 std::string fmt_int(long long v) { return std::to_string(v); }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using common::flat_json::format_double;
 
 std::string fmt_hex(std::uint64_t v) {
   char buf[32];
@@ -31,7 +27,7 @@ std::string fmt_hex(std::uint64_t v) {
 template <class T>
 std::string fmt_stat(T v) {
   if constexpr (std::is_floating_point_v<T>)
-    return fmt_double(v);
+    return format_double(v);
   else
     return fmt_int(static_cast<long long>(v));
 }
@@ -65,26 +61,16 @@ void append_stats_fields(const std::string& prefix, const sim::SimStats& s,
                           s.outage_durations_s.size())));
   double outage_sum = 0.0;
   for (double v : s.outage_durations_s) outage_sum += v;
-  put("outage_sum_s", fmt_double(outage_sum));
+  put("outage_sum_s", format_double(outage_sum));
   put("feedback_count", fmt_int(static_cast<long long>(
                             s.feedback_delays_s.size())));
   double fb_sum = 0.0;
   for (double v : s.feedback_delays_s) fb_sum += v;
-  put("feedback_sum_s", fmt_double(fb_sum));
+  put("feedback_sum_s", format_double(fb_sum));
   put("pre_failure_snr_count",
       fmt_int(static_cast<long long>(s.pre_failure_snrs_db.size())));
   put("event_count", fmt_int(static_cast<long long>(s.events.size())));
   put("event_hash", fmt_hex(hash_event_log(s.events)));
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -309,8 +295,8 @@ TraceDigest make_digest(const GoldenCase& c, const sim::SimStats& legacy,
   TraceDigest d;
   d.case_name = c.name;
   d.fields.emplace_back("route", trace::route_name(c.route));
-  d.fields.emplace_back("speed_kmh", fmt_double(c.speed_kmh));
-  d.fields.emplace_back("duration_s", fmt_double(c.duration_s));
+  d.fields.emplace_back("speed_kmh", format_double(c.speed_kmh));
+  d.fields.emplace_back("duration_s", format_double(c.duration_s));
   d.fields.emplace_back("seed", fmt_int(static_cast<long long>(c.seed)));
   d.fields.emplace_back("faults", c.fault_preset);
   append_stats_fields("legacy.", legacy, d);
@@ -324,8 +310,8 @@ TraceDigest make_fleet_digest(const FleetGoldenCase& c,
   TraceDigest d;
   d.case_name = c.name;
   d.fields.emplace_back("route", trace::route_name(c.route));
-  d.fields.emplace_back("speed_kmh", fmt_double(c.speed_kmh));
-  d.fields.emplace_back("duration_s", fmt_double(c.duration_s));
+  d.fields.emplace_back("speed_kmh", format_double(c.speed_kmh));
+  d.fields.emplace_back("duration_s", format_double(c.duration_s));
   d.fields.emplace_back("seed", fmt_int(static_cast<long long>(c.seed)));
   d.fields.emplace_back("faults", c.fault_preset);
   d.fields.emplace_back("fleet_size", fmt_int(c.fleet_size));
@@ -347,11 +333,11 @@ TraceDigest make_fleet_digest(const FleetGoldenCase& c,
 }
 
 void write_digest_json(const TraceDigest& d, std::ostream& os) {
-  os << "{\n";
-  os << "  \"case\": \"" << json_escape(d.case_name) << "\"";
-  for (const auto& [k, v] : d.fields)
-    os << ",\n  \"" << json_escape(k) << "\": \"" << json_escape(v) << "\"";
-  os << "\n}\n";
+  std::vector<std::pair<std::string, std::string>> out;
+  out.reserve(d.fields.size() + 1);
+  out.emplace_back("case", d.case_name);
+  out.insert(out.end(), d.fields.begin(), d.fields.end());
+  common::flat_json::write(os, out);
 }
 
 void write_digest_json_file(const TraceDigest& d, const std::string& path) {
@@ -365,68 +351,19 @@ void write_digest_json_file(const TraceDigest& d, const std::string& path) {
 }
 
 TraceDigest read_digest_json(std::istream& is) {
-  // Minimal parser for exactly the flat shape write_digest_json emits:
-  // one `"key": "value"` pair per line inside a single object. Anything
-  // else is rejected with the offending line number and content.
+  // The shared flat-JSON reader does all the checking; a digest is just
+  // its 'case' plus every other pair in file order.
   TraceDigest d;
-  std::set<std::string> keys;
-  std::string line;
-  int line_no = 0;
-  bool in_object = false, closed = false;
-  const auto fail = [&](const std::string& why) {
-    throw std::runtime_error("digest JSON line " + std::to_string(line_no) +
-                             ": " + why + " in '" + line + "'");
-  };
-  const auto unquote = [&](std::string_view sv) {
-    if (sv.size() < 2 || sv.front() != '"' || sv.back() != '"')
-      fail("expected a double-quoted string");
-    std::string out;
-    for (std::size_t i = 1; i + 1 < sv.size(); ++i) {
-      if (sv[i] == '\\') {
-        if (i + 2 >= sv.size()) fail("dangling escape");
-        out.push_back(sv[++i]);
-      } else {
-        out.push_back(sv[i]);
-      }
+  bool have_case = false;
+  for (auto& e : common::flat_json::read(is, "digest")) {
+    if (e.key == "case") {
+      d.case_name = std::move(e.value);
+      have_case = true;
+    } else {
+      d.fields.emplace_back(std::move(e.key), std::move(e.value));
     }
-    return out;
-  };
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::string_view sv(line);
-    while (!sv.empty() && (sv.front() == ' ' || sv.front() == '\t'))
-      sv.remove_prefix(1);
-    while (!sv.empty() && (sv.back() == ' ' || sv.back() == '\t' ||
-                           sv.back() == '\r'))
-      sv.remove_suffix(1);
-    if (sv.empty()) continue;
-    if (sv == "{") {
-      if (in_object || closed) fail("unexpected '{'");
-      in_object = true;
-      continue;
-    }
-    if (sv == "}") {
-      if (!in_object || closed) fail("unexpected '}'");
-      closed = true;
-      in_object = false;
-      continue;
-    }
-    if (!in_object) fail("content outside the digest object");
-    if (sv.back() == ',') sv.remove_suffix(1);
-    const std::size_t colon = sv.find("\": \"");
-    if (colon == std::string_view::npos)
-      fail("expected a '\"key\": \"value\"' pair");
-    const std::string key = unquote(sv.substr(0, colon + 1));
-    const std::string value = unquote(sv.substr(colon + 3));
-    if (!keys.insert(key).second) fail("duplicate key '" + key + "'");
-    if (key == "case")
-      d.case_name = value;
-    else
-      d.fields.emplace_back(key, value);
   }
-  if (!closed)
-    throw std::runtime_error("digest JSON: unterminated object (no '}')");
-  if (keys.count("case") == 0)
+  if (!have_case)
     throw std::runtime_error("digest JSON: missing the 'case' key");
   return d;
 }

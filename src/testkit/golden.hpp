@@ -108,9 +108,11 @@ TraceDigest make_fleet_digest(const FleetGoldenCase& c,
                               const sim::FleetResult& legacy,
                               const sim::FleetResult& rem);
 
-/// Flat-JSON codec for digests (one string value per field, sorted as
-/// produced). The reader rejects malformed input with line/context
-/// detail, mirroring the trace CSV parser's error discipline.
+/// Digests on the shared flat-JSON codec (common/flat_json.hpp): a `case`
+/// key, then one string value per field in the order produced. The reader
+/// rejects malformed input with the offending line and content; the
+/// writer throws std::invalid_argument naming a key or value that holds a
+/// newline.
 void write_digest_json(const TraceDigest& d, std::ostream& os);
 TraceDigest read_digest_json(std::istream& is);
 TraceDigest read_digest_json_file(const std::string& path);

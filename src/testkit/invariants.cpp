@@ -1,12 +1,12 @@
 #include "testkit/invariants.hpp"
 
+#include "common/flat_json.hpp"
 #include "sim/tcp.hpp"
 
 #include "sim/fleet.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -17,12 +17,8 @@ namespace {
 /// `t += dt`, so durations carry a few ULP of drift per thousand ticks.
 constexpr double kTimeEps = 1e-6;
 
-/// A stats value in violation messages: exact, so bit-level drift shows.
-std::string show(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// Stats values in violation messages are exact, so bit-level drift shows.
+using common::flat_json::format_double;
 
 }  // namespace
 
@@ -647,9 +643,10 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
             : payload_sums_[k];
     const double got = static_cast<double>(stats.*field);
     if (got != want)
-      violate(t_end, "SimStats::" + std::string(f.name) + " = " + show(got) +
-                         " but the " + sim::event_kind_name(f.source) +
-                         " event recount is " + show(want));
+      violate(t_end, "SimStats::" + std::string(f.name) + " = " +
+                         format_double(got) + " but the " +
+                         sim::event_kind_name(f.source) +
+                         " event recount is " + format_double(want));
   });
 
   // --- Failure and handover conservation ---
@@ -673,9 +670,9 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   double outage_sum = 0.0;
   for (double d : stats.outage_durations_s) outage_sum += d;
   if (outage_sum != outage_sum_s_)
-    violate(t_end, "outage duration sum " + show(outage_sum) +
+    violate(t_end, "outage duration sum " + format_double(outage_sum) +
                        "s disagrees with the event stream (" +
-                       show(outage_sum_s_) + "s)");
+                       format_double(outage_sum_s_) + "s)");
   expect_eq(static_cast<long long>(stats.feedback_delays_s.size()),
             count(EventKind::kReportDelivered),
             "feedback delay samples vs delivered reports");
@@ -862,16 +859,17 @@ std::vector<std::string> fleet_invariant_report(const sim::FleetResult& r) {
     const std::string name = f.name;
     const auto want = sim::fold_stat(f.merge, r.per_ue, field);
     if (a.*field != want)
-      flag("aggregate." + name + " = " + show(a.*field) + " but the per-UE " +
+      flag("aggregate." + name + " = " + format_double(a.*field) +
+           " but the per-UE " +
            (f.merge == sim::StatMerge::kSum ? "sum" : "fold") + " = " +
-           show(want));
+           format_double(want));
     if (f.merge != sim::StatMerge::kWorld) return;
     for (int k = 1; k < n; ++k) {
       const auto v = r.per_ue[static_cast<std::size_t>(k)].*field;
       if (v != r.per_ue[0].*field) {
         flag(name + " disagree across UEs: UE 0 saw " +
-             show(r.per_ue[0].*field) + ", UE " + std::to_string(k) +
-             " saw " + show(v));
+             format_double(r.per_ue[0].*field) + ", UE " + std::to_string(k) +
+             " saw " + format_double(v));
         break;
       }
     }

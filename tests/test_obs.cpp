@@ -226,6 +226,33 @@ TEST(Codec, RejectsMalformedInputWithContext) {
       "{\n\"schema\": \"rem-metrics-v1\",\n\"hist.h.edges\": \"1\",\n"
       "\"hist.h.sum\": \"0\"\n}\n",
       "histogram 'h'");
+  const std::pair<const char*, const char*> cases[] = {
+      // Histogram parts are assembled after the last line is read, yet
+      // each error still names the part's own line.
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"hist.h.edges\": \"1,,2\",\n"
+       "\"hist.h.counts\": \"0,0,0,0\",\n\"hist.h.sum\": \"0\"\n}\n",
+       "metrics JSON line 3: malformed number '' in "
+       "'\"hist.h.edges\": \"1,,2\",'"},
+      // Edges the Histogram constructor refuses are refused here too, in
+      // its words: quantile() assumes ascending edges.
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"hist.h.edges\": \"5,1\",\n"
+       "\"hist.h.counts\": \"0,0,0\",\n\"hist.h.sum\": \"0\"\n}\n",
+       "metrics JSON line 3: bucket edges not strictly ascending at index 1 "
+       "(5 vs 1)"},
+      // One number rule: strtod and strtoull take these spellings, the
+      // reader must not.
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"gauge.g\": \" 0x1p3\"\n}\n",
+       "metrics JSON line 3: malformed number ' 0x1p3'"},
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"gauge.g\": \"0x10\"\n}\n",
+       "metrics JSON line 3: malformed number '0x10'"},
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"gauge.g\": \"+8\"\n}\n",
+       "metrics JSON line 3: malformed number '+8'"},
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"counter.c\": \" 5\"\n}\n",
+       "metrics JSON line 3: malformed integer ' 5'"},
+      {"{\n\"schema\": \"rem-metrics-v1\",\n\"counter.c\": \"+5\"\n}\n",
+       "metrics JSON line 3: malformed integer '+5'"},
+  };
+  for (const auto& [text, needle] : cases) expect_reject(text, needle);
 }
 
 TEST(Registry, MultiThreadRecordingMergesDeterministically) {

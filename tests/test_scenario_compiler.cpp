@@ -237,6 +237,24 @@ TEST(ScenarioSchema, RejectsNonFiniteAndOutOfRangeNumbers) {
   EXPECT_EQ(parse(minimal_json("  \"seed\": \"18446744073709551615\",\n"))
                 .seed,
             18446744073709551615ull);
+  // One number rule: strtol/strtod take these spellings, the reader must
+  // not (" 5" and "+5" read as 5, "0x10" as 16).
+  for (const char* v : {" 5", "+5"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>(
+        std::string("key 'ue.count': malformed integer '") + v + "'", [&] {
+          parse(minimal_json(std::string("  \"ue.count\": \"") + v +
+                             "\",\n"));
+        });
+  }
+  for (const char* v : {"0x10", " 120", "+120"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>(
+        std::string("key 'duration_s': malformed number '") + v + "'", [&] {
+          parse(minimal_json(std::string("  \"duration_s\": \"") + v +
+                             "\",\n"));
+        });
+  }
 }
 
 TEST(ScenarioCompile, RejectsWithScenarioNamedInContext) {
