@@ -1,7 +1,5 @@
-// DSP/runner performance trajectory: times the FFT plan cache against the
-// pre-cache implementation (re-deriving twiddles and Bluestein kernels per
-// call, as fft.cpp did before the plan cache), the in-place strided
-// SFFT/ISFFT against the old copy-per-row/column version, and the
+// DSP/runner performance trajectory: times the cached-plan FFT on radix-2
+// and Bluestein sizes, the in-place strided SFFT on OTFS grids, and the
 // seed-parallel scenario runner against the serial one. Results go to
 // BENCH_DSP.json (or argv[1]) so future changes can track the numbers.
 //
@@ -14,144 +12,24 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/fft_plan.hpp"
 #include "phy/otfs.hpp"
 #include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <numbers>
 #include <string>
 #include <vector>
-
-namespace baseline {
-
-// The seed-tree FFT, verbatim: per-call twiddle recurrence and per-call
-// Bluestein chirp/kernel construction. Kept here as the timing baseline.
-using rem::dsp::cd;
-using rem::dsp::CVec;
-
-constexpr double kPi = std::numbers::pi;
-
-void fft_pow2(CVec& a, bool invert) {
-  const std::size_t n = a.size();
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = 2.0 * kPi / static_cast<double>(len) *
-                       (invert ? 1.0 : -1.0);
-    const cd wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      cd w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cd u = a[i + k];
-        const cd v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-void fft_bluestein(CVec& a, bool invert) {
-  const std::size_t n = a.size();
-  const double sign = invert ? 1.0 : -1.0;
-  CVec w(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t k2 = (k * k) % (2 * n);
-    const double ang = sign * kPi * static_cast<double>(k2) /
-                       static_cast<double>(n);
-    w[k] = cd(std::cos(ang), std::sin(ang));
-  }
-  const std::size_t m = next_pow2(2 * n - 1);
-  CVec fa(m, cd(0, 0)), fb(m, cd(0, 0));
-  for (std::size_t k = 0; k < n; ++k) fa[k] = a[k] * w[k];
-  fb[0] = std::conj(w[0]);
-  for (std::size_t k = 1; k < n; ++k)
-    fb[k] = fb[m - k] = std::conj(w[k]);
-  fft_pow2(fa, false);
-  fft_pow2(fb, false);
-  for (std::size_t k = 0; k < m; ++k) fa[k] *= fb[k];
-  fft_pow2(fa, true);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  for (std::size_t k = 0; k < n; ++k) a[k] = fa[k] * inv_m * w[k];
-}
-
-void fft(CVec& a) {
-  if (a.empty()) return;
-  if (rem::dsp::is_pow2(a.size()))
-    fft_pow2(a, false);
-  else
-    fft_bluestein(a, false);
-}
-
-void ifft(CVec& a) {
-  if (a.empty()) return;
-  if (rem::dsp::is_pow2(a.size()))
-    fft_pow2(a, true);
-  else
-    fft_bluestein(a, true);
-  const double inv_n = 1.0 / static_cast<double>(a.size());
-  for (auto& x : a) x *= inv_n;
-}
-
-// The old copy-based SFFT: a fresh CVec per row and per column.
-void dft_rows(rem::dsp::Matrix& m, bool invert) {
-  const double scale = invert ? std::sqrt(static_cast<double>(m.cols()))
-                              : 1.0 / std::sqrt(static_cast<double>(m.cols()));
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    CVec row = m.row(r);
-    if (invert)
-      ifft(row);
-    else
-      fft(row);
-    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = row[c] * scale;
-  }
-}
-
-void dft_cols(rem::dsp::Matrix& m, bool invert) {
-  const double scale = invert ? std::sqrt(static_cast<double>(m.rows()))
-                              : 1.0 / std::sqrt(static_cast<double>(m.rows()));
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    CVec col = m.col(c);
-    if (invert)
-      ifft(col);
-    else
-      fft(col);
-    for (std::size_t r = 0; r < m.rows(); ++r) m(r, c) = col[r] * scale;
-  }
-}
-
-rem::dsp::Matrix sfft(const rem::dsp::Matrix& dd_grid) {
-  rem::dsp::Matrix tf = dd_grid;
-  dft_cols(tf, false);
-  dft_rows(tf, true);
-  return tf;
-}
-
-}  // namespace baseline
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
 double time_ns_per_op(std::size_t iters, const std::function<void()>& fn) {
-  fn();  // warm-up (also primes the plan cache for the cached variants)
+  fn();  // warm-up (also primes the plan cache)
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) fn();
   const auto t1 = Clock::now();
@@ -175,9 +53,7 @@ rem::dsp::Matrix random_grid(std::size_t m, std::size_t n,
 
 struct Entry {
   std::string name;
-  double baseline_ns;
   double cached_ns;
-  double speedup() const { return baseline_ns / cached_ns; }
 };
 
 bool runs_equal(const rem::bench::ScenarioRun& a,
@@ -207,7 +83,7 @@ int main(int argc, char** argv) {
   rem::common::Rng rng(7);
   std::vector<Entry> entries;
 
-  // --- FFT: cached plan vs per-call rebuild -------------------------------
+  // --- FFT: cached plans --------------------------------------------------
   struct FftCase {
     std::string name;
     std::size_t n;
@@ -223,21 +99,15 @@ int main(int argc, char** argv) {
   for (const auto& c : cases) {
     const auto x = random_vec(c.n, rng);
     const std::size_t iters = std::max<std::size_t>(1, c.iters / iter_div);
-    const double base_ns = time_ns_per_op(iters, [&] {
-      rem::dsp::CVec v = x;
-      baseline::fft(v);
-    });
     const double cached_ns = time_ns_per_op(iters, [&] {
       rem::dsp::CVec v = x;
       rem::dsp::fft(v);
     });
-    entries.push_back({c.name, base_ns, cached_ns});
-    std::printf("%-28s baseline %10.0f ns  cached %10.0f ns  %5.2fx\n",
-                c.name.c_str(), base_ns, cached_ns,
-                base_ns / cached_ns);
+    entries.push_back({c.name, cached_ns});
+    std::printf("%-28s cached %10.0f ns\n", c.name.c_str(), cached_ns);
   }
 
-  // --- SFFT: in-place strided vs copy-per-row/column ----------------------
+  // --- SFFT: in-place strided ---------------------------------------------
   struct GridCase {
     std::string name;
     std::size_t m, n, iters;
@@ -250,17 +120,12 @@ int main(int argc, char** argv) {
   for (const auto& g : grids) {
     const auto grid = random_grid(g.m, g.n, rng);
     const std::size_t iters = std::max<std::size_t>(1, g.iters / iter_div);
-    const double base_ns = time_ns_per_op(iters, [&] {
-      auto tf = baseline::sfft(grid);
-      (void)tf;
-    });
     const double cached_ns = time_ns_per_op(iters, [&] {
       auto tf = rem::phy::sfft(grid);
       (void)tf;
     });
-    entries.push_back({g.name, base_ns, cached_ns});
-    std::printf("%-28s baseline %10.0f ns  cached %10.0f ns  %5.2fx\n",
-                g.name.c_str(), base_ns, cached_ns, base_ns / cached_ns);
+    entries.push_back({g.name, cached_ns});
+    std::printf("%-28s cached %10.0f ns\n", g.name.c_str(), cached_ns);
   }
 
   // --- Scenario runner: serial vs seed-parallel ---------------------------
@@ -327,9 +192,7 @@ int main(int argc, char** argv) {
   js << "    \"hardware_threads\": " << hw_threads << ",\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];
-    js << "    \"" << e.name << "\": {\"baseline_ns\": " << e.baseline_ns
-       << ", \"cached_ns\": " << e.cached_ns
-       << ", \"speedup\": " << e.speedup() << "}"
+    js << "    \"" << e.name << "\": {\"cached_ns\": " << e.cached_ns << "}"
        << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   js << "  },\n";

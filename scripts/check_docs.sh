@@ -10,7 +10,9 @@
 #      doc comment on each top-level class/struct, so the observability
 #      API cannot drift undocumented;
 #   6. SCENARIOS.md's schema reference names every key scenarios/*.json
-#      use and every fault_kind_name() wire name.
+#      use and every fault_kind_name() wire name;
+#   7. every backticked `k[A-Z]...` identifier in the design and user
+#      docs occurs in src/, bench/, tests/, examples/ or perfbench/.
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -175,8 +177,29 @@ if [ -d scenarios ] && [ -f SCENARIOS.md ]; then
   done
 fi
 
+# --- 7. backticked k-identifiers in the docs exist in code ----------------
+# Every `kName` (alone or qualified, as in `FaultKind::kBsCrash`) inside a
+# backtick code span of these docs must occur as a word in the code trees
+# (markdown excluded, so a doc never vouches for itself): an enumerator or
+# constant renamed or deleted in code cannot linger in the docs. CHANGES.md
+# and ROADMAP.md are history and are not checked.
+for md in DESIGN.md README.md OBSERVABILITY.md SCENARIOS.md EXPERIMENTS.md \
+          perfbench/README.md; do
+  [ -f "$md" ] || continue
+  names=$(grep -o '`[^`]*`' "$md" |
+    grep -oE '(^|[^A-Za-z0-9_])k[A-Z][A-Za-z0-9_]*' | sed -E 's/^[^k]//' |
+    sort -u)
+  for name in $names; do
+    if ! grep -rqw --exclude='*.md' -- "$name" src bench tests examples \
+           perfbench; then
+      echo "UNKNOWN IDENTIFIER: $md names \`$name\`, which occurs nowhere in src/, bench/, tests/, examples/ or perfbench/"
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs + scenario schema keys)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs + scenario schema keys + doc k-identifiers)"

@@ -13,7 +13,11 @@
 #   scripts/check_tier1.sh --all        # every ctest label (slow/chaos/
 #                                       # golden included)
 #   scripts/check_tier1.sh --full       # --all plus the sanitizer chaos
-#                                       # soak (scripts/check_soak.sh)
+#                                       # soak (scripts/check_soak.sh) and
+#                                       # the ~3 min byte-identity check of
+#                                       # the goldens and BENCH_CHAOS/
+#                                       # BENCH_FLEET JSONs
+#                                       # (scripts/check_artifacts.sh)
 #   scripts/check_tier1.sh --scenarios  # also smoke-compile every
 #                                       # scenarios/*.json and run the
 #                                       # shortest end to end under the
@@ -28,14 +32,14 @@ cd "$(dirname "$0")/.."
 build="${BUILD_DIR:-build}"
 
 ctest_args=(-L 'tier1|docs|perf|fleet|golden')
-soak=0
+full=0
 scenarios=0
 if [ "${1:-}" = "--all" ]; then
   ctest_args=()
   shift
 elif [ "${1:-}" = "--full" ]; then
   ctest_args=()
-  soak=1
+  full=1
   shift
 elif [ "${1:-}" = "--scenarios" ]; then
   scenarios=1
@@ -48,8 +52,9 @@ cmake --build "${build}" -j"$(nproc)"
 ctest --test-dir "${build}" --output-on-failure -j"$(nproc)" \
       "${ctest_args[@]+"${ctest_args[@]}"}"
 
-if [ "${soak}" = 1 ]; then
+if [ "${full}" = 1 ]; then
   scripts/check_soak.sh
+  scripts/check_artifacts.sh "${build}"
 fi
 
 if [ "${scenarios}" = 1 ]; then

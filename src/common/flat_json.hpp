@@ -8,16 +8,17 @@
 //     "counter.sim.handovers": "412"
 //   }
 //
-// This module owns the line discipline, the escaping and the number
-// spelling; each format's reader keeps only the interpretation of its own
-// keys. Strings escape exactly `"` and `\` (as `\"` and `\\`); any other
-// escape is rejected, and no key or value may hold a newline. Numbers
-// travel as strings under one rule (the parse_* functions below), and
-// doubles are written with format_double so they round-trip bit-exactly.
+// This module owns the line discipline, the escaping, the number spelling
+// and the opening of every such file (read_file, write_file); each
+// format's reader keeps only the interpretation of its own keys. Strings
+// escape exactly `"` and `\` (as `\"` and `\\`); any other escape is
+// rejected, and no key or value may hold a newline. Numbers travel as
+// strings under one rule (the parse_* functions below), and doubles are
+// written with format_double so they round-trip bit-exactly.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -84,5 +85,33 @@ double parse_double(const std::string& s);
 
 /// `%.17g`: enough digits to round-trip every double bit-exactly.
 std::string format_double(double v);
+
+/// Open `path` and return `read(stream)`. `who` names the caller: a file
+/// that cannot be opened throws std::runtime_error "<who>: cannot open
+/// <path>", and a std::runtime_error from `read` comes back as
+/// "<path>: <what>".
+template <typename Read>
+auto read_file(const std::string& who, const std::string& path, Read&& read)
+    -> decltype(read(std::declval<std::istream&>())) {
+  std::ifstream is(path);
+  if (!is) throw std::runtime_error(who + ": cannot open " + path);
+  try {
+    return read(is);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+/// Open `path` for writing, call `write(stream)`, then check the stream:
+/// std::runtime_error "<who>: cannot open <path>" or "<who>: write failed
+/// for <path>".
+template <typename Write>
+void write_file(const std::string& who, const std::string& path,
+                Write&& write) {
+  std::ofstream os(path);
+  if (!os) throw std::runtime_error(who + ": cannot open " + path);
+  write(os);
+  if (!os) throw std::runtime_error(who + ": write failed for " + path);
+}
 
 }  // namespace rem::common::flat_json

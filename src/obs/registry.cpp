@@ -6,7 +6,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string_view>
@@ -389,25 +388,15 @@ MetricsSnapshot read_metrics_json(std::istream& is) {
 }
 
 MetricsSnapshot read_metrics_json_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is)
-    throw std::runtime_error("read_metrics_json_file: cannot open " + path);
-  try {
-    return read_metrics_json(is);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return common::flat_json::read_file("read_metrics_json_file", path,
+                                      read_metrics_json);
 }
 
 void write_metrics_json_file(const MetricsSnapshot& snap,
                              const std::string& path) {
-  std::ofstream os(path);
-  if (!os)
-    throw std::runtime_error("write_metrics_json_file: cannot open " + path);
-  write_metrics_json(snap, os);
-  if (!os)
-    throw std::runtime_error("write_metrics_json_file: write failed for " +
-                             path);
+  common::flat_json::write_file(
+      "write_metrics_json_file", path,
+      [&](std::ostream& os) { write_metrics_json(snap, os); });
 }
 
 }  // namespace rem::obs

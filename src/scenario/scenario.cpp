@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -382,14 +381,8 @@ ScenarioSpec read_scenario_json(std::istream& is) {
 }
 
 ScenarioSpec read_scenario_json_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is)
-    throw std::runtime_error("read_scenario_json_file: cannot open " + path);
-  try {
-    return read_scenario_json(is);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return common::flat_json::read_file("read_scenario_json_file", path,
+                                      read_scenario_json);
 }
 
 // ---------------------------------------------------------------------------

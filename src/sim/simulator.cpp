@@ -25,44 +25,67 @@ constexpr double kLossMemory_s = 1.5;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// One UE's in-flight handover attempt (decision made, not yet executed).
-struct PendingHandover {
-  std::size_t target_idx = 0;
-  double report_due_s = 0.0;     ///< feedback arrives at the BS
-  double command_due_s = 0.0;    ///< command reaches the UE (if set)
-  bool report_delivered = false;
-  bool report_lost = false;      ///< retransmissions exhausted
-  bool command_lost = false;
-  int report_retries = 0;
-  double decided_at_s = 0.0;
-  // Backhaul preparation state (only used when cfg.backhaul.enabled):
-  // the BS must get a HANDOVER REQUEST acked by the target before the
-  // HO command can be sent to the UE.
-  int fallback_idx = -1;         ///< second-best target from the decision
+/// Where a handover attempt stands in the paper's signaling procedure:
+/// measurement report -> network decision (with the backhaul on, plus
+/// HANDOVER REQUEST/ACK preparation with the target) -> handover command
+/// -> execution. Without the backhaul a delivered report goes straight to
+/// kCommand. The dead ends follow kExecuting; after one the manager may
+/// decide again.
+enum class Phase {
+  kReport,        ///< report (re)transmission due at due_s
+  kRequestDue,    ///< HANDOVER REQUEST to send at due_s, breaker permitting
+  kRequestSent,   ///< request `seq` outstanding until deadline_s
+  kCommand,       ///< handover command due at due_s
+  kExecuting,     ///< detach + random access on exec_idx until due_s
+  kReportLost,    ///< report retransmissions exhausted
+  kDecisionShed,  ///< the serving BS shed the RRC decision on a full queue
+  kPrepFailed,    ///< preparation retries and the fallback exhausted
+  kCommandLost,   ///< the handover command was lost in delivery
+};
+
+/// One UE's handover attempt, from the manager's decision until execution
+/// ends or a newer decision replaces a dead end.
+struct Attempt {
+  Phase phase = Phase::kReport;
+  double due_s = 0.0;          ///< when the phase's next step is due
+  std::size_t target_idx = 0;  ///< target being prepared / commanded
+  int fallback_idx = -1;       ///< second-best target from the decision
   bool used_fallback = false;
-  bool prep_requested = false;   ///< current request is in flight
-  bool prep_acked = false;
-  bool prep_failed = false;      ///< retries + fallback exhausted
-  int prep_retries = 0;
-  std::uint64_t prep_seq = 0;    ///< seq of the outstanding request
-  double prep_due_s = 0.0;       ///< when to (re-)send the request
-  double prep_sent_s = 0.0;      ///< last request send time (RTT base)
-  double prep_deadline_s = 0.0;  ///< timeout for the outstanding request
+  double decided_at_s = 0.0;
+  int report_retries = 0;
+  int prep_retries = 0;        ///< T-prep retries toward the current target
   /// Admission-control backoff (core/admission.hpp): busy rejects
   /// absorbed by waiting out the target's hint, per attempt.
   int admission_retries = 0;
-  /// The serving BS shed this attempt's RRC decision on a full queue;
-  /// the attempt is dead and the manager may re-decide.
-  bool decision_shed = false;
+  std::uint64_t seq = 0;       ///< transaction id of the outstanding request
+  double sent_s = 0.0;         ///< last request send time (RTT base)
+  double deadline_s = 0.0;     ///< T-prep timeout of the outstanding request
+  /// Cell being executed toward: target_idx unless a stale duplicate of
+  /// the previous command executed first.
+  std::size_t exec_idx = 0;
+
+  bool due(double t) const { return t >= due_s; }
+  bool dead_end() const { return phase > Phase::kExecuting; }
+  bool fallback_available() const {
+    return fallback_idx >= 0 && !used_fallback &&
+           fallback_idx != static_cast<int>(target_idx);
+  }
 };
 
-/// Handover execution in flight: detach + random access on the target.
-struct Execution {
-  std::size_t target_idx = 0;
-  std::size_t prepared_idx = 0;  ///< genuine prepared target (== target
-                                 ///  unless a stale duplicate executed)
-  double started_s = 0.0;
-};
+/// The Table 2 cause an attempt in progress gives an RLF. Once the report
+/// got through, the network decided and the UE never executed: the
+/// command is lost or still in flight (a failed preparation leaves the UE
+/// on the dying link the same way). Before that, or when the serving BS
+/// shed the decision, the feedback was lost or too slow.
+FailureCause attempt_cause(Phase p) {
+  return p == Phase::kReport || p == Phase::kReportLost ||
+                 p == Phase::kDecisionShed
+             ? FailureCause::kFeedbackDelayLoss
+             : FailureCause::kHoCommandLoss;
+}
+
+/// Context fetch during RLF re-establishment (backhaul only).
+enum class CtxFetch { kNone, kFetching, kReady, kFailed };
 
 /// Everything one UE owns: its manager, its RNG stream, its kinematics,
 /// and the full per-UE slice of the simulator state that the seed's
@@ -84,8 +107,7 @@ struct UeContext {
   /// for every UE; camping or completing a handover there restores it for
   /// that UE only.
   std::vector<bool> context_lost;
-  std::optional<PendingHandover> pending;
-  std::optional<Execution> exec;
+  std::optional<Attempt> attempt;
   // RLF detection state: consecutive out-of-sync ticks arm T310;
   // consecutive in-sync ticks during T310 disarm it.
   int oos_count = 0;
@@ -112,10 +134,7 @@ struct UeContext {
   /// Rolling 5 s window of serving SNR for the Fig. 2b analysis.
   std::deque<std::pair<double, double>> snr_window;  ///< (t, snr)
   double cur_snr = kNaN;
-  // Context-fetch state during RLF re-establishment (backhaul only).
-  bool ctx_pending = false;
-  bool ctx_ready = false;
-  bool ctx_failed = false;
+  CtxFetch ctx = CtxFetch::kNone;
   std::uint64_t ctx_seq = 0;
   int ctx_retries = 0;
   double ctx_deadline_s = 0.0;
@@ -129,19 +148,42 @@ struct UeContext {
   /// observations handed to the manager.
   std::vector<std::size_t> reach;
   std::vector<Observation> obs;
+
+  bool in_phase(Phase p) const { return attempt && attempt->phase == p; }
 };
 
-class FleetEngine;
-
-/// Fires the per-tick observer snapshot when the enclosing UE step ends,
-/// whichever early-return path it takes, so an attached observer sees
-/// exactly one TickView per UE per simulated tick.
-struct TickEmit {
-  FleetEngine* eng;  ///< nullptr when no observer is attached
-  UeContext* ue;
-  double t;
-  ~TickEmit();
+/// One tick's serving-link sample, read by every phase after it.
+struct RadioSample {
+  ServingState sv;
+  bool in_hole = false;
+  bool pilot_out = false;
+  double pilot_sigma = 0.0;
 };
+
+/// The one builder of request frames: `type` from cell `src` to cell
+/// `dst`, about cell `target`, on behalf of UE `ue`.
+net::BackhaulMessage request(net::MsgType type, std::uint64_t seq, int src,
+                             int dst, int target, int ue) {
+  return {.seq = seq,
+          .type = type,
+          .src_cell = src,
+          .dst_cell = dst,
+          .target_cell = target,
+          .ue = ue};
+}
+
+/// The one builder of reply frames: answers `m` from its destination back
+/// to its source, echoing the transaction id, the subject cell and the UE.
+net::BackhaulMessage reply(const net::BackhaulMessage& m, net::MsgType type,
+                           double payload = 0.0) {
+  return {.seq = m.seq,
+          .type = type,
+          .src_cell = m.dst_cell,
+          .dst_cell = m.src_cell,
+          .target_cell = m.target_cell,
+          .ue = m.ue,
+          .payload = payload};
+}
 
 /// The simulation core shared by both run modes: one world (fault
 /// schedule, BsStation banks, backhaul transport, crash window) carrying
@@ -234,43 +276,6 @@ class FleetEngine {
     return out;
   }
 
-  /// End-of-tick observer snapshot (fired by TickEmit). Reads only — no
-  /// RNG draws — so attaching an observer never changes a run's results.
-  void emit_tick(UeContext& u, double t_now) {
-    focus(u.id);
-    TickView v;
-    v.t_s = t_now;
-    v.ue = u.id;
-    v.serving = u.serving;
-    v.serving_snr_db = u.cur_snr;
-    v.in_outage = u.outage_started >= 0.0;
-    v.executing = u.exec.has_value();
-    v.t310_running = u.t310_started >= 0.0;
-    v.oos_count = u.oos_count;
-    v.is_count = u.is_count;
-    v.report_pending =
-        u.pending && !u.pending->report_delivered && !u.pending->report_lost;
-    v.prep_pending = use_net_ && u.pending && u.pending->report_delivered &&
-                     !u.pending->prep_acked && !u.pending->prep_failed &&
-                     !u.pending->command_lost && !u.pending->decision_shed;
-    v.command_pending = u.pending &&
-                        (use_net_ ? u.pending->prep_acked
-                                  : u.pending->report_delivered) &&
-                        !u.pending->command_lost && !u.pending->decision_shed;
-    v.pilot_fault = faults_.active(FaultKind::kPilotOutage, t_now);
-    v.blackout = faults_.active(FaultKind::kCoverageBlackout, t_now);
-    v.estimate_age_s = v.pilot_fault ? t_now - u.pilot_fresh_t : 0.0;
-    v.degraded = u.degraded_prev;
-    if (use_cap_) {
-      for (const auto& st : stations_)
-        v.bs_queue_peak = std::max(v.bs_queue_peak, st.occupancy(t_now));
-    }
-    v.crashed_cells = dead_count_;
-    for (const auto& br : u.breakers)
-      if (br.state() == core::BreakerState::kOpen) ++v.breakers_open;
-    cfg_.observer->on_tick(v);
-  }
-
  private:
   UeContext& ue_of(int ue) {
     if (ue < 0 || ue >= static_cast<int>(ues_.size()))
@@ -330,10 +335,9 @@ class FleetEngine {
     // An RLF abandons any in-flight preparation. A half-open probe that
     // can no longer be answered must resolve as a failure here, or the
     // breaker would wedge half-open with its probe slot taken forever.
-    if (!u.breakers.empty() && u.pending && u.pending->prep_requested &&
-        !u.pending->prep_acked && !u.pending->prep_failed &&
-        u.breakers[u.pending->target_idx].probe_in_flight())
-      breaker_fail(u, t, u.pending->target_idx);
+    if (!u.breakers.empty() && u.in_phase(Phase::kRequestSent) &&
+        u.breakers[u.attempt->target_idx].probe_in_flight())
+      breaker_fail(u, t, u.attempt->target_idx);
     ++u.stats.failures;
     ++u.stats.failures_by_cause[cause];
     // Dump the pre-failure SNR window, decimated to ~10 samples.
@@ -345,10 +349,10 @@ class FleetEngine {
     u.outage_started = t;
     u.outage_reestablish_s = cfg_.reestablish_s;
     u.preferred_target = -1;
-    u.pending.reset();
+    u.attempt.reset();
     u.oos_count = u.is_count = 0;
     u.t310_started = -1.0;
-    u.ctx_pending = u.ctx_ready = u.ctx_failed = false;
+    u.ctx = CtxFetch::kNone;
     u.ctx_target = -1;
   }
 
@@ -359,7 +363,7 @@ class FleetEngine {
     u.context_lost[static_cast<std::size_t>(target)] = false;
     u.outage_started = -1.0;
     u.preferred_target = -1;
-    u.ctx_pending = u.ctx_ready = u.ctx_failed = false;
+    u.ctx = CtxFetch::kNone;
     u.ctx_target = -1;
     u.outage_reestablish_s = cfg_.reestablish_s;
     u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
@@ -368,20 +372,44 @@ class FleetEngine {
     u.recent_serving.push_back({t, u.serving});
   }
 
-  /// Lazily saturate a station with synthetic other-UE jobs up to the
-  /// overload window's target occupancy, right before a UE job is offered
-  /// to it. Deterministic: occupancy targets and service times are fixed.
-  void top_up(double t, std::size_t cell) {
-    if (overload_u_ <= 0.0 || dead_[cell] != 0) return;
+  /// Submits synthetic other-UE jobs to `cell` until its occupancy reaches
+  /// `util` of its capacity or the queue refuses; returns how many went
+  /// in. Deterministic: occupancy targets and service times are fixed.
+  int fill_background(double t, std::size_t cell, double util) {
     const double cap = static_cast<double>(cfg_.bs_capacity.slots) +
                        static_cast<double>(cfg_.bs_capacity.queue_capacity);
-    const int target_occ = static_cast<int>(std::lround(overload_u_ * cap));
+    const int target_occ = static_cast<int>(std::lround(util * cap));
     auto& st = stations_[cell];
-    while (st.occupancy(t) < target_occ) {
-      if (!st.submit(t, BsJobKind::kBackground,
+    int injected = 0;
+    while (st.occupancy(t) < target_occ &&
+           st.submit(t, BsJobKind::kBackground,
                      cfg_.bs_capacity.background_service_s))
-        break;
+      ++injected;
+    return injected;
+  }
+
+  /// Lazily saturate a live station up to the overload window's target
+  /// occupancy, right before a UE job is offered to it.
+  void top_up(double t, std::size_t cell) {
+    if (overload_u_ <= 0.0 || dead_[cell] != 0) return;
+    fill_background(t, cell, overload_u_);
+  }
+
+  /// Offers one of UE `u`'s signaling jobs to `cell`'s station (service
+  /// time inflated by an overload window). A full queue sheds it, counted
+  /// and logged; returns the scheduled job otherwise.
+  std::optional<BsJob> submit_job(double t, UeContext& u, std::size_t cell,
+                                  BsJobKind kind, double service_s,
+                                  const net::BackhaulMessage& msg = {}) {
+    ++u.stats.bs_jobs_submitted;
+    auto job = stations_[cell].submit(t, kind, service_s * svc_inflation_,
+                                      msg, u.id);
+    if (!job) {
+      ++u.stats.bs_queue_shed;
+      log_event(u, t, EventKind::kBsQueueShed, u.serving,
+                static_cast<int>(cell), stations_[cell].load(t));
     }
+    return job;
   }
 
   void bh_send(double t, net::BackhaulMessage m) {
@@ -399,6 +427,50 @@ class FleetEngine {
     netw_->send(t, m, bh_loss_, bh_delay_, bh_partition_);
   }
 
+  /// Sends the attempt's HANDOVER REQUEST under a fresh transaction id:
+  /// the first send toward the current target from kRequestDue, or a
+  /// T-prep retry from kRequestSent. Each retry doubles the timeout; a
+  /// straggling answer to a replaced id is ignored.
+  void send_prep(UeContext& u, double t, double snr_db) {
+    Attempt& a = *u.attempt;
+    const bool retry = a.phase == Phase::kRequestSent;
+    if (retry) {
+      ++a.prep_retries;
+      ++u.stats.prep_retries;
+    } else {
+      ++u.stats.prep_requests;
+    }
+    a.phase = Phase::kRequestSent;
+    a.seq = next_seq_++;
+    a.sent_s = t;
+    a.deadline_s = t + cfg_.prep_timeout_s *
+                           static_cast<double>(1 << a.prep_retries);
+    const int tgt = static_cast<int>(a.target_idx);
+    bh_send(t, request(net::MsgType::kHandoverRequest, a.seq, u.serving, tgt,
+                       tgt, u.id));
+    log_event(u, t, retry ? EventKind::kPrepRetry : EventKind::kPrepRequest,
+              u.serving, tgt, snr_db);
+  }
+
+  /// Asks the old serving BS for the UE context on behalf of the
+  /// re-establishment cell `ctx_target`. The first send opens a
+  /// transaction; each retry doubles the timeout and keeps the id, so a
+  /// late answer to an earlier copy still completes the fetch (ctx_seen_
+  /// absorbs duplicates).
+  void send_ctx_fetch(UeContext& u, double t) {
+    if (u.ctx == CtxFetch::kFetching) {
+      ++u.ctx_retries;
+    } else {
+      u.ctx = CtxFetch::kFetching;
+      u.ctx_seq = next_seq_++;
+      u.ctx_retries = 0;
+    }
+    u.ctx_deadline_s = t + cfg_.ctx_fetch_timeout_s *
+                               static_cast<double>(1 << u.ctx_retries);
+    bh_send(t, request(net::MsgType::kContextFetch, u.ctx_seq, u.ctx_target,
+                       u.serving, u.ctx_target, u.id));
+  }
+
   /// One preparation failure / busy-reject toward `target` feeds that
   /// target's circuit breaker; logs the trip when it opens.
   void breaker_fail(UeContext& u, double t, std::size_t target) {
@@ -413,18 +485,18 @@ class FleetEngine {
   /// Breaker gate in front of every first send of a HANDOVER REQUEST
   /// (retries of an in-flight request are the same logical preparation
   /// and are never re-gated). Returns false while the target's breaker
-  /// refuses; the pending attempt simply waits, so the cool-down bounds
-  /// the stall. The first admission after the cool-down is the half-open
-  /// probe and is logged as such.
+  /// refuses; the attempt simply waits in kRequestDue, so the cool-down
+  /// bounds the stall. The first admission after the cool-down is the
+  /// half-open probe and is logged as such.
   bool breaker_allows_prep(UeContext& u, double t) {
     if (u.breakers.empty()) return true;
-    auto& br = u.breakers[u.pending->target_idx];
+    auto& br = u.breakers[u.attempt->target_idx];
     const bool was_open = br.state() == core::BreakerState::kOpen;
     if (!br.allow(t)) return false;
     if (was_open) {
       ++u.stats.breaker_probes;
       log_event(u, t, EventKind::kBreakerProbe, u.serving,
-                static_cast<int>(u.pending->target_idx), 0.0);
+                static_cast<int>(u.attempt->target_idx), 0.0);
     }
     return true;
   }
@@ -435,44 +507,93 @@ class FleetEngine {
   /// RLF classifies like a lost command (the network decided, the UE
   /// never heard).
   void prep_fallback_or_fail(UeContext& u, double now) {
-    if (u.pending->fallback_idx >= 0 && !u.pending->used_fallback &&
-        u.pending->fallback_idx != static_cast<int>(u.pending->target_idx)) {
-      u.pending->used_fallback = true;
-      u.pending->target_idx =
-          static_cast<std::size_t>(u.pending->fallback_idx);
-      u.pending->prep_retries = 0;
-      u.pending->prep_requested = false;
-      u.pending->prep_due_s = now;
+    Attempt& a = *u.attempt;
+    if (a.fallback_available()) {
+      a.used_fallback = true;
+      a.target_idx = static_cast<std::size_t>(a.fallback_idx);
+      a.prep_retries = 0;
+      a.phase = Phase::kRequestDue;
+      a.due_s = now;
       ++u.stats.prep_fallbacks;
       log_event(u, now, EventKind::kPrepFallback, u.serving,
-                static_cast<int>(u.pending->target_idx), 0.0);
+                static_cast<int>(a.target_idx), 0.0);
     } else {
-      u.pending->prep_failed = true;
+      a.phase = Phase::kPrepFailed;
       ++u.stats.prep_failures;
       u.last_cmd_loss_t = now;
       log_event(u, now, EventKind::kPrepFailed, u.serving,
-                static_cast<int>(u.pending->target_idx), 0.0);
+                static_cast<int>(a.target_idx), 0.0);
     }
   }
 
-  /// Builds the admission reply for a HANDOVER REQUEST: accept when the
-  /// target still covers the owning UE's position; echo the transaction
-  /// id and the UE id.
+  /// The target's admission verdict on a HANDOVER REQUEST: accept when it
+  /// still covers the owning UE's position (the RSRP rides as payload).
   net::BackhaulMessage admission_reply(const net::BackhaulMessage& m) {
     const auto tgt = static_cast<std::size_t>(m.target_cell);
     const double rsrp =
         env_.mean_rsrp_dbm(tgt, ue_of(m.ue).pos) - blackout_db_ - crash_db(tgt);
-    net::BackhaulMessage reply;
-    reply.seq = m.seq;
-    reply.type = rsrp >= cfg_.min_coverage_rsrp_dbm
+    return reply(m,
+                 rsrp >= cfg_.min_coverage_rsrp_dbm
                      ? net::MsgType::kHandoverAck
-                     : net::MsgType::kHandoverReject;
-    reply.src_cell = m.dst_cell;
-    reply.dst_cell = m.src_cell;
-    reply.target_cell = m.target_cell;
-    reply.ue = m.ue;
-    reply.payload = rsrp;
-    return reply;
+                     : net::MsgType::kHandoverReject,
+                 rsrp);
+  }
+
+  /// An ack, reject or busy-reject answering the attempt's outstanding
+  /// HANDOVER REQUEST.
+  void answer_prep(UeContext& u, double t, const net::BackhaulMessage& m) {
+    Attempt& a = *u.attempt;
+    const int tgt = static_cast<int>(a.target_idx);
+    if (m.type == net::MsgType::kHandoverAck) {
+      a.phase = Phase::kCommand;
+      ++u.stats.prep_acks;
+      const double rtt = t - a.sent_s;
+      u.stats.prep_rtt_sum_s += rtt;
+      a.due_s = t + cfg_.retry_spacing_s;
+      log_event(u, t, EventKind::kPrepAck, u.serving, tgt, rtt);
+      if (!u.breakers.empty() && u.breakers[a.target_idx].record_success()) {
+        ++u.stats.breaker_closes;
+        log_event(u, t, EventKind::kBreakerClose, u.serving, tgt, 0.0);
+      }
+      return;
+    }
+    if (m.type == net::MsgType::kHandoverReject) {
+      ++u.stats.prep_rejects;
+      log_event(u, t, EventKind::kPrepReject, u.serving, tgt, 0.0);
+      breaker_fail(u, t, a.target_idx);
+      prep_fallback_or_fail(u, t);
+      return;
+    }
+    // Busy reject: the target's signaling queue is over its admission
+    // threshold. The source FSM (core/admission.hpp) pivots to the
+    // Theorem-2 fallback target if one is still fresh, otherwise waits out
+    // the carried backoff hint for a bounded number of re-attempts before
+    // failing the preparation.
+    ++u.stats.admission_rejects;
+    const double hint = std::max(0.0, m.payload);
+    log_event(u, t, EventKind::kAdmissionReject, u.serving, tgt, hint);
+    breaker_fail(u, t, a.target_idx);
+    core::AdmissionBackoffFsm fsm(cfg_.bs_capacity.admission_max_retries,
+                                  a.admission_retries);
+    if (fsm.decide(a.fallback_available()) !=
+        core::AdmissionAction::kBackoff) {
+      prep_fallback_or_fail(u, t);  // fallback, or fail when none is left
+      return;
+    }
+    a.admission_retries = fsm.retries();
+    ++u.stats.admission_backoff_retries;
+    a.phase = Phase::kRequestDue;
+    a.prep_retries = 0;
+    double wait = hint;
+    if (cfg_.storm_jitter_frac > 0.0) {
+      // Storm damping: per-UE jitter (from the UE's own stream)
+      // desynchronizes a displaced fleet's retries instead of hammering
+      // the next BS in lockstep. Off by default and draw-free when off.
+      wait = hint * (1.0 + u.rng->uniform(0.0, cfg_.storm_jitter_frac));
+      ++u.stats.storm_jitter_applied;
+    }
+    a.due_s = t + wait;
+    log_event(u, t, EventKind::kAdmissionRetry, u.serving, tgt, wait);
   }
 
   void poll_backhaul(double t) {
@@ -499,180 +620,72 @@ class FleetEngine {
           // target refuses outright with a backoff hint (the source FSM
           // pivots to its fallback or waits the hint out). Below the
           // threshold the request takes a processing slot and the
-          // accept/reject verdict goes out when the job completes.
+          // accept/reject verdict goes out when the job completes. A
+          // queue full under threshold can only happen with extreme
+          // configs; the source's prep timer recovers the attempt.
           const auto tgt = static_cast<std::size_t>(m.target_cell);
           top_up(t, tgt);
-          auto& st = stations_[tgt];
-          if (st.load(t) >= cfg_.bs_capacity.admission_load_threshold) {
-            net::BackhaulMessage reply;
-            reply.seq = m.seq;
-            reply.type = net::MsgType::kHandoverRejectBusy;
-            reply.src_cell = m.dst_cell;
-            reply.dst_cell = m.src_cell;
-            reply.target_cell = m.target_cell;
-            reply.ue = m.ue;
-            reply.payload = cfg_.bs_capacity.reject_backoff_hint_s;
-            bh_send(t, reply);
+          if (stations_[tgt].load(t) >=
+              cfg_.bs_capacity.admission_load_threshold) {
+            bh_send(t, reply(m, net::MsgType::kHandoverRejectBusy,
+                             cfg_.bs_capacity.reject_backoff_hint_s));
             break;
           }
-          ++u.stats.bs_jobs_submitted;
-          if (!st.submit(t, BsJobKind::kPrepAdmission,
-                         cfg_.bs_capacity.prep_service_s * svc_inflation_, m,
-                         m.ue)) {
-            // Queue full under threshold can only happen with extreme
-            // configs; the source's prep timer recovers the attempt.
-            ++u.stats.bs_queue_shed;
-            log_event(u, t, EventKind::kBsQueueShed, u.serving,
-                      static_cast<int>(tgt), st.load(t));
-          }
+          submit_job(t, u, tgt, BsJobKind::kPrepAdmission,
+                     cfg_.bs_capacity.prep_service_s, m);
           break;
         }
-        case net::MsgType::kHandoverAck: {
-          const bool first = ack_seen_.accept(m.seq);
-          if (first && u.pending && !u.exec && u.pending->prep_requested &&
-              !u.pending->prep_acked && !u.pending->prep_failed &&
-              m.seq == u.pending->prep_seq) {
-            u.pending->prep_acked = true;
-            ++u.stats.prep_acks;
-            const double rtt = t - u.pending->prep_sent_s;
-            u.stats.prep_rtt_sum_s += rtt;
-            u.pending->command_due_s = t + cfg_.retry_spacing_s;
-            log_event(u, t, EventKind::kPrepAck, u.serving,
-                      static_cast<int>(u.pending->target_idx), rtt);
-            if (!u.breakers.empty() &&
-                u.breakers[u.pending->target_idx].record_success()) {
-              ++u.stats.breaker_closes;
-              log_event(u, t, EventKind::kBreakerClose, u.serving,
-                        static_cast<int>(u.pending->target_idx), 0.0);
-            }
-          }
+        case net::MsgType::kHandoverAck:
+        case net::MsgType::kHandoverReject:
+        case net::MsgType::kHandoverRejectBusy:
+          // At most once per transaction id, and only an answer to the
+          // attempt's outstanding request counts: a retry or a fallback
+          // replaces the id, and execution or a dead end ends the wait.
+          if (ack_seen_.accept(m.seq) && u.in_phase(Phase::kRequestSent) &&
+              m.seq == u.attempt->seq)
+            answer_prep(u, t, m);
           break;
-        }
-        case net::MsgType::kHandoverReject: {
-          const bool first = ack_seen_.accept(m.seq);
-          if (first && u.pending && !u.exec && u.pending->prep_requested &&
-              !u.pending->prep_acked && !u.pending->prep_failed &&
-              m.seq == u.pending->prep_seq) {
-            ++u.stats.prep_rejects;
-            log_event(u, t, EventKind::kPrepReject, u.serving,
-                      static_cast<int>(u.pending->target_idx), 0.0);
-            breaker_fail(u, t, u.pending->target_idx);
-            prep_fallback_or_fail(u, t);
-          }
-          break;
-        }
-        case net::MsgType::kHandoverRejectBusy: {
-          // Admission control said no: the target's signaling queue is
-          // over threshold. The source FSM (core/admission.hpp) pivots
-          // to the Theorem-2 fallback target if one is still fresh,
-          // otherwise waits out the carried backoff hint for a bounded
-          // number of re-attempts before failing the preparation.
-          const bool first = ack_seen_.accept(m.seq);
-          if (first && u.pending && !u.exec && u.pending->prep_requested &&
-              !u.pending->prep_acked && !u.pending->prep_failed &&
-              m.seq == u.pending->prep_seq) {
-            ++u.stats.admission_rejects;
-            const double hint = std::max(0.0, m.payload);
-            log_event(u, t, EventKind::kAdmissionReject, u.serving,
-                      static_cast<int>(u.pending->target_idx), hint);
-            breaker_fail(u, t, u.pending->target_idx);
-            core::AdmissionBackoffFsm fsm(
-                cfg_.bs_capacity.admission_max_retries,
-                u.pending->admission_retries);
-            const bool fallback_available =
-                u.pending->fallback_idx >= 0 && !u.pending->used_fallback &&
-                u.pending->fallback_idx !=
-                    static_cast<int>(u.pending->target_idx);
-            switch (fsm.decide(fallback_available)) {
-              case core::AdmissionAction::kFallback:
-                prep_fallback_or_fail(u, t);
-                break;
-              case core::AdmissionAction::kBackoff: {
-                u.pending->admission_retries = fsm.retries();
-                ++u.stats.admission_backoff_retries;
-                u.pending->prep_requested = false;
-                u.pending->prep_retries = 0;
-                double wait = hint;
-                if (cfg_.storm_jitter_frac > 0.0) {
-                  // Storm damping: per-UE jitter (from the UE's own
-                  // stream) desynchronizes a displaced fleet's retries
-                  // instead of hammering the next BS in lockstep. Off by
-                  // default and draw-free when off.
-                  wait = hint *
-                         (1.0 + u.rng->uniform(0.0, cfg_.storm_jitter_frac));
-                  ++u.stats.storm_jitter_applied;
-                }
-                u.pending->prep_due_s = t + wait;
-                log_event(u, t, EventKind::kAdmissionRetry, u.serving,
-                          static_cast<int>(u.pending->target_idx), wait);
-                break;
-              }
-              case core::AdmissionAction::kFail:
-                prep_fallback_or_fail(u, t);  // no fallback: prep failed
-                break;
-            }
-          }
-          break;
-        }
         case net::MsgType::kContextFetch: {
           // The old serving BS looks the UE context up — through its
-          // capacity station when the model is on — and answers with
-          // the context, or with a stale indication if it crashed and
-          // lost the context since (restart recovery).
+          // capacity station when the model is on, replying when the job
+          // completes — and answers with the context, or with a stale
+          // indication if it crashed and lost the context since (restart
+          // recovery).
           const int holder = m.dst_cell;
-          const bool stale =
-              holder >= 0 &&
-              holder < static_cast<int>(u.context_lost.size()) &&
-              u.context_lost[static_cast<std::size_t>(holder)];
           if (use_cap_ && holder >= 0 &&
               holder < static_cast<int>(stations_.size())) {
             const auto h = static_cast<std::size_t>(holder);
             top_up(t, h);
-            ++u.stats.bs_jobs_submitted;
-            if (!stations_[h].submit(
-                    t, BsJobKind::kContextLookup,
-                    cfg_.bs_capacity.ctx_service_s * svc_inflation_, m,
-                    m.ue)) {
-              ++u.stats.bs_queue_shed;
-              log_event(u, t, EventKind::kBsQueueShed, u.serving, holder,
-                        stations_[h].load(t));
-            }
-            break;  // reply goes out when the lookup job completes
+            submit_job(t, u, h, BsJobKind::kContextLookup,
+                       cfg_.bs_capacity.ctx_service_s, m);
+            break;
           }
-          net::BackhaulMessage reply;
-          reply.seq = m.seq;
-          reply.type = stale ? net::MsgType::kContextStale
-                             : net::MsgType::kContextResponse;
-          reply.src_cell = m.dst_cell;
-          reply.dst_cell = m.src_cell;
-          reply.target_cell = m.target_cell;
-          reply.ue = m.ue;
-          bh_send(t, reply);
+          const bool stale =
+              holder >= 0 &&
+              holder < static_cast<int>(u.context_lost.size()) &&
+              u.context_lost[static_cast<std::size_t>(holder)];
+          bh_send(t, reply(m, stale ? net::MsgType::kContextStale
+                                    : net::MsgType::kContextResponse));
           break;
         }
-        case net::MsgType::kContextResponse: {
-          if (u.outage_started >= 0.0 && u.ctx_pending && !u.ctx_ready &&
-              !u.ctx_failed && m.seq == u.ctx_seq &&
-              ctx_seen_.accept(m.seq)) {
-            u.ctx_ready = true;
-          }
-          break;
-        }
-        case net::MsgType::kContextStale: {
-          // The context holder restarted and lost the UE context: give
-          // up on the fetch and take the degraded context-less
-          // re-establishment path (same penalty as fetch exhaustion).
-          if (u.outage_started >= 0.0 && u.ctx_pending && !u.ctx_ready &&
-              !u.ctx_failed && m.seq == u.ctx_seq &&
-              ctx_seen_.accept(m.seq)) {
+        case net::MsgType::kContextResponse:
+        case net::MsgType::kContextStale:
+          if (u.outage_started < 0.0 || u.ctx != CtxFetch::kFetching ||
+              m.seq != u.ctx_seq || !ctx_seen_.accept(m.seq))
+            break;
+          if (m.type == net::MsgType::kContextResponse) {
+            u.ctx = CtxFetch::kReady;
+          } else {
+            // The context holder restarted and lost the UE context: give
+            // up on the fetch and take the degraded context-less
+            // re-establishment path (same penalty as fetch exhaustion).
             ++u.stats.stale_context_responses;
-            u.ctx_failed = true;
+            u.ctx = CtxFetch::kFailed;
             u.ctx_failed_camp_s = t + cfg_.ctx_degraded_penalty_s;
             log_event(u, t, EventKind::kContextStale, u.serving, m.src_cell,
                       0.0);
           }
           break;
-        }
       }
     }
   }
@@ -695,15 +708,9 @@ class FleetEngine {
         if (job.kind == BsJobKind::kPrepAdmission) {
           bh_send(t, admission_reply(job.msg));
         } else if (job.kind == BsJobKind::kContextLookup) {
-          net::BackhaulMessage reply;
-          reply.seq = job.msg.seq;
-          reply.type = u.context_lost[si] ? net::MsgType::kContextStale
-                                          : net::MsgType::kContextResponse;
-          reply.src_cell = job.msg.dst_cell;
-          reply.dst_cell = job.msg.src_cell;
-          reply.target_cell = job.msg.target_cell;
-          reply.ue = job.msg.ue;
-          bh_send(t, reply);
+          bh_send(t, reply(job.msg, u.context_lost[si]
+                                        ? net::MsgType::kContextStale
+                                        : net::MsgType::kContextResponse));
         }
       }
     }
@@ -854,10 +861,6 @@ class FleetEngine {
       const double cascade_u =
           faults_.magnitude(FaultKind::kCascadeOverload, t);
       if (cascade_u > 0.0) {
-        const double cap =
-            static_cast<double>(cfg_.bs_capacity.slots) +
-            static_cast<double>(cfg_.bs_capacity.queue_capacity);
-        const int target_occ = static_cast<int>(std::lround(cascade_u * cap));
         const int radius = faults_.cascade_neighbor_radius();
         const int ncells = static_cast<int>(env_.cells().size());
         for (int c = 0; c < ncells; ++c) {
@@ -871,14 +874,8 @@ class FleetEngine {
             }
           }
           if (!near) continue;
-          auto& st = stations_[static_cast<std::size_t>(c)];
-          int injected = 0;
-          while (st.occupancy(t) < target_occ) {
-            if (!st.submit(t, BsJobKind::kBackground,
-                           cfg_.bs_capacity.background_service_s))
-              break;
-            ++injected;
-          }
+          const int injected =
+              fill_background(t, static_cast<std::size_t>(c), cascade_u);
           if (injected == 0) continue;
           for (auto& u : ues_) {
             ++u.stats.cascade_activations;
@@ -900,137 +897,126 @@ class FleetEngine {
     if (use_cap_) run_completions(t);
   }
 
-  /// Per-UE phase of one simulated instant: outage handling, radio
-  /// sampling, execution completion, RLF detection, signaling progress,
-  /// manager evaluation, degraded tracking — the seed's tick body from
-  /// the radio boundary down, with `continue` turned into `return` under
-  /// the TickEmit guard.
+  /// Per-UE phase of one simulated instant: the seed's tick body from the
+  /// radio boundary down, as seven phases in order. Re-establishment is
+  /// the whole tick while the UE is in outage; a T304 expiry or an RLF
+  /// ends the tick too. Every UE tick ends with one observer snapshot.
   void ue_step(double t, UeContext& u) {
-    TickEmit tick_emit{cfg_.observer ? this : nullptr, &u, t};
-    const double dt = cfg_.tick_s;
-
-    // ---- Outage / re-establishment ----
-    if (u.outage_started >= 0.0) {
-      ++u.outage_ticks;
-      if (t - u.outage_started >= u.outage_reestablish_s && !blackout_) {
-        // Camp only on a cell comfortably above Qout (Qin-style margin),
-        // otherwise keep searching — reconnecting into a dying cell just
-        // repeats the failure.
-        const double qin_rsrp =
-            env_.config().noise_floor_dbm + cfg_.qout_snr_db + 3.0;
-        if (u.preferred_target >= 0) {
-          // T304 fallback: the prepared target holds the UE context, so
-          // re-establishment there skips the full cell search. A crashed
-          // target lost that context — and its radio — so skip it.
-          const double rsrp =
-              env_.mean_rsrp_dbm(
-                  static_cast<std::size_t>(u.preferred_target), u.pos) -
-              crash_db(static_cast<std::size_t>(u.preferred_target));
-          if (rsrp >= std::max(cfg_.min_coverage_rsrp_dbm, qin_rsrp)) {
-            ++u.stats.t304_fallback_success;
-            camp_on(u, t, u.preferred_target);
-            return;
-          }
-          // Prepared target is gone too: full RLF re-establishment.
-          u.preferred_target = -1;
-          u.outage_reestablish_s = cfg_.reestablish_s;
-        }
-        if (t - u.outage_started >= u.outage_reestablish_s) {
-          const double floor_rsrp =
-              std::max(cfg_.min_coverage_rsrp_dbm, qin_rsrp);
-          if (!use_net_) {
-            const int target = env_.best_cell(u.pos, floor_rsrp, dead_);
-            if (target >= 0) camp_on(u, t, target);
-            // else: still in a hole; keep searching.
-          } else if (u.ctx_failed) {
-            // Context fetch exhausted (or came back stale): degraded
-            // context-less re-establishment after the extra setup penalty.
-            if (t >= u.ctx_failed_camp_s) {
-              const int target = env_.best_cell(u.pos, floor_rsrp, dead_);
-              if (target >= 0) camp_on(u, t, target);
-            }
-          } else if (u.ctx_ready) {
-            if (env_.mean_rsrp_dbm(static_cast<std::size_t>(u.ctx_target),
-                                   u.pos) -
-                    crash_db(static_cast<std::size_t>(u.ctx_target)) >=
-                floor_rsrp) {
-              camp_on(u, t, u.ctx_target);
-            } else {
-              // The fetched-into cell faded while waiting; restart the
-              // fetch toward whatever is best now.
-              u.ctx_pending = u.ctx_ready = false;
-              u.ctx_target = -1;
-            }
-          } else if (!u.ctx_pending) {
-            // Re-establishment found a cell, but camping needs the UE
-            // context from the old serving BS — fetch it over the
-            // backhaul before admitting the UE.
-            const int target = env_.best_cell(u.pos, floor_rsrp, dead_);
-            if (target >= 0) {
-              u.ctx_pending = true;
-              u.ctx_target = target;
-              u.ctx_seq = next_seq_++;
-              u.ctx_retries = 0;
-              u.ctx_deadline_s = t + cfg_.ctx_fetch_timeout_s;
-              net::BackhaulMessage m;
-              m.seq = u.ctx_seq;
-              m.type = net::MsgType::kContextFetch;
-              m.src_cell = target;
-              m.dst_cell = u.serving;  // old serving BS holds the context
-              m.target_cell = target;
-              m.ue = u.id;
-              bh_send(t, m);
-            }
-          } else if (t >= u.ctx_deadline_s) {
-            if (u.ctx_retries < cfg_.ctx_fetch_max_retries) {
-              // Idempotent retry: same transaction id, so a late response
-              // to an earlier copy still completes the fetch (and
-              // duplicates are absorbed by ctx_seen).
-              ++u.ctx_retries;
-              u.ctx_deadline_s =
-                  t + cfg_.ctx_fetch_timeout_s *
-                          static_cast<double>(1 << u.ctx_retries);
-              net::BackhaulMessage m;
-              m.seq = u.ctx_seq;
-              m.type = net::MsgType::kContextFetch;
-              m.src_cell = u.ctx_target;
-              m.dst_cell = u.serving;
-              m.target_cell = u.ctx_target;
-              m.ue = u.id;
-              bh_send(t, m);
-            } else {
-              u.ctx_failed = true;
-              ++u.stats.context_fetch_failures;
-              u.ctx_failed_camp_s = t + cfg_.ctx_degraded_penalty_s;
-              log_event(u, t, EventKind::kContextFetchFailed, u.serving,
-                        u.ctx_target, 0.0);
-            }
-          }
-        }
+    if (reestablish(t, u)) {
+      const RadioSample r = sample_radio(t, u);
+      if (complete_execution(t, u, r) && detect_rlf(t, u, r)) {
+        progress_attempt(t, u, r);
+        evaluate_policy(t, u, r);
+        track_degraded(t, u, r);
       }
-      return;
     }
+    emit_tick(u, t);
+  }
 
-    // ---- Radio state ----
-    const bool pilot_out = faults_.active(FaultKind::kPilotOutage, t);
-    const double pilot_sigma = faults_.magnitude(FaultKind::kPilotOutage, t);
-    const bool in_hole = env_.position_in_hole(u.pos);
-    ServingState sv;
+  /// Phase 1, re-establishment. In outage, once the search time has
+  /// passed (and no blackout hides every cell): camp on the T304 fallback
+  /// target while it still covers the UE, else on the best live cell
+  /// comfortably above Qout — with the backhaul on, only after the UE
+  /// context came back from the old serving BS. Returns false while the
+  /// UE is in outage.
+  bool reestablish(double t, UeContext& u) {
+    if (u.outage_started < 0.0) return true;
+    ++u.outage_ticks;
+    if (t - u.outage_started >= u.outage_reestablish_s && !blackout_) {
+      // Camp only on a cell comfortably above Qout (Qin-style margin),
+      // otherwise keep searching — reconnecting into a dying cell just
+      // repeats the failure.
+      const double floor_rsrp =
+          std::max(cfg_.min_coverage_rsrp_dbm,
+                   env_.config().noise_floor_dbm + cfg_.qout_snr_db + 3.0);
+      if (u.preferred_target >= 0) {
+        // T304 fallback: the prepared target holds the UE context, so
+        // re-establishment there skips the full cell search. A crashed
+        // target lost that context — and its radio — so skip it.
+        if (covers(u, u.preferred_target, floor_rsrp)) {
+          ++u.stats.t304_fallback_success;
+          camp_on(u, t, u.preferred_target);
+          return false;
+        }
+        // Prepared target is gone too: full RLF re-establishment.
+        u.preferred_target = -1;
+        u.outage_reestablish_s = cfg_.reestablish_s;
+      }
+      if (t - u.outage_started >= u.outage_reestablish_s)
+        search_and_camp(t, u, floor_rsrp);
+    }
+    return false;
+  }
+
+  /// True when `cell`'s mean RSRP at the UE, less a crash's attenuation,
+  /// clears `floor_dbm`.
+  bool covers(const UeContext& u, int cell, double floor_dbm) const {
+    const auto c = static_cast<std::size_t>(cell);
+    return env_.mean_rsrp_dbm(c, u.pos) - crash_db(c) >= floor_dbm;
+  }
+
+  /// Full re-establishment search. Without the backhaul, or after the
+  /// context fetch failed (exhausted or stale) and its degraded-setup
+  /// penalty has passed, the UE camps on the best live cell. With the
+  /// backhaul it first fetches the UE context for that cell from the old
+  /// serving BS and camps once the context is back.
+  void search_and_camp(double t, UeContext& u, double floor_rsrp) {
+    if (!use_net_ ||
+        (u.ctx == CtxFetch::kFailed && t >= u.ctx_failed_camp_s)) {
+      const int target = env_.best_cell(u.pos, floor_rsrp, dead_);
+      if (target >= 0) camp_on(u, t, target);  // else: still in a hole
+    } else if (u.ctx == CtxFetch::kReady) {
+      if (covers(u, u.ctx_target, floor_rsrp)) {
+        camp_on(u, t, u.ctx_target);
+      } else {
+        // The fetched-into cell faded while waiting; restart the fetch
+        // toward whatever is best now.
+        u.ctx = CtxFetch::kNone;
+        u.ctx_target = -1;
+      }
+    } else if (u.ctx == CtxFetch::kNone) {
+      const int target = env_.best_cell(u.pos, floor_rsrp, dead_);
+      if (target >= 0) {
+        u.ctx_target = target;
+        send_ctx_fetch(u, t);
+      }
+    } else if (u.ctx == CtxFetch::kFetching && t >= u.ctx_deadline_s) {
+      if (u.ctx_retries < cfg_.ctx_fetch_max_retries) {
+        send_ctx_fetch(u, t);
+      } else {
+        u.ctx = CtxFetch::kFailed;
+        ++u.stats.context_fetch_failures;
+        u.ctx_failed_camp_s = t + cfg_.ctx_degraded_penalty_s;
+        log_event(u, t, EventKind::kContextFetchFailed, u.serving,
+                  u.ctx_target, 0.0);
+      }
+    }
+  }
+
+  /// Phase 2, radio sample: the serving link's instantaneous RSRP, SNR and
+  /// delay-Doppler SNR (frozen plus corruption while pilots are out), the
+  /// throughput sum and the pre-failure SNR window.
+  RadioSample sample_radio(double t, UeContext& u) {
+    RadioSample r;
+    r.pilot_out = faults_.active(FaultKind::kPilotOutage, t);
+    r.pilot_sigma = faults_.magnitude(FaultKind::kPilotOutage, t);
+    r.in_hole = env_.position_in_hole(u.pos);
+    ServingState& sv = r.sv;
     sv.cell_idx = static_cast<std::size_t>(u.serving);
     sv.id = env_.cells()[sv.cell_idx].id;
     const double sv_atten_db = blackout_db_ + crash_db(sv.cell_idx);
-    const double sv_mean = env_.mean_rsrp_dbm(sv.cell_idx, u.pos, in_hole);
+    const double sv_mean = env_.mean_rsrp_dbm(sv.cell_idx, u.pos, r.in_hole);
     sv.rsrp_dbm = env_.instant_rsrp_from_mean(sv_mean, *u.rng) - sv_atten_db;
     sv.dd_snr_db = env_.dd_snr_from_mean(sv_mean, *u.rng) - sv_atten_db;
     sv.snr_db = env_.snr_db_from_rsrp(sv.rsrp_dbm);
     sv.bandwidth_hz = env_.cells()[sv.cell_idx].bandwidth_hz;
     u.cur_snr = sv.snr_db;
-    if (pilot_out) {
+    if (r.pilot_out) {
       // Pilots are gone: the delay-Doppler estimate freezes at its last
       // fresh value and accumulates corruption.
       if (!std::isnan(u.last_dd[sv.cell_idx]))
         sv.dd_snr_db = u.last_dd[sv.cell_idx] - sv_atten_db;
-      sv.dd_snr_db += u.rng->gaussian(0.0, pilot_sigma);
+      sv.dd_snr_db += u.rng->gaussian(0.0, r.pilot_sigma);
     } else {
       u.last_dd[sv.cell_idx] = sv.dd_snr_db + sv_atten_db;
       u.pilot_fresh_t = t;
@@ -1040,372 +1026,369 @@ class FleetEngine {
     u.snr_window.push_back({t, sv.snr_db});
     while (!u.snr_window.empty() && t - u.snr_window.front().first > 5.0)
       u.snr_window.pop_front();
+    return r;
+  }
 
-    // ---- Handover execution completion (T304 window) ----
-    if (u.exec && t >= u.exec->started_s + cfg_.ho_interruption_s) {
-      const std::size_t target = u.exec->target_idx;
-      const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos, in_hole) -
-                              blackout_db_ - crash_db(target);
-      const double tgt_snr = env_.snr_db_from_rsrp(tgt_rsrp);
-      if (tgt_snr >= cfg_.min_connect_snr_db) {
-        ++u.stats.successful_handovers;
-        const int prev = u.serving;
-        u.serving = static_cast<int>(target);
-        // A completed handover re-establishes the UE context at the
-        // target: a restarted BS that lost its prepared contexts is made
-        // whole again the moment a UE successfully attaches to it.
-        u.context_lost[target] = false;
-        u.manager->on_serving_changed(t, target);
-        u.oos_count = u.is_count = 0;
-        u.t310_started = -1.0;
-        u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
-        u.suppress_until = t + cfg_.post_ho_suppress_s;
-        log_event(u, t, EventKind::kHandoverComplete, prev, u.serving,
-                  sv.snr_db);
-        u.ho_times.push_back(t);
-        // Loop bookkeeping: returning to a recently-serving cell.
-        bool is_loop = false;
-        for (const auto& [ts, idx] : u.recent_serving) {
-          if (t - ts <= cfg_.loop_window_s &&
-              idx == static_cast<int>(target)) {
-            is_loop = true;
-            break;
-          }
-        }
-        u.recent_serving.push_back({t, u.serving});
-        while (!u.recent_serving.empty() &&
-               t - u.recent_serving.front().first > cfg_.loop_window_s)
-          u.recent_serving.pop_front();
-        if (is_loop) {
-          ++u.stats.loop_handovers;
-          const auto& tgt_cell = env_.cells()[target];
-          const auto& prev_cell =
-              env_.cells()[static_cast<std::size_t>(prev)];
-          const bool conflict =
-              pair_conflicts_ &&
-              pair_conflicts_(tgt_cell.id.cell, prev_cell.id.cell);
-          if (conflict) ++u.stats.conflict_loop_handovers;
-          if (!u.current_loop_episode) {
-            ++u.stats.loop_episodes;
-            if (tgt_cell.id.channel == prev_cell.id.channel)
-              ++u.stats.intra_freq_loop_episodes;
-            if (conflict) {
-              ++u.stats.conflict_loop_episodes;
-              if (tgt_cell.id.channel == prev_cell.id.channel)
-                ++u.stats.intra_freq_conflict_loops;
-            }
-            u.current_loop_episode = true;
-          }
-        } else {
-          u.current_loop_episode = false;
-        }
-        u.exec.reset();
-      } else {
-        // T304 expiry: the target evaporated during execution. Fall back
-        // to re-establishment on the prepared target instead of a silent
-        // success or a bare RLF search.
-        ++u.stats.t304_expiries;
-        log_event(u, t, EventKind::kT304Expiry, u.serving,
-                  static_cast<int>(target), tgt_snr);
-        record_failure(u, t, FailureCause::kFeedbackDelayLoss);
-        u.outage_reestablish_s = cfg_.t304_reestablish_s;
-        u.preferred_target = static_cast<int>(u.exec->prepared_idx);
-        u.exec.reset();
-        return;
+  /// Phase 3, execution completion (T304 window): after the interruption
+  /// the UE attaches to the target if it can connect there, else T304
+  /// expires into re-establishment on the prepared target. Returns false
+  /// on T304 expiry.
+  bool complete_execution(double t, UeContext& u, const RadioSample& r) {
+    if (!u.in_phase(Phase::kExecuting) || !u.attempt->due(t)) return true;
+    const std::size_t target = u.attempt->exec_idx;
+    const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos, r.in_hole) -
+                            blackout_db_ - crash_db(target);
+    const double tgt_snr = env_.snr_db_from_rsrp(tgt_rsrp);
+    if (tgt_snr >= cfg_.min_connect_snr_db) {
+      attach(t, u, target, r.sv.snr_db);
+      return true;
+    }
+    // T304 expiry: the target evaporated during execution. Fall back to
+    // re-establishment on the prepared target instead of a silent success
+    // or a bare RLF search.
+    ++u.stats.t304_expiries;
+    log_event(u, t, EventKind::kT304Expiry, u.serving,
+              static_cast<int>(target), tgt_snr);
+    const int prepared = static_cast<int>(u.attempt->target_idx);
+    record_failure(u, t, FailureCause::kFeedbackDelayLoss);
+    u.outage_reestablish_s = cfg_.t304_reestablish_s;
+    u.preferred_target = prepared;
+    return false;
+  }
+
+  /// The handover completes onto `target`: serving cell, context and
+  /// timers reset, post-handover blanking, and loop bookkeeping.
+  void attach(double t, UeContext& u, std::size_t target, double snr_db) {
+    ++u.stats.successful_handovers;
+    const int prev = u.serving;
+    u.serving = static_cast<int>(target);
+    // A completed handover re-establishes the UE context at the target: a
+    // restarted BS that lost its prepared contexts is made whole again the
+    // moment a UE successfully attaches to it.
+    u.context_lost[target] = false;
+    u.manager->on_serving_changed(t, target);
+    u.oos_count = u.is_count = 0;
+    u.t310_started = -1.0;
+    u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
+    u.suppress_until = t + cfg_.post_ho_suppress_s;
+    log_event(u, t, EventKind::kHandoverComplete, prev, u.serving, snr_db);
+    u.ho_times.push_back(t);
+    // Loop bookkeeping: returning to a recently-serving cell.
+    bool is_loop = false;
+    for (const auto& [ts, idx] : u.recent_serving) {
+      if (t - ts <= cfg_.loop_window_s && idx == static_cast<int>(target)) {
+        is_loop = true;
+        break;
       }
     }
+    u.recent_serving.push_back({t, u.serving});
+    while (!u.recent_serving.empty() &&
+           t - u.recent_serving.front().first > cfg_.loop_window_s)
+      u.recent_serving.pop_front();
+    if (is_loop) {
+      ++u.stats.loop_handovers;
+      const auto& tgt_cell = env_.cells()[target];
+      const auto& prev_cell = env_.cells()[static_cast<std::size_t>(prev)];
+      const bool conflict =
+          pair_conflicts_ &&
+          pair_conflicts_(tgt_cell.id.cell, prev_cell.id.cell);
+      if (conflict) ++u.stats.conflict_loop_handovers;
+      if (!u.current_loop_episode) {
+        ++u.stats.loop_episodes;
+        if (tgt_cell.id.channel == prev_cell.id.channel)
+          ++u.stats.intra_freq_loop_episodes;
+        if (conflict) {
+          ++u.stats.conflict_loop_episodes;
+          if (tgt_cell.id.channel == prev_cell.id.channel)
+            ++u.stats.intra_freq_conflict_loops;
+        }
+        u.current_loop_episode = true;
+      }
+    } else {
+      u.current_loop_episode = false;
+    }
+    u.attempt.reset();
+  }
 
-    // ---- Radio link failure detection (N310/T310/N311) ----
-    if (!u.exec) {
-      if (u.t310_started >= 0.0) {
-        if (sv.snr_db >= cfg_.qout_snr_db + cfg_.qin_margin_db) {
-          if (++u.is_count >= cfg_.n311) {
-            // Recovered: N311 consecutive in-sync indications stop T310.
-            u.t310_started = -1.0;
-            u.oos_count = u.is_count = 0;
-          }
-        } else {
+  /// Phase 4, radio link failure detection (N310/T310/N311), paused while
+  /// executing. An RLF is classified into Table 2 and ends the tick;
+  /// returns false then.
+  bool detect_rlf(double t, UeContext& u, const RadioSample& r) {
+    if (u.in_phase(Phase::kExecuting)) return true;
+    if (u.t310_started >= 0.0) {
+      if (r.sv.snr_db >= cfg_.qout_snr_db + cfg_.qin_margin_db) {
+        if (++u.is_count >= cfg_.n311) {
+          // Recovered: N311 consecutive in-sync indications stop T310.
+          u.t310_started = -1.0;
+          u.oos_count = u.is_count = 0;
+        }
+      } else {
+        u.is_count = 0;
+      }
+    } else {
+      if (r.sv.snr_db < cfg_.qout_snr_db) {
+        if (++u.oos_count >= cfg_.n310) {
+          u.t310_started = t;
           u.is_count = 0;
         }
       } else {
-        if (sv.snr_db < cfg_.qout_snr_db) {
-          if (++u.oos_count >= cfg_.n310) {
-            u.t310_started = t;
-            u.is_count = 0;
-          }
-        } else {
-          u.oos_count = 0;
-        }
-      }
-      if (u.t310_started >= 0.0 && t - u.t310_started >= cfg_.t310_s) {
-        // Classify the failure (Table 2 taxonomy). Lost-signaling
-        // evidence is kept for a short memory window because a failed
-        // attempt is usually replaced by a retry before the RLF lands.
-        FailureCause cause;
-        const int best =
-            blackout_ ? -1
-                      : env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm,
-                                       dead_);
-        if (best < 0) {
-          cause = FailureCause::kCoverageHole;
-        } else if ((u.pending && u.pending->command_lost) ||
-                   t - u.last_cmd_loss_t < kLossMemory_s) {
-          cause = FailureCause::kHoCommandLoss;
-        } else if (u.pending && u.pending->decision_shed) {
-          // The serving BS shed the decision job: the network never acted
-          // on the delivered report — feedback was effectively lost.
-          cause = FailureCause::kFeedbackDelayLoss;
-        } else if (u.pending && u.pending->report_delivered) {
-          cause = FailureCause::kHoCommandLoss;  // command still in flight
-        } else if ((u.pending && (u.pending->report_lost ||
-                                  !u.pending->report_delivered)) ||
-                   t - u.last_report_loss_t < kLossMemory_s) {
-          cause = FailureCause::kFeedbackDelayLoss;  // lost or too slow
-        } else if (best == u.serving) {
-          // Nothing better exists: a deep fade of the only covering cell
-          // is effectively a (soft) coverage hole.
-          cause = FailureCause::kCoverageHole;
-        } else {
-          // No decision was ever made: was the best candidate invisible?
-          const auto visible = u.manager->visible_cells();
-          cause = visible.count(static_cast<std::size_t>(best)) == 0
-                      ? FailureCause::kMissedCell
-                      : FailureCause::kFeedbackDelayLoss;
-        }
-        log_event(u, t, EventKind::kRadioLinkFailure, u.serving, -1,
-                  sv.snr_db);
-        record_failure(u, t, cause);
-        return;
+        u.oos_count = 0;
       }
     }
+    if (u.t310_started >= 0.0 && t - u.t310_started >= cfg_.t310_s) {
+      const FailureCause cause = rlf_cause(t, u);
+      log_event(u, t, EventKind::kRadioLinkFailure, u.serving, -1,
+                r.sv.snr_db);
+      record_failure(u, t, cause);
+      return false;
+    }
+    return true;
+  }
 
-    // ---- Pending handover progress ----
-    if (u.pending && !u.exec) {
-      if (!u.pending->report_delivered && !u.pending->report_lost &&
-          t >= u.pending->report_due_s) {
-        if (deliver(u, t, sv.snr_db, cfg_.uplink_attempts,
-                    u.manager->waveform())) {
-          u.pending->report_delivered = true;
-          // A processing-stall fault spikes the base station's decision
-          // time on top of the configured budget.
-          const double stall =
-              faults_.magnitude(FaultKind::kProcessingStall, t);
-          const double proc_s = cfg_.decision_proc_s + stall;
-          double ready_s = t + proc_s;
-          bool decision_shed = false;
-          if (use_cap_ && !u.manager->client_driven()) {
-            // Network-side decision: the report occupies the serving BS's
-            // control plane. Under overload it queues (the decision goes
-            // stale) or is shed outright — the degraded-mode asymmetry:
-            // REM's client-side prediction (client_driven) never enters
-            // this queue.
-            const auto si = static_cast<std::size_t>(u.serving);
-            top_up(t, si);
-            ++u.stats.bs_jobs_submitted;
-            const auto job =
-                stations_[si].submit(t, BsJobKind::kRrcDecision,
-                                     proc_s * svc_inflation_, {}, u.id);
-            if (job) {
-              ready_s = job->done_s;
-            } else {
-              decision_shed = true;
-              ++u.stats.bs_queue_shed;
-              u.pending->decision_shed = true;
-              u.last_report_loss_t = t;  // network never acted on it
-              log_event(u, t, EventKind::kBsQueueShed, u.serving, u.serving,
-                        stations_[si].load(t));
-            }
-          }
-          if (!decision_shed) {
-            if (use_net_) {
-              // The BS decides, then must get the target's admission over
-              // the backhaul before any command can go out.
-              u.pending->prep_due_s = ready_s;
-            } else {
-              u.pending->command_due_s =
-                  ready_s + cfg_.retry_spacing_s;  // decision + scheduling
-            }
-          }
-          u.stats.feedback_delays_s.push_back(t - u.pending->decided_at_s);
-          log_event(u, t, EventKind::kReportDelivered, u.serving,
-                    static_cast<int>(u.pending->target_idx), sv.snr_db);
-        } else if (u.pending->report_retries < cfg_.report_max_retries) {
-          // Bounded exponential backoff instead of giving up at once.
-          ++u.pending->report_retries;
-          ++u.stats.report_retransmits;
-          u.pending->report_due_s =
-              t + cfg_.report_retry_backoff_s *
-                      static_cast<double>(1 << (u.pending->report_retries -
-                                                1));
-          log_event(u, t, EventKind::kReportRetransmit, u.serving,
-                    static_cast<int>(u.pending->target_idx), sv.snr_db);
-        } else {
-          u.pending->report_lost = true;  // retransmissions exhausted
-          u.last_report_loss_t = t;
-          log_event(u, t, EventKind::kReportLost, u.serving,
-                    static_cast<int>(u.pending->target_idx), sv.snr_db);
-        }
-      }
-      // ---- Backhaul preparation (HANDOVER REQUEST -> ACK) ----
-      if (use_net_ && u.pending->report_delivered && !u.pending->prep_acked &&
-          !u.pending->prep_failed && !u.pending->command_lost &&
-          !u.pending->decision_shed) {
-        if (!u.pending->prep_requested) {
-          if (t >= u.pending->prep_due_s && breaker_allows_prep(u, t)) {
-            // First send toward the current target (also re-entered after
-            // a fallback switch, which resets prep_requested).
-            u.pending->prep_requested = true;
-            u.pending->prep_seq = next_seq_++;
-            u.pending->prep_sent_s = t;
-            u.pending->prep_deadline_s = t + cfg_.prep_timeout_s;
-            ++u.stats.prep_requests;
-            net::BackhaulMessage m;
-            m.seq = u.pending->prep_seq;
-            m.type = net::MsgType::kHandoverRequest;
-            m.src_cell = u.serving;
-            m.dst_cell = static_cast<int>(u.pending->target_idx);
-            m.target_cell = static_cast<int>(u.pending->target_idx);
-            m.ue = u.id;
-            bh_send(t, m);
-            log_event(u, t, EventKind::kPrepRequest, u.serving,
-                      static_cast<int>(u.pending->target_idx), sv.snr_db);
-          }
-        } else if (t >= u.pending->prep_deadline_s) {
-          if (u.pending->prep_retries < cfg_.prep_max_retries) {
-            // T-prep expiry: re-send under a fresh transaction id with
-            // exponential backoff; a straggling ack to the old id is
-            // ignored (prep_seq no longer matches).
-            ++u.pending->prep_retries;
-            ++u.stats.prep_retries;
-            u.pending->prep_seq = next_seq_++;
-            u.pending->prep_sent_s = t;
-            u.pending->prep_deadline_s =
-                t + cfg_.prep_timeout_s *
-                        static_cast<double>(1 << u.pending->prep_retries);
-            net::BackhaulMessage m;
-            m.seq = u.pending->prep_seq;
-            m.type = net::MsgType::kHandoverRequest;
-            m.src_cell = u.serving;
-            m.dst_cell = static_cast<int>(u.pending->target_idx);
-            m.target_cell = static_cast<int>(u.pending->target_idx);
-            m.ue = u.id;
-            bh_send(t, m);
-            log_event(u, t, EventKind::kPrepRetry, u.serving,
-                      static_cast<int>(u.pending->target_idx), sv.snr_db);
-          } else {
-            // Retries exhausted: a timed-out target counts against its
-            // breaker just like an explicit reject.
-            breaker_fail(u, t, u.pending->target_idx);
-            prep_fallback_or_fail(u, t);
-          }
-        }
-      }
-      const bool command_ready = use_net_ ? u.pending->prep_acked
-                                          : u.pending->report_delivered;
-      if (command_ready && !u.pending->command_lost &&
-          !u.pending->decision_shed && t >= u.pending->command_due_s) {
-        if (deliver(u, t, sv.snr_db, cfg_.downlink_attempts,
-                    u.manager->waveform())) {
-          std::size_t target = u.pending->target_idx;
-          // A duplication fault reorders commands: a stale duplicate of
-          // the previous command can arrive (and execute) first.
-          const double dup_p =
-              faults_.magnitude(FaultKind::kCommandDuplication, t);
-          if (dup_p > 0.0 && u.last_cmd_target >= 0 &&
-              u.last_cmd_target != static_cast<int>(target) &&
-              u.rng->bernoulli(std::min(1.0, dup_p))) {
-            ++u.stats.duplicate_commands;
-            log_event(u, t, EventKind::kHoCommandDuplicate, u.serving,
-                      u.last_cmd_target, sv.snr_db);
-            target = static_cast<std::size_t>(u.last_cmd_target);
-          }
-          log_event(u, t, EventKind::kHoCommandDelivered, u.serving,
-                    static_cast<int>(target), sv.snr_db);
-          ++u.stats.handovers;
-          u.last_cmd_target = static_cast<int>(u.pending->target_idx);
-          // Execution: detach + random access, completes (or T304-fails)
-          // after the interruption window.
-          u.exec = Execution{target, u.pending->target_idx, t};
-          u.pending.reset();
-          u.oos_count = u.is_count = 0;
-          u.t310_started = -1.0;
-        } else {
-          u.pending->command_lost = true;
-          u.last_cmd_loss_t = t;
-          log_event(u, t, EventKind::kHoCommandLost, u.serving,
-                    static_cast<int>(u.pending->target_idx), sv.snr_db);
-        }
+  /// Table 2 taxonomy. With nothing to hand over to it is a coverage
+  /// hole. Otherwise the attempt in progress decides (attempt_cause);
+  /// lost-signaling evidence is kept for a short memory window because a
+  /// failed attempt is usually replaced by a retry before the RLF lands.
+  /// A lost command outranks everything but a hole. With no attempt and
+  /// no evidence, a fade of the only covering cell is a (soft) hole, and
+  /// a better cell the manager could not see is a missed cell.
+  FailureCause rlf_cause(double t, const UeContext& u) const {
+    const int best =
+        blackout_ ? -1
+                  : env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm, dead_);
+    if (best < 0) return FailureCause::kCoverageHole;
+    if ((u.attempt &&
+         attempt_cause(u.attempt->phase) == FailureCause::kHoCommandLoss) ||
+        t - u.last_cmd_loss_t < kLossMemory_s)
+      return FailureCause::kHoCommandLoss;
+    if (u.attempt || t - u.last_report_loss_t < kLossMemory_s)
+      return FailureCause::kFeedbackDelayLoss;
+    if (best == u.serving) return FailureCause::kCoverageHole;
+    return u.manager->visible_cells().count(static_cast<std::size_t>(best))
+               ? FailureCause::kFeedbackDelayLoss
+               : FailureCause::kMissedCell;
+  }
+
+  /// Phase 5, attempt progress: whichever step of the attempt is due —
+  /// the report's (re)transmission, the HANDOVER REQUEST's first send or
+  /// its T-prep expiry, the command's delivery. A step may hand on to the
+  /// next one within the same tick when that one is already due.
+  void progress_attempt(double t, UeContext& u, const RadioSample& r) {
+    if (!u.attempt) return;
+    Attempt& a = *u.attempt;
+    const double snr = r.sv.snr_db;
+    if (a.phase == Phase::kReport && a.due(t)) deliver_report(t, u, snr);
+    if (a.phase == Phase::kRequestDue) {
+      if (a.due(t) && breaker_allows_prep(u, t)) send_prep(u, t, snr);
+    } else if (a.phase == Phase::kRequestSent && t >= a.deadline_s) {
+      if (a.prep_retries < cfg_.prep_max_retries) {
+        send_prep(u, t, snr);
+      } else {
+        // Retries exhausted: a timed-out target counts against its
+        // breaker just like an explicit reject.
+        breaker_fail(u, t, a.target_idx);
+        prep_fallback_or_fail(u, t);
       }
     }
+    if (a.phase == Phase::kCommand && a.due(t)) deliver_command(t, u, snr);
+  }
 
-    // ---- Manager policy evaluation ----
-    if (!u.exec && t >= u.suppress_until &&
-        (!u.pending || u.pending->report_lost || u.pending->command_lost ||
-         u.pending->prep_failed || u.pending->decision_shed)) {
-      // Only cells whose mean can clear the floor are visited, in
-      // ascending index; the skipped ones would fail the filter below and
-      // draw nothing, so the draws match a scan over every cell.
-      const double floor_dbm = cfg_.min_coverage_rsrp_dbm - 10.0;
-      env_.cells_in_reach(u.pos, floor_dbm, u.reach);
-      u.obs.clear();
-      for (const std::size_t i : u.reach) {
-        if (i == sv.cell_idx) continue;
-        const double mean = env_.mean_rsrp_dbm(i, u.pos, in_hole);
-        if (mean < floor_dbm) continue;
-        Observation o;
-        o.cell_idx = i;
-        o.id = env_.cells()[i].id;
-        const double atten_db = blackout_db_ + crash_db(i);
-        o.rsrp_dbm = env_.instant_rsrp_from_mean(mean, *u.rng) - atten_db;
-        o.snr_db = env_.snr_db_from_rsrp(o.rsrp_dbm);
-        o.dd_snr_db = env_.dd_snr_from_mean(mean, *u.rng) - atten_db;
-        if (pilot_out) {
-          if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
-          o.dd_snr_db += u.rng->gaussian(0.0, pilot_sigma);
-          o.estimate_age_s = t - u.pilot_fresh_t;
-          o.pilot_faulted = true;
-        } else {
-          u.last_dd[i] = o.dd_snr_db + atten_db;
-        }
-        o.bandwidth_hz = env_.cells()[i].bandwidth_hz;
-        if (load_ads_) {
-          const auto& ad = load_ad_[i];
-          if (ad.second >= 0.0 && t - ad.second <= cfg_.load_ad_staleness_s) {
-            o.advertised_load = ad.first;
-            u.stats.load_ad_age_max_s =
-                std::max(u.stats.load_ad_age_max_s, t - ad.second);
-          }
-        }
-        if (!u.breakers.empty() && u.breakers[i].refuses(t)) {
-          o.breaker_open = true;
-          ++u.stats.breaker_skips;
-        }
-        u.obs.push_back(o);
+  /// The measurement report goes up: delivered, the serving BS decides
+  /// (and with the backhaul on, then prepares the target); lost, it is
+  /// retransmitted with bounded exponential backoff, then given up.
+  void deliver_report(double t, UeContext& u, double snr_db) {
+    Attempt& a = *u.attempt;
+    const int tgt = static_cast<int>(a.target_idx);
+    if (!deliver(u, t, snr_db, cfg_.uplink_attempts, u.manager->waveform())) {
+      if (a.report_retries < cfg_.report_max_retries) {
+        ++a.report_retries;
+        ++u.stats.report_retransmits;
+        a.due_s = t + cfg_.report_retry_backoff_s *
+                          static_cast<double>(1 << (a.report_retries - 1));
+        log_event(u, t, EventKind::kReportRetransmit, u.serving, tgt, snr_db);
+      } else {
+        a.phase = Phase::kReportLost;
+        u.last_report_loss_t = t;
+        log_event(u, t, EventKind::kReportLost, u.serving, tgt, snr_db);
       }
-      const auto decision = u.manager->update(t, sv, u.obs);
-      if (decision) {
-        log_event(u, t, EventKind::kMeasurementTriggered, u.serving,
-                  static_cast<int>(decision->target_idx), sv.snr_db);
-        PendingHandover ph;
-        ph.target_idx = decision->target_idx;
-        ph.decided_at_s = t;
-        ph.report_due_s = t + decision->feedback_delay_s;
-        ph.fallback_idx = decision->fallback_idx;
-        u.pending = ph;
+      return;
+    }
+    // A processing-stall fault spikes the base station's decision time on
+    // top of the configured budget.
+    const double proc_s = cfg_.decision_proc_s +
+                          faults_.magnitude(FaultKind::kProcessingStall, t);
+    double ready_s = t + proc_s;
+    bool shed = false;
+    if (use_cap_ && !u.manager->client_driven()) {
+      // Network-side decision: the report occupies the serving BS's
+      // control plane. Under overload it queues (the decision goes stale)
+      // or is shed outright — the degraded-mode asymmetry: REM's
+      // client-side prediction (client_driven) never enters this queue.
+      const auto si = static_cast<std::size_t>(u.serving);
+      top_up(t, si);
+      if (const auto job =
+              submit_job(t, u, si, BsJobKind::kRrcDecision, proc_s)) {
+        ready_s = job->done_s;
+      } else {
+        shed = true;
       }
     }
+    if (shed) {
+      a.phase = Phase::kDecisionShed;
+      u.last_report_loss_t = t;  // network never acted on it
+    } else if (use_net_) {
+      // The BS decides, then must get the target's admission over the
+      // backhaul before any command can go out.
+      a.phase = Phase::kRequestDue;
+      a.due_s = ready_s;
+    } else {
+      a.phase = Phase::kCommand;
+      a.due_s = ready_s + cfg_.retry_spacing_s;  // decision + scheduling
+    }
+    u.stats.feedback_delays_s.push_back(t - a.decided_at_s);
+    log_event(u, t, EventKind::kReportDelivered, u.serving, tgt, snr_db);
+  }
 
-    // ---- Degraded-mode tracking ----
+  /// The handover command goes down. Delivered, execution starts (a
+  /// duplication fault may let a stale copy of the previous command
+  /// execute first); lost, the attempt is dead.
+  void deliver_command(double t, UeContext& u, double snr_db) {
+    Attempt& a = *u.attempt;
+    if (!deliver(u, t, snr_db, cfg_.downlink_attempts,
+                 u.manager->waveform())) {
+      a.phase = Phase::kCommandLost;
+      u.last_cmd_loss_t = t;
+      log_event(u, t, EventKind::kHoCommandLost, u.serving,
+                static_cast<int>(a.target_idx), snr_db);
+      return;
+    }
+    std::size_t target = a.target_idx;
+    const double dup_p = faults_.magnitude(FaultKind::kCommandDuplication, t);
+    if (dup_p > 0.0 && u.last_cmd_target >= 0 &&
+        u.last_cmd_target != static_cast<int>(target) &&
+        u.rng->bernoulli(std::min(1.0, dup_p))) {
+      ++u.stats.duplicate_commands;
+      log_event(u, t, EventKind::kHoCommandDuplicate, u.serving,
+                u.last_cmd_target, snr_db);
+      target = static_cast<std::size_t>(u.last_cmd_target);
+    }
+    log_event(u, t, EventKind::kHoCommandDelivered, u.serving,
+              static_cast<int>(target), snr_db);
+    ++u.stats.handovers;
+    u.last_cmd_target = static_cast<int>(a.target_idx);
+    // Execution: detach + random access, completes (or T304-fails) after
+    // the interruption window.
+    a.phase = Phase::kExecuting;
+    a.exec_idx = target;
+    a.due_s = t + cfg_.ho_interruption_s;
+    u.oos_count = u.is_count = 0;
+    u.t310_started = -1.0;
+  }
+
+  /// Phase 6, policy evaluation: with no live attempt and outside the
+  /// post-handover blanking, the manager sees every candidate cell in
+  /// reach and may decide, which opens a new attempt.
+  void evaluate_policy(double t, UeContext& u, const RadioSample& r) {
+    const bool idle = !u.attempt || u.attempt->dead_end();
+    if (!(idle && t >= u.suppress_until)) return;
+    // Only cells whose mean can clear the floor are visited, in ascending
+    // index; the skipped ones would fail the filter below and draw
+    // nothing, so the draws match a scan over every cell.
+    const double floor_dbm = cfg_.min_coverage_rsrp_dbm - 10.0;
+    env_.cells_in_reach(u.pos, floor_dbm, u.reach);
+    u.obs.clear();
+    for (const std::size_t i : u.reach) {
+      if (i == r.sv.cell_idx) continue;
+      const double mean = env_.mean_rsrp_dbm(i, u.pos, r.in_hole);
+      if (mean < floor_dbm) continue;
+      Observation o;
+      o.cell_idx = i;
+      o.id = env_.cells()[i].id;
+      const double atten_db = blackout_db_ + crash_db(i);
+      o.rsrp_dbm = env_.instant_rsrp_from_mean(mean, *u.rng) - atten_db;
+      o.snr_db = env_.snr_db_from_rsrp(o.rsrp_dbm);
+      o.dd_snr_db = env_.dd_snr_from_mean(mean, *u.rng) - atten_db;
+      if (r.pilot_out) {
+        if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
+        o.dd_snr_db += u.rng->gaussian(0.0, r.pilot_sigma);
+        o.estimate_age_s = t - u.pilot_fresh_t;
+        o.pilot_faulted = true;
+      } else {
+        u.last_dd[i] = o.dd_snr_db + atten_db;
+      }
+      o.bandwidth_hz = env_.cells()[i].bandwidth_hz;
+      if (load_ads_) {
+        const auto& ad = load_ad_[i];
+        if (ad.second >= 0.0 && t - ad.second <= cfg_.load_ad_staleness_s) {
+          o.advertised_load = ad.first;
+          u.stats.load_ad_age_max_s =
+              std::max(u.stats.load_ad_age_max_s, t - ad.second);
+        }
+      }
+      if (!u.breakers.empty() && u.breakers[i].refuses(t)) {
+        o.breaker_open = true;
+        ++u.stats.breaker_skips;
+      }
+      u.obs.push_back(o);
+    }
+    const auto decision = u.manager->update(t, r.sv, u.obs);
+    if (!decision) return;
+    log_event(u, t, EventKind::kMeasurementTriggered, u.serving,
+              static_cast<int>(decision->target_idx), r.sv.snr_db);
+    Attempt a;
+    a.target_idx = decision->target_idx;
+    a.decided_at_s = t;
+    a.due_s = t + decision->feedback_delay_s;
+    a.fallback_idx = decision->fallback_idx;
+    u.attempt = a;
+  }
+
+  /// Phase 7, degraded-mode tracking: log the manager's degraded-mode
+  /// edges and accumulate the time spent degraded.
+  void track_degraded(double t, UeContext& u, const RadioSample& r) {
     const bool degraded = u.manager->degraded_mode();
     if (degraded != u.degraded_prev) {
       log_event(u, t,
                 degraded ? EventKind::kDegradedEnter
                          : EventKind::kDegradedExit,
-                u.serving, -1, sv.snr_db);
+                u.serving, -1, r.sv.snr_db);
       if (degraded) ++u.stats.degraded_enters;
       u.degraded_prev = degraded;
     }
-    if (degraded) u.stats.degraded_time_s += dt;
+    if (degraded) u.stats.degraded_time_s += cfg_.tick_s;
+  }
+
+  /// End-of-tick observer snapshot, once per UE per simulated tick. Reads
+  /// only — no RNG draws — so attaching an observer never changes a run's
+  /// results.
+  void emit_tick(UeContext& u, double t_now) {
+    if (!cfg_.observer) return;
+    focus(u.id);
+    TickView v;
+    v.t_s = t_now;
+    v.ue = u.id;
+    v.serving = u.serving;
+    v.serving_snr_db = u.cur_snr;
+    v.in_outage = u.outage_started >= 0.0;
+    v.executing = u.in_phase(Phase::kExecuting);
+    v.t310_running = u.t310_started >= 0.0;
+    v.oos_count = u.oos_count;
+    v.is_count = u.is_count;
+    v.report_pending = u.in_phase(Phase::kReport);
+    v.prep_pending = u.in_phase(Phase::kRequestDue) || u.in_phase(Phase::kRequestSent);
+    v.command_pending = u.in_phase(Phase::kCommand);
+    v.pilot_fault = faults_.active(FaultKind::kPilotOutage, t_now);
+    v.blackout = faults_.active(FaultKind::kCoverageBlackout, t_now);
+    v.estimate_age_s = v.pilot_fault ? t_now - u.pilot_fresh_t : 0.0;
+    v.degraded = u.degraded_prev;
+    if (use_cap_) {
+      for (const auto& st : stations_)
+        v.bs_queue_peak = std::max(v.bs_queue_peak, st.occupancy(t_now));
+    }
+    v.crashed_cells = dead_count_;
+    for (const auto& br : u.breakers)
+      if (br.state() == core::BreakerState::kOpen) ++v.breakers_open;
+    cfg_.observer->on_tick(v);
   }
 
   /// End-of-run stats finalization and the observer run-end protocol.
@@ -1506,13 +1489,7 @@ class FleetEngine {
   double bh_loss_ = 0.0;
   double bh_delay_ = 0.0;
   int cur_obs_ue_ = -1;  ///< last UE announced via SimObserver::on_ue
-
-  friend struct TickEmit;
 };
-
-TickEmit::~TickEmit() {
-  if (eng) eng->emit_tick(*ue, t);
-}
 
 /// The tick loop only ends for a positive step: zero never reaches the
 /// horizon and a negative step walks backwards. NaN fails the test too.

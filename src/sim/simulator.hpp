@@ -102,12 +102,6 @@ class MobilityManager {
   virtual bool client_driven() const { return false; }
 };
 
-/// Multi-UE fleet knobs (Simulator::run_fleet). UE 0 always uses the
-/// scenario's SimConfig::speed_kmh and starts at position 0 — and draws
-/// nothing extra — so a fleet of one is bit-identical to a single-UE
-/// run(). Every further UE forks its own RNG stream from the simulation
-/// RNG (in UE-id order) and derives a mixed speed and start offset from
-/// that stream's first draws.
 /// One mobility class of a mixed-speed fleet population: `count` UEs
 /// drawing their speed uniformly from [speed_lo_kmh, speed_hi_kmh].
 /// Compiled scenarios (rem::scenario) map the paper's pedestrian /
@@ -119,6 +113,12 @@ struct FleetSpeedClass {
   double speed_hi_kmh = 350.0;
 };
 
+/// Multi-UE fleet knobs (Simulator::run_fleet). UE 0 always uses the
+/// scenario's SimConfig::speed_kmh and starts at position 0 — and draws
+/// nothing extra — so a fleet of one is bit-identical to a single-UE
+/// run(). Every further UE forks its own RNG stream from the simulation
+/// RNG (in UE-id order) and derives a mixed speed and start offset from
+/// that stream's first draws.
 struct FleetConfig {
   /// Speed range (km/h) for UE 1..N-1, drawn uniformly per UE. Ignored
   /// when `classes` is non-empty.

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string_view>
@@ -341,13 +340,9 @@ void write_digest_json(const TraceDigest& d, std::ostream& os) {
 }
 
 void write_digest_json_file(const TraceDigest& d, const std::string& path) {
-  std::ofstream os(path);
-  if (!os)
-    throw std::runtime_error("write_digest_json_file: cannot open " + path);
-  write_digest_json(d, os);
-  if (!os)
-    throw std::runtime_error("write_digest_json_file: write failed for " +
-                             path);
+  common::flat_json::write_file(
+      "write_digest_json_file", path,
+      [&](std::ostream& os) { write_digest_json(d, os); });
 }
 
 TraceDigest read_digest_json(std::istream& is) {
@@ -369,14 +364,8 @@ TraceDigest read_digest_json(std::istream& is) {
 }
 
 TraceDigest read_digest_json_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is)
-    throw std::runtime_error("read_digest_json_file: cannot open " + path);
-  try {
-    return read_digest_json(is);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
+  return common::flat_json::read_file("read_digest_json_file", path,
+                                      read_digest_json);
 }
 
 std::string diff_stats(const sim::SimStats& a, const sim::SimStats& b) {

@@ -10,6 +10,7 @@
 // (83.3 m/s) that is t ~ 32.2 s, with the T310-armed RLF landing ~0.5 s
 // later.
 #include "sim/simulator.hpp"
+#include "testkit/invariants.hpp"
 
 #include <gtest/gtest.h>
 
@@ -39,13 +40,14 @@ rs::Cell make_cell(int idx, double site_pos_m) {
 }
 
 /// Fires one scripted handover decision at `fire_at_s` (never, if
-/// negative); reports a fixed visible-cell set for classification.
+/// negative), naming `fallback` as the decision's fallback target (-1 =
+/// none); reports a fixed visible-cell set for classification.
 class ScriptedManager final : public rs::MobilityManager {
  public:
   ScriptedManager(std::set<std::size_t> visible, double fire_at_s = -1.0,
-                  std::size_t target = 0)
+                  std::size_t target = 0, int fallback = -1)
       : visible_(std::move(visible)), fire_at_s_(fire_at_s),
-        target_(target) {}
+        target_(target), fallback_(fallback) {}
 
   std::string name() const override { return "scripted"; }
   rem::phy::Waveform waveform() const override {
@@ -56,7 +58,7 @@ class ScriptedManager final : public rs::MobilityManager {
       const std::vector<rs::Observation>&) override {
     if (fire_at_s_ >= 0.0 && !fired_ && t >= fire_at_s_) {
       fired_ = true;
-      return rs::HandoverDecision{target_, 0.0};
+      return rs::HandoverDecision{target_, 0.0, fallback_};
     }
     return std::nullopt;
   }
@@ -70,6 +72,7 @@ class ScriptedManager final : public rs::MobilityManager {
   std::set<std::size_t> visible_;
   double fire_at_s_;
   std::size_t target_;
+  int fallback_;
   bool fired_ = false;
   std::size_t serving_ = 0;
 };
@@ -185,4 +188,102 @@ TEST(FailureCauses, T304ExpiryFallsBackToPreparedTarget) {
   ASSERT_EQ(stats.outage_durations_s.size(), 1u);
   // Fast fallback: well under the full RLF search budget.
   EXPECT_LT(stats.outage_durations_s[0], cfg.reestablish_s);
+}
+
+// ---------- Preparation rejects and crash-flushed jobs ----------
+// Two attempt branches the randomized suites never reach: a target that
+// refuses admission over the backhaul (its mean RSRP at the UE is below
+// min_coverage_rsrp_dbm), and a BS crash that flushes a UE's queued
+// decision job. Every run is invariant-checked.
+
+namespace {
+
+int event_count(const rs::SimStats& s, rs::EventKind kind) {
+  int n = 0;
+  for (const auto& e : s.events)
+    if (e.kind == kind) ++n;
+  return n;
+}
+
+/// Runs `cfg` (events recorded) over `cells` with an invariant checker
+/// attached, failing the test on any violation.
+rs::SimStats run_checked(const std::vector<rs::Cell>& cells,
+                         rs::SimConfig cfg, ScriptedManager& mgr) {
+  rem::common::Rng rng(1);
+  rs::RadioEnv env(cells, deterministic_propagation(), rng.fork());
+  cfg.record_events = true;
+  rem::testkit::CheckerConfig ccfg;
+  ccfg.sim = cfg;
+  ccfg.num_cells = cells.size();
+  ccfg.faults_expected = !cfg.faults.empty();
+  rem::testkit::InvariantChecker checker(ccfg);
+  cfg.observer = &checker;
+  rem::phy::LogisticBlerModel bler;
+  rs::Simulator sim(env, cfg, bler, rng.fork());
+  auto stats = sim.run(mgr);
+  EXPECT_EQ(checker.violation_count(), 0) << checker.report();
+  return stats;
+}
+
+/// Serving cell 0, a near cell 1 (2 km) and a cell 2 about 11 km ahead of
+/// the UE at decision time: rsrp(11 km) ~ -129 dBm, below the -120 dBm
+/// coverage floor, so cell 2 rejects every HANDOVER REQUEST.
+std::vector<rs::Cell> reject_geometry() {
+  return {make_cell(0, 0.0), make_cell(1, 2000.0), make_cell(2, 12000.0)};
+}
+
+rs::SimConfig backhaul_config(double duration_s) {
+  auto cfg = base_config(duration_s);
+  cfg.backhaul.enabled = true;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(PrepReject, WithoutFallbackFailsThePreparation) {
+  ScriptedManager mgr({0, 1, 2}, 10.0, 2);
+  const auto stats = run_checked(reject_geometry(), backhaul_config(12.0),
+                                 mgr);
+  EXPECT_EQ(stats.prep_requests, 1);
+  EXPECT_EQ(stats.prep_rejects, 1);
+  EXPECT_EQ(stats.prep_failures, 1);
+  EXPECT_EQ(stats.prep_fallbacks, 0);
+  EXPECT_EQ(stats.prep_acks, 0);
+  EXPECT_EQ(event_count(stats, rs::EventKind::kPrepReject), 1);
+  EXPECT_EQ(event_count(stats, rs::EventKind::kPrepFailed), 1);
+  EXPECT_EQ(stats.handovers, 0);
+  EXPECT_EQ(mgr.serving(), 0u);
+}
+
+TEST(PrepReject, FallbackTargetAcksAndCompletesTheHandover) {
+  ScriptedManager mgr({0, 1, 2}, 10.0, 2, /*fallback=*/1);
+  const auto stats = run_checked(reject_geometry(), backhaul_config(12.0),
+                                 mgr);
+  EXPECT_EQ(stats.prep_requests, 2);
+  EXPECT_EQ(stats.prep_rejects, 1);
+  EXPECT_EQ(stats.prep_fallbacks, 1);
+  EXPECT_EQ(stats.prep_acks, 1);
+  EXPECT_EQ(stats.prep_failures, 0);
+  EXPECT_EQ(event_count(stats, rs::EventKind::kPrepReject), 1);
+  EXPECT_EQ(event_count(stats, rs::EventKind::kPrepFallback), 1);
+  EXPECT_EQ(event_count(stats, rs::EventKind::kPrepAck), 1);
+  EXPECT_EQ(stats.handovers, 1);
+  EXPECT_EQ(stats.successful_handovers, 1);
+  EXPECT_EQ(stats.failures, 0);
+  EXPECT_EQ(mgr.serving(), 1u);
+}
+
+TEST(CrashFlush, ServingCrashFlushesTheQueuedDecisionJob) {
+  // The report reaches the serving BS at ~10 s and its 50 ms RRC decision
+  // job is in service when the crash window opens on that BS at 10.02 s.
+  ScriptedManager mgr({0, 1}, 10.0, 1);
+  auto cfg = base_config(12.0);
+  cfg.bs_capacity.enabled = true;
+  cfg.faults.windows = {{rs::FaultKind::kBsCrashRestart, 10.02, 1.0, 1.0}};
+  const auto stats =
+      run_checked({make_cell(0, 0.0), make_cell(1, 2000.0)}, cfg, mgr);
+  EXPECT_EQ(stats.bs_crashes, 1);
+  EXPECT_EQ(stats.bs_jobs_submitted, 1);
+  EXPECT_EQ(stats.bs_jobs_flushed, 1);
+  EXPECT_EQ(stats.bs_jobs_served, 0);
 }

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -271,6 +272,39 @@ TEST(FlatJsonFormats, WritersRefuseNewlinesNamingTheKey) {
             }).find("key 'counter.a\nb'"),
             std::string::npos);
   EXPECT_EQ(os.str(), "");
+}
+
+TEST(FlatJsonFormats, FileWrappersNameTheCallerAndThePath) {
+  // A path under a directory that does not exist can be neither read nor
+  // written; each wrapper names itself and the path.
+  const std::string missing = "test_flat_json_no_such_dir/x.json";
+  EXPECT_EQ(runtime_error_of([&] {
+              rem::scenario::read_scenario_json_file(missing);
+            }),
+            "read_scenario_json_file: cannot open " + missing);
+  EXPECT_EQ(
+      runtime_error_of([&] { rem::obs::read_metrics_json_file(missing); }),
+      "read_metrics_json_file: cannot open " + missing);
+  EXPECT_EQ(runtime_error_of(
+                [&] { rem::testkit::read_digest_json_file(missing); }),
+            "read_digest_json_file: cannot open " + missing);
+  EXPECT_EQ(runtime_error_of([&] {
+              rem::obs::write_metrics_json_file({}, missing);
+            }),
+            "write_metrics_json_file: cannot open " + missing);
+  EXPECT_EQ(runtime_error_of([&] {
+              rem::testkit::write_digest_json_file({}, missing);
+            }),
+            "write_digest_json_file: cannot open " + missing);
+  // A reader's own error comes back prefixed with the path.
+  const std::string bad = "test_flat_json_bad.json";
+  std::ofstream(bad) << "{\n  oops\n}\n";
+  for (const auto& msg :
+       {runtime_error_of([&] { rem::scenario::read_scenario_json_file(bad); }),
+        runtime_error_of([&] { rem::obs::read_metrics_json_file(bad); }),
+        runtime_error_of([&] { rem::testkit::read_digest_json_file(bad); })})
+    EXPECT_EQ(msg.rfind(bad + ": ", 0), 0u) << msg;
+  std::remove(bad.c_str());
 }
 
 TEST(FlatJsonFormats, TabsAndCarriageReturnsRoundTrip) {
