@@ -24,14 +24,19 @@
 // Determinism: each scenario runs at its own seed through the fixed
 // fleet construction order (bench/fleet_runner.hpp); invariant checkers
 // ride every UE of every run, so a sweep that passes also certifies the
-// per-UE protocol invariants under each scenario's fault schedule.
+// per-UE protocol invariants under each scenario's fault schedule. The
+// sweep runs scenarios on testkit::bench_threads() workers
+// (REM_BENCH_THREADS) and records, prints and writes them in name order,
+// so its outputs are byte-identical for any thread count.
 //
 // EXPERIMENTS.md documents the output schema; SCENARIOS.md catalogues the
 // library and the per-scenario gate rationale.
+#include "common/thread_pool.hpp"
 #include "fleet_runner.hpp"
 #include "obs/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/fault_injector.hpp"
+#include "testkit/seeds.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -106,8 +111,7 @@ struct ScenarioResult {
 
 /// Run both managers over one compiled scenario and evaluate its gates.
 ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
-                            const rem::phy::BlerModel& bler,
-                            rem::obs::Registry& registry) {
+                            const rem::phy::BlerModel& bler) {
   ScenarioResult r;
   r.name = c.name;
   r.duration_s = c.scenario.sim.duration_s;
@@ -125,25 +129,6 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
   };
   r.legacy = summarize(run(false));
   r.rem = summarize(run(true));
-
-  // Per-scenario metric labels (OBSERVABILITY.md): every counter the
-  // sweep emits is prefixed scenario.<name>.<manager>.
-  const auto record = [&](const char* mgr, const FleetMetrics& m) {
-    const std::string p = "scenario." + r.name + "." + mgr + ".";
-    registry.counter(p + "handovers")->add(static_cast<std::uint64_t>(m.handovers));
-    registry.counter(p + "failures")->add(static_cast<std::uint64_t>(m.failures));
-    registry.counter(p + "prep_failures")
-        ->add(static_cast<std::uint64_t>(m.prep_failures));
-    registry.counter(p + "bs_queue_shed")
-        ->add(static_cast<std::uint64_t>(m.bs_queue_shed));
-    registry.counter(p + "admission_rejects")
-        ->add(static_cast<std::uint64_t>(m.admission_rejects));
-    registry.counter(p + "backhaul_dropped")->add(m.backhaul_dropped);
-    registry.gauge(p + "failure_ratio")->set(m.failure_ratio);
-    registry.gauge(p + "downtime_fraction")->set(m.downtime_fraction);
-  };
-  record("legacy", r.legacy);
-  record("rem", r.rem);
 
   char buf[256];
   if (r.legacy.handovers < r.gates.min_legacy_handovers) {
@@ -168,6 +153,27 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
     r.gate_failures.push_back(buf);
   }
   return r;
+}
+
+/// Per-scenario metric labels (OBSERVABILITY.md): every counter the sweep
+/// emits is prefixed scenario.<name>.<manager>.
+void record_metrics(rem::obs::Registry& registry, const ScenarioResult& r) {
+  const auto record = [&](const char* mgr, const FleetMetrics& m) {
+    const std::string p = "scenario." + r.name + "." + mgr + ".";
+    registry.counter(p + "handovers")->add(static_cast<std::uint64_t>(m.handovers));
+    registry.counter(p + "failures")->add(static_cast<std::uint64_t>(m.failures));
+    registry.counter(p + "prep_failures")
+        ->add(static_cast<std::uint64_t>(m.prep_failures));
+    registry.counter(p + "bs_queue_shed")
+        ->add(static_cast<std::uint64_t>(m.bs_queue_shed));
+    registry.counter(p + "admission_rejects")
+        ->add(static_cast<std::uint64_t>(m.admission_rejects));
+    registry.counter(p + "backhaul_dropped")->add(m.backhaul_dropped);
+    registry.gauge(p + "failure_ratio")->set(m.failure_ratio);
+    registry.gauge(p + "downtime_fraction")->set(m.downtime_fraction);
+  };
+  record("legacy", r.legacy);
+  record("rem", r.rem);
 }
 
 void write_manager_json(std::ostream& os, const FleetMetrics& m) {
@@ -275,9 +281,7 @@ int main(int argc, char** argv) {
       rem::scenario::CompileOverrides ov;
       ov.extra_time_compression = extra_compression_for(spec,
                                                         kValidateHorizon_s);
-      const auto c = rem::scenario::compile(spec, ov);
-      rem::obs::Registry registry;
-      const auto r = run_scenario(c, bler, registry);
+      const auto r = run_scenario(rem::scenario::compile(spec, ov), bler);
       std::printf("  ran %s end-to-end: legacy %d HOs / %d failures, REM %d "
                   "HOs / %d failures\n",
                   shortest.c_str(), r.legacy.handovers, r.legacy.failures,
@@ -287,17 +291,22 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    // Each scenario builds its own world, checkers and streams, so it may
+    // run on any worker.
+    std::vector<ScenarioResult> results(names.size());
+    rem::common::parallel_for(
+        names.size(), rem::testkit::bench_threads(), [&](std::size_t i) {
+          const auto spec = rem::scenario::load_scenario(dir, names[i]);
+          rem::scenario::CompileOverrides ov;
+          if (smoke)
+            ov.extra_time_compression =
+                extra_compression_for(spec, kSmokeHorizon_s);
+          results[i] = run_scenario(rem::scenario::compile(spec, ov), bler);
+        });
     rem::obs::Registry registry;
-    std::vector<ScenarioResult> results;
     bool ok = true;
-    for (const auto& name : names) {
-      const auto spec = rem::scenario::load_scenario(dir, name);
-      rem::scenario::CompileOverrides ov;
-      if (smoke)
-        ov.extra_time_compression = extra_compression_for(spec,
-                                                          kSmokeHorizon_s);
-      const auto c = rem::scenario::compile(spec, ov);
-      auto r = run_scenario(c, bler, registry);
+    for (const auto& r : results) {
+      record_metrics(registry, r);
       std::printf("%-28s %6.1f s %2d UEs | legacy %4d HO %3d fail (%.3f) | "
                   "REM %4d HO %3d fail (%.3f) | %s\n",
                   r.name.c_str(), r.duration_s, r.fleet_size,
@@ -307,7 +316,6 @@ int main(int argc, char** argv) {
       for (const auto& g : r.gate_failures)
         std::printf("  FAIL: %s\n", g.c_str());
       ok = ok && r.pass();
-      results.push_back(std::move(r));
     }
 
     std::ofstream js(out_path);

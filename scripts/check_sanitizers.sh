@@ -3,7 +3,9 @@
 # including the DSP tests (test_fft_plan, test_matrix_svd, test_prony,
 # test_crossband) and the bench_perf --smoke perf label, so the FFT plan
 # cache, the Jacobi SVD and Algorithm 1 run instrumented on every
-# sanitizer pass.
+# sanitizer pass. The ASan+UBSan preset also defines _GLIBCXX_ASSERTIONS,
+# so a violated libstdc++ precondition (a std distribution's parameter
+# range, an out-of-bounds operator[]) aborts the test that reaches it.
 #
 #   scripts/check_sanitizers.sh            # both presets
 #   scripts/check_sanitizers.sh asan-ubsan # just address,undefined

@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace rc = rem::common;
@@ -80,6 +88,196 @@ TEST(Rng, BernoulliRate) {
   const int n = 50000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+// Rng against the libstdc++ oracle: every stream must equal
+// std::mt19937_64 driven through the std distributions, bit for bit.
+
+static_assert(std::uniform_random_bit_generator<rc::Mt19937_64>);
+
+namespace {
+
+const std::uint64_t kOracleSeeds[] = {
+    0, 1, 5, 5489, std::uint64_t{1} << 63,
+    std::numeric_limits<std::uint64_t>::max()};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// For each oracle seed, calls step(rng, ref) `rounds` times on a fresh
+/// Rng and std::mt19937_64 of that seed (stopping at the first fatal
+/// failure), then checks both engines are still in step.
+template <class Step>
+void for_each_oracle_seed(int rounds, Step step) {
+  for (const std::uint64_t seed : kOracleSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    rc::Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < rounds; ++i) {
+      step(rng, ref);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(rng.engine()(), ref());
+  }
+}
+
+/// A generator whose every output is `value`, to drive
+/// std::generate_canonical at chosen inputs.
+struct FixedOutput {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+  result_type operator()() { return value; }
+  result_type value;
+};
+
+}  // namespace
+
+TEST(RngOracle, EngineStreamEqualsStdMt19937_64) {
+  // 10^6 outputs per seed run through ~3,200 twists.
+  for (const std::uint64_t seed : kOracleSeeds) {
+    rc::Mt19937_64 engine(seed);
+    std::mt19937_64 ref(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) mismatches += engine() != ref();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(RngOracle, CanonicalEqualsGenerateCanonical) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  // 2^64 - 2^10 is the smallest output that rounds up to 2^64.
+  EXPECT_EQ(bits(rc::to_canonical(top)), bits(below_one));
+  EXPECT_EQ(bits(rc::to_canonical(top - 1023)), bits(below_one));
+  const std::uint64_t p53 = std::uint64_t{1} << 53;
+  const std::uint64_t p63 = std::uint64_t{1} << 63;
+  for (const std::uint64_t x :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xffffffff},
+        std::uint64_t{1} << 32, p53 - 1, p53 + 1, p53 + 3, p63 - 1, p63,
+        p63 + 1, p63 + 1024, p63 + 3072, top - 3072, top - 3071,
+        top - 2047, top - 1024, top - 1023, top - 1, top}) {
+    FixedOutput g{x};
+    EXPECT_EQ(bits(rc::to_canonical(x)),
+              bits(std::generate_canonical<double, 53>(g)))
+        << "output " << x;
+  }
+  for_each_oracle_seed(100'000, [](rc::Rng& rng, std::mt19937_64& ref) {
+    ASSERT_EQ(bits(rng.canonical()),
+              bits(std::generate_canonical<double, 53>(ref)));
+  });
+}
+
+TEST(RngOracle, UniformEqualsUniformRealDistribution) {
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0},  {-5.0, 3.0},   {-1e3, -1e-3},  {2.5, 2.5},
+      {-0.0, 0.0}, {-40.0, 40.0}, {1e-300, 1e300}};
+  for_each_oracle_seed(20'000, [&](rc::Rng& rng, std::mt19937_64& ref) {
+    for (const auto& [lo, hi] : ranges)
+      ASSERT_EQ(bits(rng.uniform(lo, hi)),
+                bits(std::uniform_real_distribution<double>(lo, hi)(ref)))
+          << "[" << lo << ", " << hi << ")";
+  });
+}
+
+TEST(RngOracle, BernoulliEqualsBernoulliDistribution) {
+  for_each_oracle_seed(50'000, [](rc::Rng& rng, std::mt19937_64& ref) {
+    for (const double p : {0.0, 1e-9, 0.3, 1.0})
+      ASSERT_EQ(rng.bernoulli(p), std::bernoulli_distribution(p)(ref))
+          << "p " << p;
+  });
+}
+
+TEST(RngOracle, GaussianEqualsNormalDistribution) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {3.5, 0.25}, {-120.0, 8.0}, {1e6, 1e-6}};
+  for_each_oracle_seed(20'000, [&](rc::Rng& rng, std::mt19937_64& ref) {
+    for (const auto& [mean, sigma] : params)
+      ASSERT_EQ(bits(rng.gaussian(mean, sigma)),
+                bits(std::normal_distribution<double>(mean, sigma)(ref)))
+          << "mean " << mean << " sigma " << sigma;
+    for (const double variance : {1.0, 2.0, 0.37}) {
+      const auto z = rng.complex_gaussian(variance);
+      const double s = std::sqrt(variance / 2.0);
+      const double re = std::normal_distribution<double>(0.0, s)(ref);
+      const double im = std::normal_distribution<double>(0.0, s)(ref);
+      ASSERT_EQ(bits(z.real()), bits(re)) << "variance " << variance;
+      ASSERT_EQ(bits(z.imag()), bits(im)) << "variance " << variance;
+    }
+  });
+}
+
+TEST(RngOracle, DelegatedDrawsEqualTheStdDistributions) {
+  const std::int64_t lowest = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t highest = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> int_ranges[] = {
+      {0, 0}, {-3, 3}, {-1000, -1}, {0, 1'000'000'000},
+      {0, std::int64_t{1} << 40}, {lowest, highest}};
+  for_each_oracle_seed(10'000, [&](rc::Rng& rng, std::mt19937_64& ref) {
+    for (const double mean : {0.05, 1.0, 7.5})
+      ASSERT_EQ(
+          bits(rng.exponential(mean)),
+          bits(std::exponential_distribution<double>(1.0 / mean)(ref)))
+          << "mean " << mean;
+    for (const auto& [lo, hi] : int_ranges)
+      ASSERT_EQ(rng.uniform_int(lo, hi),
+                std::uniform_int_distribution<std::int64_t>(lo, hi)(ref))
+          << "[" << lo << ", " << hi << "]";
+    for (const double mean : {0.5, 3.0, 11.9, 12.0, 40.0})
+      ASSERT_EQ(rng.poisson(mean), std::poisson_distribution<int>(mean)(ref))
+          << "mean " << mean;
+  });
+}
+
+TEST(RngOracle, ForkChainsEqualReseededStdEngines) {
+  for_each_oracle_seed(1, [](rc::Rng& a, std::mt19937_64& ref_a) {
+    rc::Rng b = a.fork();
+    std::mt19937_64 ref_b(ref_a());
+    rc::Rng c = b.fork();
+    std::mt19937_64 ref_c(ref_b());
+    rc::Rng d = c.fork();
+    std::mt19937_64 ref_d(ref_c());
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(bits(d.gaussian()),
+                bits(std::normal_distribution<double>()(ref_d)));
+      ASSERT_EQ(bits(c.uniform(-1.0, 1.0)),
+                bits(std::uniform_real_distribution<double>(-1, 1)(ref_c)));
+      ASSERT_EQ(b.engine()(), ref_b());
+      ASSERT_EQ(bits(a.canonical()),
+                bits(std::generate_canonical<double, 53>(ref_a)));
+    }
+  });
+}
+
+TEST(RngOracle, ShuffleThroughEngineEqualsStd) {
+  for_each_oracle_seed(3, [](rc::Rng& rng, std::mt19937_64& ref) {
+    std::vector<int> got(1000), want(1000);
+    std::iota(got.begin(), got.end(), 0);
+    std::iota(want.begin(), want.end(), 0);
+    std::shuffle(got.begin(), got.end(), rng.engine());
+    std::shuffle(want.begin(), want.end(), ref);
+    ASSERT_EQ(got, want);
+  });
+}
+
+// std::poisson_distribution requires mean > 0 and std::normal_distribution
+// sigma > 0 (both abort under _GLIBCXX_ASSERTIONS); the release build runs
+// them anyway, and Rng keeps those results and draw counts.
+TEST(RngOracle, PoissonZeroMeanDrawsOnceAndReturnsZero) {
+  for_each_oracle_seed(1000, [](rc::Rng& rng, std::mt19937_64& ref) {
+    ASSERT_EQ(rng.poisson(0.0), 0);
+    std::generate_canonical<double, 53>(ref);
+    ASSERT_EQ(rng.engine()(), ref());
+  });
+}
+
+TEST(RngOracle, ZeroSigmaGaussianReturnsTheMeanAfterTheSameDraws) {
+  for_each_oracle_seed(1000, [](rc::Rng& rng, std::mt19937_64& ref) {
+    ASSERT_EQ(bits(rng.gaussian(4.5, 0.0)), bits(4.5));
+    std::normal_distribution<double>(4.5, 1.0)(ref);  // the same polar draws
+    ASSERT_EQ(rng.engine()(), ref());
+  });
 }
 
 TEST(Summary, BasicStats) {
