@@ -36,6 +36,7 @@
 // Usage: bench_chaos [--smoke] [output.json]
 //   --smoke: tiny duration / single seed, for wiring into ctest so the
 //   chaos path cannot rot; writes BENCH_CHAOS_smoke.json by default.
+//   Any other argument starting with '-' is a usage error (exit 2).
 #include "common/stats.hpp"
 #include "fleet_runner.hpp"
 #include "obs/registry.hpp"
@@ -269,10 +270,17 @@ int main(int argc, char** argv) {
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke")
+    if (arg == "--smoke") {
       smoke = true;
-    else
+    } else if (arg.starts_with('-')) {
+      std::fprintf(stderr,
+                   "bench_chaos: unknown option '%s'\n"
+                   "usage: bench_chaos [--smoke] [output.json]\n",
+                   arg.c_str());
+      return 2;
+    } else {
       out_path = arg;
+    }
   }
   if (out_path.empty())
     out_path = smoke ? "BENCH_CHAOS_smoke.json" : "BENCH_CHAOS.json";
@@ -689,8 +697,8 @@ int main(int argc, char** argv) {
     }
     for (const auto* m : {&r.legacy, &r.rem}) {
       const auto& t = m->total;
-      const long long budget = static_cast<long long>(t.prep_requests) *
-                               rem::sim::SimConfig{}.prep_max_retries;
+      const long long budget =
+          static_cast<long long>(t.prep_requests) * rem::sim::kPrepMaxRetries;
       if (t.prep_retries > budget) {
         std::printf("FAIL: retry storm under %s (%d retries for %d "
                     "requests)\n",

@@ -48,7 +48,7 @@ int main() {
   std::printf("  t=0.00s  handover fails, radio link lost\n");
   std::printf("  t=%.2fs  TCP retransmissions backing off (RTO doubling "
               "from %.2fs)\n",
-              tcp.base_rto_s, tcp.base_rto_s);
+              sim::kTcpBaseRto_s, sim::kTcpBaseRto_s);
   std::printf("  t=%.2fs  radio connection re-established\n", outage);
   std::printf("  t=%.2fs  next TCP retransmission fires, throughput "
               "recovers\n",

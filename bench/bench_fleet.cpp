@@ -20,6 +20,8 @@
 //                running anything. Wired into ctest as bench_fleet_list.
 //   --dir <d>    read scenarios from <d> instead of the baked-in
 //                REM_SCENARIO_DIR.
+// Any other argument starting with '-', or --dir without a value, is a
+// usage error (exit 2) before anything runs.
 //
 // Determinism: each scenario runs at its own seed through the fixed
 // fleet construction order (bench/fleet_runner.hpp); invariant checkers
@@ -194,6 +196,14 @@ int main(int argc, char** argv) {
   bool smoke = false, validate = false, list = false;
   std::string dir = REM_SCENARIO_DIR;
   std::string out_path;
+  const auto usage_error = [](const std::string& why) {
+    std::fprintf(stderr,
+                 "bench_fleet: %s\n"
+                 "usage: bench_fleet [--smoke | --validate | --list] "
+                 "[--dir <d>] [output.json]\n",
+                 why.c_str());
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -202,8 +212,11 @@ int main(int argc, char** argv) {
       validate = true;
     } else if (arg == "--list") {
       list = true;
-    } else if (arg == "--dir" && i + 1 < argc) {
+    } else if (arg == "--dir") {
+      if (i + 1 == argc) return usage_error("'--dir' needs a directory");
       dir = argv[++i];
+    } else if (arg.starts_with('-')) {
+      return usage_error("unknown option '" + arg + "'");
     } else {
       out_path = arg;
     }

@@ -9,6 +9,7 @@
 // Usage: bench_perf [--smoke] [output.json]   (run from the repo root so
 // the JSON lands next to README.md). --smoke shrinks every workload to a
 // few seconds for ctest (label `perf`); the bit-identity gates still apply.
+// Any other argument starting with '-' is a usage error (exit 2).
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dsp/fft.hpp"
@@ -70,10 +71,18 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke")
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
-    else
-      out_path = argv[i];
+    } else if (arg.starts_with('-')) {
+      std::fprintf(stderr,
+                   "bench_perf: unknown option '%s'\n"
+                   "usage: bench_perf [--smoke] [output.json]\n",
+                   arg.c_str());
+      return 2;
+    } else {
+      out_path = arg;
+    }
   }
   if (out_path.empty())
     out_path = smoke ? "BENCH_DSP.smoke.json" : "BENCH_DSP.json";

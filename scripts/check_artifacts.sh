@@ -8,9 +8,11 @@
 #
 # and cmp's each against the committed copy. A behaviour-preserving change
 # must leave every one identical; the script exits non-zero naming each
-# file that differs (or that only one side has). BENCH_FLEET.json's
-# "scenario_dir" line records the checkout's absolute path rather than a
-# result, so that one line is left out of its comparison.
+# file that differs (or that only one side has), each DIFFERS line
+# followed by the first 20 lines of its `diff -u`, so a CI log shows what
+# moved without a rerun. BENCH_FLEET.json's "scenario_dir" line records
+# the checkout's absolute path rather than a result, so that one line is
+# left out of its comparison and its diff.
 #
 # The two full sweeps take about 3 minutes, so this stays out of ctest;
 # scripts/check_tier1.sh --full runs it.
@@ -45,23 +47,35 @@ run bench_chaos "${build}/bench/bench_chaos" "${out}/BENCH_CHAOS.json"
 run bench_fleet "${build}/bench/bench_fleet" --dir "${root}/scenarios" \
     "${out}/BENCH_FLEET.json"
 
-differ=()
+status=0
+# differs <name> <committed> <regenerated>: the DIFFERS line, then the head
+# of the unified diff (a missing side reads as /dev/null).
+differs() {
+  echo "DIFFERS $1"
+  diff -u --label "committed/$1" --label "regenerated/$1" "$2" "$3" |
+    head -n 20 || true
+  status=1
+}
+
 for f in tests/golden/*.json; do
-  cmp -s "${f}" "${out}/golden/${f##*/}" || differ+=("${f}")
+  g="${out}/golden/${f##*/}"
+  [ -e "${g}" ] || g=/dev/null
+  cmp -s "${f}" "${g}" || differs "${f}" "${f}" "${g}"
 done
-for f in "${out}"/golden/*.json; do
-  [ -e "tests/golden/${f##*/}" ] || differ+=("tests/golden/${f##*/}")
+for g in "${out}"/golden/*.json; do
+  f="tests/golden/${g##*/}"
+  [ -e "${f}" ] || differs "${f}" /dev/null "${g}"
 done
 for f in BENCH_CHAOS.json BENCH_CHAOS_metrics.json BENCH_FLEET_metrics.json; do
-  cmp -s "${f}" "${out}/${f}" || differ+=("${f}")
+  cmp -s "${f}" "${out}/${f}" || differs "${f}" "${f}" "${out}/${f}"
 done
-cmp -s <(grep -v '^  "scenario_dir": ' BENCH_FLEET.json) \
-       <(grep -v '^  "scenario_dir": ' "${out}/BENCH_FLEET.json") ||
-  differ+=(BENCH_FLEET.json)
+# BENCH_FLEET.json minus its checkout-path line.
+fleet_results() { grep -v '^  "scenario_dir": ' "$1"; }
+fleet_results BENCH_FLEET.json >"${out}/fleet.committed"
+fleet_results "${out}/BENCH_FLEET.json" >"${out}/fleet.regenerated"
+cmp -s "${out}/fleet.committed" "${out}/fleet.regenerated" ||
+  differs BENCH_FLEET.json "${out}/fleet.committed" "${out}/fleet.regenerated"
 
-if [ "${#differ[@]}" -gt 0 ]; then
-  printf 'DIFFERS %s\n' "${differ[@]}"
-  exit 1
-fi
+[ "${status}" -eq 0 ] || exit 1
 echo "check_artifacts: $(ls tests/golden/*.json | wc -l) golden digests" \
      "and 4 BENCH_CHAOS/BENCH_FLEET files byte-identical"

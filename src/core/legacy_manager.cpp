@@ -6,6 +6,13 @@ namespace rem::core {
 
 namespace rm = rem::mobility;
 
+namespace {
+
+/// Bounded monitored set: strongest cells measured per stage.
+constexpr std::size_t kMaxMonitoredCells = 8;
+
+}  // namespace
+
 LegacyManager::LegacyManager(LegacyConfig cfg) : cfg_(std::move(cfg)) {}
 
 const rm::CellPolicy& LegacyManager::serving_policy() const {
@@ -76,8 +83,8 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     }
   }
   std::sort(candidates.begin(), candidates.end());
-  if (candidates.size() > cfg_.max_monitored_cells)
-    candidates.resize(cfg_.max_monitored_cells);
+  if (candidates.size() > kMaxMonitoredCells)
+    candidates.resize(kMaxMonitoredCells);
   std::vector<rm::MeasureTask> tasks;
   for (const auto& [neg, o] : candidates) {
     visible_.insert(o->cell_idx);
@@ -112,8 +119,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
           // Feedback + reconfiguration command round trip before the new
           // measurement configuration is active (§3.2's extra delay).
           pending_stage_ = rule.next_stage;
-          stage_change_due_ = t + cfg_.measurement.reconfigure_rtt_s +
-                              cfg_.measurement.report_latency_s;
+          stage_change_due_ = t + rm::kReconfigureRtt_s + rm::kReportLatency_s;
         }
         return;
       }
@@ -147,7 +153,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
   if (decision) {
     // Load-aware tie-breaking among this tick's fired handover candidates,
     // banded around the first-firing (chosen) target's RSRP.
-    load_aware_tie_break(fired, fired.front().metric, cfg_.load_tie_band_db,
+    load_aware_tie_break(fired, fired.front().metric, kLoadTieBandDb,
                          *decision);
     last_decision_t_ = t;
     // A decision re-arms the triggers so a lost report can re-fire after

@@ -21,13 +21,6 @@ struct LegacyConfig {
   /// After an emitted decision, how long before the (still satisfied)
   /// trigger may re-fire a report (RLC ARQ + reporting interval).
   double refire_interval_s = 0.24;
-  /// Bounded monitored set: strongest cells measured per stage.
-  std::size_t max_monitored_cells = 8;
-  /// Cascade resilience: among rules that fired this tick within this band
-  /// (dB RSRP) of the chosen target, steer toward the lowest advertised
-  /// control-plane load (unknown reads as a neutral 0.5). Inert while
-  /// nothing advertises load; 0 disables.
-  double load_tie_band_db = 1.5;
 };
 
 class LegacyManager final : public sim::MobilityManager {

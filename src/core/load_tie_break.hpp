@@ -11,6 +11,14 @@
 
 namespace rem::core {
 
+/// Cascade resilience, both managers: when other candidates sit within
+/// this band (dB of the policy metric) of the chosen target, steer toward
+/// the lowest advertised control-plane load. For REM every in-band
+/// candidate already cleared the coordinated A3 threshold, so the
+/// Theorem-2 pairwise offset-sum condition holds for whichever wins. Inert
+/// while nothing advertises load (the simulator's default).
+constexpr double kLoadTieBandDb = 1.5;
+
 /// One handover candidate of this tick.
 struct LoadCandidate {
   double metric;     ///< policy metric the candidate qualified with (dB)

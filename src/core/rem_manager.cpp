@@ -8,6 +8,14 @@
 namespace rem::core {
 namespace {
 
+/// Cross-band estimation error injected on estimated (not directly
+/// measured) co-located cells, std dev in dB. Fig. 12: <= 2 dB at p90
+/// corresponds to sigma ~= 1 dB.
+constexpr double kCrossbandErrorSigmaDb = 1.0;
+/// Strongest sites measured per cycle (one pilot each; co-located cells
+/// come free via cross-band estimation).
+constexpr std::size_t kMaxMeasuredSites = 4;
+
 /// The entry for `site` in a (site, value) list, or nullptr. Co-sited
 /// cells usually arrive back to back, so the search starts at the end.
 template <typename V>
@@ -58,8 +66,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
   for (const auto& [site, snr] : site_strength_)
     ranked_.push_back({-snr, site});
   std::sort(ranked_.begin(), ranked_.end());
-  if (ranked_.size() > cfg_.max_measured_sites)
-    ranked_.resize(cfg_.max_measured_sites);
+  if (ranked_.size() > kMaxMeasuredSites) ranked_.resize(kMaxMeasuredSites);
   tasks_.clear();
   for (const auto& o : neighbors) {
     const int site = o.id.base_station;
@@ -122,7 +129,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
     // removed the error but paid per-cell measurement time above.
     const bool is_estimated = crossband && direct->second != o.cell_idx;
     if (is_estimated)
-      snr += rng_.gaussian(0.0, cfg_.crossband_error_sigma_db);
+      snr += rng_.gaussian(0.0, kCrossbandErrorSigmaDb);
     const double metric = policy_metric(snr, o.bandwidth_hz);
     const double threshold =
         serving_metric + cfg_.a3_offset_db + cfg_.hysteresis_db;
@@ -157,7 +164,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
   // Load-aware tie-breaking among the TTT-qualified candidates: every
   // in-band candidate already cleared the coordinated A3 threshold, so
   // Theorem 2 holds for whichever wins.
-  load_aware_tie_break(qualified_, best_metric, cfg_.load_tie_band_db, d);
+  load_aware_tie_break(qualified_, best_metric, kLoadTieBandDb, d);
   // Without cross-band estimation (ablation or degraded fallback) every
   // monitored cell is measured the legacy way (sequentially, with gaps
   // for inter-frequency cells).

@@ -20,10 +20,6 @@ struct RemConfig {
   /// Short TTT — the stable DD metric does not need long smoothing.
   double time_to_trigger_s = 0.040;
   mobility::MeasurementConfig measurement;
-  /// Cross-band estimation error injected on estimated (not directly
-  /// measured) co-located cells, std dev in dB. Fig. 12: <= 2 dB at p90
-  /// corresponds to sigma ~= 1 dB.
-  double crossband_error_sigma_db = 1.0;
   /// Re-fire interval after an emitted decision (lost-report retry).
   double refire_interval_s = 0.12;
   /// Degrade to direct (time-frequency) measurement when the delay-Doppler
@@ -31,17 +27,6 @@ struct RemConfig {
   /// outage): acting on faulted cross-band estimates is worse than paying
   /// the legacy measurement delay. Exits as soon as pilots are fresh.
   double estimate_staleness_s = 0.20;
-  /// Strongest sites measured per cycle (one pilot each; co-located cells
-  /// come free via cross-band estimation).
-  std::size_t max_measured_sites = 4;
-  /// Cascade resilience: when other TTT-qualified candidates sit within
-  /// this band (dB) of the best metric, steer toward the lowest advertised
-  /// control-plane load (Observation::advertised_load; unknown reads as a
-  /// neutral 0.5). Theorem-2-consistent — every in-band candidate already
-  /// cleared the coordinated A3 threshold, so the pairwise offset-sum
-  /// condition holds for whichever wins. Inert while nothing advertises
-  /// load (the simulator's default); 0 disables the tie-break entirely.
-  double load_tie_band_db = 1.5;
 
   // --- Ablation switches (bench_ablation) ---
   /// Carry signaling over OTFS (false = legacy OFDM signaling, keeping

@@ -7,14 +7,21 @@
 namespace rem::mobility {
 namespace {
 
+/// Time to acquire + filter one intra-frequency cell [s].
+constexpr double kIntraMeasure_s = 0.040;
+/// Measurement gap schedule: kGapLength_s every kGapPeriod_s (LTE gp0/gp1).
+constexpr double kGapPeriod_s = 0.040;
+constexpr double kGapLength_s = 0.006;
+/// Time inside gaps needed to acquire one inter-frequency cell [s].
+constexpr double kInterAcquire_s = 0.015;
+
 // Wall-clock time needed to accumulate `needed` seconds of in-gap
 // measurement under the gap schedule.
-double gap_time(double needed, const MeasurementConfig& cfg) {
+double gap_time(double needed) {
   if (needed <= 0.0) return 0.0;
-  const double gaps = std::ceil(needed / cfg.gap_length_s);
+  const double gaps = std::ceil(needed / kGapLength_s);
   // The last gap may be partially used; earlier gaps are fully spaced.
-  return (gaps - 1.0) * cfg.gap_period_s +
-         (needed - (gaps - 1.0) * cfg.gap_length_s);
+  return (gaps - 1.0) * kGapPeriod_s + (needed - (gaps - 1.0) * kGapLength_s);
 }
 
 }  // namespace
@@ -29,20 +36,20 @@ double legacy_feedback_delay_s(const std::vector<MeasureTask>& tasks,
   bool any_intra = false, any_inter = false;
   for (const auto& t : tasks) {
     if (t.intra_frequency) {
-      intra_time += cfg.intra_measure_s;
+      intra_time += kIntraMeasure_s;
       any_intra = true;
     } else {
-      inter_acquire += cfg.inter_acquire_s;
+      inter_acquire += kInterAcquire_s;
       any_inter = true;
     }
   }
-  double delay = intra_time + gap_time(inter_acquire, cfg);
+  double delay = intra_time + gap_time(inter_acquire);
   if (any_inter)
     delay += cfg.inter_ttt_s;
   else if (any_intra)
     delay += cfg.intra_ttt_s;
-  delay += cfg.report_latency_s;
-  delay += reconfigurations * cfg.reconfigure_rtt_s;
+  delay += kReportLatency_s;
+  delay += reconfigurations * kReconfigureRtt_s;
   return delay;
 }
 
@@ -61,22 +68,21 @@ double rem_feedback_delay_s(const std::vector<MeasureTask>& tasks,
   for (const auto& [site, has_intra] : site_has_intra) {
     ++sites;
     if (has_intra)
-      intra_time += cfg.intra_measure_s;
+      intra_time += kIntraMeasure_s;
     else
-      inter_acquire += cfg.inter_acquire_s;
+      inter_acquire += kInterAcquire_s;
   }
-  double delay = intra_time + gap_time(inter_acquire, cfg);
+  double delay = intra_time + gap_time(inter_acquire);
   // Stable delay-Doppler metrics let REM use the short (intra) TTT for
   // everything; cross-band estimation adds its runtime per site.
   delay += cfg.intra_ttt_s;
   delay += cfg.crossband_runtime_s * static_cast<double>(sites);
-  delay += cfg.report_latency_s;
+  delay += kReportLatency_s;
   return delay;
 }
 
-double gap_spectrum_overhead(const MeasurementConfig& cfg, bool gaps_active) {
-  if (!gaps_active) return 0.0;
-  return cfg.gap_length_s / cfg.gap_period_s;
+double gap_spectrum_overhead(bool gaps_active) {
+  return gaps_active ? kGapLength_s / kGapPeriod_s : 0.0;
 }
 
 }  // namespace rem::mobility

@@ -18,21 +18,15 @@
 
 namespace rem::mobility {
 
+/// One-way report delivery latency [s] (uplink scheduling + HARQ).
+constexpr double kReportLatency_s = 0.010;
+/// Extra round trip for each multi-stage reconfiguration [s].
+constexpr double kReconfigureRtt_s = 0.050;
+
 struct MeasurementConfig {
-  /// Time to acquire + filter one intra-frequency cell [s].
-  double intra_measure_s = 0.040;
-  /// Measurement gap schedule: gap_length every gap_period (LTE gp0/gp1).
-  double gap_period_s = 0.040;
-  double gap_length_s = 0.006;
-  /// Time inside gaps needed to acquire one inter-frequency cell [s].
-  double inter_acquire_s = 0.015;
   /// TimeToTrigger applied after acquisition, intra / inter [s].
   double intra_ttt_s = 0.040;
   double inter_ttt_s = 0.640;
-  /// One-way report delivery latency [s] (uplink scheduling + HARQ).
-  double report_latency_s = 0.010;
-  /// Extra round trip for each multi-stage reconfiguration [s].
-  double reconfigure_rtt_s = 0.050;
   /// REM: time to run cross-band estimation per base station [s].
   double crossband_runtime_s = 0.0;
 };
@@ -61,6 +55,6 @@ double rem_feedback_delay_s(const std::vector<MeasureTask>& tasks,
 /// Spectrum fraction lost to measurement gaps while `inter_cells` cells
 /// are being monitored without cross-band estimation (§3.2's
 /// 38.3-61.7% MeasurementGap cost when multi-stage policies are disabled).
-double gap_spectrum_overhead(const MeasurementConfig& cfg, bool gaps_active);
+double gap_spectrum_overhead(bool gaps_active);
 
 }  // namespace rem::mobility

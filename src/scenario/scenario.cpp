@@ -438,22 +438,23 @@ void write_scenario_json(const ScenarioSpec& spec, std::ostream& os) {
   }
   // Domain / resilience knobs are emitted only off their defaults so
   // pre-existing scenarios re-canonicalize byte-identically.
-  if (spec.fault_domain_size != 4)
+  const ScenarioSpec def;
+  if (spec.fault_domain_size != def.fault_domain_size)
     add("fault.domain_size", std::to_string(spec.fault_domain_size));
-  if (spec.region_stagger_s != 0.5)
+  if (spec.region_stagger_s != def.region_stagger_s)
     add("fault.region_stagger_s", format_double(spec.region_stagger_s));
-  if (spec.cascade_neighbor_radius != 2)
+  if (spec.cascade_neighbor_radius != def.cascade_neighbor_radius)
     add("fault.cascade_neighbor_radius",
         std::to_string(spec.cascade_neighbor_radius));
-  if (spec.load_ad_staleness_s != 0.0)
+  if (spec.load_ad_staleness_s != def.load_ad_staleness_s)
     add("resilience.load_ad_staleness_s",
         format_double(spec.load_ad_staleness_s));
-  if (spec.breaker_trip_k != 0)
+  if (spec.breaker_trip_k != def.breaker_trip_k)
     add("resilience.breaker_trip_k", std::to_string(spec.breaker_trip_k));
-  if (spec.breaker_cooldown_s != 2.0)
+  if (spec.breaker_cooldown_s != def.breaker_cooldown_s)
     add("resilience.breaker_cooldown_s",
         format_double(spec.breaker_cooldown_s));
-  if (spec.storm_jitter_frac != 0.0)
+  if (spec.storm_jitter_frac != def.storm_jitter_frac)
     add("resilience.storm_jitter_frac", format_double(spec.storm_jitter_frac));
   add("backhaul.enabled", fmt_bool(spec.backhaul.enabled));
   add("backhaul.base_latency_s", format_double(spec.backhaul.base_latency_s));
@@ -749,7 +750,6 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
     add_i(p + ".id", d.channels[i].first);
     add_d(p + ".carrier_hz", d.channels[i].second);
   }
-  add_d("deploy.primary_bandwidth_hz", d.primary_bandwidth_hz);
   for (std::size_t i = 0; i < d.secondary_bandwidths_hz.size(); ++i)
     add_d("deploy.secondary_bandwidth_hz." + std::to_string(i),
           d.secondary_bandwidths_hz[i]);
@@ -760,27 +760,15 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
 
   const auto& p = c.scenario.propagation;
   add_d("prop.pathloss_exponent", p.pathloss_exponent);
-  add_d("prop.ref_loss_db", p.ref_loss_db);
   add_d("prop.shadowing_sigma_db", p.shadowing_sigma_db);
   add_d("prop.shadowing_decorr_m", p.shadowing_decorr_m);
   add_d("prop.per_cell_shadow_sigma_db", p.per_cell_shadow_sigma_db);
-  add_d("prop.per_cell_shadow_decorr_m", p.per_cell_shadow_decorr_m);
-  add_d("prop.hole_extra_loss_db", p.hole_extra_loss_db);
-  add_d("prop.noise_floor_dbm", p.noise_floor_dbm);
   add_d("prop.fading_sigma_db", p.fading_sigma_db);
   add_d("prop.dd_residual_sigma_db", p.dd_residual_sigma_db);
 
   const auto& m = c.scenario.policy_mix;
   add_d("mix.proactive_a3_prob", m.proactive_a3_prob);
-  add_d("mix.proactive_offset_lo", m.proactive_offset_lo);
-  add_d("mix.proactive_offset_hi", m.proactive_offset_hi);
-  add_d("mix.normal_offset_lo", m.normal_offset_lo);
-  add_d("mix.normal_offset_hi", m.normal_offset_hi);
   add_d("mix.load_balance_a4_prob", m.load_balance_a4_prob);
-  add_d("mix.a4_threshold_lo", m.a4_threshold_lo);
-  add_d("mix.a4_threshold_hi", m.a4_threshold_hi);
-  add_d("mix.a2_guard_lo", m.a2_guard_lo);
-  add_d("mix.a2_guard_hi", m.a2_guard_hi);
   add_d("mix.intra_ttt_s", m.intra_ttt_s);
   add_d("mix.inter_ttt_s", m.inter_ttt_s);
 
@@ -788,29 +776,7 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   add_d("sim.speed_kmh", s.speed_kmh);
   add_d("sim.duration_s", s.duration_s);
   add_d("sim.tick_s", s.tick_s);
-  add_d("sim.qout_snr_db", s.qout_snr_db);
-  add_i("sim.n310", s.n310);
-  add_d("sim.t310_s", s.t310_s);
-  add_i("sim.n311", s.n311);
-  add_d("sim.qin_margin_db", s.qin_margin_db);
   add_d("sim.min_coverage_rsrp_dbm", s.min_coverage_rsrp_dbm);
-  add_d("sim.min_connect_snr_db", s.min_connect_snr_db);
-  add_d("sim.reestablish_s", s.reestablish_s);
-  add_d("sim.t304_reestablish_s", s.t304_reestablish_s);
-  add_i("sim.uplink_attempts", s.uplink_attempts);
-  add_i("sim.downlink_attempts", s.downlink_attempts);
-  add_d("sim.retry_spacing_s", s.retry_spacing_s);
-  add_i("sim.report_max_retries", s.report_max_retries);
-  add_d("sim.report_retry_backoff_s", s.report_retry_backoff_s);
-  add_d("sim.decision_proc_s", s.decision_proc_s);
-  add_d("sim.ho_interruption_s", s.ho_interruption_s);
-  add_d("sim.loop_window_s", s.loop_window_s);
-  add_d("sim.post_ho_suppress_s", s.post_ho_suppress_s);
-  add_d("sim.prep_timeout_s", s.prep_timeout_s);
-  add_i("sim.prep_max_retries", s.prep_max_retries);
-  add_d("sim.ctx_fetch_timeout_s", s.ctx_fetch_timeout_s);
-  add_i("sim.ctx_fetch_max_retries", s.ctx_fetch_max_retries);
-  add_d("sim.ctx_degraded_penalty_s", s.ctx_degraded_penalty_s);
   add_i("sim.fleet_size", s.fleet_size);
   add_d("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
   add_d("fleet.speed_max_kmh", s.fleet.speed_max_kmh);
@@ -862,13 +828,14 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
             s.faults.cascade_neighbor_radius);
     }
   }
-  if (s.load_ad_staleness_s != 0.0)
+  const sim::SimConfig def;
+  if (s.load_ad_staleness_s != def.load_ad_staleness_s)
     add_d("resilience.load_ad_staleness_s", s.load_ad_staleness_s);
-  if (s.breaker_trip_k != 0) {
+  if (s.breaker_trip_k != def.breaker_trip_k) {
     add_i("resilience.breaker_trip_k", s.breaker_trip_k);
     add_d("resilience.breaker_cooldown_s", s.breaker_cooldown_s);
   }
-  if (s.storm_jitter_frac != 0.0)
+  if (s.storm_jitter_frac != def.storm_jitter_frac)
     add_d("resilience.storm_jitter_frac", s.storm_jitter_frac);
 
   const auto& b = s.backhaul;

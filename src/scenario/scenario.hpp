@@ -95,19 +95,19 @@ struct ScenarioSpec {
   // --- fault schedule (uncompressed timeline) ---
   std::vector<sim::FaultWindow> faults;
   std::vector<sim::RandomFaultSpec> rfaults;
-  /// Correlated-fault domain knobs (region_outage / cascade_overload);
-  /// defaults mirror sim::FaultConfig. The stagger lives on the
+  /// Correlated-fault domain knobs (region_outage / cascade_overload),
+  /// defaulting to sim::FaultConfig's. The stagger lives on the
   /// uncompressed timeline like the windows.
-  int fault_domain_size = 4;
-  double region_stagger_s = 0.5;
-  int cascade_neighbor_radius = 2;
+  int fault_domain_size = sim::FaultConfig{}.domain_size;
+  double region_stagger_s = sim::FaultConfig{}.region_stagger_s;
+  int cascade_neighbor_radius = sim::FaultConfig{}.cascade_neighbor_radius;
 
-  // --- cascade-resilience knobs (defaults mirror sim::SimConfig:
-  // everything off, so omitting the keys changes nothing) ---
-  double load_ad_staleness_s = 0.0;
-  int breaker_trip_k = 0;
-  double breaker_cooldown_s = 2.0;
-  double storm_jitter_frac = 0.0;
+  // --- cascade-resilience knobs, defaulting to sim::SimConfig's:
+  // everything off, so omitting the keys changes nothing ---
+  double load_ad_staleness_s = sim::SimConfig{}.load_ad_staleness_s;
+  int breaker_trip_k = sim::SimConfig{}.breaker_trip_k;
+  double breaker_cooldown_s = sim::SimConfig{}.breaker_cooldown_s;
+  double storm_jitter_frac = sim::SimConfig{}.storm_jitter_frac;
 
   // --- transports / BS capacity ---
   net::BackhaulConfig backhaul;

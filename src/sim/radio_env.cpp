@@ -11,6 +11,16 @@
 namespace rem::sim {
 namespace {
 
+constexpr double kRefLossDb = 34.0;  ///< loss at 1 m (Hata-like anchor)
+/// Decorrelation distance (m) of each cell's residual shadowing.
+constexpr double kPerCellShadowDecorr_m = 25.0;
+/// Extra loss inside a coverage-hole segment. Holes only ever add loss,
+/// so the reach bound can leave them out.
+constexpr double kHoleExtraLossDb = 45.0;
+static_assert(kHoleExtraLossDb >= 0.0, "a coverage hole cannot add gain");
+/// Corridor-layer (primary channel) cell bandwidth.
+constexpr double kPrimaryBandwidthHz = 20e6;
+
 /// One AR(1) shadowing grid. While drawing it, records the largest value
 /// of each `block_steps`-step block into `block_max`; a block also takes
 /// the next block's first node, which interpolation reads from the
@@ -73,11 +83,9 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
   const std::size_t blocks = (steps - 1) / kBlockSteps + 1;
 
   // Reach bound setup: cells in track order, and the per-cell part of the
-  // bound. Holes only add loss, so only a negative hole loss widens it.
+  // bound.
   const double exponent = cfg_.pathloss_exponent;
-  bounded_ = finite_geometry && std::isfinite(exponent) && exponent > 0.0 &&
-             !std::isnan(cfg_.hole_extra_loss_db);
-  const double hole_gain_db = std::max(0.0, -cfg_.hole_extra_loss_db);
+  bounded_ = finite_geometry && std::isfinite(exponent) && exponent > 0.0;
   by_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) by_pos_[i] = i;
   if (bounded_) {
@@ -118,12 +126,12 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
     }
     cell_site_grid_[i] = it->second;
     cell_shadow_grids_[i] = ar1_grid(
-        steps, cfg_.per_cell_shadow_sigma_db, cfg_.per_cell_shadow_decorr_m,
+        steps, cfg_.per_cell_shadow_sigma_db, kPerCellShadowDecorr_m,
         kShadowStep_m, kBlockSteps, rng, cell_block_max);
     if (!bounded_) continue;
     const Cell& c = cells_[i];
-    const double budget_db = c.tx_power_dbm - cfg_.ref_loss_db -
-                             freq_loss_db_[i] + hole_gain_db + kReachMarginDb;
+    const double budget_db =
+        c.tx_power_dbm - kRefLossDb - freq_loss_db_[i] + kReachMarginDb;
     const auto& site_max = site_block_max[it->second];
     for (std::size_t b = 0; b < blocks; ++b) {
       const double r2 = std::pow(
@@ -167,15 +175,14 @@ double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
   const double d = std::max(
       std::sqrt(dx * dx + c.site_offset_m * c.site_offset_m), 1.0);
   // Log-distance with a mild frequency term (higher carriers lose more).
-  double pl = cfg_.ref_loss_db +
-              10.0 * cfg_.pathloss_exponent * std::log10(d) +
+  double pl = kRefLossDb + 10.0 * cfg_.pathloss_exponent * std::log10(d) +
               freq_loss_db_[cell_idx];
-  if (in_hole) pl += cfg_.hole_extra_loss_db;
+  if (in_hole) pl += kHoleExtraLossDb;
   return c.tx_power_dbm - pl + shadowing_db(cell_idx, track_pos_m);
 }
 
 double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
-  return rsrp_dbm - cfg_.noise_floor_dbm;
+  return rsrp_dbm - kNoiseFloorDbm;
 }
 
 template <typename Visit>
@@ -281,7 +288,7 @@ std::vector<Cell> make_rail_deployment(const DeploymentConfig& cfg,
     c.site_offset_m = offset;
     c.carrier_hz = cfg.channels[primary].second;
     c.tx_power_dbm = cfg.tx_power_dbm;
-    c.bandwidth_hz = primary == 0 ? cfg.primary_bandwidth_hz
+    c.bandwidth_hz = primary == 0 ? kPrimaryBandwidthHz
                                   : cfg.secondary_bandwidths_hz[
                                         static_cast<std::size_t>(
                                             rng.uniform_int(

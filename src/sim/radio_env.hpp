@@ -31,18 +31,17 @@ struct HoleSegment {
   double length_m = 0.0;
 };
 
+/// Thermal noise over 20 MHz plus the receiver noise figure (dBm): the
+/// floor every RSRP is turned into an SNR against.
+constexpr double kNoiseFloorDbm = -101.0;
+
 struct PropagationConfig {
   double pathloss_exponent = 3.5;
-  double ref_loss_db = 34.0;        ///< loss at 1 m (Hata-like anchor)
   double shadowing_sigma_db = 3.5;
   double shadowing_decorr_m = 80.0; ///< Gudmundson decorrelation distance
   /// Co-sited cells share the site's shadowing (same physical paths);
   /// each cell adds only this small frequency-dependent residual.
   double per_cell_shadow_sigma_db = 1.0;
-  double per_cell_shadow_decorr_m = 25.0;
-  /// Extra loss inside a coverage-hole segment.
-  double hole_extra_loss_db = 45.0;
-  double noise_floor_dbm = -101.0;  ///< thermal noise over 20 MHz + NF
   /// Residual fast-fading noise on the L1-filtered instantaneous metric
   /// (std dev, dB). Legacy RSRP feedback rides this; the delay-Doppler
   /// SNR averages it out (Fig. 11), leaving only `dd_residual_sigma_db`.
@@ -57,7 +56,6 @@ class RadioEnv {
            common::Rng rng, std::vector<HoleSegment> holes = {});
 
   const std::vector<Cell>& cells() const { return cells_; }
-  const PropagationConfig& config() const { return cfg_; }
 
   /// Deterministic mean RSRP (path loss + shadowing, no fast fading).
   double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const {
@@ -191,9 +189,8 @@ struct DeploymentConfig {
   /// Available frequency channels (EARFCN-like ids paired with carriers).
   std::vector<std::pair<mobility::ChannelId, double>> channels = {
       {1825, 1.88e9}, {2452, 2.36e9}, {100, 2.11e9}};
-  /// Corridor-layer bandwidth and the options for secondary cells (the
-  /// datasets mix 5/10/15/20 MHz carriers — the Fig. 3 heterogeneity).
-  double primary_bandwidth_hz = 20e6;
+  /// Bandwidth options for secondary cells (the datasets mix 5/10/15/20
+  /// MHz carriers — the Fig. 3 heterogeneity).
   std::vector<double> secondary_bandwidths_hz = {5e6, 10e6, 15e6, 20e6};
   /// Coverage holes: expected segments per km and their length range.
   double holes_per_km = 0.008;

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include "common/logging.hpp"
 #include "common/units.hpp"
 #include "core/admission.hpp"
 #include "core/circuit_breaker.hpp"
@@ -24,6 +23,42 @@ constexpr double kCrashPenaltyDb = 300.0;
 constexpr double kLossMemory_s = 1.5;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Qout: serving SNR below which a tick is out of sync (N310/T310). A tick
+/// at or above Qout + kQinMarginDb is in sync (N311).
+constexpr double kQoutSnrDb = -7.0;
+constexpr double kQinMarginDb = 1.0;
+/// Minimum SNR for a handover execution to succeed at the target.
+constexpr double kMinConnectSnrDb = -6.0;
+/// Signaling transport: attempts (HARQ/ARQ) and per-attempt spacing.
+constexpr int kUplinkAttempts = 2;
+constexpr int kDownlinkAttempts = 1;  // commands are time-critical (no ARQ)
+constexpr double kRetrySpacing_s = 0.008;
+/// Lost measurement reports are retransmitted with bounded exponential
+/// backoff (base delay doubles per retry) before counting as lost.
+constexpr int kReportMaxRetries = 3;
+constexpr double kReportRetryBackoff_s = 0.04;
+/// Base-station processing between feedback arrival and HO command.
+constexpr double kDecisionProc_s = 0.050;
+static_assert(kDecisionProc_s > 0.0,
+              "a decision must never be ready in the tick its report "
+              "arrived: the UE phase reads ready_s only on later ticks");
+/// Execution interruption (detach + random access on target).
+constexpr double kHoInterruption_s = 0.050;
+/// After a completed handover, suppress new decisions briefly (standard
+/// post-handover measurement blanking).
+constexpr double kPostHoSuppress_s = 0.3;
+/// Preparation timer (T-prep analogue): a HANDOVER REQUEST unanswered
+/// this long after it was sent is re-sent, each timeout double the last,
+/// up to kPrepMaxRetries times.
+constexpr double kPrepTimeout_s = 0.030;
+/// Context fetch during RLF re-establishment: the new cell asks the old
+/// serving cell for the UE context over the backhaul. Retries use the
+/// same exponential-backoff shape; exhaustion forces a context-less
+/// degraded re-establishment that costs kCtxDegradedPenalty_s extra.
+constexpr double kCtxFetchTimeout_s = 0.040;
+constexpr int kCtxFetchMaxRetries = 3;
+constexpr double kCtxDegradedPenalty_s = 0.4;
 
 /// Where a handover attempt stands in the paper's signaling procedure:
 /// measurement report -> network decision (with the backhaul on, plus
@@ -248,7 +283,7 @@ class FleetEngine {
                         core::CircuitBreaker(cfg_.breaker_trip_k,
                                              cfg_.breaker_cooldown_s));
     u.last_dd.assign(env_.cells().size(), kNaN);
-    u.outage_reestablish_s = cfg_.reestablish_s;
+    u.outage_reestablish_s = kReestablish_s;
     int serving = env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm);
     if (serving < 0) serving = 0;
     u.serving = serving;
@@ -347,7 +382,7 @@ class FleetEngine {
       u.stats.pre_failure_snrs_db.push_back(u.snr_window[i].second);
     u.snr_window.clear();
     u.outage_started = t;
-    u.outage_reestablish_s = cfg_.reestablish_s;
+    u.outage_reestablish_s = kReestablish_s;
     u.preferred_target = -1;
     u.attempt.reset();
     u.oos_count = u.is_count = 0;
@@ -365,7 +400,7 @@ class FleetEngine {
     u.preferred_target = -1;
     u.ctx = CtxFetch::kNone;
     u.ctx_target = -1;
-    u.outage_reestablish_s = cfg_.reestablish_s;
+    u.outage_reestablish_s = kReestablish_s;
     u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
     u.manager->on_serving_changed(t, static_cast<std::size_t>(u.serving));
     log_event(u, t, EventKind::kReestablished, u.serving, -1, 0.0);
@@ -443,8 +478,8 @@ class FleetEngine {
     a.phase = Phase::kRequestSent;
     a.seq = next_seq_++;
     a.sent_s = t;
-    a.deadline_s = t + cfg_.prep_timeout_s *
-                           static_cast<double>(1 << a.prep_retries);
+    a.deadline_s =
+        t + kPrepTimeout_s * static_cast<double>(1 << a.prep_retries);
     const int tgt = static_cast<int>(a.target_idx);
     bh_send(t, request(net::MsgType::kHandoverRequest, a.seq, u.serving, tgt,
                        tgt, u.id));
@@ -465,8 +500,8 @@ class FleetEngine {
       u.ctx_seq = next_seq_++;
       u.ctx_retries = 0;
     }
-    u.ctx_deadline_s = t + cfg_.ctx_fetch_timeout_s *
-                               static_cast<double>(1 << u.ctx_retries);
+    u.ctx_deadline_s =
+        t + kCtxFetchTimeout_s * static_cast<double>(1 << u.ctx_retries);
     bh_send(t, request(net::MsgType::kContextFetch, u.ctx_seq, u.ctx_target,
                        u.serving, u.ctx_target, u.id));
   }
@@ -549,7 +584,7 @@ class FleetEngine {
       ++u.stats.prep_acks;
       const double rtt = t - a.sent_s;
       u.stats.prep_rtt_sum_s += rtt;
-      a.due_s = t + cfg_.retry_spacing_s;
+      a.due_s = t + kRetrySpacing_s;
       log_event(u, t, EventKind::kPrepAck, u.serving, tgt, rtt);
       if (!u.breakers.empty() && u.breakers[a.target_idx].record_success()) {
         ++u.stats.breaker_closes;
@@ -681,7 +716,7 @@ class FleetEngine {
             // re-establishment path (same penalty as fetch exhaustion).
             ++u.stats.stale_context_responses;
             u.ctx = CtxFetch::kFailed;
-            u.ctx_failed_camp_s = t + cfg_.ctx_degraded_penalty_s;
+            u.ctx_failed_camp_s = t + kCtxDegradedPenalty_s;
             log_event(u, t, EventKind::kContextStale, u.serving, m.src_cell,
                       0.0);
           }
@@ -928,7 +963,7 @@ class FleetEngine {
       // repeats the failure.
       const double floor_rsrp =
           std::max(cfg_.min_coverage_rsrp_dbm,
-                   env_.config().noise_floor_dbm + cfg_.qout_snr_db + 3.0);
+                   kNoiseFloorDbm + kQoutSnrDb + 3.0);
       if (u.preferred_target >= 0) {
         // T304 fallback: the prepared target holds the UE context, so
         // re-establishment there skips the full cell search. A crashed
@@ -940,7 +975,7 @@ class FleetEngine {
         }
         // Prepared target is gone too: full RLF re-establishment.
         u.preferred_target = -1;
-        u.outage_reestablish_s = cfg_.reestablish_s;
+        u.outage_reestablish_s = kReestablish_s;
       }
       if (t - u.outage_started >= u.outage_reestablish_s)
         search_and_camp(t, u, floor_rsrp);
@@ -981,12 +1016,12 @@ class FleetEngine {
         send_ctx_fetch(u, t);
       }
     } else if (u.ctx == CtxFetch::kFetching && t >= u.ctx_deadline_s) {
-      if (u.ctx_retries < cfg_.ctx_fetch_max_retries) {
+      if (u.ctx_retries < kCtxFetchMaxRetries) {
         send_ctx_fetch(u, t);
       } else {
         u.ctx = CtxFetch::kFailed;
         ++u.stats.context_fetch_failures;
-        u.ctx_failed_camp_s = t + cfg_.ctx_degraded_penalty_s;
+        u.ctx_failed_camp_s = t + kCtxDegradedPenalty_s;
         log_event(u, t, EventKind::kContextFetchFailed, u.serving,
                   u.ctx_target, 0.0);
       }
@@ -1039,7 +1074,7 @@ class FleetEngine {
     const double tgt_rsrp = env_.mean_rsrp_dbm(target, u.pos, r.in_hole) -
                             blackout_db_ - crash_db(target);
     const double tgt_snr = env_.snr_db_from_rsrp(tgt_rsrp);
-    if (tgt_snr >= cfg_.min_connect_snr_db) {
+    if (tgt_snr >= kMinConnectSnrDb) {
       attach(t, u, target, r.sv.snr_db);
       return true;
     }
@@ -1051,7 +1086,7 @@ class FleetEngine {
               static_cast<int>(target), tgt_snr);
     const int prepared = static_cast<int>(u.attempt->target_idx);
     record_failure(u, t, FailureCause::kFeedbackDelayLoss);
-    u.outage_reestablish_s = cfg_.t304_reestablish_s;
+    u.outage_reestablish_s = kT304Reestablish_s;
     u.preferred_target = prepared;
     return false;
   }
@@ -1070,20 +1105,20 @@ class FleetEngine {
     u.oos_count = u.is_count = 0;
     u.t310_started = -1.0;
     u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
-    u.suppress_until = t + cfg_.post_ho_suppress_s;
+    u.suppress_until = t + kPostHoSuppress_s;
     log_event(u, t, EventKind::kHandoverComplete, prev, u.serving, snr_db);
     u.ho_times.push_back(t);
     // Loop bookkeeping: returning to a recently-serving cell.
     bool is_loop = false;
     for (const auto& [ts, idx] : u.recent_serving) {
-      if (t - ts <= cfg_.loop_window_s && idx == static_cast<int>(target)) {
+      if (t - ts <= kLoopWindow_s && idx == static_cast<int>(target)) {
         is_loop = true;
         break;
       }
     }
     u.recent_serving.push_back({t, u.serving});
     while (!u.recent_serving.empty() &&
-           t - u.recent_serving.front().first > cfg_.loop_window_s)
+           t - u.recent_serving.front().first > kLoopWindow_s)
       u.recent_serving.pop_front();
     if (is_loop) {
       ++u.stats.loop_handovers;
@@ -1116,8 +1151,8 @@ class FleetEngine {
   bool detect_rlf(double t, UeContext& u, const RadioSample& r) {
     if (u.in_phase(Phase::kExecuting)) return true;
     if (u.t310_started >= 0.0) {
-      if (r.sv.snr_db >= cfg_.qout_snr_db + cfg_.qin_margin_db) {
-        if (++u.is_count >= cfg_.n311) {
+      if (r.sv.snr_db >= kQoutSnrDb + kQinMarginDb) {
+        if (++u.is_count >= kN311) {
           // Recovered: N311 consecutive in-sync indications stop T310.
           u.t310_started = -1.0;
           u.oos_count = u.is_count = 0;
@@ -1126,8 +1161,8 @@ class FleetEngine {
         u.is_count = 0;
       }
     } else {
-      if (r.sv.snr_db < cfg_.qout_snr_db) {
-        if (++u.oos_count >= cfg_.n310) {
+      if (r.sv.snr_db < kQoutSnrDb) {
+        if (++u.oos_count >= kN310) {
           u.t310_started = t;
           u.is_count = 0;
         }
@@ -1135,7 +1170,7 @@ class FleetEngine {
         u.oos_count = 0;
       }
     }
-    if (u.t310_started >= 0.0 && t - u.t310_started >= cfg_.t310_s) {
+    if (u.t310_started >= 0.0 && t - u.t310_started >= kT310_s) {
       const FailureCause cause = rlf_cause(t, u);
       log_event(u, t, EventKind::kRadioLinkFailure, u.serving, -1,
                 r.sv.snr_db);
@@ -1181,7 +1216,7 @@ class FleetEngine {
     if (a.phase == Phase::kRequestDue) {
       if (a.due(t) && breaker_allows_prep(u, t)) send_prep(u, t, snr);
     } else if (a.phase == Phase::kRequestSent && t >= a.deadline_s) {
-      if (a.prep_retries < cfg_.prep_max_retries) {
+      if (a.prep_retries < kPrepMaxRetries) {
         send_prep(u, t, snr);
       } else {
         // Retries exhausted: a timed-out target counts against its
@@ -1199,11 +1234,11 @@ class FleetEngine {
   void deliver_report(double t, UeContext& u, double snr_db) {
     Attempt& a = *u.attempt;
     const int tgt = static_cast<int>(a.target_idx);
-    if (!deliver(u, t, snr_db, cfg_.uplink_attempts, u.manager->waveform())) {
-      if (a.report_retries < cfg_.report_max_retries) {
+    if (!deliver(u, t, snr_db, kUplinkAttempts, u.manager->waveform())) {
+      if (a.report_retries < kReportMaxRetries) {
         ++a.report_retries;
         ++u.stats.report_retransmits;
-        a.due_s = t + cfg_.report_retry_backoff_s *
+        a.due_s = t + kReportRetryBackoff_s *
                           static_cast<double>(1 << (a.report_retries - 1));
         log_event(u, t, EventKind::kReportRetransmit, u.serving, tgt, snr_db);
       } else {
@@ -1214,8 +1249,8 @@ class FleetEngine {
       return;
     }
     // A processing-stall fault spikes the base station's decision time on
-    // top of the configured budget.
-    const double proc_s = cfg_.decision_proc_s +
+    // top of the kDecisionProc_s budget.
+    const double proc_s = kDecisionProc_s +
                           faults_.magnitude(FaultKind::kProcessingStall, t);
     double ready_s = t + proc_s;
     bool shed = false;
@@ -1243,7 +1278,7 @@ class FleetEngine {
       a.due_s = ready_s;
     } else {
       a.phase = Phase::kCommand;
-      a.due_s = ready_s + cfg_.retry_spacing_s;  // decision + scheduling
+      a.due_s = ready_s + kRetrySpacing_s;  // decision + scheduling
     }
     u.stats.feedback_delays_s.push_back(t - a.decided_at_s);
     log_event(u, t, EventKind::kReportDelivered, u.serving, tgt, snr_db);
@@ -1254,8 +1289,7 @@ class FleetEngine {
   /// execute first); lost, the attempt is dead.
   void deliver_command(double t, UeContext& u, double snr_db) {
     Attempt& a = *u.attempt;
-    if (!deliver(u, t, snr_db, cfg_.downlink_attempts,
-                 u.manager->waveform())) {
+    if (!deliver(u, t, snr_db, kDownlinkAttempts, u.manager->waveform())) {
       a.phase = Phase::kCommandLost;
       u.last_cmd_loss_t = t;
       log_event(u, t, EventKind::kHoCommandLost, u.serving,
@@ -1280,7 +1314,7 @@ class FleetEngine {
     // the interruption window.
     a.phase = Phase::kExecuting;
     a.exec_idx = target;
-    a.due_s = t + cfg_.ho_interruption_s;
+    a.due_s = t + kHoInterruption_s;
     u.oos_count = u.is_count = 0;
     u.t310_started = -1.0;
   }

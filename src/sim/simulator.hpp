@@ -148,48 +148,37 @@ enum class FailureCause {
 /// enum instead of returning a placeholder.
 std::string failure_cause_name(FailureCause c);
 
+/// Radio link failure detection, N310/T310/N311 style: `kN310`
+/// consecutive ticks with serving SNR below Qout start T310; RLF is
+/// declared when T310 runs for `kT310_s`, unless `kN311` consecutive
+/// in-sync ticks (SNR >= Qout + the Qin margin) cancel it. These values
+/// reproduce the seed's single 0.5 s Qout timer at tick 10 ms.
+constexpr int kN310 = 5;
+constexpr double kT310_s = 0.45;
+constexpr int kN311 = 3;
+static_assert(kN310 >= 1 && kT310_s > 0.0 && kN311 >= 1,
+              "RLF detection needs positive counters and a running T310");
+/// Re-establishment after RLF: search + connect time.
+constexpr double kReestablish_s = 0.8;
+/// Handover-execution failure (T304 analogue): when the target cannot
+/// be connected at execution time, fall back to re-establishment on the
+/// prepared target, which is faster than a full RLF search because the
+/// target already holds the UE context.
+constexpr double kT304Reestablish_s = 0.3;
+/// Ping-pong window: A->B->A within this window counts as a loop.
+constexpr double kLoopWindow_s = 15.0;
+/// Preparation retry budget: an unanswered HANDOVER REQUEST is re-sent
+/// (T-prep, each timeout double the last) at most this many times before
+/// the decision's fallback target is tried, then the attempt fails.
+constexpr int kPrepMaxRetries = 4;
+static_assert(kPrepMaxRetries >= 0, "a retry budget cannot be negative");
+
 struct SimConfig {
   double speed_kmh = 300.0;
   double duration_s = 2000.0;
   double tick_s = 0.010;
-  /// Radio link failure detection, N310/T310/N311 style: `n310`
-  /// consecutive ticks with serving SNR below `qout_snr_db` start T310;
-  /// RLF is declared when T310 runs for `t310_s`, unless `n311`
-  /// consecutive in-sync ticks (SNR >= qout + `qin_margin_db`) cancel it.
-  /// Defaults reproduce the seed's single 0.5 s Qout timer at tick 10 ms.
-  double qout_snr_db = -7.0;
-  int n310 = 5;
-  double t310_s = 0.45;
-  int n311 = 3;
-  double qin_margin_db = 1.0;
   /// Minimum mean RSRP for a cell to count as coverage.
   double min_coverage_rsrp_dbm = -120.0;
-  /// Minimum SNR for a handover execution to succeed at the target.
-  double min_connect_snr_db = -6.0;
-  /// Re-establishment after RLF: search + connect time.
-  double reestablish_s = 0.8;
-  /// Handover-execution failure (T304 analogue): when the target cannot
-  /// be connected at execution time, fall back to re-establishment on the
-  /// prepared target, which is faster than a full RLF search because the
-  /// target already holds the UE context.
-  double t304_reestablish_s = 0.3;
-  /// Signaling transport: attempts (HARQ/ARQ) and per-attempt spacing.
-  int uplink_attempts = 2;
-  int downlink_attempts = 1;  // commands are time-critical (no ARQ window)
-  double retry_spacing_s = 0.008;
-  /// Lost measurement reports are retransmitted with bounded exponential
-  /// backoff (base delay doubles per retry) before counting as lost.
-  int report_max_retries = 3;
-  double report_retry_backoff_s = 0.04;
-  /// Base-station processing between feedback arrival and HO command.
-  double decision_proc_s = 0.050;
-  /// Execution interruption (detach + random access on target).
-  double ho_interruption_s = 0.050;
-  /// Ping-pong window: A->B->A within this window counts as a loop.
-  double loop_window_s = 15.0;
-  /// After a completed handover, suppress new decisions briefly (standard
-  /// post-handover measurement blanking).
-  double post_ho_suppress_s = 0.3;
   /// Record a per-event signaling log (SimStats::events) — the simulated
   /// analogue of the paper's MobileInsight captures.
   bool record_events = false;
@@ -204,19 +193,6 @@ struct SimConfig {
   /// lossy, delayed message network; when disabled, preparation is
   /// instantaneous and infallible (the pre-backhaul behaviour).
   net::BackhaulConfig backhaul;
-  /// Preparation timer (T-prep analogue): if no ack/reject arrives within
-  /// `prep_timeout_s` of the HANDOVER REQUEST, re-send with exponential
-  /// backoff (timeout doubles per retry) up to `prep_max_retries` times,
-  /// then try the decision's fallback target, then fail the attempt.
-  double prep_timeout_s = 0.030;
-  int prep_max_retries = 4;
-  /// Context fetch during RLF re-establishment: the new cell asks the old
-  /// serving cell for the UE context over the backhaul. Retries use the
-  /// same exponential-backoff shape; exhaustion forces a context-less
-  /// degraded re-establishment that costs `ctx_degraded_penalty_s` extra.
-  double ctx_fetch_timeout_s = 0.040;
-  int ctx_fetch_max_retries = 3;
-  double ctx_degraded_penalty_s = 0.4;
   /// Per-BS control-plane capacity (sim/bs_capacity.hpp): processing
   /// slots + bounded FIFO signaling queue consumed by prep admission,
   /// context lookups, and network-side RRC decisions. Disabled restores

@@ -9,8 +9,8 @@ double tcp_stall_for_outage(double outage_s, const TcpConfig& cfg,
                             double phase01) {
   // The outage begins `phase01 * rtt` into a normal transfer round; the
   // first loss is detected one RTO after the last in-flight data died.
-  double t = phase01 * cfg.rtt_s;  // time since outage start of first loss
-  double rto = cfg.base_rto_s;
+  double t = phase01 * kTcpRtt_s;  // time since outage start of first loss
+  double rto = kTcpBaseRto_s;
   // Retransmissions fire at t + rto, t + rto + 2 rto, ... Data resumes at
   // the first retransmission that lands after the link is back.
   double fire = t + rto;

@@ -11,10 +11,12 @@
 
 namespace rem::sim {
 
+/// Initial RTO (RFC 6298 floor-ish on LTE).
+constexpr double kTcpBaseRto_s = 0.2;
+constexpr double kTcpRtt_s = 0.05;  ///< healthy-path RTT
+
 struct TcpConfig {
-  double base_rto_s = 0.2;    ///< initial RTO (RFC 6298 floor-ish on LTE)
   double max_rto_s = 60.0;
-  double rtt_s = 0.05;        ///< healthy-path RTT
 };
 
 /// Stall time experienced by a continuously backlogged TCP flow for one

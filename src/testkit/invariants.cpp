@@ -17,6 +17,9 @@ namespace {
 /// `t += dt`, so durations carry a few ULP of drift per thousand ticks.
 constexpr double kTimeEps = 1e-6;
 
+/// Cap on recorded violation messages (the counter keeps counting).
+constexpr std::size_t kMaxRecorded = 32;
+
 /// Stats values in violation messages are exact, so bit-level drift shows.
 using common::flat_json::format_double;
 
@@ -26,7 +29,7 @@ InvariantChecker::InvariantChecker(CheckerConfig cfg) : cfg_(std::move(cfg)) {}
 
 void InvariantChecker::violate(double t, const std::string& what) {
   ++violation_count_;
-  if (violations_.size() >= cfg_.max_recorded) return;
+  if (violations_.size() >= kMaxRecorded) return;
   std::ostringstream os;
   using sim::EventKind;
   os << "[t=" << std::fixed << std::setprecision(3) << t << "s] " << what
@@ -157,14 +160,14 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       // new serving cell, trim only here (not on re-establishment).
       bool is_loop = false;
       for (const auto& [ts, idx] : recent_serving_) {
-        if (t - ts <= cfg_.sim.loop_window_s && idx == e.target_cell) {
+        if (t - ts <= sim::kLoopWindow_s && idx == e.target_cell) {
           is_loop = true;
           break;
         }
       }
       recent_serving_.push_back({t, e.target_cell});
       while (!recent_serving_.empty() &&
-             t - recent_serving_.front().first > cfg_.sim.loop_window_s)
+             t - recent_serving_.front().first > sim::kLoopWindow_s)
         recent_serving_.erase(recent_serving_.begin());
       if (is_loop) {
         ++loop_handovers_;
@@ -192,7 +195,7 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
       outage_opened_t_ = t;
       // Fallback re-establishes on the prepared target, which is faster
       // than the full RLF search (weakest valid lower bound either way).
-      outage_min_reestablish_s_ = cfg_.sim.t304_reestablish_s;
+      outage_min_reestablish_s_ = sim::kT304Reestablish_s;
       break;
 
     case EventKind::kRadioLinkFailure:
@@ -201,17 +204,15 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
                    "T310, owns this window)");
       if (outage_open_) violate(t, "RLF declared while already in outage");
       // T310 must have been armed (N310 reached) and run its full budget.
-      if (cfg_.sim.t310_s > 0.0) {
-        if (t310_armed_t_ < 0.0 || (have_prev_tick_ && !prev_.t310_running))
-          violate(t, "RLF without a running T310 timer");
-        else if (t - t310_armed_t_ < cfg_.sim.t310_s - kTimeEps)
-          violate(t, "RLF after only " + std::to_string(t - t310_armed_t_) +
-                         "s of T310 (budget " +
-                         std::to_string(cfg_.sim.t310_s) + "s)");
-      }
+      if (t310_armed_t_ < 0.0 || (have_prev_tick_ && !prev_.t310_running))
+        violate(t, "RLF without a running T310 timer");
+      else if (t - t310_armed_t_ < sim::kT310_s - kTimeEps)
+        violate(t, "RLF after only " + std::to_string(t - t310_armed_t_) +
+                       "s of T310 (budget " + std::to_string(sim::kT310_s) +
+                       "s)");
       outage_open_ = true;
       outage_opened_t_ = t;
-      outage_min_reestablish_s_ = cfg_.sim.reestablish_s;
+      outage_min_reestablish_s_ = sim::kReestablish_s;
       // The failure drops any in-flight preparation with the attempt.
       prep_open_ = false;
       prep_acked_ = false;
@@ -282,11 +283,11 @@ void InvariantChecker::check_event(const sim::SignalingEvent& e) {
         violate(t, "prep retry outside a live idle link");
       if (!prep_open_)
         violate(t, "prep retry without an outstanding HANDOVER REQUEST");
-      if (++prep_retries_this_attempt_ > cfg_.sim.prep_max_retries)
+      if (++prep_retries_this_attempt_ > sim::kPrepMaxRetries)
         violate(t, "prep retry storm: " +
                        std::to_string(prep_retries_this_attempt_) +
                        " retries exceed the budget of " +
-                       std::to_string(cfg_.sim.prep_max_retries));
+                       std::to_string(sim::kPrepMaxRetries));
       break;
 
     case EventKind::kPrepAck:
@@ -503,12 +504,12 @@ void InvariantChecker::check_tick(const sim::TickView& v) {
 
   // Counter ranges: N310 freezes at the arming threshold, N311 resets the
   // moment it disarms T310.
-  if (v.oos_count < 0 || v.oos_count > cfg_.sim.n310)
+  if (v.oos_count < 0 || v.oos_count > sim::kN310)
     violate(t, "out-of-sync count " + std::to_string(v.oos_count) +
-                   " outside [0, N310=" + std::to_string(cfg_.sim.n310) + "]");
-  if (v.is_count < 0 || v.is_count >= std::max(cfg_.sim.n311, 1))
+                   " outside [0, N310=" + std::to_string(sim::kN310) + "]");
+  if (v.is_count < 0 || v.is_count >= sim::kN311)
     violate(t, "in-sync count " + std::to_string(v.is_count) +
-                   " outside [0, N311=" + std::to_string(cfg_.sim.n311) + ")");
+                   " outside [0, N311=" + std::to_string(sim::kN311) + ")");
   if (v.is_count > 0 && !v.t310_running)
     violate(t, "in-sync counting (N311) without T310 running");
 
@@ -596,10 +597,10 @@ void InvariantChecker::check_tick(const sim::TickView& v) {
   // T310 arming edge: requires N310 consecutive out-of-sync ticks.
   if (v.t310_running) {
     if (!have_prev_tick_ || !prev_.t310_running) {
-      if (v.oos_count < cfg_.sim.n310)
+      if (v.oos_count < sim::kN310)
         violate(t, "T310 armed after only " + std::to_string(v.oos_count) +
                        " out-of-sync ticks (N310=" +
-                       std::to_string(cfg_.sim.n310) + ")");
+                       std::to_string(sim::kN310) + ")");
       t310_armed_t_ = t;
     }
   } else {
@@ -702,11 +703,11 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
                          ") than requests sent (" +
                          std::to_string(requests + retries) + ")");
     // Retry-storm bound: the backoff budget caps total resends.
-    if (retries > requests * std::max(cfg_.sim.prep_max_retries, 0))
+    if (retries > requests * sim::kPrepMaxRetries)
       violate(t_end, "prep retry storm: " + std::to_string(retries) +
                          " retries for " + std::to_string(requests) +
                          " requests (budget " +
-                         std::to_string(cfg_.sim.prep_max_retries) +
+                         std::to_string(sim::kPrepMaxRetries) +
                          " per attempt)");
     // Transport conservation: deliveries never exceed what entered the
     // network, and drops never exceed send attempts.
@@ -805,8 +806,8 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
     for (double phase : {0.0, 0.37, 0.93}) {
       const double stall = sim::tcp_stall_for_outage(outage, tcp, phase);
       if (stall < outage - kTimeEps ||
-          stall > outage + tcp.max_rto_s + tcp.rtt_s + tcp.base_rto_s +
-                      kTimeEps)
+          stall > outage + tcp.max_rto_s + sim::kTcpRtt_s +
+                      sim::kTcpBaseRto_s + kTimeEps)
         violate(t_end, "TCP stall " + std::to_string(stall) +
                            "s out of bounds for a " + std::to_string(outage) +
                            "s outage at phase " + std::to_string(phase));

@@ -72,8 +72,8 @@
 namespace rem::testkit {
 
 struct CheckerConfig {
-  /// Thresholds mirrored from the run's SimConfig (n310/t310_s/n311,
-  /// reestablishment times, loop window, duration).
+  /// The run's SimConfig: duration, backhaul, BS capacity, fault schedule
+  /// and resilience knobs. The recovery timers are the sim:: constants.
   sim::SimConfig sim;
   /// Number of cells in the deployment; 0 skips index-range checks.
   std::size_t num_cells = 0;
@@ -90,8 +90,6 @@ struct CheckerConfig {
   /// episodes (two or more consecutive loop handovers) violate the
   /// realized Theorem-2/3 guarantee.
   bool expect_loop_free = false;
-  /// Cap on recorded violation messages (the counter keeps counting).
-  std::size_t max_recorded = 32;
 };
 
 class InvariantChecker final : public sim::SimObserver {

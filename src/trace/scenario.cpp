@@ -8,6 +8,24 @@ namespace rem::trace {
 
 namespace rm = rem::mobility;
 
+namespace {
+
+/// Sampled intra/inter-frequency A3 offset ranges (dB): proactive cells
+/// draw from the negative band, the others from the positive one.
+constexpr double kProactiveOffsetLo = -3.0;
+constexpr double kProactiveOffsetHi = -0.5;
+constexpr double kNormalOffsetLo = 1.0;
+constexpr double kNormalOffsetHi = 3.0;
+/// A4 threshold range (dBm), shared by the A5 pairs' second threshold.
+constexpr double kA4ThresholdLo = -112.0;
+constexpr double kA4ThresholdHi = -104.0;
+/// Multi-stage: A2 guard threshold range (dBm) into the inter-frequency
+/// stage.
+constexpr double kA2GuardLo = -114.0;
+constexpr double kA2GuardHi = -106.0;
+
+}  // namespace
+
 std::string route_name(Route r) {
   switch (r) {
     case Route::kLowMobilityLA: return "Low mobility (LA)";
@@ -87,8 +105,8 @@ std::map<int, rm::CellPolicy> synthesize_policies(
     intra.event.type = rm::EventType::kA3;
     intra.event.offset =
         rng.bernoulli(mix.proactive_a3_prob)
-            ? rng.uniform(mix.proactive_offset_lo, mix.proactive_offset_hi)
-            : rng.uniform(mix.normal_offset_lo, mix.normal_offset_hi);
+            ? rng.uniform(kProactiveOffsetLo, kProactiveOffsetHi)
+            : rng.uniform(kNormalOffsetLo, kNormalOffsetHi);
     intra.event.hysteresis =
         intra.event.offset < 0.0 ? 0.5 : 1.5;  // proactive cells gamble
     intra.event.time_to_trigger_s = mix.intra_ttt_s;
@@ -98,7 +116,7 @@ std::map<int, rm::CellPolicy> synthesize_policies(
     rm::PolicyRule guard;
     guard.stage = 0;
     guard.event.type = rm::EventType::kA2;
-    guard.event.threshold1 = rng.uniform(mix.a2_guard_lo, mix.a2_guard_hi);
+    guard.event.threshold1 = rng.uniform(kA2GuardLo, kA2GuardHi);
     guard.event.time_to_trigger_s = mix.intra_ttt_s;
     guard.action = rm::PolicyAction::kReconfigure;
     guard.next_stage = 1;
@@ -113,20 +131,17 @@ std::map<int, rm::CellPolicy> synthesize_policies(
     const double inter_kind = rng.uniform(0.0, 1.0);
     if (inter_kind < 0.40) {
       inter.event.type = rm::EventType::kA4;
-      inter.event.threshold1 =
-          rng.uniform(mix.a4_threshold_lo, mix.a4_threshold_hi);
+      inter.event.threshold1 = rng.uniform(kA4ThresholdLo, kA4ThresholdHi);
     } else if (inter_kind < 0.65) {
       inter.event.type = rm::EventType::kA5;
       inter.event.threshold1 = guard.event.threshold1;
-      inter.event.threshold2 =
-          rng.uniform(mix.a4_threshold_lo, mix.a4_threshold_hi);
+      inter.event.threshold2 = rng.uniform(kA4ThresholdLo, kA4ThresholdHi);
     } else {
       inter.event.type = rm::EventType::kA3;
       inter.event.offset =
           rng.bernoulli(mix.proactive_a3_prob)
-              ? rng.uniform(mix.proactive_offset_lo,
-                            mix.proactive_offset_hi)
-              : rng.uniform(mix.normal_offset_lo, mix.normal_offset_hi);
+              ? rng.uniform(kProactiveOffsetLo, kProactiveOffsetHi)
+              : rng.uniform(kNormalOffsetLo, kNormalOffsetHi);
       inter.event.hysteresis = 1.0;
     }
     inter.event.time_to_trigger_s = mix.inter_ttt_s;
@@ -139,8 +154,7 @@ std::map<int, rm::CellPolicy> synthesize_policies(
       lb.channel = rm::PolicyRule::kOtherChannels;
       lb.event.type = rng.bernoulli(0.7) ? rm::EventType::kA4
                                          : rm::EventType::kA5;
-      lb.event.threshold1 =
-          rng.uniform(mix.a4_threshold_lo, mix.a4_threshold_hi);
+      lb.event.threshold1 = rng.uniform(kA4ThresholdLo, kA4ThresholdHi);
       lb.event.threshold2 = lb.event.threshold1 + rng.uniform(0.0, 6.0);
       if (lb.event.type == rm::EventType::kA5) {
         // A5: serving below t1, neighbor above t2 (Fig. 3's cell 2).

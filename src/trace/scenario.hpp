@@ -35,18 +35,9 @@ struct PolicyMix {
   /// Fraction of cells with a *proactive* intra-frequency A3 (offset < 0,
   /// the failure-mitigation practice that amplifies conflicts, Fig. 4).
   double proactive_a3_prob = 0.5;
-  double proactive_offset_lo = -3.0;  ///< sampled offset range when proactive
-  double proactive_offset_hi = -0.5;
-  double normal_offset_lo = 1.0;
-  double normal_offset_hi = 3.0;
   /// Fraction of cells with a load-balancing direct A4 toward another
   /// channel (the Fig. 3 conflict source).
   double load_balance_a4_prob = 0.25;
-  double a4_threshold_lo = -112.0;
-  double a4_threshold_hi = -104.0;
-  /// Multi-stage: A2 guard threshold range and inter-frequency A5 pairs.
-  double a2_guard_lo = -114.0;
-  double a2_guard_hi = -106.0;
   double intra_ttt_s = 0.040;   ///< operator-shortened HSR values (§3.1)
   double inter_ttt_s = 0.640;
 };

@@ -431,7 +431,7 @@ TEST(BackhaulFsm, PartitionExhaustsRetriesIntoFallbackOrFailure) {
                 r.legacy.prep_fallbacks + r.legacy.prep_failures,
             0);
   // Retry budgets hold even while the link is down.
-  const int budget = rs::SimConfig{}.prep_max_retries;
+  const int budget = rs::kPrepMaxRetries;
   EXPECT_LE(r.rem.prep_retries,
             (r.rem.prep_requests + r.rem.prep_fallbacks) * budget);
 }

@@ -92,7 +92,7 @@ TEST_P(DifferentialOracle, RemDominatesLegacyOnEverySeed) {
   const auto runs = sweep(route, speed, 200.0, seeds,
                           rem::testkit::bench_threads());
 
-  const double window = rem::sim::SimConfig{}.loop_window_s;
+  const double window = rem::sim::kLoopWindow_s;
   int legacy_failures = 0, rem_failures = 0;
   int legacy_persistent = 0, rem_persistent = 0;
   int legacy_static_conflicts = 0;

@@ -167,7 +167,7 @@ TEST(FailureCauses, T304ExpiryFallsBackToPreparedTarget) {
   // The command is delivered, but a blackout window covers the execution
   // interruption, so the target cannot be connected (T304 expiry). Once
   // the blackout lifts, re-establishment on the prepared target succeeds
-  // within the fast t304_reestablish_s budget.
+  // within the fast kT304Reestablish_s budget.
   rem::common::Rng rng(1);
   rs::RadioEnv env({make_cell(0, 0.0), make_cell(1, 2000.0)},
                    deterministic_propagation(), rng.fork());
@@ -187,7 +187,7 @@ TEST(FailureCauses, T304ExpiryFallsBackToPreparedTarget) {
   EXPECT_EQ(mgr.serving(), 1u);  // camped on the prepared target
   ASSERT_EQ(stats.outage_durations_s.size(), 1u);
   // Fast fallback: well under the full RLF search budget.
-  EXPECT_LT(stats.outage_durations_s[0], cfg.reestablish_s);
+  EXPECT_LT(stats.outage_durations_s[0], rs::kReestablish_s);
 }
 
 // ---------- Preparation rejects and crash-flushed jobs ----------

@@ -115,24 +115,23 @@ TEST(InvariantChecker, FlagsRlfWithoutRunningT310) {
 }
 
 TEST(InvariantChecker, AcceptsRlfAfterFullT310Budget) {
-  auto cfg = small_config();
-  InvariantChecker c(cfg);
+  InvariantChecker c(small_config());
   // Arm T310 legitimately: N310 out-of-sync ticks, then let it run.
   double t = 0.0;
-  for (int i = 1; i <= cfg.sim.n310; ++i) {
+  for (int i = 1; i <= rem::sim::kN310; ++i) {
     t += 0.01;
     auto v = idle_tick(t, 0);
     v.serving_snr_db = -20.0;
     v.oos_count = i;
-    v.t310_running = i == cfg.sim.n310;
+    v.t310_running = i == rem::sim::kN310;
     c.on_tick(v);
   }
   const double armed = t;
-  while (t - armed < cfg.sim.t310_s) {
+  while (t - armed < rem::sim::kT310_s) {
     t += 0.01;
     auto v = idle_tick(t, 0);
     v.serving_snr_db = -20.0;
-    v.oos_count = cfg.sim.n310;
+    v.oos_count = rem::sim::kN310;
     v.t310_running = true;
     c.on_tick(v);
   }
@@ -149,19 +148,18 @@ TEST(InvariantChecker, FlagsPrematureReestablishment) {
   InvariantChecker c(cfg);
   c.on_event(ev(1.0, EventKind::kHoCommandDelivered, 0, 1));
   c.on_event(ev(1.05, EventKind::kT304Expiry, 0, 1));
-  // T304 fallback floor is t304_reestablish_s (0.3 s); 0.05 s is too fast.
+  // T304 fallback floor is kT304Reestablish_s (0.3 s); 0.05 s is too fast.
   c.on_event(ev(1.10, EventKind::kReestablished, 1, -1));
   EXPECT_GT(c.violation_count(), 0);
   EXPECT_NE(c.report().find("search-time floor"), std::string::npos);
 }
 
 TEST(InvariantChecker, FlagsEarlyT310Arming) {
-  auto cfg = small_config();
-  InvariantChecker c(cfg);
+  InvariantChecker c(small_config());
   c.on_tick(idle_tick(0.0, 0));
   auto v = idle_tick(0.01, 0);
   v.t310_running = true;
-  v.oos_count = cfg.sim.n310 - 2;  // armed before N310 out-of-syncs
+  v.oos_count = rem::sim::kN310 - 2;  // armed before N310 out-of-syncs
   c.on_tick(v);
   EXPECT_GT(c.violation_count(), 0);
   EXPECT_NE(c.report().find("T310 armed after only"), std::string::npos);

@@ -360,14 +360,13 @@ TEST(Measurement, InterFrequencyDominatesLegacyDelay) {
 }
 
 TEST(Measurement, GapOverheadMatchesSchedule) {
-  rm::MeasurementConfig cfg;
-  EXPECT_NEAR(rm::gap_spectrum_overhead(cfg, true), 0.15, 1e-12);
-  EXPECT_DOUBLE_EQ(rm::gap_spectrum_overhead(cfg, false), 0.0);
+  EXPECT_NEAR(rm::gap_spectrum_overhead(true), 0.15, 1e-12);
+  EXPECT_DOUBLE_EQ(rm::gap_spectrum_overhead(false), 0.0);
 }
 
 TEST(Measurement, NoTasksStillHasReportLatency) {
   rm::MeasurementConfig cfg;
-  EXPECT_GE(rm::legacy_feedback_delay_s({}, cfg), cfg.report_latency_s);
+  EXPECT_GE(rm::legacy_feedback_delay_s({}, cfg), rm::kReportLatency_s);
 }
 
 // ---------- n-cell loop enumeration ----------

@@ -237,7 +237,8 @@ TEST_P(TcpProperty, StallBoundedByOutagePlusMaxRto) {
   for (double phase = 0.0; phase < 1.0; phase += 0.1) {
     const double stall = rem::sim::tcp_stall_for_outage(outage, cfg, phase);
     EXPECT_GE(stall, outage);
-    EXPECT_LE(stall, outage + cfg.max_rto_s + cfg.rtt_s + cfg.base_rto_s);
+    EXPECT_LE(stall, outage + cfg.max_rto_s + rem::sim::kTcpRtt_s +
+                         rem::sim::kTcpBaseRto_s);
   }
 }
 

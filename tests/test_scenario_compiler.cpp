@@ -52,7 +52,8 @@ std::string minimal_json(const std::string& extra = "") {
 }
 
 /// A spec exercising every field group: mixed classes, scripted + random
-/// faults, asymmetric backhaul, a non-default BS profile, custom gates.
+/// faults, every domain/resilience knob off its default, asymmetric
+/// backhaul, a non-default BS profile, custom gates.
 scn::ScenarioSpec full_spec() {
   scn::ScenarioSpec s;
   s.name = "full";
@@ -81,6 +82,13 @@ scn::ScenarioSpec full_spec() {
   r.magnitude_lo = 10.0;
   r.magnitude_hi = 20.0;
   s.rfaults = {r};
+  s.fault_domain_size = 3;
+  s.region_stagger_s = 0.25;
+  s.cascade_neighbor_radius = 1;
+  s.load_ad_staleness_s = 1.5;
+  s.breaker_trip_k = 2;
+  s.breaker_cooldown_s = 4.0;
+  s.storm_jitter_frac = 0.2;
   s.backhaul.loss_prob = 0.03;
   s.backhaul.reverse_latency_scale = 2.0;
   s.bs_profile = "small_cell";
@@ -113,9 +121,30 @@ TEST(ScenarioSchema, WriteReadWriteIsCanonical) {
   ASSERT_EQ(back.faults.size(), 1u);
   EXPECT_EQ(back.faults[0].kind, rem::sim::FaultKind::kBsOverload);
   ASSERT_EQ(back.rfaults.size(), 1u);
+  EXPECT_EQ(back.fault_domain_size, spec.fault_domain_size);
+  EXPECT_EQ(back.region_stagger_s, spec.region_stagger_s);
+  EXPECT_EQ(back.cascade_neighbor_radius, spec.cascade_neighbor_radius);
+  EXPECT_EQ(back.load_ad_staleness_s, spec.load_ad_staleness_s);
+  EXPECT_EQ(back.breaker_trip_k, spec.breaker_trip_k);
+  EXPECT_EQ(back.breaker_cooldown_s, spec.breaker_cooldown_s);
+  EXPECT_EQ(back.storm_jitter_frac, spec.storm_jitter_frac);
   EXPECT_EQ(back.backhaul.reverse_latency_scale, 2.0);
   EXPECT_EQ(back.bs_profile, "small_cell");
   EXPECT_EQ(back.gates.min_legacy_handovers, 7);
+
+  // The seven domain/resilience keys are written only off their defaults.
+  scn::ScenarioSpec plain;
+  plain.name = "plain";
+  plain.description = "every field at its default";
+  const std::string json = scn::write_scenario_json(plain);
+  for (const char* key :
+       {"fault.domain_size", "fault.region_stagger_s",
+        "fault.cascade_neighbor_radius", "resilience.load_ad_staleness_s",
+        "resilience.breaker_trip_k", "resilience.breaker_cooldown_s",
+        "resilience.storm_jitter_frac"}) {
+    EXPECT_NE(once.find(key), std::string::npos) << key;
+    EXPECT_EQ(json.find(key), std::string::npos) << key;
+  }
 }
 
 TEST(ScenarioSchema, EveryLibraryScenarioRoundTrips) {
