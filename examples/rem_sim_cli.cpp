@@ -5,6 +5,11 @@
 //   ./examples/rem_sim_cli [--route la|bt|bs] [--speed KMH]
 //                          [--duration S] [--seed N] [--manager legacy|rem]
 //                          [--events out.csv]
+//
+// Each number must be one whole finite token (speed >= 0, duration > 0, a
+// seed below 2^64). An unknown option or a bad value prints a usage line
+// naming it and exits 2 before anything runs.
+#include "common/flat_json.hpp"
 #include "common/stats.hpp"
 #include "core/legacy_manager.hpp"
 #include "core/rem_manager.hpp"
@@ -12,8 +17,10 @@
 #include "trace/eventlog.hpp"
 #include "trace/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 using namespace rem;
@@ -29,69 +36,85 @@ struct CliOptions {
   std::string events_path;
 };
 
-bool parse(int argc, char** argv, CliOptions& opt) {
+constexpr const char* kUsage =
+    "usage: rem_sim_cli [--route la|bt|bs] [--speed KMH]\n"
+    "                   [--duration S] [--seed N]\n"
+    "                   [--manager legacy|rem] [--events out.csv]\n";
+
+/// Prints `why` and the usage line; the caller exits 2.
+int usage_error(const std::string& why) {
+  std::fprintf(stderr, "rem_sim_cli: %s\n%s", why.c_str(), kUsage);
+  return 2;
+}
+
+/// `v` as one whole finite number under the flat-JSON number rule, or
+/// nothing.
+std::optional<double> finite_number(const std::string& v) {
+  try {
+    const double x = common::flat_json::parse_double(v);
+    if (std::isfinite(x)) return x;
+  } catch (const std::invalid_argument&) {
+  }
+  return std::nullopt;
+}
+
+/// Fills `opt` from the command line. Returns the exit code when the
+/// program should stop (0 after --help, 2 on a usage error), nothing when
+/// it should run.
+std::optional<int> parse(int argc, char** argv, CliOptions& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", kUsage);
+      return 0;
+    }
+    const bool takes_value = arg == "--route" || arg == "--speed" ||
+                             arg == "--duration" || arg == "--seed" ||
+                             arg == "--manager" || arg == "--events";
+    if (!takes_value) return usage_error("unknown option '" + arg + "'");
+    if (i + 1 >= argc) return usage_error("'" + arg + "' needs a value");
+    const std::string v = argv[++i];
+    const auto bad = [&](const char* want) {
+      return usage_error(arg + " needs " + want + ", got '" + v + "'");
     };
     if (arg == "--route") {
-      const char* v = need_value("--route");
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "la") == 0)
+      if (v == "la")
         opt.route = trace::Route::kLowMobilityLA;
-      else if (std::strcmp(v, "bt") == 0)
+      else if (v == "bt")
         opt.route = trace::Route::kBeijingTaiyuan;
-      else if (std::strcmp(v, "bs") == 0)
+      else if (v == "bs")
         opt.route = trace::Route::kBeijingShanghai;
-      else {
-        std::fprintf(stderr, "unknown route '%s' (la|bt|bs)\n", v);
-        return false;
-      }
+      else
+        return bad("la, bt or bs");
     } else if (arg == "--speed") {
-      const char* v = need_value("--speed");
-      if (v == nullptr) return false;
-      opt.speed_kmh = std::atof(v);
+      const auto x = finite_number(v);
+      if (!x || *x < 0.0) return bad("a finite speed >= 0 km/h");
+      opt.speed_kmh = *x;
     } else if (arg == "--duration") {
-      const char* v = need_value("--duration");
-      if (v == nullptr) return false;
-      opt.duration_s = std::atof(v);
+      const auto x = finite_number(v);
+      if (!x || *x <= 0.0) return bad("a finite duration > 0 s");
+      opt.duration_s = *x;
     } else if (arg == "--seed") {
-      const char* v = need_value("--seed");
-      if (v == nullptr) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      try {
+        opt.seed = common::flat_json::parse_u64(v);
+      } catch (const std::invalid_argument&) {
+        return bad("an integer seed in [0, 2^64)");
+      }
     } else if (arg == "--manager") {
-      const char* v = need_value("--manager");
-      if (v == nullptr) return false;
-      opt.use_rem = std::strcmp(v, "rem") == 0;
-    } else if (arg == "--events") {
-      const char* v = need_value("--events");
-      if (v == nullptr) return false;
-      opt.events_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: rem_sim_cli [--route la|bt|bs] [--speed KMH]\n"
-          "                   [--duration S] [--seed N]\n"
-          "                   [--manager legacy|rem] [--events out.csv]\n");
-      return false;
+      if (v != "legacy" && v != "rem") return bad("legacy or rem");
+      opt.use_rem = v == "rem";
     } else {
-      std::fprintf(stderr, "unknown option '%s' (try --help)\n",
-                   arg.c_str());
-      return false;
+      opt.events_path = v;
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions opt;
-  if (!parse(argc, argv, opt)) return 1;
+  if (const auto code = parse(argc, argv, opt)) return *code;
 
   auto sc = trace::make_scenario(opt.route, opt.speed_kmh, opt.duration_s);
   sc.sim.record_events = !opt.events_path.empty();

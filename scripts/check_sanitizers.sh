@@ -5,7 +5,10 @@
 # cache, the Jacobi SVD and Algorithm 1 run instrumented on every
 # sanitizer pass. The ASan+UBSan preset also defines _GLIBCXX_ASSERTIONS,
 # so a violated libstdc++ precondition (a std distribution's parameter
-# range, an out-of-bounds operator[]) aborts the test that reaches it.
+# range, an out-of-bounds operator[]) aborts the test that reaches it, and
+# adds -fsanitize=float-cast-overflow, which GCC leaves out of
+# -fsanitize=undefined, so a NaN or out-of-range double cast to an
+# integer aborts too.
 #
 #   scripts/check_sanitizers.sh            # both presets
 #   scripts/check_sanitizers.sh asan-ubsan # just address,undefined

@@ -2,8 +2,9 @@
 # Usage-error check for a command-line tool: runs `<binary> <args...>` and
 # passes only if the tool exits non-zero and its output names the last
 # argument, the one it must reject. ctest runs it once per bench tool with
-# a bogus flag under a short timeout, so a tool that takes the flag for an
-# output path and starts its sweep fails the test.
+# a bogus flag, and on rem_sim_cli with a bad value, under a short timeout,
+# so a tool that takes the argument for an output path or a number and
+# starts its run fails the test.
 #
 #   scripts/check_usage_error.sh <binary> <args...>
 set -u

@@ -16,14 +16,24 @@ constexpr double kCrossbandErrorSigmaDb = 1.0;
 /// come free via cross-band estimation).
 constexpr std::size_t kMaxMeasuredSites = 4;
 
-/// The entry for `site` in a (site, value) list, or nullptr. Co-sited
-/// cells usually arrive back to back, so the search starts at the end.
+/// The entry for `key` (a site or cell id) in a (key, value) list, or
+/// nullptr. Co-sited cells usually arrive back to back, so the search
+/// starts at the end.
 template <typename V>
-std::pair<int, V>* find_site(std::vector<std::pair<int, V>>& entries,
-                             int site) {
+std::pair<int, V>* find_entry(std::vector<std::pair<int, V>>& entries,
+                              int key) {
   for (auto it = entries.rbegin(); it != entries.rend(); ++it)
-    if (it->first == site) return &*it;
+    if (it->first == key) return &*it;
   return nullptr;
+}
+
+/// Removes `key`'s entry, if any, by moving the last entry into its slot.
+template <typename V>
+void erase_entry(std::vector<std::pair<int, V>>& entries, int key) {
+  if (auto* e = find_entry(entries, key)) {
+    *e = entries.back();
+    entries.pop_back();
+  }
 }
 
 }  // namespace
@@ -55,7 +65,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
   site_strength_.clear();
   for (const auto& o : neighbors) {
     visible_.push_back(o.cell_idx);
-    auto* it = find_site(site_strength_, o.id.base_station);
+    auto* it = find_entry(site_strength_, o.id.base_station);
     if (it == nullptr)
       site_strength_.push_back({o.id.base_station, o.dd_snr_db});
     else
@@ -113,10 +123,10 @@ std::optional<sim::HandoverDecision> RemManager::update(
       // The circuit breaker tripped on this target: hidden from selection
       // entirely, and its TTT state resets so it must re-qualify from
       // scratch once the breaker admits traffic again.
-      entered_.erase(o.id.cell);
+      erase_entry(entered_, o.id.cell);
       continue;
     }
-    auto* direct = find_site(site_direct_, o.id.base_station);
+    auto* direct = find_entry(site_direct_, o.id.base_station);
     if (direct == nullptr) {
       site_direct_.push_back({o.id.base_station, o.cell_idx});
       direct = &site_direct_.back();
@@ -134,8 +144,12 @@ std::optional<sim::HandoverDecision> RemManager::update(
     const double threshold =
         serving_metric + cfg_.a3_offset_db + cfg_.hysteresis_db;
     if (metric > threshold) {
-      auto [e_it, e_inserted] = entered_.try_emplace(o.id.cell, t);
-      if (t - e_it->second + 1e-12 >= cfg_.time_to_trigger_s) {
+      auto* entry = find_entry(entered_, o.id.cell);
+      if (entry == nullptr) {
+        entered_.push_back({o.id.cell, t});
+        entry = &entered_.back();
+      }
+      if (t - entry->second + 1e-12 >= cfg_.time_to_trigger_s) {
         qualified_.push_back({metric, o.cell_idx, o.advertised_load});
         if (metric > best_metric) {
           if (best_target) {
@@ -150,7 +164,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
         }
       }
     } else {
-      entered_.erase(o.id.cell);
+      erase_entry(entered_, o.id.cell);
     }
   }
 

@@ -8,7 +8,8 @@
 #include "mobility/measurement.hpp"
 #include "sim/simulator.hpp"
 
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace rem::core {
 
@@ -80,13 +81,16 @@ class RemManager final : public sim::MobilityManager {
   common::Rng rng_;
   bool degraded_ = false;
   double last_decision_t_ = -1e9;
-  /// A3 entry timestamps per neighbor cell (TTT tracking).
-  std::map<int, double> entered_;
+  /// A3 entry time per neighbour cell id (TTT tracking), in no order and
+  /// cleared on a serving change. A flat list, so a cell entering or
+  /// leaving allocates nothing once the list has grown.
+  std::vector<std::pair<int, double>> entered_;
   /// This tick's candidates (cell indices, ascending as observed).
   std::vector<std::size_t> visible_;
   // Per-update scratch, cleared at the top of update() and kept so a
-  // steady-state update allocates nothing. Sites are looked up by linear
-  // search: a tick sees a few dozen candidates on about half as many sites.
+  // steady-state update allocates nothing. Cells and sites are looked up
+  // by linear search: a tick sees a few dozen candidates on about half as
+  // many sites.
   std::vector<std::pair<int, double>> site_strength_;  ///< site, best dd-SNR
   /// (-dd-SNR, site), strongest first; cut to the sites measured.
   std::vector<std::pair<double, int>> ranked_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace rem::mobility {
 namespace {
@@ -56,18 +55,22 @@ double legacy_feedback_delay_s(const std::vector<MeasureTask>& tasks,
 double rem_feedback_delay_s(const std::vector<MeasureTask>& tasks,
                             const MeasurementConfig& cfg) {
   // Group by base station; measure one cell per site (intra preferred).
-  std::map<int, bool> site_has_intra;
-  for (const auto& t : tasks) {
-    auto [it, inserted] =
-        site_has_intra.try_emplace(t.cell.base_station, t.intra_frequency);
-    if (!inserted) it->second = it->second || t.intra_frequency;
-  }
+  // Each site counts at its first task; the sums only count sites, so the
+  // order they are met in does not matter. No allocation: the manager
+  // calls this on every decision.
   double intra_time = 0.0;
   double inter_acquire = 0.0;
   std::size_t sites = 0;
-  for (const auto& [site, has_intra] : site_has_intra) {
+  for (auto t = tasks.begin(); t != tasks.end(); ++t) {
+    const int site = t->cell.base_station;
+    const auto on_site = [site](const MeasureTask& u) {
+      return u.cell.base_station == site;
+    };
+    if (std::any_of(tasks.begin(), t, on_site)) continue;
     ++sites;
-    if (has_intra)
+    if (std::any_of(t, tasks.end(), [&](const MeasureTask& u) {
+          return on_site(u) && u.intra_frequency;
+        }))
       intra_time += kIntraMeasure_s;
     else
       inter_acquire += kInterAcquire_s;

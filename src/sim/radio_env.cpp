@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rem::sim {
@@ -21,16 +23,17 @@ static_assert(kHoleExtraLossDb >= 0.0, "a coverage hole cannot add gain");
 /// Corridor-layer (primary channel) cell bandwidth.
 constexpr double kPrimaryBandwidthHz = 20e6;
 
-/// One AR(1) shadowing grid. While drawing it, records the largest value
-/// of each `block_steps`-step block into `block_max`; a block also takes
-/// the next block's first node, which interpolation reads from the
-/// block's last step.
-std::vector<double> ar1_grid(std::size_t steps, double sigma, double decorr,
-                             double step_m, std::size_t block_steps,
-                             common::Rng& rng, std::vector<double>& block_max) {
+/// Draws one AR(1) shadowing grid of `steps` nodes into `grid`, reusing
+/// its storage. While drawing it, records the largest value of each
+/// `block_steps`-step block into `block_max`; a block also takes the next
+/// block's first node, which interpolation reads from the block's last
+/// step.
+void ar1_grid(std::size_t steps, double sigma, double decorr, double step_m,
+              std::size_t block_steps, common::Rng& rng,
+              std::vector<double>& grid, std::vector<double>& block_max) {
   const double rho = std::exp(-step_m / decorr);
   const double innov = sigma * std::sqrt(1.0 - rho * rho);
-  std::vector<double> grid(steps);
+  grid.resize(steps);
   block_max.clear();
   double x = rng.gaussian(0.0, sigma);
   double m = -std::numeric_limits<double>::infinity();
@@ -48,7 +51,14 @@ std::vector<double> ar1_grid(std::size_t steps, double sigma, double decorr,
   // std::max passes over a NaN, but the recursion carries one to the last
   // node; a NaN maximum there switches the reach bound off.
   if (std::isnan(grid.back())) block_max.back() = grid.back();
-  return grid;
+}
+
+void require_window_floor(double floor_dbm) {
+  if (floor_dbm < kWindowFloorDbm)
+    throw std::invalid_argument(
+        "RadioEnv: floor " + std::to_string(floor_dbm) +
+        " dBm is below kWindowFloorDbm (" + std::to_string(kWindowFloorDbm) +
+        " dBm), the lowest floor the shadowing windows cover");
 }
 
 }  // namespace
@@ -78,9 +88,8 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
     finite_geometry = finite_geometry && std::isfinite(c.site_pos_m) &&
                       std::isfinite(c.site_offset_m);
   }
-  const auto steps =
-      static_cast<std::size_t>(track_len_m_ / kShadowStep_m) + 2;
-  const std::size_t blocks = (steps - 1) / kBlockSteps + 1;
+  steps_ = static_cast<std::size_t>(track_len_m_ / kShadowStep_m) + 2;
+  const std::size_t blocks = (steps_ - 1) / kBlockSteps + 1;
 
   // Reach bound setup: cells in track order, and the per-cell part of the
   // bound.
@@ -104,61 +113,122 @@ RadioEnv::RadioEnv(std::vector<Cell> cells, PropagationConfig cfg,
     sorted_pos_.push_back(c.site_pos_m);
     sorted_off2_.push_back(c.site_offset_m * c.site_offset_m);
   }
+  // The bound's scale at kWindowFloorDbm, computed as visit_reach does.
+  const double window_scale =
+      std::pow(10.0, -kWindowFloorDbm / (5.0 * exponent));
+  // Squared distance from `site_m` to the positions visit_reach files
+  // under block b (position clamped to the grid, node / kBlockSteps),
+  // widened by one grid step either side for the rounding of the node.
+  const auto block_gap2 = [&](std::size_t b, double site_m) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double lo =
+        b == 0 ? -inf
+               : static_cast<double>(b * kBlockSteps - 1) * kShadowStep_m;
+    const double hi =
+        b + 1 == blocks
+            ? inf
+            : static_cast<double>((b + 1) * kBlockSteps + 1) * kShadowStep_m;
+    const double gap =
+        site_m < lo ? lo - site_m : (site_m > hi ? site_m - hi : 0.0);
+    return gap * gap;
+  };
+
+  // Site grids in order of their first cell, and each one's last cell.
+  std::map<int, std::size_t> site_grid_index;
+  std::vector<std::size_t> site_last_cell;
+  cell_site_grid_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto [it, inserted] = site_grid_index.try_emplace(
+        cells_[i].id.base_station, site_last_cell.size());
+    if (inserted) site_last_cell.emplace_back();
+    cell_site_grid_[i] = it->second;
+    site_last_cell[it->second] = i;
+  }
+  const std::size_t sites = site_last_cell.size();
 
   // One shared shadowing process per physical site, plus a small
   // frequency-dependent residual per cell. Co-sited cells thus see nearly
   // identical large-scale dynamics — the physical basis of cross-band
   // estimation (§3.1's shared multipath).
-  std::map<int, std::size_t> site_grid_index;
-  std::vector<std::vector<double>> site_block_max;
-  std::vector<double> cell_block_max;
-  cell_site_grid_.resize(n);
+  //
+  // Every grid is drawn over the whole route, each site's just before its
+  // first cell's, so the draws never depend on the windows. A cell grid is
+  // drawn into `scratch` and only its window kept. A site grid stays whole
+  // until its last cell has been drawn, is then cut to the union of its
+  // cells' windows, and its buffer goes back to `spare` for the next site:
+  // freeing route-length buffers between the kept windows fragments the
+  // heap, which doubled peak RSS at 153 km and quintupled it at 607 km.
+  site_shadow_grids_.resize(sites);
   cell_shadow_grids_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int site = cells_[i].id.base_station;
-    auto [it, inserted] =
-        site_grid_index.try_emplace(site, site_shadow_grids_.size());
-    if (inserted) {
-      site_block_max.emplace_back();
-      site_shadow_grids_.push_back(ar1_grid(
-          steps, cfg_.shadowing_sigma_db, cfg_.shadowing_decorr_m,
-          kShadowStep_m, kBlockSteps, rng, site_block_max.back()));
+  std::vector<std::vector<double>> site_full(sites), spare;
+  std::vector<std::vector<double>> site_block_max(sites);
+  std::vector<std::size_t> site_lo(sites, steps_), site_hi(sites, 0);
+  std::vector<double> scratch, cell_block_max;
+  const auto keep = [](const std::vector<double>& full, std::size_t lo,
+                       std::size_t hi) {
+    Grid g;
+    if (lo >= hi) return g;
+    g.first = lo;
+    g.nodes.assign(full.begin() + static_cast<std::ptrdiff_t>(lo),
+                   full.begin() + static_cast<std::ptrdiff_t>(hi));
+    return g;
+  };
+  for (std::size_t i = 0, drawn_sites = 0; i < n; ++i) {
+    const std::size_t g = cell_site_grid_[i];
+    if (g == drawn_sites) {
+      ++drawn_sites;
+      if (!spare.empty()) {
+        site_full[g] = std::move(spare.back());
+        spare.pop_back();
+      }
+      ar1_grid(steps_, cfg_.shadowing_sigma_db, cfg_.shadowing_decorr_m,
+               kShadowStep_m, kBlockSteps, rng, site_full[g],
+               site_block_max[g]);
     }
-    cell_site_grid_[i] = it->second;
-    cell_shadow_grids_[i] = ar1_grid(
-        steps, cfg_.per_cell_shadow_sigma_db, kPerCellShadowDecorr_m,
-        kShadowStep_m, kBlockSteps, rng, cell_block_max);
-    if (!bounded_) continue;
-    const Cell& c = cells_[i];
-    const double budget_db =
-        c.tx_power_dbm - kRefLossDb - freq_loss_db_[i] + kReachMarginDb;
-    const auto& site_max = site_block_max[it->second];
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const double r2 = std::pow(
-          10.0, (budget_db + site_max[b] + cell_block_max[b]) /
-                    (5.0 * exponent));
-      bounded_ = bounded_ && !std::isnan(r2);
-      reach2_[b * n + rank[i]] = r2;
-      block_reach2_[b] = std::max(block_reach2_[b], r2);
+    ar1_grid(steps_, cfg_.per_cell_shadow_sigma_db, kPerCellShadowDecorr_m,
+             kShadowStep_m, kBlockSteps, rng, scratch, cell_block_max);
+    // The cell's window in blocks, [lo_block, hi_block): the whole route
+    // unless every block's bound is finite.
+    std::size_t lo_block = 0, hi_block = blocks;
+    if (bounded_) {
+      const Cell& c = cells_[i];
+      const double budget_db =
+          c.tx_power_dbm - kRefLossDb - freq_loss_db_[i] + kReachMarginDb;
+      const auto& site_max = site_block_max[g];
+      const double off2 = sorted_off2_[rank[i]];
+      bool finite = true;
+      std::size_t first = blocks, last = 0;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const double r2 = std::pow(
+            10.0, (budget_db + site_max[b] + cell_block_max[b]) /
+                      (5.0 * exponent));
+        bounded_ = bounded_ && !std::isnan(r2);
+        reach2_[b * n + rank[i]] = r2;
+        block_reach2_[b] = std::max(block_reach2_[b], r2);
+        finite = finite && std::isfinite(r2);
+        if (!(block_gap2(b, c.site_pos_m) + off2 > r2 * window_scale)) {
+          first = std::min(first, b);
+          last = b + 1;
+        }
+      }
+      if (finite) {
+        lo_block = first;
+        hi_block = last;
+      }
+    }
+    // A block's nodes plus the next block's first one.
+    const std::size_t lo = lo_block * kBlockSteps;
+    const std::size_t hi = std::min(hi_block * kBlockSteps + 1, steps_);
+    cell_shadow_grids_[i] = keep(scratch, lo, hi);
+    if (lo < hi) {
+      site_lo[g] = std::min(site_lo[g], lo);
+      site_hi[g] = std::max(site_hi[g], hi);
+    }
+    if (i == site_last_cell[g]) {
+      site_shadow_grids_[g] = keep(site_full[g], site_lo[g], site_hi[g]);
+      spare.push_back(std::move(site_full[g]));
     }
   }
-}
-
-double RadioEnv::sample_grid(const std::vector<double>& grid,
-                             double track_pos_m) const {
-  const double f = std::clamp(track_pos_m / kShadowStep_m, 0.0,
-                              static_cast<double>(grid.size() - 1));
-  const auto i0 = static_cast<std::size_t>(f);
-  const auto i1 = std::min(i0 + 1, grid.size() - 1);
-  const double frac = f - static_cast<double>(i0);
-  return grid[i0] * (1.0 - frac) + grid[i1] * frac;
-}
-
-double RadioEnv::shadowing_db(std::size_t cell_idx,
-                              double track_pos_m) const {
-  return sample_grid(site_shadow_grids_[cell_site_grid_[cell_idx]],
-                     track_pos_m) +
-         sample_grid(cell_shadow_grids_[cell_idx], track_pos_m);
 }
 
 bool RadioEnv::position_in_hole(double track_pos_m) const {
@@ -168,8 +238,26 @@ bool RadioEnv::position_in_hole(double track_pos_m) const {
   return k > 0 && track_pos_m < hole_end_max_[static_cast<std::size_t>(k - 1)];
 }
 
+std::size_t RadioEnv::stored_grid_nodes() const {
+  std::size_t total = 0;
+  for (const auto* grids : {&site_shadow_grids_, &cell_shadow_grids_})
+    for (const Grid& g : *grids) total += g.nodes.size();
+  return total;
+}
+
 double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
                                bool in_hole) const {
+  // The grid nodes this position interpolates between. The cell's window
+  // must hold both (its site's window holds the cell's).
+  const double f = std::clamp(track_pos_m / kShadowStep_m, 0.0,
+                              static_cast<double>(steps_ - 1));
+  if (std::isnan(f)) return kOutsideWindowRsrpDbm;
+  const auto i0 = static_cast<std::size_t>(f);
+  const std::size_t i1 = std::min(i0 + 1, steps_ - 1);
+  const Grid& cell_grid = cell_shadow_grids_[cell_idx];
+  if (i0 < cell_grid.first || i1 - cell_grid.first >= cell_grid.nodes.size())
+    return kOutsideWindowRsrpDbm;
+  const double frac = f - static_cast<double>(i0);
   const Cell& c = cells_[cell_idx];
   const double dx = track_pos_m - c.site_pos_m;
   const double d = std::max(
@@ -178,7 +266,12 @@ double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
   double pl = kRefLossDb + 10.0 * cfg_.pathloss_exponent * std::log10(d) +
               freq_loss_db_[cell_idx];
   if (in_hole) pl += kHoleExtraLossDb;
-  return c.tx_power_dbm - pl + shadowing_db(cell_idx, track_pos_m);
+  // Correlated shadowing: the site's process plus the cell's residual.
+  const double shadow =
+      sample_grid(site_shadow_grids_[cell_site_grid_[cell_idx]], i0, i1,
+                  frac) +
+      sample_grid(cell_grid, i0, i1, frac);
+  return c.tx_power_dbm - pl + shadow;
 }
 
 double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
@@ -188,6 +281,7 @@ double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
 template <typename Visit>
 void RadioEnv::visit_reach(double track_pos_m, double floor_dbm,
                            Visit&& visit) const {
+  require_window_floor(floor_dbm);
   const double scale =
       std::pow(10.0, -floor_dbm / (5.0 * cfg_.pathloss_exponent));
   if (!bounded_ || !std::isfinite(track_pos_m) || !std::isfinite(scale) ||
@@ -196,10 +290,9 @@ void RadioEnv::visit_reach(double track_pos_m, double floor_dbm,
     return;
   }
   if (cells_.empty()) return;
-  // The block whose nodes sample_grid interpolates at this position.
-  const std::size_t steps = cell_shadow_grids_.front().size();
+  // The block whose nodes mean_rsrp_dbm interpolates at this position.
   const auto i0 = static_cast<std::size_t>(std::clamp(
-      track_pos_m / kShadowStep_m, 0.0, static_cast<double>(steps - 1)));
+      track_pos_m / kShadowStep_m, 0.0, static_cast<double>(steps_ - 1)));
   const std::size_t block = i0 / kBlockSteps;
   // No cell farther along the track than the block's widest reach can
   // clear the floor; inside that span each cell checks its own bound.

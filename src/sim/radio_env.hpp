@@ -35,6 +35,19 @@ struct HoleSegment {
 /// floor every RSRP is turned into an SNR against.
 constexpr double kNoiseFloorDbm = -101.0;
 
+/// The lowest floor a RadioEnv answers for (dBm): the policy loop's
+/// candidate floor at the default coverage floor, and the lowest any
+/// caller passes. Each shadowing grid is kept only over its window, the
+/// stretch where its cell's mean could reach this floor, so
+/// `cells_in_reach` and `best_cell` reject a lower one.
+constexpr double kWindowFloorDbm = -130.0;
+/// What `mean_rsrp_dbm` returns outside a cell's window (and at a NaN
+/// position): below every floor a caller may pass. The full-grid mean
+/// there is below `kWindowFloorDbm` as well.
+constexpr double kOutsideWindowRsrpDbm = -200.0;
+static_assert(kOutsideWindowRsrpDbm < kWindowFloorDbm,
+              "a read outside a window must fail every floor");
+
 struct PropagationConfig {
   double pathloss_exponent = 3.5;
   double shadowing_sigma_db = 3.5;
@@ -58,6 +71,10 @@ class RadioEnv {
   const std::vector<Cell>& cells() const { return cells_; }
 
   /// Deterministic mean RSRP (path loss + shadowing, no fast fading).
+  /// Outside the cell's window (or at a NaN position) it is
+  /// `kOutsideWindowRsrpDbm`; the full-grid mean there is below
+  /// `kWindowFloorDbm` too, so every comparison with a floor at or above
+  /// it comes out the same.
   double mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m) const {
     return mean_rsrp_dbm(cell_idx, track_pos_m, position_in_hole(track_pos_m));
   }
@@ -98,6 +115,7 @@ class RadioEnv {
   /// excluded); returns -1 if everything is below `min_rsrp_dbm`.
   /// `exclude_idx` skips one cell — the simulator passes a crashed BS so
   /// re-establishment and failure classification never pick a dead cell.
+  /// Throws std::invalid_argument for a floor below `kWindowFloorDbm`.
   int best_cell(double track_pos_m, double min_rsrp_dbm,
                 int exclude_idx = -1) const;
 
@@ -113,25 +131,32 @@ class RadioEnv {
   /// left out is below the floor (some kept cells may be too). It costs a
   /// binary search plus one multiply-compare per nearby cell, whatever the
   /// route length. Returns every cell when no bound applies (non-positive
-  /// path-loss exponent, non-finite inputs).
+  /// path-loss exponent, non-finite inputs, a NaN floor). Throws
+  /// std::invalid_argument for a floor below `kWindowFloorDbm`.
   void cells_in_reach(double track_pos_m, double floor_dbm,
                       std::vector<std::size_t>& out) const;
-
-  /// True if no usable cell covers this position (coverage hole).
-  bool in_coverage_hole(double track_pos_m, double min_rsrp_dbm) const {
-    return best_cell(track_pos_m, min_rsrp_dbm) < 0;
-  }
 
   /// True if the position lies in a hole segment (start inclusive, end
   /// exclusive). Binary search over the segments sorted by start.
   bool position_in_hole(double track_pos_m) const;
 
+  /// Shadowing-grid nodes kept over every site and cell window: the
+  /// world's memory, which stays flat per route km.
+  std::size_t stored_grid_nodes() const;
+
  private:
-  /// Correlated shadowing for a cell at a track position: the site's
-  /// process plus the cell's small residual (AR(1) grids, interpolated).
-  double shadowing_db(std::size_t cell_idx, double track_pos_m) const;
-  double sample_grid(const std::vector<double>& grid,
-                     double track_pos_m) const;
+  /// An AR(1) shadowing grid kept over nodes [first, first + nodes.size())
+  /// of the route's `steps_` nodes, step `kShadowStep_m`.
+  struct Grid {
+    std::size_t first = 0;
+    std::vector<double> nodes;
+  };
+  /// Linear interpolation between `grid`'s nodes i0 and i1.
+  static double sample_grid(const Grid& grid, std::size_t i0,
+                            std::size_t i1, double frac) {
+    return grid.nodes[i0 - grid.first] * (1.0 - frac) +
+           grid.nodes[i1 - grid.first] * frac;
+  }
   /// Calls `visit(i)` for each cell cells_in_reach would return, in
   /// position order (every cell, in index order, when unbounded).
   template <typename Visit>
@@ -147,12 +172,15 @@ class RadioEnv {
   /// among the segments starting at or before it lies beyond it.
   std::vector<double> hole_starts_;
   std::vector<double> hole_end_max_;
-  /// Per-site and per-cell residual shadowing grids, step `kShadowStep_m`.
-  std::vector<std::vector<double>> site_shadow_grids_;
-  std::vector<std::vector<double>> cell_shadow_grids_;
+  /// Per-site and per-cell residual shadowing grids, each kept over its
+  /// window: a cell's spans the blocks where the reach bound below admits
+  /// it at `kWindowFloorDbm`, a site's the union of its cells' windows.
+  std::vector<Grid> site_shadow_grids_;
+  std::vector<Grid> cell_shadow_grids_;
   std::vector<std::size_t> cell_site_grid_;  ///< cell idx -> site grid idx
   std::vector<double> freq_loss_db_;  ///< 20 log10(carrier / 2 GHz) per cell
   double track_len_m_ = 0.0;
+  std::size_t steps_ = 0;  ///< nodes of a route-length grid
   static constexpr double kShadowStep_m = 10.0;
 
   // Reach bound (cells_in_reach). Mean RSRP is at most

@@ -30,6 +30,10 @@ constexpr double kQoutSnrDb = -7.0;
 constexpr double kQinMarginDb = 1.0;
 /// Minimum SNR for a handover execution to succeed at the target.
 constexpr double kMinConnectSnrDb = -6.0;
+/// The policy loop offers a cell as a candidate while its mean RSRP is
+/// at most this far below `min_coverage_rsrp_dbm`: the lowest floor a run
+/// passes to RadioEnv.
+constexpr double kCandidateMarginDb = 10.0;
 /// Signaling transport: attempts (HARQ/ARQ) and per-attempt spacing.
 constexpr int kUplinkAttempts = 2;
 constexpr int kDownlinkAttempts = 1;  // commands are time-critical (no ARQ)
@@ -1328,7 +1332,7 @@ class FleetEngine {
     // Only cells whose mean can clear the floor are visited, in ascending
     // index; the skipped ones would fail the filter below and draw
     // nothing, so the draws match a scan over every cell.
-    const double floor_dbm = cfg_.min_coverage_rsrp_dbm - 10.0;
+    const double floor_dbm = cfg_.min_coverage_rsrp_dbm - kCandidateMarginDb;
     env_.cells_in_reach(u.pos, floor_dbm, u.reach);
     u.obs.clear();
     for (const std::size_t i : u.reach) {
@@ -1525,12 +1529,35 @@ class FleetEngine {
   int cur_obs_ue_ = -1;  ///< last UE announced via SimObserver::on_ue
 };
 
-/// The tick loop only ends for a positive step: zero never reaches the
-/// horizon and a negative step walks backwards. NaN fails the test too.
-void require_positive_tick(const std::string& who, double tick_s) {
-  if (!(tick_s > 0.0))
+/// What both entry points check before the first tick; NaN fails every
+/// test. The tick loop only ends for a positive step: zero never reaches
+/// the horizon and a negative step walks backwards. A UE needs a cell to
+/// attach to and a finite, non-negative speed. The candidate floor is the
+/// lowest a run passes to RadioEnv, whose shadowing windows cover floors
+/// down to kWindowFloorDbm.
+void require_runnable(const std::string& who, const RadioEnv& env,
+                      const SimConfig& cfg) {
+  if (!(cfg.tick_s > 0.0))
     throw std::invalid_argument(who + ": tick_s must be > 0, got " +
-                                std::to_string(tick_s));
+                                std::to_string(cfg.tick_s));
+  if (env.cells().empty())
+    throw std::invalid_argument(who + ": the radio environment has no cells");
+  if (!(cfg.speed_kmh >= 0.0 && std::isfinite(cfg.speed_kmh)))
+    throw std::invalid_argument(who +
+                                ": speed_kmh must be finite and >= 0, got " +
+                                std::to_string(cfg.speed_kmh));
+  if (!(cfg.min_coverage_rsrp_dbm - kCandidateMarginDb >= kWindowFloorDbm))
+    throw std::invalid_argument(
+        who + ": min_coverage_rsrp_dbm must be >= " +
+        std::to_string(kWindowFloorDbm + kCandidateMarginDb) +
+        " dBm, keeping the candidate floor at or above kWindowFloorDbm; "
+        "got " +
+        std::to_string(cfg.min_coverage_rsrp_dbm));
+}
+
+/// A speed band [lo, hi] a fleet UE draws from: 0 < lo <= hi < inf.
+bool valid_speed_band(double lo_kmh, double hi_kmh) {
+  return lo_kmh > 0.0 && hi_kmh >= lo_kmh && std::isfinite(hi_kmh);
 }
 
 }  // namespace
@@ -1600,7 +1627,7 @@ Simulator::Simulator(const RadioEnv& env, const SimConfig& cfg,
 
 SimStats Simulator::run(MobilityManager& manager,
                         const std::function<bool(int, int)>& pair_conflicts) {
-  require_positive_tick("run", cfg_.tick_s);
+  require_runnable("run", env_, cfg_);
   FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts,
                   /*fleet_mode=*/false);
   // The single UE rides the base RNG stream directly (after the engine's
@@ -1617,18 +1644,19 @@ FleetResult Simulator::run_fleet(
   if (cfg_.fleet_size < 1)
     throw std::invalid_argument("run_fleet: fleet_size must be >= 1, got " +
                                 std::to_string(cfg_.fleet_size));
-  require_positive_tick("run_fleet", cfg_.tick_s);
+  require_runnable("run_fleet", env_, cfg_);
   if (!make_manager)
     throw std::invalid_argument("run_fleet: make_manager must be callable");
-  if (cfg_.fleet.speed_min_kmh <= 0.0 ||
-      cfg_.fleet.speed_max_kmh < cfg_.fleet.speed_min_kmh)
+  if (!valid_speed_band(cfg_.fleet.speed_min_kmh, cfg_.fleet.speed_max_kmh))
     throw std::invalid_argument(
-        "run_fleet: fleet speed range must satisfy 0 < min <= max, got [" +
+        "run_fleet: fleet speed range must satisfy 0 < min <= max < inf, "
+        "got [" +
         std::to_string(cfg_.fleet.speed_min_kmh) + ", " +
         std::to_string(cfg_.fleet.speed_max_kmh) + "]");
-  if (cfg_.fleet.start_spread_m < 0.0)
+  if (!(cfg_.fleet.start_spread_m >= 0.0 &&
+        std::isfinite(cfg_.fleet.start_spread_m)))
     throw std::invalid_argument(
-        "run_fleet: fleet start_spread_m must be >= 0, got " +
+        "run_fleet: fleet start_spread_m must be finite and >= 0, got " +
         std::to_string(cfg_.fleet.start_spread_m));
   if (!cfg_.fleet.classes.empty()) {
     int total = 0;
@@ -1638,10 +1666,10 @@ FleetResult Simulator::run_fleet(
         throw std::invalid_argument(
             "run_fleet: fleet class " + std::to_string(i) + " ('" + c.name +
             "') has negative count " + std::to_string(c.count));
-      if (c.speed_lo_kmh <= 0.0 || c.speed_hi_kmh < c.speed_lo_kmh)
+      if (!valid_speed_band(c.speed_lo_kmh, c.speed_hi_kmh))
         throw std::invalid_argument(
             "run_fleet: fleet class " + std::to_string(i) + " ('" + c.name +
-            "') speed band must satisfy 0 < lo <= hi, got [" +
+            "') speed band must satisfy 0 < lo <= hi < inf, got [" +
             std::to_string(c.speed_lo_kmh) + ", " +
             std::to_string(c.speed_hi_kmh) + "]");
       total += c.count;

@@ -272,7 +272,10 @@ class Simulator {
   /// Run the full scenario with the given manager and return statistics.
   /// `pair_conflicts(cell_a, cell_b)` (CellId::cell values) marks loop
   /// episodes caused by policy conflicts; pass an empty function to skip.
-  /// Throws std::invalid_argument unless cfg.tick_s > 0.
+  /// Throws std::invalid_argument, before the first tick, unless
+  /// cfg.tick_s > 0, the environment has a cell, cfg.speed_kmh is finite
+  /// and >= 0, and the candidate floor cfg.min_coverage_rsrp_dbm - 10 dB
+  /// is at or above kWindowFloorDbm.
   SimStats run(MobilityManager& manager,
                const std::function<bool(int, int)>& pair_conflicts = {});
 
@@ -285,8 +288,9 @@ class Simulator {
   /// derive mixed speeds and start offsets from per-UE forked streams
   /// (SimConfig::fleet). Per-UE stats come back indexed by UE id with the
   /// deterministic aggregate merged in UE-id order (sim/fleet.hpp).
-  /// Throws std::invalid_argument when cfg.fleet_size < 1, cfg.tick_s is
-  /// not positive, or make_manager returns nullptr.
+  /// Throws std::invalid_argument when cfg.fleet_size < 1, run() would
+  /// throw, a speed band is not 0 < lo <= hi < inf, the start spread is
+  /// not finite and >= 0, or make_manager returns nullptr.
   FleetResult run_fleet(
       const std::function<std::unique_ptr<MobilityManager>(int)>&
           make_manager,

@@ -423,6 +423,253 @@ TEST(RadioEnv, ReachWindowSizeDoesNotGrowWithRouteLength) {
   }
 }
 
+// ---------- Windowed shadowing grids ----------
+
+namespace {
+
+/// The shadowing model radio_env.cpp keeps private, restated for the
+/// oracle below: grid step, block size, the per-cell residual's
+/// decorrelation, the 1 m reference loss, the hole loss and the bound's
+/// rounding margin.
+constexpr double kOracleStep_m = 10.0;
+constexpr std::size_t kOracleBlock = 100;
+constexpr double kOracleCellDecorr_m = 25.0;
+constexpr double kOracleRefLossDb = 34.0;
+constexpr double kOracleHoleLossDb = 45.0;
+constexpr double kOracleMarginDb = 0.01;
+
+/// One full-route AR(1) grid, drawn as RadioEnv draws it.
+std::vector<double> oracle_grid(std::size_t steps, double sigma,
+                                double decorr, rem::common::Rng& rng) {
+  const double rho = std::exp(-kOracleStep_m / decorr);
+  const double innov = sigma * std::sqrt(1.0 - rho * rho);
+  std::vector<double> grid(steps);
+  double x = rng.gaussian(0.0, sigma);
+  for (double& node : grid) {
+    node = x;
+    x = rho * x + rng.gaussian(0.0, innov);
+  }
+  return grid;
+}
+
+/// Largest node of each block, the next block's first node included.
+std::vector<double> oracle_block_max(const std::vector<double>& grid) {
+  std::vector<double> out;
+  for (std::size_t lo = 0; lo < grid.size(); lo += kOracleBlock) {
+    const std::size_t hi = std::min(lo + kOracleBlock + 1, grid.size());
+    out.push_back(*std::max_element(grid.begin() + static_cast<long>(lo),
+                                    grid.begin() + static_cast<long>(hi)));
+  }
+  return out;
+}
+
+/// Redraws `env`'s full shadowing grids from `env_rng` (the stream the
+/// environment was built from, in the same order: each site's grid just
+/// before its first cell's) and checks the windowed environment against
+/// them every 10 m from `from_m` to `to_m`. Each cell's window is derived
+/// here from the window rule: the blocks where the reach bound admits the
+/// cell at kWindowFloorDbm, as one node span plus the next block's first
+/// node, and a site's the union of its cells'. Inside a window
+/// mean_rsrp_dbm must equal the full-grid mean bit for bit; outside it
+/// must read kOutsideWindowRsrpDbm where the full-grid mean is below
+/// kWindowFloorDbm. The kept nodes must add up to stored_grid_nodes().
+/// Returns the first mismatch, or "" when none. Finite worlds only.
+std::string full_grid_mismatch(const rs::RadioEnv& env,
+                               const rs::PropagationConfig& prop,
+                               rem::common::Rng env_rng, double from_m,
+                               double to_m) {
+  const auto& cells = env.cells();
+  double track_len_m = 0.0;
+  for (const auto& c : cells)
+    track_len_m = std::max(track_len_m, c.site_pos_m + 5000.0);
+  const auto steps = static_cast<std::size_t>(track_len_m / kOracleStep_m) + 2;
+  const std::size_t blocks = (steps - 1) / kOracleBlock + 1;
+  const double n_exp = prop.pathloss_exponent;
+  const double scale =
+      std::pow(10.0, -rs::kWindowFloorDbm / (5.0 * n_exp));
+  std::map<int, std::vector<double>> site_grid;
+  std::map<int, std::pair<std::size_t, std::size_t>> site_window;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const rs::Cell& c = cells[i];
+    const int site = c.id.base_station;
+    if (!site_grid.count(site))
+      site_grid[site] = oracle_grid(steps, prop.shadowing_sigma_db,
+                                    prop.shadowing_decorr_m, env_rng);
+    const auto cell_grid = oracle_grid(steps, prop.per_cell_shadow_sigma_db,
+                                       kOracleCellDecorr_m, env_rng);
+    const auto& sgrid = site_grid[site];
+    // The window rule.
+    const double freq_db = 20.0 * std::log10(c.carrier_hz / 2.0e9);
+    const double budget_db =
+        c.tx_power_dbm - kOracleRefLossDb - freq_db + kOracleMarginDb;
+    const auto site_max = oracle_block_max(sgrid);
+    const auto cell_max = oracle_block_max(cell_grid);
+    std::size_t first = blocks, last = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const double r2 = std::pow(
+          10.0, (budget_db + site_max[b] + cell_max[b]) / (5.0 * n_exp));
+      // Block b files the positions whose node is in it, one grid step
+      // either side.
+      const double lo = b == 0 ? -1e300
+                               : static_cast<double>(b * kOracleBlock - 1) *
+                                     kOracleStep_m;
+      const double hi =
+          b + 1 == blocks ? 1e300
+                          : static_cast<double>((b + 1) * kOracleBlock + 1) *
+                                kOracleStep_m;
+      const double gap = std::max({lo - c.site_pos_m, c.site_pos_m - hi, 0.0});
+      if (gap * gap + c.site_offset_m * c.site_offset_m <= r2 * scale) {
+        first = std::min(first, b);
+        last = b + 1;
+      }
+    }
+    const std::size_t w_lo = first * kOracleBlock;
+    const std::size_t w_hi = std::min(last * kOracleBlock + 1, steps);
+    if (w_lo < w_hi) {
+      kept += w_hi - w_lo;
+      auto [it, inserted] = site_window.try_emplace(site, w_lo, w_hi);
+      it->second = {std::min(it->second.first, w_lo),
+                    std::max(it->second.second, w_hi)};
+    }
+    // Every 10 m: bit for bit inside, below the floor outside.
+    const auto count = static_cast<long>((to_m - from_m) / 10.0);
+    for (long k = 0; k <= count; ++k) {
+      const double x = from_m + 10.0 * static_cast<double>(k);
+      const double f = std::clamp(x / kOracleStep_m, 0.0,
+                                  static_cast<double>(steps - 1));
+      const auto i0 = static_cast<std::size_t>(f);
+      const std::size_t i1 = std::min(i0 + 1, steps - 1);
+      const double frac = f - static_cast<double>(i0);
+      const double dx = x - c.site_pos_m;
+      const double d = std::max(
+          std::sqrt(dx * dx + c.site_offset_m * c.site_offset_m), 1.0);
+      double pl = kOracleRefLossDb + 10.0 * n_exp * std::log10(d) + freq_db;
+      if (env.position_in_hole(x)) pl += kOracleHoleLossDb;
+      const double full =
+          c.tx_power_dbm - pl +
+          ((sgrid[i0] * (1.0 - frac) + sgrid[i1] * frac) +
+           (cell_grid[i0] * (1.0 - frac) + cell_grid[i1] * frac));
+      const double got = env.mean_rsrp_dbm(i, x);
+      const bool inside = w_lo <= i0 && i1 < w_hi;
+      if (inside ? got == full
+                 : got == rs::kOutsideWindowRsrpDbm &&
+                       full < rs::kWindowFloorDbm)
+        continue;
+      std::ostringstream at;
+      at << "cell " << i << " x=" << x << ": full " << full << ", got "
+         << got << (inside ? " inside" : " outside") << " its window";
+      return at.str();
+    }
+  }
+  for (const auto& [site, w] : site_window) kept += w.second - w.first;
+  if (kept != env.stored_grid_nodes())
+    return "stored_grid_nodes() " + std::to_string(env.stored_grid_nodes()) +
+           " != " + std::to_string(kept) + " by the window rule";
+  return "";
+}
+
+/// The stream make_world hands the RadioEnv for a scenario and seed.
+rem::common::Rng env_stream(const rem::trace::Scenario& sc,
+                            std::uint64_t seed) {
+  rem::common::Rng rng(seed);
+  rs::make_rail_deployment(sc.deployment, rng);
+  rs::make_hole_segments(sc.deployment, rng);
+  return rng.fork();
+}
+
+/// Nodes of every site and cell grid over the whole route.
+double full_grid_nodes(const rs::RadioEnv& env) {
+  std::set<int> sites;
+  double track_len_m = 0.0;
+  for (const auto& c : env.cells()) {
+    sites.insert(c.id.base_station);
+    track_len_m = std::max(track_len_m, c.site_pos_m + 5000.0);
+  }
+  const auto steps = static_cast<std::size_t>(track_len_m / kOracleStep_m) + 2;
+  return static_cast<double>((sites.size() + env.cells().size()) * steps);
+}
+
+}  // namespace
+
+TEST(RadioEnv, WindowedGridsMatchFullGridsOnLibraryScenarioWorlds) {
+  namespace scn = rem::scenario;
+  for (const auto& name : scn::list_scenario_names(REM_SCENARIO_DIR)) {
+    SCOPED_TRACE(name);
+    const auto compiled =
+        scn::compile(scn::load_scenario(REM_SCENARIO_DIR, name));
+    const auto& sc = compiled.scenario;
+    const auto world = draw_world(sc, compiled.seed);
+    EXPECT_EQ(full_grid_mismatch(world.env, sc.propagation,
+                                 env_stream(sc, compiled.seed), -1001.0,
+                                 sc.deployment.route_len_m + 1000.0),
+              "");
+  }
+}
+
+TEST(RadioEnv, WindowedGridsMatchFullGridsOnBeijingShanghaiPresets) {
+  for (double horizon : {400.0, 1600.0}) {
+    const auto sc = rem::trace::make_scenario(
+        rem::trace::Route::kBeijingShanghai, 340.0, horizon);
+    for (std::uint64_t seed : kPresetSeeds) {
+      SCOPED_TRACE(std::to_string(horizon) + " s, world seed " +
+                   std::to_string(seed));
+      const auto& p = bs340_world(horizon, seed);
+      EXPECT_EQ(full_grid_mismatch(p.world.env, sc.propagation,
+                                   env_stream(sc, seed), -1001.0,
+                                   p.route_len_m + 1000.0),
+                "");
+    }
+  }
+}
+
+TEST(RadioEnv, StoredGridsStayFlatPerRouteKm) {
+  // Deterministic counts: the kept grid nodes per route km on the 3200 s
+  // preset (about 304 km) against the 1600 s one (about 153 km), and the
+  // 1600 s preset's kept share of the full route-length grids.
+  for (std::uint64_t seed : kPresetSeeds) {
+    SCOPED_TRACE("world seed " + std::to_string(seed));
+    const auto& mid = bs340_world(1600.0, seed);
+    const auto& longest = bs340_world(3200.0, seed);
+    const auto per_km = [](const PresetWorld& p) {
+      return static_cast<double>(p.world.env.stored_grid_nodes()) /
+             (p.route_len_m / 1000.0);
+    };
+    EXPECT_LE(per_km(longest), 1.25 * per_km(mid))
+        << "1600 s: " << per_km(mid) << " nodes/km";
+    const double share =
+        static_cast<double>(mid.world.env.stored_grid_nodes()) /
+        full_grid_nodes(mid.world.env);
+    EXPECT_LE(share, 0.35);
+  }
+}
+
+TEST(RadioEnv, RejectsFloorsBelowTheWindowFloor) {
+  const auto env = small_env();
+  std::vector<std::size_t> window;
+  const std::vector<char> mask(env.cells().size(), 0);
+  const double below = std::nextafter(rs::kWindowFloorDbm, -1e300);
+  for (double floor : {below, -140.0,
+                       -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("floor " + std::to_string(floor));
+    EXPECT_THROW(env.cells_in_reach(2000.0, floor, window),
+                 std::invalid_argument);
+    EXPECT_THROW(env.best_cell(2000.0, floor), std::invalid_argument);
+    EXPECT_THROW(env.best_cell(2000.0, floor, mask), std::invalid_argument);
+  }
+  env.cells_in_reach(2000.0, rs::kWindowFloorDbm, window);
+  EXPECT_FALSE(window.empty());
+  EXPECT_GE(env.best_cell(2000.0, rs::kWindowFloorDbm), 0);
+}
+
+TEST(RadioEnv, NanPositionReadsBelowEveryFloor) {
+  const auto env = small_env();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < env.cells().size(); ++i)
+    EXPECT_EQ(env.mean_rsrp_dbm(i, nan), rs::kOutsideWindowRsrpDbm);
+  EXPECT_EQ(env.best_cell(nan, rs::kWindowFloorDbm), -1);
+}
+
 // ---------- Simulator entry points ----------
 
 namespace {
@@ -468,6 +715,99 @@ TEST(Simulator, RejectsNonPositiveTickAtBothEntryPoints) {
   IdleManager manager;
   rs::Simulator ok(env, cfg, bler, rem::common::Rng(1));
   EXPECT_EQ(ok.run(manager).sim_time_s, 1.0);
+}
+
+namespace {
+/// run_fleet throws std::invalid_argument for `cfg` on `env`.
+void expect_fleet_rejects(const rs::RadioEnv& env, const rs::SimConfig& cfg) {
+  const rem::phy::LogisticBlerModel bler;
+  rs::Simulator fleet(env, cfg, bler, rem::common::Rng(1));
+  EXPECT_THROW(
+      fleet.run_fleet([](int) { return std::make_unique<IdleManager>(); }),
+      std::invalid_argument);
+}
+
+/// Both entry points throw std::invalid_argument for `cfg` on `env`.
+void expect_both_entry_points_reject(const rs::RadioEnv& env,
+                                     const rs::SimConfig& cfg) {
+  const rem::phy::LogisticBlerModel bler;
+  IdleManager manager;
+  rs::Simulator single(env, cfg, bler, rem::common::Rng(1));
+  EXPECT_THROW(single.run(manager), std::invalid_argument);
+  expect_fleet_rejects(env, cfg);
+}
+}  // namespace
+
+TEST(Simulator, RejectsAnEnvironmentWithoutCells) {
+  // The attach fallback once read cells()[0] of an empty deployment.
+  const rs::RadioEnv empty({}, rs::PropagationConfig{}, rem::common::Rng(1));
+  rs::SimConfig cfg;
+  cfg.duration_s = 1.0;
+  expect_both_entry_points_reject(empty, cfg);
+}
+
+TEST(Simulator, RejectsNonFiniteOrNegativeSpeeds) {
+  const auto env = small_env();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double speed :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf, -300.0}) {
+    SCOPED_TRACE("speed_kmh=" + std::to_string(speed));
+    rs::SimConfig cfg;
+    cfg.duration_s = 1.0;
+    cfg.speed_kmh = speed;
+    expect_both_entry_points_reject(env, cfg);
+  }
+}
+
+TEST(Simulator, RejectsACandidateFloorBelowTheWindowFloor) {
+  // The policy loop asks for cells down to 10 dB below the coverage floor.
+  const auto env = small_env();
+  for (double floor : {-120.5, -200.0,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("min_coverage_rsrp_dbm=" + std::to_string(floor));
+    rs::SimConfig cfg;
+    cfg.duration_s = 1.0;
+    cfg.min_coverage_rsrp_dbm = floor;
+    expect_both_entry_points_reject(env, cfg);
+  }
+  rs::SimConfig cfg;
+  cfg.duration_s = 1.0;
+  cfg.speed_kmh = 0.0;
+  cfg.min_coverage_rsrp_dbm = rs::kWindowFloorDbm + 10.0;
+  IdleManager manager;
+  const rem::phy::LogisticBlerModel bler;
+  rs::Simulator ok(env, cfg, bler, rem::common::Rng(1));
+  EXPECT_EQ(ok.run(manager).sim_time_s, 1.0);
+}
+
+TEST(Simulator, RejectsNonFiniteFleetSpeedsAndSpread) {
+  const auto env = small_env();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto fleet_cfg = [] {
+    rs::SimConfig cfg;
+    cfg.duration_s = 1.0;
+    cfg.fleet_size = 2;
+    return cfg;
+  };
+  for (auto [lo, hi] : {std::pair{nan, 300.0}, std::pair{200.0, nan},
+                        std::pair{200.0, inf}, std::pair{inf, inf}}) {
+    SCOPED_TRACE("band [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                 "]");
+    auto cfg = fleet_cfg();
+    cfg.fleet.speed_min_kmh = lo;
+    cfg.fleet.speed_max_kmh = hi;
+    expect_fleet_rejects(env, cfg);
+    auto classes = fleet_cfg();
+    classes.fleet.classes = {{"a", 1, 100.0, 200.0}, {"b", 1, lo, hi}};
+    expect_fleet_rejects(env, classes);
+  }
+  for (double spread : {nan, inf, -1.0}) {
+    SCOPED_TRACE("start_spread_m=" + std::to_string(spread));
+    auto cfg = fleet_cfg();
+    cfg.fleet.start_spread_m = spread;
+    expect_fleet_rejects(env, cfg);
+  }
 }
 
 TEST(StatsTable, MetricNamesAreUnique) {
