@@ -101,10 +101,9 @@ struct SeedRunOptions {
   /// Attach a rem::obs::SpanTracer recording into a per-run Registry,
   /// cross-check it against SimStats (throwing std::logic_error on any
   /// reconcile mismatch), and return the snapshot and the spans in
-  /// SeedRunResult. Defaults to the REM_METRICS environment knob. Only
-  /// simulated-time metrics are recorded here, so results stay
-  /// deterministic.
-  bool collect_metrics = obs::metrics_enabled();
+  /// SeedRunResult. Only simulated-time metrics are recorded here, so
+  /// results stay deterministic.
+  bool collect_metrics = false;
 };
 
 /// Simulate one seed of a fully specified scenario: the legacy manager,

@@ -4,8 +4,8 @@
 #      in the top-level *.md files must point at an existing file;
 #   2. SCENARIOS.md and scenarios/*.json name the same scenarios;
 #   3. DESIGN.md's fault-kind table and fault_kind_name() agree;
-#   4. OBSERVABILITY.md's kernel-timer table and the obs::kernel_timer()
-#      calls in src/ agree;
+#   4. every backticked `Suite.Name` test citation in the design and user
+#      docs names a TEST, TEST_F or TEST_P in tests/;
 #   5. every public header in src/obs must carry a file-top comment and a
 #      doc comment on each top-level class/struct, so the observability
 #      API cannot drift undocumented;
@@ -102,38 +102,35 @@ if [ -f DESIGN.md ]; then
   done
 fi
 
-# --- 4. OBSERVABILITY.md kernel-timer table <-> obs::kernel_timer() -------
-# Both directions, like the fault-kind lint: every timer src/ registers
-# with obs::kernel_timer("<name>") has a `` `name` `` row in the "Kernel
-# timers" table, and every dsp.*, phy.* or crossband.* *_ns row there names
-# a timer src/ registers. grep -z lets a call wrapped after the '(' match.
-if [ -f OBSERVABILITY.md ]; then
-  code_timers=$(grep -rhozE 'kernel_timer\([[:space:]]*"[a-z0-9_.]+"' src |
-    tr '\0' '\n' | sed -n 's/.*"\([a-z0-9_.]*\)"$/\1/p' | sort -u)
-  if [ -z "$code_timers" ]; then
-    echo "KERNEL TIMER LINT BROKEN: no obs::kernel_timer(\"...\") calls found in src/"
-    fail=1
-  fi
-  doc_timers=$(awk '/^### Kernel timers/ { on = 1; next } /^#/ { on = 0 } on' \
-    OBSERVABILITY.md | grep -o '^| `[a-z0-9_.]*`' | sed 's/^| `//; s/`$//' |
-    sort -u)
-  for timer in $code_timers; do
-    if ! printf '%s\n' "$doc_timers" | grep -qx "$timer"; then
-      echo "UNDOCUMENTED KERNEL TIMER: src/ registers obs::kernel_timer(\"$timer\") but OBSERVABILITY.md's Kernel timers table has no \`$timer\` row"
+# --- 4. cited test names <-> TEST/TEST_F/TEST_P in tests/ ----------------
+# A backtick span that is exactly `Suite.Name` (both parts starting with a
+# capital letter) is a test citation and must name a test defined in
+# tests/; a trailing `*` (`Suite.Prefix*`, `Suite.*`) matches by prefix.
+# grep -z lets a TEST( wrapped after the '(' or the ',' match.
+code_tests=$(grep -hozE 'TEST(_F|_P)?\([[:space:]]*[A-Za-z0-9_]+,[[:space:]]*[A-Za-z0-9_]+' \
+  tests/*.cpp | tr '\0' '\n' |
+  sed -nE 's/^TEST(_F|_P)?\([[:space:]]*([A-Za-z0-9_]+),[[:space:]]*([A-Za-z0-9_]+)$/\2.\3/p' |
+  sort -u)
+if [ -z "$code_tests" ]; then
+  echo "TEST NAME LINT BROKEN: no TEST(...) definitions parsed from tests/"
+  fail=1
+fi
+for md in DESIGN.md README.md OBSERVABILITY.md SCENARIOS.md EXPERIMENTS.md; do
+  [ -f "$md" ] || continue
+  while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! printf '%s\n' "$code_tests" | awk -v cite="$name" '
+        { want = cite; prefix = sub(/\*$/, "", want)
+          if (prefix ? index($0, want) == 1 : $0 == want) found = 1 }
+        END { exit !found }'; then
+      echo "UNKNOWN TEST: $md cites \`$name\`, which no TEST, TEST_F or TEST_P in tests/ defines"
       fail=1
     fi
-  done
-  for timer in $doc_timers; do
-    case "$timer" in
-      dsp.*_ns|phy.*_ns|crossband.*_ns)
-        if ! printf '%s\n' "$code_timers" | grep -qx "$timer"; then
-          echo "STALE KERNEL TIMER ROW: OBSERVABILITY.md documents \`$timer\` but no obs::kernel_timer() call in src/ registers it"
-          fail=1
-        fi
-        ;;
-    esac
-  done
-fi
+  done <<EOF
+$(grep -o '`[^`]*`' "$md" | tr -d '`' |
+  grep -E '^[A-Z][A-Za-z0-9_]*\.([A-Z][A-Za-z0-9_]*\*?|\*)$' | sort -u)
+EOF
+done
 
 # --- 5. doc comments on src/obs public headers -----------------------------
 for hdr in src/obs/*.hpp; do
@@ -202,4 +199,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + kernel-timer table + src/obs header docs + scenario schema keys + doc k-identifiers)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + cited test names + src/obs header docs + scenario schema keys + doc k-identifiers)"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace rem::common {
@@ -93,17 +92,6 @@ std::vector<CdfPoint> empirical_cdf(const std::vector<double>& samples,
     out.push_back({x, s.cdf_at(x)});
   }
   return out;
-}
-
-std::string format_cdf(const std::vector<CdfPoint>& cdf,
-                       const std::string& value_label,
-                       const std::string& indent) {
-  std::ostringstream os;
-  os << indent << value_label << "  CDF\n";
-  for (const auto& p : cdf) {
-    os << indent << p.value << "  " << p.fraction << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace rem::common

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace rem::common {
@@ -56,10 +55,5 @@ struct CdfPoint {
 /// values between min and max. Returns an empty vector for empty input.
 std::vector<CdfPoint> empirical_cdf(const std::vector<double>& samples,
                                     std::size_t num_points = 50);
-
-/// Render a CDF as aligned text rows ("value fraction") for bench output.
-std::string format_cdf(const std::vector<CdfPoint>& cdf,
-                       const std::string& value_label,
-                       const std::string& indent = "  ");
 
 }  // namespace rem::common

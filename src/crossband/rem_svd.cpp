@@ -3,7 +3,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/prony.hpp"
 #include "dsp/svd.hpp"
-#include "obs/profile.hpp"
 #include "phy/otfs.hpp"
 
 #include <cmath>
@@ -44,9 +43,6 @@ cd common_ratio(const std::vector<cd>& spectrum, bool conjugate_dft) {
 }  // namespace
 
 CrossbandOutput RemSvdEstimator::estimate(const CrossbandInput& in) {
-  static obs::Histogram* const timer_hist =
-      obs::kernel_timer("crossband.rem_svd_estimate_ns");
-  obs::ScopedTimer timer(timer_hist);
   const std::size_t m = in.h1_dd.rows();
   const std::size_t n = in.h1_dd.cols();
   const double df = in.num.subcarrier_spacing_hz;

@@ -1,7 +1,5 @@
 #include "dsp/svd.hpp"
 
-#include "obs/profile.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -74,8 +72,6 @@ Matrix SvdResult::reconstruct() const {
 
 SvdResult svd(const Matrix& a_in, std::size_t rank_limit,
               double truncate_below) {
-  static obs::Histogram* const timer_hist = obs::kernel_timer("dsp.svd_ns");
-  obs::ScopedTimer timer(timer_hist);
   // Work on the tall orientation; transpose back at the end if needed.
   const bool transposed = a_in.rows() < a_in.cols();
   Matrix a = transposed ? a_in.adjoint() : a_in;

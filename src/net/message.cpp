@@ -49,20 +49,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-std::string msg_type_name(MsgType t) {
-  switch (t) {
-    case MsgType::kHandoverRequest: return "handover_request";
-    case MsgType::kHandoverAck: return "handover_ack";
-    case MsgType::kHandoverReject: return "handover_reject";
-    case MsgType::kContextFetch: return "context_fetch";
-    case MsgType::kContextResponse: return "context_response";
-    case MsgType::kHandoverRejectBusy: return "handover_reject_busy";
-    case MsgType::kContextStale: return "context_stale";
-  }
-  throw std::invalid_argument("msg_type_name: invalid MsgType value " +
-                              std::to_string(static_cast<int>(t)));
-}
-
 std::vector<std::uint8_t> encode_message(const BackhaulMessage& m) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameSize);

@@ -34,10 +34,6 @@ enum class MsgType : std::uint8_t {
 
 constexpr std::size_t kNumMsgTypes = 7;
 
-/// Stable identifier used in logs/JSON. Throws std::invalid_argument on a
-/// value outside the enum instead of returning a placeholder.
-std::string msg_type_name(MsgType t);
-
 /// One backhaul message. `seq` identifies the transaction: replies echo
 /// the request's sequence number so the sender can match answers to
 /// outstanding requests and discard stale or duplicated ones

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string_view>
@@ -179,7 +178,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
 }
 
 Counter* Registry::counter(const std::string& name) {
-  if (!enabled_) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -187,7 +185,6 @@ Counter* Registry::counter(const std::string& name) {
 }
 
 Gauge* Registry::gauge(const std::string& name) {
-  if (!enabled_) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -196,7 +193,6 @@ Gauge* Registry::gauge(const std::string& name) {
 
 Histogram* Registry::histogram(const std::string& name,
                                std::vector<double> edges) {
-  if (!enabled_) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -224,28 +220,6 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, h] : histograms_)
     snap.histograms.push_back({name, h->edges(), h->counts(), h->sum()});
   return snap;  // std::map iteration order keeps everything name-sorted
-}
-
-Registry& global_registry() {
-  static Registry registry(metrics_enabled());
-  return registry;
-}
-
-bool metrics_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("REM_METRICS");
-    return env != nullptr && std::string_view(env) == "1";
-  }();
-  return enabled;
-}
-
-const std::vector<double>& kernel_time_buckets_ns() {
-  // ~1-2.5-5 decade ladder from 1 us to 100 ms: SFFT on a 12x14 signaling
-  // subgrid sits near the bottom, a 1200x560 offline SVD near the top.
-  static const std::vector<double> edges = {
-      1e3,   2.5e3, 5e3,   1e4,   2.5e4, 5e4,   1e5,   2.5e5,
-      5e5,   1e6,   2.5e6, 5e6,   1e7,   2.5e7, 5e7,   1e8};
-  return edges;
 }
 
 const std::vector<double>& handover_latency_buckets_s() {

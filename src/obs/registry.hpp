@@ -6,21 +6,13 @@
 // split: *registration* (name lookup) takes a mutex and may allocate,
 // while *recording* (Counter::add, Gauge::set, Histogram::record) is a
 // handful of relaxed atomic operations with no locks and no allocation.
-// Call sites therefore register once (e.g. through a function-local
-// static) and record through the returned stable pointer.
+// Hot call sites therefore register once and record through the returned
+// stable pointer.
 //
-// Determinism: values recorded from simulated time (event timestamps,
-// tick counts) are bit-identical run to run; values recorded from wall
-// clocks (obs/profile.hpp timers) are not, and are kept in separate
-// metrics so deterministic merges stay meaningful. Per-seed registries
-// merged in seed order (bench::merge_seed_results) produce snapshots that
-// are independent of worker-thread count.
-//
-// A disabled Registry (enabled = false) registers nothing: every getter
-// returns nullptr without allocating, so gated call sites cost one branch.
-// The process-wide global_registry() used by the DSP/crossband kernel
-// timers is enabled by the REM_METRICS environment variable (see
-// metrics_enabled()).
+// Determinism: every value recorded here comes from simulated time (event
+// timestamps, tick counts), so it is bit-identical run to run. Per-seed
+// registries merged in seed order (bench::merge_seed_results) produce
+// snapshots that are independent of worker-thread count.
 #pragma once
 
 #include <atomic>
@@ -150,23 +142,16 @@ struct MetricsSnapshot {
 
 /// Named-instrument registry. All getters are idempotent: the first call
 /// with a name registers the instrument, later calls return the same
-/// pointer, which stays valid for the registry's lifetime.
+/// pointer, which is never null and stays valid for the registry's
+/// lifetime.
 ///
-/// Thread-safety: getters serialize on an internal mutex; the returned
-/// instruments record lock-free. snapshot() may run concurrently with
-/// recording and sees each instrument's atomics individually.
+/// Thread-safety: getters serialize on an internal mutex (which also makes
+/// a Registry non-copyable); the returned instruments record lock-free.
+/// snapshot() may run concurrently with recording and sees each
+/// instrument's atomics individually.
 class Registry {
  public:
-  /// A disabled registry (enabled = false) never allocates: every getter
-  /// returns nullptr and snapshot() is empty.
-  explicit Registry(bool enabled = true) : enabled_(enabled) {}
-
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  bool enabled() const { return enabled_; }
-
-  /// Get-or-register. Returns nullptr iff the registry is disabled.
+  /// Get-or-register.
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
   /// Throws std::invalid_argument when `name` was already registered with
@@ -176,26 +161,14 @@ class Registry {
   MetricsSnapshot snapshot() const;
 
  private:
-  const bool enabled_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Process-wide registry used by the kernel profiling timers
-/// (obs/profile.hpp). Enabled iff metrics_enabled().
-Registry& global_registry();
-
-/// The REM_METRICS environment knob, read once at first use: "1" enables
-/// the global registry (and makes bench::SeedRunOptions collect metrics by
-/// default); unset/"0" disables. Changing the variable after first use has
-/// no effect.
-bool metrics_enabled();
-
 /// Canonical bucket layouts (documented in OBSERVABILITY.md). Stable
 /// across runs and threads so per-thread histograms always merge.
-const std::vector<double>& kernel_time_buckets_ns();
 const std::vector<double>& handover_latency_buckets_s();
 const std::vector<double>& outage_duration_buckets_s();
 const std::vector<double>& out_of_sync_buckets_s();

@@ -1,6 +1,5 @@
 #include "phy/bler_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace rem::phy {
@@ -22,75 +21,9 @@ LogisticBlerModel::LogisticBlerModel() {
   curves_[1][1] = {1.5, 1.0, 0.0};    // OTFS, high Doppler
 }
 
-void LogisticBlerModel::set_curve(Waveform w, DopplerRegime d,
-                                  LogisticCurve c) {
-  curves_[static_cast<int>(w)][static_cast<int>(d)] = c;
-}
-
 double LogisticBlerModel::bler(Waveform w, DopplerRegime d,
                                double snr_db) const {
   return curves_[static_cast<int>(w)][static_cast<int>(d)].eval(snr_db);
-}
-
-void TableBlerModel::set_points(Waveform w, DopplerRegime d,
-                                std::vector<BlerPoint> pts) {
-  std::sort(pts.begin(), pts.end(),
-            [](const BlerPoint& a, const BlerPoint& b) {
-              return a.snr_db < b.snr_db;
-            });
-  tables_[{static_cast<int>(w), static_cast<int>(d)}] = std::move(pts);
-}
-
-double TableBlerModel::bler(Waveform w, DopplerRegime d,
-                            double snr_db) const {
-  const auto it = tables_.find({static_cast<int>(w), static_cast<int>(d)});
-  if (it == tables_.end() || it->second.empty()) return 1.0;
-  const auto& pts = it->second;
-  if (snr_db <= pts.front().snr_db) return pts.front().bler;
-  if (snr_db >= pts.back().snr_db) return pts.back().bler;
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    if (snr_db <= pts[i].snr_db) {
-      const double t = (snr_db - pts[i - 1].snr_db) /
-                       (pts[i].snr_db - pts[i - 1].snr_db);
-      return pts[i - 1].bler * (1.0 - t) + pts[i].bler * t;
-    }
-  }
-  return pts.back().bler;
-}
-
-TableBlerModel calibrate_bler_model(const Numerology& num, Modulation mod,
-                                    const std::vector<double>& snrs_db,
-                                    std::size_t blocks_per_point,
-                                    common::Rng& rng) {
-  TableBlerModel model;
-  struct Case {
-    Waveform w;
-    DopplerRegime d;
-    channel::Profile profile;
-    double speed_kmh;
-  };
-  const Case cases[] = {
-      {Waveform::kOFDM, DopplerRegime::kLow, channel::Profile::kEVA, 60.0},
-      {Waveform::kOFDM, DopplerRegime::kHigh, channel::Profile::kHST350,
-       350.0},
-      {Waveform::kOTFS, DopplerRegime::kLow, channel::Profile::kEVA, 60.0},
-      {Waveform::kOTFS, DopplerRegime::kHigh, channel::Profile::kHST350,
-       350.0},
-  };
-  for (const auto& c : cases) {
-    LinkConfig cfg;
-    cfg.num = num;
-    cfg.waveform = c.w;
-    cfg.mod = mod;
-    channel::ChannelDrawConfig draw;
-    draw.profile = c.profile;
-    draw.speed_mps = c.speed_kmh / 3.6;
-    draw.carrier_hz = 2.0e9;
-    model.set_points(c.w, c.d,
-                     LinkSimulator(cfg).bler_curve(draw, snrs_db,
-                                                   blocks_per_point, rng));
-  }
-  return model;
 }
 
 }  // namespace rem::phy

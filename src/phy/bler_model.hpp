@@ -1,17 +1,11 @@
 // Link abstraction: maps (waveform, Doppler regime, SNR) to a block error
 // probability so the network-level simulator does not run the full coded
-// link per signaling message. Two implementations:
-//  * LogisticBlerModel — parametric curves with defaults calibrated against
-//    this repo's LinkSimulator (bench_fig10 regenerates the raw curves);
-//  * TableBlerModel    — interpolates measured (snr, bler) points, e.g.
-//    produced online by LinkSimulator::bler_curve.
+// link per signaling message. LogisticBlerModel is the implementation:
+// parametric curves with defaults calibrated against this repo's
+// LinkSimulator (bench_fig10 regenerates the raw curves).
 #pragma once
 
 #include "phy/link.hpp"
-
-#include <map>
-#include <memory>
-#include <vector>
 
 namespace rem::phy {
 
@@ -43,30 +37,10 @@ class LogisticBlerModel final : public BlerModel {
   /// time-frequency diversity.
   LogisticBlerModel();
 
-  void set_curve(Waveform w, DopplerRegime d, LogisticCurve c);
   double bler(Waveform w, DopplerRegime d, double snr_db) const override;
 
  private:
   LogisticCurve curves_[2][2];
 };
-
-class TableBlerModel final : public BlerModel {
- public:
-  /// Register a measured curve (points sorted by SNR internally).
-  void set_points(Waveform w, DopplerRegime d, std::vector<BlerPoint> pts);
-  /// Linear interpolation in SNR; clamped at the ends. Missing curves
-  /// return 1.0 (conservative).
-  double bler(Waveform w, DopplerRegime d, double snr_db) const override;
-
- private:
-  std::map<std::pair<int, int>, std::vector<BlerPoint>> tables_;
-};
-
-/// Calibrate a TableBlerModel by running the link simulator on the given
-/// profiles (convenience used by tests/benches).
-TableBlerModel calibrate_bler_model(const Numerology& num, Modulation mod,
-                                    const std::vector<double>& snrs_db,
-                                    std::size_t blocks_per_point,
-                                    common::Rng& rng);
 
 }  // namespace rem::phy

@@ -1,7 +1,6 @@
 #include "phy/otfs.hpp"
 
 #include "dsp/fft_plan.hpp"
-#include "obs/profile.hpp"
 
 #include <cmath>
 
@@ -48,8 +47,6 @@ void dft_cols(dsp::Matrix& m, bool invert) {
 //   = forward DFT along delay (k -> m), inverse DFT along Doppler (l -> n),
 // here in the unitary convention.
 dsp::Matrix sfft(const dsp::Matrix& dd_grid) {
-  static obs::Histogram* const timer_hist = obs::kernel_timer("phy.sfft_ns");
-  obs::ScopedTimer timer(timer_hist);
   dsp::Matrix tf = dd_grid;   // rows: k -> m, cols: l -> n
   dft_cols(tf, false);        // delay axis (rows index) forward DFT
   dft_rows(tf, true);         // Doppler axis inverse DFT
@@ -57,8 +54,6 @@ dsp::Matrix sfft(const dsp::Matrix& dd_grid) {
 }
 
 dsp::Matrix isfft(const dsp::Matrix& tf_grid) {
-  static obs::Histogram* const timer_hist = obs::kernel_timer("phy.isfft_ns");
-  obs::ScopedTimer timer(timer_hist);
   dsp::Matrix dd = tf_grid;
   dft_rows(dd, false);
   dft_cols(dd, true);

@@ -46,16 +46,6 @@ AxisSpec axis_spec(Modulation m) {
 
 }  // namespace
 
-std::string modulation_name(Modulation m) {
-  switch (m) {
-    case Modulation::kBPSK: return "BPSK";
-    case Modulation::kQPSK: return "QPSK";
-    case Modulation::kQAM16: return "16QAM";
-    case Modulation::kQAM64: return "64QAM";
-  }
-  return "?";
-}
-
 std::size_t bits_per_symbol(Modulation m) {
   switch (m) {
     case Modulation::kBPSK: return 1;

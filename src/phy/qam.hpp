@@ -3,7 +3,6 @@
 
 #include <complex>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rem::phy {
@@ -11,8 +10,6 @@ namespace rem::phy {
 using cd = std::complex<double>;
 
 enum class Modulation { kBPSK, kQPSK, kQAM16, kQAM64 };
-
-std::string modulation_name(Modulation m);
 
 /// Bits per symbol for a modulation.
 std::size_t bits_per_symbol(Modulation m);

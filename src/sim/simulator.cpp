@@ -1350,7 +1350,6 @@ class FleetEngine {
         if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
         o.dd_snr_db += u.rng->gaussian(0.0, r.pilot_sigma);
         o.estimate_age_s = t - u.pilot_fresh_t;
-        o.pilot_faulted = true;
       } else {
         u.last_dd[i] = o.dd_snr_db + atten_db;
       }

@@ -40,7 +40,6 @@ struct Observation {
   /// are fresh; grows during a pilot outage, when `dd_snr_db` is the last
   /// good value plus corruption. Managers use it to detect staleness.
   double estimate_age_s = 0.0;
-  bool pilot_faulted = false; ///< a pilot-outage fault is active this tick
   /// Last load advertisement heard from this cell over the backhaul
   /// (utilization in [0, 1]); -1 while unknown or older than
   /// SimConfig::load_ad_staleness_s. Managers may tie-break toward
@@ -251,9 +250,6 @@ struct SimStats {
     return denom > 0 ? static_cast<double>(failures) / denom : 0.0;
   }
   double failure_ratio_excluding_holes() const;
-  double loop_frequency_s() const {
-    return loop_episodes > 0 ? sim_time_s / loop_episodes : 0.0;
-  }
 };
 
 /// Result of a fleet run: one SimStats per UE (indexed by UE id) plus the

@@ -1,5 +1,8 @@
 #include "trace/eventlog.hpp"
 
+#include "common/flat_json.hpp"
+
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -7,6 +10,8 @@
 
 namespace rem::trace {
 namespace {
+
+namespace fj = common::flat_json;
 
 /// The CSV parse map, built from sim::event_kind_name so the names live in
 /// one place.
@@ -22,29 +27,14 @@ const std::map<std::string, sim::EventKind>& kind_by_name() {
   return m;
 }
 
-/// Parse one numeric field, turning the bare std::sto* exceptions into an
-/// error that names the field and quotes the offending text.
-double parse_double(const std::string& field, const char* name) {
+/// Parse one numeric field under the flat-JSON number rule, turning its
+/// std::invalid_argument into an error that names the field and quotes
+/// the offending text.
+template <typename Parse>
+auto parse_field(const std::string& field, const char* name, Parse parse) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(field, &used);
-    if (used != field.size())
-      throw std::runtime_error("trailing garbage");
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("bad ") + name + " '" + field +
-                             "'");
-  }
-}
-
-int parse_int(const std::string& field, const char* name) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(field, &used);
-    if (used != field.size())
-      throw std::runtime_error("trailing garbage");
-    return v;
-  } catch (const std::exception&) {
+    return parse(field);
+  } catch (const std::invalid_argument&) {
     throw std::runtime_error(std::string("bad ") + name + " '" + field +
                              "'");
   }
@@ -55,9 +45,9 @@ int parse_int(const std::string& field, const char* name) {
 void write_event_csv(const sim::EventLog& log, std::ostream& os) {
   os << "t_s,kind,serving_cell,target_cell,serving_snr_db\n";
   for (const auto& e : log) {
-    os << e.t_s << ',' << sim::event_kind_name(e.kind) << ','
-       << e.serving_cell << ',' << e.target_cell << ',' << e.serving_snr_db
-       << '\n';
+    os << fj::format_double(e.t_s) << ',' << sim::event_kind_name(e.kind)
+       << ',' << e.serving_cell << ',' << e.target_cell << ','
+       << fj::format_double(e.serving_snr_db) << '\n';
   }
 }
 
@@ -91,14 +81,17 @@ sim::EventLog read_event_csv(std::istream& is) {
         throw std::runtime_error("expected 5 fields, got " +
                                  std::to_string(fields.size()) + " in '" +
                                  line + "'");
-      e.t_s = parse_double(fields[0], "t_s");
+      e.t_s = parse_field(fields[0], "t_s", fj::parse_double);
+      if (!std::isfinite(e.t_s))
+        throw std::runtime_error("bad t_s '" + fields[0] + "'");
       const auto it = kind_by_name().find(fields[1]);
       if (it == kind_by_name().end())
         throw std::runtime_error("unknown kind '" + fields[1] + "'");
       e.kind = it->second;
-      e.serving_cell = parse_int(fields[2], "serving_cell");
-      e.target_cell = parse_int(fields[3], "target_cell");
-      e.serving_snr_db = parse_double(fields[4], "serving_snr_db");
+      e.serving_cell = parse_field(fields[2], "serving_cell", fj::parse_int);
+      e.target_cell = parse_field(fields[3], "target_cell", fj::parse_int);
+      e.serving_snr_db =
+          parse_field(fields[4], "serving_snr_db", fj::parse_double);
     } catch (const std::exception& ex) {
       throw std::runtime_error("event CSV line " +
                                std::to_string(line_no) + ": " + ex.what());
@@ -106,12 +99,6 @@ sim::EventLog read_event_csv(std::istream& is) {
     log.push_back(e);
   }
   return log;
-}
-
-sim::EventLog read_event_csv_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return read_event_csv(f);
 }
 
 LogSummary summarize_event_log(const sim::EventLog& log) {

@@ -10,15 +10,19 @@
 
 namespace rem::trace {
 
-/// Serialize an event log as CSV (with a header row).
+/// Serialize an event log as CSV (with a header row). Doubles are written
+/// with common::flat_json::format_double, so every column round-trips
+/// through read_event_csv bit for bit.
 void write_event_csv(const sim::EventLog& log, std::ostream& os);
 void write_event_csv_file(const sim::EventLog& log,
                           const std::string& path);
 
-/// Parse an event log written by write_event_csv. Throws
-/// std::runtime_error on malformed input.
+/// Parse an event log written by write_event_csv. Numbers follow the
+/// flat-JSON number rule (common/flat_json.hpp: no leading whitespace,
+/// '+' or hex); `t_s` must also be finite. Throws std::runtime_error
+/// "event CSV line N: ..." naming the field and quoting its text on
+/// malformed input.
 sim::EventLog read_event_csv(std::istream& is);
-sim::EventLog read_event_csv_file(const std::string& path);
 
 /// Summary statistics straight from a log (handover interval, failure
 /// counts) — the first-pass analysis the paper runs over its captures.

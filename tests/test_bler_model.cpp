@@ -1,4 +1,3 @@
-#include "common/rng.hpp"
 #include "phy/bler_model.hpp"
 
 #include <gtest/gtest.h>
@@ -40,61 +39,4 @@ TEST(LogisticBlerModel, DefaultOrderingMatchesFig10) {
   // Low Doppler: both decent, within a couple dB.
   EXPECT_LT(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kLow, 15.0),
             0.05);
-}
-
-TEST(LogisticBlerModel, SetCurveOverrides) {
-  rp::LogisticBlerModel m;
-  m.set_curve(rp::Waveform::kOFDM, rp::DopplerRegime::kLow,
-              {0.0, 100.0, 0.0});
-  EXPECT_LT(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kLow, 1.0),
-            1e-6);
-  EXPECT_GT(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kLow, -1.0),
-            1.0 - 1e-6);
-}
-
-TEST(TableBlerModel, InterpolatesAndClamps) {
-  rp::TableBlerModel m;
-  m.set_points(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh,
-               {{0.0, 0.8, 100}, {10.0, 0.2, 100}, {20.0, 0.05, 100}});
-  EXPECT_NEAR(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh, 5.0),
-              0.5, 1e-9);
-  EXPECT_NEAR(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh, 15.0),
-              0.125, 1e-9);
-  // Clamped at the ends.
-  EXPECT_NEAR(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh, -10.0),
-              0.8, 1e-9);
-  EXPECT_NEAR(m.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh, 50.0),
-              0.05, 1e-9);
-}
-
-TEST(TableBlerModel, MissingCurveIsConservative) {
-  rp::TableBlerModel m;
-  EXPECT_DOUBLE_EQ(
-      m.bler(rp::Waveform::kOTFS, rp::DopplerRegime::kLow, 20.0), 1.0);
-}
-
-TEST(TableBlerModel, UnsortedPointsAccepted) {
-  rp::TableBlerModel m;
-  m.set_points(rp::Waveform::kOTFS, rp::DopplerRegime::kLow,
-               {{10.0, 0.1, 10}, {0.0, 0.9, 10}});
-  EXPECT_NEAR(m.bler(rp::Waveform::kOTFS, rp::DopplerRegime::kLow, 5.0),
-              0.5, 1e-9);
-}
-
-TEST(CalibrateBlerModel, SmokeTestMatchesLinkSim) {
-  // A tiny calibration run: the resulting table must show the OTFS > OFDM
-  // ordering at high Doppler and be monotone-ish in SNR.
-  rem::common::Rng rng(3);
-  const auto model = rp::calibrate_bler_model(
-      rp::Numerology::lte(12, 14), rp::Modulation::kQPSK,
-      {-5.0, 5.0, 15.0}, 25, rng);
-  const double ofdm_mid =
-      model.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh, 5.0);
-  const double otfs_mid =
-      model.bler(rp::Waveform::kOTFS, rp::DopplerRegime::kHigh, 5.0);
-  EXPECT_LE(otfs_mid, ofdm_mid + 0.1);
-  EXPECT_GT(model.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh,
-                       -5.0),
-            model.bler(rp::Waveform::kOFDM, rp::DopplerRegime::kHigh,
-                       15.0));
 }

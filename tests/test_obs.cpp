@@ -1,7 +1,7 @@
 // Unit tests for the rem::obs metrics registry: instrument semantics,
 // histogram bucket edges, snapshot merge algebra, the flat-JSON codec's
 // round trip and reject-with-context behavior, deterministic multi-thread
-// merges, and the disabled registry's zero-allocation guarantee.
+// merges, and the allocation-free recording path.
 #include "obs/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -22,9 +22,9 @@ using rem::obs::Histogram;
 using rem::obs::MetricsSnapshot;
 using rem::obs::Registry;
 
-// Global allocation counter for the zero-allocation smoke test. Counting
-// every operator new in the process is coarse but exactly what we want:
-// any allocation between two probes is visible.
+// Global allocation counter for the allocation-free recording test.
+// Counting every operator new in the process is coarse but exactly what we
+// want: any allocation between two probes is visible.
 std::atomic<std::uint64_t> g_allocs{0};
 
 }  // namespace
@@ -287,40 +287,37 @@ TEST(Registry, MultiThreadRecordingMergesDeterministically) {
   EXPECT_EQ(one, run_with_threads(8));
 }
 
-TEST(Registry, DisabledModeReturnsNullAndNeverAllocates) {
-  Registry off(false);
-  EXPECT_FALSE(off.enabled());
-  // Short (SSO) names so the std::string temporaries below do not
-  // themselves allocate; the guarantee under test is the registry's.
+TEST(Registry, RecordingAfterRegistrationNeverAllocates) {
+  // registry.hpp's hot/cold split: registration may allocate, recording
+  // through the returned pointers must not.
+  Registry r;
+  auto* c = r.counter("c");
+  auto* g = r.gauge("g");
+  auto* h = r.histogram("h", rem::obs::handover_latency_buckets_s());
+  ASSERT_NE(c, nullptr);
+  ASSERT_NE(g, nullptr);
+  ASSERT_NE(h, nullptr);
+  constexpr int kCalls = 10000;
   const std::uint64_t before = g_allocs.load();
-  auto* c = off.counter("c");
-  auto* g = off.gauge("g");
-  auto* h = off.histogram("h", {});  // edges not validated when disabled
-  const auto snap = off.snapshot();
+  for (int i = 0; i < kCalls; ++i) {
+    c->add();
+    g->set(0.001 * i);
+    h->record(0.001 * i);
+  }
   const std::uint64_t after = g_allocs.load();
-  EXPECT_EQ(c, nullptr);
-  EXPECT_EQ(g, nullptr);
-  EXPECT_EQ(h, nullptr);
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(before, after) << "disabled registry allocated";
-}
-
-TEST(Registry, MetricsEnabledMatchesEnvAtFirstUse) {
-  // metrics_enabled() latches on first call; by the time tests run it has
-  // a fixed value consistent with REM_METRICS. The global registry's
-  // enabled state must agree with it.
-  const char* env = std::getenv("REM_METRICS");
-  const bool expect = env != nullptr && std::string(env) == "1";
-  EXPECT_EQ(rem::obs::metrics_enabled(), expect);
-  EXPECT_EQ(rem::obs::global_registry().enabled(), expect);
+  EXPECT_EQ(before, after) << "recording allocated";
+  EXPECT_EQ(c->value(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(g->value(), 0.001 * (kCalls - 1));
+  EXPECT_EQ(h->count(), static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(Buckets, CanonicalLayoutsAreValid) {
   for (const auto* edges :
-       {&rem::obs::kernel_time_buckets_ns(),
-        &rem::obs::handover_latency_buckets_s(),
+       {&rem::obs::handover_latency_buckets_s(),
         &rem::obs::outage_duration_buckets_s(),
-        &rem::obs::out_of_sync_buckets_s()}) {
+        &rem::obs::out_of_sync_buckets_s(),
+        &rem::obs::backhaul_rtt_buckets_s(),
+        &rem::obs::bs_queue_wait_buckets_s()}) {
     ASSERT_FALSE(edges->empty());
     for (std::size_t i = 1; i < edges->size(); ++i)
       EXPECT_LT((*edges)[i - 1], (*edges)[i]);

@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 namespace rt = rem::trace;
 namespace rs = rem::sim;
@@ -197,6 +202,43 @@ TEST(EventLog, RejectionNamesLineAndContext) {
   }
 }
 
+TEST(EventLog, RejectsSpellingsOutsideTheNumberRule) {
+  // std::stod/std::stoi accept all five; the flat-JSON number rule does
+  // not, and a time must be finite.
+  const std::pair<const char*, const char*> cases[] = {
+      {"nan,report_lost,4,2,3", "bad t_s 'nan'"},
+      {"inf,report_lost,4,2,3", "bad t_s 'inf'"},
+      {"1.0,report_lost,4,2,0x10", "bad serving_snr_db '0x10'"},
+      {" 1.5,report_lost,4,2,3", "bad t_s ' 1.5'"},
+      {"1.0,report_lost,+2,2,3", "bad serving_cell '+2'"},
+  };
+  for (const auto& [row, why] : cases) {
+    std::stringstream is("t_s,kind,serving_cell,target_cell,serving_snr_db\n"
+                         "0.5,handover_complete,1,2,3\n" +
+                         std::string(row) + "\n");
+    try {
+      rt::read_event_csv(is);
+      ADD_FAILURE() << "accepted '" << row << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("event CSV line 3: ") + why);
+    }
+  }
+  // The payload takes everything format_double writes, non-finite too.
+  const double inf = std::numeric_limits<double>::infinity();
+  const rs::EventLog odd = {
+      {1.0, rs::EventKind::kReportLost, 4, 2,
+       std::numeric_limits<double>::quiet_NaN()},
+      {2.0, rs::EventKind::kReportLost, 4, 2, -inf},
+      {3.0, rs::EventKind::kReportLost, 4, 2, inf}};
+  std::stringstream ss;
+  rt::write_event_csv(odd, ss);
+  const auto back = rt::read_event_csv(ss);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_TRUE(std::isnan(back[0].serving_snr_db));
+  EXPECT_EQ(back[1].serving_snr_db, -inf);
+  EXPECT_EQ(back[2].serving_snr_db, inf);
+}
+
 TEST(EventLog, FuzzedInputNeverCrashesAndAlwaysNamesContext) {
   // Deterministic fuzz over structured corruptions of a valid file:
   // truncated lines, embedded delimiters, out-of-range enum/int/double
@@ -301,10 +343,33 @@ TEST(EventLog, SimulatorRecordsConsistentLog) {
   // Timestamps are non-decreasing.
   for (std::size_t i = 1; i < stats.events.size(); ++i)
     EXPECT_GE(stats.events[i].t_s, stats.events[i - 1].t_s);
-  // CSV round trip of a real log.
+  // CSV round trip of a real log: every column comes back bit for bit, so
+  // the summary does too.
   std::stringstream ss;
   rt::write_event_csv(stats.events, ss);
-  EXPECT_EQ(rt::read_event_csv(ss).size(), stats.events.size());
+  const auto back = rt::read_event_csv(ss);
+  ASSERT_EQ(back.size(), stats.events.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    const auto& e = stats.events[i];
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(bits(back[i].t_s), bits(e.t_s));
+    EXPECT_EQ(back[i].kind, e.kind);
+    EXPECT_EQ(back[i].serving_cell, e.serving_cell);
+    EXPECT_EQ(back[i].target_cell, e.target_cell);
+    EXPECT_EQ(bits(back[i].serving_snr_db), bits(e.serving_snr_db));
+  }
+  const auto fields = [&](const rt::LogSummary& s) {
+    return std::tuple(s.handovers, s.failures, s.report_losses,
+                      s.command_losses, s.report_retransmits,
+                      s.t304_expiries, s.duplicate_commands, s.fault_windows,
+                      s.degraded_episodes, s.prep_retries, s.prep_rejects,
+                      s.prep_fallbacks, s.prep_failures,
+                      s.context_fetch_failures,
+                      bits(s.mean_handover_interval_s));
+  };
+  EXPECT_GE(summary.handovers, 2u);
+  EXPECT_EQ(fields(rt::summarize_event_log(back)), fields(summary));
 }
 
 // ---------- Movement estimation ----------
