@@ -150,7 +150,12 @@ int main(int argc, char** argv) {
     std::printf("  %-22s %d\n", sim::failure_cause_name(cause).c_str(), n);
 
   if (!opt.events_path.empty()) {
-    trace::write_event_csv_file(stats.events, opt.events_path);
+    try {
+      trace::write_event_csv_file(stats.events, opt.events_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "rem_sim_cli: %s\n", e.what());
+      return 1;
+    }
     std::printf("  wrote %zu events to %s\n", stats.events.size(),
                 opt.events_path.c_str());
   }

@@ -4,7 +4,8 @@
 # argument, the one it must reject. ctest runs it once per bench tool with
 # a bogus flag, and on rem_sim_cli with a bad value, under a short timeout,
 # so a tool that takes the argument for an output path or a number and
-# starts its run fails the test.
+# starts its run fails the test. It also runs rem_sim_cli with an events
+# path it cannot write (/dev/full), which must fail naming that path.
 #
 #   scripts/check_usage_error.sh <binary> <args...>
 set -u

@@ -102,15 +102,18 @@ auto read_file(const std::string& who, const std::string& path, Read&& read)
   }
 }
 
-/// Open `path` for writing, call `write(stream)`, then check the stream:
-/// std::runtime_error "<who>: cannot open <path>" or "<who>: write failed
-/// for <path>".
+/// Open `path` for writing, call `write(stream)`, then close the file and
+/// check the stream: std::runtime_error "<who>: cannot open <path>" or
+/// "<who>: write failed for <path>". The check follows the close, which
+/// flushes the last buffered block, so a full disk fails it even when the
+/// whole output fits in the stream's buffer.
 template <typename Write>
 void write_file(const std::string& who, const std::string& path,
                 Write&& write) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error(who + ": cannot open " + path);
   write(os);
+  os.close();
   if (!os) throw std::runtime_error(who + ": write failed for " + path);
 }
 

@@ -28,16 +28,24 @@ constexpr double kPrimaryBandwidthHz = 20e6;
 /// `block_steps`-step block into `block_max`; a block also takes the next
 /// block's first node, which interpolation reads from the block's last
 /// step.
+///
+/// The grid's steps + 1 normals (the first node's, then one innovation per
+/// step, the last unused) are drawn in one batch into the grid itself and
+/// the recursion overwrites them in place: node i is written only after
+/// normal i + 1 is read. `z * sigma + 0.0` is gaussian(0.0, sigma)'s value,
+/// so the grid is the one per-call draws give.
 void ar1_grid(std::size_t steps, double sigma, double decorr, double step_m,
               std::size_t block_steps, common::Rng& rng,
               std::vector<double>& grid, std::vector<double>& block_max) {
   const double rho = std::exp(-step_m / decorr);
   const double innov = sigma * std::sqrt(1.0 - rho * rho);
-  grid.resize(steps);
+  grid.resize(steps + 1);
+  rng.normals(grid);
   block_max.clear();
-  double x = rng.gaussian(0.0, sigma);
+  double x = grid[0] * sigma + 0.0;
   double m = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0, next = block_steps; i < steps; ++i) {
+    const double z = grid[i + 1];
     grid[i] = x;
     m = std::max(m, x);
     if (i == next) {  // last node of this block, first of the next
@@ -45,8 +53,9 @@ void ar1_grid(std::size_t steps, double sigma, double decorr, double step_m,
       m = x;
       next += block_steps;
     }
-    x = rho * x + rng.gaussian(0.0, innov);
+    x = rho * x + (z * innov + 0.0);
   }
+  grid.pop_back();
   block_max.push_back(m);
   // std::max passes over a NaN, but the recursion carries one to the last
   // node; a NaN maximum there switches the reach bound off.

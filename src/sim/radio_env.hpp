@@ -101,11 +101,21 @@ class RadioEnv {
   /// instant_rsrp_dbm / dd_snr_db for a cell whose mean RSRP is already
   /// known: one Gaussian draw each, the same doubles as the full calls.
   double instant_rsrp_from_mean(double mean_dbm, common::Rng& rng) const {
-    return mean_dbm + rng.gaussian(0.0, cfg_.fading_sigma_db);
+    return instant_rsrp_from_normal(mean_dbm, rng.gaussian());
   }
   double dd_snr_from_mean(double mean_dbm, common::Rng& rng) const {
-    return snr_db_from_rsrp(mean_dbm +
-                            rng.gaussian(0.0, cfg_.dd_residual_sigma_db));
+    return dd_snr_from_normal(mean_dbm, rng.gaussian());
+  }
+
+  /// The same two metrics from a standard normal `z` drawn by the caller
+  /// (one of common::Rng::normals' values): equal to the `_from_mean` call
+  /// that would have drawn it. `z * sigma + 0.0` is the value
+  /// gaussian(0.0, sigma) returns for that draw.
+  double instant_rsrp_from_normal(double mean_dbm, double z) const {
+    return mean_dbm + (z * cfg_.fading_sigma_db + 0.0);
+  }
+  double dd_snr_from_normal(double mean_dbm, double z) const {
+    return snr_db_from_rsrp(mean_dbm + (z * cfg_.dd_residual_sigma_db + 0.0));
   }
 
   /// SNR corresponding to a given RSRP on this cell.

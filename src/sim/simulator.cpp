@@ -183,10 +183,13 @@ struct UeContext {
   /// SimConfig::breaker_trip_k == 0. Source-side state, so per-UE.
   std::vector<core::CircuitBreaker> breakers;
   /// Policy-evaluation scratch, refilled every evaluation so a tick
-  /// allocates nothing: the cells in reach of the candidate floor and the
-  /// observations handed to the manager.
+  /// allocates nothing: the cells in reach of the candidate floor, the
+  /// observations handed to the manager, each candidate's mean RSRP, and
+  /// the candidates' standard normals.
   std::vector<std::size_t> reach;
   std::vector<Observation> obs;
+  std::vector<double> cand_mean;
+  std::vector<double> cand_normals;
 
   bool in_phase(Phase p) const { return attempt && attempt->phase == p; }
 };
@@ -1334,21 +1337,36 @@ class FleetEngine {
     // nothing, so the draws match a scan over every cell.
     const double floor_dbm = cfg_.min_coverage_rsrp_dbm - kCandidateMarginDb;
     env_.cells_in_reach(u.pos, floor_dbm, u.reach);
+    // Pass 1: the candidates and their means, drawing nothing.
     u.obs.clear();
+    u.cand_mean.clear();
     for (const std::size_t i : u.reach) {
       if (i == r.sv.cell_idx) continue;
       const double mean = env_.mean_rsrp_dbm(i, u.pos, r.in_hole);
       if (mean < floor_dbm) continue;
-      Observation o;
-      o.cell_idx = i;
+      u.obs.emplace_back().cell_idx = i;
+      u.cand_mean.push_back(mean);
+    }
+    // Pass 2: every candidate's normals in one batch, in the order the
+    // per-candidate draws took them: fading, delay-Doppler, then the
+    // pilot corruption while pilots are out.
+    const std::size_t draws = r.pilot_out ? 3 : 2;
+    u.cand_normals.resize(draws * u.obs.size());
+    u.rng->normals(u.cand_normals);
+    // Pass 3: the observations.
+    for (std::size_t k = 0; k < u.obs.size(); ++k) {
+      Observation& o = u.obs[k];
+      const std::size_t i = o.cell_idx;
+      const double mean = u.cand_mean[k];
+      const double* z = &u.cand_normals[draws * k];
       o.id = env_.cells()[i].id;
       const double atten_db = blackout_db_ + crash_db(i);
-      o.rsrp_dbm = env_.instant_rsrp_from_mean(mean, *u.rng) - atten_db;
+      o.rsrp_dbm = env_.instant_rsrp_from_normal(mean, z[0]) - atten_db;
       o.snr_db = env_.snr_db_from_rsrp(o.rsrp_dbm);
-      o.dd_snr_db = env_.dd_snr_from_mean(mean, *u.rng) - atten_db;
+      o.dd_snr_db = env_.dd_snr_from_normal(mean, z[1]) - atten_db;
       if (r.pilot_out) {
         if (!std::isnan(u.last_dd[i])) o.dd_snr_db = u.last_dd[i] - atten_db;
-        o.dd_snr_db += u.rng->gaussian(0.0, r.pilot_sigma);
+        o.dd_snr_db += z[2] * r.pilot_sigma + 0.0;  // gaussian(0, sigma)
         o.estimate_age_s = t - u.pilot_fresh_t;
       } else {
         u.last_dd[i] = o.dd_snr_db + atten_db;
@@ -1366,7 +1384,6 @@ class FleetEngine {
         o.breaker_open = true;
         ++u.stats.breaker_skips;
       }
-      u.obs.push_back(o);
     }
     const auto decision = u.manager->update(t, r.sv, u.obs);
     if (!decision) return;

@@ -3,7 +3,6 @@
 #include "common/flat_json.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -53,9 +52,9 @@ void write_event_csv(const sim::EventLog& log, std::ostream& os) {
 
 void write_event_csv_file(const sim::EventLog& log,
                           const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path + " for writing");
-  write_event_csv(log, f);
+  common::flat_json::write_file(
+      "write_event_csv_file", path,
+      [&](std::ostream& os) { write_event_csv(log, os); });
 }
 
 sim::EventLog read_event_csv(std::istream& is) {

@@ -251,8 +251,9 @@ TEST(CrashRestartEdges, MagnitudeSelectsTheFixedVictimCell) {
   EXPECT_EQ(r.legacy.bs_crashes, 1);
   for (const auto& e : r.legacy.events) {
     if (e.kind == rs::EventKind::kBsCrash ||
-        e.kind == rs::EventKind::kBsRestart)
+        e.kind == rs::EventKind::kBsRestart) {
       EXPECT_EQ(e.target_cell, 3);
+    }
   }
   EXPECT_EQ(count_events(r.legacy, rs::EventKind::kBsRestart), 1);
 }

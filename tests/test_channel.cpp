@@ -69,7 +69,9 @@ TEST(Multipath, IntegerDelayIsCircularShift) {
   const CVec rx = ch.apply_to_signal(tx, fs);
   EXPECT_NEAR(std::abs(rx[3] - cd(1, 0)), 0.0, 1e-9);
   for (std::size_t i = 0; i < rx.size(); ++i) {
-    if (i != 3) EXPECT_NEAR(std::abs(rx[i]), 0.0, 1e-9);
+    if (i != 3) {
+      EXPECT_NEAR(std::abs(rx[i]), 0.0, 1e-9);
+    }
   }
 }
 
@@ -104,9 +106,10 @@ TEST(Multipath, DdMatrixPeaksAtPathLocation) {
   double peak = std::abs(h(3, 2));
   for (std::size_t k = 0; k < m; ++k)
     for (std::size_t l = 0; l < n; ++l)
-      if (!(k == 3 && l == 2))
+      if (!(k == 3 && l == 2)) {
         EXPECT_LT(std::abs(h(k, l)), peak * 1e-6)
             << "leakage at (" << k << "," << l << ")";
+      }
   // Eq. 5 normalization: on-grid path of unit gain gives |h| = 1.
   EXPECT_NEAR(peak, 1.0, 1e-9);
 }

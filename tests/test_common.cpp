@@ -280,6 +280,74 @@ TEST(RngOracle, ZeroSigmaGaussianReturnsTheMeanAfterTheSameDraws) {
   });
 }
 
+TEST(RngOracle, NormalsEqualNormalDistribution) {
+  // Batches of 257 span chunk and twist boundaries at every offset; each
+  // value scaled as `z * sigma + mean` is std::normal_distribution's.
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {3.5, 0.25}, {-120.0, 8.0}, {1e6, 1e-6}};
+  std::vector<double> z(257);
+  for_each_oracle_seed(50, [&](rc::Rng& rng, std::mt19937_64& ref) {
+    rng.normals(z);
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      const auto& [mean, sigma] = params[i % std::size(params)];
+      ASSERT_EQ(bits(z[i] * sigma + mean),
+                bits(std::normal_distribution<double>(mean, sigma)(ref)))
+          << "value " << i;
+    }
+  });
+}
+
+TEST(Rng, EngineFillEqualsSingleCalls) {
+  constexpr std::uint64_t kUnwritten = 0x5eed5eed5eed5eedULL;
+  // Skipping 0 starts from a fresh state, 312 at a block's end, and the
+  // others mid-block.
+  for (const std::uint64_t seed : kOracleSeeds) {
+    for (const std::size_t skip : {0, 1, 5, 156, 311, 312}) {
+      for (const std::size_t n : {0, 1, 2, 311, 312, 313, 1000}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " skip " +
+                     std::to_string(skip) + " n " + std::to_string(n));
+        rc::Mt19937_64 batched(seed), single(seed);
+        for (std::size_t i = 0; i < skip; ++i) {
+          batched();
+          single();
+        }
+        std::vector<std::uint64_t> got(n + 1, kUnwritten);
+        batched.fill(got.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(got[i], single()) << "word " << i;
+        EXPECT_EQ(got[n], kUnwritten);
+        EXPECT_EQ(batched(), single());
+      }
+    }
+  }
+}
+
+TEST(Rng, NormalsEqualSuccessiveGaussians) {
+  // An odd number of prior canonical() draws leaves the stream off pair
+  // alignment; the next canonical() shows both streams end in one place.
+  std::vector<double> z;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    for (const int prior : {0, 1, 3}) {
+      for (const std::size_t n :
+           {0, 1, 2, 3, 255, 256, 257, 313, 100'000}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " prior " +
+                     std::to_string(prior) + " n " + std::to_string(n));
+        rc::Rng batched(seed), single(seed);
+        for (int i = 0; i < prior; ++i) {
+          batched.canonical();
+          single.canonical();
+        }
+        z.assign(n, 0.0);
+        batched.normals(z);
+        std::size_t mismatches = 0;
+        for (const double v : z) mismatches += bits(v) != bits(single.gaussian());
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(bits(batched.canonical()), bits(single.canonical()));
+      }
+    }
+  }
+}
+
 TEST(Summary, BasicStats) {
   rc::Summary s;
   s.add_all({1, 2, 3, 4, 5});

@@ -154,8 +154,9 @@ TEST_P(PlanStrided, MatchesGatherTransformScatter) {
           << "n=" << n << " stride=" << stride << " invert=" << invert;
     // Elements off the stride must be untouched.
     for (std::size_t i = 0; i < buf.size(); ++i)
-      if (i % stride != 0)
+      if (i % stride != 0) {
         EXPECT_EQ(strided[i], orig[i]) << "clobbered off-stride element";
+      }
   }
 }
 

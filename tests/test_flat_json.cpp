@@ -307,6 +307,20 @@ TEST(FlatJsonFormats, FileWrappersNameTheCallerAndThePath) {
   std::remove(bad.c_str());
 }
 
+TEST(FlatJsonFormats, FileWritersFailOnAFullDevice) {
+  // /dev/full opens but fails every write. The files here fit in the
+  // stream's buffer, so only the check after the final flush sees it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_EQ(runtime_error_of([&] {
+              rem::obs::write_metrics_json_file({}, "/dev/full");
+            }),
+            "write_metrics_json_file: write failed for /dev/full");
+  EXPECT_EQ(runtime_error_of([&] {
+              rem::testkit::write_digest_json_file({}, "/dev/full");
+            }),
+            "write_digest_json_file: write failed for /dev/full");
+}
+
 TEST(FlatJsonFormats, TabsAndCarriageReturnsRoundTrip) {
   rem::scenario::ScenarioSpec spec;
   spec.name = "t";

@@ -1,8 +1,10 @@
 // Unit tests for the rem::obs metrics registry: instrument semantics,
 // histogram bucket edges, snapshot merge algebra, the flat-JSON codec's
 // round trip and reject-with-context behavior, deterministic multi-thread
-// merges, and the allocation-free recording path.
+// merges, and the allocation-free recording paths of the registry and of
+// the span tracer.
 #include "obs/registry.hpp"
+#include "obs/tracer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -41,10 +43,17 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: GCC 12 inlines a replaced operator delete into
+// gtest's `new TestClass` cleanup path and then reports its free() as
+// mismatched with the operator new it pairs with (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -309,6 +318,42 @@ TEST(Registry, RecordingAfterRegistrationNeverAllocates) {
   EXPECT_EQ(c->value(), static_cast<std::uint64_t>(kCalls));
   EXPECT_EQ(g->value(), 0.001 * (kCalls - 1));
   EXPECT_EQ(h->count(), static_cast<std::uint64_t>(kCalls));
+}
+
+TEST(SpanTracer, RecordingAfterTheFirstSampleNeverAllocates) {
+  // Each span histogram is registered on its first sample; later samples
+  // (prep RTT, BS queue wait, out-of-sync episodes) record through the
+  // cached pointer without building a name or copying the buckets.
+  Registry r;
+  rem::obs::SpanTracer tracer(&r);
+  rem::sim::SignalingEvent ack{.kind = rem::sim::EventKind::kPrepAck,
+                               .serving_snr_db = 0.004};
+  rem::sim::SignalingEvent job{.kind = rem::sim::EventKind::kBsJobDone,
+                               .serving_snr_db = 0.002};
+  rem::sim::TickView tick;
+  const auto step = [&](int i) {
+    ack.t_s = job.t_s = tick.t_s = 0.01 * i;
+    tracer.on_event(ack);
+    tracer.on_event(job);
+    tick.t310_running = i % 2 == 0;  // an episode opens and closes
+    tracer.on_tick(tick);
+  };
+  step(0);
+  step(1);
+  constexpr int kCalls = 10000;
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 2; i < 2 + kCalls; ++i) step(i);
+  const std::uint64_t after = g_allocs.load();
+  EXPECT_EQ(before, after) << "recording allocated";
+  const MetricsSnapshot snap = r.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 3u);
+  for (const auto* name :
+       {"sim.backhaul.prep_rtt_s", "sim.bs.queue_wait_s", "sim.out_of_sync_s"})
+    ASSERT_NE(snap.find_histogram(name), nullptr) << name;
+  EXPECT_EQ(snap.find_histogram("sim.backhaul.prep_rtt_s")->total_count(),
+            static_cast<std::uint64_t>(kCalls + 2));
+  EXPECT_EQ(snap.find_histogram("sim.out_of_sync_s")->total_count(),
+            static_cast<std::uint64_t>((kCalls + 2) / 2));
 }
 
 TEST(Buckets, CanonicalLayoutsAreValid) {

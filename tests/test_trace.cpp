@@ -12,8 +12,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace rt = rem::trace;
@@ -103,6 +106,19 @@ TEST(EventLog, CsvRoundTrip) {
     EXPECT_EQ(back[i].serving_cell, log[i].serving_cell);
     EXPECT_EQ(back[i].target_cell, log[i].target_cell);
     EXPECT_NEAR(back[i].serving_snr_db, log[i].serving_snr_db, 1e-9);
+  }
+}
+
+TEST(EventLog, FileWriteThatFailsThrowsNamingThePath) {
+  // /dev/full opens but fails every write; the failure shows only when
+  // the buffered CSV is flushed, after write_event_csv has returned.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    rt::write_event_csv_file(sample_log(), "/dev/full");
+    FAIL() << "writing to /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "write_event_csv_file: write failed for /dev/full");
   }
 }
 
