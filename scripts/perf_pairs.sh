@@ -22,6 +22,12 @@
 # stdout as it lands. Exits non-zero if any run reports "correct": false
 # or fails to produce a result. Build trees live in a temporary directory
 # under ${TMPDIR:-/tmp}, removed on exit.
+#
+# Last, it prints one tab-separated row per workload and end-to-end metric
+# in PERF_TRAJECTORY.tsv's columns: head and base sha, workload, metric,
+# head/base median ratio, head wins/pairs, seeds whose fingerprints agree
+# over pairs, and the source (this script, its seeds and run length). A
+# perf change appends its claim run's rows to that file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -124,9 +130,9 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "${spec}" "${results}" "${base_sha}" "${head_sha}" <<'EOF' || status=1
+python3 - "${spec}" "${results}" "${base_sha}" "${head_sha}" "${seconds}" <<'EOF' || status=1
 import json, statistics, sys
-spec_path, results_path, base_sha, head_sha = sys.argv[1:]
+spec_path, results_path, base_sha, head_sha, seconds = sys.argv[1:]
 spec = json.load(open(spec_path))
 runs = [json.loads(l) for l in open(results_path) if l.strip()]
 
@@ -138,6 +144,7 @@ def quartiles(v):
 
 print(f"\nbase {base_sha}\nhead {head_sha}")
 bad = [r for r in runs if not r["correct"]]
+rows = []
 for workload in dict.fromkeys(r["workload"] for r in runs):
     by = {(r["side"], r["seed"]): r for r in runs if r["workload"] == workload}
     seeds = sorted({s for _, s in by})
@@ -160,6 +167,13 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
         print(f"  {name:<16} {fmt(bq):>30} {fmt(hq):>30} "
               f"{hq[1] / bq[1]:>7.3f} {wins:>3}/{len(paired)}")
+        rows.append([head_sha[:12], base_sha[:12], workload, name,
+                     f"{hq[1] / bq[1]:.3f}", f"{wins}/{len(paired)}",
+                     f"{same}/{len(paired)}",
+                     f"perf_pairs, seeds {paired[0]}-{paired[-1]}, {seconds} s"])
+print("\ntrajectory rows (PERF_TRAJECTORY.tsv):")
+for row in rows:
+    print("\t".join(row))
 for r in bad:
     print(f"NOT CORRECT: {r['side']} {r['workload']} seed {r['seed']}")
 sys.exit(1 if bad else 0)

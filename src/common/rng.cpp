@@ -1,6 +1,9 @@
 #include "common/rng.hpp"
 
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace rem::common {
 namespace {
@@ -68,7 +71,12 @@ void Mt19937_64::fill(result_type* out, std::size_t n) {
   }
 }
 
-void Rng::normals(std::span<double> z) {
+void Rng::normals_partial(std::span<double> z, std::size_t period,
+                          std::uint32_t phases) {
+  if (period < 1 || period > 32)
+    throw std::invalid_argument("Rng::normals_partial: period " +
+                                std::to_string(period) +
+                                " is outside [1, 32]");
   // Each chunk of up to kChunk outputs runs rounds of (outputs missing)
   // polar trials: a round's words come in one fill(), each trial writes
   // its (y, r2) to slot j and advances j only if accepted, so a round
@@ -78,6 +86,7 @@ void Rng::normals(std::span<double> z) {
   // before they are read, so they are left uninitialised: zeroing them
   // would cost about as much as a tick's candidate normals.
   constexpr std::size_t kChunk = 256;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   std::array<std::uint64_t, 2 * kChunk> words;
   std::array<double, kChunk> r2;
   for (std::size_t base = 0; base < z.size(); base += kChunk) {
@@ -93,7 +102,15 @@ void Rng::normals(std::span<double> z) {
         j += p.accepted;
       }
     }
-    for (std::size_t i = 0; i < count; ++i) y[i] = polar_normal(y[i], r2[i]);
+    // One phase at a time; the chunk's slot 0 is slot `base` of z.
+    for (std::size_t ph = 0; ph < period; ++ph) {
+      std::size_t i = (ph + period - base % period) % period;
+      if ((phases >> ph) & 1u) {
+        for (; i < count; i += period) y[i] = polar_normal(y[i], r2[i]);
+      } else {
+        for (; i < count; i += period) y[i] = kNaN;
+      }
+    }
   }
 }
 

@@ -24,6 +24,9 @@
 // normal costs about 25 ns against about 40 ns per `gaussian()` call (GCC
 // 12, -O2, x86-64 Xeon). A caller whose later draws depend on an earlier
 // value, or that draws one or two at a time, gains nothing from batching.
+// A caller that must draw variates it will not read, to keep the stream
+// where later draws expect it, takes them from `Rng::normals_partial`:
+// every trial is drawn, and only the slots read are transformed.
 #pragma once
 
 #include <algorithm>
@@ -126,7 +129,17 @@ class Rng {
   /// `* stddev + mean` (so `z[i] * stddev + mean` is the i-th call's
   /// gaussian(mean, stddev)), leaving the stream where those calls would.
   /// Uses only fixed stack buffers.
-  void normals(std::span<double> z);
+  void normals(std::span<double> z) { normals_partial(z, 1, 1); }
+
+  /// normals(z) with the polar transform (a log, a square root and a
+  /// division) run only on the slots a caller reads: slot i holds its
+  /// normal when bit `i % period` of `phases` is set and NaN otherwise.
+  /// Every trial is still drawn, so the stream ends where normals(z)
+  /// leaves it. For z laid out as `period` variates per item, `phases`
+  /// names the variates read. Throws std::invalid_argument unless
+  /// 1 <= period <= 32.
+  void normals_partial(std::span<double> z, std::size_t period,
+                       std::uint32_t phases);
 
   /// Circularly-symmetric complex Gaussian with total variance
   /// `variance` (i.e. E[|x|^2] = variance).

@@ -2,6 +2,8 @@
 
 #include "core/load_tie_break.hpp"
 
+#include <algorithm>
+
 namespace rem::core {
 
 namespace rm = rem::mobility;
@@ -63,37 +65,33 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     }
   }
 
-  // Track what this stage can see (for missed-cell classification) and
-  // build the measurement task list that sets the feedback delay. The
-  // monitored set is bounded: only the strongest cells get measured.
-  visible_.clear();
-  std::vector<std::pair<double, const sim::Observation*>> candidates;
-  const auto stage_rules = policy.rules_in_stage(stage_);
+  // Track what this stage can see (for missed-cell classification). The
+  // monitored set is bounded: only the strongest cells get measured, and
+  // they make the measurement task list behind a decision's feedback
+  // delay.
+  candidates_.clear();
+  auto stage_rules = policy.rules_in_stage(stage_);
   for (const auto& o : neighbors) {
     // A breaker-open target is hidden from monitoring entirely until the
     // breaker admits traffic again (never true unless breakers are on).
     if (o.breaker_open) continue;
-    for (const auto* rule : stage_rules) {
-      if (rule->event.type == rm::EventType::kA1 ||
-          rule->event.type == rm::EventType::kA2)
+    for (const auto& rule : stage_rules) {
+      if (rule.event.type == rm::EventType::kA1 ||
+          rule.event.type == rm::EventType::kA2)
         continue;  // serving-only
-      if (!rule_matches(*rule, serving.id, o.id)) continue;
-      candidates.push_back({-o.rsrp_dbm, &o});
+      if (!rule_matches(rule, serving.id, o.id)) continue;
+      candidates_.push_back({-o.rsrp_dbm, &o});
       break;
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  if (candidates.size() > kMaxMonitoredCells)
-    candidates.resize(kMaxMonitoredCells);
-  std::vector<rm::MeasureTask> tasks;
-  for (const auto& [neg, o] : candidates) {
-    visible_.insert(o->cell_idx);
-    tasks.push_back({o->id, o->id.channel == serving.id.channel});
-  }
+  std::sort(candidates_.begin(), candidates_.end());
+  if (candidates_.size() > kMaxMonitoredCells)
+    candidates_.resize(kMaxMonitoredCells);
+  visible_.clear();
+  for (const auto& c : candidates_) visible_.push_back(c.second->cell_idx);
 
   std::optional<sim::HandoverDecision> decision;
-  // Handover rules that fired this tick, for the load-aware tie-break.
-  std::vector<LoadCandidate> fired;
+  fired_.clear();
   for (std::size_t r = 0; r < policy.rules.size(); ++r) {
     const auto& rule = policy.rules[r];
     if (rule.stage != stage_) continue;
@@ -109,11 +107,10 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     const auto eval_one = [&](int neighbor_cell, double neighbor_metric,
                               std::size_t target_idx, double adv_load) {
       const auto key = std::make_pair(static_cast<int>(r), neighbor_cell);
-      auto [it, inserted] =
-          monitors_.try_emplace(key, rm::EventMonitor(rule.event));
-      if (!it->second.update(t, serving.rsrp_dbm, neighbor_metric)) return;
+      auto& monitor = monitors_.try_emplace(key, rule.event).first->second;
+      if (!monitor.update(t, serving.rsrp_dbm, neighbor_metric)) return;
       if (rule.action == rm::PolicyAction::kHandover)
-        fired.push_back({neighbor_metric, target_idx, adv_load});
+        fired_.push_back({neighbor_metric, target_idx, adv_load});
       if (rule.action == rm::PolicyAction::kReconfigure) {
         if (rule.next_stage != stage_ && pending_stage_ < 0) {
           // Feedback + reconfiguration command round trip before the new
@@ -132,10 +129,14 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
           decision->fallback_idx = static_cast<int>(target_idx);
         return;
       }
+      tasks_.clear();
+      for (const auto& c : candidates_)
+        tasks_.push_back(
+            {c.second->id, c.second->id.channel == serving.id.channel});
       sim::HandoverDecision d;
       d.target_idx = target_idx;
       d.feedback_delay_s = rm::legacy_feedback_delay_s(
-          tasks, cfg_.measurement, reconfigurations_);
+          tasks_, cfg_.measurement, reconfigurations_);
       decision = d;
     };
 
@@ -144,7 +145,9 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
       continue;
     }
     for (const auto& o : neighbors) {
-      if (visible_.count(o.cell_idx) == 0) continue;  // not monitored
+      if (std::find(visible_.begin(), visible_.end(), o.cell_idx) ==
+          visible_.end())
+        continue;  // not monitored
       if (!rule_matches(rule, serving.id, o.id)) continue;
       eval_one(o.id.cell, o.rsrp_dbm, o.cell_idx, o.advertised_load);
     }
@@ -153,7 +156,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
   if (decision) {
     // Load-aware tie-breaking among this tick's fired handover candidates,
     // banded around the first-firing (chosen) target's RSRP.
-    load_aware_tie_break(fired, fired.front().metric, kLoadTieBandDb,
+    load_aware_tie_break(fired_, fired_.front().metric, kLoadTieBandDb,
                          *decision);
     last_decision_t_ = t;
     // A decision re-arms the triggers so a lost report can re-fire after

@@ -4,13 +4,6 @@
 
 namespace rem::mobility {
 
-std::vector<const PolicyRule*> CellPolicy::rules_in_stage(int stage) const {
-  std::vector<const PolicyRule*> out;
-  for (const auto& r : rules)
-    if (r.stage == stage) out.push_back(&r);
-  return out;
-}
-
 int CellPolicy::num_stages() const {
   int max_stage = 0;
   for (const auto& r : rules) {

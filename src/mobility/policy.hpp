@@ -7,6 +7,7 @@
 #include "mobility/events.hpp"
 
 #include <optional>
+#include <ranges>
 #include <vector>
 
 namespace rem::mobility {
@@ -39,8 +40,13 @@ struct CellPolicy {
   std::vector<PolicyRule> rules;
   int initial_stage = 0;
 
-  /// All rules active in a stage.
-  std::vector<const PolicyRule*> rules_in_stage(int stage) const;
+  /// All rules active in a stage, in rule order: a view over `rules`, so
+  /// a per-tick caller allocates nothing.
+  auto rules_in_stage(int stage) const {
+    return rules | std::views::filter([stage](const PolicyRule& r) {
+             return r.stage == stage;
+           });
+  }
   /// Number of distinct stages.
   int num_stages() const;
   /// The A3 offset this policy applies against cells of `channel`

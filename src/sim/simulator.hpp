@@ -28,7 +28,12 @@
 
 namespace rem::sim {
 
-/// What the manager sees about one candidate cell this tick.
+/// What the manager sees about one candidate cell this tick. The three
+/// radio metrics come in two groups, the instantaneous one (`rsrp_dbm`
+/// and `snr_db`) and the delay-Doppler one (`dd_snr_db`). The simulator
+/// computes only the groups the manager declares it reads
+/// (MobilityManager::candidate_metrics) and sets the others to NaN; every
+/// field outside those groups is always set.
 struct Observation {
   std::size_t cell_idx = 0;
   mobility::CellId id;
@@ -72,6 +77,13 @@ struct HandoverDecision {
   int fallback_idx = -1;
 };
 
+/// Which candidate metric groups a manager's update() reads (the
+/// Observation NaN rule). Both by default.
+struct CandidateMetrics {
+  bool instant = true;        ///< Observation::rsrp_dbm and snr_db
+  bool delay_doppler = true;  ///< Observation::dd_snr_db
+};
+
 /// The pluggable mobility management design under test.
 class MobilityManager {
  public:
@@ -84,6 +96,17 @@ class MobilityManager {
   virtual std::optional<HandoverDecision> update(
       double t, const ServingState& serving,
       const std::vector<Observation>& neighbors) = 0;
+  /// The candidate metrics the next update() reads, while pilots are out
+  /// (the only time Observation::estimate_age_s is non-zero) or fresh.
+  /// The simulator still draws every candidate's variates, so the
+  /// declaration changes no value a manager reads; it only skips
+  /// computing the rest. A manager that reads a delay-Doppler SNR (a
+  /// candidate's or the serving cell's) while pilots are out must declare
+  /// `delay_doppler` while they are fresh too: an outage holds each
+  /// cell's last fresh value, which a candidate keeps only when computed.
+  virtual CandidateMetrics candidate_metrics(bool /*pilots_out*/) const {
+    return {};
+  }
   /// Cells the manager is currently able to measure/estimate (classifies
   /// "missed cell" failures). Indices into RadioEnv::cells().
   virtual std::set<std::size_t> visible_cells() const = 0;

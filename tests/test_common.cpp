@@ -348,6 +348,52 @@ TEST(Rng, NormalsEqualSuccessiveGaussians) {
   }
 }
 
+TEST(Rng, PartialNormalsEqualNormalsOnTransformedSlots) {
+  // Every phase set of periods 1 to 3, from a pair-aligned and an
+  // unaligned stream: a slot in the set holds normals(z)'s value, every
+  // other slot is NaN, and both streams end in one place.
+  std::vector<double> full, part;
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    for (const int prior : {0, 1}) {
+      for (const std::size_t n : {0, 1, 2, 255, 256, 257, 100'000}) {
+        for (std::size_t period = 1; period <= 3; ++period) {
+          for (std::uint32_t phases = 0; phases < (1u << period); ++phases) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " prior " +
+                         std::to_string(prior) + " n " + std::to_string(n) +
+                         " period " + std::to_string(period) + " phases " +
+                         std::to_string(phases));
+            rc::Rng a(seed), b(seed);
+            for (int i = 0; i < prior; ++i) {
+              a.canonical();
+              b.canonical();
+            }
+            full.assign(n, 0.0);
+            part.assign(n, 0.0);
+            a.normals(full);
+            b.normals_partial(part, period, phases);
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+              const bool read = (phases >> (i % period)) & 1u;
+              mismatches += read ? bits(part[i]) != bits(full[i])
+                                 : !std::isnan(part[i]);
+            }
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(bits(a.canonical()), bits(b.canonical()));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, PartialNormalsRejectPeriodsOutsideOneToThirtyTwo) {
+  rc::Rng rng(1);
+  std::vector<double> z(4);
+  EXPECT_THROW(rng.normals_partial(z, 0, 1), std::invalid_argument);
+  EXPECT_THROW(rng.normals_partial(z, 33, 1), std::invalid_argument);
+  EXPECT_NO_THROW(rng.normals_partial(z, 32, 1));
+}
+
 TEST(Summary, BasicStats) {
   rc::Summary s;
   s.add_all({1, 2, 3, 4, 5});

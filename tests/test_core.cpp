@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rc = rem::core;
 namespace rs = rem::sim;
 namespace rm = rem::mobility;
@@ -125,6 +127,17 @@ TEST(RemManager, SeesAllChannelsImmediately) {
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->target_idx, 1u);  // best candidate, despite the channel
   EXPECT_EQ(mgr.visible_cells().size(), 2u);
+}
+
+TEST(RemManager, RejectsNegativeCellAndSiteIds) {
+  // Per-cell and per-site state lives in tables indexed by id.
+  rc::RemManager mgr(rc::RemConfig{}, rem::common::Rng(1));
+  mgr.on_serving_changed(0.0, 0);
+  const auto sv = serving_at(-100.0);
+  const std::vector<rs::Observation> bad_cell = {neighbor(1, -1, 1, 10, -90)};
+  const std::vector<rs::Observation> bad_site = {neighbor(1, 1, -1, 10, -90)};
+  EXPECT_THROW(mgr.update(0.0, sv, bad_cell), std::invalid_argument);
+  EXPECT_THROW(mgr.update(0.0, sv, bad_site), std::invalid_argument);
 }
 
 TEST(RemManager, RespectsA3OffsetAndTtt) {

@@ -10,7 +10,9 @@
 //    and 8 worker threads;
 //  - per-UE stats fold into the fleet aggregate under the documented
 //    rules, and fleet_invariant_report stays clean on real runs;
-//  - a 100-UE fleet completes under one InvariantChecker per UE.
+//  - a 100-UE fleet completes under one InvariantChecker per UE;
+//  - the managers' candidate-metric declarations change no output: each
+//    fleet equals the one whose managers declare every metric read.
 #include "fleet_runner.hpp"
 
 #include "common/thread_pool.hpp"
@@ -20,6 +22,9 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,3 +205,95 @@ TEST(Fleet, HundredUeFleetCompletesUnderChecker) {
 }
 
 }  // namespace
+
+/// Forwards every call to `inner` except candidate_metrics, which keeps
+/// the base class's "every metric" default.
+class ReadsEveryMetric final : public rem::sim::MobilityManager {
+ public:
+  explicit ReadsEveryMetric(std::unique_ptr<rem::sim::MobilityManager> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  rem::phy::Waveform waveform() const override { return inner_->waveform(); }
+  std::optional<rem::sim::HandoverDecision> update(
+      double t, const rem::sim::ServingState& serving,
+      const std::vector<rem::sim::Observation>& neighbors) override {
+    return inner_->update(t, serving, neighbors);
+  }
+  std::set<std::size_t> visible_cells() const override {
+    return inner_->visible_cells();
+  }
+  void on_serving_changed(double t, std::size_t new_idx) override {
+    inner_->on_serving_changed(t, new_idx);
+  }
+  bool degraded_mode() const override { return inner_->degraded_mode(); }
+  bool client_driven() const override { return inner_->client_driven(); }
+
+ private:
+  std::unique_ptr<rem::sim::MobilityManager> inner_;
+};
+
+/// A fleet over make_world's world in the fleet runner's fork order, its
+/// managers wrapped in ReadsEveryMetric when `every_metric`.
+rem::sim::FleetResult run_declared_fleet(const rem::trace::Scenario& sc,
+                                         std::uint64_t seed, bool use_rem,
+                                         bool every_metric) {
+  rem::common::Rng rng(seed);
+  const auto world = rem::trace::make_world(sc, rng);
+  rem::common::Rng mgr_rng = rng.fork();
+  rem::common::Rng sim_rng = rng.fork();
+  rem::phy::LogisticBlerModel bler;
+  rem::sim::Simulator s(world.env, sc.sim, bler, std::move(sim_rng));
+  return s.run_fleet([&](int) -> std::unique_ptr<rem::sim::MobilityManager> {
+    std::unique_ptr<rem::sim::MobilityManager> m;
+    if (use_rem)
+      m = std::make_unique<rem::core::RemManager>(rem::core::RemConfig{},
+                                                  mgr_rng.fork());
+    else
+      m = std::make_unique<rem::core::LegacyManager>(world.legacy);
+    if (every_metric) m = std::make_unique<ReadsEveryMetric>(std::move(m));
+    return m;
+  });
+}
+
+TEST(Fleet, MetricDeclarationsChangeNoOutput) {
+  // The declarations under test skip work: REM skips the instantaneous
+  // metric while pilots are fresh, legacy the delay-Doppler one.
+  const rem::core::RemManager rem_mgr(rem::core::RemConfig{},
+                                      rem::common::Rng(1));
+  EXPECT_FALSE(rem_mgr.candidate_metrics(false).instant);
+  EXPECT_TRUE(rem_mgr.candidate_metrics(true).instant);
+  EXPECT_FALSE(rem::core::LegacyManager(rem::core::LegacyConfig{})
+                   .candidate_metrics(false)
+                   .delay_doppler);
+
+  auto fault_free = golden_scenario(rem::trace::Route::kBeijingTaiyuan,
+                                    300.0, 40.0, "none");
+  // A pilot outage long enough to push REM into degraded mode, where it
+  // reads the instantaneous metric.
+  auto pilot_outage = fault_free;
+  pilot_outage.sim.faults.windows = {
+      {rem::sim::FaultKind::kPilotOutage, 10.0, 4.0, 4.0}};
+  for (auto* sc : {&fault_free, &pilot_outage}) {
+    const bool outage = sc == &pilot_outage;
+    SCOPED_TRACE(outage ? "pilot outage" : "fault-free");
+    sc->sim.fleet_size = 4;
+    rem::testkit::FleetGoldenCase meta;
+    meta.name = "metric_declarations";
+    meta.fleet_size = sc->sim.fleet_size;
+    std::string digests[2];
+    for (const bool every_metric : {false, true}) {
+      const auto legacy = run_declared_fleet(*sc, 61, false, every_metric);
+      const auto rem = run_declared_fleet(*sc, 61, true, every_metric);
+      EXPECT_GT(legacy.aggregate.handovers, 0);
+      EXPECT_GT(rem.aggregate.handovers, 0);
+      if (outage) {
+        EXPECT_GT(rem.aggregate.degraded_enters, 0);
+      }
+      std::ostringstream os;
+      rem::testkit::write_digest_json(
+          rem::testkit::make_fleet_digest(meta, legacy, rem), os);
+      digests[every_metric] = os.str();
+    }
+    EXPECT_EQ(digests[0], digests[1]);
+  }
+}

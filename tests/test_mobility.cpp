@@ -102,8 +102,8 @@ TEST(Policy, StageIntrospection) {
   const auto p = legacy_multistage();
   EXPECT_EQ(p.num_stages(), 2);
   EXPECT_TRUE(p.is_multi_stage());
-  EXPECT_EQ(p.rules_in_stage(0).size(), 2u);
-  EXPECT_EQ(p.rules_in_stage(1).size(), 2u);
+  EXPECT_EQ(std::ranges::distance(p.rules_in_stage(0)), 2);
+  EXPECT_EQ(std::ranges::distance(p.rules_in_stage(1)), 2);
 }
 
 TEST(Policy, A3OffsetLookup) {
