@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint64_t>{1, 2}
             : std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8};
   const double duration_s = smoke ? 20.0 : 150.0;
-  const std::size_t hw_threads = rem::common::ThreadPool::default_threads();
+  const std::size_t hw_threads = rem::common::hardware_threads();
   // On a 1-core container the 4-thread run measures contention, not
   // speedup — the bit-identity gate still holds, but the wall-clock
   // comparison is annotated as invalid instead of read as a regression.

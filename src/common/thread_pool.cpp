@@ -3,81 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace rem::common {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = default_threads();
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-std::size_t ThreadPool::default_threads() {
+std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t n, std::size_t num_threads,
                   const std::function<void(std::size_t)>& fn) {
-  if (num_threads == 0) num_threads = ThreadPool::default_threads();
-  if (n <= 1 || num_threads <= 1) {
-    // Same contract as the pooled path: every index runs, then the first
-    // failure is rethrown.
-    std::exception_ptr serial_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!serial_error) serial_error = std::current_exception();
-      }
-    }
-    if (serial_error) std::rethrow_exception(serial_error);
-    return;
-  }
+  if (num_threads == 0) num_threads = hardware_threads();
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -93,10 +32,12 @@ void parallel_for(std::size_t n, std::size_t num_threads,
       }
     }
   };
-  {
-    ThreadPool pool(std::min(num_threads, n));
-    for (std::size_t t = 0; t < pool.num_threads(); ++t) pool.submit(drain);
-    pool.wait_idle();
+  if (n <= 1 || num_threads <= 1) {
+    drain();
+  } else {
+    std::vector<std::jthread> threads;  // each joins when the vector dies
+    for (std::size_t t = 0; t < std::min(num_threads, n); ++t)
+      threads.emplace_back(drain);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace rem::scenario {
 namespace {
@@ -18,21 +20,19 @@ namespace {
 namespace fj = common::flat_json;
 
 // ---------------------------------------------------------------------------
-// formatting and parsing helpers (shared by the canonical writer, the
-// reader and digest_fields)
+// field spellings, shared by the reader, the writer and digest_fields
 
-using fj::format_double;
-
-std::string fmt_bool(bool v) { return v ? "true" : "false"; }
+using Pairs = std::vector<std::pair<std::string, std::string>>;
 
 /// Rejects the value of one key: "scenario JSON key '<key>': <why>".
-[[noreturn]] void bad(const std::string& key, const std::string& why) {
-  throw std::runtime_error("scenario JSON key '" + key + "': " + why);
+[[noreturn]] void bad(std::string_view key, const std::string& why) {
+  throw std::runtime_error("scenario JSON key '" + std::string(key) +
+                           "': " + why);
 }
 
 /// A flat_json typed parse whose failure is reported against `key`.
 template <typename Parse>
-auto parse_key(const std::string& key, const std::string& s, Parse parse)
+auto parse_key(std::string_view key, const std::string& s, Parse parse)
     -> decltype(parse(s)) {
   try {
     return parse(s);
@@ -41,10 +41,181 @@ auto parse_key(const std::string& key, const std::string& s, Parse parse)
   }
 }
 
+// One wire spelling per field type: format_value writes it (a bool only
+// by exact type, so a C string never reads as one), parse_value reads it
+// back into the field and rejects anything else against `key`.
+std::string format_value(double v) { return fj::format_double(v); }
+std::string format_value(int v) { return std::to_string(v); }
+std::string format_value(std::size_t v) { return std::to_string(v); }
+std::string format_value(std::same_as<bool> auto v) {
+  return v ? "true" : "false";
+}
+std::string format_value(const std::string& v) { return v; }
+std::string format_value(sim::FaultKind k) { return sim::fault_kind_name(k); }
+
+void parse_value(std::string_view key, const std::string& s, double& out) {
+  out = parse_key(key, s, fj::parse_double);
+  if (!std::isfinite(out)) bad(key, "non-finite number '" + s + "'");
+}
+void parse_value(std::string_view key, const std::string& s, int& out) {
+  out = parse_key(key, s, fj::parse_int);
+}
+/// A count: an int of at least `min`.
+void parse_value(std::string_view key, const std::string& s,
+                 std::size_t& out, int min) {
+  const int v = parse_key(key, s, fj::parse_int);
+  if (v < min) bad(key, "must be >= " + std::to_string(min));
+  out = static_cast<std::size_t>(v);
+}
+void parse_value(std::string_view key, const std::string& s, bool& out) {
+  if (s != "true" && s != "false")
+    bad(key, "expected 'true' or 'false', got '" + s + "'");
+  out = s == "true";
+}
+void parse_value(std::string_view, const std::string& s, std::string& out) {
+  out = s;
+}
+void parse_value(std::string_view key, const std::string& s,
+                 sim::FaultKind& out) {
+  out = parse_key(key, s, sim::fault_kind_from_name);
+}
+
 // ---------------------------------------------------------------------------
-// schema vocabulary
+// schema: one key list per record. Each calls f(key, &Record::member) once
+// per key, in canonical order; the reader takes, the writer emits and
+// digest_fields digests the keys in this order. A std::size_t entry adds
+// the count's lower bound as a third argument.
 
 constexpr const char* kSchemaName = "rem-scenario-v1";
+
+constexpr auto for_each_backhaul_key = [](auto&& f) {
+  using B = net::BackhaulConfig;
+  f("backhaul.enabled", &B::enabled);
+  f("backhaul.base_latency_s", &B::base_latency_s);
+  f("backhaul.jitter_s", &B::jitter_s);
+  f("backhaul.loss_prob", &B::loss_prob);
+  f("backhaul.reorder_prob", &B::reorder_prob);
+  f("backhaul.reorder_extra_s", &B::reorder_extra_s);
+  f("backhaul.duplicate_prob", &B::duplicate_prob);
+  f("backhaul.queue_capacity", &B::queue_capacity, 1);
+  f("backhaul.reverse_latency_scale", &B::reverse_latency_scale);
+};
+
+/// The bs.* overrides, applied on top of the bs.profile preset.
+constexpr auto for_each_bs_key = [](auto&& f) {
+  using C = sim::BsCapacityConfig;
+  f("bs.enabled", &C::enabled);
+  f("bs.slots", &C::slots);
+  f("bs.queue_capacity", &C::queue_capacity, 0);
+  f("bs.prep_service_s", &C::prep_service_s);
+  f("bs.ctx_service_s", &C::ctx_service_s);
+  f("bs.background_service_s", &C::background_service_s);
+  f("bs.admission_load_threshold", &C::admission_load_threshold);
+  f("bs.reject_backoff_hint_s", &C::reject_backoff_hint_s);
+  f("bs.admission_max_retries", &C::admission_max_retries);
+};
+
+constexpr auto for_each_gate_key = [](auto&& f) {
+  using G = ScenarioGates;
+  f("gate.max_rem_failure_ratio", &G::max_rem_failure_ratio);
+  f("gate.rem_le_legacy", &G::rem_le_legacy);
+  f("gate.min_legacy_handovers", &G::min_legacy_handovers);
+};
+
+/// The correlated-fault domain and cascade-resilience knobs. The writer
+/// emits each only off its default; digest_fields keeps its own rules for
+/// them, because it digests the compiled SimConfig, not the spec.
+constexpr auto for_each_knob_key = [](auto&& f) {
+  using S = ScenarioSpec;
+  f("fault.domain_size", &S::fault_domain_size);
+  f("fault.region_stagger_s", &S::region_stagger_s);
+  f("fault.cascade_neighbor_radius", &S::cascade_neighbor_radius);
+  f("resilience.load_ad_staleness_s", &S::load_ad_staleness_s);
+  f("resilience.breaker_trip_k", &S::breaker_trip_k);
+  f("resilience.breaker_cooldown_s", &S::breaker_cooldown_s);
+  f("resilience.storm_jitter_frac", &S::storm_jitter_frac);
+};
+
+// Indexed entries: each key is the suffix of "<prefix><i>.<key>".
+
+constexpr auto for_each_class_key = [](auto&& f) {
+  using C = sim::FleetSpeedClass;
+  f("name", &C::name);
+  f("count", &C::count);
+  f("speed_lo_kmh", &C::speed_lo_kmh);
+  f("speed_hi_kmh", &C::speed_hi_kmh);
+};
+
+constexpr auto for_each_window_key = [](auto&& f) {
+  using W = sim::FaultWindow;
+  f("kind", &W::kind);
+  f("start_s", &W::start_s);
+  f("duration_s", &W::duration_s);
+  f("magnitude", &W::magnitude);
+};
+
+constexpr auto for_each_rfault_key = [](auto&& f) {
+  using R = sim::RandomFaultSpec;
+  f("kind", &R::kind);
+  f("mean_gap_s", &R::mean_gap_s);
+  f("duration_lo_s", &R::duration_lo_s);
+  f("duration_hi_s", &R::duration_hi_s);
+  f("magnitude_lo", &R::magnitude_lo);
+  f("magnitude_hi", &R::magnitude_hi);
+};
+
+/// Appends one (prefix + key, value) pair per key of `keys`, from `rec`.
+template <class Rec, class Keys>
+void emit(Pairs& out, const Rec& rec, Keys keys,
+          const std::string& prefix = "") {
+  keys([&](const char* key, auto field, auto...) {
+    out.emplace_back(prefix + key, format_value(rec.*field));
+  });
+}
+
+/// Appends every entry of `list` under "<prefix><i>.<key>".
+template <class T, class Keys>
+void emit_entries(Pairs& out, const std::string& prefix,
+                  const std::vector<T>& list, Keys keys) {
+  for (std::size_t i = 0; i < list.size(); ++i)
+    emit(out, list[i], keys, prefix + std::to_string(i) + ".");
+}
+
+/// Wire names of the route presets and layouts; `*_from_name` looks a
+/// name up here the way sim::fault_kind_from_name does.
+constexpr std::pair<trace::Route, const char*> kRouteNames[] = {
+    {trace::Route::kLowMobilityLA, "la"},
+    {trace::Route::kBeijingTaiyuan, "beijing_taiyuan"},
+    {trace::Route::kBeijingShanghai, "beijing_shanghai"},
+};
+constexpr std::pair<Layout, const char*> kLayoutNames[] = {
+    {Layout::kRailLinear, "rail_linear"},
+    {Layout::kUrbanCanyon, "urban_canyon"},
+    {Layout::kDenseSmallCell, "dense_small_cell"},
+};
+
+/// The wire name of `v`; throws std::invalid_argument(`outside`) for a
+/// value outside the enum.
+template <class Enum, std::size_t N>
+std::string name_of(const std::pair<Enum, const char*> (&table)[N], Enum v,
+                    const char* outside) {
+  for (const auto& [e, name] : table)
+    if (e == v) return name;
+  throw std::invalid_argument(outside);
+}
+
+/// The value named `name`; rejects an unknown `what` listing every name.
+template <class Enum, std::size_t N>
+Enum value_named(const std::pair<Enum, const char*> (&table)[N],
+                 const std::string& name, const char* what) {
+  for (const auto& [e, n] : table)
+    if (name == n) return e;
+  std::string expected;
+  for (const auto& [e, n] : table)
+    expected += (expected.empty() ? "" : " | ") + std::string(n);
+  throw std::runtime_error("unknown " + std::string(what) + " '" + name +
+                           "' (expected " + expected + ")");
+}
 
 /// The convenience UE classes the schema names directly. `ue.pedestrian`,
 /// `ue.vehicular` and `ue.hst350` are count shorthands that expand to
@@ -90,40 +261,21 @@ sim::BsCapacityConfig bs_profile_preset(const std::string& profile) {
 }  // namespace
 
 std::string layout_name(Layout l) {
-  switch (l) {
-    case Layout::kRailLinear: return "rail_linear";
-    case Layout::kUrbanCanyon: return "urban_canyon";
-    case Layout::kDenseSmallCell: return "dense_small_cell";
-  }
-  throw std::invalid_argument("layout_name: value outside the Layout enum");
+  return name_of(kLayoutNames, l,
+                 "layout_name: value outside the Layout enum");
 }
 
 Layout layout_from_name(const std::string& name) {
-  if (name == "rail_linear") return Layout::kRailLinear;
-  if (name == "urban_canyon") return Layout::kUrbanCanyon;
-  if (name == "dense_small_cell") return Layout::kDenseSmallCell;
-  throw std::runtime_error("unknown layout '" + name +
-                           "' (expected rail_linear | urban_canyon | "
-                           "dense_small_cell)");
+  return value_named(kLayoutNames, name, "layout");
 }
 
 std::string route_wire_name(trace::Route r) {
-  switch (r) {
-    case trace::Route::kLowMobilityLA: return "la";
-    case trace::Route::kBeijingTaiyuan: return "beijing_taiyuan";
-    case trace::Route::kBeijingShanghai: return "beijing_shanghai";
-  }
-  throw std::invalid_argument(
-      "route_wire_name: value outside the Route enum");
+  return name_of(kRouteNames, r,
+                 "route_wire_name: value outside the Route enum");
 }
 
 trace::Route route_from_wire_name(const std::string& name) {
-  if (name == "la") return trace::Route::kLowMobilityLA;
-  if (name == "beijing_taiyuan") return trace::Route::kBeijingTaiyuan;
-  if (name == "beijing_shanghai") return trace::Route::kBeijingShanghai;
-  throw std::runtime_error("unknown route '" + name +
-                           "' (expected la | beijing_taiyuan | "
-                           "beijing_shanghai)");
+  return value_named(kRouteNames, name, "route");
 }
 
 // ---------------------------------------------------------------------------
@@ -133,42 +285,55 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   // Phase 1: the shared flat-JSON line discipline collects the pairs;
   // duplicates and structural noise are rejected there with the line
   // number and content.
-  std::map<std::string, std::string> kv;
+  std::map<std::string, std::string, std::less<>> kv;
   for (auto& e : fj::read(is, "scenario"))
     kv.emplace(std::move(e.key), std::move(e.value));
 
   // Phase 2: interpret the keys in fixed order (file order is irrelevant;
   // e.g. bs.profile always applies before bs.* overrides). Every consumed
   // key is erased; whatever is left at the end is unknown and rejected.
-  const auto take = [&](const std::string& key) -> std::optional<std::string> {
+  const auto take = [&](std::string_view key) -> std::optional<std::string> {
     const auto it = kv.find(key);
     if (it == kv.end()) return std::nullopt;
-    std::string v = it->second;
+    std::string v = std::move(it->second);
     kv.erase(it);
     return v;
   };
-  const auto parse_double = [&](const std::string& key,
-                                const std::string& s) {
-    const double v = parse_key(key, s, fj::parse_double);
-    if (!std::isfinite(v)) bad(key, "non-finite number '" + s + "'");
-    return v;
+  const auto take_value = [&](const char* key, auto& out, auto... min) {
+    if (const auto v = take(key)) parse_value(key, *v, out, min...);
   };
-  const auto parse_int = [&](const std::string& key, const std::string& s) {
-    return parse_key(key, s, fj::parse_int);
+  const auto take_record = [&](auto& rec, auto keys) {
+    keys([&](const char* key, auto field, auto... min) {
+      take_value(key, rec.*field, min...);
+    });
   };
-  const auto parse_bool = [&](const std::string& key, const std::string& s) {
-    if (s == "true") return true;
-    if (s == "false") return false;
-    bad(key, "expected 'true' or 'false', got '" + s + "'");
-  };
-  const auto take_double = [&](const std::string& key, double& out) {
-    if (const auto v = take(key)) out = parse_double(key, *v);
-  };
-  const auto take_int = [&](const std::string& key, int& out) {
-    if (const auto v = take(key)) out = parse_int(key, *v);
-  };
-  const auto take_bool = [&](const std::string& key, bool& out) {
-    if (const auto v = take(key)) out = parse_bool(key, *v);
+  // Indexed entries "<prefix><i>.<key>", contiguous from index 0: the
+  // first index with none of the keys ends the list, and one with only
+  // some of them is rejected before any value is parsed. Returns the
+  // number of entries read.
+  std::string entry_key;
+  const auto take_entries = [&](const char* prefix, const char* what,
+                                auto& list, auto keys) {
+    for (int i = 0;; ++i) {
+      const std::string p = prefix + std::to_string(i) + ".";
+      const auto at = [&](const char* k) -> const std::string& {
+        return entry_key.assign(p).append(k);
+      };
+      int n = 0, found = 0;
+      keys([&](const char* k, auto...) { ++n; found += kv.contains(at(k)); });
+      if (found == 0) return i;
+      if (found < n) {
+        std::string all;
+        keys([&](const char* k, auto...) { all += std::string("/") + k; });
+        bad(p + "*", std::string("a ") + what + " needs all of " +
+                         all.substr(1));
+      }
+      auto& entry = list.emplace_back();
+      keys([&](const char* k, auto field, auto... min) {
+        const std::string& name = at(k);
+        parse_value(name, *take(name), entry.*field, min...);
+      });
+    }
   };
 
   const auto schema = take("schema");
@@ -189,9 +354,9 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string("scenario JSON: ") + e.what());
   }
-  take_double("speed_kmh", spec.speed_kmh);
-  take_double("duration_s", spec.duration_s);
-  take_double("time_compression", spec.time_compression);
+  take_value("speed_kmh", spec.speed_kmh);
+  take_value("duration_s", spec.duration_s);
+  take_value("time_compression", spec.time_compression);
   if (const auto v = take("seed"))
     spec.seed = parse_key("seed", *v, fj::parse_u64);
 
@@ -199,43 +364,21 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   // indexed classes; the forms are mutually exclusive beyond the plain
   // defaults (a file mixing them is contradictory, not mergeable).
   const auto ue_count = take("ue.count");
-  take_double("ue.start_spread_m", spec.start_spread_m);
+  take_value("ue.start_spread_m", spec.start_spread_m);
   const auto band_lo = take("ue.speed_lo_kmh");
   const auto band_hi = take("ue.speed_hi_kmh");
   bool any_shorthand = false;
   for (const auto& nc : kNamedClasses) {
     if (const auto v = take(nc.key)) {
       any_shorthand = true;
-      const int count = parse_int(nc.key, *v);
+      const int count = parse_key(nc.key, *v, fj::parse_int);
       if (count < 0) bad(nc.key, "class count must be >= 0");
-      if (count == 0) continue;
-      sim::FleetSpeedClass c;
-      c.name = nc.name;
-      c.count = count;
-      c.speed_lo_kmh = nc.lo_kmh;
-      c.speed_hi_kmh = nc.hi_kmh;
-      spec.classes.push_back(std::move(c));
+      if (count > 0)
+        spec.classes.push_back({nc.name, count, nc.lo_kmh, nc.hi_kmh});
     }
   }
-  bool any_indexed = false;
-  for (int i = 0;; ++i) {
-    const std::string p = "ue.class." + std::to_string(i) + ".";
-    const auto cname = take(p + "name");
-    const auto ccount = take(p + "count");
-    const auto clo = take(p + "speed_lo_kmh");
-    const auto chi = take(p + "speed_hi_kmh");
-    if (!cname && !ccount && !clo && !chi) break;
-    if (!cname || !ccount || !clo || !chi)
-      bad(p + "*", "a ue.class entry needs all of name/count/"
-                   "speed_lo_kmh/speed_hi_kmh");
-    any_indexed = true;
-    sim::FleetSpeedClass c;
-    c.name = *cname;
-    c.count = parse_int(p + "count", *ccount);
-    c.speed_lo_kmh = parse_double(p + "speed_lo_kmh", *clo);
-    c.speed_hi_kmh = parse_double(p + "speed_hi_kmh", *chi);
-    spec.classes.push_back(std::move(c));
-  }
+  const bool any_indexed = take_entries("ue.class.", "ue.class entry",
+                                        spec.classes, for_each_class_key) > 0;
   if (any_shorthand && any_indexed)
     throw std::runtime_error(
         "scenario JSON: contradictory UE population — both named class "
@@ -244,99 +387,26 @@ ScenarioSpec read_scenario_json(std::istream& is) {
     throw std::runtime_error(
         "scenario JSON: contradictory UE population — both a plain speed "
         "band (ue.speed_lo_kmh/ue.speed_hi_kmh) and speed classes");
-  if (band_lo) spec.ue_speed_lo_kmh = parse_double("ue.speed_lo_kmh", *band_lo);
-  if (band_hi) spec.ue_speed_hi_kmh = parse_double("ue.speed_hi_kmh", *band_hi);
+  if (band_lo) parse_value("ue.speed_lo_kmh", *band_lo, spec.ue_speed_lo_kmh);
+  if (band_hi) parse_value("ue.speed_hi_kmh", *band_hi, spec.ue_speed_hi_kmh);
+  if (ue_count) parse_value("ue.count", *ue_count, spec.ue_count);
   if (!spec.classes.empty()) {
     int sum = 0;
     for (const auto& c : spec.classes) sum += c.count;
-    if (ue_count) {
-      spec.ue_count = parse_int("ue.count", *ue_count);
-      if (spec.ue_count != sum)
-        throw std::runtime_error(
-            "scenario JSON: ue.count " + std::to_string(spec.ue_count) +
-            " contradicts the class counts (sum " + std::to_string(sum) + ")");
-    } else {
-      spec.ue_count = sum;
-    }
-  } else if (ue_count) {
-    spec.ue_count = parse_int("ue.count", *ue_count);
+    if (!ue_count) spec.ue_count = sum;
+    if (spec.ue_count != sum)
+      throw std::runtime_error(
+          "scenario JSON: ue.count " + std::to_string(spec.ue_count) +
+          " contradicts the class counts (sum " + std::to_string(sum) + ")");
   }
 
-  // --- scripted fault windows: contiguous indices, all four keys each.
-  for (int i = 0;; ++i) {
-    const std::string p = "fault." + std::to_string(i) + ".";
-    const auto kind = take(p + "kind");
-    const auto start = take(p + "start_s");
-    const auto dur = take(p + "duration_s");
-    const auto mag = take(p + "magnitude");
-    if (!kind && !start && !dur && !mag) break;
-    if (!kind || !start || !dur || !mag)
-      bad(p + "*",
-          "a fault window needs all of kind/start_s/duration_s/magnitude");
-    sim::FaultWindow w;
-    try {
-      w.kind = sim::fault_kind_from_name(*kind);
-    } catch (const std::invalid_argument& e) {
-      bad(p + "kind", e.what());
-    }
-    w.start_s = parse_double(p + "start_s", *start);
-    w.duration_s = parse_double(p + "duration_s", *dur);
-    w.magnitude = parse_double(p + "magnitude", *mag);
-    spec.faults.push_back(w);
-  }
+  // --- fault schedule, domain and resilience knobs.
+  take_entries("fault.", "fault window", spec.faults, for_each_window_key);
+  take_entries("rfault.", "random fault spec", spec.rfaults,
+               for_each_rfault_key);
+  take_record(spec, for_each_knob_key);
 
-  // --- random fault specs: same shape, six keys each.
-  for (int i = 0;; ++i) {
-    const std::string p = "rfault." + std::to_string(i) + ".";
-    const auto kind = take(p + "kind");
-    const auto gap = take(p + "mean_gap_s");
-    const auto dlo = take(p + "duration_lo_s");
-    const auto dhi = take(p + "duration_hi_s");
-    const auto mlo = take(p + "magnitude_lo");
-    const auto mhi = take(p + "magnitude_hi");
-    if (!kind && !gap && !dlo && !dhi && !mlo && !mhi) break;
-    if (!kind || !gap || !dlo || !dhi || !mlo || !mhi)
-      bad(p + "*",
-          "a random fault spec needs all of kind/mean_gap_s/duration_lo_s/"
-          "duration_hi_s/magnitude_lo/magnitude_hi");
-    sim::RandomFaultSpec r;
-    try {
-      r.kind = sim::fault_kind_from_name(*kind);
-    } catch (const std::invalid_argument& e) {
-      bad(p + "kind", e.what());
-    }
-    r.mean_gap_s = parse_double(p + "mean_gap_s", *gap);
-    r.duration_lo_s = parse_double(p + "duration_lo_s", *dlo);
-    r.duration_hi_s = parse_double(p + "duration_hi_s", *dhi);
-    r.magnitude_lo = parse_double(p + "magnitude_lo", *mlo);
-    r.magnitude_hi = parse_double(p + "magnitude_hi", *mhi);
-    spec.rfaults.push_back(r);
-  }
-
-  // --- correlated-fault domain + cascade-resilience knobs.
-  take_int("fault.domain_size", spec.fault_domain_size);
-  take_double("fault.region_stagger_s", spec.region_stagger_s);
-  take_int("fault.cascade_neighbor_radius", spec.cascade_neighbor_radius);
-  take_double("resilience.load_ad_staleness_s", spec.load_ad_staleness_s);
-  take_int("resilience.breaker_trip_k", spec.breaker_trip_k);
-  take_double("resilience.breaker_cooldown_s", spec.breaker_cooldown_s);
-  take_double("resilience.storm_jitter_frac", spec.storm_jitter_frac);
-
-  // --- backhaul transport overrides.
-  take_bool("backhaul.enabled", spec.backhaul.enabled);
-  take_double("backhaul.base_latency_s", spec.backhaul.base_latency_s);
-  take_double("backhaul.jitter_s", spec.backhaul.jitter_s);
-  take_double("backhaul.loss_prob", spec.backhaul.loss_prob);
-  take_double("backhaul.reorder_prob", spec.backhaul.reorder_prob);
-  take_double("backhaul.reorder_extra_s", spec.backhaul.reorder_extra_s);
-  take_double("backhaul.duplicate_prob", spec.backhaul.duplicate_prob);
-  if (const auto v = take("backhaul.queue_capacity")) {
-    const int q = parse_int("backhaul.queue_capacity", *v);
-    if (q < 1) bad("backhaul.queue_capacity", "must be >= 1");
-    spec.backhaul.queue_capacity = static_cast<std::size_t>(q);
-  }
-  take_double("backhaul.reverse_latency_scale",
-              spec.backhaul.reverse_latency_scale);
+  take_record(spec.backhaul, for_each_backhaul_key);
 
   // --- BS capacity: profile preset first, field overrides on top.
   if (const auto v = take("bs.profile")) spec.bs_profile = *v;
@@ -345,36 +415,14 @@ ScenarioSpec read_scenario_json(std::istream& is) {
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string("scenario JSON: ") + e.what());
   }
-  take_bool("bs.enabled", spec.bs_capacity.enabled);
-  take_int("bs.slots", spec.bs_capacity.slots);
-  if (const auto v = take("bs.queue_capacity")) {
-    const int q = parse_int("bs.queue_capacity", *v);
-    if (q < 0) bad("bs.queue_capacity", "must be >= 0");
-    spec.bs_capacity.queue_capacity = static_cast<std::size_t>(q);
-  }
-  take_double("bs.prep_service_s", spec.bs_capacity.prep_service_s);
-  take_double("bs.ctx_service_s", spec.bs_capacity.ctx_service_s);
-  take_double("bs.background_service_s",
-              spec.bs_capacity.background_service_s);
-  take_double("bs.admission_load_threshold",
-              spec.bs_capacity.admission_load_threshold);
-  take_double("bs.reject_backoff_hint_s",
-              spec.bs_capacity.reject_backoff_hint_s);
-  take_int("bs.admission_max_retries",
-           spec.bs_capacity.admission_max_retries);
+  take_record(spec.bs_capacity, for_each_bs_key);
 
-  // --- gates.
-  take_double("gate.max_rem_failure_ratio",
-              spec.gates.max_rem_failure_ratio);
-  take_bool("gate.rem_le_legacy", spec.gates.rem_le_legacy);
-  take_int("gate.min_legacy_handovers", spec.gates.min_legacy_handovers);
+  take_record(spec.gates, for_each_gate_key);
 
   if (!kv.empty()) {
     std::string keys;
-    for (const auto& [k, _] : kv) {
-      if (!keys.empty()) keys += ", ";
-      keys += "'" + k + "'";
-    }
+    for (const auto& [k, _] : kv)
+      keys += (keys.empty() ? "'" : ", '") + k + "'";
     throw std::runtime_error("scenario JSON: unknown key(s) " + keys);
   }
   return spec;
@@ -389,9 +437,9 @@ ScenarioSpec read_scenario_json_file(const std::string& path) {
 // canonical writer
 
 void write_scenario_json(const ScenarioSpec& spec, std::ostream& os) {
-  std::vector<std::pair<std::string, std::string>> out;
-  const auto add = [&](const std::string& k, const std::string& v) {
-    out.emplace_back(k, v);
+  Pairs out;
+  const auto add = [&](const char* k, const auto& v) {
+    out.emplace_back(k, format_value(v));
   };
   add("schema", kSchemaName);
   add("name", spec.name);
@@ -399,93 +447,29 @@ void write_scenario_json(const ScenarioSpec& spec, std::ostream& os) {
   add("paper_ref", spec.paper_ref);
   add("route", route_wire_name(spec.route));
   add("layout", layout_name(spec.layout));
-  add("speed_kmh", format_double(spec.speed_kmh));
-  add("duration_s", format_double(spec.duration_s));
-  add("time_compression", format_double(spec.time_compression));
+  add("speed_kmh", spec.speed_kmh);
+  add("duration_s", spec.duration_s);
+  add("time_compression", spec.time_compression);
   add("seed", std::to_string(spec.seed));
-  add("ue.count", std::to_string(spec.ue_count));
-  add("ue.start_spread_m", format_double(spec.start_spread_m));
+  add("ue.count", spec.ue_count);
+  add("ue.start_spread_m", spec.start_spread_m);
   if (spec.classes.empty()) {
-    add("ue.speed_lo_kmh", format_double(spec.ue_speed_lo_kmh));
-    add("ue.speed_hi_kmh", format_double(spec.ue_speed_hi_kmh));
-  } else {
-    for (std::size_t i = 0; i < spec.classes.size(); ++i) {
-      const auto& c = spec.classes[i];
-      const std::string p = "ue.class." + std::to_string(i) + ".";
-      add(p + "name", c.name);
-      add(p + "count", std::to_string(c.count));
-      add(p + "speed_lo_kmh", format_double(c.speed_lo_kmh));
-      add(p + "speed_hi_kmh", format_double(c.speed_hi_kmh));
-    }
+    add("ue.speed_lo_kmh", spec.ue_speed_lo_kmh);
+    add("ue.speed_hi_kmh", spec.ue_speed_hi_kmh);
   }
-  for (std::size_t i = 0; i < spec.faults.size(); ++i) {
-    const auto& w = spec.faults[i];
-    const std::string p = "fault." + std::to_string(i) + ".";
-    add(p + "kind", sim::fault_kind_name(w.kind));
-    add(p + "start_s", format_double(w.start_s));
-    add(p + "duration_s", format_double(w.duration_s));
-    add(p + "magnitude", format_double(w.magnitude));
-  }
-  for (std::size_t i = 0; i < spec.rfaults.size(); ++i) {
-    const auto& r = spec.rfaults[i];
-    const std::string p = "rfault." + std::to_string(i) + ".";
-    add(p + "kind", sim::fault_kind_name(r.kind));
-    add(p + "mean_gap_s", format_double(r.mean_gap_s));
-    add(p + "duration_lo_s", format_double(r.duration_lo_s));
-    add(p + "duration_hi_s", format_double(r.duration_hi_s));
-    add(p + "magnitude_lo", format_double(r.magnitude_lo));
-    add(p + "magnitude_hi", format_double(r.magnitude_hi));
-  }
+  emit_entries(out, "ue.class.", spec.classes, for_each_class_key);
+  emit_entries(out, "fault.", spec.faults, for_each_window_key);
+  emit_entries(out, "rfault.", spec.rfaults, for_each_rfault_key);
   // Domain / resilience knobs are emitted only off their defaults so
   // pre-existing scenarios re-canonicalize byte-identically.
   const ScenarioSpec def;
-  if (spec.fault_domain_size != def.fault_domain_size)
-    add("fault.domain_size", std::to_string(spec.fault_domain_size));
-  if (spec.region_stagger_s != def.region_stagger_s)
-    add("fault.region_stagger_s", format_double(spec.region_stagger_s));
-  if (spec.cascade_neighbor_radius != def.cascade_neighbor_radius)
-    add("fault.cascade_neighbor_radius",
-        std::to_string(spec.cascade_neighbor_radius));
-  if (spec.load_ad_staleness_s != def.load_ad_staleness_s)
-    add("resilience.load_ad_staleness_s",
-        format_double(spec.load_ad_staleness_s));
-  if (spec.breaker_trip_k != def.breaker_trip_k)
-    add("resilience.breaker_trip_k", std::to_string(spec.breaker_trip_k));
-  if (spec.breaker_cooldown_s != def.breaker_cooldown_s)
-    add("resilience.breaker_cooldown_s",
-        format_double(spec.breaker_cooldown_s));
-  if (spec.storm_jitter_frac != def.storm_jitter_frac)
-    add("resilience.storm_jitter_frac", format_double(spec.storm_jitter_frac));
-  add("backhaul.enabled", fmt_bool(spec.backhaul.enabled));
-  add("backhaul.base_latency_s", format_double(spec.backhaul.base_latency_s));
-  add("backhaul.jitter_s", format_double(spec.backhaul.jitter_s));
-  add("backhaul.loss_prob", format_double(spec.backhaul.loss_prob));
-  add("backhaul.reorder_prob", format_double(spec.backhaul.reorder_prob));
-  add("backhaul.reorder_extra_s", format_double(spec.backhaul.reorder_extra_s));
-  add("backhaul.duplicate_prob", format_double(spec.backhaul.duplicate_prob));
-  add("backhaul.queue_capacity",
-      std::to_string(spec.backhaul.queue_capacity));
-  add("backhaul.reverse_latency_scale",
-      format_double(spec.backhaul.reverse_latency_scale));
+  for_each_knob_key([&](const char* key, auto field) {
+    if (spec.*field != def.*field) add(key, spec.*field);
+  });
+  emit(out, spec.backhaul, for_each_backhaul_key);
   add("bs.profile", spec.bs_profile);
-  add("bs.enabled", fmt_bool(spec.bs_capacity.enabled));
-  add("bs.slots", std::to_string(spec.bs_capacity.slots));
-  add("bs.queue_capacity", std::to_string(spec.bs_capacity.queue_capacity));
-  add("bs.prep_service_s", format_double(spec.bs_capacity.prep_service_s));
-  add("bs.ctx_service_s", format_double(spec.bs_capacity.ctx_service_s));
-  add("bs.background_service_s",
-      format_double(spec.bs_capacity.background_service_s));
-  add("bs.admission_load_threshold",
-      format_double(spec.bs_capacity.admission_load_threshold));
-  add("bs.reject_backoff_hint_s",
-      format_double(spec.bs_capacity.reject_backoff_hint_s));
-  add("bs.admission_max_retries",
-      std::to_string(spec.bs_capacity.admission_max_retries));
-  add("gate.max_rem_failure_ratio",
-      format_double(spec.gates.max_rem_failure_ratio));
-  add("gate.rem_le_legacy", fmt_bool(spec.gates.rem_le_legacy));
-  add("gate.min_legacy_handovers",
-      std::to_string(spec.gates.min_legacy_handovers));
+  emit(out, spec.bs_capacity, for_each_bs_key);
+  emit(out, spec.gates, for_each_gate_key);
 
   fj::write(os, out);
 }
@@ -573,8 +557,8 @@ CompiledScenario compile(const ScenarioSpec& spec,
 
   const auto check_speed = [&](const std::string& what, double v) {
     if (!(v > 0.0 && v <= kMaxSpeedKmh))
-      reject(what + " " + format_double(v) + " km/h outside (0, " +
-             format_double(kMaxSpeedKmh) + "]");
+      reject(what + " " + format_value(v) + " km/h outside (0, " +
+             format_value(kMaxSpeedKmh) + "]");
   };
   check_speed("speed_kmh", spec.speed_kmh);
 
@@ -722,148 +706,91 @@ CompiledScenario compile(const ScenarioSpec& spec,
 
 std::vector<std::pair<std::string, std::string>> digest_fields(
     const CompiledScenario& c) {
-  std::vector<std::pair<std::string, std::string>> f;
-  const auto add = [&](const std::string& k, const std::string& v) {
-    f.emplace_back(k, v);
-  };
-  const auto add_d = [&](const std::string& k, double v) {
-    add(k, format_double(v));
-  };
-  const auto add_i = [&](const std::string& k, long long v) {
-    add(k, std::to_string(v));
+  Pairs f;
+  const auto add = [&](const std::string& k, const auto& v) {
+    f.emplace_back(k, format_value(v));
   };
   add("name", c.name);
   add("seed", std::to_string(c.seed));
   add("route", route_wire_name(c.scenario.route));
-  add_d("speed_kmh", c.scenario.speed_kmh);
+  add("speed_kmh", c.scenario.speed_kmh);
 
   const auto& d = c.scenario.deployment;
-  add_d("deploy.route_len_m", d.route_len_m);
-  add_d("deploy.site_spacing_mean_m", d.site_spacing_mean_m);
-  add_d("deploy.site_spacing_jitter_m", d.site_spacing_jitter_m);
-  add_d("deploy.site_offset_min_m", d.site_offset_min_m);
-  add_d("deploy.site_offset_max_m", d.site_offset_max_m);
-  add_d("deploy.colocated_second_cell_prob", d.colocated_second_cell_prob);
-  add_d("deploy.primary_missing_prob", d.primary_missing_prob);
+  add("deploy.route_len_m", d.route_len_m);
+  add("deploy.site_spacing_mean_m", d.site_spacing_mean_m);
+  add("deploy.site_spacing_jitter_m", d.site_spacing_jitter_m);
+  add("deploy.site_offset_min_m", d.site_offset_min_m);
+  add("deploy.site_offset_max_m", d.site_offset_max_m);
+  add("deploy.colocated_second_cell_prob", d.colocated_second_cell_prob);
+  add("deploy.primary_missing_prob", d.primary_missing_prob);
   for (std::size_t i = 0; i < d.channels.size(); ++i) {
     const std::string p = "deploy.channel." + std::to_string(i);
-    add_i(p + ".id", d.channels[i].first);
-    add_d(p + ".carrier_hz", d.channels[i].second);
+    add(p + ".id", d.channels[i].first);
+    add(p + ".carrier_hz", d.channels[i].second);
   }
   for (std::size_t i = 0; i < d.secondary_bandwidths_hz.size(); ++i)
-    add_d("deploy.secondary_bandwidth_hz." + std::to_string(i),
-          d.secondary_bandwidths_hz[i]);
-  add_d("deploy.holes_per_km", d.holes_per_km);
-  add_d("deploy.hole_len_min_m", d.hole_len_min_m);
-  add_d("deploy.hole_len_max_m", d.hole_len_max_m);
-  add_d("deploy.tx_power_dbm", d.tx_power_dbm);
+    add("deploy.secondary_bandwidth_hz." + std::to_string(i),
+        d.secondary_bandwidths_hz[i]);
+  add("deploy.holes_per_km", d.holes_per_km);
+  add("deploy.hole_len_min_m", d.hole_len_min_m);
+  add("deploy.hole_len_max_m", d.hole_len_max_m);
+  add("deploy.tx_power_dbm", d.tx_power_dbm);
 
   const auto& p = c.scenario.propagation;
-  add_d("prop.pathloss_exponent", p.pathloss_exponent);
-  add_d("prop.shadowing_sigma_db", p.shadowing_sigma_db);
-  add_d("prop.shadowing_decorr_m", p.shadowing_decorr_m);
-  add_d("prop.per_cell_shadow_sigma_db", p.per_cell_shadow_sigma_db);
-  add_d("prop.fading_sigma_db", p.fading_sigma_db);
-  add_d("prop.dd_residual_sigma_db", p.dd_residual_sigma_db);
+  add("prop.pathloss_exponent", p.pathloss_exponent);
+  add("prop.shadowing_sigma_db", p.shadowing_sigma_db);
+  add("prop.shadowing_decorr_m", p.shadowing_decorr_m);
+  add("prop.per_cell_shadow_sigma_db", p.per_cell_shadow_sigma_db);
+  add("prop.fading_sigma_db", p.fading_sigma_db);
+  add("prop.dd_residual_sigma_db", p.dd_residual_sigma_db);
 
   const auto& m = c.scenario.policy_mix;
-  add_d("mix.proactive_a3_prob", m.proactive_a3_prob);
-  add_d("mix.load_balance_a4_prob", m.load_balance_a4_prob);
-  add_d("mix.intra_ttt_s", m.intra_ttt_s);
-  add_d("mix.inter_ttt_s", m.inter_ttt_s);
+  add("mix.proactive_a3_prob", m.proactive_a3_prob);
+  add("mix.load_balance_a4_prob", m.load_balance_a4_prob);
+  add("mix.intra_ttt_s", m.intra_ttt_s);
+  add("mix.inter_ttt_s", m.inter_ttt_s);
 
   const auto& s = c.scenario.sim;
-  add_d("sim.speed_kmh", s.speed_kmh);
-  add_d("sim.duration_s", s.duration_s);
-  add_d("sim.tick_s", s.tick_s);
-  add_d("sim.min_coverage_rsrp_dbm", s.min_coverage_rsrp_dbm);
-  add_i("sim.fleet_size", s.fleet_size);
-  add_d("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
-  add_d("fleet.speed_max_kmh", s.fleet.speed_max_kmh);
-  add_d("fleet.start_spread_m", s.fleet.start_spread_m);
-  for (std::size_t i = 0; i < s.fleet.classes.size(); ++i) {
-    const auto& cls = s.fleet.classes[i];
-    const std::string cp = "fleet.class." + std::to_string(i);
-    add(cp + ".name", cls.name);
-    add_i(cp + ".count", cls.count);
-    add_d(cp + ".speed_lo_kmh", cls.speed_lo_kmh);
-    add_d(cp + ".speed_hi_kmh", cls.speed_hi_kmh);
-  }
+  add("sim.speed_kmh", s.speed_kmh);
+  add("sim.duration_s", s.duration_s);
+  add("sim.tick_s", s.tick_s);
+  add("sim.min_coverage_rsrp_dbm", s.min_coverage_rsrp_dbm);
+  add("sim.fleet_size", s.fleet_size);
+  add("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
+  add("fleet.speed_max_kmh", s.fleet.speed_max_kmh);
+  add("fleet.start_spread_m", s.fleet.start_spread_m);
+  emit_entries(f, "fleet.class.", s.fleet.classes, for_each_class_key);
+  emit_entries(f, "fault.", s.faults.windows, for_each_window_key);
+  emit_entries(f, "rfault.", s.faults.random, for_each_rfault_key);
 
-  for (std::size_t i = 0; i < s.faults.windows.size(); ++i) {
-    const auto& w = s.faults.windows[i];
-    const std::string fp = "fault." + std::to_string(i);
-    add(fp + ".kind", sim::fault_kind_name(w.kind));
-    add_d(fp + ".start_s", w.start_s);
-    add_d(fp + ".duration_s", w.duration_s);
-    add_d(fp + ".magnitude", w.magnitude);
-  }
-  for (std::size_t i = 0; i < s.faults.random.size(); ++i) {
-    const auto& r = s.faults.random[i];
-    const std::string rp = "rfault." + std::to_string(i);
-    add(rp + ".kind", sim::fault_kind_name(r.kind));
-    add_d(rp + ".mean_gap_s", r.mean_gap_s);
-    add_d(rp + ".duration_lo_s", r.duration_lo_s);
-    add_d(rp + ".duration_hi_s", r.duration_hi_s);
-    add_d(rp + ".magnitude_lo", r.magnitude_lo);
-    add_d(rp + ".magnitude_hi", r.magnitude_hi);
-  }
-
-  // Domain knobs only matter to (and are only digested for) schedules
-  // that fire a correlated fault; resilience knobs appear only off their
-  // defaults. Pre-existing scen_* goldens stay byte-identical.
-  {
-    const auto uses_kind = [&](sim::FaultKind k) {
-      for (const auto& w : s.faults.windows)
-        if (w.kind == k) return true;
-      for (const auto& r : s.faults.random)
-        if (r.kind == k) return true;
-      return false;
-    };
-    if (uses_kind(sim::FaultKind::kRegionOutage) ||
-        uses_kind(sim::FaultKind::kCascadeOverload)) {
-      add_i("fault.domain_size", s.faults.domain_size);
-      add_d("fault.region_stagger_s", s.faults.region_stagger_s);
-      add_i("fault.cascade_neighbor_radius",
-            s.faults.cascade_neighbor_radius);
-    }
+  // The digest's own rules for the domain and resilience knobs, which the
+  // scen_* goldens pin: domain knobs only for schedules that fire a
+  // correlated fault, resilience knobs only off their defaults, and the
+  // breaker cool-down only with breakers on.
+  const auto uses_kind = [&](sim::FaultKind k) {
+    const auto is_k = [&](const auto& f) { return f.kind == k; };
+    return std::ranges::any_of(s.faults.windows, is_k) ||
+           std::ranges::any_of(s.faults.random, is_k);
+  };
+  if (uses_kind(sim::FaultKind::kRegionOutage) ||
+      uses_kind(sim::FaultKind::kCascadeOverload)) {
+    add("fault.domain_size", s.faults.domain_size);
+    add("fault.region_stagger_s", s.faults.region_stagger_s);
+    add("fault.cascade_neighbor_radius", s.faults.cascade_neighbor_radius);
   }
   const sim::SimConfig def;
   if (s.load_ad_staleness_s != def.load_ad_staleness_s)
-    add_d("resilience.load_ad_staleness_s", s.load_ad_staleness_s);
+    add("resilience.load_ad_staleness_s", s.load_ad_staleness_s);
   if (s.breaker_trip_k != def.breaker_trip_k) {
-    add_i("resilience.breaker_trip_k", s.breaker_trip_k);
-    add_d("resilience.breaker_cooldown_s", s.breaker_cooldown_s);
+    add("resilience.breaker_trip_k", s.breaker_trip_k);
+    add("resilience.breaker_cooldown_s", s.breaker_cooldown_s);
   }
   if (s.storm_jitter_frac != def.storm_jitter_frac)
-    add_d("resilience.storm_jitter_frac", s.storm_jitter_frac);
+    add("resilience.storm_jitter_frac", s.storm_jitter_frac);
 
-  const auto& b = s.backhaul;
-  add("backhaul.enabled", fmt_bool(b.enabled));
-  add_d("backhaul.base_latency_s", b.base_latency_s);
-  add_d("backhaul.jitter_s", b.jitter_s);
-  add_d("backhaul.loss_prob", b.loss_prob);
-  add_d("backhaul.reorder_prob", b.reorder_prob);
-  add_d("backhaul.reorder_extra_s", b.reorder_extra_s);
-  add_d("backhaul.duplicate_prob", b.duplicate_prob);
-  add_i("backhaul.queue_capacity",
-        static_cast<long long>(b.queue_capacity));
-  add_d("backhaul.reverse_latency_scale", b.reverse_latency_scale);
-
-  const auto& bs = s.bs_capacity;
-  add("bs.enabled", fmt_bool(bs.enabled));
-  add_i("bs.slots", bs.slots);
-  add_i("bs.queue_capacity", static_cast<long long>(bs.queue_capacity));
-  add_d("bs.prep_service_s", bs.prep_service_s);
-  add_d("bs.ctx_service_s", bs.ctx_service_s);
-  add_d("bs.background_service_s", bs.background_service_s);
-  add_d("bs.admission_load_threshold", bs.admission_load_threshold);
-  add_d("bs.reject_backoff_hint_s", bs.reject_backoff_hint_s);
-  add_i("bs.admission_max_retries", bs.admission_max_retries);
-
-  add_d("gate.max_rem_failure_ratio", c.gates.max_rem_failure_ratio);
-  add("gate.rem_le_legacy", fmt_bool(c.gates.rem_le_legacy));
-  add_i("gate.min_legacy_handovers", c.gates.min_legacy_handovers);
+  emit(f, s.backhaul, for_each_backhaul_key);
+  emit(f, s.bs_capacity, for_each_bs_key);
+  emit(f, c.gates, for_each_gate_key);
   return f;
 }
 

@@ -283,10 +283,6 @@ double RadioEnv::mean_rsrp_dbm(std::size_t cell_idx, double track_pos_m,
   return c.tx_power_dbm - pl + shadow;
 }
 
-double RadioEnv::snr_db_from_rsrp(double rsrp_dbm) const {
-  return rsrp_dbm - kNoiseFloorDbm;
-}
-
 template <typename Visit>
 void RadioEnv::visit_reach(double track_pos_m, double floor_dbm,
                            Visit&& visit) const {

@@ -119,7 +119,9 @@ class RadioEnv {
   }
 
   /// SNR corresponding to a given RSRP on this cell.
-  double snr_db_from_rsrp(double rsrp_dbm) const;
+  double snr_db_from_rsrp(double rsrp_dbm) const {
+    return rsrp_dbm - kNoiseFloorDbm;
+  }
 
   /// Index of the strongest cell by mean RSRP (coverage-hole cells
   /// excluded); returns -1 if everything is below `min_rsrp_dbm`.

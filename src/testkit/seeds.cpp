@@ -60,7 +60,7 @@ std::vector<std::uint64_t> property_seeds(
 std::size_t bench_threads() {
   const char* env = std::getenv("REM_BENCH_THREADS");
   if (env == nullptr || *env == '\0')
-    return common::ThreadPool::default_threads();
+    return common::hardware_threads();
   const std::uint64_t n = parse_unsigned("REM_BENCH_THREADS", env);
   if (n == 0)
     throw std::invalid_argument(

@@ -22,7 +22,7 @@ std::vector<std::uint64_t> property_seeds(
 
 /// Worker count for seed-parallel benches and tests. Reads the
 /// `REM_BENCH_THREADS` environment variable:
-///  - unset or empty   -> common::ThreadPool::default_threads();
+///  - unset or empty   -> common::hardware_threads();
 ///  - an integer N >= 1 -> N.
 /// Anything else (`0`, `-2`, `4x`, `abc`) throws std::invalid_argument
 /// naming the value, so a 1-vs-4-thread determinism check cannot quietly

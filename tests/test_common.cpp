@@ -11,10 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -442,28 +445,6 @@ TEST(Summary, EmptyInputs) {
   EXPECT_TRUE(rc::empirical_cdf({}, 10).empty());
 }
 
-TEST(ThreadPool, RunsAllSubmittedJobs) {
-  std::atomic<int> count{0};
-  {
-    rc::ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    rc::ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    // No wait_idle: join-on-destruction must still run everything queued.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 257;
   std::vector<std::atomic<int>> hits(n);
@@ -495,30 +476,19 @@ TEST(ParallelFor, ZeroItemsIsNoop) {
   rc::parallel_for(0, 4, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(ThreadPool, ZeroThreadsMeansHardwareDefault) {
-  rc::ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), rc::ThreadPool::default_threads());
-  EXPECT_GE(rc::ThreadPool::default_threads(), 1u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, SingleWorkerRunsJobsOffTheCallingThread) {
-  rc::ThreadPool pool(1);
-  ASSERT_EQ(pool.num_threads(), 1u);
-  const auto caller = std::this_thread::get_id();
-  std::atomic<int> ran{0};
-  std::thread::id worker;
-  for (int i = 0; i < 4; ++i)
-    pool.submit([&] {
-      worker = std::this_thread::get_id();
-      ran.fetch_add(1);
-    });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 4);
-  EXPECT_NE(worker, caller);
+TEST(ParallelFor, ZeroThreadsMeansHardwareThreads) {
+  const std::size_t hw = rc::hardware_threads();
+  EXPECT_GE(hw, 1u);
+  std::vector<std::atomic<int>> hits(64);
+  std::mutex ids_mu;
+  std::set<std::thread::id> ids;
+  rc::parallel_for(hits.size(), 0, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    std::lock_guard<std::mutex> lock(ids_mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_LE(ids.size(), hw);
 }
 
 TEST(ParallelFor, SingleItemDegradesToSerial) {
@@ -533,9 +503,9 @@ TEST(ParallelFor, SingleItemDegradesToSerial) {
 }
 
 TEST(ParallelFor, SerialPathPropagatesFirstException) {
-  // num_threads == 1 takes the plain-loop path; it must match the pool
-  // path's contract — finish the remaining indices, then rethrow the
-  // first failure.
+  // num_threads == 1 runs on the calling thread; it must match the
+  // threaded path's contract — finish the remaining indices, then rethrow
+  // the first failure.
   int completed = 0;
   try {
     rc::parallel_for(8, 1, [&completed](std::size_t i) {

@@ -395,10 +395,10 @@ TEST_F(SeedEnvTest, MalformedSpecFailsLoudly) {
 TEST_F(SeedEnvTest, BenchThreadsDefaultsToHardwareWhenUnset) {
   ::unsetenv("REM_BENCH_THREADS");
   EXPECT_EQ(rem::testkit::bench_threads(),
-            rem::common::ThreadPool::default_threads());
+            rem::common::hardware_threads());
   ::setenv("REM_BENCH_THREADS", "", 1);
   EXPECT_EQ(rem::testkit::bench_threads(),
-            rem::common::ThreadPool::default_threads());
+            rem::common::hardware_threads());
   ::setenv("REM_BENCH_THREADS", "3", 1);
   EXPECT_EQ(rem::testkit::bench_threads(), 3u);
 }

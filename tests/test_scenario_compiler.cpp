@@ -1,11 +1,13 @@
 // Scenario compiler verification (label: tier1): the declarative JSON
-// schema round-trips canonically, every malformed input is rejected with
-// the offending key/scenario named, compilation reproduces a hand-built
-// SimConfig bit-for-bit, time compression scales the fault timeline but
-// never magnitudes, and a compiled fleet run is bit-identical across
-// worker-thread counts.
+// schema round-trips canonically, every key reaches its own field and is
+// written in a pinned canonical form that SCENARIOS.md documents, every
+// malformed input is rejected with the offending key/scenario named,
+// compilation reproduces a hand-built SimConfig bit-for-bit, time
+// compression scales the fault timeline but never magnitudes, and a
+// compiled fleet run is bit-identical across worker-thread counts.
 #include "scenario/scenario.hpp"
 
+#include "common/flat_json.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "fleet_runner.hpp"
@@ -14,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
+#include <iterator>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -161,6 +166,231 @@ TEST(ScenarioSchema, EveryLibraryScenarioRoundTrips) {
   }
 }
 
+// --- the schema, pinned apart from its key lists ---------------------------
+// The reader, the writer and digest_fields share one key list per record,
+// so a round trip cannot catch a wrong row in a list; these tests spell the
+// schema out by hand.
+
+TEST(ScenarioSchema, EveryKeyReachesItsField) {
+  // Every scalar key and entry 0 of each list, each at its own value off
+  // the default: a key read into a neighbouring field shows up here.
+  const auto s = parse(
+      "{\n"
+      "  \"schema\": \"rem-scenario-v1\",\n"
+      "  \"name\": \"every_key\",\n"
+      "  \"description\": \"each key once\",\n"
+      "  \"paper_ref\": \"table 2\",\n"
+      "  \"route\": \"la\",\n"
+      "  \"layout\": \"dense_small_cell\",\n"
+      "  \"speed_kmh\": \"81\",\n"
+      "  \"duration_s\": \"82\",\n"
+      "  \"time_compression\": \"1.5\",\n"
+      "  \"seed\": \"84\",\n"
+      "  \"ue.count\": \"7\",\n"
+      "  \"ue.start_spread_m\": \"85\",\n"
+      "  \"ue.class.0.name\": \"c0\",\n"
+      "  \"ue.class.0.count\": \"7\",\n"
+      "  \"ue.class.0.speed_lo_kmh\": \"71\",\n"
+      "  \"ue.class.0.speed_hi_kmh\": \"72\",\n"
+      "  \"fault.0.kind\": \"bs_overload\",\n"
+      "  \"fault.0.start_s\": \"51\",\n"
+      "  \"fault.0.duration_s\": \"52\",\n"
+      "  \"fault.0.magnitude\": \"0.53\",\n"
+      "  \"rfault.0.kind\": \"pilot_outage\",\n"
+      "  \"rfault.0.mean_gap_s\": \"61\",\n"
+      "  \"rfault.0.duration_lo_s\": \"62\",\n"
+      "  \"rfault.0.duration_hi_s\": \"63\",\n"
+      "  \"rfault.0.magnitude_lo\": \"64\",\n"
+      "  \"rfault.0.magnitude_hi\": \"65\",\n"
+      "  \"fault.domain_size\": \"41\",\n"
+      "  \"fault.region_stagger_s\": \"0.42\",\n"
+      "  \"fault.cascade_neighbor_radius\": \"43\",\n"
+      "  \"resilience.load_ad_staleness_s\": \"0.44\",\n"
+      "  \"resilience.breaker_trip_k\": \"45\",\n"
+      "  \"resilience.breaker_cooldown_s\": \"0.46\",\n"
+      "  \"resilience.storm_jitter_frac\": \"0.47\",\n"
+      "  \"backhaul.enabled\": \"false\",\n"
+      "  \"backhaul.base_latency_s\": \"0.011\",\n"
+      "  \"backhaul.jitter_s\": \"0.012\",\n"
+      "  \"backhaul.loss_prob\": \"0.013\",\n"
+      "  \"backhaul.reorder_prob\": \"0.014\",\n"
+      "  \"backhaul.reorder_extra_s\": \"0.015\",\n"
+      "  \"backhaul.duplicate_prob\": \"0.016\",\n"
+      "  \"backhaul.queue_capacity\": \"17\",\n"
+      "  \"backhaul.reverse_latency_scale\": \"1.8\",\n"
+      "  \"bs.profile\": \"edge\",\n"
+      "  \"bs.enabled\": \"false\",\n"
+      "  \"bs.slots\": \"21\",\n"
+      "  \"bs.queue_capacity\": \"22\",\n"
+      "  \"bs.prep_service_s\": \"0.023\",\n"
+      "  \"bs.ctx_service_s\": \"0.024\",\n"
+      "  \"bs.background_service_s\": \"0.025\",\n"
+      "  \"bs.admission_load_threshold\": \"0.26\",\n"
+      "  \"bs.reject_backoff_hint_s\": \"0.027\",\n"
+      "  \"bs.admission_max_retries\": \"28\",\n"
+      "  \"gate.max_rem_failure_ratio\": \"0.31\",\n"
+      "  \"gate.rem_le_legacy\": \"false\",\n"
+      "  \"gate.min_legacy_handovers\": \"32\",\n"
+      "}\n");
+  EXPECT_EQ(s.name, "every_key");
+  EXPECT_EQ(s.description, "each key once");
+  EXPECT_EQ(s.paper_ref, "table 2");
+  EXPECT_EQ(s.route, rem::trace::Route::kLowMobilityLA);
+  EXPECT_EQ(s.layout, scn::Layout::kDenseSmallCell);
+  EXPECT_EQ(s.speed_kmh, 81.0);
+  EXPECT_EQ(s.duration_s, 82.0);
+  EXPECT_EQ(s.time_compression, 1.5);
+  EXPECT_EQ(s.seed, 84u);
+  EXPECT_EQ(s.ue_count, 7);
+  EXPECT_EQ(s.start_spread_m, 85.0);
+  ASSERT_EQ(s.classes.size(), 1u);
+  EXPECT_EQ(s.classes[0].name, "c0");
+  EXPECT_EQ(s.classes[0].count, 7);
+  EXPECT_EQ(s.classes[0].speed_lo_kmh, 71.0);
+  EXPECT_EQ(s.classes[0].speed_hi_kmh, 72.0);
+  ASSERT_EQ(s.faults.size(), 1u);
+  EXPECT_EQ(s.faults[0].kind, rem::sim::FaultKind::kBsOverload);
+  EXPECT_EQ(s.faults[0].start_s, 51.0);
+  EXPECT_EQ(s.faults[0].duration_s, 52.0);
+  EXPECT_EQ(s.faults[0].magnitude, 0.53);
+  ASSERT_EQ(s.rfaults.size(), 1u);
+  EXPECT_EQ(s.rfaults[0].kind, rem::sim::FaultKind::kPilotOutage);
+  EXPECT_EQ(s.rfaults[0].mean_gap_s, 61.0);
+  EXPECT_EQ(s.rfaults[0].duration_lo_s, 62.0);
+  EXPECT_EQ(s.rfaults[0].duration_hi_s, 63.0);
+  EXPECT_EQ(s.rfaults[0].magnitude_lo, 64.0);
+  EXPECT_EQ(s.rfaults[0].magnitude_hi, 65.0);
+  EXPECT_EQ(s.fault_domain_size, 41);
+  EXPECT_EQ(s.region_stagger_s, 0.42);
+  EXPECT_EQ(s.cascade_neighbor_radius, 43);
+  EXPECT_EQ(s.load_ad_staleness_s, 0.44);
+  EXPECT_EQ(s.breaker_trip_k, 45);
+  EXPECT_EQ(s.breaker_cooldown_s, 0.46);
+  EXPECT_EQ(s.storm_jitter_frac, 0.47);
+  EXPECT_FALSE(s.backhaul.enabled);
+  EXPECT_EQ(s.backhaul.base_latency_s, 0.011);
+  EXPECT_EQ(s.backhaul.jitter_s, 0.012);
+  EXPECT_EQ(s.backhaul.loss_prob, 0.013);
+  EXPECT_EQ(s.backhaul.reorder_prob, 0.014);
+  EXPECT_EQ(s.backhaul.reorder_extra_s, 0.015);
+  EXPECT_EQ(s.backhaul.duplicate_prob, 0.016);
+  EXPECT_EQ(s.backhaul.queue_capacity, 17u);
+  EXPECT_EQ(s.backhaul.reverse_latency_scale, 1.8);
+  EXPECT_EQ(s.bs_profile, "edge");
+  EXPECT_FALSE(s.bs_capacity.enabled);
+  EXPECT_EQ(s.bs_capacity.slots, 21);
+  EXPECT_EQ(s.bs_capacity.queue_capacity, 22u);
+  EXPECT_EQ(s.bs_capacity.prep_service_s, 0.023);
+  EXPECT_EQ(s.bs_capacity.ctx_service_s, 0.024);
+  EXPECT_EQ(s.bs_capacity.background_service_s, 0.025);
+  EXPECT_EQ(s.bs_capacity.admission_load_threshold, 0.26);
+  EXPECT_EQ(s.bs_capacity.reject_backoff_hint_s, 0.027);
+  EXPECT_EQ(s.bs_capacity.admission_max_retries, 28);
+  EXPECT_EQ(s.gates.max_rem_failure_ratio, 0.31);
+  EXPECT_FALSE(s.gates.rem_le_legacy);
+  EXPECT_EQ(s.gates.min_legacy_handovers, 32);
+
+  // The plain band cannot share a file with classes.
+  const auto band = parse(minimal_json("  \"ue.speed_lo_kmh\": \"91\",\n"
+                                       "  \"ue.speed_hi_kmh\": \"92\",\n"));
+  EXPECT_EQ(band.ue_speed_lo_kmh, 91.0);
+  EXPECT_EQ(band.ue_speed_hi_kmh, 92.0);
+}
+
+TEST(ScenarioSchema, CanonicalFormIsPinned) {
+  // Key names, key order and value spellings of the canonical writer.
+  EXPECT_EQ(scn::write_scenario_json(full_spec()), R"({
+  "schema": "rem-scenario-v1",
+  "name": "full",
+  "description": "every field group populated",
+  "paper_ref": "fig 9",
+  "route": "beijing_taiyuan",
+  "layout": "urban_canyon",
+  "speed_kmh": "90",
+  "duration_s": "80",
+  "time_compression": "2",
+  "seed": "77",
+  "ue.count": "5",
+  "ue.start_spread_m": "900",
+  "ue.class.0.name": "vehicular",
+  "ue.class.0.count": "3",
+  "ue.class.0.speed_lo_kmh": "40",
+  "ue.class.0.speed_hi_kmh": "100",
+  "ue.class.1.name": "pedestrian",
+  "ue.class.1.count": "2",
+  "ue.class.1.speed_lo_kmh": "3",
+  "ue.class.1.speed_hi_kmh": "6",
+  "fault.0.kind": "bs_overload",
+  "fault.0.start_s": "10",
+  "fault.0.duration_s": "6",
+  "fault.0.magnitude": "1",
+  "rfault.0.kind": "pilot_outage",
+  "rfault.0.mean_gap_s": "30",
+  "rfault.0.duration_lo_s": "1",
+  "rfault.0.duration_hi_s": "2",
+  "rfault.0.magnitude_lo": "10",
+  "rfault.0.magnitude_hi": "20",
+  "fault.domain_size": "3",
+  "fault.region_stagger_s": "0.25",
+  "fault.cascade_neighbor_radius": "1",
+  "resilience.load_ad_staleness_s": "1.5",
+  "resilience.breaker_trip_k": "2",
+  "resilience.breaker_cooldown_s": "4",
+  "resilience.storm_jitter_frac": "0.20000000000000001",
+  "backhaul.enabled": "true",
+  "backhaul.base_latency_s": "0.0040000000000000001",
+  "backhaul.jitter_s": "0.002",
+  "backhaul.loss_prob": "0.029999999999999999",
+  "backhaul.reorder_prob": "0",
+  "backhaul.reorder_extra_s": "0.0060000000000000001",
+  "backhaul.duplicate_prob": "0",
+  "backhaul.queue_capacity": "64",
+  "backhaul.reverse_latency_scale": "2",
+  "bs.profile": "small_cell",
+  "bs.enabled": "true",
+  "bs.slots": "1",
+  "bs.queue_capacity": "4",
+  "bs.prep_service_s": "0.002",
+  "bs.ctx_service_s": "0.002",
+  "bs.background_service_s": "0.02",
+  "bs.admission_load_threshold": "0.5",
+  "bs.reject_backoff_hint_s": "0.080000000000000002",
+  "bs.admission_max_retries": "8",
+  "gate.max_rem_failure_ratio": "0.25",
+  "gate.rem_le_legacy": "false",
+  "gate.min_legacy_handovers": "7"
+}
+)");
+}
+
+/// Every key the writer emits for `spec`, list indices written as <i>.
+std::vector<std::string> written_keys(const scn::ScenarioSpec& spec) {
+  std::istringstream is(scn::write_scenario_json(spec));
+  const std::regex index(R"(\.[0-9]+\.)");
+  std::vector<std::string> keys;
+  for (const auto& e : rem::common::flat_json::read(is, "written"))
+    keys.push_back(std::regex_replace(e.key, index, ".<i>."));
+  return keys;
+}
+
+TEST(ScenarioSchema, EveryWrittenKeyIsDocumented) {
+  std::ifstream in(std::string(REM_SOURCE_DIR) + "/SCENARIOS.md");
+  ASSERT_TRUE(in) << "cannot read SCENARIOS.md";
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  scn::ScenarioSpec plain;
+  plain.name = "plain";
+  plain.description = "a plain speed band";
+  auto keys = written_keys(full_spec());  // classes and every knob
+  const auto band = written_keys(plain);
+  keys.insert(keys.end(), band.begin(), band.end());
+  for (const char* shorthand : {"ue.pedestrian", "ue.vehicular", "ue.hst350"})
+    keys.push_back(shorthand);
+  for (const auto& key : keys)
+    EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
+        << "SCENARIOS.md never names `" << key << "`";
+}
+
 TEST(ScenarioSchema, NamedShorthandsExpandToClasses) {
   const auto spec = parse(minimal_json("  \"ue.pedestrian\": \"2\",\n"
                                        "  \"ue.vehicular\": \"3\",\n"));
@@ -284,6 +514,28 @@ TEST(ScenarioSchema, RejectsNonFiniteAndOutOfRangeNumbers) {
                              "\",\n"));
         });
   }
+}
+
+TEST(ScenarioSchema, RejectsQueueCapacitiesBelowTheirBounds) {
+  for (const char* v : {"0", "-1"}) {
+    SCOPED_TRACE(v);
+    expect_throw_with<std::runtime_error>(
+        "key 'backhaul.queue_capacity': must be >= 1", [&] {
+          parse(minimal_json(
+              std::string("  \"backhaul.queue_capacity\": \"") + v +
+              "\",\n"));
+        });
+  }
+  expect_throw_with<std::runtime_error>(
+      "key 'bs.queue_capacity': must be >= 0", [] {
+        parse(minimal_json("  \"bs.queue_capacity\": \"-1\",\n"));
+      });
+  EXPECT_EQ(parse(minimal_json("  \"backhaul.queue_capacity\": \"1\",\n"))
+                .backhaul.queue_capacity,
+            1u);
+  EXPECT_EQ(parse(minimal_json("  \"bs.queue_capacity\": \"0\",\n"))
+                .bs_capacity.queue_capacity,
+            0u);
 }
 
 TEST(ScenarioCompile, RejectsWithScenarioNamedInContext) {
