@@ -2,8 +2,8 @@
 // scenario for several seeds, aggregate statistics.
 //
 // Seeds are independent by construction — every stochastic component draws
-// from common::Rng(seed) forks — so `run_route` farms one seed per
-// thread-pool job and then merges the per-seed results *in seed order*.
+// from common::Rng(seed) forks — so `run_route` hands one seed per index
+// to parallel_for and then merges the per-seed results *in seed order*.
 // Every thread count shares run_seed() and merge_seed_results(), so the
 // output is bit-identical for the same seed list regardless of thread
 // count.
@@ -227,7 +227,7 @@ inline ScenarioRun merge_seed_results(const std::vector<SeedRunResult>& rs) {
   return out;
 }
 
-/// run_seed over `seeds`, one thread-pool job per seed on up to `threads`
+/// run_seed over `seeds`, one parallel_for index per seed on up to `threads`
 /// workers (1 runs parallel_for's plain serial loop; pass
 /// testkit::bench_threads() to honour REM_BENCH_THREADS). Results merge in
 /// seed order, so the output is bit-identical for any thread count.

@@ -12,7 +12,10 @@
 #   6. SCENARIOS.md's schema reference names every key scenarios/*.json
 #      use and every fault_kind_name() wire name;
 #   7. every backticked `k[A-Z]...` identifier in the design and user
-#      docs occurs in src/, bench/, tests/, examples/ or perfbench/.
+#      docs occurs in src/, bench/, tests/, examples/ or perfbench/;
+#   8. every src/<module>/<name>.hpp is #included by some file in src/,
+#      bench/, examples/ or perfbench/ other than its own .cpp, so no src
+#      code is reached by tests alone.
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -195,8 +198,23 @@ for md in DESIGN.md README.md OBSERVABILITY.md SCENARIOS.md EXPERIMENTS.md \
   done
 done
 
+# --- 8. every src header has a reader besides its own .cpp ---------------
+# Tests do not count as readers: a module that only tests include either
+# gains a bench, example or src caller or goes with its tests.
+includes=$(grep -rHoE --include='*.cpp' --include='*.hpp' \
+    '^#include "[a-z0-9_]+/[a-z0-9_]+\.hpp"' src bench examples perfbench |
+  sed -E 's/:#include "(.*)"$/ \1/')
+for hdr in src/*/*.hpp; do
+  own="${hdr%.hpp}.cpp"
+  if ! printf '%s\n' "$includes" | awk -v hdr="${hdr#src/}" -v own="$own" '
+      $2 == hdr && $1 != own { found = 1 } END { exit !found }'; then
+    echo "UNREAD HEADER: $hdr is #included by no file in src/, bench/, examples/ or perfbench/ besides $own"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + cited test names + src/obs header docs + scenario schema keys + doc k-identifiers)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + cited test names + src/obs header docs + scenario schema keys + doc k-identifiers + src header readers)"

@@ -664,13 +664,13 @@ CompiledScenario compile(const ScenarioSpec& spec,
     }
   }
 
+  // Probe the transport even when it is off: the canonical writer emits
+  // every backhaul key, and the reader bounds them whatever `enabled` is.
   sc.backhaul = spec.backhaul;
-  if (sc.backhaul.enabled) {
-    try {
-      net::BackhaulNetwork probe(sc.backhaul, common::Rng(0));
-    } catch (const std::invalid_argument& e) {
-      reject(e.what());
-    }
+  try {
+    net::BackhaulNetwork probe(sc.backhaul, common::Rng(0));
+  } catch (const std::invalid_argument& e) {
+    reject(e.what());
   }
 
   sc.bs_capacity = spec.bs_capacity;

@@ -325,14 +325,13 @@ void RadioEnv::cells_in_reach(double track_pos_m, double floor_dbm,
     std::sort(out.begin(), out.end());
 }
 
-template <typename Skip>
-int RadioEnv::best_cell_skipping(double track_pos_m, double min_rsrp_dbm,
-                                 Skip&& skip) const {
+int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
+                        const std::vector<char>& excluded) const {
   const bool in_hole = position_in_hole(track_pos_m);
   int best = -1;
   double best_rsrp = min_rsrp_dbm;
   visit_reach(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
-    if (skip(i)) return;
+    if (i < excluded.size() && excluded[i]) return;
     const double r = mean_rsrp_dbm(i, track_pos_m, in_hole);
     // Track order may reach a tied cell after a higher index: keep the
     // lowest index among equals, as an ascending scan would.
@@ -343,20 +342,6 @@ int RadioEnv::best_cell_skipping(double track_pos_m, double min_rsrp_dbm,
     }
   });
   return best;
-}
-
-int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
-                        int exclude_idx) const {
-  return best_cell_skipping(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
-    return static_cast<int>(i) == exclude_idx;
-  });
-}
-
-int RadioEnv::best_cell(double track_pos_m, double min_rsrp_dbm,
-                        const std::vector<char>& excluded) const {
-  return best_cell_skipping(track_pos_m, min_rsrp_dbm, [&](std::size_t i) {
-    return i < excluded.size() && excluded[i];
-  });
 }
 
 std::vector<Cell> make_rail_deployment(const DeploymentConfig& cfg,

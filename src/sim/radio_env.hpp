@@ -125,17 +125,13 @@ class RadioEnv {
 
   /// Index of the strongest cell by mean RSRP (coverage-hole cells
   /// excluded); returns -1 if everything is below `min_rsrp_dbm`.
-  /// `exclude_idx` skips one cell — the simulator passes a crashed BS so
-  /// re-establishment and failure classification never pick a dead cell.
-  /// Throws std::invalid_argument for a floor below `kWindowFloorDbm`.
+  /// `excluded[i] != 0` skips cell i (indices past its end are kept): the
+  /// simulator passes its dead-cell mask, so re-establishment and failure
+  /// classification never pick a crashed BS, and a region outage removes
+  /// its whole failure domain at once. Throws std::invalid_argument for a
+  /// floor below `kWindowFloorDbm`.
   int best_cell(double track_pos_m, double min_rsrp_dbm,
-                int exclude_idx = -1) const;
-
-  /// Multi-exclusion variant for correlated faults: `excluded[i] != 0`
-  /// skips cell i. Region outages kill a whole failure domain at once, so
-  /// the simulator passes its dead-cell mask instead of a single index.
-  int best_cell(double track_pos_m, double min_rsrp_dbm,
-                const std::vector<char>& excluded) const;
+                const std::vector<char>& excluded = {}) const;
 
   /// Replaces `out` with the cells whose mean RSRP at this position could
   /// reach `floor_dbm`, in ascending cell index: every cell with
@@ -173,9 +169,6 @@ class RadioEnv {
   /// position order (every cell, in index order, when unbounded).
   template <typename Visit>
   void visit_reach(double track_pos_m, double floor_dbm, Visit&& visit) const;
-  template <typename Skip>
-  int best_cell_skipping(double track_pos_m, double min_rsrp_dbm,
-                         Skip&& skip) const;
 
   std::vector<Cell> cells_;
   PropagationConfig cfg_;

@@ -100,40 +100,4 @@ sim::EventLog read_event_csv(std::istream& is) {
   return log;
 }
 
-LogSummary summarize_event_log(const sim::EventLog& log) {
-  LogSummary s;
-  double first_ho = -1.0, last_ho = -1.0;
-  for (const auto& e : log) {
-    switch (e.kind) {
-      case sim::EventKind::kHandoverComplete:
-        ++s.handovers;
-        if (first_ho < 0) first_ho = e.t_s;
-        last_ho = e.t_s;
-        break;
-      case sim::EventKind::kRadioLinkFailure: ++s.failures; break;
-      case sim::EventKind::kReportLost: ++s.report_losses; break;
-      case sim::EventKind::kHoCommandLost: ++s.command_losses; break;
-      case sim::EventKind::kReportRetransmit: ++s.report_retransmits; break;
-      case sim::EventKind::kT304Expiry: ++s.t304_expiries; break;
-      case sim::EventKind::kHoCommandDuplicate:
-        ++s.duplicate_commands;
-        break;
-      case sim::EventKind::kFaultStart: ++s.fault_windows; break;
-      case sim::EventKind::kDegradedEnter: ++s.degraded_episodes; break;
-      case sim::EventKind::kPrepRetry: ++s.prep_retries; break;
-      case sim::EventKind::kPrepReject: ++s.prep_rejects; break;
-      case sim::EventKind::kPrepFallback: ++s.prep_fallbacks; break;
-      case sim::EventKind::kPrepFailed: ++s.prep_failures; break;
-      case sim::EventKind::kContextFetchFailed:
-        ++s.context_fetch_failures;
-        break;
-      default: break;
-    }
-  }
-  if (s.handovers >= 2)
-    s.mean_handover_interval_s =
-        (last_ho - first_ho) / static_cast<double>(s.handovers - 1);
-  return s;
-}
-
 }  // namespace rem::trace

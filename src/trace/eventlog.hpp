@@ -24,26 +24,4 @@ void write_event_csv_file(const sim::EventLog& log,
 /// malformed input.
 sim::EventLog read_event_csv(std::istream& is);
 
-/// Summary statistics straight from a log (handover interval, failure
-/// counts) — the first-pass analysis the paper runs over its captures.
-struct LogSummary {
-  std::size_t handovers = 0;
-  std::size_t failures = 0;
-  std::size_t report_losses = 0;
-  std::size_t command_losses = 0;
-  std::size_t report_retransmits = 0;
-  std::size_t t304_expiries = 0;
-  std::size_t duplicate_commands = 0;
-  std::size_t fault_windows = 0;     ///< fault_start events
-  std::size_t degraded_episodes = 0; ///< degraded_enter events
-  // Backhaul preparation / context-fetch events (rem::net transport).
-  std::size_t prep_retries = 0;
-  std::size_t prep_rejects = 0;
-  std::size_t prep_fallbacks = 0;
-  std::size_t prep_failures = 0;
-  std::size_t context_fetch_failures = 0;
-  double mean_handover_interval_s = 0.0;
-};
-LogSummary summarize_event_log(const sim::EventLog& log);
-
 }  // namespace rem::trace

@@ -536,6 +536,14 @@ TEST(ScenarioSchema, RejectsQueueCapacitiesBelowTheirBounds) {
   EXPECT_EQ(parse(minimal_json("  \"bs.queue_capacity\": \"0\",\n"))
                 .bs_capacity.queue_capacity,
             0u);
+  // With the transport off, compile still rejects what the reader would:
+  // the canonical writer emits every backhaul key either way.
+  auto off = full_spec();
+  off.backhaul.enabled = false;
+  off.backhaul.queue_capacity = 0;
+  expect_throw_with<std::invalid_argument>(
+      "scenario 'full': BackhaulConfig: queue_capacity must be >= 1",
+      [&] { scn::compile(off); });
 }
 
 TEST(ScenarioCompile, RejectsWithScenarioNamedInContext) {

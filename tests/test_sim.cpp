@@ -199,9 +199,9 @@ std::vector<rs::HoleSegment> tangled_holes() {
 
 /// Every 10 m from `from_m` to `to_m`, at floors -130/-120/-114 dBm:
 /// cells_in_reach is strictly ascending and holds every cell whose mean
-/// RSRP reaches the floor, and both best_cell overloads return what an
-/// ascending scan over every cell returns (the single-index overload
-/// excluding that scan's winner, the mask one every third cell). Returns
+/// RSRP reaches the floor, and best_cell returns what an ascending scan
+/// over every cell returns: with no mask, with a one-hot mask on that
+/// scan's winner, and with a mask on every third cell. Returns
 /// the first mismatch, or "" when none. Callers start 1 m short of a
 /// 10 m shadowing-grid node, so every position interpolates toward the
 /// node on its right, the one a 1 km block shares with the next.
@@ -244,7 +244,9 @@ std::string window_mismatch(const rs::RadioEnv& env, double from_m,
         return at.str() + "best_cell != " + std::to_string(best);
       const int second = scan(
           floor, [&](std::size_t i) { return static_cast<int>(i) == best; });
-      if (env.best_cell(x, floor, best) != second)
+      std::vector<char> one_hot(n, 0);
+      if (best >= 0) one_hot[static_cast<std::size_t>(best)] = 1;
+      if (env.best_cell(x, floor, one_hot) != second)
         return at.str() + "best_cell excluding " + std::to_string(best) +
                " != " + std::to_string(second);
       const int masked = scan(floor, [&](std::size_t i) { return mask[i]; });

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 namespace rt = rem::trace;
 namespace rs = rem::sim;
@@ -140,12 +139,6 @@ TEST(EventLog, CsvRoundTripCoversFaultAndRecoveryKinds) {
     EXPECT_EQ(back[i].kind, log[i].kind);
     EXPECT_EQ(back[i].target_cell, log[i].target_cell);
   }
-  const auto s = rt::summarize_event_log(log);
-  EXPECT_EQ(s.fault_windows, 1u);
-  EXPECT_EQ(s.report_retransmits, 1u);
-  EXPECT_EQ(s.duplicate_commands, 1u);
-  EXPECT_EQ(s.t304_expiries, 1u);
-  EXPECT_EQ(s.degraded_episodes, 1u);
 }
 
 TEST(EventKindName, EveryKindRoundTripsThroughCsvAndInvalidThrows) {
@@ -326,15 +319,6 @@ TEST(EventLog, FuzzedInputNeverCrashesAndAlwaysNamesContext) {
        "1.0,handover_complete,1,2,3.5,extra\n");  // too many fields
 }
 
-TEST(EventLog, Summary) {
-  const auto s = rt::summarize_event_log(sample_log());
-  EXPECT_EQ(s.handovers, 2u);
-  EXPECT_EQ(s.failures, 1u);
-  EXPECT_EQ(s.report_losses, 1u);
-  EXPECT_EQ(s.command_losses, 0u);
-  EXPECT_NEAR(s.mean_handover_interval_s, 20.0 - 2.05, 1e-9);
-}
-
 TEST(EventLog, SimulatorRecordsConsistentLog) {
   const auto sc = rt::make_scenario(rt::Route::kBeijingShanghai, 300.0,
                                     400.0);
@@ -352,15 +336,11 @@ TEST(EventLog, SimulatorRecordsConsistentLog) {
   const auto stats = sim.run(mgr);
 
   ASSERT_FALSE(stats.events.empty());
-  const auto summary = rt::summarize_event_log(stats.events);
-  EXPECT_EQ(static_cast<int>(summary.handovers),
-            stats.successful_handovers);
-  EXPECT_EQ(static_cast<int>(summary.failures), stats.failures);
+  EXPECT_GE(stats.successful_handovers, 2);
   // Timestamps are non-decreasing.
   for (std::size_t i = 1; i < stats.events.size(); ++i)
     EXPECT_GE(stats.events[i].t_s, stats.events[i - 1].t_s);
-  // CSV round trip of a real log: every column comes back bit for bit, so
-  // the summary does too.
+  // CSV round trip of a real log: every column comes back bit for bit.
   std::stringstream ss;
   rt::write_event_csv(stats.events, ss);
   const auto back = rt::read_event_csv(ss);
@@ -375,17 +355,6 @@ TEST(EventLog, SimulatorRecordsConsistentLog) {
     EXPECT_EQ(back[i].target_cell, e.target_cell);
     EXPECT_EQ(bits(back[i].serving_snr_db), bits(e.serving_snr_db));
   }
-  const auto fields = [&](const rt::LogSummary& s) {
-    return std::tuple(s.handovers, s.failures, s.report_losses,
-                      s.command_losses, s.report_retransmits,
-                      s.t304_expiries, s.duplicate_commands, s.fault_windows,
-                      s.degraded_episodes, s.prep_retries, s.prep_rejects,
-                      s.prep_fallbacks, s.prep_failures,
-                      s.context_fetch_failures,
-                      bits(s.mean_handover_interval_s));
-  };
-  EXPECT_GE(summary.handovers, 2u);
-  EXPECT_EQ(fields(rt::summarize_event_log(back)), fields(summary));
 }
 
 // ---------- Movement estimation ----------
