@@ -33,7 +33,7 @@
 //
 // EXPERIMENTS.md documents the output schema; SCENARIOS.md catalogues the
 // library and the per-scenario gate rationale.
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "fleet_runner.hpp"
 #include "obs/registry.hpp"
 #include "scenario/scenario.hpp"

@@ -10,8 +10,8 @@
 // the JSON lands next to README.md). --smoke shrinks every workload to a
 // few seconds for ctest (label `perf`); the bit-identity gates still apply.
 // Any other argument starting with '-' is a usage error (exit 2).
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dsp/fft.hpp"
 #include "phy/otfs.hpp"
 #include "scenario_runner.hpp"

@@ -9,8 +9,8 @@
 // count.
 #pragma once
 
+#include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "core/legacy_manager.hpp"
 #include "core/rem_manager.hpp"
 #include "mobility/conflict.hpp"

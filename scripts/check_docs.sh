@@ -15,7 +15,9 @@
 #      docs occurs in src/, bench/, tests/, examples/ or perfbench/;
 #   8. every src/<module>/<name>.hpp is #included by some file in src/,
 #      bench/, examples/ or perfbench/ other than its own .cpp, so no src
-#      code is reached by tests alone.
+#      code is reached by tests alone;
+#   9. every src/<module>/ holding a CMakeLists.txt has a | `src/<module>` |
+#      row in DESIGN.md's module table, and every such row names one.
 # Exits non-zero listing every violation; prints nothing on success
 # beyond a one-line summary.
 set -u
@@ -213,8 +215,28 @@ for hdr in src/*/*.hpp; do
   fi
 done
 
+# --- 9. DESIGN.md's module table <-> the src libraries ---------------------
+# §3 inventories every library: one added without a row, or a row left for
+# a deleted module, fails the docs label.
+for cml in src/*/CMakeLists.txt; do
+  mod="${cml%/CMakeLists.txt}"
+  if ! grep -qF "| \`$mod\` |" DESIGN.md; then
+    echo "MISSING MODULE ROW: $mod has a CMakeLists.txt but no | \`$mod\` | row in DESIGN.md's module table"
+    fail=1
+  fi
+done
+while IFS= read -r mod; do
+  [ -z "$mod" ] && continue
+  if [ ! -f "$mod/CMakeLists.txt" ]; then
+    echo "STALE MODULE ROW: DESIGN.md's module table names \`$mod\`, which has no $mod/CMakeLists.txt"
+    fail=1
+  fi
+done <<EOF
+$(grep -oE '^\| `src/[a-z0-9_]+` \|' DESIGN.md | grep -oE 'src/[a-z0-9_]+')
+EOF
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + cited test names + src/obs header docs + scenario schema keys + doc k-identifiers + src header readers)"
+echo "check_docs: ok (markdown links + scenario catalogue + fault-kind table + cited test names + src/obs header docs + scenario schema keys + doc k-identifiers + src header readers + module table)"

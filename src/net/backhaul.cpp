@@ -78,21 +78,13 @@ bool BackhaulNetwork::send(double now_s, const BackhaulMessage& msg,
   const bool reverse =
       msg.src_cell >= 0 && msg.dst_cell >= 0 && msg.dst_cell < msg.src_cell;
   const double dir_scale = reverse ? cfg_.reverse_latency_scale : 1.0;
-  InFlight f;
-  f.deliver_at_s = now_s + dir_scale * draw_delay(extra_delay_s);
-  f.order = next_order_++;
-  f.sent_at_s = now_s;
-  f.frame = encode_message(msg);
-  queue_.push_back(std::move(f));
+  queue_.push_back({now_s + dir_scale * draw_delay(extra_delay_s),
+                    next_order_++, now_s, msg});
   if (cfg_.duplicate_prob > 0.0 && rng_.bernoulli(cfg_.duplicate_prob) &&
       queue_.size() < cfg_.queue_capacity) {
     ++stats_.duplicated;
-    InFlight dup;
-    dup.deliver_at_s = now_s + dir_scale * draw_delay(extra_delay_s);
-    dup.order = next_order_++;
-    dup.sent_at_s = now_s;
-    dup.frame = encode_message(msg);
-    queue_.push_back(std::move(dup));
+    queue_.push_back({now_s + dir_scale * draw_delay(extra_delay_s),
+                      next_order_++, now_s, msg});
   }
   return true;
 }
@@ -101,7 +93,7 @@ std::size_t BackhaulNetwork::drop_in_flight_for_cell(std::int32_t cell) {
   std::size_t kept = 0;
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const BackhaulMessage m = decode_message(queue_[i].frame);
+    const BackhaulMessage& m = queue_[i].msg;
     if (m.src_cell == cell || m.dst_cell == cell) {
       ++dropped;
     } else {
@@ -136,7 +128,7 @@ std::vector<BackhaulMessage> BackhaulNetwork::poll(double now_s) {
   std::vector<BackhaulMessage> out;
   out.reserve(due.size());
   for (const auto& f : due) {
-    out.push_back(decode_message(f.frame));
+    out.push_back(f.msg);
     ++stats_.delivered;
     stats_.latency_sum_s += f.deliver_at_s - f.sent_at_s;
   }

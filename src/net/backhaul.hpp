@@ -11,16 +11,15 @@
 // backhaul classes) enter as per-send overrides: extra loss probability,
 // extra one-way delay, or a partition that drops everything at the sender.
 //
-// Messages cross the wire framed (net/message.hpp): send() encodes,
-// poll() decodes, so the codec sits on the live path rather than only in
-// tests.
+// Messages stay values end to end: each in-flight entry holds the
+// BackhaulMessage itself.
 #pragma once
 
 #include "common/rng.hpp"
 #include "net/message.hpp"
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace rem::net {
@@ -78,34 +77,33 @@ class BackhaulNetwork {
   /// to the ambient loss probability (saturating at 1), `extra_delay_s`
   /// adds one-way latency, and `partitioned` drops the message outright
   /// without consuming any random draws (partitions are deterministic).
-  /// Returns whether the frame was queued (duplicates count as queued
+  /// Returns whether the message was queued (duplicates count as queued
   /// once); a false return means the message is gone — senders recover
   /// via their own timeout/retry machinery, never via transport feedback.
   bool send(double now_s, const BackhaulMessage& msg,
             double extra_loss_prob = 0.0, double extra_delay_s = 0.0,
             bool partitioned = false);
 
-  /// Deliver every frame due at or before `now_s`, sorted by (delivery
+  /// Deliver every message due at or before `now_s`, sorted by (delivery
   /// time, send order) so simultaneous deliveries have a deterministic
-  /// order. Frames are decoded through the wire codec on the way out.
+  /// order.
   std::vector<BackhaulMessage> poll(double now_s);
 
   /// A BS crash takes its half of every in-flight exchange down with it:
-  /// drop all queued frames whose source or destination is `cell`
-  /// (counted as dropped_crash). Returns how many frames were dropped.
+  /// drop all queued messages whose source or destination is `cell`
+  /// (counted as dropped_crash). Returns how many were dropped.
   /// Draws no randomness — crash drops are deterministic, like partitions.
   std::size_t drop_in_flight_for_cell(std::int32_t cell);
 
   const TransportStats& stats() const { return stats_; }
   std::size_t in_flight() const { return queue_.size(); }
-  const BackhaulConfig& config() const { return cfg_; }
 
  private:
   struct InFlight {
     double deliver_at_s = 0.0;
     std::uint64_t order = 0;  ///< send order, tie-break for equal times
     double sent_at_s = 0.0;
-    std::vector<std::uint8_t> frame;
+    BackhaulMessage msg;
   };
 
   double draw_delay(double extra_delay_s);
@@ -115,31 +113,6 @@ class BackhaulNetwork {
   std::vector<InFlight> queue_;
   std::uint64_t next_order_ = 0;
   TransportStats stats_;
-};
-
-/// At-most-once receive filter keyed on BackhaulMessage::seq: accept()
-/// returns true exactly once per sequence number, so duplicated or
-/// re-sent frames cannot double-trigger handover state transitions.
-class SequenceTracker {
- public:
-  /// True iff `seq` has not been accepted before (and records it).
-  bool accept(std::uint64_t seq) {
-    if (!seen_.insert(seq).second) {
-      ++duplicates_;
-      return false;
-    }
-    return true;
-  }
-  bool seen(std::uint64_t seq) const { return seen_.count(seq) > 0; }
-  std::uint64_t duplicates() const { return duplicates_; }
-
-  /// A crashed-and-restarted BS loses its receive-side dedup state; the
-  /// duplicates counter stays monotonic (it is mirrored into run stats).
-  void reset() { seen_.clear(); }
-
- private:
-  std::set<std::uint64_t> seen_;
-  std::uint64_t duplicates_ = 0;
 };
 
 }  // namespace rem::net

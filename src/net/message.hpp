@@ -1,20 +1,13 @@
 // Inter-BS control-plane messages for the backhaul transport (rem::net).
 //
 // Handover preparation and context transfer between base stations ride a
-// real (simulated) network, not a function call, so every message has a
-// wire format: a fixed-size framed encoding with magic, version, and an
-// FNV-1a checksum. The codec is load-bearing — BackhaulNetwork encodes at
-// send() and decodes at poll(), so a corrupted frame can never silently
-// become a well-formed message. decode_message() follows the repo's
-// reject-with-context convention: malformed input throws
-// std::runtime_error naming the offending field and value, never returns
-// a guess.
+// simulated network, not a function call. BackhaulNetwork carries each
+// message as a plain value: the faults it models (loss, delay,
+// reordering, duplication, partitions, crash drops) act on whole
+// messages, and nothing outside the process ever reads their bytes.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace rem::net {
 
@@ -32,12 +25,10 @@ enum class MsgType : std::uint8_t {
                          ///< context; the fetched state would be stale
 };
 
-constexpr std::size_t kNumMsgTypes = 7;
-
 /// One backhaul message. `seq` identifies the transaction: replies echo
-/// the request's sequence number so the sender can match answers to
-/// outstanding requests and discard stale or duplicated ones
-/// (idempotent receive via SequenceTracker).
+/// the request's sequence number, so the sender counts an answer only
+/// while that request is still outstanding and discards stale or
+/// duplicated ones.
 struct BackhaulMessage {
   std::uint64_t seq = 0;
   MsgType type = MsgType::kHandoverRequest;
@@ -51,32 +42,10 @@ struct BackhaulMessage {
   std::int32_t ue = 0;
   double payload = 0.0;           ///< type-specific (e.g. admission RSRP)
   /// Sender's control-plane load advertisement, piggybacked on every
-  /// frame: utilization of the sending BS in [0, 1], or -1 when the
+  /// message: utilization of the sending BS in [0, 1], or -1 when the
   /// sender does not advertise (load advertisement disabled, or the
   /// sender is not a BS). Receivers treat anything < 0 as "no ad".
   double load = -1.0;
 };
-
-/// Wire framing: magic(2) version(1) type(1) seq(8) src(4) dst(4)
-/// target(4) ue(4) payload(8) load(8) checksum(4), little-endian,
-/// 48 bytes total. The checksum is 32-bit FNV-1a over every preceding
-/// byte. Version 2 added the ue field; version 3 added the piggybacked
-/// load advertisement. Older versions are rejected like any other
-/// foreign version — the transport never mixes versions in flight.
-constexpr std::size_t kFrameSize = 48;
-constexpr std::uint16_t kFrameMagic = 0x5242;  // "RB" (REM backhaul)
-constexpr std::uint8_t kFrameVersion = 3;
-
-/// Encode one message into its framed wire form (always kFrameSize bytes).
-std::vector<std::uint8_t> encode_message(const BackhaulMessage& m);
-
-/// Decode one frame. Throws std::runtime_error with reject context on any
-/// malformation: short/long frame, bad magic, unsupported version,
-/// unknown type, cell index below -1, or checksum mismatch.
-BackhaulMessage decode_message(const std::uint8_t* data, std::size_t len);
-
-inline BackhaulMessage decode_message(const std::vector<std::uint8_t>& f) {
-  return decode_message(f.data(), f.size());
-}
 
 }  // namespace rem::net

@@ -1,8 +1,6 @@
 #include "sim/bs_capacity.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -11,20 +9,6 @@ namespace rem::sim {
 namespace {
 constexpr double kTimeEps = 1e-9;
 }  // namespace
-
-std::string bs_job_kind_name(BsJobKind kind) {
-  switch (kind) {
-    case BsJobKind::kRrcDecision:
-      return "rrc_decision";
-    case BsJobKind::kPrepAdmission:
-      return "prep_admission";
-    case BsJobKind::kContextLookup:
-      return "context_lookup";
-    case BsJobKind::kBackground:
-      return "background";
-  }
-  return "unknown";
-}
 
 void validate(const BsCapacityConfig& cfg) {
   if (!cfg.enabled) return;
@@ -68,9 +52,6 @@ std::optional<BsJob> BsStation::submit(double t, BsJobKind kind,
                                        double service_s,
                                        const net::BackhaulMessage& msg,
                                        int ue) {
-  if (slot_free_s_.empty()) {
-    slot_free_s_.assign(static_cast<std::size_t>(slots_), 0.0);
-  }
   const auto earliest =
       std::min_element(slot_free_s_.begin(), slot_free_s_.end());
   const double start = std::max(t, *earliest);
@@ -87,35 +68,28 @@ std::optional<BsJob> BsStation::submit(double t, BsJobKind kind,
   job.ue = ue;
   *earliest = job.done_s;
   jobs_.push_back(job);
-  order_.push_back(next_order_++);
   return job;
 }
 
 std::vector<BsJob> BsStation::take_completed(double t) {
-  std::vector<std::pair<std::size_t, BsJob>> done;
-  std::vector<BsJob> kept_jobs;
-  std::vector<std::size_t> kept_order;
+  std::vector<BsJob> done;
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (jobs_[i].done_s <= t + kTimeEps) {
-      done.emplace_back(order_[i], jobs_[i]);
+      done.push_back(jobs_[i]);
     } else {
-      kept_jobs.push_back(jobs_[i]);
-      kept_order.push_back(order_[i]);
+      if (kept != i) jobs_[kept] = jobs_[i];
+      ++kept;
     }
   }
-  jobs_ = std::move(kept_jobs);
-  order_ = std::move(kept_order);
-  std::sort(done.begin(), done.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second.done_s != b.second.done_s) {
-                return a.second.done_s < b.second.done_s;
-              }
-              return a.first < b.first;
-            });
-  std::vector<BsJob> out;
-  out.reserve(done.size());
-  for (auto& [ord, job] : done) out.push_back(job);
-  return out;
+  jobs_.resize(kept);
+  // jobs_ is in submission order, so a stable sort breaks done_s ties by
+  // submission.
+  std::stable_sort(done.begin(), done.end(),
+                   [](const BsJob& a, const BsJob& b) {
+                     return a.done_s < b.done_s;
+                   });
+  return done;
 }
 
 int BsStation::occupancy(double t) const {
@@ -140,14 +114,6 @@ double BsStation::load(double t) const {
   return static_cast<double>(occupancy(t)) / cap;
 }
 
-int BsStation::unfinished() const {
-  int n = 0;
-  for (const auto& j : jobs_) {
-    if (j.kind != BsJobKind::kBackground) ++n;
-  }
-  return n;
-}
-
 std::vector<BsJob> BsStation::unfinished_jobs() const {
   std::vector<BsJob> out;
   for (const auto& j : jobs_) {
@@ -156,14 +122,9 @@ std::vector<BsJob> BsStation::unfinished_jobs() const {
   return out;
 }
 
-int BsStation::flush() {
-  return static_cast<int>(flush_jobs().size());
-}
-
 std::vector<BsJob> BsStation::flush_jobs() {
   std::vector<BsJob> lost = unfinished_jobs();
   jobs_.clear();
-  order_.clear();
   std::fill(slot_free_s_.begin(), slot_free_s_.end(), 0.0);
   return lost;
 }

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace rem::sim {
@@ -32,8 +31,6 @@ enum class BsJobKind {
   kContextLookup,  ///< old serving BS services a context fetch
   kBackground,     ///< synthetic other-UE load during overload windows
 };
-
-std::string bs_job_kind_name(BsJobKind kind);
 
 /// Knobs for the per-BS capacity model. Defaults keep the uncontended
 /// path fast (a couple of ms of service latency per signaling leg) so
@@ -95,7 +92,6 @@ struct BsJob {
 /// the admission reply, mark the decision ready, ...).
 class BsStation {
  public:
-  BsStation() = default;
   BsStation(int slots, std::size_t queue_capacity);
 
   /// Schedule a job at time `t` with the given service time, attributed
@@ -121,29 +117,21 @@ class BsStation {
   double load(double t) const;
 
   /// Crash: every scheduled job is lost and all slots reset to idle.
-  /// Returns the number of non-background jobs flushed.
-  int flush();
-
-  /// Crash variant that also returns the flushed non-background jobs (in
-  /// submission order) so a fleet simulation can attribute each loss to
-  /// its owning UE. flush() is flush_jobs() minus the job list.
+  /// Returns the flushed non-background jobs, in submission order, so a
+  /// fleet simulation can attribute each loss to its owning UE.
   std::vector<BsJob> flush_jobs();
 
-  /// Non-background jobs not yet returned by take_completed — the
-  /// end-of-run in-flight count (SimStats::bs_jobs_inflight_end).
-  int unfinished() const;
-
-  /// The unfinished() jobs themselves, in submission order, for per-UE
-  /// in-flight attribution at the end of a fleet run.
+  /// Non-background jobs not yet returned by take_completed, in
+  /// submission order: the end-of-run in-flight jobs
+  /// (SimStats::bs_jobs_inflight_end), attributed per UE.
   std::vector<BsJob> unfinished_jobs() const;
 
  private:
   int slots_ = 1;
   std::size_t queue_capacity_ = 0;
   std::vector<double> slot_free_s_;
-  std::vector<BsJob> jobs_;  ///< scheduled, not yet taken via take_completed
-  std::vector<std::size_t> order_;  ///< per-job submission counter (ties)
-  std::size_t next_order_ = 0;
+  /// Scheduled, not yet taken via take_completed, in submission order.
+  std::vector<BsJob> jobs_;
 };
 
 }  // namespace rem::sim

@@ -1,8 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include "common/units.hpp"
-#include "core/admission.hpp"
-#include "core/circuit_breaker.hpp"
+#include "sim/circuit_breaker.hpp"
 #include "sim/fleet.hpp"
 
 #include <algorithm>
@@ -93,8 +92,8 @@ struct Attempt {
   double decided_at_s = 0.0;
   int report_retries = 0;
   int prep_retries = 0;        ///< T-prep retries toward the current target
-  /// Admission-control backoff (core/admission.hpp): busy rejects
-  /// absorbed by waiting out the target's hint, per attempt.
+  /// Admission-control backoff: busy rejects absorbed by waiting out the
+  /// target's hint, per attempt.
   int admission_retries = 0;
   std::uint64_t seq = 0;       ///< transaction id of the outstanding request
   double sent_s = 0.0;         ///< last request send time (RTT base)
@@ -181,7 +180,7 @@ struct UeContext {
   double ctx_failed_camp_s = 0.0;
   /// Per-target circuit breakers (one per cell), empty when
   /// SimConfig::breaker_trip_k == 0. Source-side state, so per-UE.
-  std::vector<core::CircuitBreaker> breakers;
+  std::vector<CircuitBreaker> breakers;
   /// Policy-evaluation scratch, refilled every evaluation so a tick
   /// allocates nothing: the cells in reach of the candidate floor, the
   /// observations handed to the manager, each candidate's mean RSRP, and
@@ -287,8 +286,8 @@ class FleetEngine {
     u.context_lost.assign(env_.cells().size(), false);
     if (cfg_.breaker_trip_k > 0)
       u.breakers.assign(env_.cells().size(),
-                        core::CircuitBreaker(cfg_.breaker_trip_k,
-                                             cfg_.breaker_cooldown_s));
+                        CircuitBreaker(cfg_.breaker_trip_k,
+                                       cfg_.breaker_cooldown_s));
     u.last_dd.assign(env_.cells().size(), kNaN);
     u.outage_reestablish_s = kReestablish_s;
     int serving = env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm);
@@ -497,8 +496,7 @@ class FleetEngine {
   /// Asks the old serving BS for the UE context on behalf of the
   /// re-establishment cell `ctx_target`. The first send opens a
   /// transaction; each retry doubles the timeout and keeps the id, so a
-  /// late answer to an earlier copy still completes the fetch (ctx_seen_
-  /// absorbs duplicates).
+  /// late answer to an earlier copy still completes the fetch.
   void send_ctx_fetch(UeContext& u, double t) {
     if (u.ctx == CtxFetch::kFetching) {
       ++u.ctx_retries;
@@ -533,7 +531,7 @@ class FleetEngine {
   bool breaker_allows_prep(UeContext& u, double t) {
     if (u.breakers.empty()) return true;
     auto& br = u.breakers[u.attempt->target_idx];
-    const bool was_open = br.state() == core::BreakerState::kOpen;
+    const bool was_open = br.state() == BreakerState::kOpen;
     if (!br.allow(t)) return false;
     if (was_open) {
       ++u.stats.breaker_probes;
@@ -607,22 +605,19 @@ class FleetEngine {
       return;
     }
     // Busy reject: the target's signaling queue is over its admission
-    // threshold. The source FSM (core/admission.hpp) pivots to the
-    // Theorem-2 fallback target if one is still fresh, otherwise waits out
-    // the carried backoff hint for a bounded number of re-attempts before
-    // failing the preparation.
+    // threshold. The source pivots to the Theorem-2 fallback target if one
+    // is still fresh, otherwise waits out the carried backoff hint for a
+    // bounded number of re-attempts before failing the preparation.
     ++u.stats.admission_rejects;
     const double hint = std::max(0.0, m.payload);
     log_event(u, t, EventKind::kAdmissionReject, u.serving, tgt, hint);
     breaker_fail(u, t, a.target_idx);
-    core::AdmissionBackoffFsm fsm(cfg_.bs_capacity.admission_max_retries,
-                                  a.admission_retries);
-    if (fsm.decide(a.fallback_available()) !=
-        core::AdmissionAction::kBackoff) {
+    if (a.fallback_available() ||
+        a.admission_retries >= cfg_.bs_capacity.admission_max_retries) {
       prep_fallback_or_fail(u, t);  // fallback, or fail when none is left
       return;
     }
-    a.admission_retries = fsm.retries();
+    ++a.admission_retries;
     ++u.stats.admission_backoff_retries;
     a.phase = Phase::kRequestDue;
     a.prep_retries = 0;
@@ -639,13 +634,9 @@ class FleetEngine {
   }
 
   void poll_backhaul(double t) {
+    // Nothing on the wire touches a dead BS: kill_cell flushed it, and
+    // bh_send refuses dead ends.
     for (const auto& m : netw_->poll(t)) {
-      // Frames addressed to (or claiming to come from) a dead BS are
-      // dropped at delivery — defensive: crash open flushed the wire.
-      if (dead_count_ > 0 && (is_dead(m.dst_cell) || is_dead(m.src_cell))) {
-        ++ue_of(m.ue).stats.bs_crash_dropped_msgs;
-        continue;
-      }
       UeContext& u = ue_of(m.ue);
       if (load_ads_ && m.load >= 0.0 && m.src_cell >= 0 &&
           m.src_cell < static_cast<int>(load_ad_.size())) {
@@ -680,11 +671,11 @@ class FleetEngine {
         case net::MsgType::kHandoverAck:
         case net::MsgType::kHandoverReject:
         case net::MsgType::kHandoverRejectBusy:
-          // At most once per transaction id, and only an answer to the
-          // attempt's outstanding request counts: a retry or a fallback
-          // replaces the id, and execution or a dead end ends the wait.
-          if (ack_seen_.accept(m.seq) && u.in_phase(Phase::kRequestSent) &&
-              m.seq == u.attempt->seq)
+          // Only an answer to the attempt's outstanding request counts,
+          // and counting it moves the attempt off kRequestSent; a retry or
+          // a fallback sends under a fresh id (ids are never reused), so
+          // duplicates and stragglers fall through.
+          if (u.in_phase(Phase::kRequestSent) && m.seq == u.attempt->seq)
             answer_prep(u, t, m);
           break;
         case net::MsgType::kContextFetch: {
@@ -712,8 +703,9 @@ class FleetEngine {
         }
         case net::MsgType::kContextResponse:
         case net::MsgType::kContextStale:
+          // The first answer ends kFetching; duplicates fall through.
           if (u.outage_started < 0.0 || u.ctx != CtxFetch::kFetching ||
-              m.seq != u.ctx_seq || !ctx_seen_.accept(m.seq))
+              m.seq != u.ctx_seq)
             break;
           if (m.type == net::MsgType::kContextResponse) {
             u.ctx = CtxFetch::kReady;
@@ -838,10 +830,8 @@ class FleetEngine {
       crash_owns_cell_ = kill_cell(t, victim, crash_mag);
     } else if (crash_mag <= 0.0 && crashed_cell_ >= 0) {
       // Restart: the BS rejoins stateless — queue already flushed at
-      // crash, receive-side dedup gone (SequenceTracker reset).
+      // crash.
       if (crash_owns_cell_) revive_cell(t, crashed_cell_);
-      ack_seen_.reset();
-      ctx_seen_.reset();
       crashed_cell_ = -1;
       crash_owns_cell_ = false;
     }
@@ -880,8 +870,6 @@ class FleetEngine {
       // stateless — the same recovery semantics as a single-BS restart.
       for (const int cell : region_killed_) revive_cell(t, cell);
       region_killed_.clear();
-      ack_seen_.reset();
-      ctx_seen_.reset();
       region_active_ = false;
       region_domain_ = -1;
     }
@@ -1453,7 +1441,7 @@ class FleetEngine {
     }
     v.crashed_cells = dead_count_;
     for (const auto& br : u.breakers)
-      if (br.state() == core::BreakerState::kOpen) ++v.breakers_open;
+      if (br.state() == BreakerState::kOpen) ++v.breakers_open;
     cfg_.observer->on_tick(v);
   }
 
@@ -1522,8 +1510,6 @@ class FleetEngine {
   std::vector<BsStation> stations_;
   std::vector<UeContext> ues_;
   std::uint64_t next_seq_ = 1;  ///< transaction ids for all backhaul msgs
-  net::SequenceTracker ack_seen_;  ///< at-most-once ack/reject processing
-  net::SequenceTracker ctx_seen_;  ///< at-most-once context responses
   // Crash state. A dead BS stays radio-silent, its signaling is dropped,
   // and every UE's context there is lost until re-established. The
   // single-cell crash-restart window keeps its dedicated slot; region

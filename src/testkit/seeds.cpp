@@ -1,6 +1,6 @@
 #include "testkit/seeds.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 
 #include <cstdlib>
 #include <stdexcept>

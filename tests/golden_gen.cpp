@@ -6,7 +6,7 @@
 // Usage: golden_gen [output_dir]   (default: the committed tests/golden)
 #include "golden_runner.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 
 #include <cstdio>
 #include <exception>

@@ -1,21 +1,17 @@
-// rem::net backhaul transport: wire-codec round trips and pinned
-// malformed-frame rejections, a seeded corruption fuzz over the decoder
-// (never crash, never silently accept garbage), SequenceTracker
-// idempotency, BackhaulConfig validation, deterministic delivery under
-// loss/reorder/duplication/partition, and the simulator-level preparation
-// FSM behavior the transport enables (prep before command, retries under
-// loss, fallback/failure under partition, and bit-identical runs).
+// rem::net backhaul transport: BackhaulConfig validation, deterministic
+// delivery under loss/reorder/duplication/partition, and the
+// simulator-level preparation FSM behavior the transport enables (prep
+// before command, retries under loss, fallback/failure under partition,
+// duplicated answers counted once, and bit-identical runs).
+#include "fleet_runner.hpp"
 #include "net/backhaul.hpp"
 #include "net/message.hpp"
-#include "scenario_runner.hpp"
 #include "sim/fault_injector.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstring>
-#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,172 +33,6 @@ rn::BackhaulMessage sample_message() {
 }
 
 }  // namespace
-
-// ---------- Wire codec ----------
-
-TEST(BackhaulCodec, RoundTripsEveryTypeAndFieldExactly) {
-  for (int t = 1; t <= static_cast<int>(rn::kNumMsgTypes); ++t) {
-    rn::BackhaulMessage m = sample_message();
-    m.type = static_cast<rn::MsgType>(t);
-    m.seq = static_cast<std::uint64_t>(t) << 40;
-    m.src_cell = t - 2;  // exercises -1 and small indices
-    m.payload = t * 1.5e-3;
-    const auto frame = rn::encode_message(m);
-    ASSERT_EQ(frame.size(), rn::kFrameSize);
-    const auto back = rn::decode_message(frame);
-    EXPECT_EQ(back.seq, m.seq);
-    EXPECT_EQ(back.type, m.type);
-    EXPECT_EQ(back.src_cell, m.src_cell);
-    EXPECT_EQ(back.dst_cell, m.dst_cell);
-    EXPECT_EQ(back.target_cell, m.target_cell);
-    EXPECT_EQ(back.payload, m.payload);
-  }
-}
-
-TEST(BackhaulCodec, PayloadBitsSurviveIncludingNonFinite) {
-  for (const double p : {0.0, -0.0, 1e-300, -1e300,
-                         std::numeric_limits<double>::infinity()}) {
-    rn::BackhaulMessage m = sample_message();
-    m.payload = p;
-    const auto back = rn::decode_message(rn::encode_message(m));
-    std::uint64_t a, b;
-    std::memcpy(&a, &m.payload, sizeof(a));
-    std::memcpy(&b, &back.payload, sizeof(b));
-    EXPECT_EQ(a, b);
-  }
-}
-
-TEST(BackhaulCodec, PinnedMalformedFramesRejectWithContext) {
-  const auto frame = rn::encode_message(sample_message());
-  const auto reject = [](std::vector<std::uint8_t> f,
-                         const std::string& needle) {
-    try {
-      rn::decode_message(f);
-      ADD_FAILURE() << "frame accepted; expected rejection on " << needle;
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("backhaul frame"), std::string::npos) << msg;
-      EXPECT_NE(msg.find(needle), std::string::npos) << msg;
-    }
-  };
-
-  reject({}, "length");                                  // empty
-  reject({frame.begin(), frame.begin() + 35}, "length"); // truncated
-  auto longer = frame;
-  longer.push_back(0);
-  reject(longer, "length");                              // trailing junk
-
-  auto bad_magic = frame;
-  bad_magic[0] ^= 0xff;
-  reject(bad_magic, "magic");
-
-  auto bad_version = frame;
-  bad_version[2] = 9;
-  // Version bumps re-checksum cleanly in a real sender; a decoder seeing a
-  // foreign version must say so before checksum noise confuses the story.
-  reject(bad_version, "version");
-
-  auto bad_checksum = frame;
-  bad_checksum[rn::kFrameSize - 1] ^= 0x01;
-  reject(bad_checksum, "checksum");
-  auto flipped_body = frame;
-  flipped_body[10] ^= 0x40;  // inside seq; checksum must catch it
-  reject(flipped_body, "checksum");
-}
-
-TEST(BackhaulCodec, RejectsUnknownTypeAndBadCellsPastChecksum) {
-  // Re-checksummed frames isolate the field checks from the checksum one.
-  const auto rebuild = [](rn::BackhaulMessage m) {
-    return rn::encode_message(m);
-  };
-  rn::BackhaulMessage m = sample_message();
-  m.src_cell = -2;
-  try {
-    rn::decode_message(rebuild(m));
-    ADD_FAILURE() << "cell index -2 accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("cell"), std::string::npos)
-        << e.what();
-  }
-  // Type is validated inside decode, so a hand-corrupted type byte with a
-  // fixed-up checksum must still be rejected.
-  auto frame = rebuild(sample_message());
-  frame[3] = 0;  // type slot
-  try {
-    rn::decode_message(frame);
-    ADD_FAILURE() << "type 0 accepted";
-  } catch (const std::runtime_error& e) {
-    // Either the checksum or the type check fires; both are rejections
-    // with context, and neither may crash.
-    EXPECT_NE(std::string(e.what()).find("backhaul frame"),
-              std::string::npos);
-  }
-}
-
-TEST(BackhaulCodec, SeededCorruptionFuzzNeverCrashes) {
-  rem::common::Rng rng(20260806);
-  const auto base = rn::encode_message(sample_message());
-  int rejected = 0, accepted = 0;
-  for (int iter = 0; iter < 5000; ++iter) {
-    auto f = base;
-    // Corrupt 1..6 random bytes (bit flips or full rewrites), sometimes
-    // truncate or extend.
-    const int edits = static_cast<int>(rng.uniform_int(1, 6));
-    for (int e = 0; e < edits; ++e) {
-      const auto i =
-          static_cast<std::size_t>(rng.uniform_int(0, rn::kFrameSize - 1));
-      if (rng.bernoulli(0.5))
-        f[i] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-      else
-        f[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    if (rng.bernoulli(0.1))
-      f.resize(static_cast<std::size_t>(rng.uniform_int(0, rn::kFrameSize)));
-    try {
-      const auto m = rn::decode_message(f);
-      // Survivors must be internally valid (the corruption was a no-op or
-      // an astronomically unlikely checksum collision on valid fields).
-      EXPECT_GE(static_cast<int>(m.type), 1);
-      EXPECT_LE(static_cast<int>(m.type),
-                static_cast<int>(rn::kNumMsgTypes));
-      EXPECT_GE(m.src_cell, -1);
-      EXPECT_GE(m.dst_cell, -1);
-      EXPECT_GE(m.target_cell, -1);
-      ++accepted;
-    } catch (const std::runtime_error&) {
-      ++rejected;
-    }
-  }
-  // The checksum must be doing real work: the overwhelming majority of
-  // corruptions are rejected, and the no-op survivors are a handful.
-  EXPECT_GT(rejected, 4500);
-  EXPECT_LT(accepted, 500);
-}
-
-TEST(BackhaulCodec, RandomGarbageFramesAlwaysReject) {
-  rem::common::Rng rng(7);
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint8_t> f(
-        static_cast<std::size_t>(rng.uniform_int(0, 64)));
-    for (auto& b : f) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    EXPECT_THROW(rn::decode_message(f), std::runtime_error);
-  }
-}
-
-// ---------- SequenceTracker ----------
-
-TEST(SequenceTracker, AcceptsOnceAndCountsDuplicates) {
-  rn::SequenceTracker t;
-  EXPECT_TRUE(t.accept(5));
-  EXPECT_FALSE(t.accept(5));
-  EXPECT_FALSE(t.accept(5));
-  EXPECT_TRUE(t.accept(6));
-  EXPECT_TRUE(t.accept(1));  // out-of-order first sighting still accepted
-  EXPECT_FALSE(t.accept(1));
-  EXPECT_TRUE(t.seen(5) && t.seen(6) && t.seen(1));
-  EXPECT_FALSE(t.seen(2));
-  EXPECT_EQ(t.duplicates(), 3u);
-}
 
 // ---------- Config validation ----------
 
@@ -446,6 +276,42 @@ TEST(BackhaulFsm, DelaySpikesStretchRttWithoutFailures) {
   EXPECT_GT(spiked.rem.prep_rtt_sum_s / spiked.rem.prep_acks,
             calm.rem.prep_rtt_sum_s / calm.rem.prep_acks);
   EXPECT_EQ(spiked.rem.prep_failures, 0);
+}
+
+TEST(BackhaulFsm, DuplicatedAnswersCountOnce) {
+  // Every message goes out twice while a BS crashes and restarts, so
+  // every HANDOVER REQUEST and context fetch draws at least two answers.
+  // The runners' invariant checkers reject a prep ack without an
+  // outstanding request and any break in outcome conservation. A UE's
+  // context fetch answers once per outage (the events from one RLF or
+  // T304 expiry to the next), so stale replies cannot outnumber the
+  // outages either.
+  rem::phy::LogisticBlerModel bler;
+  auto sc = rem::testkit::golden_scenario(rem::trace::Route::kBeijingShanghai,
+                                          300.0, 120.0, "bs_crash_restart");
+  sc.sim.backhaul.duplicate_prob = 1.0;
+  const auto single = rem::bench::run_seed(sc, 1, true, bler);
+  sc.sim.fleet_size = 6;
+  const auto fleet = rem::bench::run_fleet_scenario(sc, 1, bler, true);
+  int stale = 0;
+  for (const rs::SimStats* s :
+       {&single.legacy, &single.rem, &fleet.aggregate}) {
+    EXPECT_GT(s->backhaul_duplicated, 0u);
+    EXPECT_GT(s->prep_acks, 0);
+    EXPECT_LE(s->stale_context_responses, s->failures);
+    stale += s->stale_context_responses;
+    std::map<int, int> stale_this_outage;  // per UE
+    for (const auto& e : s->events) {
+      if (e.kind == rs::EventKind::kRadioLinkFailure ||
+          e.kind == rs::EventKind::kT304Expiry)
+        stale_this_outage[e.ue] = 0;
+      if (e.kind == rs::EventKind::kContextStale) {
+        EXPECT_LE(++stale_this_outage[e.ue], 1)
+            << "UE " << e.ue << " at t=" << e.t_s;
+      }
+    }
+  }
+  EXPECT_GT(stale, 0);
 }
 
 TEST(BackhaulFsm, RunsAreBitIdenticalWithTransportEnabled) {

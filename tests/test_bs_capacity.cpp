@@ -1,11 +1,10 @@
 // BS capacity model unit tests (deterministic slot/queue scheduling, shed
-// and flush semantics, config validation, the source-side admission
-// backoff FSM) plus simulator-level FSM edges: busy-rejects honoring the
-// backoff hint, pivoting to the Theorem-2 fallback, queue-full sheds
+// and flush semantics, config validation) plus simulator-level FSM edges:
+// busy-rejects honoring the backoff hint, pivoting to the Theorem-2
+// fallback, a bounded retry budget per attempt, queue-full sheds
 // classifying as feedback-delay losses, and crash-restart recovery
 // (fixed-victim selection, in-flight signaling loss, stale-context
 // replies after a stateless restart).
-#include "core/admission.hpp"
 #include "scenario_runner.hpp"
 #include "sim/bs_capacity.hpp"
 #include "sim/fault_injector.hpp"
@@ -31,7 +30,16 @@ TEST(BsStation, UncontendedJobStartsImmediately) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].kind, rs::BsJobKind::kPrepAdmission);
   EXPECT_TRUE(st.take_completed(11.0).empty());
-  EXPECT_EQ(st.unfinished(), 0);
+  EXPECT_TRUE(st.unfinished_jobs().empty());
+  // Two slots take two jobs at once; equal done_s come back in
+  // submission order.
+  ASSERT_TRUE(st.submit(20.0, rs::BsJobKind::kContextLookup, 0.5));
+  ASSERT_TRUE(st.submit(20.0, rs::BsJobKind::kRrcDecision, 0.5));
+  const auto tied = st.take_completed(20.5);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(tied[0].done_s, tied[1].done_s);
+  EXPECT_EQ(tied[0].kind, rs::BsJobKind::kContextLookup);
+  EXPECT_EQ(tied[1].kind, rs::BsJobKind::kRrcDecision);
 }
 
 TEST(BsStation, QueuesBehindBusySlotsAndShedsWhenFull) {
@@ -62,25 +70,18 @@ TEST(BsStation, FlushLosesScheduledJobsAndCountsNonBackground) {
   ASSERT_TRUE(st.submit(0.0, rs::BsJobKind::kBackground, 0.020));
   ASSERT_TRUE(st.submit(0.0, rs::BsJobKind::kRrcDecision, 0.010));
   ASSERT_TRUE(st.submit(0.0, rs::BsJobKind::kPrepAdmission, 0.002));
-  EXPECT_EQ(st.unfinished(), 2);  // background excluded
-  EXPECT_EQ(st.flush(), 2);
+  EXPECT_EQ(st.unfinished_jobs().size(), 2u);  // background excluded
+  const auto lost = st.flush_jobs();
+  ASSERT_EQ(lost.size(), 2u);
+  EXPECT_EQ(lost[0].kind, rs::BsJobKind::kRrcDecision);
+  EXPECT_EQ(lost[1].kind, rs::BsJobKind::kPrepAdmission);
   EXPECT_EQ(st.occupancy(0.0), 0);
-  EXPECT_EQ(st.unfinished(), 0);
+  EXPECT_TRUE(st.unfinished_jobs().empty());
   EXPECT_TRUE(st.take_completed(10.0).empty());
   // The station is usable again after the crash.
   const auto job = st.submit(1.0, rs::BsJobKind::kContextLookup, 0.002);
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(job->start_s, 1.0);
-}
-
-TEST(BsJobKindName, NamesEveryKind) {
-  EXPECT_EQ(rs::bs_job_kind_name(rs::BsJobKind::kRrcDecision),
-            "rrc_decision");
-  EXPECT_EQ(rs::bs_job_kind_name(rs::BsJobKind::kPrepAdmission),
-            "prep_admission");
-  EXPECT_EQ(rs::bs_job_kind_name(rs::BsJobKind::kContextLookup),
-            "context_lookup");
-  EXPECT_EQ(rs::bs_job_kind_name(rs::BsJobKind::kBackground), "background");
 }
 
 TEST(BsCapacityConfig, ValidateNamesTheOffendingField) {
@@ -120,33 +121,6 @@ TEST(BsCapacityConfig, ValidateNamesTheOffendingField) {
   bad = ok;
   bad.admission_max_retries = -1;
   expect_throw_naming(bad, "admission_max_retries");
-}
-
-TEST(AdmissionBackoffFsm, FallbackFirstThenBoundedBackoffThenFail) {
-  rem::core::AdmissionBackoffFsm fsm(2);
-  // A fresh fallback always wins over waiting.
-  EXPECT_EQ(fsm.decide(true), rem::core::AdmissionAction::kFallback);
-  EXPECT_EQ(fsm.retries(), 0);  // fallback costs no retry budget
-  // Without a fallback the FSM backs off until the budget runs out.
-  EXPECT_EQ(fsm.decide(false), rem::core::AdmissionAction::kBackoff);
-  EXPECT_EQ(fsm.decide(false), rem::core::AdmissionAction::kBackoff);
-  EXPECT_EQ(fsm.retries(), 2);
-  EXPECT_TRUE(fsm.exhausted());
-  EXPECT_EQ(fsm.decide(false), rem::core::AdmissionAction::kFail);
-}
-
-TEST(AdmissionBackoffFsm, ResumesFromPersistedRetryCount) {
-  // The simulator persists retries() into the pending handover and
-  // reconstructs the FSM per busy-reject; resuming mid-attempt must not
-  // reset the budget.
-  rem::core::AdmissionBackoffFsm fsm(3, 2);
-  EXPECT_EQ(fsm.decide(false), rem::core::AdmissionAction::kBackoff);
-  EXPECT_EQ(fsm.retries(), 3);
-  EXPECT_EQ(fsm.decide(false), rem::core::AdmissionAction::kFail);
-  // Degenerate budgets clamp instead of underflowing.
-  rem::core::AdmissionBackoffFsm none(-1, -5);
-  EXPECT_EQ(none.retries(), 0);
-  EXPECT_EQ(none.decide(false), rem::core::AdmissionAction::kFail);
 }
 
 // ---------- Simulator-level FSM edges ----------
@@ -223,6 +197,33 @@ TEST(AdmissionFsmEdges, BusyRejectPivotsToFallbackWhenAvailable) {
             r.rem.admission_backoff_retries +
                 count_events(r.rem, rs::EventKind::kPrepFallback) +
                 count_events(r.rem, rs::EventKind::kPrepFailed));
+}
+
+TEST(AdmissionFsmEdges, RetryBudgetBoundsEachAttemptThenFailsPrep) {
+  // A budget of two hint-spaced retries under saturation: no attempt (the
+  // events from one measurement trigger to the next) waits out a third
+  // busy reject, and some attempt spends both and fails its preparation.
+  rem::phy::LogisticBlerModel bler;
+  auto sc = rem::trace::make_scenario(rem::trace::Route::kBeijingShanghai,
+                                      300.0, 120.0);
+  sc.sim.faults =
+      periodic(rs::FaultKind::kBsOverload, 10.0, 1e9, 100.0, 1.0, 120.0);
+  sc.sim.bs_capacity.admission_max_retries = 2;
+  sc.sim.record_events = true;
+  const auto r = rem::bench::run_seed(sc, 1, /*run_rem=*/true, bler);
+  int retries = 0;
+  int spent_then_failed = 0;
+  for (const auto& e : r.rem.events) {
+    if (e.kind == rs::EventKind::kMeasurementTriggered) retries = 0;
+    if (e.kind == rs::EventKind::kAdmissionRetry) {
+      ++retries;
+      EXPECT_LE(retries, 2) << "attempt retried again at t=" << e.t_s;
+    }
+    if (e.kind == rs::EventKind::kPrepFailed && retries == 2)
+      ++spent_then_failed;
+  }
+  EXPECT_GT(r.rem.admission_backoff_retries, 0);
+  EXPECT_GT(spent_then_failed, 0);
 }
 
 TEST(AdmissionFsmEdges, LegacyDecisionShedClassifiesAsFeedbackDelayLoss) {

@@ -6,10 +6,10 @@
 // cascade storm, and storm runs merged in seed order are bit-identical at
 // 1, 2, and 8 worker threads. test_fleet.cpp pins the same storm's breaker
 // timeline across run() and a fleet of one.
-#include "core/circuit_breaker.hpp"
 #include "fleet_runner.hpp"
+#include "sim/circuit_breaker.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 
 namespace {
 
-namespace core = rem::core;
 namespace sim = rem::sim;
 using rem::bench::run_fleet_scenario;
 using rem::testkit::golden_scenario;
@@ -29,40 +28,40 @@ using rem::testkit::golden_scenario;
 // ---------- Breaker FSM unit level ----------
 
 TEST(CircuitBreaker, TripsAfterExactlyKConsecutiveFailures) {
-  core::CircuitBreaker br(3, 2.0);
+  sim::CircuitBreaker br(3, 2.0);
   // K-1 failures: still closed, still admitting preparations.
   EXPECT_FALSE(br.record_failure(1.0));
   EXPECT_FALSE(br.record_failure(2.0));
   EXPECT_EQ(br.consecutive_failures(), 2);
-  EXPECT_EQ(br.state(), core::BreakerState::kClosed);
+  EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
   EXPECT_TRUE(br.allow(2.5));
   // The K-th consecutive failure trips — record_failure reports it.
   EXPECT_TRUE(br.record_failure(3.0));
-  EXPECT_EQ(br.state(), core::BreakerState::kOpen);
+  EXPECT_EQ(br.state(), sim::BreakerState::kOpen);
   EXPECT_FALSE(br.allow(3.5));
   EXPECT_TRUE(br.refuses(3.5));
 }
 
 TEST(CircuitBreaker, SuccessResetsTheConsecutiveStreak) {
-  core::CircuitBreaker br(2, 2.0);
+  sim::CircuitBreaker br(2, 2.0);
   EXPECT_FALSE(br.record_failure(1.0));
   EXPECT_FALSE(br.record_success());  // closed: nothing to close
   EXPECT_EQ(br.consecutive_failures(), 0);
   // The streak restarted, so one more failure is not enough again.
   EXPECT_FALSE(br.record_failure(2.0));
   EXPECT_TRUE(br.record_failure(3.0));
-  EXPECT_EQ(br.state(), core::BreakerState::kOpen);
+  EXPECT_EQ(br.state(), sim::BreakerState::kOpen);
 }
 
 TEST(CircuitBreaker, OpenAdmitsExactlyOneProbeAfterCooldown) {
-  core::CircuitBreaker br(1, 2.0);
+  sim::CircuitBreaker br(1, 2.0);
   EXPECT_TRUE(br.record_failure(10.0));
   // Refused for the whole cool-down, including the last instant before it.
   EXPECT_FALSE(br.allow(10.0));
   EXPECT_FALSE(br.allow(11.999));
   // At the deadline: half-open, the caller becomes the probe...
   EXPECT_TRUE(br.allow(12.0));
-  EXPECT_EQ(br.state(), core::BreakerState::kHalfOpen);
+  EXPECT_EQ(br.state(), sim::BreakerState::kHalfOpen);
   EXPECT_TRUE(br.probe_in_flight());
   EXPECT_TRUE(br.engaged());
   EXPECT_FALSE(br.refuses(12.0));  // probe-eligible, not refused
@@ -71,19 +70,19 @@ TEST(CircuitBreaker, OpenAdmitsExactlyOneProbeAfterCooldown) {
 }
 
 TEST(CircuitBreaker, HalfOpenProbeSuccessCloses) {
-  core::CircuitBreaker br(1, 1.5);
+  sim::CircuitBreaker br(1, 1.5);
   EXPECT_TRUE(br.record_failure(5.0));
   EXPECT_TRUE(br.allow(6.5));
   // The probe's ack closes the breaker and record_success reports it.
   EXPECT_TRUE(br.record_success());
-  EXPECT_EQ(br.state(), core::BreakerState::kClosed);
+  EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
   EXPECT_FALSE(br.probe_in_flight());
   EXPECT_TRUE(br.allow(6.6));
   EXPECT_FALSE(br.engaged());
 }
 
 TEST(CircuitBreaker, HalfOpenProbeFailureRetripsWithFreshCooldown) {
-  core::CircuitBreaker br(3, 2.0);
+  sim::CircuitBreaker br(3, 2.0);
   EXPECT_FALSE(br.record_failure(0.0));
   EXPECT_FALSE(br.record_failure(0.5));
   EXPECT_TRUE(br.record_failure(1.0));  // K-th: open, deadline 3.0
@@ -91,20 +90,20 @@ TEST(CircuitBreaker, HalfOpenProbeFailureRetripsWithFreshCooldown) {
   // A single probe failure re-trips immediately — no K-streak in half-open
   // — and the cool-down restarts from the failure instant.
   EXPECT_TRUE(br.record_failure(3.4));
-  EXPECT_EQ(br.state(), core::BreakerState::kOpen);
+  EXPECT_EQ(br.state(), sim::BreakerState::kOpen);
   EXPECT_EQ(br.reopen_at_s(), 5.4);
   EXPECT_FALSE(br.allow(5.3));
   EXPECT_TRUE(br.allow(5.4));  // next probe
 }
 
 TEST(CircuitBreaker, DisabledThresholdNeverLeavesClosed) {
-  core::CircuitBreaker br(0, 2.0);
+  sim::CircuitBreaker br(0, 2.0);
   for (int i = 0; i < 10; ++i) EXPECT_FALSE(br.record_failure(i));
-  EXPECT_EQ(br.state(), core::BreakerState::kClosed);
+  EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
   EXPECT_TRUE(br.allow(100.0));
   EXPECT_FALSE(br.refuses(100.0));
   // Default-constructed breakers are disabled too.
-  core::CircuitBreaker off;
+  sim::CircuitBreaker off;
   EXPECT_FALSE(off.record_failure(1.0));
   EXPECT_TRUE(off.allow(1.0));
 }
@@ -113,14 +112,14 @@ TEST(CircuitBreaker, CooldownDeadlineIsExactArithmetic) {
   // The deadline is now + cooldown in exact double arithmetic — no clock
   // reads, no rounding — so breaker timelines replay bit-identically.
   for (double t : {0.0, 17.25, 123.456}) {
-    core::CircuitBreaker br(1, 1.5);
+    sim::CircuitBreaker br(1, 1.5);
     EXPECT_TRUE(br.record_failure(t));
     EXPECT_EQ(br.reopen_at_s(), t + 1.5);
     EXPECT_FALSE(br.allow(t + 1.5 - 1e-12));
     EXPECT_TRUE(br.allow(t + 1.5));
   }
   // Negative cool-downs clamp to zero: trip, then immediately probe-able.
-  core::CircuitBreaker clamp(1, -3.0);
+  sim::CircuitBreaker clamp(1, -3.0);
   EXPECT_TRUE(clamp.record_failure(2.0));
   EXPECT_EQ(clamp.reopen_at_s(), 2.0);
   EXPECT_TRUE(clamp.allow(2.0));

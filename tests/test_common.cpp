@@ -1,6 +1,6 @@
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 #include <gtest/gtest.h>

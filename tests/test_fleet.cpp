@@ -15,7 +15,7 @@
 //    fleet equals the one whose managers declare every metric read.
 #include "fleet_runner.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>

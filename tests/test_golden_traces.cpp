@@ -5,7 +5,7 @@
 // change is intentional. Also unit-tests the digest codec itself.
 #include "golden_runner.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "testkit/golden.hpp"
 
 #include <gtest/gtest.h>

@@ -5,7 +5,7 @@
 #include "testkit/invariants.hpp"
 #include "testkit/seeds.hpp"
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "scenario_runner.hpp"
 #include "sim/fleet.hpp"
 #include "testkit/golden.hpp"

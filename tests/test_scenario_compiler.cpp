@@ -8,7 +8,7 @@
 #include "scenario/scenario.hpp"
 
 #include "common/flat_json.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "common/units.hpp"
 #include "fleet_runner.hpp"
 #include "testkit/golden.hpp"
