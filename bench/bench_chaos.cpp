@@ -39,11 +39,10 @@
 //   Any other argument starting with '-' is a usage error (exit 2).
 #include "common/stats.hpp"
 #include "fleet_runner.hpp"
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario_runner.hpp"
-#include "trace/eventlog.hpp"
 
 #include <algorithm>
 #include <cstdio>

@@ -35,7 +35,7 @@
 // library and the per-scenario gate rationale.
 #include "common/parallel.hpp"
 #include "fleet_runner.hpp"
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/fault_injector.hpp"
 #include "testkit/seeds.hpp"
@@ -159,20 +159,23 @@ ScenarioResult run_scenario(const rem::scenario::CompiledScenario& c,
 
 /// Per-scenario metric labels (OBSERVABILITY.md): every counter the sweep
 /// emits is prefixed scenario.<name>.<manager>.
-void record_metrics(rem::obs::Registry& registry, const ScenarioResult& r) {
+void record_metrics(rem::obs::MetricsSnapshot& metrics,
+                    const ScenarioResult& r) {
   const auto record = [&](const char* mgr, const FleetMetrics& m) {
     const std::string p = "scenario." + r.name + "." + mgr + ".";
-    registry.counter(p + "handovers")->add(static_cast<std::uint64_t>(m.handovers));
-    registry.counter(p + "failures")->add(static_cast<std::uint64_t>(m.failures));
-    registry.counter(p + "prep_failures")
-        ->add(static_cast<std::uint64_t>(m.prep_failures));
-    registry.counter(p + "bs_queue_shed")
-        ->add(static_cast<std::uint64_t>(m.bs_queue_shed));
-    registry.counter(p + "admission_rejects")
-        ->add(static_cast<std::uint64_t>(m.admission_rejects));
-    registry.counter(p + "backhaul_dropped")->add(m.backhaul_dropped);
-    registry.gauge(p + "failure_ratio")->set(m.failure_ratio);
-    registry.gauge(p + "downtime_fraction")->set(m.downtime_fraction);
+    metrics.add_counter(p + "handovers",
+                        static_cast<std::uint64_t>(m.handovers));
+    metrics.add_counter(p + "failures",
+                        static_cast<std::uint64_t>(m.failures));
+    metrics.add_counter(p + "prep_failures",
+                        static_cast<std::uint64_t>(m.prep_failures));
+    metrics.add_counter(p + "bs_queue_shed",
+                        static_cast<std::uint64_t>(m.bs_queue_shed));
+    metrics.add_counter(p + "admission_rejects",
+                        static_cast<std::uint64_t>(m.admission_rejects));
+    metrics.add_counter(p + "backhaul_dropped", m.backhaul_dropped);
+    metrics.set_gauge(p + "failure_ratio", m.failure_ratio);
+    metrics.set_gauge(p + "downtime_fraction", m.downtime_fraction);
   };
   record("legacy", r.legacy);
   record("rem", r.rem);
@@ -316,10 +319,10 @@ int main(int argc, char** argv) {
                 extra_compression_for(spec, kSmokeHorizon_s);
           results[i] = run_scenario(rem::scenario::compile(spec, ov), bler);
         });
-    rem::obs::Registry registry;
+    rem::obs::MetricsSnapshot metrics;
     bool ok = true;
     for (const auto& r : results) {
-      record_metrics(registry, r);
+      record_metrics(metrics, r);
       std::printf("%-28s %6.1f s %2d UEs | legacy %4d HO %3d fail (%.3f) | "
                   "REM %4d HO %3d fail (%.3f) | %s\n",
                   r.name.c_str(), r.duration_s, r.fleet_size,
@@ -360,8 +363,7 @@ int main(int argc, char** argv) {
                                  out_path.size() - 5) == ".json"
                                  ? out_path.substr(0, out_path.size() - 5)
                                  : out_path;
-    rem::obs::write_metrics_json_file(registry.snapshot(),
-                                      stem + "_metrics.json");
+    rem::obs::write_metrics_json_file(metrics, stem + "_metrics.json");
 
     std::printf("%s: %zu scenarios -> %s\n", ok ? "PASS" : "FAIL",
                 results.size(), out_path.c_str());

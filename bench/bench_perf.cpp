@@ -3,12 +3,12 @@
 // seed-parallel scenario runner against the serial one. Results go to
 // BENCH_DSP.json (or argv[1]) so future changes can track the numbers.
 //
-// Exit-code gates: run_route parallel/serial and metrics on/off statistics
-// must be bit-identical. Every timing is reported, none is gated.
+// Exit-code gate: run_route parallel/serial statistics must be
+// bit-identical. Every timing is reported, none is gated.
 //
 // Usage: bench_perf [--smoke] [output.json]   (run from the repo root so
 // the JSON lands next to README.md). --smoke shrinks every workload to a
-// few seconds for ctest (label `perf`); the bit-identity gates still apply.
+// few seconds for ctest (label `perf`); the bit-identity gate still applies.
 // Any other argument starting with '-' is a usage error (exit 2).
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -164,32 +164,6 @@ int main(int argc, char** argv) {
       parallel_cmp_valid ? "" : ", invalid on 1 hw thread",
       identical ? "true" : "false", hw_threads);
 
-  // --- Metrics overhead: run_route with the obs layer on vs off -----------
-  // Collecting metrics attaches a SpanTracer + per-seed Registry to every
-  // simulation and reconciles trace vs stats; the acceptance bar is <= 1%
-  // wall-clock overhead, reported here (timing is advisory, not an exit
-  // gate — the statistics must still be bit-identical, which is gated).
-  const auto t3 = Clock::now();
-  const auto metrics_off = rem::bench::run_route(route_sc, seeds, true, 1,
-                                                 {/*collect_metrics=*/false});
-  const auto t4 = Clock::now();
-  const auto metrics_on = rem::bench::run_route(route_sc, seeds, true, 1,
-                                                {/*collect_metrics=*/true});
-  const auto t5 = Clock::now();
-  const double off_s = std::chrono::duration<double>(t4 - t3).count();
-  const double on_s = std::chrono::duration<double>(t5 - t4).count();
-  const double overhead_pct = 100.0 * (on_s - off_s) / off_s;
-  const bool metrics_identical = runs_equal(metrics_off, metrics_on);
-  const auto* latency =
-      metrics_on.rem_metrics.find_histogram("sim.handover_latency_s");
-  std::printf(
-      "run_route metrics: off %.2f s, on %.2f s (overhead %+.2f%%), "
-      "identical=%s, rem latency samples=%llu\n",
-      off_s, on_s, overhead_pct, metrics_identical ? "true" : "false",
-      latency != nullptr
-          ? static_cast<unsigned long long>(latency->total_count())
-          : 0ull);
-
   // --- JSON ---------------------------------------------------------------
   // Every timed section carries its own hardware_threads so a reader can
   // tell which numbers came from a 1-core container.
@@ -213,18 +187,9 @@ int main(int argc, char** argv) {
      << ", \"speedup\": " << serial_s / par_s
      << ", \"parallel_comparison_valid\": "
      << (parallel_cmp_valid ? "true" : "false")
-     << ", \"bit_identical\": " << (identical ? "true" : "false") << "},\n";
-  js << "  \"metrics_overhead\": {\"hardware_threads\": " << hw_threads
-     << ", \"off_wall_s\": " << off_s
-     << ", \"on_wall_s\": " << on_s
-     << ", \"overhead_pct\": " << overhead_pct
-     << ", \"stats_bit_identical\": "
-     << (metrics_identical ? "true" : "false") << "}\n";
+     << ", \"bit_identical\": " << (identical ? "true" : "false") << "}\n";
   js << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
-  const bool ok = identical && metrics_identical;
-  if (!ok)
-    std::printf("GATE FAILED: run_route_identical=%d metrics_identical=%d\n",
-                identical, metrics_identical);
-  return ok ? 0 : 1;
+  if (!identical) std::printf("GATE FAILED: run_route_identical=0\n");
+  return identical ? 0 : 1;
 }

@@ -14,7 +14,7 @@
 // Malformed inputs — unreadable metrics JSON, or trace lines that are not
 // one span object with a known kind and an outcome — exit non-zero with
 // the offending file/line named on stderr.
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +22,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -130,13 +131,13 @@ int summarize_trace(const std::string& path) {
 // it, so ctest exercises the reader, the quantile math, and the printer
 // without needing a prior bench run.
 int selftest() {
-  rem::obs::Registry registry;
-  registry.counter("selftest.events")->add(42);
-  registry.gauge("selftest.peak")->set(2.5);
-  auto* h = registry.histogram("selftest.latency_s",
-                               rem::obs::handover_latency_buckets_s());
-  for (int i = 1; i <= 100; ++i) h->record(0.01 * i);
-  const auto snap = registry.snapshot();
+  MetricsSnapshot snap;
+  snap.add_counter("selftest.events", 42);
+  snap.set_gauge("selftest.peak", 2.5);
+  HistogramSnapshot h("selftest.latency_s",
+                      rem::obs::handover_latency_buckets_s());
+  for (int i = 1; i <= 100; ++i) h.record(0.01 * i);
+  snap.histograms.push_back(std::move(h));
 
   const std::string path = "rem_report_selftest.json";
   rem::obs::write_metrics_json_file(snap, path);

@@ -14,7 +14,6 @@
 #include "core/legacy_manager.hpp"
 #include "core/rem_manager.hpp"
 #include "mobility/conflict.hpp"
-#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "phy/bler_model.hpp"
 #include "sim/fleet.hpp"
@@ -26,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -98,11 +98,11 @@ struct SeedRunResult {
 
 /// Per-seed run knobs beyond the scenario itself.
 struct SeedRunOptions {
-  /// Attach a rem::obs::SpanTracer recording into a per-run Registry,
-  /// cross-check it against SimStats (throwing std::logic_error on any
-  /// reconcile mismatch), and return the snapshot and the spans in
-  /// SeedRunResult. Only simulated-time metrics are recorded here, so
-  /// results stay deterministic.
+  /// Attach a rem::obs::SpanTracer to every run, cross-check it against
+  /// SimStats (throwing std::logic_error on any reconcile mismatch), and
+  /// return its metrics snapshot and spans in SeedRunResult. Only
+  /// simulated-time metrics are recorded here, so results stay
+  /// deterministic.
   bool collect_metrics = false;
 };
 
@@ -161,11 +161,10 @@ inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
                                 obs::MetricsSnapshot& metrics_out,
                                 std::vector<obs::Span>& spans_out) {
     testkit::InvariantChecker checker(std::move(ccfg));
-    obs::Registry registry;
-    obs::SpanTracer tracer(&registry);
+    std::optional<obs::SpanTracer> tracer;
     sim::ObserverFanout fanout;
     fanout.add(&checker);
-    if (opts.collect_metrics) fanout.add(&tracer);
+    if (opts.collect_metrics) fanout.add(&tracer.emplace());
     sim::SimConfig observed = sc.sim;
     observed.observer = &fanout;
     sim::Simulator s(world.env, observed, bler, std::move(run_rng));
@@ -174,16 +173,16 @@ inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
       throw std::logic_error("invariant violations in " +
                              run_context(m.name()) + ":\n" +
                              checker.report());
-    if (opts.collect_metrics) {
-      const auto mismatches = tracer.reconcile(stats);
+    if (tracer) {
+      const auto mismatches = tracer->reconcile(stats);
       if (!mismatches.empty()) {
         std::string msg =
             "trace/stats reconcile mismatches in " + run_context(m.name());
         for (const auto& line : mismatches) msg += "\n  " + line;
         throw std::logic_error(msg);
       }
-      metrics_out = registry.snapshot();
-      spans_out = tracer.spans();
+      metrics_out = tracer->metrics();
+      spans_out = tracer->spans();
     }
     return stats;
   };

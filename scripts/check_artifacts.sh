@@ -2,7 +2,7 @@
 # Byte-identity check of the committed generated artifacts. Regenerates,
 # into a temp dir and from the repo root,
 #
-#   tests/golden/*.json                        (golden_gen, 32 digests)
+#   tests/golden/*.json                        (golden_gen, 33 digests)
 #   BENCH_CHAOS.json, BENCH_CHAOS_metrics.json (full bench_chaos sweep)
 #   BENCH_FLEET.json, BENCH_FLEET_metrics.json (full bench_fleet sweep)
 #

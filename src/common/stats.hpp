@@ -3,8 +3,8 @@
 // Not thread-safe: a Summary belongs to one thread (or one seed's run).
 // Even const queries mutate the lazily sorted cache, so concurrent readers
 // race — the seed-parallel runner keeps one Summary per seed and merges
-// after the pool drains. For lock-free aggregation across threads use
-// obs::Histogram instead (fixed buckets, relaxed atomics).
+// after the workers finish. For fixed-bucket distributions that merge
+// bucket-by-bucket, use obs::HistogramSnapshot, likewise one per run.
 #pragma once
 
 #include <cstddef>

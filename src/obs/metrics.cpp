@@ -1,4 +1,4 @@
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 
 #include "common/flat_json.hpp"
 
@@ -8,18 +8,10 @@
 #include <map>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace rem::obs {
 namespace {
-
-// Lock-free add for the histogram running sum (std::atomic<double>::
-// fetch_add is C++20 but not reliably lowered on every toolchain; the CAS
-// loop is portable and contention here is a few threads at most).
-void atomic_add(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
 
 namespace fj = common::flat_json;
 
@@ -46,7 +38,7 @@ auto split(const std::string& s, Parse parse) {
 }
 
 /// Why `edges` cannot bound a histogram, or "" when they can. Shared by
-/// the Histogram constructor and the metrics reader.
+/// the HistogramSnapshot constructor and the metrics reader.
 std::string edges_error(const std::vector<double>& edges) {
   if (edges.empty()) return "empty bucket edges";
   for (std::size_t i = 1; i < edges.size(); ++i)
@@ -57,43 +49,38 @@ std::string edges_error(const std::vector<double>& edges) {
   return "";
 }
 
+/// Where `name` sits in the name-sorted `entries`, and whether an entry
+/// of that name is already there. Builds no string, so it never allocates.
+template <typename T>
+std::pair<typename std::vector<T>::iterator, bool> locate(
+    std::vector<T>& entries, const std::string& name) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const T& e, const std::string& n) { return e.name < n; });
+  return {it, it != entries.end() && it->name == name};
+}
+
 }  // namespace
 
-Histogram::Histogram(std::vector<double> edges)
-    : edges_(std::move(edges)), counts_(edges_.size() + 1) {
-  if (const std::string why = edges_error(edges_); !why.empty())
-    throw std::invalid_argument("Histogram: " + why);
+HistogramSnapshot::HistogramSnapshot(std::string name,
+                                     std::vector<double> edges)
+    : name(std::move(name)),
+      edges(std::move(edges)),
+      counts(this->edges.size() + 1) {
+  if (const std::string why = edges_error(this->edges); !why.empty())
+    throw std::invalid_argument("HistogramSnapshot: " + why);
 }
 
-void Histogram::record(double v) noexcept {
+void HistogramSnapshot::record(double v) noexcept {
   // First bucket whose upper edge admits v (v <= edge); NaN is explicitly
   // routed to the overflow bucket since it compares false with every edge.
-  std::size_t idx;
-  if (std::isnan(v)) {
-    idx = edges_.size();
-  } else {
-    const auto it = std::lower_bound(edges_.begin(), edges_.end(), v);
-    idx = static_cast<std::size_t>(it - edges_.begin());
-  }
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, v);
-}
-
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
-double Histogram::sum() const noexcept {
-  return sum_.load(std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  return out;
+  const std::size_t idx =
+      std::isnan(v) ? edges.size()
+                    : static_cast<std::size_t>(
+                          std::lower_bound(edges.begin(), edges.end(), v) -
+                          edges.begin());
+  ++counts[idx];
+  sum += v;
 }
 
 std::uint64_t HistogramSnapshot::total_count() const {
@@ -124,36 +111,44 @@ double HistogramSnapshot::quantile(double q) const {
   return edges.back();
 }
 
+void MetricsSnapshot::add_counter(const std::string& name, std::uint64_t n) {
+  const auto [it, found] = locate(counters, name);
+  if (found)
+    it->value += n;
+  else
+    counters.insert(it, {name, n});
+}
+
+void MetricsSnapshot::set_gauge(const std::string& name, double v) {
+  const auto [it, found] = locate(gauges, name);
+  if (found)
+    it->value = v;
+  else
+    gauges.insert(it, {name, v});
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  const auto merge_sorted = [](auto& mine, const auto& theirs, auto combine) {
-    for (const auto& t : theirs) {
-      const auto it = std::lower_bound(
-          mine.begin(), mine.end(), t,
-          [](const auto& a, const auto& b) { return a.name < b.name; });
-      if (it != mine.end() && it->name == t.name)
-        combine(*it, t);
-      else
-        mine.insert(it, t);
+  for (const auto& c : other.counters) add_counter(c.name, c.value);
+  for (const auto& g : other.gauges) {
+    const auto [it, found] = locate(gauges, g.name);
+    if (found)
+      it->value = std::max(it->value, g.value);
+    else
+      gauges.insert(it, g);
+  }
+  for (const auto& h : other.histograms) {
+    const auto [it, found] = locate(histograms, h.name);
+    if (!found) {
+      histograms.insert(it, h);
+      continue;
     }
-  };
-  merge_sorted(counters, other.counters,
-               [](CounterSnapshot& a, const CounterSnapshot& b) {
-                 a.value += b.value;
-               });
-  merge_sorted(gauges, other.gauges,
-               [](GaugeSnapshot& a, const GaugeSnapshot& b) {
-                 a.value = std::max(a.value, b.value);
-               });
-  merge_sorted(histograms, other.histograms,
-               [](HistogramSnapshot& a, const HistogramSnapshot& b) {
-                 if (a.edges != b.edges)
-                   throw std::invalid_argument(
-                       "MetricsSnapshot::merge: histogram '" + a.name +
-                       "' has mismatched bucket edges");
-                 for (std::size_t i = 0; i < a.counts.size(); ++i)
-                   a.counts[i] += b.counts[i];
-                 a.sum += b.sum;
-               });
+    if (it->edges != h.edges)
+      throw std::invalid_argument("MetricsSnapshot::merge: histogram '" +
+                                  h.name + "' has mismatched bucket edges");
+    for (std::size_t i = 0; i < it->counts.size(); ++i)
+      it->counts[i] += h.counts[i];
+    it->sum += h.sum;
+  }
 }
 
 const CounterSnapshot* MetricsSnapshot::find_counter(
@@ -175,51 +170,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
   for (const auto& h : histograms)
     if (h.name == name) return &h;
   return nullptr;
-}
-
-Counter* Registry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* Registry::histogram(const std::string& name,
-                               std::vector<double> edges) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(edges)))
-             .first;
-  } else if (it->second->edges() != edges) {
-    throw std::invalid_argument(
-        "Registry::histogram: '" + name +
-        "' re-registered with different bucket edges");
-  }
-  return it->second.get();
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  MetricsSnapshot snap;
-  std::lock_guard<std::mutex> lock(mu_);
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_)
-    snap.counters.push_back({name, c->value()});
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_)
-    snap.gauges.push_back({name, g->value()});
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_)
-    snap.histograms.push_back({name, h->edges(), h->counts(), h->sum()});
-  return snap;  // std::map iteration order keeps everything name-sorted
 }
 
 const std::vector<double>& handover_latency_buckets_s() {
@@ -338,11 +288,10 @@ MetricsSnapshot read_metrics_json(std::istream& is) {
     if (!edges || !counts || !sum)
       throw std::runtime_error("metrics JSON: histogram '" + name +
                                "' is missing edges, counts, or sum");
-    HistogramSnapshot h;
-    h.name = name;
-    h.edges = parse_list(*edges, fj::parse_double);
-    if (const std::string why = edges_error(h.edges); !why.empty())
+    auto edge_list = parse_list(*edges, fj::parse_double);
+    if (const std::string why = edges_error(edge_list); !why.empty())
       fj::fail(label, *edges, why);
+    HistogramSnapshot h(name, std::move(edge_list));
     h.counts = parse_list(*counts, fj::parse_u64);
     if (h.counts.size() != h.edges.size() + 1)
       fj::fail(label, *counts,

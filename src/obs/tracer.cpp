@@ -60,18 +60,11 @@ std::string failure_cause_slug(sim::FailureCause c) {
       std::to_string(static_cast<int>(c)));
 }
 
-SpanTracer::SpanTracer(Registry* registry) : registry_(registry) {
+SpanTracer::SpanTracer() {
   static_assert(std::size(kHistogramSpecs) == kNumHistogramSlots);
-}
-
-void SpanTracer::record(HistogramSlot slot, double value) {
-  if (registry_ == nullptr) return;
-  Histogram*& h = histograms_[slot];
-  if (h == nullptr) {
-    const HistogramSpec& spec = kHistogramSpecs[slot];
-    h = registry_->histogram(spec.name, spec.edges());
-  }
-  h->record(value);
+  histograms_.reserve(kNumHistogramSlots);
+  for (const HistogramSpec& spec : kHistogramSpecs)
+    histograms_.emplace_back(spec.name, spec.edges());
 }
 
 void SpanTracer::note_fault(std::size_t kind_index) {
@@ -95,10 +88,10 @@ void SpanTracer::close_handover(double t, const std::string& outcome) {
   span.end_s = t;
   span.outcome = outcome;
   if (outcome == "complete") {
-    record(kLatency, span.duration_s());
+    histograms_[kLatency].record(span.duration_s());
     for (std::size_t i = 0; i < span.phases.size(); ++i)
-      record(handover_phase_slots_[i],
-             span.phases[i].end_s - span.phases[i].start_s);
+      histograms_[handover_phase_slots_[i]].record(span.phases[i].end_s -
+                                                   span.phases[i].start_s);
   }
   spans_.push_back(std::move(span));
 }
@@ -110,7 +103,8 @@ void SpanTracer::close_outage(double t, const std::string& outcome) {
   span.end_s = t;
   span.outcome = outcome;
   span.phases.front().end_s = t;
-  if (outcome == "reestablished") record(kOutageDuration, span.duration_s());
+  if (outcome == "reestablished")
+    histograms_[kOutageDuration].record(span.duration_s());
   spans_.push_back(std::move(span));
 }
 
@@ -239,7 +233,7 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       // The event carries the request->ack round trip in the SNR slot.
       // The prepare phase stays open past the ack: it runs until the
       // command reaches the UE, keeping the phase timeline contiguous.
-      record(kPrepRtt, e.serving_snr_db);
+      histograms_[kPrepRtt].record(e.serving_snr_db);
       break;
     case sim::EventKind::kPrepFallback:
       if (handover_) handover_->used_fallback = true;
@@ -249,7 +243,7 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
       break;
     case sim::EventKind::kBsJobDone:
       // The SNR slot carries the job's queue wait in seconds.
-      record(kQueueWait, e.serving_snr_db);
+      histograms_[kQueueWait].record(e.serving_snr_db);
       break;
     case sim::EventKind::kAdmissionReject:
       if (handover_) handover_->admission_rejected = true;
@@ -274,7 +268,7 @@ void SpanTracer::on_tick(const sim::TickView& v) {
   if (v.t310_running && !t310_prev_) {
     t310_started_ = v.t_s;
   } else if (!v.t310_running && t310_prev_) {
-    record(kOutOfSync, v.t_s - t310_started_);
+    histograms_[kOutOfSync].record(v.t_s - t310_started_);
   }
   t310_prev_ = v.t310_running;
 }
@@ -283,23 +277,24 @@ void SpanTracer::on_run_end(sim::SimStats& stats) {
   close_handover(stats.sim_time_s, "unfinished");
   close_outage(stats.sim_time_s, "unfinished");
   run_ended_ = true;
-  if (registry_ == nullptr) return;
   // Counters are published once per run rather than per event: the values
   // derive from simulated time, so a post-run publish is equivalent to
-  // live increments for every snapshot taken after the run.
+  // live increments.
   sim::for_each_stat([&](const sim::StatField& f, auto field) {
     if (*f.metric != '\0')
-      registry_->counter(f.metric)->add(
-          static_cast<std::uint64_t>(stats.*field));
+      metrics_.add_counter(f.metric, static_cast<std::uint64_t>(stats.*field));
   });
   for (const auto& [name, kind] : kEventOnlyCounters)
-    registry_->counter(name)->add(
-        events_seen_[static_cast<std::size_t>(kind)]);
+    metrics_.add_counter(name, events_seen_[static_cast<std::size_t>(kind)]);
   for (const auto& [cause, n] : stats.failures_by_cause)
-    registry_->counter("sim.failure_cause." + failure_cause_slug(cause))
-        ->add(static_cast<std::uint64_t>(n));
-  const auto age = registry_->gauge("sim.estimate_age_max_s");
-  if (max_estimate_age_s_ > age->value()) age->set(max_estimate_age_s_);
+    metrics_.add_counter("sim.failure_cause." + failure_cause_slug(cause),
+                         static_cast<std::uint64_t>(n));
+  metrics_.set_gauge("sim.estimate_age_max_s", max_estimate_age_s_);
+  // The span histograms that received a sample, merged in name order.
+  MetricsSnapshot sampled;
+  for (const auto& h : histograms_)
+    if (h.total_count() > 0) sampled.histograms.push_back(h);
+  metrics_.merge(sampled);
 }
 
 std::vector<std::string> SpanTracer::reconcile(

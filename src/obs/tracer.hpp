@@ -19,7 +19,7 @@
 // documented in OBSERVABILITY.md.
 #pragma once
 
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulator.hpp"
 
@@ -78,34 +78,37 @@ void write_spans_jsonl(std::ostream& os, const std::vector<Span>& spans,
                        const std::string& context = "", int ue = -1);
 
 /// SimObserver that reassembles the event stream into spans (see the
-/// file-top comment) and records span-derived metrics into a Registry.
-/// One tracer observes exactly one run; construct a fresh one per run.
+/// file-top comment) and records span-derived metrics into the snapshot
+/// it owns. One tracer observes exactly one run; construct a fresh one
+/// per run.
 class SpanTracer : public sim::SimObserver {
  public:
-  /// Metrics derived from the spans are recorded into `registry` (may be
-  /// nullptr to trace without metrics). The registry pointer is borrowed
-  /// and must outlive the tracer.
-  explicit SpanTracer(Registry* registry = nullptr);
+  /// Builds the span histograms, so recording into them never allocates.
+  SpanTracer();
 
   /// SimObserver contract: no RNG draws, no simulation-state mutation.
-  /// Fleet runs: a tracer observes exactly one UE, so host one tracer per
-  /// UE behind sim::UeObserverDemux. The demux child only ever sees its
-  /// own UE id; the tracer records it and stamps `"ue": k` onto every
-  /// trace line (single-UE runs never call on_ue and emit no `ue` key,
-  /// keeping pre-fleet traces byte-identical). A second, different UE id
-  /// means the tracer was attached un-demuxed — it throws rather than
-  /// silently interleaving two UEs' state machines into nonsense spans.
+  /// A tracer observes exactly one UE: a single-UE run announces UE 0,
+  /// and in a fleet run one tracer per UE sits behind
+  /// sim::UeObserverDemux, whose child only ever sees its own UE id. The
+  /// tracer records the id and stamps `"ue": k` onto every line of
+  /// write_trace_jsonl. A second, different UE id means the tracer was
+  /// attached un-demuxed — it throws rather than silently interleaving
+  /// two UEs' state machines into nonsense spans.
   void on_ue(int ue) override;
   void on_event(const sim::SignalingEvent& event) override;
   void on_tick(const sim::TickView& view) override;
-  /// Closes dangling spans as "unfinished" and publishes the run's
-  /// counters: every stats-table field with a metric name straight from
-  /// `stats`, the event-only counters from the tracer's own tally, and
-  /// the per-cause failure split (`sim.failure_cause.*`).
+  /// Closes dangling spans as "unfinished" and completes metrics(): every
+  /// stats-table field with a metric name straight from `stats`, the
+  /// event-only counters from the tracer's own tally, the per-cause
+  /// failure split (`sim.failure_cause.*`), the estimate-age gauge, and
+  /// every span histogram that received a sample.
   void on_run_end(sim::SimStats& stats) override;
 
   /// All closed spans, in close order. Complete only after on_run_end.
   const std::vector<Span>& spans() const { return spans_; }
+
+  /// The run's metrics (see on_run_end). Empty until on_run_end.
+  const MetricsSnapshot& metrics() const { return metrics_; }
 
   /// Cross-check the reassembled spans against the run's statistics:
   /// completed handover spans (the latency histogram's count) against
@@ -114,7 +117,7 @@ class SpanTracer : public sim::SimObserver {
   /// means they agree. Precondition: on_run_end has fired for this run.
   std::vector<std::string> reconcile(const sim::SimStats& stats) const;
 
-  /// write_spans_jsonl over spans(), stamping the UE id in fleet runs.
+  /// write_spans_jsonl over spans(), stamping the observed UE's id.
   void write_trace_jsonl(std::ostream& os,
                          const std::string& context = "") const;
 
@@ -138,14 +141,11 @@ class SpanTracer : public sim::SimObserver {
   void note_fault(std::size_t kind_index);
   void close_handover(double t, const std::string& outcome);
   void close_outage(double t, const std::string& outcome);
-  /// Records `value` into the slot's histogram when metrics are on. The
-  /// histogram is registered on its first sample and its pointer cached,
-  /// so the registry holds exactly the names that received samples.
-  void record(HistogramSlot slot, double value);
 
-  Registry* registry_;
-  std::array<Histogram*, kNumHistogramSlots> histograms_{};
-  int ue_ = -1;  ///< attributed UE in fleet runs; -1 until on_ue fires
+  /// One histogram per HistogramSlot, in slot order.
+  std::vector<HistogramSnapshot> histograms_;
+  MetricsSnapshot metrics_;  ///< filled by on_run_end
+  int ue_ = -1;  ///< the observed UE; -1 until on_ue fires
   std::vector<Span> spans_;
   std::optional<Span> handover_;   ///< open handover attempt
   /// The histogram slot of each of handover_'s phases, in phase order.

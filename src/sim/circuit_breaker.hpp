@@ -83,17 +83,13 @@ class CircuitBreaker {
   }
 
   BreakerState state() const { return state_; }
-  /// Not closed: the target is hidden from candidate selection (half-open
-  /// counts — only the probe itself may proceed).
-  bool engaged() const { return state_ != BreakerState::kClosed; }
-  /// Open and still cooling down at `now` (what Observation::breaker_open
-  /// reports: half-open targets are probe-eligible, not refused).
+  /// Open and still cooling down at `now`: the simulator hides the target
+  /// from candidate selection (what Observation::breaker_open reports).
+  /// Half-open targets stay visible: they are probe-eligible, not refused.
   bool refuses(double now) const {
     return trip_threshold_ > 0 && state_ == BreakerState::kOpen &&
            now < reopen_at_s_;
   }
-  int consecutive_failures() const { return consecutive_failures_; }
-  double reopen_at_s() const { return reopen_at_s_; }
   bool probe_in_flight() const { return probe_in_flight_; }
 
  private:

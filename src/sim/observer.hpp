@@ -63,12 +63,11 @@ struct TickView {
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
-  /// Fleet runs only: every subsequent on_event/on_tick/on_run_end call is
-  /// attributed to UE `ue` until the next on_ue. The fleet engine fires it
-  /// whenever the attributed UE changes (events and ticks both carry the
-  /// same id redundantly in their `ue` fields). Single-UE runs never call
-  /// it, so observers written against the legacy protocol keep working
-  /// unchanged.
+  /// Every subsequent on_event/on_tick/on_run_end call is attributed to
+  /// UE `ue` until the next on_ue. The engine fires it whenever the
+  /// attributed UE changes (events and ticks both carry the same id
+  /// redundantly in their `ue` fields), so a single-UE run calls on_ue(0)
+  /// exactly once, before its first callback.
   virtual void on_ue(int /*ue*/) {}
   /// Every signaling event, in emission order, independent of
   /// SimConfig::record_events.
@@ -76,10 +75,10 @@ class SimObserver {
   /// Exactly one call per simulated tick, after the tick's transitions.
   /// Fleet runs emit one TickView per UE per tick, in UE-id order.
   virtual void on_tick(const TickView& /*view*/) {}
-  /// Called once at the end of run() with the final statistics; observers
-  /// may write back summary fields (e.g. SimStats::invariant_violations).
-  /// Fleet runs call it once per UE, with that UE's SimStats, preceded by
-  /// on_ue(ue); the aggregate stats are never passed through this hook.
+  /// Called once per UE at the end of the run with that UE's final
+  /// statistics, attributed by on_ue like every other call; observers may
+  /// write back summary fields (e.g. SimStats::invariant_violations). A
+  /// fleet's aggregate stats are never passed through this hook.
   virtual void on_run_end(SimStats& /*stats*/) {}
 };
 
@@ -115,17 +114,17 @@ class ObserverFanout : public SimObserver {
   std::vector<SimObserver*> children_;
 };
 
-/// Routes a fleet run's interleaved observer stream to one single-UE-style
+/// Routes a fleet run's interleaved observer stream to one single-UE
 /// child observer per UE: on_ue(k) selects child k, and every subsequent
 /// on_event/on_tick/on_run_end is forwarded only to it. Each child thus
-/// sees the legacy single-UE protocol for its own UE — which is how an
-/// unmodified InvariantChecker or SpanTracer checks one UE of a fleet.
-/// The selecting on_ue(k) is also forwarded to child k, so a child that
-/// wants its own id for labeling (SpanTracer stamps `"ue": k` onto trace
-/// lines) can take it from there; it only ever receives its own id, and
-/// legacy observers ignore the call via the no-op default. Children are
-/// borrowed, registered in UE-id order via add(), and must outlive the
-/// run; a nullptr child mutes that UE.
+/// sees exactly what a single-UE run of its own UE would show it — which
+/// is how an unmodified InvariantChecker or SpanTracer checks one UE of a
+/// fleet. The selecting on_ue(k) is also forwarded to child k, so a child
+/// that wants its own id for labeling (SpanTracer stamps `"ue": k` onto
+/// trace lines) can take it from there; it only ever receives its own id,
+/// and observers without a use for it ignore the call via the no-op
+/// default. Children are borrowed, registered in UE-id order via add(),
+/// and must outlive the run; a nullptr child mutes that UE.
 class UeObserverDemux : public SimObserver {
  public:
   void add(SimObserver* child) { children_.push_back(child); }

@@ -237,13 +237,11 @@ class FleetEngine {
  public:
   FleetEngine(const RadioEnv& env, const SimConfig& cfg,
               const phy::BlerModel& bler, common::Rng& rng,
-              const std::function<bool(int, int)>& pair_conflicts,
-              bool fleet_mode)
+              const std::function<bool(int, int)>& pair_conflicts)
       : env_(env),
         cfg_(cfg),
         bler_(bler),
         pair_conflicts_(pair_conflicts),
-        fleet_mode_(fleet_mode),
         use_net_(cfg.backhaul.enabled),
         use_cap_(cfg.bs_capacity.enabled) {
     // Materialize the fault schedule. The no-fault path must not fork the
@@ -325,10 +323,10 @@ class FleetEngine {
     return ues_[static_cast<std::size_t>(ue)];
   }
 
-  /// Fleet runs announce the attributed UE to the observer whenever it
-  /// changes; single-UE runs never fire on_ue (legacy protocol).
+  /// Announce the attributed UE to the observer whenever it changes (a
+  /// single-UE run announces UE 0 once, before its first callback).
   void focus(int ue) {
-    if (!fleet_mode_ || ue == cur_obs_ue_) return;
+    if (ue == cur_obs_ue_) return;
     cur_obs_ue_ = ue;
     cfg_.observer->on_ue(ue);
   }
@@ -1486,13 +1484,9 @@ class FleetEngine {
           ++ue_of(job.ue).stats.bs_jobs_inflight_end;
     }
     if (cfg_.observer) {
-      if (!fleet_mode_) {
-        cfg_.observer->on_run_end(ues_.front().stats);
-      } else {
-        for (auto& u : ues_) {
-          focus(u.id);
-          cfg_.observer->on_run_end(u.stats);
-        }
+      for (auto& u : ues_) {
+        focus(u.id);
+        cfg_.observer->on_run_end(u.stats);
       }
     }
   }
@@ -1501,7 +1495,6 @@ class FleetEngine {
   const SimConfig& cfg_;
   const phy::BlerModel& bler_;
   const std::function<bool(int, int)>& pair_conflicts_;
-  const bool fleet_mode_;
   const bool use_net_;
   const bool use_cap_;
 
@@ -1628,13 +1621,6 @@ std::string failure_cause_name(FailureCause c) {
       std::to_string(static_cast<int>(c)));
 }
 
-double SimStats::failure_ratio_excluding_holes() const {
-  const auto it = failures_by_cause.find(FailureCause::kCoverageHole);
-  const int holes = it != failures_by_cause.end() ? it->second : 0;
-  const int denom = handovers + failures;
-  return denom > 0 ? static_cast<double>(failures - holes) / denom : 0.0;
-}
-
 Simulator::Simulator(const RadioEnv& env, const SimConfig& cfg,
                      const phy::BlerModel& bler, common::Rng rng)
     : env_(env), cfg_(cfg), bler_(bler), rng_(std::move(rng)) {}
@@ -1642,8 +1628,7 @@ Simulator::Simulator(const RadioEnv& env, const SimConfig& cfg,
 SimStats Simulator::run(MobilityManager& manager,
                         const std::function<bool(int, int)>& pair_conflicts) {
   require_runnable("run", env_, cfg_);
-  FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts,
-                  /*fleet_mode=*/false);
+  FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts);
   // The single UE rides the base RNG stream directly (after the engine's
   // faults/backhaul forks), exactly like the pre-refactor loop.
   eng.add_ue(&manager, &rng_, cfg_.speed_kmh, 0.0);
@@ -1696,8 +1681,7 @@ FleetResult Simulator::run_fleet(
 
   // The engine forks faults, then backhaul, from the base stream — the
   // same order as run() — before any per-UE derivation.
-  FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts,
-                  /*fleet_mode=*/true);
+  FleetEngine eng(env_, cfg_, bler_, rng_, pair_conflicts);
   const int n = cfg_.fleet_size;
 
   // Per-UE stream derivation, in UE-id order. UE 0 keeps the base stream

@@ -272,7 +272,6 @@ struct SimStats {
     const int denom = handovers + failures;
     return denom > 0 ? static_cast<double>(failures) / denom : 0.0;
   }
-  double failure_ratio_excluding_holes() const;
 };
 
 /// Result of a fleet run: one SimStats per UE (indexed by UE id) plus the

@@ -3,12 +3,15 @@
 // sides must agree byte-for-byte, so the logic lives in one place.
 #pragma once
 
+#include "common/flat_json.hpp"
 #include "fleet_runner.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
 
 #include <functional>
+#include <sstream>
+#include <utility>
 
 namespace rem::testkit {
 
@@ -20,6 +23,32 @@ inline TraceDigest run_golden_case(const GoldenCase& c) {
       golden_scenario(c.route, c.speed_kmh, c.duration_s, c.fault_preset),
       c.seed, /*run_rem=*/true, bler);
   return make_digest(c, r.legacy, r.rem);
+}
+
+/// The corpus case whose traced run run_traced_golden_case digests: the
+/// Beijing-Shanghai mixed-fault case, where every span histogram fills.
+inline constexpr const char* kTracedGoldenCase = "bs_300_s6_mixed";
+
+/// Run one corpus case through run_seed with the span tracer attached and
+/// digest the metrics it returns: every rem-metrics-v1 key and value of
+/// both managers, so a drift in any span histogram or published counter
+/// names that metric.
+inline TraceDigest run_traced_golden_case(const GoldenCase& c) {
+  phy::LogisticBlerModel bler;
+  const auto r = bench::run_seed(
+      golden_scenario(c.route, c.speed_kmh, c.duration_s, c.fault_preset),
+      c.seed, /*run_rem=*/true, bler, {/*collect_metrics=*/true});
+  TraceDigest d;
+  d.case_name = "metrics_" + c.name;
+  for (const auto& [who, snap] :
+       {std::pair{"legacy.", &r.legacy_metrics},
+        std::pair{"rem.", &r.rem_metrics}}) {
+    std::stringstream json;
+    obs::write_metrics_json(*snap, json);
+    for (auto& e : common::flat_json::read(json, "metrics"))
+      d.fields.emplace_back(who + e.key, std::move(e.value));
+  }
+  return d;
 }
 
 /// Run one fleet corpus case (a legacy fleet and a REM fleet over
@@ -58,8 +87,12 @@ inline TraceDigest run_scenario_golden_case(const std::string& dir,
 
 inline std::vector<GoldenJob> golden_jobs() {
   std::vector<GoldenJob> jobs;
-  for (const auto& c : golden_corpus())
+  for (const auto& c : golden_corpus()) {
     jobs.push_back({c.name, [c] { return run_golden_case(c); }});
+    if (c.name == kTracedGoldenCase)
+      jobs.push_back(
+          {"metrics_" + c.name, [c] { return run_traced_golden_case(c); }});
+  }
   for (const auto& c : fleet_golden_corpus())
     jobs.push_back({c.name, [c] { return run_fleet_golden_case(c); }});
 #ifdef REM_SCENARIO_DIR

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -32,8 +33,8 @@ TEST(CircuitBreaker, TripsAfterExactlyKConsecutiveFailures) {
   // K-1 failures: still closed, still admitting preparations.
   EXPECT_FALSE(br.record_failure(1.0));
   EXPECT_FALSE(br.record_failure(2.0));
-  EXPECT_EQ(br.consecutive_failures(), 2);
   EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
+  EXPECT_FALSE(br.refuses(2.5));
   EXPECT_TRUE(br.allow(2.5));
   // The K-th consecutive failure trips — record_failure reports it.
   EXPECT_TRUE(br.record_failure(3.0));
@@ -46,9 +47,10 @@ TEST(CircuitBreaker, SuccessResetsTheConsecutiveStreak) {
   sim::CircuitBreaker br(2, 2.0);
   EXPECT_FALSE(br.record_failure(1.0));
   EXPECT_FALSE(br.record_success());  // closed: nothing to close
-  EXPECT_EQ(br.consecutive_failures(), 0);
-  // The streak restarted, so one more failure is not enough again.
+  // The streak restarted at zero, so one more failure is not enough
+  // again: it takes the full K = 2.
   EXPECT_FALSE(br.record_failure(2.0));
+  EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
   EXPECT_TRUE(br.record_failure(3.0));
   EXPECT_EQ(br.state(), sim::BreakerState::kOpen);
 }
@@ -63,7 +65,6 @@ TEST(CircuitBreaker, OpenAdmitsExactlyOneProbeAfterCooldown) {
   EXPECT_TRUE(br.allow(12.0));
   EXPECT_EQ(br.state(), sim::BreakerState::kHalfOpen);
   EXPECT_TRUE(br.probe_in_flight());
-  EXPECT_TRUE(br.engaged());
   EXPECT_FALSE(br.refuses(12.0));  // probe-eligible, not refused
   // ...and nobody else gets in until the probe resolves.
   EXPECT_FALSE(br.allow(12.5));
@@ -78,7 +79,7 @@ TEST(CircuitBreaker, HalfOpenProbeSuccessCloses) {
   EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
   EXPECT_FALSE(br.probe_in_flight());
   EXPECT_TRUE(br.allow(6.6));
-  EXPECT_FALSE(br.engaged());
+  EXPECT_EQ(br.state(), sim::BreakerState::kClosed);
 }
 
 TEST(CircuitBreaker, HalfOpenProbeFailureRetripsWithFreshCooldown) {
@@ -91,7 +92,9 @@ TEST(CircuitBreaker, HalfOpenProbeFailureRetripsWithFreshCooldown) {
   // — and the cool-down restarts from the failure instant.
   EXPECT_TRUE(br.record_failure(3.4));
   EXPECT_EQ(br.state(), sim::BreakerState::kOpen);
-  EXPECT_EQ(br.reopen_at_s(), 5.4);
+  // Refused up to the last double before 3.4 + 2.0 and not at it.
+  EXPECT_TRUE(br.refuses(std::nextafter(5.4, 0.0)));
+  EXPECT_FALSE(br.refuses(5.4));
   EXPECT_FALSE(br.allow(5.3));
   EXPECT_TRUE(br.allow(5.4));  // next probe
 }
@@ -114,14 +117,16 @@ TEST(CircuitBreaker, CooldownDeadlineIsExactArithmetic) {
   for (double t : {0.0, 17.25, 123.456}) {
     sim::CircuitBreaker br(1, 1.5);
     EXPECT_TRUE(br.record_failure(t));
-    EXPECT_EQ(br.reopen_at_s(), t + 1.5);
+    EXPECT_TRUE(br.refuses(std::nextafter(t + 1.5, 0.0)));
+    EXPECT_FALSE(br.refuses(t + 1.5));
     EXPECT_FALSE(br.allow(t + 1.5 - 1e-12));
     EXPECT_TRUE(br.allow(t + 1.5));
   }
   // Negative cool-downs clamp to zero: trip, then immediately probe-able.
   sim::CircuitBreaker clamp(1, -3.0);
   EXPECT_TRUE(clamp.record_failure(2.0));
-  EXPECT_EQ(clamp.reopen_at_s(), 2.0);
+  EXPECT_TRUE(clamp.refuses(std::nextafter(2.0, 0.0)));
+  EXPECT_FALSE(clamp.refuses(2.0));
   EXPECT_TRUE(clamp.allow(2.0));
 }
 

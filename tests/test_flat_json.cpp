@@ -7,7 +7,7 @@
 #include "common/flat_json.hpp"
 
 #include "common/rng.hpp"
-#include "obs/registry.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "testkit/golden.hpp"
 #include "testkit/seeds.hpp"
@@ -342,14 +342,15 @@ TEST(FlatJsonFormats, TabsAndCarriageReturnsRoundTrip) {
 }
 
 TEST(FlatJsonFormats, MetricsRoundTripNonFiniteValues) {
-  rem::obs::Registry r;
-  r.gauge("g.neg_inf")->set(-std::numeric_limits<double>::infinity());
-  r.gauge("g.nan")->set(std::numeric_limits<double>::quiet_NaN());
-  auto* h = r.histogram("h.poisoned", {1.0, 2.0});
-  h->record(0.5);
-  h->record(std::numeric_limits<double>::quiet_NaN());
+  rem::obs::MetricsSnapshot snap;
+  snap.set_gauge("g.neg_inf", -std::numeric_limits<double>::infinity());
+  snap.set_gauge("g.nan", std::numeric_limits<double>::quiet_NaN());
+  rem::obs::HistogramSnapshot h("h.poisoned", {1.0, 2.0});
+  h.record(0.5);
+  h.record(std::numeric_limits<double>::quiet_NaN());
+  snap.histograms.push_back(h);
   std::ostringstream once;
-  rem::obs::write_metrics_json(r.snapshot(), once);
+  rem::obs::write_metrics_json(snap, once);
   EXPECT_NE(once.str().find("\"gauge.g.neg_inf\": \"-inf\""),
             std::string::npos);
   EXPECT_NE(once.str().find("nan\""), std::string::npos);

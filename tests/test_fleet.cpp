@@ -5,7 +5,8 @@
 //  - a fleet of one reproduces a single-UE Simulator::run exactly (same
 //    RNG derivation, every stats field, same event log) for both
 //    managers, under mixed faults and under a cascade storm with the
-//    breaker / load-ad / jitter stack armed;
+//    breaker / load-ad / jitter stack armed, and run() announces its one
+//    UE to the observer as a fleet does;
 //  - a batch of fleet seeds merged in seed order is bit-identical at 1, 2,
 //    and 8 worker threads;
 //  - per-UE stats fold into the fleet aggregate under the documented
@@ -100,6 +101,43 @@ TEST(Fleet, FleetOfOneReproducesSingleUeRunExactly) {
       }
     }
   }
+}
+
+/// Counts observer calls: every on_ue id in call order, and the callbacks
+/// that arrived before the first on_ue.
+struct UeAnnouncementRecorder final : rem::sim::SimObserver {
+  std::vector<int> ues;
+  std::size_t unattributed = 0;
+  std::size_t events = 0, ticks = 0, run_ends = 0;
+
+  void on_ue(int ue) override { ues.push_back(ue); }
+  void on_event(const rem::sim::SignalingEvent&) override {
+    unattributed += ues.empty();
+    ++events;
+  }
+  void on_tick(const rem::sim::TickView&) override {
+    unattributed += ues.empty();
+    ++ticks;
+  }
+  void on_run_end(rem::sim::SimStats&) override {
+    unattributed += ues.empty();
+    ++run_ends;
+  }
+};
+
+TEST(Fleet, SingleUeRunAnnouncesUeZeroOnceBeforeItsFirstCallback) {
+  // run() is a fleet of one, so its observer sees the fleet protocol:
+  // on_ue(0) exactly once, before the first event and tick, and no other
+  // id.
+  auto c = fleet_of_one_cases().front();
+  UeAnnouncementRecorder rec;
+  c.sc.sim.observer = &rec;
+  run_single(c.sc, c.seed, /*use_rem=*/false);
+  EXPECT_EQ(rec.ues, std::vector<int>{0});
+  EXPECT_EQ(rec.unattributed, 0u);
+  EXPECT_GT(rec.events, 0u);
+  EXPECT_GT(rec.ticks, 0u);
+  EXPECT_EQ(rec.run_ends, 1u);
 }
 
 /// Run one fleet per seed on `threads` workers; results come back in seed

@@ -1,9 +1,9 @@
-// Unit tests for the rem::obs metrics registry: instrument semantics,
+// Unit tests for the rem::obs metric values: counter and gauge semantics,
 // histogram bucket edges, snapshot merge algebra, the flat-JSON codec's
-// round trip and reject-with-context behavior, deterministic multi-thread
-// merges, and the allocation-free recording paths of the registry and of
-// the span tracer.
-#include "obs/registry.hpp"
+// round trip and reject-with-context behavior, deterministic merges of
+// snapshots filled on several threads, and the allocation-free recording
+// paths of the snapshot and of the span tracer.
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -11,18 +11,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <new>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace {
 
-using rem::obs::Counter;
-using rem::obs::Gauge;
-using rem::obs::Histogram;
+using rem::obs::HistogramSnapshot;
 using rem::obs::MetricsSnapshot;
-using rem::obs::Registry;
 
 // Global allocation counter for the allocation-free recording test.
 // Counting every operator new in the process is coarse but exactly what we
@@ -58,98 +59,102 @@ void* operator new[](std::size_t size) {
 namespace {
 
 TEST(Counter, AddsMonotonically) {
-  Registry r;
-  auto* c = r.counter("c");
-  EXPECT_EQ(c->value(), 0u);
-  c->add();
-  c->add(41);
-  EXPECT_EQ(c->value(), 42u);
-  // Same name returns the same instrument.
-  EXPECT_EQ(r.counter("c"), c);
-  EXPECT_EQ(r.counter("c")->value(), 42u);
+  MetricsSnapshot s;
+  s.add_counter("c", 0);  // get-or-insert: present at zero
+  ASSERT_NE(s.find_counter("c"), nullptr);
+  EXPECT_EQ(s.find_counter("c")->value, 0u);
+  s.add_counter("c", 1);
+  s.add_counter("c", 41);
+  // Same name, same entry.
+  ASSERT_EQ(s.counters.size(), 1u);
+  EXPECT_EQ(s.find_counter("c")->value, 42u);
 }
 
 TEST(Gauge, KeepsLastWrite) {
-  Registry r;
-  auto* g = r.gauge("g");
-  g->set(1.5);
-  g->set(-3.25);
-  EXPECT_EQ(g->value(), -3.25);
+  MetricsSnapshot s;
+  s.set_gauge("g", 1.5);
+  s.set_gauge("g", -3.25);
+  ASSERT_EQ(s.gauges.size(), 1u);
+  EXPECT_EQ(s.find_gauge("g")->value, -3.25);
 }
 
 TEST(Histogram, BucketEdgesAreUpperInclusive) {
-  Registry r;
-  auto* h = r.histogram("h", {1.0, 2.0, 4.0});
+  HistogramSnapshot h("h", {1.0, 2.0, 4.0});
   // On-edge values land in the bucket they bound; above-all goes to
   // overflow.
-  h->record(0.5);   // bucket 0
-  h->record(1.0);   // bucket 0 (inclusive upper edge)
-  h->record(1.001); // bucket 1
-  h->record(4.0);   // bucket 2
-  h->record(4.5);   // overflow
-  h->record(-7.0);  // bucket 0 (below the first edge)
-  const auto counts = h->counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 3u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h->count(), 6u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.5 + 1.0 + 1.001 + 4.0 + 4.5 - 7.0);
+  h.record(0.5);   // bucket 0
+  h.record(1.0);   // bucket 0 (inclusive upper edge)
+  h.record(1.001); // bucket 1
+  h.record(4.0);   // bucket 2
+  h.record(4.5);   // overflow
+  h.record(-7.0);  // bucket 0 (below the first edge)
+  ASSERT_EQ(h.counts.size(), 4u);
+  EXPECT_EQ(h.counts[0], 3u);
+  EXPECT_EQ(h.counts[1], 1u);
+  EXPECT_EQ(h.counts[2], 1u);
+  EXPECT_EQ(h.counts[3], 1u);
+  EXPECT_EQ(h.total_count(), 6u);
+  EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.0 + 1.001 + 4.0 + 4.5 - 7.0);
 }
 
 TEST(Histogram, NanGoesToOverflow) {
-  Registry r;
-  auto* h = r.histogram("h", {1.0});
-  h->record(std::numeric_limits<double>::quiet_NaN());
-  const auto counts = h->counts();
-  EXPECT_EQ(counts[0], 0u);
-  EXPECT_EQ(counts[1], 1u);
+  HistogramSnapshot h("h", {1.0});
+  h.record(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.counts[0], 0u);
+  EXPECT_EQ(h.counts[1], 1u);
 }
 
 TEST(Histogram, RejectsBadEdges) {
-  Registry r;
-  EXPECT_THROW(r.histogram("empty", {}), std::invalid_argument);
-  EXPECT_THROW(r.histogram("unsorted", {2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(r.histogram("dup", {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(HistogramSnapshot("empty", {}), std::invalid_argument);
+  EXPECT_THROW(HistogramSnapshot("unsorted", {2.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(HistogramSnapshot("dup", {1.0, 1.0}), std::invalid_argument);
 }
 
-TEST(Histogram, ReRegistrationMustMatchEdges) {
-  Registry r;
-  auto* h = r.histogram("h", {1.0, 2.0});
-  EXPECT_EQ(r.histogram("h", {1.0, 2.0}), h);
-  EXPECT_THROW(r.histogram("h", {1.0, 3.0}), std::invalid_argument);
+/// A snapshot holding one histogram named `name` over `edges` with
+/// `samples` recorded.
+MetricsSnapshot with_histogram(const std::string& name,
+                               std::vector<double> edges,
+                               std::initializer_list<double> samples) {
+  HistogramSnapshot h(name, std::move(edges));
+  for (double v : samples) h.record(v);
+  MetricsSnapshot s;
+  s.histograms.push_back(std::move(h));
+  return s;
 }
 
 TEST(Snapshot, SortedByNameAndQueryable) {
-  Registry r;
-  r.counter("z")->add(1);
-  r.counter("a")->add(2);
-  r.gauge("g")->set(0.5);
-  r.histogram("h", {1.0})->record(0.25);
-  const auto snap = r.snapshot();
+  MetricsSnapshot snap;
+  snap.add_counter("z", 1);
+  snap.add_counter("a", 2);
+  snap.set_gauge("y", 0.5);
+  snap.set_gauge("b", 1.5);
+  snap.merge(with_histogram("x", {1.0}, {0.25}));
+  snap.merge(with_histogram("c", {1.0}, {}));
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "a");
   EXPECT_EQ(snap.counters[1].name, "z");
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges[0].name, "b");
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "c");
   ASSERT_NE(snap.find_counter("a"), nullptr);
   EXPECT_EQ(snap.find_counter("a")->value, 2u);
   EXPECT_EQ(snap.find_counter("missing"), nullptr);
-  ASSERT_NE(snap.find_histogram("h"), nullptr);
-  EXPECT_EQ(snap.find_histogram("h")->total_count(), 1u);
+  ASSERT_NE(snap.find_histogram("x"), nullptr);
+  EXPECT_EQ(snap.find_histogram("x")->total_count(), 1u);
 }
 
 TEST(Snapshot, MergeAddsCountersMaxesGauges) {
-  Registry r1, r2;
-  r1.counter("shared")->add(2);
-  r2.counter("shared")->add(3);
-  r2.counter("only2")->add(7);
-  r1.gauge("peak")->set(1.0);
-  r2.gauge("peak")->set(4.0);
-  r1.histogram("h", {1.0, 2.0})->record(0.5);
-  r2.histogram("h", {1.0, 2.0})->record(1.5);
+  auto a = with_histogram("h", {1.0, 2.0}, {0.5});
+  auto b = with_histogram("h", {1.0, 2.0}, {1.5});
+  a.add_counter("shared", 2);
+  b.add_counter("shared", 3);
+  b.add_counter("only2", 7);
+  a.set_gauge("peak", 1.0);
+  b.set_gauge("peak", 4.0);
 
-  auto a = r1.snapshot();
-  a.merge(r2.snapshot());
+  a.merge(b);
   EXPECT_EQ(a.find_counter("shared")->value, 5u);
   EXPECT_EQ(a.find_counter("only2")->value, 7u);
   EXPECT_EQ(a.find_gauge("peak")->value, 4.0);
@@ -161,33 +166,23 @@ TEST(Snapshot, MergeAddsCountersMaxesGauges) {
 }
 
 TEST(Snapshot, MergeRejectsMismatchedEdges) {
-  Registry r1, r2;
-  r1.histogram("h", {1.0})->record(0.5);
-  r2.histogram("h", {2.0})->record(0.5);
-  auto a = r1.snapshot();
-  EXPECT_THROW(a.merge(r2.snapshot()), std::invalid_argument);
+  auto a = with_histogram("h", {1.0}, {0.5});
+  EXPECT_THROW(a.merge(with_histogram("h", {2.0}, {0.5})),
+               std::invalid_argument);
 }
 
 TEST(Snapshot, QuantileInterpolatesWithinBucket) {
-  Registry r;
-  auto* h = r.histogram("h", {1.0, 2.0});
-  for (int i = 0; i < 10; ++i) h->record(0.5);  // all in bucket [.., 1.0]
-  const auto snap = r.snapshot();
-  const auto* hs = snap.find_histogram("h");
+  HistogramSnapshot h("h", {1.0, 2.0});
+  for (int i = 0; i < 10; ++i) h.record(0.5);  // all in bucket [.., 1.0]
   // Linear interpolation inside [0, 1]: median at ~0.5.
-  EXPECT_NEAR(hs->quantile(0.5), 0.5, 0.11);
-  EXPECT_EQ(hs->quantile(0.0), 0.0);
+  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.11);
+  EXPECT_EQ(h.quantile(0.0), 0.0);
 }
 
 TEST(Codec, JsonRoundTripIsExact) {
-  Registry r;
-  r.counter("c.events")->add(123456789);
-  r.gauge("g.peak")->set(0.1 + 0.2);  // not exactly representable: %.17g
-  auto* h = r.histogram("h.lat", {0.1, 0.5, 1.0});
-  h->record(0.05);
-  h->record(0.3);
-  h->record(99.0);
-  const auto snap = r.snapshot();
+  auto snap = with_histogram("h.lat", {0.1, 0.5, 1.0}, {0.05, 0.3, 99.0});
+  snap.add_counter("c.events", 123456789);
+  snap.set_gauge("g.peak", 0.1 + 0.2);  // not exactly representable: %.17g
 
   std::stringstream ss;
   rem::obs::write_metrics_json(snap, ss);
@@ -264,10 +259,11 @@ TEST(Codec, RejectsMalformedInputWithContext) {
   for (const auto& [text, needle] : cases) expect_reject(text, needle);
 }
 
-TEST(Registry, MultiThreadRecordingMergesDeterministically) {
-  // Simulate the seed-parallel runner: each "seed" gets its own registry
-  // recording a seed-determined value stream; merging snapshots in seed
-  // order must give bit-identical JSON no matter how many threads ran.
+TEST(Snapshot, MultiThreadRecordingMergesDeterministically) {
+  // The seed-parallel runner's shape: each "seed" fills its own snapshot
+  // on whichever worker takes it, recording a seed-determined value
+  // stream; merging the snapshots in seed order must give bit-identical
+  // JSON no matter how many threads ran.
   const int kSeeds = 8;
   const auto run_with_threads = [&](int num_threads) {
     std::vector<MetricsSnapshot> per_seed(kSeeds);
@@ -276,12 +272,13 @@ TEST(Registry, MultiThreadRecordingMergesDeterministically) {
     for (int t = 0; t < num_threads; ++t)
       workers.emplace_back([&] {
         for (int s = next.fetch_add(1); s < kSeeds; s = next.fetch_add(1)) {
-          Registry r;
-          r.counter("events")->add(static_cast<std::uint64_t>(s) + 1);
-          auto* h = r.histogram("vals", {1.0, 10.0, 100.0});
-          for (int i = 0; i <= s; ++i) h->record(std::pow(3.0, s - i));
-          r.gauge("peak")->set(static_cast<double>(s));
-          per_seed[static_cast<std::size_t>(s)] = r.snapshot();
+          HistogramSnapshot h("vals", {1.0, 10.0, 100.0});
+          for (int i = 0; i <= s; ++i) h.record(std::pow(3.0, s - i));
+          MetricsSnapshot snap;
+          snap.histograms.push_back(std::move(h));
+          snap.add_counter("events", static_cast<std::uint64_t>(s) + 1);
+          snap.set_gauge("peak", static_cast<double>(s));
+          per_seed[static_cast<std::size_t>(s)] = std::move(snap);
         }
       });
     for (auto& w : workers) w.join();
@@ -296,36 +293,37 @@ TEST(Registry, MultiThreadRecordingMergesDeterministically) {
   EXPECT_EQ(one, run_with_threads(8));
 }
 
-TEST(Registry, RecordingAfterRegistrationNeverAllocates) {
-  // registry.hpp's hot/cold split: registration may allocate, recording
-  // through the returned pointers must not.
-  Registry r;
-  auto* c = r.counter("c");
-  auto* g = r.gauge("g");
-  auto* h = r.histogram("h", rem::obs::handover_latency_buckets_s());
-  ASSERT_NE(c, nullptr);
-  ASSERT_NE(g, nullptr);
-  ASSERT_NE(h, nullptr);
+TEST(Snapshot, RecordingIntoExistingEntriesNeverAllocates) {
+  // Inserting a name may allocate; recording into an entry that exists
+  // must not: HistogramSnapshot::record, and add_counter / set_gauge on a
+  // present name (names longer than the small-string buffer, so a copy
+  // would show).
+  const std::string counter = "sim.counter.with.a.long.metric.name";
+  const std::string gauge = "sim.gauge.with.a.long.metric.name";
+  MetricsSnapshot s;
+  s.add_counter(counter, 0);
+  s.set_gauge(gauge, 0.0);
+  HistogramSnapshot h("h", rem::obs::handover_latency_buckets_s());
   constexpr int kCalls = 10000;
   const std::uint64_t before = g_allocs.load();
   for (int i = 0; i < kCalls; ++i) {
-    c->add();
-    g->set(0.001 * i);
-    h->record(0.001 * i);
+    s.add_counter(counter, 1);
+    s.set_gauge(gauge, 0.001 * i);
+    h.record(0.001 * i);
   }
   const std::uint64_t after = g_allocs.load();
   EXPECT_EQ(before, after) << "recording allocated";
-  EXPECT_EQ(c->value(), static_cast<std::uint64_t>(kCalls));
-  EXPECT_EQ(g->value(), 0.001 * (kCalls - 1));
-  EXPECT_EQ(h->count(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(s.find_counter(counter)->value,
+            static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(s.find_gauge(gauge)->value, 0.001 * (kCalls - 1));
+  EXPECT_EQ(h.total_count(), static_cast<std::uint64_t>(kCalls));
 }
 
-TEST(SpanTracer, RecordingAfterTheFirstSampleNeverAllocates) {
-  // Each span histogram is registered on its first sample; later samples
-  // (prep RTT, BS queue wait, out-of-sync episodes) record through the
-  // cached pointer without building a name or copying the buckets.
-  Registry r;
-  rem::obs::SpanTracer tracer(&r);
+TEST(SpanTracer, RecordingAfterConstructionNeverAllocates) {
+  // The tracer builds its span histograms at construction, so every
+  // sample (prep RTT, BS queue wait, out-of-sync episodes) records
+  // without building a name or copying the buckets, the first included.
+  rem::obs::SpanTracer tracer;
   rem::sim::SignalingEvent ack{.kind = rem::sim::EventKind::kPrepAck,
                                .serving_snr_db = 0.004};
   rem::sim::SignalingEvent job{.kind = rem::sim::EventKind::kBsJobDone,
@@ -338,22 +336,23 @@ TEST(SpanTracer, RecordingAfterTheFirstSampleNeverAllocates) {
     tick.t310_running = i % 2 == 0;  // an episode opens and closes
     tracer.on_tick(tick);
   };
-  step(0);
-  step(1);
   constexpr int kCalls = 10000;
   const std::uint64_t before = g_allocs.load();
-  for (int i = 2; i < 2 + kCalls; ++i) step(i);
+  for (int i = 0; i < kCalls; ++i) step(i);
   const std::uint64_t after = g_allocs.load();
   EXPECT_EQ(before, after) << "recording allocated";
-  const MetricsSnapshot snap = r.snapshot();
+  rem::sim::SimStats stats;
+  tracer.on_run_end(stats);
+  // Only the three histograms that received samples are published.
+  const MetricsSnapshot& snap = tracer.metrics();
   ASSERT_EQ(snap.histograms.size(), 3u);
   for (const auto* name :
        {"sim.backhaul.prep_rtt_s", "sim.bs.queue_wait_s", "sim.out_of_sync_s"})
     ASSERT_NE(snap.find_histogram(name), nullptr) << name;
   EXPECT_EQ(snap.find_histogram("sim.backhaul.prep_rtt_s")->total_count(),
-            static_cast<std::uint64_t>(kCalls + 2));
+            static_cast<std::uint64_t>(kCalls));
   EXPECT_EQ(snap.find_histogram("sim.out_of_sync_s")->total_count(),
-            static_cast<std::uint64_t>((kCalls + 2) / 2));
+            static_cast<std::uint64_t>(kCalls / 2));
 }
 
 TEST(Buckets, CanonicalLayoutsAreValid) {

@@ -4,7 +4,6 @@
 // simulator's own SimStats; the metrics/trace artifacts must round-trip;
 // and seed-parallel metrics collection must be bit-identical across
 // worker-thread counts.
-#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "scenario_runner.hpp"
 #include "testkit/golden.hpp"
@@ -63,11 +62,10 @@ rem::sim::SimStats run_chaos_legacy(std::uint64_t seed,
 }
 
 TracedRun traced_chaos_run(std::uint64_t seed) {
-  rem::obs::Registry registry;
-  rem::obs::SpanTracer tracer(&registry);
+  rem::obs::SpanTracer tracer;
   TracedRun out;
   out.stats = run_chaos_legacy(seed, &tracer);
-  out.metrics = registry.snapshot();
+  out.metrics = tracer.metrics();
   out.spans = tracer.spans();
   out.mismatches = tracer.reconcile(out.stats);
   return out;
@@ -180,8 +178,7 @@ TEST(SpanTracer, TraceJsonlHasOneObjectPerSpan) {
   const auto run = traced_chaos_run(3);
   // Re-run the same seed with a locally held tracer so its serializer can
   // be driven directly, with a context stamp on every line.
-  rem::obs::Registry registry;
-  rem::obs::SpanTracer tracer(&registry);
+  rem::obs::SpanTracer tracer;
   std::ostringstream os;
   (void)run_chaos_legacy(3, &tracer);
   tracer.write_trace_jsonl(os, "\"seed\": \"3\"");
@@ -194,7 +191,8 @@ TEST(SpanTracer, TraceJsonlHasOneObjectPerSpan) {
     ++lines;
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"seed\": \"3\""), std::string::npos);
+    // A single-UE run announces UE 0, so its lines carry the id too.
+    EXPECT_NE(line.find("\"seed\": \"3\", \"ue\": 0, "), std::string::npos);
     EXPECT_NE(line.find("\"outcome\": \""), std::string::npos);
   }
   EXPECT_EQ(lines, tracer.spans().size());
