@@ -43,8 +43,7 @@ int main() {
   // ---- (b) one annotated failure ----
   std::printf("\nFig. 9b: TCP timeline through one handover failure\n");
   const double outage = 2.3;  // radio connectivity gap (fail + re-establish)
-  sim::TcpConfig tcp;
-  const double stall = sim::tcp_stall_for_outage(outage, tcp, 0.25);
+  const double stall = sim::tcp_stall_for_outage(outage, 0.25);
   std::printf("  t=0.00s  handover fails, radio link lost\n");
   std::printf("  t=%.2fs  TCP retransmissions backing off (RTO doubling "
               "from %.2fs)\n",

@@ -25,8 +25,7 @@ void analyze(const char* label, trace::Route route, double speed_kmh,
   const auto neighbors = [&](std::size_t i, std::size_t j) {
     return std::abs(cells[i].site_pos_m - cells[j].site_pos_m) <= reach;
   };
-  const auto conflicts =
-      mobility::find_two_cell_conflicts(pcs, {}, neighbors);
+  const auto conflicts = mobility::find_two_cell_conflicts(pcs, neighbors);
 
   int intra = 0;
   for (const auto& c : conflicts) intra += c.inter_frequency ? 0 : 1;

@@ -69,10 +69,6 @@ struct AggregateStats {
 struct ScenarioRun {
   AggregateStats legacy;
   AggregateStats rem;
-  /// Static two-cell conflicts of the synthesized legacy policy set
-  /// (aggregated over seeds).
-  std::map<std::string, int> conflict_histogram;
-  int total_conflicts = 0;
   /// Per-manager metrics merged in seed order (empty unless
   /// SeedRunOptions::collect_metrics). Simulated-time metrics only, so the
   /// merged snapshots are bit-identical for any worker-thread count.
@@ -86,7 +82,7 @@ struct SeedRunResult {
   sim::SimStats legacy;
   sim::SimStats rem;
   bool has_rem = false;
-  std::map<std::string, int> conflict_histogram;
+  /// Static two-cell conflicts of the seed's synthesized legacy policy set.
   int total_conflicts = 0;
   /// This seed's metrics and spans per manager (empty unless
   /// SeedRunOptions::collect_metrics was set).
@@ -134,10 +130,8 @@ inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
     return std::abs(cells[i].site_pos_m - cells[j].site_pos_m) <= reach;
   };
   const auto conflicts =
-      mobility::find_two_cell_conflicts(pcs, {}, neighbor_filter);
+      mobility::find_two_cell_conflicts(pcs, neighbor_filter);
   out.total_conflicts = static_cast<int>(conflicts.size());
-  for (const auto& [label, n] : mobility::conflict_histogram(conflicts))
-    out.conflict_histogram[label] += n;
   std::set<std::pair<int, int>> pairs;
   for (const auto& c : conflicts) {
     pairs.insert({c.cell_i, c.cell_j});
@@ -215,9 +209,6 @@ inline SeedRunResult run_seed(const trace::Scenario& sc, std::uint64_t seed,
 inline ScenarioRun merge_seed_results(const std::vector<SeedRunResult>& rs) {
   ScenarioRun out;
   for (const auto& r : rs) {
-    out.total_conflicts += r.total_conflicts;
-    for (const auto& [label, n] : r.conflict_histogram)
-      out.conflict_histogram[label] += n;
     out.legacy.add(r.legacy);
     if (r.has_rem) out.rem.add(r.rem);
     out.legacy_metrics.merge(r.legacy_metrics);

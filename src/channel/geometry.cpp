@@ -61,7 +61,7 @@ MultipathChannel GeometricHstChannel::snapshot(double train_x_m) const {
   for (const auto& s : cfg_.scatterers) add_path(s.x_m, s.y_m, s.gain_db);
 
   MultipathChannel ch(std::move(paths));
-  if (cfg_.normalize) ch.normalize_power();
+  ch.normalize_power();
   return ch;
 }
 

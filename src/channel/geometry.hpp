@@ -34,7 +34,6 @@ struct GeometryConfig {
   /// is approximated as an excess-length path train->scatterer with the
   /// scatterer's gain; adequate for delay/Doppler geometry studies).
   std::vector<Scatterer> scatterers;
-  bool normalize = true;
 };
 
 /// Random scatterer field along the track around `bs_x_m`.
@@ -48,8 +47,9 @@ class GeometricHstChannel {
   const GeometryConfig& config() const { return cfg_; }
 
   /// Channel snapshot when the train is at along-track position `x_m`
-  /// (moving in +x at the configured speed). Path phases are referenced
-  /// to the absolute path lengths, so consecutive snapshots are coherent.
+  /// (moving in +x at the configured speed), normalized to unit power.
+  /// Path phases are referenced to the absolute path lengths, so
+  /// consecutive snapshots are coherent.
   MultipathChannel snapshot(double train_x_m) const;
 
   /// Ground-truth LOS Doppler at a position (for tests/benches).

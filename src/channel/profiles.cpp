@@ -9,6 +9,8 @@
 namespace rem::channel {
 namespace {
 constexpr double kPi = std::numbers::pi;
+/// LOS-to-scatter power ratio of the HST350 profile's first tap.
+constexpr double kRicianKDb = 10.0;
 
 const std::vector<TapSpec> kEpaTaps = {
     {0, 0.0}, {30, -1.0}, {70, -2.0}, {90, -3.0},
@@ -61,7 +63,7 @@ MultipathChannel draw_channel(const ChannelDrawConfig& cfg,
     // Rician LOS on the first tap: deterministic component at a Doppler
     // close to +/- nu_max (train approaching or receding), plus diffuse
     // scatterers at random Jakes angles.
-    const double k_lin = common::db_to_lin(cfg.rician_k_db);
+    const double k_lin = common::db_to_lin(kRicianKDb);
     for (std::size_t i = 0; i < taps.size(); ++i) {
       const double tap_power = common::db_to_lin(taps[i].power_db);
       Path p;
@@ -99,7 +101,7 @@ MultipathChannel draw_channel(const ChannelDrawConfig& cfg,
   }
 
   MultipathChannel ch(std::move(paths));
-  if (cfg.normalize) ch.normalize_power();
+  ch.normalize_power();
   return ch;
 }
 

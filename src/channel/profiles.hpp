@@ -37,14 +37,13 @@ struct ChannelDrawConfig {
   Profile profile = Profile::kEVA;
   double speed_mps = 0.0;        ///< client speed, sets max Doppler
   double carrier_hz = 2.0e9;     ///< carrier frequency
-  double rician_k_db = 10.0;     ///< LOS-to-scatter ratio for HST350
-  bool normalize = true;         ///< normalize total power to 1
 };
 
 /// Draw a random realization: each tap gets a complex Gaussian (Rayleigh)
 /// gain scaled to its profile power and a Doppler nu_max * cos(theta) with a
 /// uniform arrival angle (Jakes model). HST350 instead uses a dominant LOS
-/// tap with near-maximal Doppler plus weaker scattered taps.
+/// tap with near-maximal Doppler plus weaker scattered taps. The drawn
+/// channel's total power is normalized to 1.
 MultipathChannel draw_channel(const ChannelDrawConfig& cfg,
                               common::Rng& rng);
 

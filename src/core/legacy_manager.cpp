@@ -12,6 +12,9 @@ namespace {
 
 /// Bounded monitored set: strongest cells measured per stage.
 constexpr std::size_t kMaxMonitoredCells = 8;
+/// After an emitted decision, how long before the (still satisfied)
+/// trigger may re-fire a report (RLC ARQ + reporting interval).
+constexpr double kRefireInterval_s = 0.24;
 
 }  // namespace
 
@@ -33,8 +36,8 @@ bool LegacyManager::rule_matches(const rm::PolicyRule& rule,
   return rule.channel == target.channel;
 }
 
-void LegacyManager::on_serving_changed(double /*t*/, std::size_t new_idx) {
-  serving_cell_ = static_cast<int>(new_idx);
+void LegacyManager::on_serving_changed(double /*t*/,
+                                       std::size_t /*new_idx*/) {
   stage_ = 0;
   reconfigurations_ = 0;
   pending_stage_ = -1;
@@ -101,7 +104,7 @@ std::optional<sim::HandoverDecision> LegacyManager::update(
     // the handover triggers (not the reconfiguration guards) so a held
     // fire is not silently consumed.
     if (rule.action == rm::PolicyAction::kHandover &&
-        t - last_decision_t_ < cfg_.refire_interval_s)
+        t - last_decision_t_ < kRefireInterval_s)
       continue;
     // Evaluate against each applicable neighbor (or once for A1/A2).
     const auto eval_one = [&](int neighbor_cell, double neighbor_metric,

@@ -22,9 +22,6 @@ struct LegacyConfig {
   std::map<int, mobility::CellPolicy> policies;
   mobility::CellPolicy default_policy;
   mobility::MeasurementConfig measurement;
-  /// After an emitted decision, how long before the (still satisfied)
-  /// trigger may re-fire a report (RLC ARQ + reporting interval).
-  double refire_interval_s = 0.24;
 };
 
 class LegacyManager final : public sim::MobilityManager {
@@ -59,7 +56,6 @@ class LegacyManager final : public sim::MobilityManager {
                     const mobility::CellId& target) const;
 
   LegacyConfig cfg_;
-  int serving_cell_ = -1;
   mobility::CellId serving_id_;
   int stage_ = 0;
   int reconfigurations_ = 0;  ///< since last serving change

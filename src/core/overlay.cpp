@@ -1,9 +1,15 @@
 #include "core/overlay.hpp"
 
 namespace rem::core {
+namespace {
+
+/// Signaling subgrid modulation.
+constexpr phy::Modulation kSignalingMod = phy::Modulation::kQPSK;
+
+}  // namespace
 
 SignalingOverlay::SignalingOverlay(OverlayConfig cfg)
-    : cfg_(cfg), scheduler_(cfg.num, cfg.signaling_mod) {}
+    : cfg_(cfg), scheduler_(cfg.num, kSignalingMod) {}
 
 void SignalingOverlay::enqueue_signaling(std::uint64_t id,
                                          std::size_t bytes) {
@@ -30,7 +36,7 @@ SubframeOutcome SignalingOverlay::transmit_subframe(
   link.num.num_symbols = out.allocation.signaling->num_symbols;
   link.waveform =
       cfg_.legacy_ofdm ? phy::Waveform::kOFDM : phy::Waveform::kOTFS;
-  link.mod = cfg_.signaling_mod;
+  link.mod = kSignalingMod;
   link.snr_db = snr_db;
   const auto res = phy::LinkSimulator(link).run_block(ch, rng);
 

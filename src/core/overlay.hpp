@@ -19,7 +19,6 @@ namespace rem::core {
 
 struct OverlayConfig {
   phy::Numerology num = phy::Numerology::lte(64, 14);
-  phy::Modulation signaling_mod = phy::Modulation::kQPSK;
   /// Fall back to plain OFDM for signaling (legacy mode / peers without
   /// REM support — §6's backward compatibility).
   bool legacy_ofdm = false;

@@ -18,6 +18,12 @@ constexpr double kCrossbandErrorSigmaDb = 1.0;
 /// Strongest sites measured per cycle (one pilot each; co-located cells
 /// come free via cross-band estimation).
 constexpr std::size_t kMaxMeasuredSites = 4;
+/// A3 hysteresis, added to the coordinated offset.
+constexpr double kHysteresisDb = 1.0;
+/// Short TTT — the stable DD metric does not need long smoothing.
+constexpr double kTimeToTrigger_s = 0.040;
+/// Re-fire interval after an emitted decision (lost-report retry).
+constexpr double kRefireInterval_s = 0.12;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -112,7 +118,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
   const double serving_metric = policy_metric(
       degraded_ ? serving.snr_db : serving.dd_snr_db, serving.bandwidth_hz);
   const double threshold =
-      serving_metric + cfg_.a3_offset_db + cfg_.hysteresis_db;
+      serving_metric + cfg_.a3_offset_db + kHysteresisDb;
   std::optional<std::size_t> best_target;
   double best_metric = -1e9;
   // Second-best TTT-qualified candidate: offered to the simulator as the
@@ -143,7 +149,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
     double& entered = entered_at(o.id.cell);
     if (metric > threshold) {
       if (std::isnan(entered)) entered = t;
-      if (t - entered + 1e-12 >= cfg_.time_to_trigger_s) {
+      if (t - entered + 1e-12 >= kTimeToTrigger_s) {
         qualified_.push_back({metric, o.cell_idx, o.advertised_load});
         if (metric > best_metric) {
           if (best_target) {
@@ -163,7 +169,7 @@ std::optional<sim::HandoverDecision> RemManager::update(
   }
 
   if (!best_target) return std::nullopt;
-  if (t - last_decision_t_ < cfg_.refire_interval_s) return std::nullopt;
+  if (t - last_decision_t_ < kRefireInterval_s) return std::nullopt;
   last_decision_t_ = t;
 
   sim::HandoverDecision d;

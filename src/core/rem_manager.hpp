@@ -18,12 +18,7 @@ struct RemConfig {
   /// Coordinated A3 offset (Theorem 2: pairwise sums must be >= 0; a
   /// uniform non-negative offset trivially satisfies it).
   double a3_offset_db = 2.0;
-  double hysteresis_db = 1.0;
-  /// Short TTT — the stable DD metric does not need long smoothing.
-  double time_to_trigger_s = 0.040;
   mobility::MeasurementConfig measurement;
-  /// Re-fire interval after an emitted decision (lost-report retry).
-  double refire_interval_s = 0.12;
   /// Degrade to direct (time-frequency) measurement when the delay-Doppler
   /// estimates behind the observations are staler than this (pilot
   /// outage): acting on faulted cross-band estimates is worse than paying

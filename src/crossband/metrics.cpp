@@ -10,6 +10,16 @@
 namespace rem::crossband {
 namespace {
 
+/// A3 thresholds are drawn uniformly from [-kDeltaRangeDb, +kDeltaRangeDb]
+/// dB around the (near-zero) true SNR difference, probing how estimation
+/// error flips borderline handover decisions.
+constexpr double kDeltaRangeDb = 6.0;
+/// An LTE measurement is a time/frequency-localized burst, not the whole
+/// grid: the score compares predicted vs true gain over this patch
+/// (subcarriers x symbols, placed at a random grid position per trial).
+constexpr std::size_t kSubbandM = 12;
+constexpr std::size_t kSubbandN = 4;
+
 // Mean per-RE gain of a TF matrix over the patch starting at (k0, l0).
 double patch_gain(const dsp::Matrix& h, std::size_t k0, std::size_t l0,
                   std::size_t pm, std::size_t pn) {
@@ -54,8 +64,8 @@ EvalResult evaluate_estimator(CrossbandEstimator& est, const EvalConfig& cfg,
 
   std::size_t est_trigger = 0, both_trigger = 0, agree = 0;
   double runtime_ms = 0.0;
-  const std::size_t pm = std::min(cfg.subband_m, cfg.num.num_subcarriers);
-  const std::size_t pn = std::min(cfg.subband_n, cfg.num.num_symbols);
+  const std::size_t pm = std::min(kSubbandM, cfg.num.num_subcarriers);
+  const std::size_t pn = std::min(kSubbandN, cfg.num.num_symbols);
 
   for (std::size_t t = 0; t < cfg.trials; ++t) {
     const auto ch1 = channel::draw_channel(cfg.draw, rng);
@@ -99,8 +109,7 @@ EvalResult evaluate_estimator(CrossbandEstimator& est, const EvalConfig& cfg,
                                        cfg.num.subcarrier_spacing_hz,
                                        cfg.num.symbol_duration_s());
     const double g1_true = patch_gain(h1_true, k0, l0, pm, pn);
-    const double delta_db = rng.uniform(-cfg.delta_range_db,
-                                        cfg.delta_range_db);
+    const double delta_db = rng.uniform(-kDeltaRangeDb, kDeltaRangeDb);
     const bool true_ho =
         10.0 * std::log10(g_true / g1_true) > delta_db;
     const bool est_ho =

@@ -24,15 +24,6 @@ struct EvalConfig {
   double f2_hz = 2.6e9;
   double measure_snr_db = 20.0;      ///< pilot SNR for the band-1 estimate
   std::size_t trials = 100;
-  /// A3 thresholds are drawn uniformly from [-delta_range, +delta_range]
-  /// dB around the (near-zero) true SNR difference, probing how estimation
-  /// error flips borderline handover decisions.
-  double delta_range_db = 6.0;
-  /// An LTE measurement is a time/frequency-localized burst, not the whole
-  /// grid: the score compares predicted vs true gain over this patch
-  /// (subcarriers x symbols, placed at a random grid position per trial).
-  std::size_t subband_m = 12;
-  std::size_t subband_n = 4;
 };
 
 struct EvalResult {

@@ -11,6 +11,14 @@ namespace rem::crossband {
 namespace {
 using dsp::cd;
 
+/// Neighbours of the weighted k-NN regression.
+constexpr std::size_t kNeighbors = 8;
+/// Paths in the ML-seeded NLS phase-refinement stage.
+constexpr std::size_t kMaxPaths = 6;
+/// Warm-start refinement iterations (vs R2F2's cold-start hundreds).
+constexpr std::size_t kRefineIters = 120;
+constexpr std::size_t kDelayOversample = 4;
+
 double sq(double x) { return x * x; }
 }  // namespace
 
@@ -69,7 +77,7 @@ CrossbandOutput OptMlEstimator::estimate(const CrossbandInput& in) {
     for (std::size_t j = 0; j < dim; ++j) d += sq(f[j] - feature[j]);
     dist.push_back({d, i});
   }
-  const std::size_t k_n = std::min(cfg_.k_neighbors, corpus_.size());
+  const std::size_t k_n = std::min(kNeighbors, corpus_.size());
   std::partial_sort(dist.begin(), dist.begin() + static_cast<long>(k_n),
                     dist.end());
 
@@ -99,9 +107,9 @@ CrossbandOutput OptMlEstimator::estimate(const CrossbandInput& in) {
     h_avg[k] /= static_cast<double>(n);
   }
   auto fitted = nls_matching_pursuit(h_avg, in.num.subcarrier_spacing_hz,
-                                     cfg_.max_paths, cfg_.delay_oversample);
-  nls_refine(fitted, h_avg, in.num.subcarrier_spacing_hz,
-             cfg_.refine_iters, cfg_.delay_oversample);
+                                     kMaxPaths, kDelayOversample);
+  nls_refine(fitted, h_avg, in.num.subcarrier_spacing_hz, kRefineIters,
+             kDelayOversample);
   const auto model =
       nls_evaluate(fitted, m, in.num.subcarrier_spacing_hz);
 

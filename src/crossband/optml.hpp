@@ -22,19 +22,8 @@
 
 namespace rem::crossband {
 
-struct OptMlConfig {
-  std::size_t k_neighbors = 8;
-  /// Paths in the ML-seeded NLS phase-refinement stage.
-  std::size_t max_paths = 6;
-  /// Warm-start refinement iterations (vs R2F2's cold-start hundreds).
-  std::size_t refine_iters = 120;
-  std::size_t delay_oversample = 4;
-};
-
 class OptMlEstimator final : public CrossbandEstimator {
  public:
-  explicit OptMlEstimator(OptMlConfig cfg = {}) : cfg_(cfg) {}
-
   /// Add one training example: the band-1 TF measurement and the true
   /// band-2 TF channel (same grid).
   void add_training_example(const dsp::Matrix& h1_tf,
@@ -54,7 +43,6 @@ class OptMlEstimator final : public CrossbandEstimator {
 
   static std::vector<double> featurize(const dsp::Matrix& h_tf);
 
-  OptMlConfig cfg_;
   std::vector<Example> corpus_;
 };
 

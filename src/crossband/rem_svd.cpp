@@ -12,6 +12,9 @@ namespace rem::crossband {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+/// Relative singular-value cutoff of the rank rule: a triplet is a path
+/// while its singular value is at least this share of the strongest.
+constexpr double kEnergyCutoff = 0.05;
 using dsp::cd;
 
 // Recover the common ratio r of the finite exponential sequence whose
@@ -50,15 +53,12 @@ CrossbandOutput RemSvdEstimator::estimate(const CrossbandInput& in) {
   const double fs = in.num.sample_rate_hz();
   const double ratio = in.f2_hz / in.f1_hz;
 
-  // Line 1: H1 = Gamma P Phi1 via SVD.
-  const auto svd = dsp::svd(in.h1_dd, cfg_.max_paths);
+  // Line 1: H1 = Gamma P Phi1 via SVD, keeping the components above the
+  // relative energy cutoff.
+  const auto svd = dsp::svd(in.h1_dd);
   std::size_t rank = svd.sigma.size();
-  if (cfg_.max_paths == 0) {
-    // Auto rank: keep components above the relative energy cutoff.
-    while (rank > 1 &&
-           svd.sigma[rank - 1] < cfg_.energy_cutoff * svd.sigma[0])
-      --rank;
-  }
+  while (rank > 1 && svd.sigma[rank - 1] < kEnergyCutoff * svd.sigma[0])
+    --rank;
 
   paths_.clear();
   dsp::Matrix h2(m, n);

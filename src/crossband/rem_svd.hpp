@@ -20,14 +20,6 @@
 
 namespace rem::crossband {
 
-struct RemSvdConfig {
-  /// Maximum number of paths to keep (rank truncation). 0 = auto (keep
-  /// singular values above `energy_cutoff` of the strongest).
-  std::size_t max_paths = 0;
-  /// Relative singular-value cutoff for auto rank selection.
-  double energy_cutoff = 0.05;
-};
-
 /// Per-path parameters extracted from one singular triplet.
 struct ExtractedPath {
   double delay_s = 0.0;
@@ -35,10 +27,10 @@ struct ExtractedPath {
   double attenuation = 0.0;  ///< singular value
 };
 
+/// Keeps each singular triplet whose singular value is at least 5% of the
+/// strongest (Algorithm 1's energy-cutoff rank rule) as one path.
 class RemSvdEstimator final : public CrossbandEstimator {
  public:
-  explicit RemSvdEstimator(RemSvdConfig cfg = {}) : cfg_(cfg) {}
-
   CrossbandOutput estimate(const CrossbandInput& in) override;
   std::string name() const override { return "REM"; }
 
@@ -46,7 +38,6 @@ class RemSvdEstimator final : public CrossbandEstimator {
   const std::vector<ExtractedPath>& last_paths() const { return paths_; }
 
  private:
-  RemSvdConfig cfg_;
   std::vector<ExtractedPath> paths_;
 };
 

@@ -7,6 +7,10 @@
 namespace rem::mobility {
 namespace {
 
+/// Valid RSRP range (dBm) the satisfiability check searches.
+constexpr double kMetricLoDbm = -140.0;
+constexpr double kMetricHiDbm = -40.0;
+
 // Conjunction of box bounds on (r_s, r_n) and a lower bound on r_n - r_s.
 // Every Table 1 event maps onto this shape:
 //   A1: r_s > t          A2: r_s < t          A3: r_n - r_s > offset
@@ -16,14 +20,14 @@ struct Region {
   double n_lo, n_hi;  // neighbor metric bounds
   double diff_lo;     // r_n - r_s > diff_lo (-inf when unconstrained)
 
-  static Region full(const MetricRange& r) {
-    return {r.lo, r.hi, r.lo, r.hi,
+  static Region full() {
+    return {kMetricLoDbm, kMetricHiDbm, kMetricLoDbm, kMetricHiDbm,
             -std::numeric_limits<double>::infinity()};
   }
 };
 
-Region event_region(const EventConfig& e, const MetricRange& range) {
-  Region reg = Region::full(range);
+Region event_region(const EventConfig& e) {
+  Region reg = Region::full();
   switch (e.type) {
     case EventType::kA1:
       reg.s_lo = std::max(reg.s_lo, e.threshold1 + e.hysteresis);
@@ -127,7 +131,7 @@ std::string conflict_type_label(EventType a, EventType b) {
 }
 
 std::vector<TwoCellConflict> find_two_cell_conflicts(
-    const std::vector<PolicyCell>& cells, MetricRange range,
+    const std::vector<PolicyCell>& cells,
     const std::function<bool(std::size_t, std::size_t)>& pair_filter) {
   std::vector<TwoCellConflict> out;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -143,8 +147,8 @@ std::vector<TwoCellConflict> find_two_cell_conflicts(
         if (!rule_applies_to(*ri.rule, ci.id, cj.id)) continue;
         for (const auto& rj : rules_j) {
           if (!rule_applies_to(*rj.rule, cj.id, ci.id)) continue;
-          Region a = event_region(ri.rule->event, range);
-          Region b = event_region(rj.rule->event, range);
+          Region a = event_region(ri.rule->event);
+          Region b = event_region(rj.rule->event);
           a.s_hi = std::min(a.s_hi, ri.serving_upper);
           b.s_hi = std::min(b.s_hi, rj.serving_upper);
           double w1 = 0, w2 = 0;

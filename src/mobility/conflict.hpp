@@ -17,13 +17,6 @@
 
 namespace rem::mobility {
 
-/// Valid metric range used for satisfiability (RSRP dBm by default; works
-/// equally for SNR in dB with adjusted bounds).
-struct MetricRange {
-  double lo = -140.0;
-  double hi = -40.0;
-};
-
 /// A detected two-cell conflict.
 struct TwoCellConflict {
   int cell_i = 0;
@@ -50,7 +43,7 @@ struct PolicyCell {
 /// the same area — the paper's Table 3 counts neighbors, not the whole
 /// route); pass an empty function to test every pair.
 std::vector<TwoCellConflict> find_two_cell_conflicts(
-    const std::vector<PolicyCell>& cells, MetricRange range = {},
+    const std::vector<PolicyCell>& cells,
     const std::function<bool(std::size_t, std::size_t)>& pair_filter = {});
 
 /// Count conflicts per type label (the Table 3 histogram).

@@ -258,7 +258,6 @@ void SpanTracer::on_event(const sim::SignalingEvent& e) {
 }
 
 void SpanTracer::on_tick(const sim::TickView& v) {
-  last_tick_s_ = v.t_s;
   if (v.estimate_age_s > max_estimate_age_s_)
     max_estimate_age_s_ = v.estimate_age_s;
   // Out-of-sync episodes: the T310-armed interval, closed on the first

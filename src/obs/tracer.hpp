@@ -156,7 +156,6 @@ class SpanTracer : public sim::SimObserver {
   bool t310_prev_ = false;
   double t310_started_ = 0.0;
   double max_estimate_age_s_ = 0.0;
-  double last_tick_s_ = 0.0;
   bool run_ended_ = false;
   /// Events seen per EventKind, for the counters SimStats does not carry.
   std::array<std::uint64_t, sim::kNumEventKinds> events_seen_{};

@@ -7,6 +7,10 @@
 namespace rem::phy {
 namespace {
 
+constexpr std::size_t kMaxIterations = 20;
+constexpr double kDamping = 0.6;          ///< posterior damping factor (Delta)
+constexpr double kConvergenceEps = 1e-3;  ///< stop when posteriors settle
+
 // Flattened column-major index.
 inline std::size_t flat(std::size_t row, std::size_t col, std::size_t m) {
   return col * m + row;
@@ -35,8 +39,7 @@ std::vector<DdTap> extract_dd_taps(const dsp::Matrix& dd_h,
 }
 
 MpResult mp_detect(const dsp::Matrix& y, const std::vector<DdTap>& taps,
-                   Modulation mod, double noise_power,
-                   const MpDetectorConfig& cfg) {
+                   Modulation mod, double noise_power) {
   const std::size_t m = y.rows();
   const std::size_t n = y.cols();
   const std::size_t count = m * n;
@@ -76,7 +79,7 @@ MpResult mp_detect(const dsp::Matrix& y, const std::vector<DdTap>& taps,
   };
 
   std::vector<double> new_prob(count * q);
-  for (std::size_t iter = 0; iter < cfg.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Precompute the total interference mean/variance per observation.
     std::vector<cd> obs_mean(count, cd(0, 0));
     std::vector<double> obs_var(count, noise_power);
@@ -124,8 +127,8 @@ MpResult mp_detect(const dsp::Matrix& y, const std::vector<DdTap>& taps,
         }
         for (std::size_t s = 0; s < q; ++s) {
           const double p_new = loglik[s] / z;
-          const double damped = cfg.damping * p_new +
-                                (1.0 - cfg.damping) * prob[d * q + s];
+          const double damped =
+              kDamping * p_new + (1.0 - kDamping) * prob[d * q + s];
           max_change = std::max(max_change,
                                 std::abs(damped - prob[d * q + s]));
           new_prob[d * q + s] = damped;
@@ -135,7 +138,7 @@ MpResult mp_detect(const dsp::Matrix& y, const std::vector<DdTap>& taps,
     prob.swap(new_prob);
     for (std::size_t d = 0; d < count; ++d) refresh_moments(d);
     out.iterations = iter + 1;
-    if (max_change < cfg.convergence_eps) break;
+    if (max_change < kConvergenceEps) break;
   }
 
   // Posterior means and max-log bit LLRs.

@@ -32,12 +32,6 @@ std::vector<DdTap> extract_dd_taps(const dsp::Matrix& dd_h,
                                    double threshold = 0.05,
                                    std::size_t max_taps = 16);
 
-struct MpDetectorConfig {
-  std::size_t max_iterations = 20;
-  double damping = 0.6;          ///< posterior damping factor (Delta)
-  double convergence_eps = 1e-3; ///< stop when posteriors settle
-};
-
 struct MpResult {
   std::vector<cd> symbols;       ///< posterior-mean symbol estimates
   std::vector<double> llrs;      ///< max-log LLRs (bits_per_symbol per sym)
@@ -48,7 +42,6 @@ struct MpResult {
 /// given the sparse channel taps. Symbols are column-major (matching
 /// LinkSimulator's grid fill order): index = col * M + row.
 MpResult mp_detect(const dsp::Matrix& y, const std::vector<DdTap>& taps,
-                   Modulation mod, double noise_power,
-                   const MpDetectorConfig& cfg = {});
+                   Modulation mod, double noise_power);
 
 }  // namespace rem::phy

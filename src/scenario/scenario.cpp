@@ -753,8 +753,6 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   const auto& s = c.scenario.sim;
   add("sim.speed_kmh", s.speed_kmh);
   add("sim.duration_s", s.duration_s);
-  add("sim.tick_s", s.tick_s);
-  add("sim.min_coverage_rsrp_dbm", s.min_coverage_rsrp_dbm);
   add("sim.fleet_size", s.fleet_size);
   add("fleet.speed_min_kmh", s.fleet.speed_min_kmh);
   add("fleet.speed_max_kmh", s.fleet.speed_max_kmh);

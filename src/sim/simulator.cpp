@@ -30,9 +30,12 @@ constexpr double kQinMarginDb = 1.0;
 /// Minimum SNR for a handover execution to succeed at the target.
 constexpr double kMinConnectSnrDb = -6.0;
 /// The policy loop offers a cell as a candidate while its mean RSRP is
-/// at most this far below `min_coverage_rsrp_dbm`: the lowest floor a run
-/// passes to RadioEnv.
+/// at most this far below kMinCoverageRsrpDbm: the lowest floor a run
+/// passes to RadioEnv, whose shadowing windows cover floors down to
+/// kWindowFloorDbm.
 constexpr double kCandidateMarginDb = 10.0;
+static_assert(kMinCoverageRsrpDbm - kCandidateMarginDb >= kWindowFloorDbm,
+              "the candidate floor must stay inside the shadowing windows");
 /// Signaling transport: attempts (HARQ/ARQ) and per-attempt spacing.
 constexpr int kUplinkAttempts = 2;
 constexpr int kDownlinkAttempts = 1;  // commands are time-critical (no ARQ)
@@ -159,7 +162,11 @@ struct UeContext {
   int last_cmd_target = -1;          ///< previous delivered command's target
   double suppress_until = 0.0;       ///< post-handover decision blanking
   std::deque<std::pair<double, int>> recent_serving;  ///< (time, cell idx)
-  std::vector<double> ho_times;
+  /// Completed handovers and the times of the first and the last: all
+  /// avg_handover_interval_s reads.
+  std::size_t ho_count = 0;
+  double first_ho_t = 0.0;
+  double last_ho_t = 0.0;
   bool current_loop_episode = false;
   double throughput_sum_bps = 0.0;
   std::size_t ticks = 0;
@@ -288,7 +295,7 @@ class FleetEngine {
                                        cfg_.breaker_cooldown_s));
     u.last_dd.assign(env_.cells().size(), kNaN);
     u.outage_reestablish_s = kReestablish_s;
-    int serving = env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm);
+    int serving = env_.best_cell(u.pos, kMinCoverageRsrpDbm);
     if (serving < 0) serving = 0;
     u.serving = serving;
     ues_.push_back(std::move(u));
@@ -297,10 +304,9 @@ class FleetEngine {
 
   /// The fixed-step loop behind run() and run_fleet(): one shared step
   /// plus one step per UE (in UE-id order) at each accumulated tick time
-  /// `t += dt`.
+  /// `t += kTick_s`.
   void run_tick_loop() {
-    const double dt = cfg_.tick_s;
-    for (double t = 0.0; t < cfg_.duration_s; t += dt) {
+    for (double t = 0.0; t < cfg_.duration_s; t += kTick_s) {
       shared_step(t);
       for (auto& u : ues_) ue_step(t, u);
     }
@@ -571,7 +577,7 @@ class FleetEngine {
     const double rsrp =
         env_.mean_rsrp_dbm(tgt, ue_of(m.ue).pos) - blackout_db_ - crash_db(tgt);
     return reply(m,
-                 rsrp >= cfg_.min_coverage_rsrp_dbm
+                 rsrp >= kMinCoverageRsrpDbm
                      ? net::MsgType::kHandoverAck
                      : net::MsgType::kHandoverReject,
                  rsrp);
@@ -955,8 +961,7 @@ class FleetEngine {
       // otherwise keep searching — reconnecting into a dying cell just
       // repeats the failure.
       const double floor_rsrp =
-          std::max(cfg_.min_coverage_rsrp_dbm,
-                   kNoiseFloorDbm + kQoutSnrDb + 3.0);
+          std::max(kMinCoverageRsrpDbm, kNoiseFloorDbm + kQoutSnrDb + 3.0);
       if (u.preferred_target >= 0) {
         // T304 fallback: the prepared target holds the UE context, so
         // re-establishment there skips the full cell search. A crashed
@@ -1100,7 +1105,8 @@ class FleetEngine {
     u.last_report_loss_t = u.last_cmd_loss_t = -1e9;
     u.suppress_until = t + kPostHoSuppress_s;
     log_event(u, t, EventKind::kHandoverComplete, prev, u.serving, snr_db);
-    u.ho_times.push_back(t);
+    if (u.ho_count++ == 0) u.first_ho_t = t;
+    u.last_ho_t = t;
     // Loop bookkeeping: returning to a recently-serving cell.
     bool is_loop = false;
     for (const auto& [ts, idx] : u.recent_serving) {
@@ -1183,7 +1189,7 @@ class FleetEngine {
   FailureCause rlf_cause(double t, const UeContext& u) const {
     const int best =
         blackout_ ? -1
-                  : env_.best_cell(u.pos, cfg_.min_coverage_rsrp_dbm, dead_);
+                  : env_.best_cell(u.pos, kMinCoverageRsrpDbm, dead_);
     if (best < 0) return FailureCause::kCoverageHole;
     if ((u.attempt &&
          attempt_cause(u.attempt->phase) == FailureCause::kHoCommandLoss) ||
@@ -1321,7 +1327,7 @@ class FleetEngine {
     // Only cells whose mean can clear the floor are visited, in ascending
     // index; the skipped ones would fail the filter below and draw
     // nothing, so the draws match a scan over every cell.
-    const double floor_dbm = cfg_.min_coverage_rsrp_dbm - kCandidateMarginDb;
+    const double floor_dbm = kMinCoverageRsrpDbm - kCandidateMarginDb;
     env_.cells_in_reach(u.pos, floor_dbm, u.reach);
     // Pass 1: the candidates and their means, drawing nothing.
     u.obs.clear();
@@ -1407,7 +1413,7 @@ class FleetEngine {
       if (degraded) ++u.stats.degraded_enters;
       u.degraded_prev = degraded;
     }
-    if (degraded) u.stats.degraded_time_s += cfg_.tick_s;
+    if (degraded) u.stats.degraded_time_s += kTick_s;
   }
 
   /// End-of-tick observer snapshot, once per UE per simulated tick. Reads
@@ -1453,10 +1459,10 @@ class FleetEngine {
         u.stats.downtime_fraction = static_cast<double>(u.outage_ticks) /
                                     static_cast<double>(u.ticks);
       }
-      if (u.ho_times.size() >= 2) {
+      if (u.ho_count >= 2) {
         u.stats.avg_handover_interval_s =
-            (u.ho_times.back() - u.ho_times.front()) /
-            static_cast<double>(u.ho_times.size() - 1);
+            (u.last_ho_t - u.first_ho_t) /
+            static_cast<double>(u.ho_count - 1);
       }
     }
     if (netw_) {
@@ -1537,29 +1543,15 @@ class FleetEngine {
 };
 
 /// What both entry points check before the first tick; NaN fails every
-/// test. The tick loop only ends for a positive step: zero never reaches
-/// the horizon and a negative step walks backwards. A UE needs a cell to
-/// attach to and a finite, non-negative speed. The candidate floor is the
-/// lowest a run passes to RadioEnv, whose shadowing windows cover floors
-/// down to kWindowFloorDbm.
+/// test. A UE needs a cell to attach to and a finite, non-negative speed.
 void require_runnable(const std::string& who, const RadioEnv& env,
                       const SimConfig& cfg) {
-  if (!(cfg.tick_s > 0.0))
-    throw std::invalid_argument(who + ": tick_s must be > 0, got " +
-                                std::to_string(cfg.tick_s));
   if (env.cells().empty())
     throw std::invalid_argument(who + ": the radio environment has no cells");
   if (!(cfg.speed_kmh >= 0.0 && std::isfinite(cfg.speed_kmh)))
     throw std::invalid_argument(who +
                                 ": speed_kmh must be finite and >= 0, got " +
                                 std::to_string(cfg.speed_kmh));
-  if (!(cfg.min_coverage_rsrp_dbm - kCandidateMarginDb >= kWindowFloorDbm))
-    throw std::invalid_argument(
-        who + ": min_coverage_rsrp_dbm must be >= " +
-        std::to_string(kWindowFloorDbm + kCandidateMarginDb) +
-        " dBm, keeping the candidate floor at or above kWindowFloorDbm; "
-        "got " +
-        std::to_string(cfg.min_coverage_rsrp_dbm));
 }
 
 /// A speed band [lo, hi] a fleet UE draws from: 0 < lo <= hi < inf.

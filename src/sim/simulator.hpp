@@ -194,13 +194,18 @@ constexpr double kLoopWindow_s = 15.0;
 /// the decision's fallback target is tried, then the attempt fails.
 constexpr int kPrepMaxRetries = 4;
 static_assert(kPrepMaxRetries >= 0, "a retry budget cannot be negative");
+/// Simulation step: the loop runs `t += kTick_s` from 0 to the horizon.
+constexpr double kTick_s = 0.010;
+static_assert(kTick_s > 0.0, "the tick loop only ends for a positive step");
+/// Minimum mean RSRP for a cell to count as coverage.
+constexpr double kMinCoverageRsrpDbm = -120.0;
 
 struct SimConfig {
+  /// Read-only alias of kMinCoverageRsrpDbm, kept for readers that take
+  /// the floor from a scenario's SimConfig (perfbench's radio probe).
+  static constexpr double min_coverage_rsrp_dbm = kMinCoverageRsrpDbm;
   double speed_kmh = 300.0;
   double duration_s = 2000.0;
-  double tick_s = 0.010;
-  /// Minimum mean RSRP for a cell to count as coverage.
-  double min_coverage_rsrp_dbm = -120.0;
   /// Record a per-event signaling log (SimStats::events) — the simulated
   /// analogue of the paper's MobileInsight captures.
   bool record_events = false;
@@ -290,10 +295,8 @@ class Simulator {
   /// Run the full scenario with the given manager and return statistics.
   /// `pair_conflicts(cell_a, cell_b)` (CellId::cell values) marks loop
   /// episodes caused by policy conflicts; pass an empty function to skip.
-  /// Throws std::invalid_argument, before the first tick, unless
-  /// cfg.tick_s > 0, the environment has a cell, cfg.speed_kmh is finite
-  /// and >= 0, and the candidate floor cfg.min_coverage_rsrp_dbm - 10 dB
-  /// is at or above kWindowFloorDbm.
+  /// Throws std::invalid_argument, before the first tick, unless the
+  /// environment has a cell and cfg.speed_kmh is finite and >= 0.
   SimStats run(MobilityManager& manager,
                const std::function<bool(int, int)>& pair_conflicts = {});
 

@@ -13,22 +13,18 @@ namespace rem::sim {
 
 /// Initial RTO (RFC 6298 floor-ish on LTE).
 constexpr double kTcpBaseRto_s = 0.2;
+/// Cap on the doubling RTO (RFC 6298's maximum).
+constexpr double kTcpMaxRto_s = 60.0;
 constexpr double kTcpRtt_s = 0.05;  ///< healthy-path RTT
-
-struct TcpConfig {
-  double max_rto_s = 60.0;
-};
 
 /// Stall time experienced by a continuously backlogged TCP flow for one
 /// radio outage of `outage_s` starting at a random phase within the RTO
 /// cycle (`phase01` in [0,1) selects it deterministically).
-double tcp_stall_for_outage(double outage_s, const TcpConfig& cfg,
-                            double phase01);
+double tcp_stall_for_outage(double outage_s, double phase01);
 
 /// Total and per-outage stall times for a sequence of outages. `phases`
 /// must be the same length as `outages` (use Rng::uniform(0,1) draws).
 std::vector<double> tcp_stalls(const std::vector<double>& outages_s,
-                               const std::vector<double>& phases01,
-                               const TcpConfig& cfg = {});
+                               const std::vector<double>& phases01);
 
 }  // namespace rem::sim

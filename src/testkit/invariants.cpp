@@ -607,7 +607,6 @@ void InvariantChecker::check_tick(const sim::TickView& v) {
     t310_armed_t_ = -1.0;
   }
 
-  saw_tick_ = true;
   have_prev_tick_ = true;
   prev_ = v;
   events_this_tick_ = 0;
@@ -801,12 +800,11 @@ void InvariantChecker::on_run_end(sim::SimStats& stats) {
   // --- TCP sequence/ack sanity over every recovered outage ---
   // Whatever phase of the RTO cycle the outage lands in, the stall covers
   // the outage and exceeds it by at most one maximal residual backoff.
-  const sim::TcpConfig tcp;
   for (double outage : stats.outage_durations_s) {
     for (double phase : {0.0, 0.37, 0.93}) {
-      const double stall = sim::tcp_stall_for_outage(outage, tcp, phase);
+      const double stall = sim::tcp_stall_for_outage(outage, phase);
       if (stall < outage - kTimeEps ||
-          stall > outage + tcp.max_rto_s + sim::kTcpRtt_s +
+          stall > outage + sim::kTcpMaxRto_s + sim::kTcpRtt_s +
                       sim::kTcpBaseRto_s + kTimeEps)
         violate(t_end, "TCP stall " + std::to_string(stall) +
                            "s out of bounds for a " + std::to_string(outage) +

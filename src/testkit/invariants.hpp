@@ -138,7 +138,6 @@ class InvariantChecker final : public sim::SimObserver {
   double outage_sum_s_ = 0.0;  ///< closed outages' durations, in order
 
   // --- Event-stream state machine mirror ---
-  bool saw_tick_ = false;
   bool saw_event_ = false;
   double last_event_t_ = 0.0;
   bool exec_open_ = false;       ///< command delivered, not yet closed

@@ -39,9 +39,7 @@ TEST(Multipath, NormalizePower) {
   rem::common::Rng rng(1);
   rch::ChannelDrawConfig cfg;
   cfg.profile = rch::Profile::kEVA;
-  cfg.normalize = false;
-  auto ch = rch::draw_channel(cfg, rng);
-  ch.normalize_power();
+  const auto ch = rch::draw_channel(cfg, rng);
   EXPECT_NEAR(ch.total_power(), 1.0, 1e-12);
 }
 
@@ -173,7 +171,6 @@ TEST(Profiles, HstIsLosDominant) {
   cfg.profile = rch::Profile::kHST350;
   cfg.speed_mps = rem::common::kmh_to_mps(350);
   cfg.carrier_hz = 2.0e9;
-  cfg.rician_k_db = 10.0;
   const double nu_max =
       rem::common::max_doppler_hz(cfg.speed_mps, cfg.carrier_hz);
   int strong_los = 0;

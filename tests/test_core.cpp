@@ -105,7 +105,6 @@ TEST(LegacyManager, MultiStageReconfiguresAfterA2WithDelay) {
 TEST(LegacyManager, RefireIntervalSuppressesDuplicates) {
   rc::LegacyConfig cfg;
   cfg.default_policy = simple_a3_policy(3.0, 0.0);
-  cfg.refire_interval_s = 0.24;
   rc::LegacyManager mgr(cfg);
   mgr.on_serving_changed(0.0, 0);
   const auto sv = serving_at(-100.0);
@@ -143,8 +142,6 @@ TEST(RemManager, RejectsNegativeCellAndSiteIds) {
 TEST(RemManager, RespectsA3OffsetAndTtt) {
   rc::RemConfig rcfg;
   rcfg.a3_offset_db = 3.0;
-  rcfg.hysteresis_db = 1.0;
-  rcfg.time_to_trigger_s = 0.04;
   rc::RemManager mgr(rcfg, rem::common::Rng(2));
   mgr.on_serving_changed(0.0, 0);
   const auto sv = serving_at(-100.0);

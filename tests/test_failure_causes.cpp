@@ -193,7 +193,7 @@ TEST(FailureCauses, T304ExpiryFallsBackToPreparedTarget) {
 // ---------- Preparation rejects and crash-flushed jobs ----------
 // Two attempt branches the randomized suites never reach: a target that
 // refuses admission over the backhaul (its mean RSRP at the UE is below
-// min_coverage_rsrp_dbm), and a BS crash that flushes a UE's queued
+// kMinCoverageRsrpDbm), and a BS crash that flushes a UE's queued
 // decision job. Every run is invariant-checked.
 
 namespace {

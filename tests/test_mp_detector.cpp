@@ -32,8 +32,7 @@ struct ChainResult {
 };
 
 ChainResult run_chain(const rch::MultipathChannel& ch, double snr_db,
-                      rp::Modulation mod, rem::common::Rng& rng,
-                      const rp::MpDetectorConfig& cfg = {}) {
+                      rp::Modulation mod, rem::common::Rng& rng) {
   const auto num = small_grid();
   const std::size_t m = num.num_subcarriers;
   const std::size_t n = num.num_symbols;
@@ -57,8 +56,7 @@ ChainResult run_chain(const rch::MultipathChannel& ch, double snr_db,
   const auto taps = rp::extract_dd_taps(dd_h);
 
   ChainResult out;
-  out.mp = rp::mp_detect(y, taps, mod,
-                         rch::noise_power_for_snr_db(snr_db), cfg);
+  out.mp = rp::mp_detect(y, taps, mod, rch::noise_power_for_snr_db(snr_db));
   out.tx_syms = syms;
   out.total = syms.size();
   const auto& constel = rp::constellation(mod);

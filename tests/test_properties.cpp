@@ -232,12 +232,11 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, CodingProperty,
 class TcpProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(TcpProperty, StallBoundedByOutagePlusMaxRto) {
-  rem::sim::TcpConfig cfg;
   const double outage = GetParam();
   for (double phase = 0.0; phase < 1.0; phase += 0.1) {
-    const double stall = rem::sim::tcp_stall_for_outage(outage, cfg, phase);
+    const double stall = rem::sim::tcp_stall_for_outage(outage, phase);
     EXPECT_GE(stall, outage);
-    EXPECT_LE(stall, outage + cfg.max_rto_s + rem::sim::kTcpRtt_s +
+    EXPECT_LE(stall, outage + rem::sim::kTcpMaxRto_s + rem::sim::kTcpRtt_s +
                          rem::sim::kTcpBaseRto_s);
   }
 }

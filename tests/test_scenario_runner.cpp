@@ -26,8 +26,6 @@ void expect_identical(const AggregateStats& a, const AggregateStats& b,
 void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
   expect_identical(a.legacy, b.legacy, "legacy");
   expect_identical(a.rem, b.rem, "rem");
-  EXPECT_EQ(a.conflict_histogram, b.conflict_histogram);
-  EXPECT_EQ(a.total_conflicts, b.total_conflicts);
 }
 
 }  // namespace

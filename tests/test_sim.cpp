@@ -284,7 +284,7 @@ const PresetWorld& bs340_world(double horizon_s, std::uint64_t seed) {
     it = cache
              .emplace(std::pair(horizon_s, seed),
                       PresetWorld{sc.deployment.route_len_m,
-                                  sc.sim.min_coverage_rsrp_dbm - 10.0,
+                                  rs::kMinCoverageRsrpDbm - 10.0,
                                   draw_world(sc, seed)})
              .first;
   }
@@ -692,33 +692,6 @@ class IdleManager final : public rs::MobilityManager {
 };
 }  // namespace
 
-TEST(Simulator, RejectsNonPositiveTickAtBothEntryPoints) {
-  // A zero step never reaches the horizon and a negative one walks
-  // backwards, so both entry points must refuse them up front.
-  const auto env = small_env();
-  const rem::phy::LogisticBlerModel bler;
-  for (double tick : {0.0, -0.01}) {
-    SCOPED_TRACE("tick_s=" + std::to_string(tick));
-    rs::SimConfig cfg;
-    cfg.duration_s = 1.0;
-    cfg.tick_s = tick;
-    IdleManager manager;
-    rs::Simulator single(env, cfg, bler, rem::common::Rng(1));
-    EXPECT_THROW(single.run(manager), std::invalid_argument);
-    rs::Simulator fleet(env, cfg, bler, rem::common::Rng(1));
-    EXPECT_THROW(fleet.run_fleet([](int) {
-      return std::make_unique<IdleManager>();
-    }),
-                 std::invalid_argument);
-  }
-  // A positive step still runs the full horizon.
-  rs::SimConfig cfg;
-  cfg.duration_s = 1.0;
-  IdleManager manager;
-  rs::Simulator ok(env, cfg, bler, rem::common::Rng(1));
-  EXPECT_EQ(ok.run(manager).sim_time_s, 1.0);
-}
-
 namespace {
 /// run_fleet throws std::invalid_argument for `cfg` on `env`.
 void expect_fleet_rejects(const rs::RadioEnv& env, const rs::SimConfig& cfg) {
@@ -759,27 +732,6 @@ TEST(Simulator, RejectsNonFiniteOrNegativeSpeeds) {
     cfg.speed_kmh = speed;
     expect_both_entry_points_reject(env, cfg);
   }
-}
-
-TEST(Simulator, RejectsACandidateFloorBelowTheWindowFloor) {
-  // The policy loop asks for cells down to 10 dB below the coverage floor.
-  const auto env = small_env();
-  for (double floor : {-120.5, -200.0,
-                       std::numeric_limits<double>::quiet_NaN()}) {
-    SCOPED_TRACE("min_coverage_rsrp_dbm=" + std::to_string(floor));
-    rs::SimConfig cfg;
-    cfg.duration_s = 1.0;
-    cfg.min_coverage_rsrp_dbm = floor;
-    expect_both_entry_points_reject(env, cfg);
-  }
-  rs::SimConfig cfg;
-  cfg.duration_s = 1.0;
-  cfg.speed_kmh = 0.0;
-  cfg.min_coverage_rsrp_dbm = rs::kWindowFloorDbm + 10.0;
-  IdleManager manager;
-  const rem::phy::LogisticBlerModel bler;
-  rs::Simulator ok(env, cfg, bler, rem::common::Rng(1));
-  EXPECT_EQ(ok.run(manager).sim_time_s, 1.0);
 }
 
 TEST(Simulator, RejectsNonFiniteFleetSpeedsAndSpread) {
@@ -826,28 +778,25 @@ TEST(StatsTable, MetricNamesAreUnique) {
 // ---------- TCP model ----------
 
 TEST(Tcp, StallAtLeastOutage) {
-  rs::TcpConfig cfg;
   for (double outage : {0.5, 1.0, 3.0, 8.0}) {
-    const double stall = rs::tcp_stall_for_outage(outage, cfg, 0.3);
+    const double stall = rs::tcp_stall_for_outage(outage, 0.3);
     EXPECT_GE(stall, outage);
   }
 }
 
 TEST(Tcp, BackoffAmplifiesLongOutages) {
-  rs::TcpConfig cfg;
   // Fig. 9b: a ~2.3 s radio outage became a ~6.5 s stall via RTO backoff.
-  const double stall = rs::tcp_stall_for_outage(2.3, cfg, 0.0);
+  const double stall = rs::tcp_stall_for_outage(2.3, 0.0);
   EXPECT_GT(stall, 2.3 * 1.3);
   // Short outages are barely amplified.
-  const double short_stall = rs::tcp_stall_for_outage(0.3, cfg, 0.0);
+  const double short_stall = rs::tcp_stall_for_outage(0.3, 0.0);
   EXPECT_LT(short_stall, 0.9);
 }
 
 TEST(Tcp, StallMonotoneInOutage) {
-  rs::TcpConfig cfg;
   double prev = 0.0;
   for (double outage = 0.2; outage < 20.0; outage += 0.2) {
-    const double stall = rs::tcp_stall_for_outage(outage, cfg, 0.5);
+    const double stall = rs::tcp_stall_for_outage(outage, 0.5);
     EXPECT_GE(stall, prev - 1e-9);
     prev = stall;
   }
@@ -860,9 +809,17 @@ TEST(Tcp, VectorApiValidatesSizes) {
 }
 
 TEST(Tcp, RtoCappedAtMax) {
-  rs::TcpConfig cfg;
-  cfg.max_rto_s = 4.0;
-  // Stall exceeds outage by at most max_rto (the last backoff interval).
-  const double stall = rs::tcp_stall_for_outage(60.0, cfg, 0.0);
-  EXPECT_LE(stall - 60.0, 4.0 + 1e-9);
+  // The 0.2 s RTO doubles past kTcpMaxRto_s after about 100 s of outage;
+  // from then on a retransmission fires every kTcpMaxRto_s, so a stall
+  // exceeds its outage by at most one cap, and one more cap of outage
+  // moves the stall by exactly one cap.
+  for (double outage : {200.0, 500.0, 1000.0}) {
+    SCOPED_TRACE("outage_s=" + std::to_string(outage));
+    const double stall = rs::tcp_stall_for_outage(outage, 0.0);
+    EXPECT_GE(stall, outage);
+    EXPECT_LE(stall - outage, rs::kTcpMaxRto_s + 1e-9);
+    EXPECT_NEAR(
+        rs::tcp_stall_for_outage(outage + rs::kTcpMaxRto_s, 0.0) - stall,
+        rs::kTcpMaxRto_s, 1e-9);
+  }
 }
